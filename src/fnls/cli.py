@@ -15,10 +15,10 @@ every key can be overridden on the command line as ``--<section>-<key>``.
 default.  The only environment variable honoured is ``FNLS_OUTPUT_DIR``,
 which overrides ``run.output_dir``.
 
-Exit codes: 0 on success, 1 when a verification criterion fails, 2 on
-input or configuration errors.  Outputs are deterministic: a fixed number
-format (17 significant digits, '.' decimal), fixed row order, no locale or
-timestamp dependence.
+Exit codes: 0 on success, 1 when a verification criterion fails or the pole
+solver fails on valid input, 2 on input or configuration errors.  Outputs
+are deterministic: a fixed number format (17 significant digits, '.'
+decimal), fixed row order, no locale or timestamp dependence.
 """
 
 from __future__ import annotations
@@ -603,6 +603,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:
+        # A ValueError subclass, but valid input: the solver failed.
+        print(f"error: pole solver failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         # Domain guards from the library (bad cone, t below the floor,
         # spectral singularity at a real z, non-decaying profile, ...)

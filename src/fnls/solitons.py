@@ -2,8 +2,9 @@
 
 A double (order-2) pole of the transmission problem at ``z_k`` in the upper
 half plane carries two complex constants ``(c0, c1)``.  The piecewise-rational
-solution matrix is reconstructed from a dense linear system over the Laurent
-coefficients of its pole expansion; the field is read off the ``1/z`` moment,
+solution matrix is reconstructed from a dense 4N x 4N linear system over the
+Laurent coefficients of its pole expansion; the field is read off the ``1/z``
+moment,
 
     q(x, t) = 2i * lim_{z->inf} z * m_12(z).
 
@@ -15,25 +16,33 @@ Re-orienting a subset ``Delta`` of the spectrum is the column scaling
 ``m -> m * a_Delta(z)^{sigma3}`` with ``a_Delta`` the squared Blaschke product
 over ``Delta``; :func:`reorient_constants` maps the pole constants
 accordingly, and the reconstructed field is invariant under the change.
+
+One system serves every mix of orientations (:func:`pole_system`), and its
+x dependence is a row scaling, so a whole slice of x is solved as one stack
+of LU solves.  Each point reports the 1-norm condition number and the scaled
+backward residual of its solve.  All-lower entries grow like
+``exp(2 Im z_k |x|)`` on the far side of a pole; :func:`solve_field` keeps,
+at each x, the better conditioned of the all-lower system and the one with
+the poles where ``x + 2t Re z_k < 0`` flipped.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
+import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "DiscreteDatum",
     "OrientedData",
-    "SolitonSystem",
     "SolitonState",
+    "FieldSolution",
     "pole_coefficients",
-    "assemble_system",
+    "pole_system",
     "solve_soliton",
+    "solve_field",
     "soliton_field",
     "evaluate_matrix",
     "outer_matrix_row",
@@ -47,6 +56,8 @@ __all__ = [
 
 _COINCIDENCE_TOL = 1e-12
 _COND_WARN = 1e12
+# Matrix entries per stacked solve, which bounds its memory.
+_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -98,38 +109,6 @@ class OrientedData:
 
 
 @dataclass
-class SolitonSystem:
-    """The dense block system for an all-lower orientation.
-
-    Unknown vector layout: ``(alpha1, alpha2, conj(beta1), conj(beta2))``,
-    each block of length N.  ``matrix`` is ``[[I, 0, A, B], [0, I, C, D],
-    [-conj(A), -conj(B), I, 0], [-conj(C), -conj(D), 0, I]]`` and
-    ``rhs = (0, 0, conj(gamma0), conj(gamma1))``.
-    """
-
-    z: np.ndarray
-    gamma0: np.ndarray
-    gamma1: np.ndarray
-    A_blk: np.ndarray
-    B_blk: np.ndarray
-    C_blk: np.ndarray
-    D_blk: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        n = len(self.z)
-        eye = np.eye(n, dtype=np.complex128)
-        zero = np.zeros((n, n), dtype=np.complex128)
-        return np.block([
-            [eye, zero, self.A_blk, self.B_blk],
-            [zero, eye, self.C_blk, self.D_blk],
-            [-np.conj(self.A_blk), -np.conj(self.B_blk), eye, zero],
-            [-np.conj(self.C_blk), -np.conj(self.D_blk), zero, eye],
-        ])
-
-
-@dataclass
 class SolitonState:
     """Solved Laurent coefficients of the solution matrix at one ``(x, t)``."""
 
@@ -147,166 +126,179 @@ class SolitonState:
     m_out_row: np.ndarray | None = None
 
 
-def pole_coefficients(datum: DiscreteDatum, x: float, t: float,
-                      orientation: str = "lower") -> tuple[complex, complex]:
+@dataclass
+class FieldSolution:
+    """``q`` over an array of ``x``, with the 1-norm condition number and
+    the scaled backward residual of the solve kept at each point."""
+
+    q: np.ndarray
+    condition: np.ndarray
+    residual: np.ndarray
+
+
+def _gammas(z, c0, c1, sign, x, t: float):
+    """``(gamma0, gamma1)`` of poles ``z`` (orientation ``sign``: +1 lower,
+    -1 upper) at points ``x``; all arguments broadcast."""
+    ph = np.exp(sign * (2j * t * z * z + 2j * x * z))
+    return (c0 + sign * c1 * (4j * t * z + 2j * x)) * ph, c1 * ph
+
+
+def pole_coefficients(datum: DiscreteDatum, x, t: float,
+                      orientation: str = "lower"):
     """Assemble the (gamma0, gamma1) pair for one pole at ``(x, t)``.
 
     Lower orientation: ``gamma_i = c_i(x,t) * exp(+2i(t z^2 + x z))`` with the
     linear-in-derivative shift folded into gamma0; upper orientation mirrors
-    the exponent and the shift sign.
+    the exponent and the shift sign.  ``x`` may be an array.
     """
-    z = datum.z
-    shift = 4j * t * z + 2j * x
-    if orientation == "lower":
-        ph = cmath.exp(2j * t * z * z + 2j * x * z)
-        return (datum.c0 + datum.c1 * shift) * ph, datum.c1 * ph
-    if orientation == "upper":
-        ph = cmath.exp(-(2j * t * z * z + 2j * x * z))
-        return (datum.c0 - datum.c1 * shift) * ph, datum.c1 * ph
-    raise ValueError(f"unknown orientation {orientation!r}")
+    if orientation not in ("lower", "upper"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    sign = 1.0 if orientation == "lower" else -1.0
+    return _gammas(datum.z, datum.c0, datum.c1, sign, np.asarray(x, dtype=float), t)
 
 
-def _check_distinct(zs: np.ndarray) -> None:
-    n = len(zs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(zs[i] - zs[j]) < _COINCIDENCE_TOL:
-                raise ValueError(
-                    f"coincident spectral points {zs[i]} and {zs[j]}")
-
-
-def assemble_system(data, x: float, t: float) -> SolitonSystem:
-    """Build the 4N x 4N block system for all-lower-oriented data."""
+def _as_oriented(data, orientations=None) -> OrientedData:
+    if isinstance(data, OrientedData):
+        return data
     data = tuple(data)
-    zs = np.array([d.z for d in data], dtype=np.complex128)
-    _check_distinct(zs)
-    n = len(data)
-    g0 = np.empty(n, dtype=np.complex128)
-    g1 = np.empty(n, dtype=np.complex128)
-    for i, d in enumerate(data):
-        g0[i], g1[i] = pole_coefficients(d, x, t, "lower")
-
-    # Pairwise displacements z_k - conj(z_j); rows index the pole whose
-    # residue condition is being written, columns the coupled pole.
-    w = zs[:, None] - np.conj(zs)[None, :]
-    A = g0[:, None] / w - g1[:, None] / w**2
-    B = g0[:, None] / w**2 - 2.0 * g1[:, None] / w**3
-    C = g1[:, None] / w
-    D = g1[:, None] / w**2
-
-    rhs = np.concatenate([
-        np.zeros(n, dtype=np.complex128),
-        np.zeros(n, dtype=np.complex128),
-        np.conj(g0),
-        np.conj(g1),
-    ])
-    return SolitonSystem(zs, g0, g1, A, B, C, D, rhs)
+    if orientations is None:
+        return OrientedData.all_lower(data)
+    return OrientedData(data, tuple(orientations))
 
 
-def _scaled_residual(matrix: np.ndarray, u: np.ndarray, rhs: np.ndarray) -> float:
-    num = float(np.max(np.abs(matrix @ u - rhs)))
-    den = (float(np.max(np.abs(matrix))) * float(np.max(np.abs(u)))
-           + float(np.max(np.abs(rhs))) + 1e-300)
-    return num / den
+@functools.lru_cache(maxsize=256)
+def _row_forms(zs: tuple, lower: tuple):
+    """The x-independent parts ``(K0, K1, e)`` of :func:`pole_system`."""
+    n = len(zs)
+    z = np.array(zs, dtype=np.complex128)
+    gap = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(n, np.inf))
+    if n > 1 and gap.min() < _COINCIDENCE_TOL:
+        i, j = np.unravel_index(np.argmin(gap), gap.shape)
+        raise ValueError(f"coincident spectral points {z[i]} and {z[j]}")
+    lower = np.array(lower)
+
+    # Row and column r = block * n + pole; blocks 0-3 are alpha1, alpha2,
+    # conj(beta1), conj(beta2).
+    block, pole = np.divmod(np.arange(4 * n), n)
+    is_alpha = block < 2
+    first = block % 2 == 0
+    same = lower[pole][:, None] == lower[pole][None, :]
+    # Rows whose residue form has no unit term (alpha rows of lower poles,
+    # conj(beta) rows of upper poles); they couple to equal orientations
+    # with sign -1.
+    bare = is_alpha == lower[pole]
+    coupled = is_alpha[None, :] == (is_alpha[:, None] != same)
+    sign = np.where(same & bare[:, None], -1.0, 1.0)
+    point = np.where(is_alpha, z[pole], np.conj(z[pole]))
+    inv = 1.0 / np.where(coupled, point[:, None] - point[None, :], 1.0)
+    k0 = np.where(coupled, -sign * np.where(first, inv, inv * inv), 0.0)
+    k1 = np.where(coupled & first[:, None],
+                  sign * np.where(first, inv * inv, 2.0 * inv ** 3), 0.0)
+    unit = np.where(bare, 0.0, 1.0)
+    for a in (k0, k1, unit):
+        a.flags.writeable = False
+    return k0, k1, unit
 
 
-def _assemble_mixed(oriented: OrientedData, x: float, t: float):
-    """Conjugate-doubled 8N x 8N system for mixed orientations.
+def pole_system(data, x_values, t: float):
+    """The pole system at every ``x``: matrices ``(P, 4N, 4N)``, rhs ``(P, 4N)``.
 
-    Unknown layout: ``(alpha1, alpha2, beta1, beta2,
-    conj(alpha1), conj(alpha2), conj(beta1), conj(beta2))``.
+    ``data`` is an :class:`OrientedData` or a sequence of
+    :class:`DiscreteDatum`, taken as all lower.
+
+    The unknowns are ``(alpha1, alpha2, conj(beta1), conj(beta2))``, each of
+    length N, whatever the orientations.  Rows come in the same four blocks:
+    the alpha rows write the residue conditions at ``z_k``, the conj(beta)
+    rows their conjugates at ``conj(z_k)``.  A row couples to the other
+    block of a pole with the same orientation and to its own block of a pole
+    with the other one.  Every row is affine in its pole's ``(gamma0,
+    gamma1)`` (conjugated on conj(beta) rows), so
+
+        M(x) = I + Gamma0(x) K0 + Gamma1(x) K1,   rhs = Gamma0(x) e,
+
+    with row scalings ``Gamma0, Gamma1`` and ``K0, K1, e`` fixed by ``z`` and
+    the orientations.  For all-lower data this is the block matrix
+    ``[[I, 0, A, B], [0, I, C, D], [-conj A, -conj B, I, 0],
+    [-conj C, -conj D, 0, I]]`` with rhs ``(0, 0, conj g0, conj g1)``.
     """
-    data = oriented.data
-    orients = oriented.orientations
-    n = len(data)
-    zs = np.array([d.z for d in data], dtype=np.complex128)
-    _check_distinct(zs)
+    oriented = _as_oriented(data)
+    lower = tuple(o == "lower" for o in oriented.orientations)
+    k0, k1, unit = _row_forms(tuple(complex(d.z) for d in oriented.data), lower)
+    z, c0, c1 = (np.array([getattr(d, a) for d in oriented.data], dtype=np.complex128)
+                 for a in ("z", "c0", "c1"))
+    x = np.asarray(x_values, dtype=float).reshape(-1, 1)
+    g0, g1 = _gammas(z, c0, c1, np.where(lower, 1.0, -1.0), x, t)
+    gamma0 = np.concatenate([g0, g1, np.conj(g0), np.conj(g1)], axis=1)
+    # Gamma1 is gamma0 one block on (g1 on alpha1 rows, conj g1 on
+    # conj(beta1) rows); K1 vanishes on the order-2 rows.
+    n = len(lower)
+    matrix = gamma0[:, :, None] * k0
+    matrix[:, :3 * n] += gamma0[:, n:, None] * k1[:3 * n]
+    matrix += np.eye(4 * n)
+    return matrix, gamma0 * unit
 
-    g0 = np.empty(n, dtype=np.complex128)
-    g1 = np.empty(n, dtype=np.complex128)
-    for i, (d, o) in enumerate(zip(data, orients)):
-        g0[i], g1[i] = pole_coefficients(d, x, t, o)
 
-    # Index helpers into the 8N unknown vector.
-    def idx(block: int, j: int) -> int:
-        return block * n + j
+def _solve_stack(matrix: np.ndarray, rhs: np.ndarray):
+    """LU-solve a stack of systems: ``(u, condition, residual)`` per system.
 
-    dim = 8 * n
-    M = np.zeros((dim, dim), dtype=np.complex128)
-    rhs = np.zeros(dim, dtype=np.complex128)
+    The 1-norm condition uses the inverse from the same factorisation; the
+    residual is ``|M u - rhs| / (|M| |u| + |rhs|)`` in max norms.  Exactly
+    singular matrices give ``u = nan`` and condition ``inf``.
+    """
+    dim = matrix.shape[-1]
+    eye = np.eye(dim)
+    cols = np.concatenate(
+        [rhs[:, :, None], np.broadcast_to(eye, matrix.shape)], axis=2)
+    try:
+        sol = np.linalg.solve(matrix, cols)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(matrix)[0] == 0
+        sol = np.linalg.solve(np.where(singular[:, None, None], eye, matrix), cols)
+        sol[singular] = np.nan
+    u = sol[:, :, 0]
+    size = np.abs(matrix)
+    cond = size.sum(axis=1).max(axis=1) * np.abs(sol[:, :, 1:]).sum(axis=1).max(axis=1)
+    cond[~np.isfinite(cond)] = np.inf
+    num = np.abs(np.matmul(matrix, u[:, :, None])[:, :, 0] - rhs).max(axis=1)
+    den = (size.max(axis=(1, 2)) * np.abs(u).max(axis=1)
+           + np.abs(rhs).max(axis=1) + 1e-300)
+    return u, cond, num / den
 
-    # Column vectors of the pole expansion, as linear forms over the unknowns:
-    # col1(z) = e1 + sum_{j lower} (a1_j, b1_j)/(z-z_j) + (a2_j, b2_j)/(z-z_j)^2
-    #              + sum_{j upper} (cb1_j, -ca1_j)/(z-zb_j) + (cb2_j, -ca2_j)/(z-zb_j)^2
-    # col2(z) = e2 + sum_{j lower} (-cb1_j, ca1_j)/(z-zb_j) + (-cb2_j, ca2_j)/(z-zb_j)^2
-    #              + sum_{j upper} (a1_j, b1_j)/(z-z_j) + (a2_j, b2_j)/(z-z_j)^2
-    # (ca/cb denote conjugated unknowns, zb_j = conj(z_j)).
-    def col_contribs(which: int):
-        """List of (unknown_index, center, power, row1_coeff, row2_coeff)."""
-        out = []
-        for j, o in enumerate(orients):
-            zb = np.conj(zs[j])
-            if (o == "lower") == (which == 1):
-                # direct coefficients at z_j
-                out.append((idx(0, j), zs[j], 1, 1.0, 0.0))   # alpha1_j
-                out.append((idx(2, j), zs[j], 1, 0.0, 1.0))   # beta1_j
-                out.append((idx(1, j), zs[j], 2, 1.0, 0.0))   # alpha2_j
-                out.append((idx(3, j), zs[j], 2, 0.0, 1.0))   # beta2_j
-            elif o == "lower":
-                # mirrored block of a lower pole, lives in column 2 at conj z_j
-                out.append((idx(6, j), zb, 1, -1.0, 0.0))     # -conj(beta1_j)
-                out.append((idx(4, j), zb, 1, 0.0, 1.0))      # +conj(alpha1_j)
-                out.append((idx(7, j), zb, 2, -1.0, 0.0))
-                out.append((idx(5, j), zb, 2, 0.0, 1.0))
-            else:
-                # mirrored block of an upper pole, lives in column 1 at conj z_j
-                out.append((idx(6, j), zb, 1, 1.0, 0.0))      # +conj(beta1_j)
-                out.append((idx(4, j), zb, 1, 0.0, -1.0))     # -conj(alpha1_j)
-                out.append((idx(7, j), zb, 2, 1.0, 0.0))
-                out.append((idx(5, j), zb, 2, 0.0, -1.0))
-        return out
 
-    contribs = {1: col_contribs(1), 2: col_contribs(2)}
+def _solve_points(oriented: OrientedData, x: np.ndarray, t: float):
+    """Solve the pole system of ``oriented`` at every ``x``, a bounded chunk
+    of points per stacked solve: ``(u, condition, residual)``.  Overflowing
+    exponentials far from the poles leave a non-finite solve, reported as
+    condition ``inf`` like a singular matrix."""
+    dim = 4 * len(oriented.data)
+    u = np.empty((x.size, dim), dtype=np.complex128)
+    cond = np.empty(x.size)
+    residual = np.empty(x.size)
+    step = max(1, _CHUNK_ENTRIES // (dim * (dim + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, x.size, step):
+            part = slice(lo, lo + step)
+            u[part], cond[part], residual[part] = _solve_stack(
+                *pole_system(oriented, x[part], t))
+    return u, cond, residual
 
-    for k, o in enumerate(orients):
-        which = 2 if o == "lower" else 1
-        zk = zs[k]
-        e_row1, e_row2 = (0.0, 1.0) if which == 2 else (1.0, 0.0)
 
-        # order-2 condition rows: (alpha2_k, beta2_k) = gamma1 * col(z_k)
-        r_a2, r_b2 = idx(1, k), idx(3, k)
-        M[r_a2, idx(1, k)] += 1.0
-        M[r_b2, idx(3, k)] += 1.0
-        # order-1 condition rows: (alpha1_k, beta1_k) = gamma0*col + gamma1*col'
-        r_a1, r_b1 = idx(0, k), idx(2, k)
-        M[r_a1, idx(0, k)] += 1.0
-        M[r_b1, idx(2, k)] += 1.0
+def _moment(oriented: OrientedData, u: np.ndarray) -> np.ndarray:
+    """``q = 2i * (1/z moment of m_12)``: lower poles contribute
+    ``-conj(beta1)``, upper poles ``alpha1``."""
+    n = len(oriented.data)
+    upper = np.array([o == "upper" for o in oriented.orientations], dtype=float)
+    return 2j * (u[:, :n] @ upper - u[:, 2 * n:3 * n] @ (1.0 - upper))
 
-        rhs[r_a2] += g1[k] * e_row1
-        rhs[r_b2] += g1[k] * e_row2
-        rhs[r_a1] += g0[k] * e_row1
-        rhs[r_b1] += g0[k] * e_row2
 
-        for (ui, ctr, power, cr1, cr2) in contribs[which]:
-            if abs(zk - ctr) < _COINCIDENCE_TOL:
-                raise ValueError("evaluation point collides with a pole")
-            base = 1.0 / (zk - ctr) ** power
-            dbase = -power / (zk - ctr) ** (power + 1)
-            M[r_a2, ui] -= g1[k] * base * cr1
-            M[r_b2, ui] -= g1[k] * base * cr2
-            M[r_a1, ui] -= (g0[k] * base + g1[k] * dbase) * cr1
-            M[r_b1, ui] -= (g0[k] * base + g1[k] * dbase) * cr2
-
-    # Conjugated copies close the real-linear system: swap the two 4N halves
-    # of the unknown vector and conjugate coefficients and right-hand sides.
-    half = 4 * n
-    for r in range(half):
-        rc = r + half
-        rhs[rc] = np.conj(rhs[r])
-        for cidx in range(dim):
-            if M[r, cidx] != 0.0:
-                M[rc, (cidx + half) % dim] = np.conj(M[r, cidx])
-    return M, rhs, g0, g1
+def _check_solved(cond: np.ndarray, x: np.ndarray, t: float) -> None:
+    if np.isinf(cond).any():
+        bad = float(x[np.argmax(np.isinf(cond))])
+        raise np.linalg.LinAlgError(
+            f"pole system is singular or overflows at x = {bad:g}, t = {t:g}")
+    worst = float(cond.max(initial=1.0))
+    if worst > _COND_WARN:
+        warnings.warn(f"pole system condition number {worst:.2e}", RuntimeWarning)
 
 
 def solve_soliton(data, x: float, t: float,
@@ -314,80 +306,69 @@ def solve_soliton(data, x: float, t: float,
     """Solve the pole system at ``(x, t)`` and reconstruct the field value.
 
     ``data`` may be a sequence of :class:`DiscreteDatum` (all-lower by
-    default) or an :class:`OrientedData`.  ``z_eval`` optionally requests the
-    first row of the solution matrix at one point (stored in ``m_out_row``).
+    default) or an :class:`OrientedData`; the orientation given is kept.
+    ``z_eval`` optionally requests the first row of the solution matrix at
+    one point (stored in ``m_out_row``).
     """
-    if isinstance(data, OrientedData):
-        oriented = data
-    else:
-        data = tuple(data)
-        if orientations is None:
-            oriented = OrientedData.all_lower(data)
-        else:
-            oriented = OrientedData(data, tuple(orientations))
-
+    oriented = _as_oriented(data, orientations)
     n = len(oriented.data)
-    if n == 0:
-        state = SolitonState(oriented, x, t,
-                             *(np.zeros(0, dtype=np.complex128) for _ in range(4)),
-                             q=0.0 + 0.0j, residual=0.0, condition=1.0,
-                             ill_conditioned=False)
-        if z_eval is not None:
-            state.m_out_row = outer_matrix_row(state, z_eval)
-        return state
-
-    all_lower = all(o == "lower" for o in oriented.orientations)
-    if all_lower:
-        system = assemble_system(oriented.data, x, t)
-        M = system.matrix
-        rhs = system.rhs
-        u = np.linalg.solve(M, rhs)
-        alpha1 = u[0 * n:1 * n]
-        alpha2 = u[1 * n:2 * n]
-        beta1 = np.conj(u[2 * n:3 * n])
-        beta2 = np.conj(u[3 * n:4 * n])
+    if n:
+        xs = np.array([float(x)])
+        u, cond, residual = _solve_points(oriented, xs, t)
+        _check_solved(cond, xs, t)
+        q = complex(_moment(oriented, u)[0])
+        cond, residual = float(cond[0]), float(residual[0])
     else:
-        M, rhs, _, _ = _assemble_mixed(oriented, x, t)
-        u = np.linalg.solve(M, rhs)
-        mismatch = float(np.max(np.abs(u[4 * n:] - np.conj(u[:4 * n]))))
-        scale = float(np.max(np.abs(u))) + 1e-300
-        if mismatch > 1e-8 * scale:
-            warnings.warn(
-                f"conjugate-pair mismatch {mismatch:.2e} in the doubled solve",
-                RuntimeWarning)
-        alpha1 = u[0 * n:1 * n]
-        alpha2 = u[1 * n:2 * n]
-        beta1 = u[2 * n:3 * n]
-        beta2 = u[3 * n:4 * n]
-
-    residual = _scaled_residual(M, u, rhs)
-    condition = float(abs(np.linalg.cond(M, 1)))
-    ill = condition > _COND_WARN
-    if ill:
-        warnings.warn(f"pole system condition number {condition:.2e}",
-                      RuntimeWarning)
-
-    # q = 2i * (1/z moment of m_12): lower poles contribute -conj(beta1),
-    # upper poles contribute alpha1.
-    moment = 0.0 + 0.0j
-    for j, o in enumerate(oriented.orientations):
-        moment += alpha1[j] if o == "upper" else -np.conj(beta1[j])
-    q = 2j * moment
-
-    state = SolitonState(oriented, x, t, alpha1, alpha2, beta1, beta2,
-                         q=complex(q), residual=residual, condition=condition,
-                         ill_conditioned=ill)
+        u, q, cond, residual = np.zeros((1, 0), dtype=np.complex128), 0j, 1.0, 0.0
+    state = SolitonState(oriented, x, t, u[0, :n], u[0, n:2 * n],
+                         np.conj(u[0, 2 * n:3 * n]), np.conj(u[0, 3 * n:]),
+                         q=q, residual=residual, condition=cond,
+                         ill_conditioned=cond > _COND_WARN)
     if z_eval is not None:
         state.m_out_row = outer_matrix_row(state, z_eval)
     return state
 
 
+def solve_field(data, x_values, t: float, orientations=None) -> FieldSolution:
+    """Solve for ``q(x, t)`` over an array of ``x`` with stacked solves.
+
+    Given orientations (or an :class:`OrientedData`) are kept.  For plain
+    data each point takes the better conditioned of two equivalent systems:
+    all poles lower, and the poles with ``x + 2t Re z_k < 0`` flipped by
+    :func:`reorient_constants`, whose entries decay where the all-lower ones
+    grow.  The flipped constants do not depend on ``x``, so each sign
+    pattern (at most N + 1 per slice) costs one reorientation.
+    """
+    x = np.asarray(x_values, dtype=float).ravel()
+    oriented = _as_oriented(data, orientations)
+    if not oriented.data:
+        return FieldSolution(np.zeros(x.size, dtype=np.complex128),
+                             np.ones(x.size), np.zeros(x.size))
+    u, cond, residual = _solve_points(oriented, x, t)
+    q = _moment(oriented, u)
+    if not isinstance(data, OrientedData) and orientations is None:
+        re_z = np.array([d.z.real for d in oriented.data])
+        flips = x[:, None] + 2.0 * t * re_z[None, :] < 0
+        patterns, which = np.unique(flips, axis=0, return_inverse=True)
+        which = which.ravel()
+        for p, pattern in enumerate(patterns):
+            if not pattern.any():
+                continue
+            at = np.flatnonzero(which == p)
+            flipped = reorient_constants(oriented.data, np.flatnonzero(pattern))
+            u_f, cond_f, res_f = _solve_points(flipped, x[at], t)
+            better = cond_f < cond[at]
+            at = at[better]
+            q[at] = _moment(flipped, u_f[better])
+            cond[at] = cond_f[better]
+            residual[at] = res_f[better]
+    _check_solved(cond, x, t)
+    return FieldSolution(q, cond, residual)
+
+
 def soliton_field(data, x_values, t: float, orientations=None) -> np.ndarray:
-    """Evaluate ``q(x, t)`` over an array of ``x`` (one dense solve each)."""
-    out = np.empty(len(x_values), dtype=np.complex128)
-    for i, x in enumerate(np.asarray(x_values, dtype=float)):
-        out[i] = solve_soliton(data, float(x), t, orientations=orientations).q
-    return out
+    """``q(x, t)`` over an array of ``x``; see :func:`solve_field`."""
+    return solve_field(data, x_values, t, orientations).q
 
 
 def evaluate_matrix(state: SolitonState, z) -> np.ndarray:

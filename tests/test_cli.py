@@ -123,6 +123,27 @@ def test_scatter_real_axis_zero_exits_2_naming_z(out, capsys):
 # soliton
 # ---------------------------------------------------------------------------
 
+def test_soliton_solver_failure_exits_1_not_bad_input(out, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("fnls.cli.soliton_field", fail)
+    rc = run_cli("soliton", "--discrete-poles", "0 1 1 2 0 0 0",
+                 "--output-dir", str(out))
+    assert rc == 1
+    assert "error: pole solver failed: Singular matrix" in capsys.readouterr().err
+
+
+def test_soliton_breather_on_the_default_window(out):
+    # the data 2 sech x scatters to; its all-lower system is singular at x = -20
+    rc = run_cli("soliton", "--discrete-poles", "0 0.5 1 0 -2 0 0\n0 1.5 1 0 -6 0 0",
+                 "--soliton-t-min", "0.3", "--soliton-t-max", "0.3",
+                 "--output-dir", str(out))
+    assert rc == 0
+    arr = np.loadtxt(out / "soliton_field.csv", delimiter=",", comments="#")
+    assert arr.shape == (801, 4) and np.all(np.isfinite(arr))
+
+
 def test_soliton_empty_discrete_data_gives_zero_field(tmp_path, out):
     doc = tmp_path / "empty.json"
     save_scattering(ScatteringData(np.zeros(0), np.zeros(0, complex), ()), doc)

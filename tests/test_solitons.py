@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from fnls.solitons import (
     DiscreteDatum,
     OrientedData,
-    assemble_system,
     blaschke_derivatives_at_member,
     blaschke_product,
     blaschke_value_and_derivs,
@@ -17,8 +18,10 @@ from fnls.solitons import (
     modulate_constants,
     outer_matrix_row,
     pole_coefficients,
+    pole_system,
     reorient_constants,
     restrict_to_interval,
+    solve_field,
     solve_soliton,
     soliton_field,
 )
@@ -36,13 +39,15 @@ def _pair():
 
 def test_block_entries_single_pole_at_origin():
     # z = i, (c0, c1) = (0, 1), x = t = 0: gamma = (0, 1), w = 2i, so the
-    # four 1x1 blocks are 1/4, -i/4, -i/2, -1/4 by direct evaluation.
-    sys = assemble_system([DiscreteDatum(1j)], 0.0, 0.0)
-    assert sys.A_blk[0, 0] == pytest.approx(0.25)
-    assert sys.B_blk[0, 0] == pytest.approx(-0.25j)
-    assert sys.C_blk[0, 0] == pytest.approx(-0.5j)
-    assert sys.D_blk[0, 0] == pytest.approx(-0.25)
-    assert np.allclose(sys.rhs, [0, 0, 0, 1])
+    # four 1x1 blocks are 1/4, -i/4, -i/2, -1/4 by direct evaluation.  They
+    # sit in the top right of [[I, 0, A, B], [0, I, C, D], ...].
+    matrix, rhs = pole_system([DiscreteDatum(1j)], [0.0], 0.0)
+    assert matrix.shape == (1, 4, 4)
+    assert matrix[0, 0, 2] == pytest.approx(0.25)
+    assert matrix[0, 0, 3] == pytest.approx(-0.25j)
+    assert matrix[0, 1, 2] == pytest.approx(-0.5j)
+    assert matrix[0, 1, 3] == pytest.approx(-0.25)
+    assert np.allclose(rhs[0], [0, 0, 0, 1])
 
 
 def test_field_value_matches_high_precision_reference():
@@ -236,7 +241,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         DiscreteDatum(1j, order=2, c0=1.0, c1=0.0)
     with pytest.raises(ValueError, match="coincident"):
-        assemble_system([DiscreteDatum(1j), DiscreteDatum(1j)], 0.0, 0.0)
+        pole_system([DiscreteDatum(1j), DiscreteDatum(1j)], [0.0], 0.0)
     with pytest.raises(ValueError):
         OrientedData((DiscreteDatum(1j),), ("sideways",))
 
@@ -247,6 +252,87 @@ def test_condition_warning_at_extreme_x():
     with pytest.warns(RuntimeWarning, match="condition"):
         state = solve_soliton([datum], -26.0, 0.0)
     assert state.ill_conditioned
+
+
+def _satsuma_yajima(x, t):
+    """Closed form of the evolution of ``q(x, 0) = 2 sech x``."""
+    num = np.cosh(3.0 * x) + 3.0 * np.exp(4j * t) * np.cosh(x)
+    den = np.cosh(4.0 * x) + 4.0 * np.cosh(2.0 * x) + 3.0 * np.cos(4.0 * t)
+    return 4.0 * np.exp(0.5j * t) * num / den
+
+
+@pytest.mark.parametrize("t", [0.3, 1.1])
+def test_breather_on_the_wide_window(t):
+    # the data 2 sech x scatters to; all-lower entries reach e^60 at x = -20
+    data = (DiscreteDatum(0.5j, order=1, c0=-2j, c1=0.0),
+            DiscreteDatum(1.5j, order=1, c0=-6j, c1=0.0))
+    x = np.linspace(-20.0, 20.0, 801)
+    exact = _satsuma_yajima(x, t)
+    q = soliton_field(data, x, t)
+    assert np.max(np.abs(q - exact)) / np.max(np.abs(exact)) < 1e-8
+
+
+def _random_spectrum(rng):
+    n, zs = int(rng.integers(2, 5)), []
+    while len(zs) < n:
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.4, 1.2))
+        if all(abs(z - w) > 0.2 for w in zs):
+            zs.append(z)
+    data = []
+    for z in zs:
+        order = int(rng.integers(1, 3))
+        c0 = complex(rng.normal(), rng.normal())
+        c1 = complex(rng.normal(), rng.normal()) if order == 2 else 0.0
+        data.append(DiscreteDatum(z, order=order, c0=c0, c1=c1))
+    return tuple(data)
+
+
+def _random_slices(count=30):
+    rng = np.random.default_rng(20210415)
+    return [(_random_spectrum(rng), float(rng.uniform(0.0, 1.0)))
+            for _ in range(count)]
+
+
+def test_wide_window_solves_stay_well_posed():
+    # all-lower alone reaches 7e29 on such spectra, the sign rule alone 2e13
+    x = np.linspace(-20.0, 20.0, 81)
+    sols = [solve_field(data, x, t) for data, t in _random_slices()]
+    assert max(float(np.max(s.condition)) for s in sols) <= 1e9
+    assert max(float(np.max(s.residual)) for s in sols) < 1e-10
+
+
+def test_batched_field_matches_pointwise_solves():
+    # the same rule point by point: the better conditioned of all-lower and
+    # the poles with x + 2t Re z_k < 0 flipped
+    x = np.linspace(-20.0, 20.0, 81)
+    for data, t in _random_slices():
+        sol = solve_field(data, x, t)
+        for i, xi in enumerate(x):
+            flip = [k for k, d in enumerate(data) if xi + 2.0 * t * d.z.real < 0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                states = [solve_soliton(data, xi, t)]
+                if flip:
+                    states.append(solve_soliton(reorient_constants(data, flip), xi, t))
+            best = min(states, key=lambda s: s.condition)
+            if best.condition < 1e8:
+                assert abs(sol.q[i] - best.q) <= 1e-12 * np.max(np.abs(sol.q))
+                assert sol.condition[i] == pytest.approx(best.condition, rel=1e-6)
+
+
+def test_given_orientations_are_kept_by_the_batch():
+    data = reorient_constants(_pair(), [1])
+    x = np.linspace(-3.0, 3.0, 13)
+    q = soliton_field(data, x, 0.4)
+    pointwise = [solve_soliton(data, xi, 0.4).q for xi in x]
+    assert np.max(np.abs(q - pointwise)) < 1e-13
+
+
+def test_no_finite_solve_raises_linalg_error():
+    # overflowing exponentials leave no finite solve at the point
+    with pytest.raises(np.linalg.LinAlgError, match="x = -600"):
+        soliton_field([DiscreteDatum(1j, order=1, c0=2.0, c1=0.0)],
+                      [0.0, -600.0], 0.0, orientations=("lower",))
 
 
 def test_empty_spectrum_gives_vacuum():
