@@ -6,10 +6,6 @@ interval-restricted and phase-weighted discrete data, plus a dispersive
 correction of size ``t**-0.5`` whose coefficient comes from the model
 oscillator problem at the stationary point ``z0 = -x / (2 t)``.  The
 remainder after both terms decays like ``t**-0.75``.
-
-The dispersive coefficient needs the Gamma function off the real axis;
-a compact Lanczos evaluation is included so the package has no special
-function dependency in its core path.
 """
 
 from __future__ import annotations
@@ -19,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gamma
 
 from .phase import (
     delta_fn,
@@ -30,7 +27,6 @@ from .phase import (
 from .solitons import modulate_constants, restrict_to_interval, solve_soliton
 
 __all__ = [
-    "complex_gamma",
     "PCCoefficients",
     "pc_coefficients",
     "pc_first_moment",
@@ -40,42 +36,6 @@ __all__ = [
     "q_asymptotic",
     "save_asymptotics",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Gamma function on the strip |Im w| <= 5
-# ---------------------------------------------------------------------------
-
-# Rational stage of the g = 7 Lanczos approximation (9 terms).  Relative
-# error stays below 1e-13 on the half-plane Re w >= 1/2; the reflection
-# formula covers the rest of the strip we use.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def complex_gamma(w) -> complex:
-    """Gamma(w) for complex w away from the poles at 0, -1, -2, ..."""
-    w = complex(w)
-    if w.imag == 0.0 and w.real <= 0.0 and w.real == math.floor(w.real):
-        raise ValueError(f"gamma has a pole at {w.real:g}")
-    if w.real < 0.5:
-        # reflect into the half-plane where the rational stage converges
-        return math.pi / (cmath.sin(math.pi * w) * complex_gamma(1.0 - w))
-    w -= 1.0
-    acc = _LANCZOS[0]
-    for k in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[k] / (w + k)
-    tt = w + 7.5
-    return math.sqrt(2.0 * math.pi) * tt ** (w + 0.5) * cmath.exp(-tt) * acc
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +81,7 @@ def pc_coefficients(r0: complex, nu: float) -> PCCoefficients:
                          "dropped upstream when the amplitude vanishes)")
     beta12 = (math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi)
               * math.exp(-0.5 * math.pi * nu)
-              / (r0 * complex_gamma(-1j * nu)))
+              / (r0 * complex(gamma(-1j * nu))))
     return PCCoefficients(nu=nu, r0=r0, beta12=beta12, beta21=nu / beta12)
 
 
@@ -159,7 +119,7 @@ def alpha_z0(phase_ctx, delta_minus, data, scattering) -> complex:
         raise ValueError("the density vanishes at z0; the coefficient "
                          "has no defined phase")
     arg = (0.25 * math.pi
-           + cmath.phase(complex_gamma(1j * nu0))
+           + cmath.phase(complex(gamma(1j * nu0)))
            - cmath.phase(phase_ctx.r_at_z0))
     for k in delta_minus:
         arg -= 8.0 * cmath.phase(z0 - complex(data[k].z))
@@ -192,12 +152,8 @@ def e1_matrix(m_out_at_z0, pc: PCCoefficients, t: float) -> np.ndarray:
 # Composite evaluation
 # ---------------------------------------------------------------------------
 
-# Overall unimodular gauge of the dispersive term.  The two bookkeeping
-# conventions for the moment matrix differ by a factor of i and the
-# literature mixes them; the value used here was pinned once against the
-# split-step integrator on a pole-free profile (see tests) and is not a
-# tunable.
-_DISPERSIVE_GAUGE = 1.0 + 0.0j
+# Below this |r(z0)| the dispersive term is dropped.
+_R_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -218,8 +174,7 @@ class AsymptoticValue:
 
 
 def q_asymptotic(x: float, t: float, sigma_d, scattering, cone, *,
-                 min_t: float = 5.0, r_threshold: float = 1e-12,
-                 ) -> AsymptoticValue:
+                 min_t: float = 5.0) -> AsymptoticValue:
     """Evaluate the leading-order field at one point of a cone.
 
     ``sigma_d`` is the plain (all-lower) discrete data, ``scattering``
@@ -258,11 +213,10 @@ def q_asymptotic(x: float, t: float, sigma_d, scattering, cone, *,
     if scattering is not None:
         ctx = phase_context(scattering, sigma_d, x, t,
                             delta_minus=part.delta_minus)
-        if abs(ctx.r_at_z0) >= r_threshold:
+        if abs(ctx.r_at_z0) >= _R_THRESHOLD:
             pc = pc_coefficients(r0_modulated(scattering, ctx, t), ctx.nu0)
             eta11, eta12 = (complex(v) for v in state.m_out_row)
-            f = _DISPERSIVE_GAUGE * (pc.beta12 * eta11 ** 2
-                                     + pc.beta21 * eta12 ** 2)
+            f = pc.beta12 * eta11 ** 2 + pc.beta21 * eta12 ** 2
 
     return AsymptoticValue(x=x, t=t, q_sol_part=q_sol, f_part=f,
                            q_total=q_sol + f / math.sqrt(t))

@@ -197,7 +197,7 @@ class Settings:
 
     def integer(self, section: str, key: str) -> int:
         value = self.number(section, key)
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise ConfigError(f"{section}.{key} must be an integer")
         return int(value)
 
@@ -300,10 +300,10 @@ def _parse_pole_line(line: str) -> DiscreteDatum:
         values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ConfigError(f"bad number in discrete.poles line {line!r}") from exc
-    order = int(values[2])
-    if order != values[2] or order not in (1, 2):
-        raise ConfigError("pole order must be 1 or 2")
-    return DiscreteDatum(complex(values[0], values[1]), order=order,
+    if values[2] not in (1.0, 2.0):
+        raise ConfigError(
+            f"discrete.poles order must be 1 or 2, got {tokens[2]!r}")
+    return DiscreteDatum(complex(values[0], values[1]), order=int(values[2]),
                          c0=complex(values[3], values[4]),
                          c1=complex(values[5], values[6]))
 

@@ -21,23 +21,13 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+# Points closer than this to a pole of the modulation factor are rejected.
+_GUARD_RADIUS = 1e-8
 
 
 # ---------------------------------------------------------------------------
 # Elementary scalars
 # ---------------------------------------------------------------------------
-
-def theta(z, x: float, t: float):
-    """Oscillation phase and its z-derivative at (x, t)."""
-    if t == 0:
-        raise ValueError("the phase is undefined at t = 0")
-    z = np.asarray(z, dtype=np.complex128)
-    th = z * z + (x / t) * z
-    dth = 2.0 * z + x / t
-    if th.ndim == 0:
-        return complex(th), complex(dth)
-    return th, dth
-
 
 def nu_of(r_abs):
     """Logarithmic density -log(1 + |r|^2) / (2 pi); never positive."""
@@ -49,6 +39,16 @@ def nu_of(r_abs):
 # ---------------------------------------------------------------------------
 # Quadrature over the ray (-inf, z0]
 # ---------------------------------------------------------------------------
+
+def _panel_nodes(breaks):
+    """Gauss-Legendre nodes and weights on the panels between breaks."""
+    a, b = breaks[:-1], breaks[1:]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    s = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    w = half[:, None] * np.broadcast_to(_GL_WEIGHTS, s.shape)
+    return s.ravel(), w.ravel()
+
 
 def _safe_ratio(num, den):
     """Elementwise num/den with exact zero-denominator terms dropped.
@@ -94,15 +94,6 @@ class _RayDensity:
     def nu_at(self, s0: float) -> float:
         return float(np.interp(s0, self.grid, self.nu_grid))
 
-    def _panel_nodes(self, breaks, values):
-        a, b = breaks[:-1], breaks[1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        s = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        w = half[:, None] * np.broadcast_to(_GL_WEIGHTS, s.shape)
-        v = np.interp(s, breaks, values)
-        return s.ravel(), w.ravel(), v.ravel()
-
     def nodes(self, extra_breaks=()):
         """Quadrature nodes, weights and density values on the whole ray."""
         breaks = self.breaks
@@ -114,7 +105,8 @@ class _RayDensity:
             values = np.interp(breaks, self.breaks, self.values)
         parts = []
         if breaks.size >= 2:
-            parts.append(self._panel_nodes(breaks, values))
+            s, w = _panel_nodes(breaks)
+            parts.append((s, w, np.interp(s, breaks, values)))
         if self.tail_edge is not None:
             upper = min(self.tail_edge, self.z0)
             span = 40.0 / self.tail_kappa
@@ -122,12 +114,7 @@ class _RayDensity:
             cuts = [b for b in extra_breaks if tb[0] < b < tb[-1]]
             if cuts:
                 tb = np.unique(np.concatenate([tb, cuts]))
-            a, b = tb[:-1], tb[1:]
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            s = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-            w = (half[:, None] * np.broadcast_to(
-                _GL_WEIGHTS, (a.size, 6))).ravel()
+            s, w = _panel_nodes(tb)
             v = self.tail_value * np.exp(self.tail_kappa * (s - self.tail_edge))
             parts.append((s, w, v))
         if not parts:
@@ -229,14 +216,14 @@ def _pole_product(z, delta_minus, data):
 
 
 def T_fn(z, delta_minus, data, scattering, z0: float,
-         side: str | None = None, guard_radius: float = 1e-8):
+         side: str | None = None):
     """Full modulation factor: squared pole reflections for the indices in
     ``delta_minus`` times the continuous factor from the reflection data."""
     z_arr = np.asarray(z, dtype=np.complex128)
     for k in delta_minus:
         zk = complex(data[k].z)
         gap = np.min(np.abs(z_arr - zk))
-        if gap <= guard_radius:
+        if gap <= _GUARD_RADIUS:
             raise ValueError(
                 f"evaluation point within the guard radius of the pole at "
                 f"{zk}; the factor is singular there")
@@ -380,20 +367,3 @@ def r0_modulated(scattering, ctx: PhaseContext, t: float) -> complex:
         raise ValueError("the modulated amplitude needs t > 0")
     rot = 2.0 * (ctx.nu0 * math.log(2.0 * math.sqrt(t)) - t * ctx.z0 ** 2)
     return ctx.r_at_z0 * ctx.T0_z0 ** (-2) * cmath.exp(1j * rot)
-
-
-# ---------------------------------------------------------------------------
-# Debug output
-# ---------------------------------------------------------------------------
-
-def dump_phase_samples(path, zs, delta_minus, data, scattering,
-                       z0: float) -> None:
-    """CSV dump of the two modulation factors on a list of points."""
-    zs = np.asarray(zs, dtype=np.complex128)
-    d = delta_fn(zs, scattering, z0)
-    tt = T_fn(zs, delta_minus, data, scattering, z0)
-    arr = np.column_stack([zs.real, zs.imag, d.real, d.imag,
-                           tt.real, tt.imag])
-    np.savetxt(path, arr, delimiter=",", fmt="%.17g",
-               header="re_z,im_z,re_delta,im_delta,re_T,im_T",
-               comments="# ")

@@ -13,7 +13,6 @@ the exponential factors drop out.
 """
 from __future__ import annotations
 
-import cmath
 import json
 import warnings
 from dataclasses import dataclass
@@ -26,14 +25,12 @@ from .solitons import DiscreteDatum, soliton_field
 
 __all__ = [
     "InitialProfile",
-    "JostPair",
     "ScatteringData",
     "sech_profile",
     "gaussian_profile",
     "soliton_profile",
     "load_profile",
     "save_profile",
-    "integrate_jost",
     "s11_on_grid",
     "s11_from_integral",
     "reflection_coefficient",
@@ -47,6 +44,14 @@ __all__ = [
 
 _RTOL = 1e-11
 _ATOL = 1e-12
+# |s11| below this on the real grid counts as a spectral singularity.
+_SINGULAR_TOL = 1e-8
+# Contour samples per box side, and how often a box may be subdivided.
+_SAMPLES_PER_SIDE = 96
+_MAX_DEPTH = 8
+# Largest defect of the Jost-column proportionality at an accepted zero,
+# relative to the column sizes.
+_RATIO_TOL = 1e-6
 
 
 @dataclass
@@ -132,7 +137,7 @@ def load_profile(path, tail_tol: float = 1e-10) -> InitialProfile:
 # ---------------------------------------------------------------------------
 
 def _integrate_columns(profile, zs, kind, x_from, x_to, with_deriv=False,
-                       rtol=_RTOL, atol=_ATOL, x_eval=None):
+                       x_eval=None):
     """Integrate one Jost column type for a batch of spectral points.
 
     ``kind`` 'first' evolves the (m1, m2) pair obeying m1' = q m2,
@@ -168,7 +173,7 @@ def _integrate_columns(profile, zs, kind, x_from, x_to, with_deriv=False,
         return out.ravel()
 
     sol = solve_ivp(rhs, (x_from, x_to), y0, method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=x_eval)
+                    rtol=_RTOL, atol=_ATOL, t_eval=x_eval)
     if not sol.success:
         raise RuntimeError(f"Jost integration failed: {sol.message}")
     if x_eval is None:
@@ -176,19 +181,18 @@ def _integrate_columns(profile, zs, kind, x_from, x_to, with_deriv=False,
     return sol.y.reshape(n, width, -1)
 
 
-def _halves(profile, zs, with_deriv=False, x_match=0.0, rtol=_RTOL, atol=_ATOL):
+def _halves(profile, zs, with_deriv=False, x_match=0.0):
     a = _integrate_columns(profile, zs, "first", profile.x[0], x_match,
-                           with_deriv, rtol, atol)
+                           with_deriv)
     b = _integrate_columns(profile, zs, "second", profile.x[-1], x_match,
-                           with_deriv, rtol, atol)
+                           with_deriv)
     return a, b
 
 
-def s11_on_grid(profile, zs, with_deriv=False, x_match=0.0,
-                rtol=_RTOL, atol=_ATOL):
+def s11_on_grid(profile, zs, with_deriv=False, x_match=0.0):
     """s11 (and optionally its z-derivative) for a batch of points in the
     closed upper half plane."""
-    a, b = _halves(profile, zs, with_deriv, x_match, rtol, atol)
+    a, b = _halves(profile, zs, with_deriv, x_match)
     s11 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     if not with_deriv:
         return s11
@@ -197,62 +201,12 @@ def s11_on_grid(profile, zs, with_deriv=False, x_match=0.0,
     return s11, ds11
 
 
-@dataclass
-class JostPair:
-    """Normalized Jost matrices at the matching point, plus the scattering
-    entries formed from their Wronskians.  Columns that are not stably
-    integrable at the requested z are left as NaN; entries that only exist
-    for real z are None off the axis."""
-
-    z: complex
-    x_match: float
-    mu_minus: np.ndarray
-    mu_plus: np.ndarray
-    s11: complex | None
-    s21: complex | None
-    s22: complex | None
-
-
-def integrate_jost(profile: InitialProfile, z: complex, x_match: float = 0.0,
-                   rtol: float = _RTOL, atol: float = _ATOL) -> JostPair:
-    z = complex(z)
-    if not (profile.x[0] < x_match < profile.x[-1]):
-        raise ValueError("matching point must lie inside the grid")
-    nan = complex(np.nan, np.nan)
-    mu_m = np.full((2, 2), nan)
-    mu_p = np.full((2, 2), nan)
-    s11 = s21 = s22 = None
-
-    if z.imag >= 0:
-        a = _integrate_columns(profile, [z], "first", profile.x[0], x_match,
-                               rtol=rtol, atol=atol)[0]
-        b = _integrate_columns(profile, [z], "second", profile.x[-1], x_match,
-                               rtol=rtol, atol=atol)[0]
-        mu_m[:, 0] = a
-        mu_p[:, 1] = b
-        s11 = complex(a[0] * b[1] - a[1] * b[0])
-    if z.imag <= 0:
-        c = _integrate_columns(profile, [z], "second", profile.x[0], x_match,
-                               rtol=rtol, atol=atol)[0]
-        d = _integrate_columns(profile, [z], "first", profile.x[-1], x_match,
-                               rtol=rtol, atol=atol)[0]
-        mu_m[:, 1] = c
-        mu_p[:, 0] = d
-        s22 = complex(d[0] * c[1] - d[1] * c[0])
-    if z.imag == 0:
-        s21 = complex(cmath.exp(-2j * z * x_match)
-                      * (mu_p[0, 0] * mu_m[1, 0] - mu_p[1, 0] * mu_m[0, 0]))
-    return JostPair(z, x_match, mu_m, mu_p, s11, s21, s22)
-
-
-def s11_from_integral(profile: InitialProfile, z: complex,
-                      rtol: float = _RTOL, atol: float = _ATOL) -> complex:
+def s11_from_integral(profile: InitialProfile, z: complex) -> complex:
     """Independent route to s11: 1 + integral of conj(q0) times the (1,2)
     Jost entry over the line, using densely sampled backward integration."""
     x_rev = profile.x[::-1]
     vals = _integrate_columns(profile, [z], "second", profile.x[-1],
-                              profile.x[0], rtol=rtol, atol=atol,
-                              x_eval=x_rev)[0]
+                              profile.x[0], x_eval=x_rev)[0]
     m12 = vals[0][::-1]
     return complex(1.0 + np.trapezoid(np.conj(profile.q) * m12, profile.x))
 
@@ -277,21 +231,16 @@ class ScatteringData:
         self.discrete = tuple(self.discrete)
 
 
-def reflection_coefficient(profile: InitialProfile, z_grid,
-                           singular_tol: float = 1e-8, x_match: float = 0.0,
-                           rtol: float = _RTOL, atol: float = _ATOL
-                           ) -> ScatteringData:
+def reflection_coefficient(profile: InitialProfile, z_grid) -> ScatteringData:
     zs = np.asarray(z_grid, dtype=float)
-    a, b = _halves(profile, zs, x_match=x_match, rtol=rtol, atol=atol)
-    d = _integrate_columns(profile, zs, "first", profile.x[-1], x_match,
-                           rtol=rtol, atol=atol)
+    a, b = _halves(profile, zs)
+    d = _integrate_columns(profile, zs, "first", profile.x[-1], 0.0)
     s11 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    s21 = np.exp(-2j * zs * x_match) * (d[:, 0] * a[:, 1] - d[:, 1] * a[:, 0])
-    bad = np.abs(s11) < singular_tol
-    if np.any(bad):
+    s21 = d[:, 0] * a[:, 1] - d[:, 1] * a[:, 0]
+    if np.any(np.abs(s11) < _SINGULAR_TOL):
         worst = float(zs[np.argmin(np.abs(s11))])
         raise RuntimeError(
-            f"spectral singularity: |s11| < {singular_tol:.1e} at z = {worst:g}"
+            f"spectral singularity: |s11| < {_SINGULAR_TOL:.1e} at z = {worst:g}"
             " (zero on or too near the real axis)")
     return ScatteringData(zs, s21 / s11, (), s11=s11, s21=s21)
 
@@ -309,14 +258,14 @@ def _contour_points(box, n_side):
     return np.concatenate([bottom, right, top, left])
 
 
-def _contour_moments(value_fn, box, n_side, max_refine=3):
+def _contour_moments(value_fn, box, n_side):
     """Winding count and the first two zero-location moments on a box.
 
     Returns (count, p1, p2, min|s|).  The phase is unwrapped along the
-    sampled contour; sampling is doubled until adjacent phase steps are
-    comfortably below pi.
+    sampled contour; sampling is doubled, at most three times, until
+    adjacent phase steps are comfortably below pi.
     """
-    for attempt in range(max_refine + 1):
+    for attempt in range(4):
         pts = _contour_points(box, n_side * 2 ** attempt)
         s = value_fn(pts)
         if np.any(s == 0) or not np.all(np.isfinite(s)):
@@ -340,25 +289,26 @@ def _contour_moments(value_fn, box, n_side, max_refine=3):
         "lie on or very near the box boundary")
 
 
-def _circle_coeffs(value_fn, center, radius, n=64, kmax=3):
-    """Leading Taylor coefficients of an analytic function from one circle
-    of samples (trapezoid rule, spectrally accurate), plus the winding
+def _circle_coeffs(value_fn, center, radius):
+    """Taylor coefficients 0 to 3 of an analytic function from one circle
+    of 64 samples (trapezoid rule, spectrally accurate), plus the winding
     number of the function along that circle."""
+    n = 64
     phi = 2 * np.pi * np.arange(n) / n
     pts = center + radius * np.exp(1j * phi)
     s = value_fn(pts)
     hat = np.fft.fft(s) / n
-    coeffs = np.array([hat[k] / radius ** k for k in range(kmax + 1)])
+    coeffs = np.array([hat[k] / radius ** k for k in range(4)])
     phase = np.unwrap(np.angle(np.concatenate([s, s[:1]])))
     winding = int(round((phase[-1] - phase[0]) / (2 * np.pi)))
     return coeffs, winding
 
 
-def _newton(value_deriv_fn, z0, mult, step_tol=1e-9, max_iter=60):
+def _newton(value_deriv_fn, z0, mult):
     z = complex(z0)
     best = (np.inf, z)
     stale = 0
-    for _ in range(max_iter):
+    for _ in range(60):
         s, ds = value_deriv_fn(z)
         if abs(s) < best[0]:
             best = (abs(s), z)
@@ -372,7 +322,7 @@ def _newton(value_deriv_fn, z0, mult, step_tol=1e-9, max_iter=60):
             continue
         step = mult * s / ds
         z -= step
-        if abs(step) < step_tol * max(1.0, abs(z)):
+        if abs(step) < 1e-9 * max(1.0, abs(z)):
             s, _ = value_deriv_fn(z)
             if abs(s) < best[0]:
                 best = (abs(s), z)
@@ -381,8 +331,7 @@ def _newton(value_deriv_fn, z0, mult, step_tol=1e-9, max_iter=60):
 
 
 def locate_zeros(profile: InitialProfile, box, tol: float = 1e-6,
-                 samples_per_side: int = 96, merge_radius: float = 1e-3,
-                 max_depth: int = 8, rtol: float = _RTOL, atol: float = _ATOL):
+                 merge_radius: float = 1e-3):
     """Zeros of s11 inside an upper-half-plane rectangle, with multiplicity.
 
     ``box`` is (re_min, re_max, im_min, im_max) with im_min > 0.  Counting
@@ -400,10 +349,10 @@ def locate_zeros(profile: InitialProfile, box, tol: float = 1e-6,
         raise ValueError("degenerate box")
 
     def values(zs):
-        return s11_on_grid(profile, zs, rtol=rtol, atol=atol)
+        return s11_on_grid(profile, zs)
 
     def value_deriv(z):
-        s, ds = s11_on_grid(profile, [z], with_deriv=True, rtol=rtol, atol=atol)
+        s, ds = s11_on_grid(profile, [z], with_deriv=True)
         return complex(s[0]), complex(ds[0])
 
     def moments_with_retry(bx):
@@ -413,7 +362,7 @@ def locate_zeros(profile: InitialProfile, box, tol: float = 1e-6,
                      max(bx[2] - grow * h, bx[2] * 0.5), bx[3] + grow * h)
             try:
                 count, p1, p2, smin = _contour_moments(values, trial,
-                                                       samples_per_side)
+                                                       _SAMPLES_PER_SIDE)
             except RuntimeError:
                 continue
             scale = np.hypot(trial[1] - trial[0], trial[3] - trial[2])
@@ -462,9 +411,9 @@ def locate_zeros(profile: InitialProfile, box, tol: float = 1e-6,
             try:
                 return solve_leaf(bx, count, p1, p2, scale)
             except RuntimeError:
-                if depth >= max_depth:
+                if depth >= _MAX_DEPTH:
                     raise
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise RuntimeError(
                 f"zero search exceeded subdivision depth in box {bx}")
         re0_, re1_, im0_, im1_ = bx
@@ -495,10 +444,10 @@ def locate_zeros(profile: InitialProfile, box, tol: float = 1e-6,
         raise RuntimeError(
             f"zero count mismatch after subdivision in box {bx}") from last_err
 
-    def inside(z, bx, slack=0.15):
-        w, h = bx[1] - bx[0], bx[3] - bx[2]
-        return (bx[0] - slack * w <= z.real <= bx[1] + slack * w
-                and bx[2] - slack * h <= z.imag <= bx[3] + slack * h)
+    def inside(z, bx):
+        w, h = 0.15 * (bx[1] - bx[0]), 0.15 * (bx[3] - bx[2])
+        return (bx[0] - w <= z.real <= bx[1] + w
+                and bx[2] - h <= z.imag <= bx[3] + h)
 
     def solve_leaf(bx, count, p1, p2, scale):
         if count == 1:
@@ -541,12 +490,11 @@ def _warn_if_close(pairs, merge_radius):
 # Derivatives of s11 and norming constants
 # ---------------------------------------------------------------------------
 
-def s11_derivatives(profile, z_k: complex, n_max: int = 3,
-                    s11_fn=None, other_zeros=(), radius_fracs=(0.5, 0.25),
-                    n_samples=64, agree_tol: float = 1e-7,
-                    rtol: float = _RTOL, atol: float = _ATOL):
-    """Derivatives of s11 at a point of the open upper half plane by Cauchy
-    circles at two radii, cross-checked against each other.
+def s11_derivatives(profile, z_k: complex, s11_fn=None, other_zeros=()):
+    """First three derivatives of s11 at a point of the open upper half
+    plane by Cauchy circles at two radii (a half and a quarter of the
+    distance to the real axis or the nearest other zero), cross-checked
+    against each other to 1e-7 relative.
 
     ``s11_fn`` substitutes an analytic callable for the profile-based
     evaluation (used by tests and synthetic data paths).
@@ -554,15 +502,13 @@ def s11_derivatives(profile, z_k: complex, n_max: int = 3,
     z_k = complex(z_k)
     if z_k.imag <= 0:
         raise ValueError("derivatives are taken in the open upper half plane")
-    if not 1 <= n_max <= 3:
-        raise ValueError("n_max must be 1, 2 or 3")
 
     if s11_fn is not None:
         values = lambda zs: np.asarray(s11_fn(np.asarray(zs)))  # noqa: E731
     else:
         if profile is None:
             raise ValueError("need a profile or an injected s11 callable")
-        values = lambda zs: s11_on_grid(profile, zs, rtol=rtol, atol=atol)  # noqa: E731
+        values = lambda zs: s11_on_grid(profile, zs)  # noqa: E731
 
     dist = z_k.imag
     for other in other_zeros:
@@ -570,35 +516,23 @@ def s11_derivatives(profile, z_k: complex, n_max: int = 3,
         if gap > 0:
             dist = min(dist, gap)
 
-    results = []
-    for frac in radius_fracs:
-        radius = frac * dist
-        coeffs, _ = _circle_coeffs(values, z_k, radius, n=n_samples, kmax=n_max)
-        fact = 1.0
-        deriv = []
-        for n in range(1, n_max + 1):
-            fact *= n
-            deriv.append(fact * coeffs[n])
-        results.append(np.asarray(deriv))
-
-    ref = results[0]
-    for other in results[1:]:
-        gap = np.abs(ref - other)
-        scale = np.maximum(np.abs(ref), np.abs(other))
-        ok = gap <= agree_tol * scale + 1e3 * atol / min(radius_fracs) ** n_max
-        if not np.all(ok):
-            worst = int(np.argmax(gap - agree_tol * scale))
-            raise RuntimeError(
-                "circle quadrature for s11 derivatives did not converge: "
-                f"order {worst + 1} disagrees by {gap[worst]:.3e} "
-                f"(achieved relative {gap[worst] / max(scale[worst], 1e-300):.2e})")
+    # k! times the Taylor coefficient k, for k = 1, 2, 3, on both circles
+    ref, other = (np.array([1.0, 2.0, 6.0])
+                  * _circle_coeffs(values, z_k, frac * dist)[0][1:]
+                  for frac in (0.5, 0.25))
+    gap = np.abs(ref - other)
+    scale = np.maximum(np.abs(ref), np.abs(other))
+    if not np.all(gap <= 1e-7 * scale + 1e3 * _ATOL / 0.25 ** 3):
+        worst = int(np.argmax(gap - 1e-7 * scale))
+        raise RuntimeError(
+            "circle quadrature for s11 derivatives did not converge: "
+            f"order {worst + 1} disagrees by {gap[worst]:.3e} "
+            f"(achieved relative {gap[worst] / max(scale[worst], 1e-300):.2e})")
     return tuple(complex(v) for v in ref)
 
 
-def norming_constants(profile, z_k: complex, order: int = 2,
-                      ratio_tol: float = 1e-6, derivs=None, other_zeros=(),
-                      jost_fn=None, rtol: float = _RTOL, atol: float = _ATOL
-                      ) -> DiscreteDatum:
+def norming_constants(profile, z_k: complex, order: int = 2, derivs=None,
+                      other_zeros=(), jost_fn=None) -> DiscreteDatum:
     """Connection constants at a confirmed zero, assembled into the pole
     datum used by the reconstruction engine.
 
@@ -615,7 +549,7 @@ def norming_constants(profile, z_k: complex, order: int = 2,
     if jost_fn is not None:
         a, b_col = (np.asarray(v, dtype=np.complex128) for v in jost_fn(z_k))
     else:
-        a2, b2 = _halves(profile, [z_k], with_deriv=True, rtol=rtol, atol=atol)
+        a2, b2 = _halves(profile, [z_k], with_deriv=True)
         a, b_col = a2[0], b2[0]
 
     mu1, dmu1 = a[:2], a[2:]
@@ -626,15 +560,14 @@ def norming_constants(profile, z_k: complex, order: int = 2,
     b_k = complex(np.vdot(mu2, mu1) / denom)
     defect = float(np.max(np.abs(mu1 - b_k * mu2)))
     scale = float(np.max(np.abs(mu1))) + float(np.max(np.abs(mu2)))
-    if defect > ratio_tol * scale:
+    if defect > _RATIO_TOL * scale:
         raise RuntimeError(
             f"columns are not proportional at z = {z_k!r} (defect "
             f"{defect:.3e}); not a zero of s11 at working precision")
 
     if order == 1:
         if derivs is None:
-            _, ds11 = s11_on_grid(profile, [z_k], with_deriv=True,
-                                  rtol=rtol, atol=atol)
+            _, ds11 = s11_on_grid(profile, [z_k], with_deriv=True)
             s1 = complex(ds11[0])
         else:
             s1 = complex(derivs[0])
@@ -644,14 +577,13 @@ def norming_constants(profile, z_k: complex, order: int = 2,
     d_k = complex(np.vdot(mu2, resid) / denom)
     defect2 = float(np.max(np.abs(resid - d_k * mu2)))
     scale2 = float(np.max(np.abs(resid))) + float(np.max(np.abs(mu2))) + 1e-300
-    if defect2 > 10 * ratio_tol * scale2:
+    if defect2 > 10 * _RATIO_TOL * scale2:
         raise RuntimeError(
             f"derivative matching failed at z = {z_k!r} (defect {defect2:.3e});"
             " the zero is not of order 2 at working precision")
 
     if derivs is None:
-        derivs = s11_derivatives(profile, z_k, other_zeros=other_zeros,
-                                 rtol=rtol, atol=atol)
+        derivs = s11_derivatives(profile, z_k, other_zeros=other_zeros)
     s2, s3 = complex(derivs[1]), complex(derivs[2])
     a_k = 2.0 * b_k / s2
     b_big = d_k / b_k - s3 / (3.0 * s2)
@@ -659,21 +591,19 @@ def norming_constants(profile, z_k: complex, order: int = 2,
 
 
 def extract_scattering(profile: InitialProfile, z_grid, box=None,
-                       tol: float = 1e-6, rtol: float = _RTOL,
-                       atol: float = _ATOL) -> ScatteringData:
+                       tol: float = 1e-6) -> ScatteringData:
     """Full forward map: reflection samples plus, when a search box is
     given, the located discrete spectrum with its constants."""
-    data = reflection_coefficient(profile, z_grid, rtol=rtol, atol=atol)
+    data = reflection_coefficient(profile, z_grid)
     if box is None:
         return data
-    zeros = locate_zeros(profile, box, tol=tol, rtol=rtol, atol=atol)
+    zeros = locate_zeros(profile, box, tol=tol)
     discrete = []
     all_pts = [z for z, _ in zeros]
     for z, mult in zeros:
         others = [w for w in all_pts if w != z]
         discrete.append(norming_constants(profile, z, order=mult,
-                                          other_zeros=others,
-                                          rtol=rtol, atol=atol))
+                                          other_zeros=others))
     return ScatteringData(data.z, data.r, tuple(discrete),
                           s11=data.s11, s21=data.s21)
 

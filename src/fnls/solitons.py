@@ -28,6 +28,7 @@ the poles where ``x + 2t Re z_k < 0`` flipped.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import warnings
 from dataclasses import dataclass, replace
@@ -39,7 +40,6 @@ __all__ = [
     "OrientedData",
     "SolitonState",
     "FieldSolution",
-    "pole_coefficients",
     "pole_system",
     "solve_soliton",
     "solve_field",
@@ -65,7 +65,7 @@ class DiscreteDatum:
     """One point of the discrete spectrum with its reconstruction constants.
 
     ``c0`` and ``c1`` are the t-independent parts; the time/space dependent
-    factors are assembled by :func:`pole_coefficients` at evaluation time.
+    factors are assembled by :func:`pole_system` at evaluation time.
     ``b`` and ``d`` optionally keep the raw connection coefficients recovered
     by forward scattering (they are not needed to reconstruct the field).
     """
@@ -80,6 +80,10 @@ class DiscreteDatum:
     def __post_init__(self) -> None:
         if self.order not in (1, 2):
             raise ValueError("pole order must be 1 or 2")
+        for name in ("z", "c0", "c1"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"pole {name} must be finite, got {getattr(self, name)!r}")
         if self.z.imag <= 0:
             raise ValueError("discrete spectrum must lie in the upper half plane")
         if self.order == 1 and self.c1 != 0:
@@ -122,7 +126,6 @@ class SolitonState:
     q: complex
     residual: float
     condition: float
-    ill_conditioned: bool
     m_out_row: np.ndarray | None = None
 
 
@@ -138,23 +141,13 @@ class FieldSolution:
 
 def _gammas(z, c0, c1, sign, x, t: float):
     """``(gamma0, gamma1)`` of poles ``z`` (orientation ``sign``: +1 lower,
-    -1 upper) at points ``x``; all arguments broadcast."""
+    -1 upper) at points ``x``; all arguments broadcast.
+
+    ``gamma1 = c1 e^{sign 2i (t z^2 + x z)}`` and ``gamma0`` the same with
+    ``c0 + sign c1 (4i t z + 2i x)`` in place of ``c1``.
+    """
     ph = np.exp(sign * (2j * t * z * z + 2j * x * z))
     return (c0 + sign * c1 * (4j * t * z + 2j * x)) * ph, c1 * ph
-
-
-def pole_coefficients(datum: DiscreteDatum, x, t: float,
-                      orientation: str = "lower"):
-    """Assemble the (gamma0, gamma1) pair for one pole at ``(x, t)``.
-
-    Lower orientation: ``gamma_i = c_i(x,t) * exp(+2i(t z^2 + x z))`` with the
-    linear-in-derivative shift folded into gamma0; upper orientation mirrors
-    the exponent and the shift sign.  ``x`` may be an array.
-    """
-    if orientation not in ("lower", "upper"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    sign = 1.0 if orientation == "lower" else -1.0
-    return _gammas(datum.z, datum.c0, datum.c1, sign, np.asarray(x, dtype=float), t)
 
 
 def _as_oriented(data, orientations=None) -> OrientedData:
@@ -322,8 +315,7 @@ def solve_soliton(data, x: float, t: float,
         u, q, cond, residual = np.zeros((1, 0), dtype=np.complex128), 0j, 1.0, 0.0
     state = SolitonState(oriented, x, t, u[0, :n], u[0, n:2 * n],
                          np.conj(u[0, 2 * n:3 * n]), np.conj(u[0, 3 * n:]),
-                         q=q, residual=residual, condition=cond,
-                         ill_conditioned=cond > _COND_WARN)
+                         q=q, residual=residual, condition=cond)
     if z_eval is not None:
         state.m_out_row = outer_matrix_row(state, z_eval)
     return state

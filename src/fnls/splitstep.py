@@ -14,9 +14,9 @@ solved exactly:
   ``qhat_t = -(i/2) k^2 qhat``, so each half step multiplies by
   ``exp(-i k^2 dt / 4)``.
 
-The helpers at the bottom (:func:`conserved`, :func:`pde_residual`,
-:func:`compare_fields`) are what the rest of the package uses to check exact
-solutions and asymptotic formulas against the integrator.
+The helpers below the integrator (:func:`conserved`, :func:`pde_residual`,
+:func:`fourier_interpolate`) check exact solutions and asymptotic formulas
+against it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "conserved_drift",
     "pde_residual",
     "fourier_interpolate",
-    "compare_fields",
     "sech_soliton",
     "save_evolution",
     "load_evolution",
@@ -257,23 +256,6 @@ def fourier_interpolate(q: np.ndarray, grid: Grid, x_new: np.ndarray) -> np.ndar
     # Direct synthesis; fine for the modest target sizes used in checks.
     phase = np.exp(1j * np.outer(x_new - grid.x_min, grid.k))
     return phase @ coeffs
-
-
-def compare_fields(
-    q_a_fn,
-    q_b_fn,
-    x: np.ndarray,
-    t_values,
-    scale_exponent: float = 0.0,
-) -> np.ndarray:
-    """Scaled sup-norm differences ``t^p * max_x |a - b|`` per requested time."""
-    x = np.asarray(x, dtype=float)
-    out = []
-    for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
-        a = np.asarray(q_a_fn(x, t))
-        b = np.asarray(q_b_fn(x, t))
-        out.append(abs(t) ** scale_exponent * float(np.max(np.abs(a - b))))
-    return np.array(out)
 
 
 def sech_soliton(amplitude: float = 1.0):

@@ -1,5 +1,5 @@
-"""Dispersive-correction module: gamma evaluation, oscillator coefficients,
-the two independent routes to the leading coefficient, and the composite
+"""Dispersive-correction module: oscillator coefficients, the two
+independent routes to the leading coefficient, and the composite
 cone formula."""
 
 import cmath
@@ -9,12 +9,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
 
 from fnls.asymptotics import (
     AsymptoticValue,
     alpha_z0,
-    complex_gamma,
     e1_matrix,
     PCCoefficients,
     pc_coefficients,
@@ -49,53 +47,6 @@ def smooth():
 def consistent_r0(nu, phase=0.7):
     """An amplitude whose modulus matches the density value ``nu``."""
     return cmath.exp(1j * phase) * math.sqrt(math.expm1(-2.0 * math.pi * nu))
-
-
-# ---------------------------------------------------------------------------
-# Gamma evaluation
-# ---------------------------------------------------------------------------
-
-def test_gamma_special_values():
-    assert abs(complex_gamma(1.0) - 1.0) < 1e-14
-    assert abs(complex_gamma(0.5) - math.sqrt(math.pi)) < 1e-14
-    assert abs(complex_gamma(5.0) - 24.0) < 1e-12
-
-
-def test_gamma_modulus_identity_on_imaginary_axis():
-    y = 0.3
-    lhs = abs(complex_gamma(1j * y)) ** 2
-    assert abs(lhs - math.pi / (y * math.sinh(math.pi * y))) < 1e-12
-
-
-def test_gamma_matches_scipy_on_strip():
-    worst = 0.0
-    for re in np.linspace(-5.5, 5.5, 45):
-        for im in np.linspace(-5.0, 5.0, 41):
-            w = complex(re, im)
-            if abs(im) < 0.05 and re < 0.5 and abs(re - round(re)) < 0.05:
-                continue  # stay off the poles where both sides blow up
-            ref = complex(scipy.special.gamma(w))
-            worst = max(worst, abs(complex_gamma(w) - ref) / abs(ref))
-    assert worst < 1e-12
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -3.0, complex(-2.0, 0.0)])
-def test_gamma_pole_rejection(bad):
-    with pytest.raises(ValueError):
-        complex_gamma(bad)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    re=st.floats(min_value=-4.0, max_value=4.0),
-    im=st.floats(min_value=0.1, max_value=4.0),
-    sign=st.sampled_from([-1.0, 1.0]),
-)
-def test_gamma_recurrence(re, im, sign):
-    w = complex(re, sign * im)
-    lhs = complex_gamma(w + 1.0)
-    rhs = w * complex_gamma(w)
-    assert abs(lhs - rhs) <= 5e-12 * abs(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +121,7 @@ def test_alpha_pole_free_collapse(smooth):
     assert ctx.z0 == 0.6
     alpha = alpha_z0(ctx, (), (), smooth)
     expected = (0.25 * math.pi
-                + cmath.phase(complex_gamma(1j * ctx.nu0))
+                + cmath.phase(complex(scipy.special.gamma(1j * ctx.nu0)))
                 - cmath.phase(ctx.r_at_z0)
                 + 2.0 * endpoint_offset_integral(smooth, 0.6))
     assert abs(alpha / abs(alpha) - cmath.exp(1j * expected)) < 1e-12

@@ -163,6 +163,30 @@ def test_soliton_malformed_poles_exit_2(out, capsys):
     assert "7 numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400", "-inf", "nan"])
+def test_non_finite_integer_setting_exit_2(out, capsys, value):
+    assert run_cli("soliton", "--discrete-poles", "0 1 1 2 0 0 0",
+                   f"--soliton-n-x={value}", "--output-dir", str(out)) == 2
+    assert "soliton.n_x must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["inf", "nan", "1.5"])
+def test_non_integer_pole_order_exit_2(out, capsys, order):
+    assert run_cli("soliton", "--discrete-poles", f"0 1 {order} 2 0 0 0",
+                   "--output-dir", str(out)) == 2
+    assert "discrete.poles order must be 1 or 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,name", [("nan 1 1 2 0 0 0", "z"),
+                                       ("0 inf 1 2 0 0 0", "z"),
+                                       ("0 1 1 inf 0 0 0", "c0"),
+                                       ("0 1 2 0 0 0 nan", "c1")])
+def test_non_finite_pole_data_exit_2(out, capsys, line, name):
+    assert run_cli("soliton", "--discrete-poles", line,
+                   "--output-dir", str(out)) == 2
+    assert f"pole {name} must be finite" in capsys.readouterr().err
+
+
 def test_soliton_output_is_deterministic(tmp_path):
     args = ("soliton", "--discrete-poles", "0.2 0.9 2 0.1 0 1 0.3",
             "--soliton-n-x", "31", "--soliton-t-min", "-1",

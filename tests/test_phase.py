@@ -15,13 +15,11 @@ from fnls.phase import (
     T0_at_z0,
     T_fn,
     delta_fn,
-    dump_phase_samples,
     nu_integral,
     nu_of,
     partition,
     phase_context,
     r0_modulated,
-    theta,
 )
 from fnls.scattering import (
     ScatteringData,
@@ -54,31 +52,6 @@ def _r_at(s0):
 # ---------------------------------------------------------------------------
 # elementary scalars
 # ---------------------------------------------------------------------------
-
-def test_theta_at_the_stationary_point():
-    th, dth = theta(0.25, 1.0, -2.0)   # z0 = -x/(2t) = 0.25
-    assert th == pytest.approx(-0.0625)
-    assert dth == 0.0
-
-
-def test_theta_direct_value():
-    th, dth = theta(1j, 0.0, 1.0)
-    assert th == -1.0 and dth == 2j
-
-
-def test_theta_growth_identity():
-    # Re(i theta) must equal -2 Im z (Re z - z0) for every z
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    th, _ = theta(z, 0.7, 1.3)
-    z0 = -0.7 / 2.6
-    assert np.max(np.abs((1j * th).real + 2 * z.imag * (z.real - z0))) < 1e-13
-
-
-def test_theta_rejects_frozen_time():
-    with pytest.raises(ValueError, match="t = 0"):
-        theta(1j, 1.0, 0.0)
-
 
 def test_nu_reference_values():
     assert nu_of(0.0) == 0.0
@@ -320,12 +293,3 @@ def test_gaussian_amplitude_regression_pin():
     r0 = r0_modulated(scat, ctx, 25.0)
     assert abs(r0 - (-0.5814569003879617 + 0.08915030374014535j)) < 1e-9
 
-
-def test_debug_dump_round_trips(tmp_path, smooth, poles):
-    zs = np.array([0.9 + 0.7j, -1.3 + 0.2j, 2.5j])
-    path = tmp_path / "factors.csv"
-    dump_phase_samples(path, zs, (0,), poles, smooth, Z0)
-    arr = np.loadtxt(path, delimiter=",", comments="#")
-    assert arr.shape == (3, 6)
-    want = T_fn(zs, (0,), poles, smooth, Z0)
-    assert np.max(np.abs(arr[:, 4] + 1j * arr[:, 5] - want)) < 1e-15

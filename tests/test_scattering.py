@@ -13,7 +13,6 @@ from fnls.scattering import (
     ScatteringData,
     extract_scattering,
     gaussian_profile,
-    integrate_jost,
     load_profile,
     load_scattering,
     locate_zeros,
@@ -85,14 +84,6 @@ def test_reflectionless_profile_has_tiny_reflection(sech2):
     assert np.max(np.abs(data.r)) < 1e-6
 
 
-def test_conjugation_symmetry_links_the_half_planes(gauss03):
-    z0 = 0.4 + 0.7j
-    upper = integrate_jost(gauss03, z0)
-    lower = integrate_jost(gauss03, np.conj(z0))
-    assert upper.s11 is not None and lower.s22 is not None
-    assert abs(lower.s22 - np.conj(upper.s11)) < 1e-10
-
-
 def test_determinant_and_integral_routes_agree(gauss03):
     # two independent constructions of the same analytic function
     for z in (0.3 + 0.5j, -0.6 + 1.1j, 1.0j):
@@ -115,11 +106,6 @@ def test_costate_derivative_matches_finite_differences(gauss03):
     fd = (s11_on_grid(gauss03, [z + h])[0]
           - s11_on_grid(gauss03, [z - h])[0]) / (2.0 * h)
     assert abs(ds[0] - fd) < 1e-8
-
-
-def test_matching_point_must_be_interior(gauss03):
-    with pytest.raises(ValueError, match="matching point"):
-        integrate_jost(gauss03, 0.5j, x_match=99.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from fnls.splitstep import (
     Grid,
-    compare_fields,
     conserved,
     conserved_drift,
     fourier_interpolate,
@@ -119,20 +118,6 @@ def test_interp_requires_stored_sample():
     ev = split_step(sech_soliton(1.0)(grid.x, 0.0), grid, 0.5, dt=1e-3)
     with pytest.raises(ValueError):
         ev.slice_at(0.123)
-
-
-def test_compare_fields_scaling_exponent():
-    x = np.linspace(-1, 1, 11)
-
-    def a(x, t):
-        return np.zeros_like(x, dtype=complex)
-
-    def b(x, t):
-        return np.full_like(x, 1.0 / t, dtype=complex)
-
-    diffs = compare_fields(a, b, x, [2.0, 4.0], scale_exponent=1.0)
-    # 1/t difference times t^1 is flat
-    assert np.allclose(diffs, [1.0, 1.0])
 
 
 def test_conserved_values_of_sech():

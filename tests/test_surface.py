@@ -1,0 +1,93 @@
+"""The public surface: the README's library example runs, every exported
+name exists, and every function the benchmark's tracer wraps is still
+there with the argument it reads."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import fnls
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## Library quick start\n.*?^```python\n(.*?)^```",
+                      text, re.S | re.M)
+    assert match, "README has no python block under 'Library quick start'"
+    exec(compile(match.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
+MODULES = sorted(f"fnls.{m.name}" for m in pkgutil.iter_modules(fnls.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing
+
+
+def _arg_reads(node):
+    """``(position, name)`` of each argument a tracer amount reads: the
+    ``_arg(a, k, position, name)`` calls, and a tuple of leading parameter
+    names bound as ``names``."""
+    reads = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_arg":
+            reads.append((sub.args[2].value, sub.args[3].value))
+        if (isinstance(sub, ast.Assign) and getattr(sub.targets[0], "id", None) == "names"
+                and isinstance(sub.value, ast.Tuple)):
+            reads.extend(enumerate(e.value for e in sub.value.elts))
+    return reads
+
+
+def _traced_entries():
+    """``(module, owner class or None, attribute, arg reads)`` for every
+    entry of SPANS and COUNTERS in perfbench/tracing.py."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    lists = {node.targets[0].id: node.value for node in tree.body
+             if isinstance(node, ast.Assign)
+             and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("SPANS", "COUNTERS")}
+    assert set(lists) == {"SPANS", "COUNTERS"}
+    entries = []
+    for list_name, value in lists.items():
+        for item in value.elts:
+            consts = [e.value if isinstance(e, ast.Constant) else None
+                      for e in item.elts]
+            if list_name == "SPANS":
+                module, owner, attr = consts[0], None, consts[1]
+            else:
+                module, owner, attr = consts[:3]
+            amount = item.elts[-1]
+            if isinstance(amount, ast.Name):
+                amount = functions[amount.id]
+            entries.append((module, owner, attr, _arg_reads(amount)))
+    return entries
+
+
+TRACED = _traced_entries()
+
+
+@pytest.mark.parametrize("module,owner,attr,reads", TRACED,
+                         ids=[f"{m}.{o + '.' if o else ''}{a}" for m, o, a, _ in TRACED])
+def test_traced_names_exist_with_their_arguments(module, owner, attr, reads):
+    target = importlib.import_module(module)
+    if owner is not None:
+        target = getattr(target, owner)
+    fn = getattr(target, attr)
+    params = list(inspect.signature(fn).parameters)
+    for position, name in reads:
+        assert params[position] == name
