@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import pc_coefficients, q_asymptotic
-from .phase import T_fn, delta_fn, nu_integral, partition
+from .phase import T_fn, nu_integral, partition
 from .scattering import (
     DiscreteDatum,
     ScatteringData,
@@ -174,7 +174,7 @@ def criterion_5() -> CriterionResult:
         return z * (complex(T_fn(z, dm, data, sc, z0)) - 1.0)
 
     est = (8.0 * coef(1600.0) - 6.0 * coef(800.0) + coef(400.0)) / 3.0
-    target = 1j * (4.0 * sum(complex(d.z).imag for d in data)
+    target = 1j * (2.0 * sum(d.order * complex(d.z).imag for d in data)
                    - nu_integral(sc, z0))
     parts.append(("large-z coefficient of T", abs(est - target), 1e-6))
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .phase import (
-    delta_fn,
+    delta_and_log_derivative,
     endpoint_offset_integral,
     partition,
     phase_context,
@@ -101,9 +101,9 @@ def alpha_z0(phase_ctx, delta_minus, data, scattering) -> complex:
     The modulus is ``sqrt(|nu(z0)|)``.  The argument accumulates pi/4, the
     phase of ``Gamma(i nu)``, minus the phase of the sampled reflection
     amplitude at ``z0`` (the amplitude itself -- no extra normalisation),
-    minus eight times the summed phases ``arg(z0 - z_k)`` over the poles
-    left of the stationary point (each pole carries a squared ratio factor
-    through both the map and its inverse square), plus twice the
+    minus ``4 m_k arg(z0 - z_k)`` summed over the poles left of the stationary
+    point (the pole factor of order ``m_k`` through the boundary constant's
+    inverse square), plus twice the
     window-regularised log-kernel integral of the density along the ray.
 
     This route never touches the complex products behind the boundary
@@ -122,7 +122,7 @@ def alpha_z0(phase_ctx, delta_minus, data, scattering) -> complex:
            + cmath.phase(complex(gamma(1j * nu0)))
            - cmath.phase(phase_ctx.r_at_z0))
     for k in delta_minus:
-        arg -= 8.0 * cmath.phase(z0 - complex(data[k].z))
+        arg -= 4.0 * data[k].order * cmath.phase(z0 - complex(data[k].z))
     arg += 2.0 * endpoint_offset_integral(scattering, z0)
     return math.sqrt(abs(nu0)) * cmath.exp(1j * arg)
 
@@ -180,8 +180,8 @@ def q_asymptotic(x: float, t: float, sigma_d, scattering, cone, *,
     ``sigma_d`` is the plain (all-lower) discrete data, ``scattering``
     carries the sampled reflection amplitude (``None`` means reflectionless),
     and ``cone = (x1, x2, v1, v2)``.  The bound-state part uses only the
-    poles whose velocities fall inside the cone, re-weighted by the squared
-    phase factor and re-oriented about ``z0``; the dispersive part adds the
+    poles whose velocities fall inside the cone, dressed by the radiation
+    factor ``delta`` and re-oriented about ``z0``; the dispersive part adds the
     oscillator coefficient scaled by ``t**-0.5``.  Points outside the cone,
     nonpositive times, and times below ``min_t`` are rejected.
     """
@@ -204,7 +204,7 @@ def q_asymptotic(x: float, t: float, sigma_d, scattering, cone, *,
         weighted = sigma_d
     else:
         weighted = modulate_constants(
-            sigma_d, lambda z: delta_fn(z, scattering, z0))
+            sigma_d, lambda z: delta_and_log_derivative(z, scattering, z0))
     oriented = restrict_to_interval(weighted, part.I, z0)
     state = solve_soliton(oriented, x, t, z_eval=z0)
     q_sol = complex(state.q)

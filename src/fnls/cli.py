@@ -190,16 +190,20 @@ class Settings:
     def number(self, section: str, key: str) -> float:
         value = self.text(section, key)
         try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{section}.{key} must be a number, got {value!r}") from exc
+            if math.isfinite(number := float(value)):
+                return number
+        except ValueError:
+            pass
+        raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
 
     def integer(self, section: str, key: str) -> int:
-        value = self.number(section, key)
-        if not math.isfinite(value) or value != int(value):
-            raise ConfigError(f"{section}.{key} must be an integer")
-        return int(value)
+        value = self.text(section, key)
+        try:
+            if (number := float(value)) == int(number):
+                return int(number)
+        except (ValueError, OverflowError):
+            pass
+        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
 
     def positive(self, section: str, key: str) -> float:
         value = self.number(section, key)
@@ -210,10 +214,12 @@ class Settings:
     def numbers(self, section: str, key: str) -> list[float]:
         text = self.text(section, key).replace(",", " ")
         try:
-            return [float(tok) for tok in text.split()]
-        except ValueError as exc:
-            raise ConfigError(
-                f"{section}.{key} must be a list of numbers") from exc
+            values = [float(tok) for tok in text.split()]
+        except ValueError:
+            values = [math.nan]
+        if all(map(math.isfinite, values)):
+            return values
+        raise ConfigError(f"{section}.{key} must be a list of finite numbers")
 
     def output_dir(self) -> Path:
         cli = self._cli.get("run__output_dir")
@@ -472,7 +478,9 @@ def cmd_compare(cfg: Settings, out_dir: Path) -> int:
             ev_b = load_evolution(b_source)
         except OSError as exc:
             raise ConfigError(f"cannot read evolution B: {exc}") from exc
-        b_fn = ev_b.as_callable()
+
+        def b_fn(x, t):
+            return ev_b.interp(t, x)
 
     n_x = cfg.integer("compare", "n_x")
     x_min = cfg.number("compare", "x_min")

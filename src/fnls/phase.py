@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solitons import blaschke_product
+
 TWO_PI = 2.0 * math.pi
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
@@ -206,18 +208,18 @@ def delta_fn(z, scattering, z0: float, side: str | None = None):
     return complex(out) if z_arr.ndim == 0 else out
 
 
-def _pole_product(z, delta_minus, data):
-    z = np.asarray(z, dtype=np.complex128)
-    prod = np.ones(z.shape, dtype=np.complex128)
-    for k in delta_minus:
-        zk = complex(data[k].z)
-        prod = prod * ((z - np.conj(zk)) / (z - zk)) ** 2
-    return prod
+def delta_and_log_derivative(z: complex, scattering, z0: float):
+    """``(delta(z), delta'(z) / delta(z))`` at z off the ray, on the nodes of
+    :func:`delta_fn`: ``delta'/delta = i * integral of nu(s) / (s - z)^2``."""
+    s, w, v = _RayDensity(scattering, z0).nodes()
+    inv = 1.0 / (s - complex(z))
+    return (cmath.exp(1j * complex(np.sum(w * v * inv))),
+            1j * complex(np.sum(w * v * inv * inv)))
 
 
 def T_fn(z, delta_minus, data, scattering, z0: float,
          side: str | None = None):
-    """Full modulation factor: squared pole reflections for the indices in
+    """Full modulation factor: the inverse Blaschke product of the poles in
     ``delta_minus`` times the continuous factor from the reflection data."""
     z_arr = np.asarray(z, dtype=np.complex128)
     for k in delta_minus:
@@ -227,7 +229,7 @@ def T_fn(z, delta_minus, data, scattering, z0: float,
             raise ValueError(
                 f"evaluation point within the guard radius of the pole at "
                 f"{zk}; the factor is singular there")
-    prod = _pole_product(z_arr, delta_minus, data)
+    prod = 1.0 / blaschke_product(z_arr, [data[k] for k in delta_minus])
     d = delta_fn(z_arr, scattering, z0, side=side)
     out = prod * d
     return complex(out) if z_arr.ndim == 0 else out
@@ -241,8 +243,7 @@ def T0_at_z0(delta_minus, data, scattering, z0: float) -> complex:
         raise ValueError("the reflection grid does not bracket z0")
     ray = _RayDensity(scattering, z0)
     beta = ray.offset_integral()
-    prod = complex(_pole_product(np.asarray(z0, dtype=np.complex128),
-                                 delta_minus, data))
+    prod = complex(1.0 / blaschke_product(z0, [data[k] for k in delta_minus]))
     return prod * cmath.exp(1j * beta)
 
 

@@ -150,13 +150,8 @@ def _gammas(z, c0, c1, sign, x, t: float):
     return (c0 + sign * c1 * (4j * t * z + 2j * x)) * ph, c1 * ph
 
 
-def _as_oriented(data, orientations=None) -> OrientedData:
-    if isinstance(data, OrientedData):
-        return data
-    data = tuple(data)
-    if orientations is None:
-        return OrientedData.all_lower(data)
-    return OrientedData(data, tuple(orientations))
+def _as_oriented(data) -> OrientedData:
+    return data if isinstance(data, OrientedData) else OrientedData.all_lower(data)
 
 
 @functools.lru_cache(maxsize=256)
@@ -295,7 +290,7 @@ def _check_solved(cond: np.ndarray, x: np.ndarray, t: float) -> None:
 
 
 def solve_soliton(data, x: float, t: float,
-                  orientations=None, z_eval: complex | None = None) -> SolitonState:
+                  z_eval: complex | None = None) -> SolitonState:
     """Solve the pole system at ``(x, t)`` and reconstruct the field value.
 
     ``data`` may be a sequence of :class:`DiscreteDatum` (all-lower by
@@ -303,7 +298,7 @@ def solve_soliton(data, x: float, t: float,
     ``z_eval`` optionally requests the first row of the solution matrix at
     one point (stored in ``m_out_row``).
     """
-    oriented = _as_oriented(data, orientations)
+    oriented = _as_oriented(data)
     n = len(oriented.data)
     if n:
         xs = np.array([float(x)])
@@ -321,10 +316,10 @@ def solve_soliton(data, x: float, t: float,
     return state
 
 
-def solve_field(data, x_values, t: float, orientations=None) -> FieldSolution:
+def solve_field(data, x_values, t: float) -> FieldSolution:
     """Solve for ``q(x, t)`` over an array of ``x`` with stacked solves.
 
-    Given orientations (or an :class:`OrientedData`) are kept.  For plain
+    The orientations of an :class:`OrientedData` are kept.  For plain
     data each point takes the better conditioned of two equivalent systems:
     all poles lower, and the poles with ``x + 2t Re z_k < 0`` flipped by
     :func:`reorient_constants`, whose entries decay where the all-lower ones
@@ -332,13 +327,13 @@ def solve_field(data, x_values, t: float, orientations=None) -> FieldSolution:
     pattern (at most N + 1 per slice) costs one reorientation.
     """
     x = np.asarray(x_values, dtype=float).ravel()
-    oriented = _as_oriented(data, orientations)
+    oriented = _as_oriented(data)
     if not oriented.data:
         return FieldSolution(np.zeros(x.size, dtype=np.complex128),
                              np.ones(x.size), np.zeros(x.size))
     u, cond, residual = _solve_points(oriented, x, t)
     q = _moment(oriented, u)
-    if not isinstance(data, OrientedData) and orientations is None:
+    if not isinstance(data, OrientedData):
         re_z = np.array([d.z.real for d in oriented.data])
         flips = x[:, None] + 2.0 * t * re_z[None, :] < 0
         patterns, which = np.unique(flips, axis=0, return_inverse=True)
@@ -358,9 +353,9 @@ def solve_field(data, x_values, t: float, orientations=None) -> FieldSolution:
     return FieldSolution(q, cond, residual)
 
 
-def soliton_field(data, x_values, t: float, orientations=None) -> np.ndarray:
+def soliton_field(data, x_values, t: float) -> np.ndarray:
     """``q(x, t)`` over an array of ``x``; see :func:`solve_field`."""
-    return solve_field(data, x_values, t, orientations).q
+    return solve_field(data, x_values, t).q
 
 
 def evaluate_matrix(state: SolitonState, z) -> np.ndarray:
@@ -415,8 +410,8 @@ def blaschke_product(z, members) -> np.ndarray:
 
 
 def _log_deriv_sums(z: complex, members, skip: int | None = None):
-    """First three derivatives of ``log a_Delta`` at a regular point ``z``."""
-    l1 = l2 = l3 = 0.0 + 0.0j
+    """First two derivatives of ``log a_Delta`` at a regular point ``z``."""
+    l1 = l2 = 0.0 + 0.0j
     for i, d in enumerate(members):
         if i == skip:
             continue
@@ -425,14 +420,13 @@ def _log_deriv_sums(z: complex, members, skip: int | None = None):
             w = z - c
             l1 += sgn * p / w
             l2 -= sgn * p / w**2
-            l3 += sgn * 2.0 * p / w**3
-    return l1, l2, l3
+    return l1, l2
 
 
 def blaschke_value_and_derivs(z: complex, members) -> tuple[complex, complex, complex]:
     """``(a, a', a'')`` of the Blaschke product at a non-member point."""
     a = complex(blaschke_product(np.asarray(z, dtype=np.complex128), members))
-    l1, l2, _ = _log_deriv_sums(z, members)
+    l1, l2 = _log_deriv_sums(z, members)
     return a, a * l1, a * (l2 + l1 * l1)
 
 
@@ -453,7 +447,7 @@ def blaschke_derivatives_at_member(members, k: int) -> tuple[complex, complex]:
         g = g * ((zk - other.z) / (zk - np.conj(other.z))) ** other.order
     # log-derivative of g at z_k
     lg = -p / (zk - np.conj(zk))
-    l1, _, _ = _log_deriv_sums(zk, members, skip=k)
+    l1, _ = _log_deriv_sums(zk, members, skip=k)
     lg += l1
     if p == 2:
         return 2.0 * g, 6.0 * g * lg
@@ -470,9 +464,7 @@ def reorient_constants(data, delta_indices) -> OrientedData:
       ``c1~ = 4 / (c1 * a''(z_k)^2)``,
       ``c0~ = -c1~ * (c0/c1 + 2 a'''(z_k) / (3 a''(z_k)))``;
       order-1 members: ``c0~ = 1 / (c0 * a'(z_k)^2)``;
-    * remaining poles keep the lower orientation with
-      ``c1~ = c1 * a(z_k)^2``, ``c0~ = (c0 + 2 c1 a'(z_k)/a(z_k)) * a(z_k)^2``
-      (order-1: ``c0~ = c0 * a(z_k)^2``).
+    * remaining poles keep the lower orientation (:func:`_rescaled`).
     """
     data = tuple(data)
     delta_indices = sorted(set(int(i) for i in delta_indices))
@@ -494,29 +486,33 @@ def reorient_constants(data, delta_indices) -> OrientedData:
             orients.append("upper")
         else:
             a, ap, _ = blaschke_value_and_derivs(d.z, members)
-            if d.order == 2:
-                c1t = d.c1 * a * a
-                c0t = (d.c0 + 2.0 * d.c1 * ap / a) * a * a
-            else:
-                c0t, c1t = d.c0 * a * a, 0.0
-            new_data.append(replace(d, c0=complex(c0t), c1=complex(c1t)))
+            new_data.append(_rescaled(d, a, ap))
             orients.append("lower")
     return OrientedData(tuple(new_data), tuple(orients))
 
 
-def modulate_constants(data, delta_at) -> tuple[DiscreteDatum, ...]:
-    """Weight every pole's constants by ``delta(z_k)^2``.
+def _rescaled(d: DiscreteDatum, a: complex, ap: complex) -> DiscreteDatum:
+    """A lower pole's constants under the column scaling by ``a``:
+    ``c1~ = c1 a(z_k)^2``, ``c0~ = (c0 + 2 c1 a'(z_k)/a(z_k)) a(z_k)^2``."""
+    return replace(d, c0=complex((d.c0 + 2.0 * d.c1 * ap / a) * a * a),
+                   c1=complex(d.c1 * a * a))
 
-    ``delta_at`` is a callable returning the scalar radiation factor at a
-    point of the upper half plane (supplied by :mod:`fnls.phase`); for
-    reflectionless data pass ``lambda z: 1.0``.
+
+def modulate_constants(data, delta_at) -> tuple[DiscreteDatum, ...]:
+    """Dress every pole's constants by the radiation factor ``delta``.
+
+    ``delta_at(z)`` returns ``(delta(z), delta'(z) / delta(z))`` at a point
+    of the upper half plane (supplied by :mod:`fnls.phase`); for
+    reflectionless data pass ``lambda z: (1.0, 0.0)``.  The constants change
+    as under the column scaling by ``f = 1 / delta`` (:func:`_rescaled`),
+    with ``f'/f = -delta'/delta``.
     """
     out = []
     for d in data:
         if d.z.imag <= 0:
             raise ValueError("modulation is defined off the real axis only")
-        w = complex(delta_at(d.z)) ** 2
-        out.append(replace(d, c0=d.c0 * w, c1=d.c1 * w))
+        delta, dlog = (complex(v) for v in delta_at(d.z))
+        out.append(_rescaled(d, 1.0 / delta, -dlog / delta))
     return tuple(out)
 
 

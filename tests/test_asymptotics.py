@@ -21,15 +21,21 @@ from fnls.asymptotics import (
     save_asymptotics,
 )
 from fnls.phase import (
-    delta_fn,
+    delta_and_log_derivative,
     endpoint_offset_integral,
     nu_of,
     partition,
     phase_context,
     r0_modulated,
 )
-from fnls.scattering import DiscreteDatum, ScatteringData
+from fnls.scattering import (
+    DiscreteDatum,
+    ScatteringData,
+    extract_scattering,
+    sech_profile,
+)
 from fnls.solitons import modulate_constants, restrict_to_interval, solve_soliton
+from fnls.splitstep import Grid, split_step
 
 S_GRID = np.linspace(-5.0, 5.0, 2001)
 R_SMOOTH = 0.8 * np.exp(-S_GRID ** 2 / 2.0) * np.exp(0.3j * S_GRID)
@@ -212,8 +218,8 @@ def test_pole_free_amplitude_law(smooth):
 
 
 @pytest.mark.parametrize("x,t,cone,expect", [
-    (-8.6, 10.0, CONE_LOW, -0.3408714481169947 + 0.14734265804635527j),
-    (15.5, 10.0, CONE_UP, 0.3631299790504891 - 1.058318213318159j),
+    (-8.6, 10.0, CONE_LOW, -0.4080215002851588 + 0.25277112212796515j),
+    (15.5, 10.0, CONE_UP, 0.4256887342198908 - 1.0984339373788892j),
 ])
 def test_composite_regression_pins(smooth, x, t, cone, expect):
     with warnings.catch_warnings():
@@ -230,8 +236,8 @@ def test_composite_invariants(smooth, x, t, cone):
     part = partition(POLES, z0, cone)
 
     # bound-state part mirrors the weight-then-reorient pipeline exactly
-    weighted = modulate_constants(POLES,
-                                  lambda z: delta_fn(z, smooth, z0))
+    weighted = modulate_constants(
+        POLES, lambda z: delta_and_log_derivative(z, smooth, z0))
     oriented = restrict_to_interval(weighted, part.I, z0)
     state = solve_soliton(oriented, x, t, z_eval=z0)
     assert v.q_sol_part == complex(state.q)
@@ -288,3 +294,52 @@ def test_save_asymptotics_roundtrip(tmp_path, smooth):
     assert arr[0, 0] == 0.0 and arr[1, 1] == 16.0
     assert arr[0, 6] == vals[0].q_total.real
     assert arr[1, 7] == vals[1].q_total.imag
+
+
+# ---------------------------------------------------------------------------
+# Against the PDE: the order-1 pole of 1.3 sech x with its radiation
+# ---------------------------------------------------------------------------
+
+SECH_CONE = (-1.0, 1.0, -0.3, 0.3)
+SECH_TIMES = (10.0, 20.0, 40.0)
+
+
+@pytest.fixture(scope="module")
+def sech_run():
+    """Scattering data of ``1.3 sech x`` and its split-step evolution."""
+    profile = sech_profile(1.3, np.linspace(-26.0, 26.0, 1041))
+    sc = extract_scattering(profile, np.linspace(-4.0, 4.0, 321),
+                            box=(-0.6, 0.6, 0.05, 1.9))
+    assert [d.order for d in sc.discrete] == [1]
+    grid = Grid(8192, -160.0 * math.pi, 160.0 * math.pi)
+    ev = split_step(1.3 / np.cosh(grid.x), grid, SECH_TIMES[-1], dt=4e-3,
+                    t_samples=SECH_TIMES[:-1])
+    return sc, ev
+
+
+@pytest.mark.filterwarnings("ignore:pole")
+@pytest.mark.parametrize("speed", [-0.2, 0.0, 0.2])
+def test_sech_remainder_decays_along_rays(sech_run, speed):
+    # the cone formula leaves an O(t^-3/4) remainder, so t^(3/4) times the
+    # gap to the PDE must not grow along a ray x = speed * t
+    sc, ev = sech_run
+    scaled = []
+    for t in SECH_TIMES:
+        x = speed * t
+        q_pde = complex(ev.interp(t, np.array([x]))[0])
+        q_asym = q_asymptotic(x, t, sc.discrete, sc, SECH_CONE).q_total
+        scaled.append(t ** 0.75 * abs(q_pde - q_asym))
+    assert all(b <= a for a, b in zip(scaled, scaled[1:])), scaled
+
+
+@pytest.mark.filterwarnings("ignore:pole")
+def test_sech_asymptote_is_even(sech_run):
+    # even initial data evolve into a field even in x
+    sc, _ = sech_run
+    worst = 0.0
+    for t in SECH_TIMES:
+        xs = np.linspace(-0.3 * t, 0.3 * t, 13)
+        q = np.abs([q_asymptotic(x, t, sc.discrete, sc, SECH_CONE).q_total
+                    for x in xs])
+        worst = max(worst, float(np.max(np.abs(q - q[::-1])) / np.max(q)))
+    assert worst <= 1e-3

@@ -187,6 +187,29 @@ def test_non_finite_pole_data_exit_2(out, capsys, line, name):
     assert f"pole {name} must be finite" in capsys.readouterr().err
 
 
+def test_non_finite_number_setting_exit_2(out, capsys):
+    # used to reach the pole solver and exit 1 with "pole solver failed"
+    assert run_cli("soliton", "--discrete-poles", "0 1 1 2 0 0 0",
+                   "--soliton-x-max", "inf", "--output-dir", str(out)) == 2
+    assert "soliton.x_max must be a finite number" in capsys.readouterr().err
+
+
+def test_non_finite_evolve_step_exit_2_without_manifest(out, capsys):
+    # used to take one step of size t_final and write "dt": Infinity
+    assert run_cli("evolve", "--discrete-poles", "0 1 1 2 0 0 0",
+                   "--evolve-n", "64", "--evolve-dt", "inf",
+                   "--output-dir", str(out)) == 2
+    assert "evolve.dt must be a finite number" in capsys.readouterr().err
+    assert not (out / "evolution" / "manifest.json").exists()
+
+
+def test_non_finite_number_in_a_list_exit_2(out, capsys):
+    assert run_cli("scatter", "--profile-kind", "sech",
+                   "--scatter-box", "-0.5 0.5 nan 1.5",
+                   "--output-dir", str(out)) == 2
+    assert "scatter.box must be a list of finite numbers" in capsys.readouterr().err
+
+
 def test_soliton_output_is_deterministic(tmp_path):
     args = ("soliton", "--discrete-poles", "0.2 0.9 2 0.1 0 1 0.3",
             "--soliton-n-x", "31", "--soliton-t-min", "-1",

@@ -14,6 +14,7 @@ from fnls.phase import (
     PhaseContext,
     T0_at_z0,
     T_fn,
+    delta_and_log_derivative,
     delta_fn,
     nu_integral,
     nu_of,
@@ -87,6 +88,17 @@ def test_delta_matches_faddeeva_closed_form():
         assert abs(mine - oracle) < 1e-6
 
 
+def test_delta_log_derivative_matches_finite_differences(smooth):
+    # the order-2 pole weight in modulate_constants rests on delta'/delta
+    h = 1e-4
+    for z in (0.45 + 0.9j, -0.8 + 0.6j, 2.0 + 0.3j):
+        delta, dlog = delta_and_log_derivative(z, smooth, Z0)
+        assert abs(delta - delta_fn(z, smooth, Z0)) < 1e-14
+        fd = ((delta_fn(z + h, smooth, Z0) - delta_fn(z - h, smooth, Z0))
+              / (2.0 * h * delta))
+        assert abs(dlog - fd) < 1e-8
+
+
 def test_delta_boundary_jump(smooth):
     for s0 in (-2.0, -0.5, 0.1):
         plus = delta_fn(complex(s0), smooth, Z0, side="+")
@@ -139,13 +151,14 @@ def test_T_refuses_points_at_poles(smooth, poles):
 
 
 def test_T_large_z_coefficient(smooth, poles):
-    """z (T(z) - 1) tends to i (4 sum Im z_k - integral of nu); the integral
+    """z (T(z) - 1) tends to i (2 sum m_k Im z_k - integral of nu); the integral
     reference comes from plain dense trapezoid quadrature, independent of
     the Cauchy-kernel panels inside T."""
     fine = np.linspace(-5.0, Z0, 200001)
     nu_fine = nu_of(np.abs(np.interp(fine, S_GRID, R_SMOOTH.real)
                            + 1j * np.interp(fine, S_GRID, R_SMOOTH.imag)))
-    target = 1j * (4.0 * poles[0].z.imag - np.trapezoid(nu_fine, fine))
+    target = 1j * (2.0 * poles[0].order * poles[0].z.imag
+                   - np.trapezoid(nu_fine, fine))
     f1 = 200j * (T_fn(200j, (0,), poles, smooth, Z0) - 1.0)
     f2 = 400j * (T_fn(400j, (0,), poles, smooth, Z0) - 1.0)
     assert abs(2.0 * f2 - f1 - target) < 5e-4
@@ -155,7 +168,7 @@ def test_T_large_z_coefficient(smooth, poles):
 
 def test_boundary_constant_reflectionless(poles):
     flat = ScatteringData(S_GRID, np.zeros_like(R_SMOOTH))
-    direct = ((Z0 - np.conj(poles[0].z)) / (Z0 - poles[0].z)) ** 2
+    direct = ((Z0 - np.conj(poles[0].z)) / (Z0 - poles[0].z)) ** poles[0].order
     got = T0_at_z0((0,), poles, flat, Z0)
     assert abs(got - direct) < 1e-12
     assert abs(abs(got) - 1.0) < 1e-12

@@ -208,13 +208,23 @@ def test_blaschke_offmember_derivatives_against_contour():
 
 def test_modulation_identity_and_scaling():
     data = _pair()
-    same = modulate_constants(data, lambda z: 1.0)
+    same = modulate_constants(data, lambda z: (1.0, 0.0))
     assert same == data
 
-    scaled = modulate_constants(data, lambda z: 1.0 / z)
-    for d, s in zip(data, scaled):
-        assert s.c0 == pytest.approx(d.c0 / d.z**2)
-        assert s.c1 == pytest.approx(d.c1 / d.z**2)
+    # delta = 1/a with a the Blaschke product of one more pole dresses the
+    # constants as the column scaling by a does: reorient_constants' rule
+    # for the poles that stay lower
+    other = DiscreteDatum(-0.9 + 0.5j, 1, c0=1.0, c1=0.0)
+
+    def delta_at(z):
+        a, ap, _ = blaschke_value_and_derivs(z, [other])
+        return 1.0 / a, -ap / a
+
+    scaled = modulate_constants(data, delta_at)
+    flipped = reorient_constants((*data, other), [2])
+    for s, f in zip(scaled, flipped.data):
+        assert s.c0 == pytest.approx(f.c0, rel=1e-13)
+        assert s.c1 == pytest.approx(f.c1, rel=1e-13)
 
 
 def test_interval_restriction_and_tie_warning():
@@ -340,9 +350,9 @@ def test_given_orientations_are_kept_by_the_batch():
 
 def test_no_finite_solve_raises_linalg_error():
     # overflowing exponentials leave no finite solve at the point
+    data = OrientedData.all_lower([DiscreteDatum(1j, order=1, c0=2.0, c1=0.0)])
     with pytest.raises(np.linalg.LinAlgError, match="x = -600"):
-        soliton_field([DiscreteDatum(1j, order=1, c0=2.0, c1=0.0)],
-                      [0.0, -600.0], 0.0, orientations=("lower",))
+        soliton_field(data, [0.0, -600.0], 0.0)
 
 
 def test_empty_spectrum_gives_vacuum():

@@ -128,3 +128,60 @@ def test_conserved_values_of_sech():
     assert abs(vals["mass"] - 2 * a) < 1e-10
     assert abs(vals["momentum"]) < 1e-12
     assert abs(vals["energy"] + a ** 3 / 3) < 1e-9
+
+
+# Reference compositions with no merged flows: one Strang sweep per segment
+# at order 2, three one-step Strang sweeps per step at order 4.
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = 1.0 - 2.0 * _W1
+
+
+def _strang_sweep(q, k2, h, steps):
+    half = np.exp(-0.25j * k2 * h)
+    full = half * half
+    q = np.fft.ifft(np.fft.fft(q) * half)
+    for s in range(steps):
+        q = q * np.exp(1j * h * np.abs(q) ** 2)
+        q = np.fft.ifft(np.fft.fft(q) * (full if s < steps - 1 else half))
+    return q
+
+
+def _reference_run(q, grid, times, dt, order):
+    k2 = grid.k ** 2
+    out, t_prev, steps_taken = [], 0.0, 0
+    for t_next in times:
+        steps = max(1, int(round((t_next - t_prev) / dt)))
+        h = (t_next - t_prev) / steps
+        if order == 2:
+            q = _strang_sweep(q, k2, h, steps)
+        else:
+            for _ in range(steps):
+                for w in (_W1, _W0, _W1):
+                    q = _strang_sweep(q, k2, w * h, 1)
+        out.append(q)
+        t_prev, steps_taken = t_next, steps_taken + steps
+    return np.array(out), steps_taken
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_composition_sweep_matches_the_strang_compositions(order):
+    grid = Grid(512, -8 * np.pi, 8 * np.pi)
+    q0 = (1.4 / np.cosh(grid.x + 2.0) * np.exp(0.5j * grid.x)
+          + 0.6 * np.exp(-(grid.x - 3.0) ** 2))
+    times = [0.3, 0.7, 1.2]
+    dt = 2e-3
+    ref, steps = _reference_run(q0.astype(complex), grid, times, dt, order)
+    assert steps >= 500
+    ev = split_step(q0, grid, times[-1], dt=dt, t_samples=times[:-1],
+                    order=order)
+    assert np.max(np.abs(ev.q[1:] - ref)) <= 1e-11
+
+
+def test_split_step_rejects_bad_order_and_step():
+    grid = Grid(64, -4 * np.pi, 4 * np.pi)
+    q0 = sech_soliton(1.0)(grid.x, 0.0)
+    with pytest.raises(ValueError, match="order"):
+        split_step(q0, grid, 0.1, order=3)
+    for dt in (0.0, -1e-3, np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt"):
+            split_step(q0, grid, 0.1, dt=dt)
