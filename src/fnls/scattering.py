@@ -14,6 +14,7 @@ the exponential factors drop out.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import make_interp_spline
 
-from .solitons import DiscreteDatum, soliton_field
+from .solitons import DiscreteDatum, _inv, _mul, _with_coefficients, soliton_field
 
 __all__ = [
     "InitialProfile",
@@ -343,6 +344,8 @@ def locate_zeros(profile: InitialProfile, box, tol: float = 1e-6,
     refined point and the local winding number is 2.
     """
     re0, re1, im0, im1 = (float(v) for v in box)
+    if not all(math.isfinite(v) for v in (re0, re1, im0, im1)):
+        raise ValueError(f"box bounds must be finite, got {tuple(box)!r}")
     if im0 <= 0:
         raise ValueError("box must lie in the open upper half plane")
     if re0 >= re1 or im0 >= im1:
@@ -536,12 +539,15 @@ def norming_constants(profile, z_k: complex, order: int = 2, derivs=None,
     """Connection constants at a confirmed zero, assembled into the pole
     datum used by the reconstruction engine.
 
-    The proportionality constant b is the componentwise ratio of the two
-    analytic Jost columns at (x, t) = (0, 0); for order 2 the second
-    constant d comes from the z-differentiated matching relation, with the
-    derivative columns co-integrated through the variational equations.
-    ``jost_fn``, when given, must return (mu1_minus, mu2_plus) each of
-    length 4: (m1, m2, dm1/dz, dm2/dz); it replaces the ODE solve.
+    The Jost columns at (x, t) = (0, 0) obey ``mu1(z) = b(z) mu2(z)`` to
+    the order of the zero.  Matching them and their z-derivatives, which
+    are co-integrated through the variational equations, gives the Taylor
+    coefficients ``(b, d)`` of ``b(z)``, and the pole constants are the
+    principal part ``pp[b(z) / s11(z)]``.  s11 and s11' come from the same
+    columns, higher derivatives from :func:`s11_derivatives`; ``derivs``,
+    when given, supplies ``(s11', s11'', s11''')`` instead.  ``jost_fn``,
+    when given, must return (mu1_minus, mu2_plus) each of length 4:
+    (m1, m2, dm1/dz, dm2/dz); it replaces the ODE solve.
     """
     z_k = complex(z_k)
     if order not in (1, 2):
@@ -552,42 +558,33 @@ def norming_constants(profile, z_k: complex, order: int = 2, derivs=None,
         a2, b2 = _halves(profile, [z_k], with_deriv=True)
         a, b_col = a2[0], b2[0]
 
-    mu1, dmu1 = a[:2], a[2:]
-    mu2, dmu2 = b_col[:2], b_col[2:]
-    denom = np.vdot(mu2, mu2)
+    # Taylor coefficients 0 and 1 of each column
+    mu1, mu2 = (a[:2], a[2:]), (b_col[:2], b_col[2:])
+    denom = np.vdot(mu2[0], mu2[0])
     if denom == 0:
         raise RuntimeError("degenerate Jost column at the requested point")
-    b_k = complex(np.vdot(mu2, mu1) / denom)
-    defect = float(np.max(np.abs(mu1 - b_k * mu2)))
-    scale = float(np.max(np.abs(mu1))) + float(np.max(np.abs(mu2)))
-    if defect > _RATIO_TOL * scale:
-        raise RuntimeError(
-            f"columns are not proportional at z = {z_k!r} (defect "
-            f"{defect:.3e}); not a zero of s11 at working precision")
+    b_series = []
+    for j in range(order):
+        resid = mu1[j] - sum(b_series[i] * mu2[j - i] for i in range(j))
+        b_series.append(complex(np.vdot(mu2[0], resid) / denom))
+        defect = float(np.max(np.abs(resid - b_series[j] * mu2[0])))
+        scale = float(np.max(np.abs(resid))) + float(np.max(np.abs(mu2[0]))) + 1e-300
+        if defect > 10 ** j * _RATIO_TOL * scale:
+            raise RuntimeError(
+                f"derivative matching of order {j} failed at z = {z_k!r} (defect "
+                f"{defect:.3e}); not a zero of s11 of order {order} at working "
+                "precision")
 
-    if order == 1:
-        if derivs is None:
-            _, ds11 = s11_on_grid(profile, [z_k], with_deriv=True)
-            s1 = complex(ds11[0])
-        else:
-            s1 = complex(derivs[0])
-        return DiscreteDatum(z_k, 1, c0=b_k / s1, c1=0.0, b=b_k)
-
-    resid = dmu1 - b_k * dmu2
-    d_k = complex(np.vdot(mu2, resid) / denom)
-    defect2 = float(np.max(np.abs(resid - d_k * mu2)))
-    scale2 = float(np.max(np.abs(resid))) + float(np.max(np.abs(mu2))) + 1e-300
-    if defect2 > 10 * _RATIO_TOL * scale2:
-        raise RuntimeError(
-            f"derivative matching failed at z = {z_k!r} (defect {defect2:.3e});"
-            " the zero is not of order 2 at working precision")
-
-    if derivs is None:
+    s11 = [a[0] * b_col[1] - a[1] * b_col[0],
+           a[2] * b_col[1] + a[0] * b_col[3] - a[3] * b_col[0] - a[1] * b_col[2]]
+    if derivs is None and len(s11) < 2 * order:
         derivs = s11_derivatives(profile, z_k, other_zeros=other_zeros)
-    s2, s3 = complex(derivs[1]), complex(derivs[2])
-    a_k = 2.0 * b_k / s2
-    b_big = d_k / b_k - s3 / (3.0 * s2)
-    return DiscreteDatum(z_k, 2, c0=a_k * b_big, c1=a_k, b=b_k, d=d_k)
+    if derivs is not None:
+        s11[1:] = [complex(v) / math.factorial(k + 1) for k, v in enumerate(derivs)]
+    # b / s11 = (z - z_k)^{-m} b(z) / (s11(z) / (z - z_k)^m)
+    c = _mul(b_series, _inv(s11[order:2 * order], order), order)
+    b_k, d_k = (*b_series, None)[:2]
+    return _with_coefficients(DiscreteDatum(z_k, b=b_k, d=d_k), c)
 
 
 def extract_scattering(profile: InitialProfile, z_grid, box=None,

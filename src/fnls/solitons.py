@@ -1,21 +1,25 @@
 """Exact multi-soliton fields of the focusing NLS from discrete spectral data.
 
-A double (order-2) pole of the transmission problem at ``z_k`` in the upper
-half plane carries two complex constants ``(c0, c1)``.  The piecewise-rational
-solution matrix is reconstructed from a dense 4N x 4N linear system over the
-Laurent coefficients of its pole expansion; the field is read off the ``1/z``
-moment,
+A pole of order ``m`` at ``z_k`` in the upper half plane carries as its
+constants the principal part of a Laurent series at ``z_k``: the
+coefficients ``(c_{m-1}, ..., c_0)`` of ``(z - z_k)^{-m}, ..., (z - z_k)^{-1}``
+(:attr:`DiscreteDatum.coefficients`).  Every change of these constants is
+the principal part of a product or a reciprocal of short Taylor series:
+the phase ``e^{2i(tz^2 + xz)}``, a reorientation and the radiation factor
+``delta`` alike.  The piecewise-rational solution matrix is reconstructed
+from a linear system over the Laurent coefficients of its pole expansion,
+``m`` unknowns per pole in each of two blocks; the field is read off the
+``1/z`` moment,
 
     q(x, t) = 2i * lim_{z->inf} z * m_12(z).
-
-Order-1 (simple pole) data embeds as the degenerate case ``c1 = 0``.
 
 Two orientations are supported per pole: "lower" poles put the singular
 columns on the left (the natural normalization), "upper" poles on the right.
 Re-orienting a subset ``Delta`` of the spectrum is the column scaling
-``m -> m * a_Delta(z)^{sigma3}`` with ``a_Delta`` the squared Blaschke product
-over ``Delta``; :func:`reorient_constants` maps the pole constants
-accordingly, and the reconstructed field is invariant under the change.
+``m -> m * a_Delta(z)^{sigma3}`` with ``a_Delta`` the Blaschke product over
+``Delta``, each factor raised to its pole's order;
+:func:`reorient_constants` maps the pole constants accordingly, and the
+reconstructed field is invariant under the change.
 
 One system serves every mix of orientations (:func:`pole_system`), and its
 x dependence is a row scaling, so a whole slice of x is solved as one stack
@@ -30,6 +34,8 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -48,7 +54,6 @@ __all__ = [
     "outer_matrix_row",
     "mass_from_spectrum",
     "blaschke_product",
-    "blaschke_derivatives_at_member",
     "reorient_constants",
     "modulate_constants",
     "restrict_to_interval",
@@ -91,6 +96,20 @@ class DiscreteDatum:
         if self.order == 2 and self.c1 == 0:
             raise ValueError("order-2 data needs c1 != 0")
 
+    @property
+    def coefficients(self) -> tuple:
+        """``(c_{m-1}, ..., c_0)``, the coefficients of ``(z' - z)^{-m}, ...,
+        (z' - z)^{-1}``: the Taylor coefficients of ``(z' - z)^m`` times the
+        principal part."""
+        return (self.c1, self.c0)[2 - self.order:]
+
+
+def _with_coefficients(d: DiscreteDatum, c) -> DiscreteDatum:
+    """``d`` carrying the principal part ``c``, of order ``len(c)`` (see
+    :attr:`DiscreteDatum.coefficients`)."""
+    c1, c0 = (0.0, *c)[-2:]
+    return replace(d, order=len(c), c0=complex(c0), c1=complex(c1))
+
 
 @dataclass(frozen=True)
 class OrientedData:
@@ -114,15 +133,17 @@ class OrientedData:
 
 @dataclass
 class SolitonState:
-    """Solved Laurent coefficients of the solution matrix at one ``(x, t)``."""
+    """Solved Laurent coefficients of the solution matrix at one ``(x, t)``.
+
+    ``alpha[k][j - 1]`` and ``beta[k][j - 1]`` multiply ``(z - z_k)^{-j}``
+    in the singular column of pole ``k``.
+    """
 
     oriented: OrientedData
     x: float
     t: float
-    alpha1: np.ndarray
-    alpha2: np.ndarray
-    beta1: np.ndarray
-    beta2: np.ndarray
+    alpha: tuple[np.ndarray, ...]
+    beta: tuple[np.ndarray, ...]
     q: complex
     residual: float
     condition: float
@@ -139,15 +160,47 @@ class FieldSolution:
     residual: np.ndarray
 
 
-def _gammas(z, c0, c1, sign, x, t: float):
-    """``(gamma0, gamma1)`` of poles ``z`` (orientation ``sign``: +1 lower,
-    -1 upper) at points ``x``; all arguments broadcast.
+# ---------------------------------------------------------------------------
+# Truncated Taylor series: lists of coefficients, each a scalar or an array
+# ---------------------------------------------------------------------------
 
-    ``gamma1 = c1 e^{sign 2i (t z^2 + x z)}`` and ``gamma0`` the same with
-    ``c0 + sign c1 (4i t z + 2i x)`` in place of ``c1``.
-    """
-    ph = np.exp(sign * (2j * t * z * z + 2j * x * z))
-    return (c0 + sign * c1 * (4j * t * z + 2j * x)) * ph, c1 * ph
+def _mul(a, b, n: int) -> list:
+    """The first ``n`` Taylor coefficients of the product of ``a`` and ``b``."""
+    out = [0.0] * n
+    for i, ai in enumerate(a[:n]):
+        for j, bj in enumerate(b[:n - i]):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _inv(a, n: int) -> list:
+    """The first ``n`` Taylor coefficients of ``1 / a`` (``a[0] != 0``)."""
+    out = [1.0 / a[0]]
+    for i in range(1, n):
+        acc = 0.0
+        for j in range(1, min(i + 1, len(a))):
+            acc = acc + a[j] * out[i - j]
+        out.append(-acc * out[0])
+    return out
+
+
+def _scaled(c, f) -> list:
+    """``pp[c f^2]``: the principal part ``c`` under the column scaling by
+    ``f``, given by its Taylor coefficients at the pole."""
+    return _mul(c, _mul(f, f, len(c)), len(c))
+
+
+def _phase_series(z, sign, x, t: float, n: int) -> list:
+    """The first ``n`` Taylor coefficients at ``z`` of ``e^{sign 2i (t z^2 +
+    x z)}``; ``z``, ``sign`` and ``x`` broadcast.  The exponent is
+    ``u w + v w^2`` past its value at ``z``, so
+    ``(k + 1) e_{k+1} = u e_k + 2 v e_{k-1}``."""
+    s2i = 2j * sign
+    u = s2i * (2.0 * t * z + x)
+    out = [np.exp(s2i * (t * z + x) * z)]
+    for k in range(1, n):
+        out.append((u * out[-1] + (2.0 * t * s2i * out[-2] if k > 1 else 0.0)) / k)
+    return out
 
 
 def _as_oriented(data) -> OrientedData:
@@ -155,75 +208,95 @@ def _as_oriented(data) -> OrientedData:
 
 
 @functools.lru_cache(maxsize=256)
-def _row_forms(zs: tuple, lower: tuple):
-    """The x-independent parts ``(K0, K1, e)`` of :func:`pole_system`."""
+def _row_forms(zs: tuple, lower: tuple, orders: tuple):
+    """The x-independent parts of :func:`pole_system`: for each shift
+    ``r``, the rows ``K_r`` acts on and ``K_r`` on those rows; the mask of
+    rows with a unit term; and the (pole, power) of each unknown of a
+    block."""
     n = len(zs)
     z = np.array(zs, dtype=np.complex128)
     gap = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(n, np.inf))
     if n > 1 and gap.min() < _COINCIDENCE_TOL:
         i, j = np.unravel_index(np.argmin(gap), gap.shape)
         raise ValueError(f"coincident spectral points {z[i]} and {z[j]}")
-    lower = np.array(lower)
 
-    # Row and column r = block * n + pole; blocks 0-3 are alpha1, alpha2,
-    # conj(beta1), conj(beta2).
-    block, pole = np.divmod(np.arange(4 * n), n)
-    is_alpha = block < 2
-    first = block % 2 == 0
-    same = lower[pole][:, None] == lower[pole][None, :]
+    # Row and column i: block (alpha, then conj(beta)), pole, power.
+    pole = np.tile(np.repeat(np.arange(n), orders), 2)
+    power = np.tile(np.concatenate([np.arange(1, m + 1) for m in orders]), 2)
+    is_alpha = np.arange(pole.size) < pole.size // 2
+    low = np.array(lower)[pole]
+    same = low[:, None] == low[None, :]
     # Rows whose residue form has no unit term (alpha rows of lower poles,
     # conj(beta) rows of upper poles); they couple to equal orientations
     # with sign -1.
-    bare = is_alpha == lower[pole]
+    bare = is_alpha == low
     coupled = is_alpha[None, :] == (is_alpha[:, None] != same)
-    sign = np.where(same & bare[:, None], -1.0, 1.0)
+    sign = np.where(same & bare[:, None], 1.0, -1.0)
     point = np.where(is_alpha, z[pole], np.conj(z[pole]))
     inv = 1.0 / np.where(coupled, point[:, None] - point[None, :], 1.0)
-    k0 = np.where(coupled, -sign * np.where(first, inv, inv * inv), 0.0)
-    k1 = np.where(coupled & first[:, None],
-                  sign * np.where(first, inv * inv, 2.0 * inv ** 3), 0.0)
+    # Taylor coefficient r at the row's point of the column's (z - p)^{-j}.
+    headroom = np.array(orders)[pole] - power
+    forms = []
+    for r in range(max(orders)):
+        rows = np.flatnonzero(headroom >= r)
+        binom = np.array([math.comb(j + r - 1, r) for j in power])
+        k = np.where(coupled, sign * (-1) ** r * binom * inv ** (power + r), 0.0)[rows]
+        for a in (rows, k):
+            a.flags.writeable = False
+        forms.append((rows, k))
     unit = np.where(bare, 0.0, 1.0)
-    for a in (k0, k1, unit):
+    half = pole.size // 2
+    for a in (unit, pole, power):
         a.flags.writeable = False
-    return k0, k1, unit
+    return tuple(forms), unit, pole[:half], power[:half]
 
 
 def pole_system(data, x_values, t: float):
-    """The pole system at every ``x``: matrices ``(P, 4N, 4N)``, rhs ``(P, 4N)``.
+    """The pole system at every ``x``: matrices ``(P, 2D, 2D)``, rhs
+    ``(P, 2D)`` with ``D`` the sum of the pole orders.
 
     ``data`` is an :class:`OrientedData` or a sequence of
     :class:`DiscreteDatum`, taken as all lower.
 
-    The unknowns are ``(alpha1, alpha2, conj(beta1), conj(beta2))``, each of
-    length N, whatever the orientations.  Rows come in the same four blocks:
-    the alpha rows write the residue conditions at ``z_k``, the conj(beta)
-    rows their conjugates at ``conj(z_k)``.  A row couples to the other
-    block of a pole with the same orientation and to its own block of a pole
-    with the other one.  Every row is affine in its pole's ``(gamma0,
-    gamma1)`` (conjugated on conj(beta) rows), so
+    The unknowns are the blocks ``alpha`` and ``conj(beta)``, each holding
+    the Laurent coefficients of ``(z - z_k)^{-1}, ..., (z - z_k)^{-m_k}``
+    pole by pole, whatever the orientations.  Rows come in the same
+    layout: the alpha rows write the principal part at ``z_k`` of the
+    residue conditions, the conj(beta) rows their conjugates at
+    ``conj(z_k)``.  A row couples to the other block of a pole with the same
+    orientation and to its own block of a pole with the other one.  Row
+    ``(k, j)`` is affine in the coefficients ``g_{k, j+r}`` of
+    ``Gamma_k = pp[c_k e^{+-2i(tz^2 + xz)}]`` (conjugated on conj(beta)
+    rows), so
 
-        M(x) = I + Gamma0(x) K0 + Gamma1(x) K1,   rhs = Gamma0(x) e,
+        M(x) = I + sum_r G_r(x) K_r,   rhs = G_0(x) e,
 
-    with row scalings ``Gamma0, Gamma1`` and ``K0, K1, e`` fixed by ``z`` and
-    the orientations.  For all-lower data this is the block matrix
-    ``[[I, 0, A, B], [0, I, C, D], [-conj A, -conj B, I, 0],
-    [-conj C, -conj D, 0, I]]`` with rhs ``(0, 0, conj g0, conj g1)``.
+    with ``G_r`` the row scaling by ``g_{k, j+r}`` (zero past the pole's
+    order) and ``K_r[(k, j), (l, n)] = -sign (-1)^r C(n+r-1, r)
+    (p_k - p_l)^{-n-r}`` on coupled pairs, fixed by ``z``, the orders and
+    the orientations.
     """
     oriented = _as_oriented(data)
     lower = tuple(o == "lower" for o in oriented.orientations)
-    k0, k1, unit = _row_forms(tuple(complex(d.z) for d in oriented.data), lower)
-    z, c0, c1 = (np.array([getattr(d, a) for d in oriented.data], dtype=np.complex128)
-                 for a in ("z", "c0", "c1"))
+    orders = tuple(d.order for d in oriented.data)
+    zs = tuple(complex(d.z) for d in oriented.data)
+    forms, unit, pole, power = _row_forms(zs, lower, orders)
     x = np.asarray(x_values, dtype=float).reshape(-1, 1)
-    g0, g1 = _gammas(z, c0, c1, np.where(lower, 1.0, -1.0), x, t)
-    gamma0 = np.concatenate([g0, g1, np.conj(g0), np.conj(g1)], axis=1)
-    # Gamma1 is gamma0 one block on (g1 on alpha1 rows, conj g1 on
-    # conj(beta1) rows); K1 vanishes on the order-2 rows.
-    n = len(lower)
-    matrix = gamma0[:, :, None] * k0
-    matrix[:, :3 * n] += gamma0[:, n:, None] * k1[:3 * n]
-    matrix += np.eye(4 * n)
-    return matrix, gamma0 * unit
+    # Leading zeros leave a principal part as it is, so every pole's
+    # Gamma is one series of length max(orders), a column per pole.
+    top = max(orders)
+    coeffs = np.array([(0.0,) * (top - d.order) + d.coefficients
+                       for d in oriented.data], dtype=np.complex128).T
+    phase = _phase_series(np.array(zs), np.where(lower, 1.0, -1.0), x, t, top)
+    series = np.concatenate(_mul(coeffs, phase, top), axis=1)
+    # g[:, i] for unknown i = (k, j) is the coefficient of (z - z_k)^{-j}
+    g = series[:, (top - power) * len(zs) + pole]
+    gamma = np.concatenate([g, np.conj(g)], axis=1)
+    matrix = gamma[:, :, None] * forms[0][1]
+    for r, (rows, k) in enumerate(forms[1:], 1):
+        matrix[:, rows] += gamma[:, rows + r, None] * k
+    matrix += np.eye(gamma.shape[1])
+    return matrix, gamma * unit
 
 
 def _solve_stack(matrix: np.ndarray, rhs: np.ndarray):
@@ -258,7 +331,7 @@ def _solve_points(oriented: OrientedData, x: np.ndarray, t: float):
     of points per stacked solve: ``(u, condition, residual)``.  Overflowing
     exponentials far from the poles leave a non-finite solve, reported as
     condition ``inf`` like a singular matrix."""
-    dim = 4 * len(oriented.data)
+    dim = 2 * sum(d.order for d in oriented.data)
     u = np.empty((x.size, dim), dtype=np.complex128)
     cond = np.empty(x.size)
     residual = np.empty(x.size)
@@ -271,12 +344,19 @@ def _solve_points(oriented: OrientedData, x: np.ndarray, t: float):
     return u, cond, residual
 
 
+def _per_pole(oriented: OrientedData, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Split one block of unknowns into each pole's powers ``1, ..., m_k``."""
+    ends = itertools.accumulate(d.order for d in oriented.data)
+    return tuple(v[..., e - d.order:e] for d, e in zip(oriented.data, ends))
+
+
 def _moment(oriented: OrientedData, u: np.ndarray) -> np.ndarray:
     """``q = 2i * (1/z moment of m_12)``: lower poles contribute
-    ``-conj(beta1)``, upper poles ``alpha1``."""
-    n = len(oriented.data)
-    upper = np.array([o == "upper" for o in oriented.orientations], dtype=float)
-    return 2j * (u[:, :n] @ upper - u[:, 2 * n:3 * n] @ (1.0 - upper))
+    ``-conj(beta_{k,1})``, upper poles ``alpha_{k,1}``."""
+    half = u.shape[1] // 2
+    alpha, conj_beta = _per_pole(oriented, u[:, :half]), _per_pole(oriented, u[:, half:])
+    return 2j * sum(a[:, 0] if o == "upper" else -b[:, 0]
+                    for a, b, o in zip(alpha, conj_beta, oriented.orientations))
 
 
 def _check_solved(cond: np.ndarray, x: np.ndarray, t: float) -> None:
@@ -299,8 +379,7 @@ def solve_soliton(data, x: float, t: float,
     one point (stored in ``m_out_row``).
     """
     oriented = _as_oriented(data)
-    n = len(oriented.data)
-    if n:
+    if oriented.data:
         xs = np.array([float(x)])
         u, cond, residual = _solve_points(oriented, xs, t)
         _check_solved(cond, xs, t)
@@ -308,8 +387,9 @@ def solve_soliton(data, x: float, t: float,
         cond, residual = float(cond[0]), float(residual[0])
     else:
         u, q, cond, residual = np.zeros((1, 0), dtype=np.complex128), 0j, 1.0, 0.0
-    state = SolitonState(oriented, x, t, u[0, :n], u[0, n:2 * n],
-                         np.conj(u[0, 2 * n:3 * n]), np.conj(u[0, 3 * n:]),
+    half = u.shape[1] // 2
+    state = SolitonState(oriented, x, t, _per_pole(oriented, u[0, :half]),
+                         tuple(np.conj(b) for b in _per_pole(oriented, u[0, half:])),
                          q=q, residual=residual, condition=cond)
     if z_eval is not None:
         state.m_out_row = outer_matrix_row(state, z_eval)
@@ -358,30 +438,29 @@ def soliton_field(data, x_values, t: float) -> np.ndarray:
     return solve_field(data, x_values, t).q
 
 
+def _principal(coeffs, inv) -> np.ndarray:
+    """``sum_j coeffs[j - 1] inv^j`` by Horner's rule."""
+    out = coeffs[-1] * inv
+    for c in coeffs[-2::-1]:
+        out = (out + c) * inv
+    return out
+
+
 def evaluate_matrix(state: SolitonState, z) -> np.ndarray:
     """Closed-form solution matrix at points ``z`` (shape ``z.shape + (2, 2)``)."""
     z = np.asarray(z, dtype=np.complex128)
     m = np.zeros(z.shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = 1.0
     m[..., 1, 1] = 1.0
-    for j, o in enumerate(state.oriented.orientations):
-        zj = state.oriented.data[j].z
-        w1 = 1.0 / (z - zj)
-        w2 = w1 * w1
-        v1 = 1.0 / (z - np.conj(zj))
-        v2 = v1 * v1
-        a1, a2 = state.alpha1[j], state.alpha2[j]
-        b1, b2 = state.beta1[j], state.beta2[j]
-        if o == "lower":
-            m[..., 0, 0] += a1 * w1 + a2 * w2
-            m[..., 1, 0] += b1 * w1 + b2 * w2
-            m[..., 0, 1] += -np.conj(b1) * v1 - np.conj(b2) * v2
-            m[..., 1, 1] += np.conj(a1) * v1 + np.conj(a2) * v2
-        else:
-            m[..., 0, 1] += a1 * w1 + a2 * w2
-            m[..., 1, 1] += b1 * w1 + b2 * w2
-            m[..., 0, 0] += np.conj(b1) * v1 + np.conj(b2) * v2
-            m[..., 1, 0] += -np.conj(a1) * v1 - np.conj(a2) * v2
+    for d, o, a, b in zip(state.oriented.data, state.oriented.orientations,
+                          state.alpha, state.beta):
+        # the singular column at z_k, and the other one at conj(z_k)
+        near, far, s = (0, 1, 1.0) if o == "lower" else (1, 0, -1.0)
+        w, v = 1.0 / (z - d.z), 1.0 / (z - np.conj(d.z))
+        m[..., 0, near] += _principal(a, w)
+        m[..., 1, near] += _principal(b, w)
+        m[..., 0, far] -= s * _principal(np.conj(b), v)
+        m[..., 1, far] += s * _principal(np.conj(a), v)
     return m
 
 
@@ -397,7 +476,7 @@ def mass_from_spectrum(data) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Orientation changes (column scaling by a squared Blaschke product)
+# Orientation changes (column scaling by a Blaschke product)
 # ---------------------------------------------------------------------------
 
 def blaschke_product(z, members) -> np.ndarray:
@@ -409,93 +488,43 @@ def blaschke_product(z, members) -> np.ndarray:
     return out
 
 
-def _log_deriv_sums(z: complex, members, skip: int | None = None):
-    """First two derivatives of ``log a_Delta`` at a regular point ``z``."""
-    l1 = l2 = 0.0 + 0.0j
-    for i, d in enumerate(members):
-        if i == skip:
-            continue
-        p = d.order
-        for c, sgn in ((d.z, 1.0), (np.conj(d.z), -1.0)):
-            w = z - c
-            l1 += sgn * p / w
-            l2 -= sgn * p / w**2
-    return l1, l2
-
-
-def blaschke_value_and_derivs(z: complex, members) -> tuple[complex, complex, complex]:
-    """``(a, a', a'')`` of the Blaschke product at a non-member point."""
-    a = complex(blaschke_product(np.asarray(z, dtype=np.complex128), members))
-    l1, l2 = _log_deriv_sums(z, members)
-    return a, a * l1, a * (l2 + l1 * l1)
-
-
-def blaschke_derivatives_at_member(members, k: int) -> tuple[complex, complex]:
-    """Leading derivatives of ``a_Delta`` at its own k-th zero.
-
-    For an order-2 member returns ``(a'', a''')``; for order-1, ``(a', a'')``.
-    Uses the factored form ``a(z) = (z - z_k)^p g(z)`` with ``g`` evaluated
-    exactly, so no cancellation occurs at the zero.
-    """
-    d = members[k]
-    zk = d.z
-    p = d.order
-    g = (zk - np.conj(zk)) ** (-p)
-    for i, other in enumerate(members):
-        if i == k:
-            continue
-        g = g * ((zk - other.z) / (zk - np.conj(other.z))) ** other.order
-    # log-derivative of g at z_k
-    lg = -p / (zk - np.conj(zk))
-    l1, _ = _log_deriv_sums(zk, members, skip=k)
-    lg += l1
-    if p == 2:
-        return 2.0 * g, 6.0 * g * lg
-    return g, 2.0 * g * lg
+def _blaschke_series(z: complex, members, n: int) -> list:
+    """The first ``n`` Taylor coefficients at ``z`` of the Blaschke product
+    over ``members``, divided by ``(z' - z)^m`` when ``z`` is a member of
+    order ``m``.  The factors are expanded one by one, so the zero at a
+    member costs no cancellation."""
+    z = complex(z)
+    out = [1.0]
+    for d in members:
+        zl = complex(d.z)
+        q = z - zl.conjugate()
+        # the series of 1 / (z' - conj z_l) and, off the member, of
+        # (z' - z_l) / (z' - conj z_l) = 1 + (conj z_l - z_l) / (z' - conj z_l)
+        factor = [(-1) ** k / q ** (k + 1) for k in range(n)]
+        if zl != z:
+            factor = [(z - zl) / q] + [(zl.conjugate() - zl) * f for f in factor[1:]]
+        for _ in range(d.order):
+            out = _mul(out, factor, n)
+    return out
 
 
 def reorient_constants(data, delta_indices) -> OrientedData:
     """Move the poles listed in ``delta_indices`` to the upper orientation.
 
-    The constants of every pole change under the column scaling by the
-    squared Blaschke product ``a`` over the flipped subset:
-
-    * member ``k`` of the flipped set (order 2):
-      ``c1~ = 4 / (c1 * a''(z_k)^2)``,
-      ``c0~ = -c1~ * (c0/c1 + 2 a'''(z_k) / (3 a''(z_k)))``;
-      order-1 members: ``c0~ = 1 / (c0 * a'(z_k)^2)``;
-    * remaining poles keep the lower orientation (:func:`_rescaled`).
+    The column scaling by the Blaschke product ``a`` over the flipped
+    subset maps the principal part ``c`` of every pole: ``c -> pp[c a^2]``
+    for the poles that stay lower, and ``c -> pp[1 / (c g^2)]`` with
+    ``g = a / (z - z_k)^m`` for the flipped ones.
     """
     data = tuple(data)
-    delta_indices = sorted(set(int(i) for i in delta_indices))
-    members = [data[i] for i in delta_indices]
-    member_pos = {i: pos for pos, i in enumerate(delta_indices)}
-
+    flip = sorted(set(int(i) for i in delta_indices))
+    members = [data[i] for i in flip]
     new_data = []
-    orients = []
     for i, d in enumerate(data):
-        if i in member_pos:
-            if d.order == 2:
-                app, appp = blaschke_derivatives_at_member(members, member_pos[i])
-                c1t = 4.0 / (d.c1 * app * app)
-                c0t = -c1t * (d.c0 / d.c1 + 2.0 * appp / (3.0 * app))
-            else:
-                ap, _ = blaschke_derivatives_at_member(members, member_pos[i])
-                c0t, c1t = 1.0 / (d.c0 * ap * ap), 0.0
-            new_data.append(replace(d, c0=complex(c0t), c1=complex(c1t)))
-            orients.append("upper")
-        else:
-            a, ap, _ = blaschke_value_and_derivs(d.z, members)
-            new_data.append(_rescaled(d, a, ap))
-            orients.append("lower")
-    return OrientedData(tuple(new_data), tuple(orients))
-
-
-def _rescaled(d: DiscreteDatum, a: complex, ap: complex) -> DiscreteDatum:
-    """A lower pole's constants under the column scaling by ``a``:
-    ``c1~ = c1 a(z_k)^2``, ``c0~ = (c0 + 2 c1 a'(z_k)/a(z_k)) a(z_k)^2``."""
-    return replace(d, c0=complex((d.c0 + 2.0 * d.c1 * ap / a) * a * a),
-                   c1=complex(d.c1 * a * a))
+        c = _scaled(d.coefficients, _blaschke_series(d.z, members, d.order))
+        new_data.append(_with_coefficients(d, _inv(c, d.order) if i in flip else c))
+    orients = tuple("upper" if i in flip else "lower" for i in range(len(data)))
+    return OrientedData(tuple(new_data), orients)
 
 
 def modulate_constants(data, delta_at) -> tuple[DiscreteDatum, ...]:
@@ -504,15 +533,16 @@ def modulate_constants(data, delta_at) -> tuple[DiscreteDatum, ...]:
     ``delta_at(z)`` returns ``(delta(z), delta'(z) / delta(z))`` at a point
     of the upper half plane (supplied by :mod:`fnls.phase`); for
     reflectionless data pass ``lambda z: (1.0, 0.0)``.  The constants change
-    as under the column scaling by ``f = 1 / delta`` (:func:`_rescaled`),
-    with ``f'/f = -delta'/delta``.
+    as under the column scaling by ``f = 1 / delta``, whose Taylor series
+    starts ``(1 / delta, -(delta'/delta) / delta)``.
     """
     out = []
     for d in data:
         if d.z.imag <= 0:
             raise ValueError("modulation is defined off the real axis only")
         delta, dlog = (complex(v) for v in delta_at(d.z))
-        out.append(_rescaled(d, 1.0 / delta, -dlog / delta))
+        f = (1.0 / delta, -dlog / delta)
+        out.append(_with_coefficients(d, _scaled(d.coefficients, f)))
     return tuple(out)
 
 

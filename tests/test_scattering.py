@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 import warnings
 
 import numpy as np
@@ -151,6 +152,18 @@ def test_three_soliton_sech_spectrum_forces_subdivision():
 
 def test_gaussian_has_empty_discrete_spectrum(gauss03):
     assert locate_zeros(gauss03, (-1.0, 1.0, 0.05, 1.0)) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", range(4))
+def test_non_finite_box_is_refused_at_once(sech2, side, bad):
+    # a nan bound once sent the contour search into an endless retry
+    box = [-0.5, 0.5, 0.5, 1.5]
+    box[side] = bad
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="finite"):
+        locate_zeros(sech2, tuple(box))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_round_trip_finds_one_double_zero(roundtrip):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from fnls.solitons import (
     DiscreteDatum,
     OrientedData,
-    blaschke_derivatives_at_member,
+    _blaschke_series,
+    _inv,
+    _mul,
+    _phase_series,
     blaschke_product,
-    blaschke_value_and_derivs,
     evaluate_matrix,
     mass_from_spectrum,
     modulate_constants,
@@ -56,8 +58,8 @@ def test_field_value_matches_high_precision_reference():
 
 
 def test_simple_pole_reduces_to_classical_soliton():
-    """With c1 = 0 the system collapses to the order-1 case, whose closed
-    form at z = i, c0 = 2 is q = -2i sech(2x) e^{2it}."""
+    """An order-1 pole at z = i, c0 = 2 gives the closed form
+    q = -2i sech(2x) e^{2it}."""
     x = np.linspace(-6.0, 6.0, 481)
     q = soliton_field([DiscreteDatum(1j, order=1, c0=2.0, c1=0.0)], x, 0.7)
     exact = -2j / np.cosh(2 * x) * np.exp(1.4j)
@@ -90,44 +92,39 @@ def test_reconstructed_field_solves_the_pde():
     assert res < 1e-6
 
 
+def _mixed():
+    return (*_pair(), DiscreteDatum(-0.7 + 0.6j, 1, c0=0.8 - 0.3j, c1=0.0))
+
+
 def test_laurent_coefficients_match_pole_conditions():
-    """Contour-integrate the reconstructed matrix around each pole and compare
-    the order -1 / order -2 coefficients with the defining relations: the
-    principal part of column 1 must equal column 2 (and its derivative)
-    weighted by the gamma pair."""
-    data = _pair()
+    """Contour-integrate the reconstructed matrix and the pole's gamma around
+    each pole.  Coefficient (pole k, power j) of column 1 must be the
+    solved (alpha, beta), and equal sum_r g_{j+r} times the r-th Taylor
+    coefficient of column 2, which is analytic there."""
+    data = _mixed()
     x, t = 0.4, 0.3
     state = solve_soliton(data, x, t)
 
     phi = 2 * np.pi * np.arange(256) / 256
     for k, d in enumerate(data):
         circle = d.z + 0.25 * np.exp(1j * phi)
+        w = circle - d.z
         m = evaluate_matrix(state, circle)
-        w = (circle - d.z)[:, None, None]
-        p1 = np.mean(m * w, axis=0)
-        p2 = np.mean(m * w * w, axis=0)
+        gamma = (sum(c * w ** -(j + 1) for j, c in enumerate(reversed(d.coefficients)))
+                 * np.exp(2j * (t * circle ** 2 + x * circle)))
 
-        # column 2 of the closed form is analytic near z_k
-        col2 = np.zeros(2, dtype=complex)
-        dcol2 = np.zeros(2, dtype=complex)
-        col2[1] += 1.0
-        for j, dj in enumerate(data):
-            v = 1.0 / (d.z - np.conj(dj.z))
-            b1, b2 = state.beta1[j], state.beta2[j]
-            a1, a2 = state.alpha1[j], state.alpha2[j]
-            col2 += np.array([-np.conj(b1) * v - np.conj(b2) * v**2,
-                              np.conj(a1) * v + np.conj(a2) * v**2])
-            dcol2 += np.array([np.conj(b1) * v**2 + 2 * np.conj(b2) * v**3,
-                               -np.conj(a1) * v**2 - 2 * np.conj(a2) * v**3])
+        def coeff(f, power):
+            """Laurent coefficient of w^-power of samples f on the circle."""
+            return np.tensordot(w ** power, f, axes=1) / w.size
 
-        # the gamma pair of a lower pole
-        ph = np.exp(2j * (t * d.z * d.z + x * d.z))
-        g0 = (d.c0 + d.c1 * (4j * t * d.z + 2j * x)) * ph
-        g1 = d.c1 * ph
-        assert np.max(np.abs(p2[:, 0] - g1 * col2)) < 1e-8
-        assert np.max(np.abs(p1[:, 0] - (g1 * dcol2 + g0 * col2))) < 1e-8
-        assert np.max(np.abs(p1[:, 1])) < 1e-10
-        assert np.max(np.abs(p2[:, 1])) < 1e-10
+        col2 = [coeff(m[:, :, 1], -r) for r in range(d.order)]
+        for j in range(1, d.order + 1):
+            p = coeff(m, j)
+            assert abs(p[0, 0] - state.alpha[k][j - 1]) < 1e-8
+            assert abs(p[1, 0] - state.beta[k][j - 1]) < 1e-8
+            expected = sum(coeff(gamma, j + r) * col2[r] for r in range(d.order - j + 1))
+            assert np.max(np.abs(p[:, 0] - expected)) < 1e-8
+            assert np.max(np.abs(p[:, 1])) < 1e-10
 
 
 def test_conjugation_symmetry_and_unit_determinant():
@@ -180,9 +177,12 @@ def test_reorientation_handles_simple_poles():
 
 
 def test_blaschke_member_derivatives_against_contour():
+    # at its own double zero the series of a / (z - z_k)^2 starts with the
+    # second and third derivatives of a over 2! and 3!
     data = _pair()
-    app, appp = blaschke_derivatives_at_member(data, 0)
     zk = data[0].z
+    g = _blaschke_series(zk, data, 2)
+    app, appp = 2.0 * g[0], 6.0 * g[1]
     phi = 2 * np.pi * np.arange(512) / 512
     circle = zk + 0.2 * np.exp(1j * phi)
     vals = blaschke_product(circle, data)
@@ -196,7 +196,8 @@ def test_blaschke_member_derivatives_against_contour():
 def test_blaschke_offmember_derivatives_against_contour():
     data = _pair()
     z = 1.8 + 0.6j
-    a, ap, app = blaschke_value_and_derivs(z, data)
+    series = _blaschke_series(z, data, 3)
+    a, ap, app = series[0], series[1], 2.0 * series[2]
     phi = 2 * np.pi * np.arange(512) / 512
     circle = z + 0.15 * np.exp(1j * phi)
     vals = blaschke_product(circle, data)
@@ -206,8 +207,23 @@ def test_blaschke_offmember_derivatives_against_contour():
     assert abs(app - 2.0 * np.mean(vals / w**2)) < 1e-9
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_series_helpers_against_contour(sign):
+    # four terms, past what orders 1 and 2 use, so every term of the
+    # phase recurrence and of the reciprocal is exercised
+    z, x, t = 0.3 + 0.8j, np.array([-1.2, 0.7]), 0.45
+    phase = _phase_series(z, sign, x, t, 4)
+    phi = 2 * np.pi * np.arange(256) / 256
+    w = 0.3 * np.exp(1j * phi)
+    vals = np.exp(sign * 2j * (t * (z + w[:, None]) ** 2 + x * (z + w[:, None])))
+    for k in range(4):
+        assert np.max(np.abs(phase[k] - np.mean(vals / w[:, None] ** k, axis=0))) < 1e-12
+    a = [1.5 - 0.5j, 0.25j, -0.75, 2.0]
+    assert np.allclose(_mul(a, _inv(a, 4), 4), [1, 0, 0, 0], rtol=0, atol=1e-15)
+
+
 def test_modulation_identity_and_scaling():
-    data = _pair()
+    data = _mixed()
     same = modulate_constants(data, lambda z: (1.0, 0.0))
     assert same == data
 
@@ -217,14 +233,15 @@ def test_modulation_identity_and_scaling():
     other = DiscreteDatum(-0.9 + 0.5j, 1, c0=1.0, c1=0.0)
 
     def delta_at(z):
-        a, ap, _ = blaschke_value_and_derivs(z, [other])
+        a, ap = _blaschke_series(z, [other], 2)
         return 1.0 / a, -ap / a
 
     scaled = modulate_constants(data, delta_at)
-    flipped = reorient_constants((*data, other), [2])
+    flipped = reorient_constants((*data, other), [len(data)])
     for s, f in zip(scaled, flipped.data):
-        assert s.c0 == pytest.approx(f.c0, rel=1e-13)
-        assert s.c1 == pytest.approx(f.c1, rel=1e-13)
+        assert s.order == f.order
+        for j in range(s.order):
+            assert s.coefficients[j] == pytest.approx(f.coefficients[j], rel=1e-13)
 
 
 def test_interval_restriction_and_tie_warning():
@@ -267,11 +284,23 @@ def test_non_finite_pole_data_is_rejected(field, bad):
 
 
 def test_condition_warning_at_extreme_x():
-    # far into the exponential tail the gamma factors skew the system badly
-    datum = DiscreteDatum(1j, order=1, c0=2.0, c1=0.0)
+    # the all-lower breather at x = -20: its gamma factors reach e^60 and
+    # skew the system badly, yet the solve stays backward stable
+    data = (DiscreteDatum(0.5j, order=1, c0=-2j, c1=0.0),
+            DiscreteDatum(1.5j, order=1, c0=-6j, c1=0.0))
     with pytest.warns(RuntimeWarning, match="condition"):
-        state = solve_soliton([datum], -26.0, 0.0)
+        state = solve_soliton(data, -20.0, 0.3)
     assert state.condition > 1e12
+    assert state.residual < 1e-10
+
+
+@pytest.mark.parametrize("x", [-26.0, -10.0])
+def test_simple_pole_system_is_two_by_two_and_well_conditioned(x):
+    # one unknown per pole and block: no padded rows to inflate the condition
+    datum = DiscreteDatum(1j, order=1, c0=2.0, c1=0.0)
+    matrix, rhs = pole_system([datum], [x], 0.0)
+    assert matrix.shape == (1, 2, 2) and rhs.shape == (1, 2)
+    assert solve_soliton([datum], x, 0.0).condition <= 10.0
 
 
 def _satsuma_yajima(x, t):
