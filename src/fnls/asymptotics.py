@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma
 
-from .phase import (
-    delta_and_log_derivative,
-    endpoint_offset_integral,
-    partition,
-    phase_context,
-    r0_modulated,
+from .phase import partition, phase_context, r0_modulated
+from .solitons import (
+    modulate_constants,
+    outer_matrix_row,
+    restrict_to_interval,
+    solve_soliton,
 )
-from .solitons import modulate_constants, restrict_to_interval, solve_soliton
 
 __all__ = [
     "PCCoefficients",
@@ -95,7 +94,7 @@ def pc_first_moment(pc: PCCoefficients) -> np.ndarray:
 # Amplitude/phase form of the leading coefficient
 # ---------------------------------------------------------------------------
 
-def alpha_z0(phase_ctx, delta_minus, data, scattering) -> complex:
+def alpha_z0(phase_ctx, delta_minus, data) -> complex:
     """Leading dispersive coefficient in amplitude/phase form.
 
     The modulus is ``sqrt(|nu(z0)|)``.  The argument accumulates pi/4, the
@@ -104,16 +103,14 @@ def alpha_z0(phase_ctx, delta_minus, data, scattering) -> complex:
     minus ``4 m_k arg(z0 - z_k)`` summed over the poles left of the stationary
     point (the pole factor of order ``m_k`` through the boundary constant's
     inverse square), plus twice the
-    window-regularised log-kernel integral of the density along the ray.
+    window-regularised log-kernel integral of the density along the context's
+    ray.
 
     This route never touches the complex products behind the boundary
     constant, so agreement with :func:`pc_coefficients` applied to the
     modulated amplitude is a genuine two-route consistency check.
     """
-    grid = np.asarray(scattering.z, dtype=float)
     z0 = phase_ctx.z0
-    if not (grid[0] <= z0 <= grid[-1]):
-        raise ValueError("reflection samples do not bracket z0")
     nu0 = phase_ctx.nu0
     if nu0 == 0.0:
         raise ValueError("the density vanishes at z0; the coefficient "
@@ -123,7 +120,7 @@ def alpha_z0(phase_ctx, delta_minus, data, scattering) -> complex:
            - cmath.phase(phase_ctx.r_at_z0))
     for k in delta_minus:
         arg -= 4.0 * data[k].order * cmath.phase(z0 - complex(data[k].z))
-    arg += 2.0 * endpoint_offset_integral(scattering, z0)
+    arg += 2.0 * phase_ctx.ray.offset_integral()
     return math.sqrt(abs(nu0)) * cmath.exp(1j * arg)
 
 
@@ -200,23 +197,22 @@ def q_asymptotic(x: float, t: float, sigma_d, scattering, cone, *,
     z0 = -x / (2.0 * t)
     part = partition(sigma_d, z0, cone)
 
-    if scattering is None:
-        weighted = sigma_d
-    else:
-        weighted = modulate_constants(
-            sigma_d, lambda z: delta_and_log_derivative(z, scattering, z0))
+    ctx = None
+    weighted = sigma_d
+    if scattering is not None:
+        # one ray per point: the pole dressing and T0 read its node set
+        ctx = phase_context(scattering, sigma_d, x, t,
+                            delta_minus=part.delta_minus)
+        weighted = modulate_constants(sigma_d, ctx.ray.delta)
     oriented = restrict_to_interval(weighted, part.I, z0)
-    state = solve_soliton(oriented, x, t, z_eval=z0)
+    state = solve_soliton(oriented, x, t)
     q_sol = complex(state.q)
 
     f = 0.0 + 0.0j
-    if scattering is not None:
-        ctx = phase_context(scattering, sigma_d, x, t,
-                            delta_minus=part.delta_minus)
-        if abs(ctx.r_at_z0) >= _R_THRESHOLD:
-            pc = pc_coefficients(r0_modulated(scattering, ctx, t), ctx.nu0)
-            eta11, eta12 = (complex(v) for v in state.m_out_row)
-            f = pc.beta12 * eta11 ** 2 + pc.beta21 * eta12 ** 2
+    if ctx is not None and abs(ctx.r_at_z0) >= _R_THRESHOLD:
+        pc = pc_coefficients(r0_modulated(scattering, ctx, t), ctx.nu0)
+        eta11, eta12 = (complex(v) for v in outer_matrix_row(state, z0))
+        f = pc.beta12 * eta11 ** 2 + pc.beta21 * eta12 ** 2
 
     return AsymptoticValue(x=x, t=t, q_sol_part=q_sol, f_part=f,
                            q_total=q_sol + f / math.sqrt(t))

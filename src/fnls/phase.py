@@ -2,12 +2,15 @@
 
 Everything here works off a sampled reflection coefficient plus the list of
 discrete pole data.  The continuous factors are Cauchy-type integrals over
-the ray (-inf, z0] of the real axis, evaluated with composite Gauss-Legendre
-panels on the sample grid: the integrand density is modelled linearly
-between samples and exponentially beyond the left grid edge.  Boundary
-values on the ray carry the half-residue correction; the principal value at
-an interior point is computed by subtracting the local density over a unit
-window and adding the window's exact kernel integral back.
+the ray (-inf, z0] of the real axis.  Each stationary point z0 has one ray
+object and one node set: composite Gauss-Legendre panels on the sample grid,
+where the density is modelled linearly between samples, and panels on an
+exponential model beyond the left grid edge.  The factor delta and its
+logarithmic derivative off the ray, the boundary constant T0 and the plain
+integral of the density all read that node set.  Boundary values on the ray
+carry the half-residue correction; the principal value at an interior point
+is computed by subtracting the local density over a unit window and adding
+the window's exact kernel integral back.
 """
 from __future__ import annotations
 
@@ -19,6 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solitons import blaschke_product
+
+__all__ = [
+    "nu_of",
+    "nu_integral",
+    "delta_fn",
+    "T_fn",
+    "PhaseContext",
+    "phase_context",
+    "ConePartition",
+    "partition",
+    "r0_modulated",
+]
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,115 +78,109 @@ def _safe_ratio(num, den):
 
 
 class _RayDensity:
-    """The density nu sampled on (-inf, z0]: panel breakpoints on the grid
-    part, linear interpolation inside panels, exponential model to the left
-    of the grid."""
+    """The density nu on (-inf, z0] and the one quadrature every integral
+    over the ray is read from.
+
+    Between grid samples nu is linear, the last panel closes at z0 with an
+    interpolated sample, and left of the grid an exponential continuation
+    takes over.  The nodes, weights and density values are built once, with
+    the unit-window edge ``z0 - 1`` among the breaks; only the principal
+    value at an interior ray point needs panels of its own.
+    """
 
     def __init__(self, scattering, z0: float):
         s = np.asarray(scattering.z, dtype=float)
+        if not (s[0] <= z0 <= s[-1]):
+            raise ValueError("the reflection grid does not bracket z0")
         nu = nu_of(np.abs(np.asarray(scattering.r)))
         self.z0 = float(z0)
         self.grid = s
         self.nu_grid = nu
 
         keep = s <= z0
-        breaks = s[keep]
-        values = nu[keep]
-        if breaks.size and breaks[-1] < z0 <= s[-1]:
+        self.breaks = s[keep]
+        self.values = nu[keep]
+        if self.breaks[-1] < z0:
             # close the ray exactly at z0 with an interpolated sample
-            breaks = np.append(breaks, z0)
-            values = np.append(values, np.interp(z0, s, nu))
-        self.breaks = breaks
-        self.values = values
+            self.breaks = np.append(self.breaks, z0)
+            self.values = np.append(self.values, np.interp(z0, s, nu))
 
-        # exponential continuation nu(s) ~ nu_edge * exp(kappa (s - edge))
-        self.tail_edge = None
-        if s.size >= 2 and z0 > s[0]:
+        # exponential continuation nu(s) ~ nu[0] * exp(kappa (s - s[0]))
+        self.tail_kappa = None
+        if s.size >= 2:
             n0, n1 = abs(nu[0]), abs(nu[1])
             if n0 > 0.0 and n1 > n0:
-                self.tail_edge = s[0]
-                self.tail_value = nu[0]
                 self.tail_kappa = math.log(n1 / n0) / (s[1] - s[0])
+
+        self.s, self.w, self.v = self._nodes((self.z0 - 1.0,))
+        self.wv = self.w * self.v
 
     def nu_at(self, s0: float) -> float:
         return float(np.interp(s0, self.grid, self.nu_grid))
 
-    def nodes(self, extra_breaks=()):
-        """Quadrature nodes, weights and density values on the whole ray."""
+    def _nodes(self, extra_breaks):
+        """Nodes, weights and density values on the whole ray, with the
+        panels also split at ``extra_breaks``."""
         breaks = self.breaks
         values = self.values
-        extra = [b for b in extra_breaks
-                 if breaks.size and breaks[0] < b < breaks[-1]]
+        extra = [b for b in extra_breaks if breaks[0] < b < breaks[-1]]
         if extra:
             breaks = np.unique(np.concatenate([breaks, extra]))
             values = np.interp(breaks, self.breaks, self.values)
-        parts = []
-        if breaks.size >= 2:
-            s, w = _panel_nodes(breaks)
-            parts.append((s, w, np.interp(s, breaks, values)))
-        if self.tail_edge is not None:
-            upper = min(self.tail_edge, self.z0)
-            span = 40.0 / self.tail_kappa
-            tb = np.linspace(upper - span, upper, 17)
+        s, w = _panel_nodes(breaks)
+        v = np.interp(s, breaks, values)
+        if self.tail_kappa is not None:
+            edge = self.grid[0]
+            tb = np.linspace(edge - 40.0 / self.tail_kappa, edge, 17)
             cuts = [b for b in extra_breaks if tb[0] < b < tb[-1]]
             if cuts:
                 tb = np.unique(np.concatenate([tb, cuts]))
-            s, w = _panel_nodes(tb)
-            v = self.tail_value * np.exp(self.tail_kappa * (s - self.tail_edge))
-            parts.append((s, w, v))
-        if not parts:
-            empty = np.zeros(0)
-            return empty, empty, empty
-        s = np.concatenate([p[0] for p in parts])
-        w = np.concatenate([p[1] for p in parts])
-        v = np.concatenate([p[2] for p in parts])
+            ts, tw = _panel_nodes(tb)
+            s = np.concatenate([s, ts])
+            w = np.concatenate([w, tw])
+            v = np.concatenate(
+                [v, self.nu_grid[0] * np.exp(self.tail_kappa * (ts - edge))])
         return s, w, v
 
     def integral(self) -> float:
-        s, w, v = self.nodes()
-        return float(np.sum(w * v))
+        return float(np.sum(self.wv))
 
-    def cauchy(self, z):
-        """integral of nu(s) / (s - z) over the ray, z off the ray."""
-        s, w, v = self.nodes()
+    def delta(self, z):
+        """``(delta(z), delta'(z) / delta(z))`` at points z off the ray:
+        ``delta = exp(i C)`` with C the integral of nu(s) / (s - z), so
+        ``delta'/delta = i C'``."""
         z = np.asarray(z, dtype=np.complex128)
-        acc = np.sum((w * v)[:, None] / (s[:, None] - z.ravel()[None, :]),
-                     axis=0)
-        return acc.reshape(z.shape) if z.ndim else complex(acc[0])
+        gap = self.s[:, None] - z.ravel()[None, :]
+        terms = self.wv[:, None] / gap
+        c1 = np.sum(terms, axis=0).reshape(z.shape)
+        c2 = np.sum(terms / gap, axis=0).reshape(z.shape)
+        return np.exp(1j * c1), 1j * c2
 
-    def cauchy_principal(self, s0: float) -> float:
-        """Principal value of the same integral at an interior ray point."""
+    def boundary_delta(self, s0: float, side: str) -> complex:
+        """Boundary value of delta at an interior ray point: the principal
+        value of C, with the density subtracted over a unit window whose
+        exact kernel integral is added back, plus the half residue."""
         n0 = self.nu_at(s0)
-        w1 = s0 - 1.0
-        if self.breaks.size:
-            w1 = max(w1, self.breaks[0])
+        w1 = max(s0 - 1.0, self.breaks[0])
         w2 = min(s0 + 1.0, self.z0)
-        s, w, v = self.nodes(extra_breaks=(w1, s0, w2))
-        inw = (s > w1) & (s < w2)
-        v = v - np.where(inw, n0, 0.0)
+        s, w, v = self._nodes((w1, s0, w2))
+        v = v - np.where((s > w1) & (s < w2), n0, 0.0)
         pv = float(np.sum(_safe_ratio(w * v, s - s0)))
         pv += n0 * math.log((w2 - s0) / (s0 - w1))
-        return pv
+        sign = 1.0 if side == "+" else -1.0
+        return cmath.exp(1j * pv - sign * math.pi * n0)
 
     def offset_integral(self) -> float:
         """integral of (nu(s) - chi nu(z0)) / (s - z0) with chi the
         indicator of the unit window left of the ray endpoint."""
         n0 = self.nu_at(self.z0)
-        w1 = self.z0 - 1.0
-        s, w, v = self.nodes(extra_breaks=(w1,))
-        v = v - np.where(s > w1, n0, 0.0)
-        return float(np.sum(_safe_ratio(w * v, s - self.z0)))
+        v = self.v - np.where(self.s > self.z0 - 1.0, n0, 0.0)
+        return float(np.sum(_safe_ratio(self.w * v, self.s - self.z0)))
 
 
 def nu_integral(scattering, z0: float) -> float:
     """Plain integral of the density nu over (-inf, z0]."""
     return _RayDensity(scattering, z0).integral()
-
-
-def endpoint_offset_integral(scattering, z0: float) -> float:
-    """The real window-subtracted kernel integral at the ray endpoint (the
-    argument of the boundary constant before the pole factors)."""
-    return _RayDensity(scattering, z0).offset_integral()
 
 
 # ---------------------------------------------------------------------------
@@ -185,36 +194,14 @@ def delta_fn(z, scattering, z0: float, side: str | None = None):
     ray = _RayDensity(scattering, z0)
     z_arr = np.asarray(z, dtype=np.complex128)
     on_ray = (z_arr.imag == 0.0) & (z_arr.real <= z0)
-    if np.any(on_ray):
-        if side not in ("+", "-"):
-            raise ValueError(
-                "z lies on the ray (-inf, z0]; pass side='+' or side='-' "
-                "to select a boundary value")
-        if z_arr.ndim:
-            flat_mask = on_ray.ravel()
-            flat = z_arr.ravel()
-            vals = [
-                delta_fn(complex(zz), scattering, z0,
-                         side=side if m else None)
-                for zz, m in zip(flat, flat_mask)
-            ]
-            return np.array(vals).reshape(z_arr.shape)
-        pv = ray.cauchy_principal(float(z_arr.real))
-        half = math.pi * ray.nu_at(float(z_arr.real))
-        sign = 1.0 if side == "+" else -1.0
-        return cmath.exp(1j * pv - sign * half)
-    acc = ray.cauchy(z_arr)
-    out = np.exp(1j * np.asarray(acc, dtype=np.complex128))
+    if np.any(on_ray) and side not in ("+", "-"):
+        raise ValueError(
+            "z lies on the ray (-inf, z0]; pass side='+' or side='-' "
+            "to select a boundary value")
+    out = np.empty(z_arr.shape, dtype=np.complex128)
+    out[~on_ray] = ray.delta(z_arr[~on_ray])[0]
+    out[on_ray] = [ray.boundary_delta(s0, side) for s0 in z_arr[on_ray].real]
     return complex(out) if z_arr.ndim == 0 else out
-
-
-def delta_and_log_derivative(z: complex, scattering, z0: float):
-    """``(delta(z), delta'(z) / delta(z))`` at z off the ray, on the nodes of
-    :func:`delta_fn`: ``delta'/delta = i * integral of nu(s) / (s - z)^2``."""
-    s, w, v = _RayDensity(scattering, z0).nodes()
-    inv = 1.0 / (s - complex(z))
-    return (cmath.exp(1j * complex(np.sum(w * v * inv))),
-            1j * complex(np.sum(w * v * inv * inv)))
 
 
 def T_fn(z, delta_minus, data, scattering, z0: float,
@@ -235,25 +222,14 @@ def T_fn(z, delta_minus, data, scattering, z0: float,
     return complex(out) if z_arr.ndim == 0 else out
 
 
-def T0_at_z0(delta_minus, data, scattering, z0: float) -> complex:
-    """Boundary constant of the modulation factor at the ray endpoint,
-    with the endpoint singularity removed by the unit-window subtraction."""
-    s = np.asarray(scattering.z, dtype=float)
-    if not (s[0] <= z0 <= s[-1]):
-        raise ValueError("the reflection grid does not bracket z0")
-    ray = _RayDensity(scattering, z0)
-    beta = ray.offset_integral()
-    prod = complex(1.0 / blaschke_product(z0, [data[k] for k in delta_minus]))
-    return prod * cmath.exp(1j * beta)
-
-
 # ---------------------------------------------------------------------------
 # Context and partitions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PhaseContext:
-    """Everything scalar the asymptotic formulas need at one (x, t)."""
+    """Everything scalar the asymptotic formulas need at one (x, t), and
+    the ray quadrature they come from."""
 
     x: float
     t: float
@@ -261,6 +237,7 @@ class PhaseContext:
     nu0: float
     T0_z0: complex
     r_at_z0: complex
+    ray: _RayDensity | None
 
     def __post_init__(self) -> None:
         if self.t == 0:
@@ -278,20 +255,26 @@ class PhaseContext:
 
 def phase_context(scattering, data, x: float, t: float,
                   delta_minus=None) -> PhaseContext:
-    """Assemble the scalar context at (x, t) from sampled reflection data."""
+    """Assemble the scalar context at (x, t) from sampled reflection data.
+
+    The boundary constant at the ray endpoint is the inverse Blaschke
+    product of the poles in ``delta_minus`` times ``exp(i beta)``, with
+    beta the window-subtracted kernel integral of the density.
+    """
     if t == 0:
         raise ValueError("the phase is undefined at t = 0")
     z0 = -x / (2.0 * t)
-    s = np.asarray(scattering.z, dtype=float)
-    if not (s[0] <= z0 <= s[-1]):
-        raise ValueError("the reflection grid does not bracket z0")
+    ray = _RayDensity(scattering, z0)
     r = np.asarray(scattering.r)
-    r_at = complex(np.interp(z0, s, r.real), np.interp(z0, s, r.imag))
+    r_at = complex(np.interp(z0, ray.grid, r.real),
+                   np.interp(z0, ray.grid, r.imag))
     if delta_minus is None:
         delta_minus = partition(data, z0).delta_minus
+    prod = complex(1.0 / blaschke_product(z0, [data[k] for k in delta_minus]))
     return PhaseContext(
         x=float(x), t=float(t), z0=z0, nu0=nu_of(abs(r_at)),
-        T0_z0=T0_at_z0(delta_minus, data, scattering, z0), r_at_z0=r_at)
+        T0_z0=prod * cmath.exp(1j * ray.offset_integral()), r_at_z0=r_at,
+        ray=ray)
 
 
 @dataclass(frozen=True)

@@ -235,9 +235,10 @@ class ScatteringData:
 def reflection_coefficient(profile: InitialProfile, z_grid) -> ScatteringData:
     zs = np.asarray(z_grid, dtype=float)
     a, b = _halves(profile, zs)
-    d = _integrate_columns(profile, zs, "first", profile.x[-1], 0.0)
     s11 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    s21 = d[:, 0] * a[:, 1] - d[:, 1] * a[:, 0]
+    # on the real line the first-kind column from the right is
+    # (conj b2, -conj b1) by the Schwarz symmetry of the system
+    s21 = np.conj(b[:, 1]) * a[:, 1] + np.conj(b[:, 0]) * a[:, 0]
     if np.any(np.abs(s11) < _SINGULAR_TOL):
         worst = float(zs[np.argmin(np.abs(s11))])
         raise RuntimeError(

@@ -147,7 +147,6 @@ class SolitonState:
     q: complex
     residual: float
     condition: float
-    m_out_row: np.ndarray | None = None
 
 
 @dataclass
@@ -369,14 +368,11 @@ def _check_solved(cond: np.ndarray, x: np.ndarray, t: float) -> None:
         warnings.warn(f"pole system condition number {worst:.2e}", RuntimeWarning)
 
 
-def solve_soliton(data, x: float, t: float,
-                  z_eval: complex | None = None) -> SolitonState:
+def solve_soliton(data, x: float, t: float) -> SolitonState:
     """Solve the pole system at ``(x, t)`` and reconstruct the field value.
 
     ``data`` may be a sequence of :class:`DiscreteDatum` (all-lower by
     default) or an :class:`OrientedData`; the orientation given is kept.
-    ``z_eval`` optionally requests the first row of the solution matrix at
-    one point (stored in ``m_out_row``).
     """
     oriented = _as_oriented(data)
     if oriented.data:
@@ -388,12 +384,9 @@ def solve_soliton(data, x: float, t: float,
     else:
         u, q, cond, residual = np.zeros((1, 0), dtype=np.complex128), 0j, 1.0, 0.0
     half = u.shape[1] // 2
-    state = SolitonState(oriented, x, t, _per_pole(oriented, u[0, :half]),
-                         tuple(np.conj(b) for b in _per_pole(oriented, u[0, half:])),
-                         q=q, residual=residual, condition=cond)
-    if z_eval is not None:
-        state.m_out_row = outer_matrix_row(state, z_eval)
-    return state
+    return SolitonState(oriented, x, t, _per_pole(oriented, u[0, :half]),
+                        tuple(np.conj(b) for b in _per_pole(oriented, u[0, half:])),
+                        q=q, residual=residual, condition=cond)
 
 
 def solve_field(data, x_values, t: float) -> FieldSolution:

@@ -21,8 +21,7 @@ from fnls.asymptotics import (
     save_asymptotics,
 )
 from fnls.phase import (
-    delta_and_log_derivative,
-    endpoint_offset_integral,
+    _RayDensity,
     nu_of,
     partition,
     phase_context,
@@ -34,7 +33,12 @@ from fnls.scattering import (
     extract_scattering,
     sech_profile,
 )
-from fnls.solitons import modulate_constants, restrict_to_interval, solve_soliton
+from fnls.solitons import (
+    modulate_constants,
+    outer_matrix_row,
+    restrict_to_interval,
+    solve_soliton,
+)
 from fnls.splitstep import Grid, split_step
 
 S_GRID = np.linspace(-5.0, 5.0, 2001)
@@ -116,7 +120,7 @@ def test_alpha_matches_pc_route(smooth, z0, t):
     part = partition(POLES, z0)
     ctx = phase_context(smooth, POLES, x, t, delta_minus=part.delta_minus)
     pc = pc_coefficients(r0_modulated(smooth, ctx, t), ctx.nu0)
-    alpha = alpha_z0(ctx, part.delta_minus, POLES, smooth)
+    alpha = alpha_z0(ctx, part.delta_minus, POLES)
     phi = x * x / (2.0 * t) - ctx.nu0 * math.log(4.0 * t)
     assert abs(pc.beta12 - alpha * cmath.exp(1j * phi)) < 1e-12
     assert abs(abs(alpha) ** 2 - abs(ctx.nu0)) < 1e-14
@@ -125,11 +129,11 @@ def test_alpha_matches_pc_route(smooth, z0, t):
 def test_alpha_pole_free_collapse(smooth):
     ctx = phase_context(smooth, (), -12.0, 10.0)
     assert ctx.z0 == 0.6
-    alpha = alpha_z0(ctx, (), (), smooth)
+    alpha = alpha_z0(ctx, (), ())
     expected = (0.25 * math.pi
                 + cmath.phase(complex(scipy.special.gamma(1j * ctx.nu0)))
                 - cmath.phase(ctx.r_at_z0)
-                + 2.0 * endpoint_offset_integral(smooth, 0.6))
+                + 2.0 * _RayDensity(smooth, 0.6).offset_integral())
     assert abs(alpha / abs(alpha) - cmath.exp(1j * expected)) < 1e-12
 
 
@@ -139,15 +143,16 @@ def test_alpha_rejects_vanishing_density():
     ctx = phase_context(sc, (), 0.0, 10.0)
     assert ctx.nu0 == 0.0
     with pytest.raises(ValueError, match="vanishes"):
-        alpha_z0(ctx, (), (), sc)
+        alpha_z0(ctx, (), ())
 
 
-def test_alpha_rejects_unbracketed_grid(smooth):
-    ctx = phase_context(smooth, (), -2.0 * 10.0 * 0.6, 10.0)
+def test_alpha_rejects_unbracketed_grid():
+    # alpha reads its window integral from the context's ray, and no ray
+    # is built on a grid that does not bracket z0
     narrow = ScatteringData(np.linspace(2.0, 3.0, 11),
                             np.full(11, 0.1 + 0.0j), ())
     with pytest.raises(ValueError, match="bracket"):
-        alpha_z0(ctx, (), (), narrow)
+        alpha_z0(phase_context(narrow, (), -2.0 * 10.0 * 0.6, 10.0), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +241,20 @@ def test_composite_invariants(smooth, x, t, cone):
     part = partition(POLES, z0, cone)
 
     # bound-state part mirrors the weight-then-reorient pipeline exactly
-    weighted = modulate_constants(
-        POLES, lambda z: delta_and_log_derivative(z, smooth, z0))
+    ctx = phase_context(smooth, POLES, x, t, delta_minus=part.delta_minus)
+    weighted = modulate_constants(POLES, ctx.ray.delta)
     oriented = restrict_to_interval(weighted, part.I, z0)
-    state = solve_soliton(oriented, x, t, z_eval=z0)
+    state = solve_soliton(oriented, x, t)
     assert v.q_sol_part == complex(state.q)
 
-    eta11, eta12 = (complex(u) for u in state.m_out_row)
-    ctx = phase_context(smooth, POLES, x, t, delta_minus=part.delta_minus)
+    eta11, eta12 = (complex(u) for u in outer_matrix_row(state, z0))
 
     # triangle bound on the dispersive coefficient
     cap = (abs(eta11) ** 2 + abs(eta12) ** 2) * math.sqrt(abs(ctx.nu0))
     assert abs(v.f_part) <= cap + 1e-12
 
     # amplitude/phase route reproduces the coefficient-route f
-    alpha = alpha_z0(ctx, part.delta_minus, POLES, smooth)
+    alpha = alpha_z0(ctx, part.delta_minus, POLES)
     phi = x * x / (2.0 * t) - ctx.nu0 * math.log(4.0 * t)
     w = alpha * cmath.exp(1j * phi)
     f_alpha = w * eta11 ** 2 - w.conjugate() * eta12 ** 2
@@ -260,6 +264,13 @@ def test_composite_invariants(smooth, x, t, cone):
 
     # exact assembly of the total
     assert v.q_total == v.q_sol_part + v.f_part / math.sqrt(t)
+
+
+def test_one_ray_per_point(smooth, ray_builds):
+    # the pole dressing and the boundary constant share one ray
+    v = q_asymptotic(-8.6, 10.0, POLES, smooth, CONE_LOW)
+    assert v.f_part != 0
+    assert len(ray_builds) == 1
 
 
 def test_rejects_points_outside_the_cone(smooth):

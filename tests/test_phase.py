@@ -12,9 +12,8 @@ from scipy.special import wofz
 from fnls.phase import (
     ConePartition,
     PhaseContext,
-    T0_at_z0,
     T_fn,
-    delta_and_log_derivative,
+    _RayDensity,
     delta_fn,
     nu_integral,
     nu_of,
@@ -43,6 +42,12 @@ def smooth():
 def poles():
     return [DiscreteDatum(-0.8 + 0.6j, order=1, c0=1.0, c1=0.0),
             DiscreteDatum(0.45 + 0.9j, order=2, c0=0.2, c1=1.0)]
+
+
+def _T0(delta_minus, data, scattering, z0):
+    """Boundary constant at the ray endpoint z0, through the context."""
+    return phase_context(scattering, data, -2.0 * z0, 1.0,
+                         delta_minus=delta_minus).T0_z0
 
 
 def _r_at(s0):
@@ -91,8 +96,9 @@ def test_delta_matches_faddeeva_closed_form():
 def test_delta_log_derivative_matches_finite_differences(smooth):
     # the order-2 pole weight in modulate_constants rests on delta'/delta
     h = 1e-4
+    ray = _RayDensity(smooth, Z0)
     for z in (0.45 + 0.9j, -0.8 + 0.6j, 2.0 + 0.3j):
-        delta, dlog = delta_and_log_derivative(z, smooth, Z0)
+        delta, dlog = (complex(v) for v in ray.delta(z))
         assert abs(delta - delta_fn(z, smooth, Z0)) < 1e-14
         fd = ((delta_fn(z + h, smooth, Z0) - delta_fn(z - h, smooth, Z0))
               / (2.0 * h * delta))
@@ -109,6 +115,31 @@ def test_delta_boundary_jump(smooth):
 def test_delta_needs_a_side_on_the_ray(smooth):
     with pytest.raises(ValueError, match="side"):
         delta_fn(-0.5 + 0j, smooth, Z0)
+
+
+def test_ray_keeps_its_tail_at_the_grid_edge_and_refuses_outside():
+    # nu grows into the grid from its left edge, so the exponential tail
+    # carries mass even when z0 sits exactly on that edge
+    sg = np.linspace(-2.0, 2.0, 401)
+    scat = ScatteringData(sg, (0.8 * np.exp(-sg ** 2 / 8.0)).astype(complex))
+    at_edge = nu_integral(scat, -2.0)
+    assert at_edge < -0.03
+    assert abs(at_edge - nu_integral(scat, -2.0 + 1e-9)) < 1e-9
+    assert abs(delta_fn(1j, scat, -2.0) - 1.0) > 1e-3
+    for z0 in (-2.0 - 1e-9, 2.0 + 1e-9):
+        for call in (lambda: nu_integral(scat, z0),
+                     lambda: delta_fn(1j, scat, z0),
+                     lambda: T_fn(1j, (), [], scat, z0)):
+            with pytest.raises(ValueError, match="bracket"):
+                call()
+
+
+def test_delta_builds_one_ray_for_many_points_on_it(smooth, ray_builds):
+    pts = np.array([-2.0, -0.5, 0.1], dtype=complex)
+    vals = delta_fn(pts, smooth, Z0, side="+")
+    assert len(ray_builds) == 1
+    for s0, v in zip(pts, vals):
+        assert v == delta_fn(s0, smooth, Z0, side="+")
 
 
 def test_delta_far_field_decay():
@@ -169,24 +200,24 @@ def test_T_large_z_coefficient(smooth, poles):
 def test_boundary_constant_reflectionless(poles):
     flat = ScatteringData(S_GRID, np.zeros_like(R_SMOOTH))
     direct = ((Z0 - np.conj(poles[0].z)) / (Z0 - poles[0].z)) ** poles[0].order
-    got = T0_at_z0((0,), poles, flat, Z0)
+    got = _T0((0,), poles, flat, Z0)
     assert abs(got - direct) < 1e-12
     assert abs(abs(got) - 1.0) < 1e-12
-    assert T0_at_z0((), poles, flat, Z0) == 1.0
+    assert _T0((), poles, flat, Z0) == 1.0
 
 
 def test_boundary_constant_is_unimodular(smooth, poles):
-    assert abs(abs(T0_at_z0((0,), poles, smooth, Z0)) - 1.0) < 1e-10
+    assert abs(abs(_T0((0,), poles, smooth, Z0)) - 1.0) < 1e-10
 
 
 def test_boundary_constant_needs_bracketing(smooth, poles):
     with pytest.raises(ValueError, match="bracket"):
-        T0_at_z0((0,), poles, smooth, 7.0)
+        _T0((0,), poles, smooth, 7.0)
 
 
 def test_T_approaches_the_boundary_model(smooth, poles):
     # along the diagonal ray the mismatch must stay Hoelder-1/2 bounded
-    t0 = T0_at_z0((0,), poles, smooth, Z0)
+    t0 = _T0((0,), poles, smooth, Z0)
     nu0 = nu_of(abs(_r_at(Z0)))
     ratios = []
     for d in (0.4, 0.2, 0.1, 0.05, 0.025):
@@ -277,13 +308,13 @@ def test_phase_context_validation(smooth, poles):
         phase_context(smooth, poles, x=-100.0, t=1.0)
     with pytest.raises(ValueError, match="exactly"):
         PhaseContext(x=1.0, t=1.0, z0=0.4, nu0=-0.1, T0_z0=1.0 + 0j,
-                     r_at_z0=0.1 + 0j)
+                     r_at_z0=0.1 + 0j, ray=None)
     with pytest.raises(ValueError, match="never positive"):
         PhaseContext(x=1.0, t=1.0, z0=-0.5, nu0=0.2, T0_z0=1.0 + 0j,
-                     r_at_z0=0.1 + 0j)
+                     r_at_z0=0.1 + 0j, ray=None)
     with pytest.raises(ValueError, match="unimodular"):
         PhaseContext(x=1.0, t=1.0, z0=-0.5, nu0=-0.1, T0_z0=1.4 + 0j,
-                     r_at_z0=0.1 + 0j)
+                     r_at_z0=0.1 + 0j, ray=None)
 
 
 def test_modulated_amplitude_basics(smooth, poles):
@@ -295,7 +326,7 @@ def test_modulated_amplitude_basics(smooth, poles):
     with pytest.raises(ValueError, match="t > 0"):
         r0_modulated(smooth, ctx, -1.0)
     silent = PhaseContext(x=0.0, t=4.0, z0=0.0, nu0=0.0, T0_z0=1.0 + 0j,
-                          r_at_z0=0j)
+                          r_at_z0=0j, ray=None)
     assert r0_modulated(smooth, silent, 4.0) == 0.0
 
 

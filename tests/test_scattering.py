@@ -11,6 +11,8 @@ from scipy.special import gamma
 
 from fnls.scattering import (
     InitialProfile,
+    _halves,
+    _integrate_columns,
     ScatteringData,
     extract_scattering,
     gaussian_profile,
@@ -78,6 +80,23 @@ def test_unitarity_on_the_real_axis(gauss03):
     data = reflection_coefficient(gauss03, np.linspace(-2.0, 2.0, 41))
     defect = np.abs(np.abs(data.s11) ** 2 + np.abs(data.s21) ** 2 - 1.0)
     assert np.max(defect) < 1e-8
+
+
+@pytest.mark.parametrize("profile", [
+    sech_profile(2.0, np.linspace(-26.0, 26.0, 1041)),
+    sech_profile(1.3, np.linspace(-26.0, 26.0, 1041)),
+    sech_profile(0.4, np.linspace(-26.0, 26.0, 1041)),
+    gaussian_profile(0.3, np.linspace(-8.0, 8.0, 641)),
+], ids=["sech2.0", "sech1.3", "sech0.4", "gauss0.3"])
+def test_s21_from_symmetry_matches_a_third_integration(profile):
+    # reference: integrate the first-kind column in from the right as a
+    # third family, the route the Schwarz symmetry replaces
+    zs = np.linspace(-4.0, 4.0, 321)
+    a, _ = _halves(profile, zs)
+    d = _integrate_columns(profile, zs, "first", profile.x[-1], 0.0)
+    direct = d[:, 0] * a[:, 1] - d[:, 1] * a[:, 0]
+    s21 = reflection_coefficient(profile, zs).s21
+    assert np.max(np.abs(s21 - direct)) <= 1e-14
 
 
 def test_reflectionless_profile_has_tiny_reflection(sech2):

@@ -385,9 +385,9 @@ def test_no_finite_solve_raises_linalg_error():
 
 
 def test_empty_spectrum_gives_vacuum():
-    state = solve_soliton([], 1.0, 2.0, z_eval=0.5 + 0.5j)
+    state = solve_soliton([], 1.0, 2.0)
     assert state.q == 0
-    assert np.allclose(state.m_out_row, [1.0, 0.0])
+    assert np.allclose(outer_matrix_row(state, 0.5 + 0.5j), [1.0, 0.0])
 
 
 def test_outer_row_decay_and_field_recovery():
