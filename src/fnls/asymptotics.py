@@ -5,7 +5,9 @@ the field splits into a multi-pole bound-state part, computed from the
 interval-restricted and phase-weighted discrete data, plus a dispersive
 correction of size ``t**-0.5`` whose coefficient comes from the model
 oscillator problem at the stationary point ``z0 = -x / (2 t)``.  The
-remainder after both terms decays like ``t**-0.75``.
+remainder after both terms decays like ``t**-0.75``.  The formula is
+evaluated over arrays of points at once: one ray quadrature per call, and
+one stacked pole solve per pattern of poles left of z0.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma
 
-from .phase import partition, phase_context, r0_modulated
+from .phase import _cone_interval, _unwrap, phase_context, r0_modulated
 from .solitons import (
-    modulate_constants,
+    OrientedData,
+    _dressed,
+    _restricted,
     outer_matrix_row,
-    restrict_to_interval,
     solve_soliton,
 )
 
@@ -44,43 +47,45 @@ __all__ = [
 @dataclass(frozen=True)
 class PCCoefficients:
     """Off-diagonal coefficients of the model problem's large-argument
-    moment, tied to the modulated amplitude ``r0`` and the density ``nu``."""
+    moment, tied to the modulated amplitude ``r0`` and the density ``nu``
+    (scalars, or arrays elementwise)."""
 
-    nu: float
-    r0: complex
-    beta12: complex
-    beta21: complex
+    nu: float | np.ndarray
+    r0: complex | np.ndarray
+    beta12: complex | np.ndarray
+    beta21: complex | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.beta12 == 0:
+        if np.any(self.beta12 == 0):
             raise ValueError("beta12 must be nonzero")
-        if self.beta21 != self.nu / self.beta12:
+        if np.any(self.beta21 != self.nu / self.beta12):
             raise ValueError("beta21 must equal nu / beta12 exactly")
         # |beta12|^2 = |nu| encodes the Gamma modulus identity; a failure
         # here means (r0, nu) were not produced by the same amplitude
-        if abs(abs(self.beta12) ** 2 - abs(self.nu)) > 1e-10:
+        if np.any(np.abs(np.abs(self.beta12) ** 2 - np.abs(self.nu)) > 1e-10):
             raise ValueError(
                 "inconsistent coefficients: |beta12|^2 differs from |nu|")
 
 
-def pc_coefficients(r0: complex, nu: float) -> PCCoefficients:
-    """Build the moment coefficients from the modulated amplitude.
+def pc_coefficients(r0, nu) -> PCCoefficients:
+    """Build the moment coefficients from the modulated amplitude, at one
+    point or elementwise over arrays.
 
     ``beta12 = sqrt(2 pi) e^{i pi/4} e^{-pi nu / 2} / (r0 Gamma(-i nu))``
     and ``beta21 = nu / beta12``.
     """
-    nu = float(nu)
-    r0 = complex(r0)
-    if nu == 0.0:
+    nu = _unwrap(np.asarray(nu, dtype=float))
+    r0 = _unwrap(np.asarray(r0, dtype=np.complex128))
+    if np.any(nu == 0.0):
         raise ValueError(
             "nu = 0 only happens when the amplitude vanishes; the "
             "dispersive coefficients are undefined there")
-    if r0 == 0:
+    if np.any(r0 == 0):
         raise ValueError("r0 must be nonzero (the dispersive term is "
                          "dropped upstream when the amplitude vanishes)")
-    beta12 = (math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi)
-              * math.exp(-0.5 * math.pi * nu)
-              / (r0 * complex(gamma(-1j * nu))))
+    beta12 = _unwrap(math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi)
+                     * np.exp(-0.5 * math.pi * nu)
+                     / (r0 * gamma(-1j * nu)))
     return PCCoefficients(nu=nu, r0=r0, beta12=beta12, beta21=nu / beta12)
 
 
@@ -94,7 +99,7 @@ def pc_first_moment(pc: PCCoefficients) -> np.ndarray:
 # Amplitude/phase form of the leading coefficient
 # ---------------------------------------------------------------------------
 
-def alpha_z0(phase_ctx, delta_minus, data) -> complex:
+def alpha_z0(phase_ctx, delta_minus, data):
     """Leading dispersive coefficient in amplitude/phase form.
 
     The modulus is ``sqrt(|nu(z0)|)``.  The argument accumulates pi/4, the
@@ -112,16 +117,16 @@ def alpha_z0(phase_ctx, delta_minus, data) -> complex:
     """
     z0 = phase_ctx.z0
     nu0 = phase_ctx.nu0
-    if nu0 == 0.0:
+    if np.any(nu0 == 0.0):
         raise ValueError("the density vanishes at z0; the coefficient "
                          "has no defined phase")
     arg = (0.25 * math.pi
-           + cmath.phase(complex(gamma(1j * nu0)))
-           - cmath.phase(phase_ctx.r_at_z0))
+           + np.angle(gamma(1j * nu0))
+           - np.angle(phase_ctx.r_at_z0))
     for k in delta_minus:
-        arg -= 4.0 * data[k].order * cmath.phase(z0 - complex(data[k].z))
-    arg += 2.0 * phase_ctx.ray.offset_integral()
-    return math.sqrt(abs(nu0)) * cmath.exp(1j * arg)
+        arg = arg - 4.0 * data[k].order * np.angle(z0 - complex(data[k].z))
+    arg = arg + 2.0 * np.reshape(phase_ctx.ray.offset_integral(), np.shape(z0))
+    return _unwrap(np.sqrt(np.abs(nu0)) * np.exp(1j * arg))
 
 
 # ---------------------------------------------------------------------------
@@ -155,75 +160,93 @@ _R_THRESHOLD = 1e-12
 
 @dataclass(frozen=True)
 class AsymptoticValue:
-    """One evaluation of the cone formula at a point (x, t)."""
+    """The cone formula at a point (x, t), or elementwise over arrays of
+    points."""
 
-    x: float
-    t: float
-    q_sol_part: complex
-    f_part: complex
-    q_total: complex
+    x: float | np.ndarray
+    t: float | np.ndarray
+    q_sol_part: complex | np.ndarray
+    f_part: complex | np.ndarray
+    q_total: complex | np.ndarray
     error_order: str = field(default="t^(-3/4)")
 
     def __post_init__(self) -> None:
-        if self.q_total != self.q_sol_part + self.f_part / math.sqrt(self.t):
+        if np.any(self.q_total != self.q_sol_part + self.f_part / np.sqrt(self.t)):
             raise ValueError(
                 "q_total must equal q_sol_part + f_part / sqrt(t) exactly")
 
 
-def q_asymptotic(x: float, t: float, sigma_d, scattering, cone, *,
+def q_asymptotic(x, t, sigma_d, scattering, cone, *,
                  min_t: float = 5.0) -> AsymptoticValue:
-    """Evaluate the leading-order field at one point of a cone.
+    """Evaluate the leading-order field at points of a cone.
 
-    ``sigma_d`` is the plain (all-lower) discrete data, ``scattering``
-    carries the sampled reflection amplitude (``None`` means reflectionless),
-    and ``cone = (x1, x2, v1, v2)``.  The bound-state part uses only the
-    poles whose velocities fall inside the cone, dressed by the radiation
-    factor ``delta`` and re-oriented about ``z0``; the dispersive part adds the
-    oscillator coefficient scaled by ``t**-0.5``.  Points outside the cone,
-    nonpositive times, and times below ``min_t`` are rejected.
+    ``x`` and ``t`` are scalars or arrays that broadcast together; the
+    result has their shape.  ``sigma_d`` is the plain (all-lower) discrete
+    data, ``scattering`` carries the sampled reflection amplitude (``None``
+    means reflectionless), and ``cone = (x1, x2, v1, v2)``.  The bound-state
+    part uses only the poles whose velocities fall inside the cone, dressed
+    by the radiation factor ``delta`` and re-oriented about ``z0``; the
+    dispersive part adds the oscillator coefficient scaled by ``t**-0.5``.
+    Points outside the cone, nonpositive times, and times below ``min_t``
+    are rejected.
     """
-    x = float(x)
-    t = float(t)
-    if t <= 0.0:
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    shape = x.shape
+    x, t = x.ravel(), t.ravel()
+    if np.any(t <= 0.0):
         raise ValueError("t must be positive")
-    if t < min_t:
-        raise ValueError(f"t = {t:g} is below the asymptotic floor "
+    if np.any(t < min_t):
+        raise ValueError(f"t = {t.min():g} is below the asymptotic floor "
                          f"min_t = {min_t:g}")
+    interval = _cone_interval(cone)
     x1, x2, v1, v2 = (float(v) for v in cone)
-    if not (x1 + v1 * t <= x <= x2 + v2 * t):
-        raise ValueError(f"(x, t) = ({x:g}, {t:g}) lies outside the cone")
+    outside = ~((x1 + v1 * t <= x) & (x <= x2 + v2 * t))
+    if outside.any():
+        i = np.argmax(outside)
+        raise ValueError(f"(x, t) = ({x[i]:g}, {t[i]:g}) lies outside the cone")
 
     sigma_d = tuple(sigma_d)
     z0 = -x / (2.0 * t)
-    part = partition(sigma_d, z0, cone)
-
     ctx = None
-    weighted = sigma_d
+    weighted = OrientedData.all_lower(sigma_d)
     if scattering is not None:
-        # one ray per point: the pole dressing and T0 read its node set
-        ctx = phase_context(scattering, sigma_d, x, t,
-                            delta_minus=part.delta_minus)
-        weighted = modulate_constants(sigma_d, ctx.ray.delta)
-    oriented = restrict_to_interval(weighted, part.I, z0)
-    state = solve_soliton(oriented, x, t)
-    q_sol = complex(state.q)
+        # one ray for all points: the pole dressing and T0 read its nodes
+        ctx = phase_context(scattering, sigma_d, x, t)
+        weighted = _dressed(weighted, ctx.ray.delta)
 
-    f = 0.0 + 0.0j
-    if ctx is not None and abs(ctx.r_at_z0) >= _R_THRESHOLD:
-        pc = pc_coefficients(r0_modulated(scattering, ctx, t), ctx.nu0)
-        eta11, eta12 = (complex(v) for v in outer_matrix_row(state, z0))
-        f = pc.beta12 * eta11 ** 2 + pc.beta21 * eta12 ** 2
+    q_sol = np.zeros(x.size, dtype=np.complex128)
+    rows = np.zeros((x.size, 2), dtype=np.complex128)
+    for at, oriented in _restricted(weighted, interval, z0):
+        state = solve_soliton(oriented, x[at], t[at])
+        q_sol[at] = state.q
+        if ctx is not None:
+            rows[at] = outer_matrix_row(state, z0[at])
 
+    f = np.zeros(x.size, dtype=np.complex128)
+    if ctx is not None:
+        live = np.abs(ctx.r_at_z0) >= _R_THRESHOLD
+        if live.any():
+            pc = pc_coefficients(r0_modulated(scattering, ctx, t)[live], ctx.nu0[live])
+            f[live] = pc.beta12 * rows[live, 0] ** 2 + pc.beta21 * rows[live, 1] ** 2
+
+    x, t, q_sol, f = (_unwrap(a.reshape(shape)) for a in (x, t, q_sol, f))
     return AsymptoticValue(x=x, t=t, q_sol_part=q_sol, f_part=f,
-                           q_total=q_sol + f / math.sqrt(t))
+                           q_total=q_sol + f / np.sqrt(t))
 
 
 def save_asymptotics(path, values) -> None:
-    """CSV dump of evaluations: one row per point."""
-    rows = [(v.x, v.t, v.q_sol_part.real, v.q_sol_part.imag,
-             v.f_part.real, v.f_part.imag, v.q_total.real, v.q_total.imag)
-            for v in values]
-    np.savetxt(path, np.asarray(rows, dtype=float), delimiter=",",
-               fmt="%.17g",
+    """CSV dump of evaluations, one row per point: ``values`` is one
+    :class:`AsymptoticValue` over any number of points, or a sequence of
+    them."""
+    if isinstance(values, AsymptoticValue):
+        values = (values,)
+
+    def column(name):
+        return np.concatenate([np.ravel(getattr(v, name)) for v in values])
+
+    q_sol, f, q = (column(name) for name in ("q_sol_part", "f_part", "q_total"))
+    np.savetxt(path, np.column_stack([column("x"), column("t"), q_sol.real, q_sol.imag,
+                                      f.real, f.imag, q.real, q.imag]),
+               delimiter=",", fmt="%.17g",
                header="x,t,re_q_sol,im_q_sol,re_f,im_f,re_q_total,im_q_total",
                comments="# ")

@@ -417,16 +417,13 @@ def cmd_asymptote(cfg: Settings, out_dir: Path) -> int:
     if n_x < 1:
         raise ConfigError("asymptote.n_x must be at least 1")
     min_t = cfg.positive("asymptote", "min_t")
-    values = []
-    for t in _time_grid(cfg, "asymptote"):
-        t = float(t)
-        lo = cone[0] + cone[2] * t
-        hi = cone[1] + cone[3] * t
-        for x in np.linspace(lo, hi, n_x):
-            values.append(q_asymptotic(float(x), t, source.discrete,
-                                       scattering, cone, min_t=min_t))
+    times = np.asarray(_time_grid(cfg, "asymptote"), dtype=float)
+    x = np.array([np.linspace(cone[0] + cone[2] * t, cone[1] + cone[3] * t, n_x)
+                  for t in times])
+    values = q_asymptotic(x, times[:, None], source.discrete, scattering, cone,
+                          min_t=min_t)
     save_asymptotics(out_dir / "asymptotics.csv", values)
-    print(f"wrote {out_dir / 'asymptotics.csv'} ({len(values)} points)")
+    print(f"wrote {out_dir / 'asymptotics.csv'} ({x.size} points)")
     return 0
 
 

@@ -2,26 +2,27 @@
 
 Everything here works off a sampled reflection coefficient plus the list of
 discrete pole data.  The continuous factors are Cauchy-type integrals over
-the ray (-inf, z0] of the real axis.  Each stationary point z0 has one ray
-object and one node set: composite Gauss-Legendre panels on the sample grid,
-where the density is modelled linearly between samples, and panels on an
-exponential model beyond the left grid edge.  The factor delta and its
-logarithmic derivative off the ray, the boundary constant T0 and the plain
-integral of the density all read that node set.  Boundary values on the ray
-carry the half-residue correction; the principal value at an interior point
-is computed by subtracting the local density over a unit window and adding
+the ray (-inf, z0] of the real axis.  One ray object serves every
+stationary point z0 of a call: composite Gauss-Legendre panels on the
+sample grid, where the density is modelled linearly between samples, and
+panels on an exponential model beyond the left grid edge, built once; each
+z0 adds only its closing panel from the last sample to z0.  The factor
+delta and its logarithmic derivative off the ray, the boundary constant T0
+and the plain integral of the density all read that node set, and work
+over arrays of stationary points.  Boundary values on the ray carry the
+half-residue correction; the principal value at an interior point is
+computed by subtracting the local density over a unit window and adding
 the window's exact kernel integral back.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solitons import blaschke_product
+from .solitons import _left_of, blaschke_product
 
 __all__ = [
     "nu_of",
@@ -40,11 +41,18 @@ TWO_PI = 2.0 * math.pi
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 # Points closer than this to a pole of the modulation factor are rejected.
 _GUARD_RADIUS = 1e-8
+# Points times quadrature nodes per dense kernel sum, which bounds its memory.
+_CHUNK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # Elementary scalars
 # ---------------------------------------------------------------------------
+
+def _unwrap(a):
+    """A result at one point as a Python scalar; arrays as they are."""
+    return np.asarray(a).item() if np.ndim(a) == 0 else a
+
 
 def nu_of(r_abs):
     """Logarithmic density -log(1 + |r|^2) / (2 pi); never positive."""
@@ -58,13 +66,12 @@ def nu_of(r_abs):
 # ---------------------------------------------------------------------------
 
 def _panel_nodes(breaks):
-    """Gauss-Legendre nodes and weights on the panels between breaks."""
-    a, b = breaks[:-1], breaks[1:]
+    """Gauss-Legendre nodes and weights on the panels between breaks, one
+    row per panel (``breaks`` may carry leading axes)."""
+    a, b = breaks[..., :-1], breaks[..., 1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    s = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    w = half[:, None] * np.broadcast_to(_GL_WEIGHTS, s.shape)
-    return s.ravel(), w.ravel()
+    return mid[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
 
 
 def _safe_ratio(num, den):
@@ -78,109 +85,189 @@ def _safe_ratio(num, den):
 
 
 class _RayDensity:
-    """The density nu on (-inf, z0] and the one quadrature every integral
-    over the ray is read from.
+    """The density nu on the rays (-inf, z0] of one stationary point or an
+    array of them, and the one quadrature every integral over a ray is
+    read from.
 
-    Between grid samples nu is linear, the last panel closes at z0 with an
-    interpolated sample, and left of the grid an exponential continuation
-    takes over.  The nodes, weights and density values are built once, with
-    the unit-window edge ``z0 - 1`` among the breaks; only the principal
-    value at an interior ray point needs panels of its own.
+    Between grid samples nu is linear, and left of the grid an exponential
+    continuation takes over.  The fixed panels (the tail's, then one per
+    grid interval) are built once; the ray of a point takes those left of
+    the last sample ``s_J <= z0`` and closes with its own panel
+    ``[s_J, z0]``.  Sums against the kernels ``1/(s - z)`` and
+    ``1/(s - z)^2`` at a point z off the rays are cumulative over the fixed
+    panels, built once per z.
     """
 
-    def __init__(self, scattering, z0: float):
+    def __init__(self, scattering, z0):
         s = np.asarray(scattering.z, dtype=float)
-        if not (s[0] <= z0 <= s[-1]):
+        z0 = np.asarray(z0, dtype=float)
+        if not np.all((s[0] <= z0) & (z0 <= s[-1])):
             raise ValueError("the reflection grid does not bracket z0")
-        nu = nu_of(np.abs(np.asarray(scattering.r)))
-        self.z0 = float(z0)
         self.grid = s
-        self.nu_grid = nu
-
-        keep = s <= z0
-        self.breaks = s[keep]
-        self.values = nu[keep]
-        if self.breaks[-1] < z0:
-            # close the ray exactly at z0 with an interpolated sample
-            self.breaks = np.append(self.breaks, z0)
-            self.values = np.append(self.values, np.interp(z0, s, nu))
+        self.nu_grid = nu_of(np.abs(np.asarray(scattering.r)))
+        self.z0 = z0
 
         # exponential continuation nu(s) ~ nu[0] * exp(kappa (s - s[0]))
         self.tail_kappa = None
+        breaks = s
         if s.size >= 2:
-            n0, n1 = abs(nu[0]), abs(nu[1])
+            n0, n1 = abs(self.nu_grid[0]), abs(self.nu_grid[1])
             if n0 > 0.0 and n1 > n0:
                 self.tail_kappa = math.log(n1 / n0) / (s[1] - s[0])
-
-        self.s, self.w, self.v = self._nodes((self.z0 - 1.0,))
+                tail = np.linspace(s[0] - 40.0 / self.tail_kappa, s[0], 17)
+                breaks = np.concatenate([tail[:-1], s])
+        self.breaks = breaks
+        self.first = breaks.size - s.size        # fixed panels left of the grid
+        nodes, w = _panel_nodes(breaks)
+        self.s, self.w = nodes.ravel(), w.ravel()
+        self.v = self.nu_at(self.s)
         self.wv = self.w * self.v
+        self._cum_wv = np.concatenate([[0.0], np.cumsum(self._per_panel(self.wv))])
+        self._kernel_sums = {}
 
-    def nu_at(self, s0: float) -> float:
-        return float(np.interp(s0, self.grid, self.nu_grid))
+        # the fixed panels left of each ray's closing panel, and that panel
+        self.closed = self.first + np.searchsorted(s, z0, side="right") - 1
+        tip_s, tip_w = _panel_nodes(np.stack([breaks[self.closed], z0], axis=-1))
+        self.tip_s, self.tip_w = tip_s[..., 0, :], tip_w[..., 0, :]
+        self.tip_wv = self.tip_w * self.nu_at(self.tip_s)
+        self._offset = None
 
-    def _nodes(self, extra_breaks):
-        """Nodes, weights and density values on the whole ray, with the
-        panels also split at ``extra_breaks``."""
-        breaks = self.breaks
-        values = self.values
-        extra = [b for b in extra_breaks if breaks[0] < b < breaks[-1]]
-        if extra:
-            breaks = np.unique(np.concatenate([breaks, extra]))
-            values = np.interp(breaks, self.breaks, self.values)
-        s, w = _panel_nodes(breaks)
-        v = np.interp(s, breaks, values)
-        if self.tail_kappa is not None:
-            edge = self.grid[0]
-            tb = np.linspace(edge - 40.0 / self.tail_kappa, edge, 17)
-            cuts = [b for b in extra_breaks if tb[0] < b < tb[-1]]
-            if cuts:
-                tb = np.unique(np.concatenate([tb, cuts]))
-            ts, tw = _panel_nodes(tb)
-            s = np.concatenate([s, ts])
-            w = np.concatenate([w, tw])
-            v = np.concatenate(
-                [v, self.nu_grid[0] * np.exp(self.tail_kappa * (ts - edge))])
-        return s, w, v
+    def nu_at(self, s0):
+        """The density model at real points: linear between the samples,
+        the exponential tail left of them."""
+        s0 = np.asarray(s0, dtype=float)
+        inside = np.interp(s0, self.grid, self.nu_grid)
+        left = s0 < self.grid[0]
+        if not np.any(left):
+            return inside
+        if self.tail_kappa is None:
+            raise ValueError(
+                "nu has no model left of the reflection grid: its samples "
+                "do not grow into the grid, so there is no exponential tail")
+        return np.where(left, self.nu_grid[0]
+                        * np.exp(self.tail_kappa * (s0 - self.grid[0])), inside)
 
-    def integral(self) -> float:
-        return float(np.sum(self.wv))
+    @staticmethod
+    def _per_panel(terms):
+        return terms.reshape(terms.shape[:-1] + (-1, _GL_NODES.size)).sum(axis=-1)
+
+    def _cumulative(self, z: complex) -> np.ndarray:
+        """Sums of ``w nu / (s - z)`` and ``w nu / (s - z)^2`` over the first
+        n fixed panels, for n = 0 .. F: shape ``(2, F + 1)``."""
+        if z not in self._kernel_sums:
+            gap = self.s - z
+            t1 = self.wv / gap
+            sums = np.zeros((2, self.breaks.size), dtype=np.complex128)
+            np.cumsum(self._per_panel(np.stack([t1, t1 / gap])), axis=1, out=sums[:, 1:])
+            self._kernel_sums[z] = sums
+        return self._kernel_sums[z]
+
+    def integral(self):
+        """Plain integral of nu over each ray."""
+        return self._cum_wv[self.closed] + self.tip_wv.sum(axis=-1)
 
     def delta(self, z):
-        """``(delta(z), delta'(z) / delta(z))`` at points z off the ray:
-        ``delta = exp(i C)`` with C the integral of nu(s) / (s - z), so
-        ``delta'/delta = i C'``."""
+        """``(delta(z), delta'(z) / delta(z))`` at points z off the rays,
+        shape ``z0.shape + z.shape``: ``delta = exp(i C)`` with C the
+        integral of nu(s) / (s - z), so ``delta'/delta = i C'``."""
         z = np.asarray(z, dtype=np.complex128)
-        gap = self.s[:, None] - z.ravel()[None, :]
-        terms = self.wv[:, None] / gap
-        c1 = np.sum(terms, axis=0).reshape(z.shape)
-        c2 = np.sum(terms / gap, axis=0).reshape(z.shape)
-        return np.exp(1j * c1), 1j * c2
+        c1 = np.empty(self.z0.shape + (z.size,), dtype=np.complex128)
+        c2 = np.empty_like(c1)
+        for i, zi in enumerate(z.ravel()):
+            fixed = self._cumulative(complex(zi))[:, self.closed]
+            gap = self.tip_s - zi
+            t1 = self.tip_wv / gap
+            c1[..., i] = fixed[0] + t1.sum(axis=-1)
+            c2[..., i] = fixed[1] + (t1 / gap).sum(axis=-1)
+        shape = self.z0.shape + z.shape
+        return np.exp(1j * c1.reshape(shape)), 1j * c2.reshape(shape)
+
+    def _nodes(self, cuts):
+        """Nodes, weights and density values on the ray of one point, with
+        its panels also split at ``cuts``."""
+        breaks = np.append(self.breaks[:self.closed + 1], self.z0)
+        cuts = [c for c in cuts if breaks[0] < c < breaks[-1]]
+        breaks = np.unique(np.concatenate([breaks, cuts]))
+        s, w = (a.ravel() for a in _panel_nodes(breaks))
+        return s, w, self.nu_at(s)
 
     def boundary_delta(self, s0: float, side: str) -> complex:
-        """Boundary value of delta at an interior ray point: the principal
-        value of C, with the density subtracted over a unit window whose
-        exact kernel integral is added back, plus the half residue."""
-        n0 = self.nu_at(s0)
-        w1 = max(s0 - 1.0, self.breaks[0])
-        w2 = min(s0 + 1.0, self.z0)
+        """Boundary value of delta at an interior point of one ray: the
+        principal value of C, with the density subtracted over a unit
+        window whose exact kernel integral is added back, plus the half
+        residue."""
+        z0 = float(self.z0)
+        if s0 >= z0:
+            raise ValueError(
+                "delta has no boundary value at the ray's endpoint z0, "
+                "where it is singular; take a point left of z0")
+        n0 = float(self.nu_at(s0))
+        start = self.breaks[0]
+        if s0 <= start:
+            raise ValueError(
+                f"s0 = {s0:g} lies at or left of the start of the ray's "
+                f"quadrature, {start:g}")
+        w1 = max(s0 - 1.0, start)
+        w2 = min(s0 + 1.0, z0)
         s, w, v = self._nodes((w1, s0, w2))
         v = v - np.where((s > w1) & (s < w2), n0, 0.0)
         pv = float(np.sum(_safe_ratio(w * v, s - s0)))
         pv += n0 * math.log((w2 - s0) / (s0 - w1))
         sign = 1.0 if side == "+" else -1.0
-        return cmath.exp(1j * pv - sign * math.pi * n0)
+        return complex(np.exp(1j * pv - sign * math.pi * n0))
 
-    def offset_integral(self) -> float:
-        """integral of (nu(s) - chi nu(z0)) / (s - z0) with chi the
-        indicator of the unit window left of the ray endpoint."""
-        n0 = self.nu_at(self.z0)
-        v = self.v - np.where(self.s > self.z0 - 1.0, n0, 0.0)
-        return float(np.sum(_safe_ratio(self.w * v, self.s - self.z0)))
+    def offset_integral(self):
+        """integral of (nu(s) - chi nu(z0)) / (s - z0) over each ray, with
+        chi the indicator of the unit window left of the ray endpoint; the
+        panel holding ``z0 - 1`` is split there."""
+        if self._offset is None:
+            step = max(1, _CHUNK_ENTRIES // self.s.size)
+            parts = [self._offset_part(slice(lo, lo + step))
+                     for lo in range(0, self.z0.size, step)]
+            self._offset = np.concatenate(parts).reshape(self.z0.shape)[()]
+        return self._offset
+
+    def _offset_part(self, part):
+        m = _GL_NODES.size
+        z0 = self.z0.reshape(-1)[part]
+        closed = np.reshape(self.closed, -1)[part]
+        n0 = self.nu_at(z0)
+        edge = z0 - 1.0
+        # the fixed panel holding the window edge (-1: left of them all)
+        split = np.searchsorted(self.breaks, edge, side="right") - 1
+        a = np.clip(split, 0, closed)
+        b = np.clip(split + 1, 0, closed)
+
+        # the fixed nodes of each ray but for the split panel's; those
+        # right of the edge are in the window
+        end = m * int(closed.max())
+        node = np.arange(end)
+        window = node >= m * b[:, None]
+        use = (node < m * a[:, None]) | (window & (node < m * closed[:, None]))
+        kernel = np.divide(1.0, self.s[:end] - z0[:, None],
+                           out=np.zeros((z0.size, end)), where=use)
+        total = (kernel @ self.wv[:end]
+                 - n0 * (np.where(window, kernel, 0.0) @ self.w[:end]))
+
+        # the split panel's halves, and the closing panel unless it is the
+        # one split
+        in_tip = split >= closed
+        lo = np.where(in_tip, self.breaks[closed], self.breaks[a])
+        hi = np.where(in_tip, z0, self.breaks[b])
+        lo, hi = np.where(split < 0, edge, lo), np.where(split < 0, edge, hi)
+        s, w = (v.reshape(z0.size, -1) for v in
+                _panel_nodes(np.stack([lo, edge, hi], axis=1)))
+        s = np.concatenate([s, self.tip_s.reshape(-1, m)[part]], axis=1)
+        w = np.concatenate([w, np.where(in_tip[:, None], 0.0,
+                                        self.tip_w.reshape(-1, m)[part])], axis=1)
+        v = self.nu_at(np.where(w != 0.0, s, z0[:, None]))
+        v = v - np.where(s > edge[:, None], n0[:, None], 0.0)
+        return total + np.sum(_safe_ratio(w * v, s - z0[:, None]), axis=1)
 
 
 def nu_integral(scattering, z0: float) -> float:
     """Plain integral of the density nu over (-inf, z0]."""
-    return _RayDensity(scattering, z0).integral()
+    return float(_RayDensity(scattering, z0).integral())
 
 
 # ---------------------------------------------------------------------------
@@ -228,53 +315,73 @@ def T_fn(z, delta_minus, data, scattering, z0: float,
 
 @dataclass(frozen=True)
 class PhaseContext:
-    """Everything scalar the asymptotic formulas need at one (x, t), and
-    the ray quadrature they come from."""
+    """Everything scalar the asymptotic formulas need at a point (x, t),
+    or elementwise over arrays of points, and the ray quadrature they come
+    from."""
 
-    x: float
-    t: float
-    z0: float
-    nu0: float
-    T0_z0: complex
-    r_at_z0: complex
+    x: float | np.ndarray
+    t: float | np.ndarray
+    z0: float | np.ndarray
+    nu0: float | np.ndarray
+    T0_z0: complex | np.ndarray
+    r_at_z0: complex | np.ndarray
     ray: _RayDensity | None
 
     def __post_init__(self) -> None:
-        if self.t == 0:
+        if np.any(self.t == 0):
             raise ValueError("the phase is undefined at t = 0")
-        if self.z0 != -self.x / (2.0 * self.t):
+        if np.any(self.z0 != -self.x / (2.0 * self.t)):
             raise ValueError("z0 must equal -x/(2t) exactly")
-        if self.nu0 > 0:
+        if np.any(self.nu0 > 0):
             raise ValueError("the logarithmic density is never positive")
         # on the real line every pole factor is unimodular and the window
         # integral is real, so the boundary constant must have modulus 1
-        if abs(abs(self.T0_z0) - 1.0) > 1e-6:
+        if np.any(np.abs(np.abs(self.T0_z0) - 1.0) > 1e-6):
             raise ValueError("boundary constant is not unimodular; the "
                              "quadrature behind it is inconsistent")
 
 
-def phase_context(scattering, data, x: float, t: float,
-                  delta_minus=None) -> PhaseContext:
-    """Assemble the scalar context at (x, t) from sampled reflection data.
+def phase_context(scattering, data, x, t, delta_minus=None) -> PhaseContext:
+    """Assemble the scalar context at (x, t) from sampled reflection data;
+    ``x`` and ``t`` may be arrays, which share one ray quadrature.
 
     The boundary constant at the ray endpoint is the inverse Blaschke
-    product of the poles in ``delta_minus`` times ``exp(i beta)``, with
-    beta the window-subtracted kernel integral of the density.
+    product of the poles in ``delta_minus`` (by default those left of each
+    z0) times ``exp(i beta)``, with beta the window-subtracted kernel
+    integral of the density.
     """
-    if t == 0:
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    shape = x.shape
+    # one code path for one point and many: the ray runs over a flat array
+    x, t = x.ravel(), t.ravel()
+    if np.any(t == 0):
         raise ValueError("the phase is undefined at t = 0")
     z0 = -x / (2.0 * t)
     ray = _RayDensity(scattering, z0)
     r = np.asarray(scattering.r)
-    r_at = complex(np.interp(z0, ray.grid, r.real),
-                   np.interp(z0, ray.grid, r.imag))
+    r_at = np.interp(z0, ray.grid, r.real) + 1j * np.interp(z0, ray.grid, r.imag)
     if delta_minus is None:
-        delta_minus = partition(data, z0).delta_minus
-    prod = complex(1.0 / blaschke_product(z0, [data[k] for k in delta_minus]))
-    return PhaseContext(
-        x=float(x), t=float(t), z0=z0, nu0=nu_of(abs(r_at)),
-        T0_z0=prod * cmath.exp(1j * ray.offset_integral()), r_at_z0=r_at,
-        ray=ray)
+        minus = _left_of(data, z0)
+    else:
+        minus = np.broadcast_to(np.isin(np.arange(len(data)), delta_minus),
+                                (z0.size, len(data)))
+    inv = np.ones(z0.size, dtype=np.complex128)
+    for k, d in enumerate(data):
+        factor = ((z0 - d.z) / (z0 - np.conj(d.z))) ** d.order
+        inv = inv * np.where(minus[:, k], factor, 1.0)
+    T0 = (1.0 / inv) * np.exp(1j * ray.offset_integral())
+    x, t, z0, nu0, T0, r_at = (_unwrap(np.reshape(a, shape)) for a in
+                               (x, t, z0, nu_of(np.abs(r_at)), T0, r_at))
+    return PhaseContext(x=x, t=t, z0=z0, nu0=nu0, T0_z0=T0, r_at_z0=r_at, ray=ray)
+
+
+def _cone_interval(cone) -> tuple[float, float]:
+    """The interval ``(-v2/2, -v1/2)`` of pole positions whose velocities
+    fall inside the cone ``(x1, x2, v1, v2)``."""
+    x1, x2, v1, v2 = (float(v) for v in cone)
+    if x1 > x2 or v1 > v2:
+        raise ValueError("cone bounds must be ordered")
+    return (-v2 / 2.0, -v1 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -306,24 +413,13 @@ def partition(data, z0: float, cone=None) -> ConePartition:
     """Split the pole indices about the stationary point and, when a cone
     (x1, x2, v1, v2) is given, about its velocity interval."""
     if cone is None:
-        x1 = x2 = 0.0
-        v1 = v2 = -2.0 * z0
-    else:
-        x1, x2, v1, v2 = (float(v) for v in cone)
-    interval = (-v2 / 2.0, -v1 / 2.0)
+        cone = (0.0, 0.0, -2.0 * z0, -2.0 * z0)
+    x1, x2, v1, v2 = (float(v) for v in cone)
+    interval = _cone_interval(cone)
 
-    minus, plus = [], []
-    for k, d in enumerate(data):
-        re = complex(d.z).real
-        if re < z0:
-            minus.append(k)
-        else:
-            if re == z0:
-                warnings.warn(
-                    "pole sits exactly over the stationary point; "
-                    "assigning it to the right-hand set",
-                    RuntimeWarning, stacklevel=2)
-            plus.append(k)
+    left = _left_of(data, z0)
+    minus = tuple(int(k) for k in np.flatnonzero(left))
+    plus = tuple(int(k) for k in np.flatnonzero(~left))
 
     zI = [k for k, d in enumerate(data)
           if interval[0] <= complex(d.z).real <= interval[1]]
@@ -336,7 +432,7 @@ def partition(data, z0: float, cone=None) -> ConePartition:
         mu = min(mu, zk.imag * dist)
 
     return ConePartition(x1=x1, x2=x2, v1=v1, v2=v2, I=interval,
-                         delta_minus=tuple(minus), delta_plus=tuple(plus),
+                         delta_minus=minus, delta_plus=plus,
                          zI=tuple(zI), mu_I=mu)
 
 
@@ -344,10 +440,10 @@ def partition(data, z0: float, cone=None) -> ConePartition:
 # Modulated reflection amplitude
 # ---------------------------------------------------------------------------
 
-def r0_modulated(scattering, ctx: PhaseContext, t: float) -> complex:
+def r0_modulated(scattering, ctx: PhaseContext, t):
     """Reflection amplitude dressed by the boundary constant and the
     slowly rotating logarithmic phase; drives the dispersive term."""
-    if not t > 0:
+    if not np.all(np.asarray(t) > 0):
         raise ValueError("the modulated amplitude needs t > 0")
-    rot = 2.0 * (ctx.nu0 * math.log(2.0 * math.sqrt(t)) - t * ctx.z0 ** 2)
-    return ctx.r_at_z0 * ctx.T0_z0 ** (-2) * cmath.exp(1j * rot)
+    rot = 2.0 * (ctx.nu0 * np.log(2.0 * np.sqrt(t)) - t * ctx.z0 ** 2)
+    return _unwrap(ctx.r_at_z0 * ctx.T0_z0 ** (-2) * np.exp(1j * rot))

@@ -23,8 +23,11 @@ reconstructed field is invariant under the change.
 
 One system serves every mix of orientations (:func:`pole_system`), and its
 x dependence is a row scaling, so a whole slice of x is solved as one stack
-of LU solves.  Each point reports the 1-norm condition number and the scaled
-backward residual of its solve.  All-lower entries grow like
+of LU solves.  The constants may differ from point to point
+(:attr:`OrientedData.c`): the cone formula dresses them by the radiation at
+each stationary point, and still solves one stack per orientation pattern.
+Each point reports the 1-norm condition number and the scaled backward
+residual of its solve.  All-lower entries grow like
 ``exp(2 Im z_k |x|)`` on the far side of a pole; :func:`solve_field` keeps,
 at each x, the better conditioned of the all-lower system and the one with
 the poles where ``x + 2t Re z_k < 0`` flipped.
@@ -37,7 +40,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,10 +116,17 @@ def _with_coefficients(d: DiscreteDatum, c) -> DiscreteDatum:
 
 @dataclass(frozen=True)
 class OrientedData:
-    """Spectrum plus a per-pole column orientation ("lower" or "upper")."""
+    """Spectrum plus a per-pole column orientation ("lower" or "upper").
+
+    ``c``, when given, holds the constants of a stack of points in place of
+    the data's own, which then carry only the positions and orders: shape
+    ``(P, N, m)``, each pole's principal part padded with leading zeros to
+    the largest order ``m`` (see :attr:`DiscreteDatum.coefficients`).
+    """
 
     data: tuple[DiscreteDatum, ...]
     orientations: tuple[str, ...]
+    c: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.data) != len(self.orientations):
@@ -130,23 +140,65 @@ class OrientedData:
         data = tuple(data)
         return OrientedData(data, ("lower",) * len(data))
 
+    @property
+    def constants(self) -> np.ndarray:
+        """The constants as an array ``(P, N, m)``, ``P = 1`` when they are
+        the data's own."""
+        if self.c is not None:
+            return self.c
+        top = max((d.order for d in self.data), default=0)
+        return np.array([[(0.0,) * (top - d.order) + d.coefficients
+                          for d in self.data]], dtype=np.complex128)
+
+    def series(self, k: int) -> list:
+        """Pole ``k``'s principal part as a list of ``(P,)`` arrays."""
+        c = self.constants
+        return [c[:, k, j] for j in range(c.shape[2] - self.data[k].order, c.shape[2])]
+
+    def with_series(self, series, orientations) -> "OrientedData":
+        """The same poles with the principal parts ``series`` (one list per
+        pole, as :meth:`series` gives) and the given orientations."""
+        top = max((d.order for d in self.data), default=0)
+        size = np.broadcast_shapes((1,), *(np.shape(v) for s in series for v in s))
+        c = np.zeros(size + (len(self.data), top), dtype=np.complex128)
+        for k, s in enumerate(series):
+            for j, v in enumerate(s, top - len(s)):
+                c[:, k, j] = v
+        return OrientedData(self.data, tuple(orientations), c)
+
+    def rows(self, at) -> "OrientedData":
+        """The points ``at`` of a stack; shared constants stay shared."""
+        if self.c is None or self.c.shape[0] == 1:
+            return self
+        return replace(self, c=self.c[at])
+
+    def plain(self) -> "OrientedData":
+        """The first point's constants moved into the data."""
+        if self.c is None:
+            return self
+        return OrientedData(
+            tuple(_with_coefficients(d, [complex(v[0]) for v in self.series(k)])
+                  for k, d in enumerate(self.data)), self.orientations)
+
 
 @dataclass
 class SolitonState:
-    """Solved Laurent coefficients of the solution matrix at one ``(x, t)``.
+    """Solved Laurent coefficients of the solution matrix at ``(x, t)``.
 
-    ``alpha[k][j - 1]`` and ``beta[k][j - 1]`` multiply ``(z - z_k)^{-j}``
-    in the singular column of pole ``k``.
+    ``alpha[k][..., j - 1]`` and ``beta[k][..., j - 1]`` multiply
+    ``(z - z_k)^{-j}`` in the singular column of pole ``k``.  At one point
+    the fields are scalars and each ``alpha[k]`` has shape ``(m_k,)``; over
+    an array of points the leading axis runs over the points.
     """
 
     oriented: OrientedData
-    x: float
-    t: float
+    x: float | np.ndarray
+    t: float | np.ndarray
     alpha: tuple[np.ndarray, ...]
     beta: tuple[np.ndarray, ...]
-    q: complex
-    residual: float
-    condition: float
+    q: complex | np.ndarray
+    residual: float | np.ndarray
+    condition: float | np.ndarray
 
 
 @dataclass
@@ -250,12 +302,14 @@ def _row_forms(zs: tuple, lower: tuple, orders: tuple):
     return tuple(forms), unit, pole[:half], power[:half]
 
 
-def pole_system(data, x_values, t: float):
+def pole_system(data, x_values, t):
     """The pole system at every ``x``: matrices ``(P, 2D, 2D)``, rhs
     ``(P, 2D)`` with ``D`` the sum of the pole orders.
 
     ``data`` is an :class:`OrientedData` or a sequence of
-    :class:`DiscreteDatum`, taken as all lower.
+    :class:`DiscreteDatum`, taken as all lower.  Its constants ``c`` have
+    shape ``(P, N, m)``, or ``(1, N, m)`` to share one set (see
+    :attr:`OrientedData.constants`); ``t`` is a scalar or one time per ``x``.
 
     The unknowns are the blocks ``alpha`` and ``conj(beta)``, each holding
     the Laurent coefficients of ``(z - z_k)^{-1}, ..., (z - z_k)^{-m_k}``
@@ -281,13 +335,13 @@ def pole_system(data, x_values, t: float):
     zs = tuple(complex(d.z) for d in oriented.data)
     forms, unit, pole, power = _row_forms(zs, lower, orders)
     x = np.asarray(x_values, dtype=float).reshape(-1, 1)
+    t = np.asarray(t, dtype=float).reshape(-1, 1)
     # Leading zeros leave a principal part as it is, so every pole's
     # Gamma is one series of length max(orders), a column per pole.
-    top = max(orders)
-    coeffs = np.array([(0.0,) * (top - d.order) + d.coefficients
-                       for d in oriented.data], dtype=np.complex128).T
+    c = oriented.constants
+    top = c.shape[2]
     phase = _phase_series(np.array(zs), np.where(lower, 1.0, -1.0), x, t, top)
-    series = np.concatenate(_mul(coeffs, phase, top), axis=1)
+    series = np.concatenate(_mul([c[:, :, j] for j in range(top)], phase, top), axis=1)
     # g[:, i] for unknown i = (k, j) is the coefficient of (z - z_k)^{-j}
     g = series[:, (top - power) * len(zs) + pole]
     gamma = np.concatenate([g, np.conj(g)], axis=1)
@@ -325,11 +379,12 @@ def _solve_stack(matrix: np.ndarray, rhs: np.ndarray):
     return u, cond, num / den
 
 
-def _solve_points(oriented: OrientedData, x: np.ndarray, t: float):
-    """Solve the pole system of ``oriented`` at every ``x``, a bounded chunk
-    of points per stacked solve: ``(u, condition, residual)``.  Overflowing
-    exponentials far from the poles leave a non-finite solve, reported as
-    condition ``inf`` like a singular matrix."""
+def _solve_points(oriented: OrientedData, x: np.ndarray, t):
+    """Solve the pole system of ``oriented`` at every ``x`` (with ``t`` a
+    scalar or one time per point), a bounded chunk of points per stacked
+    solve: ``(u, condition, residual)``.  Overflowing exponentials far from
+    the poles leave a non-finite solve, reported as condition ``inf`` like
+    a singular matrix."""
     dim = 2 * sum(d.order for d in oriented.data)
     u = np.empty((x.size, dim), dtype=np.complex128)
     cond = np.empty(x.size)
@@ -338,8 +393,8 @@ def _solve_points(oriented: OrientedData, x: np.ndarray, t: float):
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, x.size, step):
             part = slice(lo, lo + step)
-            u[part], cond[part], residual[part] = _solve_stack(
-                *pole_system(oriented, x[part], t))
+            u[part], cond[part], residual[part] = _solve_stack(*pole_system(
+                oriented.rows(part), x[part], t if np.ndim(t) == 0 else t[part]))
     return u, cond, residual
 
 
@@ -358,35 +413,46 @@ def _moment(oriented: OrientedData, u: np.ndarray) -> np.ndarray:
                     for a, b, o in zip(alpha, conj_beta, oriented.orientations))
 
 
-def _check_solved(cond: np.ndarray, x: np.ndarray, t: float) -> None:
+def _check_solved(cond: np.ndarray, x: np.ndarray, t) -> None:
     if np.isinf(cond).any():
-        bad = float(x[np.argmax(np.isinf(cond))])
+        at = np.argmax(np.isinf(cond))
+        bad_t = float(t if np.ndim(t) == 0 else t[at])
         raise np.linalg.LinAlgError(
-            f"pole system is singular or overflows at x = {bad:g}, t = {t:g}")
+            f"pole system is singular or overflows at x = {float(x[at]):g}, t = {bad_t:g}")
     worst = float(cond.max(initial=1.0))
     if worst > _COND_WARN:
         warnings.warn(f"pole system condition number {worst:.2e}", RuntimeWarning)
 
 
-def solve_soliton(data, x: float, t: float) -> SolitonState:
+def solve_soliton(data, x, t) -> SolitonState:
     """Solve the pole system at ``(x, t)`` and reconstruct the field value.
 
     ``data`` may be a sequence of :class:`DiscreteDatum` (all-lower by
     default) or an :class:`OrientedData`; the orientation given is kept.
+    ``x`` and ``t`` may be arrays of points, solved as one stack (``t`` a
+    scalar or one time per point), with per-point constants of the same
+    length in :attr:`OrientedData.c`.
     """
     oriented = _as_oriented(data)
+    xs = np.asarray(x, dtype=float).ravel()
+    ts = np.asarray(t, dtype=float)
+    ts = ts if ts.ndim == 0 else np.broadcast_to(ts.ravel(), xs.shape)
     if oriented.data:
-        xs = np.array([float(x)])
-        u, cond, residual = _solve_points(oriented, xs, t)
-        _check_solved(cond, xs, t)
-        q = complex(_moment(oriented, u)[0])
-        cond, residual = float(cond[0]), float(residual[0])
+        u, cond, residual = _solve_points(oriented, xs, ts)
+        _check_solved(cond, xs, ts)
+        q = _moment(oriented, u)
     else:
-        u, q, cond, residual = np.zeros((1, 0), dtype=np.complex128), 0j, 1.0, 0.0
+        u = np.zeros((xs.size, 0), dtype=np.complex128)
+        q = np.zeros(xs.size, dtype=np.complex128)
+        cond, residual = np.ones(xs.size), np.zeros(xs.size)
     half = u.shape[1] // 2
-    return SolitonState(oriented, x, t, _per_pole(oriented, u[0, :half]),
-                        tuple(np.conj(b) for b in _per_pole(oriented, u[0, half:])),
-                        q=q, residual=residual, condition=cond)
+    alpha = _per_pole(oriented, u[:, :half])
+    beta = tuple(np.conj(b) for b in _per_pole(oriented, u[:, half:]))
+    if np.ndim(x) == 0:
+        return SolitonState(oriented, x, t, tuple(a[0] for a in alpha),
+                            tuple(b[0] for b in beta), complex(q[0]),
+                            float(residual[0]), float(cond[0]))
+    return SolitonState(oriented, xs, ts, alpha, beta, q, residual, cond)
 
 
 def solve_field(data, x_values, t: float) -> FieldSolution:
@@ -415,7 +481,7 @@ def solve_field(data, x_values, t: float) -> FieldSolution:
             if not pattern.any():
                 continue
             at = np.flatnonzero(which == p)
-            flipped = reorient_constants(oriented.data, np.flatnonzero(pattern))
+            flipped = _reoriented(oriented, list(np.flatnonzero(pattern)))
             u_f, cond_f, res_f = _solve_points(flipped, x[at], t)
             better = cond_f < cond[at]
             at = at[better]
@@ -432,17 +498,21 @@ def soliton_field(data, x_values, t: float) -> np.ndarray:
 
 
 def _principal(coeffs, inv) -> np.ndarray:
-    """``sum_j coeffs[j - 1] inv^j`` by Horner's rule."""
-    out = coeffs[-1] * inv
-    for c in coeffs[-2::-1]:
-        out = (out + c) * inv
+    """``sum_j coeffs[..., j - 1] inv^j`` by Horner's rule."""
+    out = coeffs[..., -1] * inv
+    for j in range(coeffs.shape[-1] - 2, -1, -1):
+        out = (out + coeffs[..., j]) * inv
     return out
 
 
 def evaluate_matrix(state: SolitonState, z) -> np.ndarray:
-    """Closed-form solution matrix at points ``z`` (shape ``z.shape + (2, 2)``)."""
+    """Closed-form solution matrix at points ``z`` (shape ``z.shape + (2, 2)``).
+
+    For a state over an array of points, ``z`` holds one point per state
+    point (or broadcasts against them)."""
     z = np.asarray(z, dtype=np.complex128)
-    m = np.zeros(z.shape + (2, 2), dtype=np.complex128)
+    shape = np.broadcast_shapes(z.shape, np.shape(state.q))
+    m = np.zeros(shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = 1.0
     m[..., 1, 1] = 1.0
     for d, o, a, b in zip(state.oriented.data, state.oriented.orientations,
@@ -457,10 +527,10 @@ def evaluate_matrix(state: SolitonState, z) -> np.ndarray:
     return m
 
 
-def outer_matrix_row(state: SolitonState, z: complex) -> np.ndarray:
-    """First row ``(m_11, m_12)`` of the solution matrix at one point."""
-    m = evaluate_matrix(state, np.asarray(z, dtype=np.complex128))
-    return np.array([m[..., 0, 0], m[..., 0, 1]]).reshape(2)
+def outer_matrix_row(state: SolitonState, z) -> np.ndarray:
+    """First row ``(m_11, m_12)`` of the solution matrix: shape ``(2,)`` at
+    one point, ``(P, 2)`` for a state over ``P`` points."""
+    return evaluate_matrix(state, z)[..., 0, :]
 
 
 def mass_from_spectrum(data) -> float:
@@ -501,6 +571,19 @@ def _blaschke_series(z: complex, members, n: int) -> list:
     return out
 
 
+def _reoriented(oriented: OrientedData, flip) -> OrientedData:
+    """All-lower poles with those listed in ``flip`` moved to the upper
+    orientation, for every point of the stack (see
+    :func:`reorient_constants`)."""
+    members = [oriented.data[i] for i in flip]
+    series = []
+    for k, d in enumerate(oriented.data):
+        c = _scaled(oriented.series(k), _blaschke_series(d.z, members, d.order))
+        series.append(_inv(c, d.order) if k in flip else c)
+    return oriented.with_series(
+        series, ("upper" if k in flip else "lower" for k in range(len(series))))
+
+
 def reorient_constants(data, delta_indices) -> OrientedData:
     """Move the poles listed in ``delta_indices`` to the upper orientation.
 
@@ -509,15 +592,21 @@ def reorient_constants(data, delta_indices) -> OrientedData:
     for the poles that stay lower, and ``c -> pp[1 / (c g^2)]`` with
     ``g = a / (z - z_k)^m`` for the flipped ones.
     """
-    data = tuple(data)
     flip = sorted(set(int(i) for i in delta_indices))
-    members = [data[i] for i in flip]
-    new_data = []
-    for i, d in enumerate(data):
-        c = _scaled(d.coefficients, _blaschke_series(d.z, members, d.order))
-        new_data.append(_with_coefficients(d, _inv(c, d.order) if i in flip else c))
-    orients = tuple("upper" if i in flip else "lower" for i in range(len(data)))
-    return OrientedData(tuple(new_data), orients)
+    return _reoriented(OrientedData.all_lower(data), flip).plain()
+
+
+def _dressed(oriented: OrientedData, delta_at) -> OrientedData:
+    """The constants of every pole dressed by ``delta`` (see
+    :func:`modulate_constants`); ``delta_at`` may return one value per
+    point of a stack."""
+    series = []
+    for k, d in enumerate(oriented.data):
+        if d.z.imag <= 0:
+            raise ValueError("modulation is defined off the real axis only")
+        delta, dlog = delta_at(d.z)
+        series.append(_scaled(oriented.series(k), (1.0 / delta, -dlog / delta)))
+    return oriented.with_series(series, oriented.orientations)
 
 
 def modulate_constants(data, delta_at) -> tuple[DiscreteDatum, ...]:
@@ -529,14 +618,38 @@ def modulate_constants(data, delta_at) -> tuple[DiscreteDatum, ...]:
     as under the column scaling by ``f = 1 / delta``, whose Taylor series
     starts ``(1 / delta, -(delta'/delta) / delta)``.
     """
-    out = []
-    for d in data:
-        if d.z.imag <= 0:
-            raise ValueError("modulation is defined off the real axis only")
-        delta, dlog = (complex(v) for v in delta_at(d.z))
-        f = (1.0 / delta, -dlog / delta)
-        out.append(_with_coefficients(d, _scaled(d.coefficients, f)))
-    return tuple(out)
+    return _dressed(OrientedData.all_lower(data), delta_at).plain().data
+
+
+def _left_of(data, z0) -> np.ndarray:
+    """Which poles lie left of each stationary point: a boolean array of
+    shape ``z0.shape + (N,)``.  A pole exactly over ``z0`` goes to the
+    right-hand set, with a warning."""
+    re = np.array([complex(d.z).real for d in data])
+    z0 = np.asarray(z0, dtype=float)[..., None]
+    if np.any(re == z0):
+        warnings.warn("pole sits exactly over the stationary point z0; "
+                      "assigning it to the right-hand set (lower orientation)",
+                      RuntimeWarning, stacklevel=3)
+    return re < z0
+
+
+def _restricted(oriented: OrientedData, interval, z0):
+    """Keep the all-lower poles whose ``Re z_k`` lies in the closed
+    interval, and flip those left of each stationary point in ``z0`` (an
+    array).  One ``(points, oriented)`` pair per flip pattern, at most
+    ``N + 1`` of them."""
+    lo, hi = interval
+    keep = [k for k, d in enumerate(oriented.data) if lo <= d.z.real <= hi]
+    kept = OrientedData(tuple(oriented.data[k] for k in keep), ("lower",) * len(keep),
+                        None if oriented.c is None else oriented.c[:, keep])
+    patterns, which = np.unique(_left_of(kept.data, z0), axis=0, return_inverse=True)
+    which = which.ravel()
+    groups = []
+    for p, pattern in enumerate(patterns):
+        at = np.flatnonzero(which == p)
+        groups.append((at, _reoriented(kept.rows(at), list(np.flatnonzero(pattern)))))
+    return groups
 
 
 def restrict_to_interval(data, interval: tuple[float, float],
@@ -544,13 +657,6 @@ def restrict_to_interval(data, interval: tuple[float, float],
     """Keep the poles whose ``Re z_k`` lies in the closed interval, then give
     those left of ``z0`` the upper orientation (ties stay lower with a
     warning, mirroring the partition convention)."""
-    lo, hi = interval
-    kept = [d for d in data if lo <= d.z.real <= hi]
-    delta = []
-    for i, d in enumerate(kept):
-        if d.z.real < z0:
-            delta.append(i)
-        elif d.z.real == z0:
-            warnings.warn(f"pole at Re z = z0 = {z0}; keeping lower orientation",
-                          RuntimeWarning)
-    return reorient_constants(kept, delta)
+    ((_, oriented),) = _restricted(OrientedData.all_lower(data), interval,
+                                   np.array([float(z0)]))
+    return oriented.plain()

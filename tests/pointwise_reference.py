@@ -1,0 +1,187 @@
+"""The cone formula evaluated one point at a time, as ``fnls`` did before
+it worked over arrays of points.
+
+Each point builds its own ray quadrature (with the panel at ``z0 - 1``
+split for every integral), dresses and reorients ``DiscreteDatum`` tuples,
+and solves a one-point pole system.  The batched code must agree with it;
+only the series helpers and the row forms of the pole system, which the
+batching left as they were, are shared.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+import warnings
+
+import numpy as np
+from scipy.special import gamma
+
+from fnls.phase import nu_of
+from fnls.solitons import (
+    _blaschke_series,
+    _inv,
+    _mul,
+    _phase_series,
+    _row_forms,
+    _scaled,
+    _solve_stack,
+    _with_coefficients,
+)
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+R_THRESHOLD = 1e-12
+
+
+def _panel_nodes(breaks):
+    a, b = breaks[:-1], breaks[1:]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    s = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    w = half[:, None] * np.broadcast_to(_GL_WEIGHTS, s.shape)
+    return s.ravel(), w.ravel()
+
+
+def _safe_ratio(num, den):
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+class Ray:
+    """The density and its quadrature on (-inf, z0] of one point."""
+
+    def __init__(self, scattering, z0: float):
+        s = np.asarray(scattering.z, dtype=float)
+        assert s[0] <= z0 <= s[-1]
+        nu = nu_of(np.abs(np.asarray(scattering.r)))
+        self.z0, self.grid, self.nu_grid = float(z0), s, nu
+        keep = s <= z0
+        self.breaks, self.values = s[keep], nu[keep]
+        if self.breaks[-1] < z0:
+            self.breaks = np.append(self.breaks, z0)
+            self.values = np.append(self.values, np.interp(z0, s, nu))
+        self.tail_kappa = None
+        n0, n1 = abs(nu[0]), abs(nu[1])
+        if n0 > 0.0 and n1 > n0:
+            self.tail_kappa = math.log(n1 / n0) / (s[1] - s[0])
+        self.s, self.w, self.v = self._nodes((self.z0 - 1.0,))
+
+    def _nodes(self, extra_breaks):
+        breaks, values = self.breaks, self.values
+        extra = [b for b in extra_breaks if breaks[0] < b < breaks[-1]]
+        if extra:
+            breaks = np.unique(np.concatenate([breaks, extra]))
+            values = np.interp(breaks, self.breaks, self.values)
+        s, w = _panel_nodes(breaks)
+        v = np.interp(s, breaks, values)
+        if self.tail_kappa is not None:
+            edge = self.grid[0]
+            tb = np.linspace(edge - 40.0 / self.tail_kappa, edge, 17)
+            cuts = [b for b in extra_breaks if tb[0] < b < tb[-1]]
+            if cuts:
+                tb = np.unique(np.concatenate([tb, cuts]))
+            ts, tw = _panel_nodes(tb)
+            s, w = np.concatenate([s, ts]), np.concatenate([w, tw])
+            v = np.concatenate(
+                [v, self.nu_grid[0] * np.exp(self.tail_kappa * (ts - edge))])
+        return s, w, v
+
+    def delta(self, z):
+        gap = self.s - complex(z)
+        terms = self.w * self.v / gap
+        return cmath.exp(1j * np.sum(terms)), 1j * np.sum(terms / gap)
+
+    def offset_integral(self) -> float:
+        n0 = float(np.interp(self.z0, self.grid, self.nu_grid))
+        v = self.v - np.where(self.s > self.z0 - 1.0, n0, 0.0)
+        return float(np.sum(_safe_ratio(self.w * v, self.s - self.z0)))
+
+
+def _reorient(data, flip):
+    members = [data[i] for i in flip]
+    out = []
+    for i, d in enumerate(data):
+        c = _scaled(d.coefficients, _blaschke_series(d.z, members, d.order))
+        out.append(_with_coefficients(d, _inv(c, d.order) if i in flip else c))
+    return tuple(out), tuple("upper" if i in flip else "lower" for i in range(len(data)))
+
+
+def _solve(data, orientations, x: float, t: float):
+    """``(q, alpha, beta)`` of the one-point pole system."""
+    lower = tuple(o == "lower" for o in orientations)
+    orders = tuple(d.order for d in data)
+    zs = tuple(complex(d.z) for d in data)
+    forms, unit, pole, power = _row_forms(zs, lower, orders)
+    top = max(orders)
+    coeffs = np.array([(0.0,) * (top - d.order) + d.coefficients for d in data],
+                      dtype=np.complex128).T
+    phase = _phase_series(np.array(zs), np.where(lower, 1.0, -1.0),
+                          np.array([[x]]), t, top)
+    series = np.concatenate(_mul(coeffs, phase, top), axis=1)
+    g = series[:, (top - power) * len(zs) + pole]
+    gamma_ = np.concatenate([g, np.conj(g)], axis=1)
+    matrix = gamma_[:, :, None] * forms[0][1]
+    for r, (rows, k) in enumerate(forms[1:], 1):
+        matrix[:, rows] += gamma_[:, rows + r, None] * k
+    matrix += np.eye(gamma_.shape[1])
+    u = _solve_stack(matrix, gamma_ * unit)[0][0]
+    half = u.size // 2
+    ends = np.cumsum(orders)
+    alpha = [u[e - m:e] for m, e in zip(orders, ends)]
+    beta = [np.conj(u[half + e - m:half + e]) for m, e in zip(orders, ends)]
+    q = 2j * sum(a[0] if o == "upper" else -np.conj(b[0])
+                 for a, b, o in zip(alpha, beta, orientations))
+    return complex(q), alpha, beta
+
+
+def _outer_row(data, orientations, alpha, beta, z: float):
+    def principal(c, inv):
+        return sum(cj * inv ** (j + 1) for j, cj in enumerate(c))
+
+    row = np.array([1.0, 0.0], dtype=np.complex128)
+    for d, o, a, b in zip(data, orientations, alpha, beta):
+        near, far, s = (0, 1, 1.0) if o == "lower" else (1, 0, -1.0)
+        row[near] += principal(a, 1.0 / (z - d.z))
+        row[far] -= s * principal(np.conj(b), 1.0 / (z - np.conj(d.z)))
+    return row
+
+
+def q_pointwise(x: float, t: float, sigma_d, scattering, cone):
+    """``(q_sol, f, q_total)`` of the cone formula at one point."""
+    z0 = -x / (2.0 * t)
+    lo, hi = -cone[3] / 2.0, -cone[2] / 2.0
+    minus = [k for k, d in enumerate(sigma_d) if d.z.real < z0]
+    if any(d.z.real == z0 for d in sigma_d):
+        warnings.warn("pole sits exactly over the stationary point", RuntimeWarning)
+    data = tuple(sigma_d)
+    ray = None
+    if scattering is not None:
+        ray = Ray(scattering, z0)
+        dressed = []
+        for d in data:
+            delta, dlog = ray.delta(d.z)
+            f = (1.0 / delta, -dlog / delta)
+            dressed.append(_with_coefficients(d, _scaled(d.coefficients, f)))
+        data = tuple(dressed)
+    kept = [d for d in data if lo <= d.z.real <= hi]
+    oriented, orientations = _reorient(
+        kept, [i for i, d in enumerate(kept) if d.z.real < z0])
+    q_sol, alpha, beta = (_solve(oriented, orientations, x, t) if kept
+                          else (0j, [], []))
+    f = 0j
+    r = np.asarray(scattering.r) if ray is not None else None
+    if ray is not None:
+        r_at = complex(np.interp(z0, ray.grid, r.real), np.interp(z0, ray.grid, r.imag))
+    if ray is not None and abs(r_at) >= R_THRESHOLD:
+        nu0 = nu_of(abs(r_at))
+        blaschke = 1.0 + 0j
+        for k in minus:
+            d = sigma_d[k]
+            blaschke *= ((z0 - d.z) / (z0 - np.conj(d.z))) ** d.order
+        T0 = cmath.exp(1j * ray.offset_integral()) / blaschke
+        rot = 2.0 * (nu0 * math.log(2.0 * math.sqrt(t)) - t * z0 ** 2)
+        r0 = r_at * T0 ** (-2) * cmath.exp(1j * rot)
+        beta12 = (math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi)
+                  * math.exp(-0.5 * math.pi * nu0) / (r0 * complex(gamma(-1j * nu0))))
+        eta11, eta12 = _outer_row(oriented, orientations, alpha, beta, z0)
+        f = beta12 * eta11 ** 2 + nu0 / beta12 * eta12 ** 2
+    return q_sol, f, q_sol + f / math.sqrt(t)

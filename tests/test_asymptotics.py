@@ -34,12 +34,16 @@ from fnls.scattering import (
     sech_profile,
 )
 from fnls.solitons import (
+    OrientedData,
+    _restricted,
     modulate_constants,
     outer_matrix_row,
     restrict_to_interval,
     solve_soliton,
 )
 from fnls.splitstep import Grid, split_step
+
+import pointwise_reference
 
 S_GRID = np.linspace(-5.0, 5.0, 2001)
 R_SMOOTH = 0.8 * np.exp(-S_GRID ** 2 / 2.0) * np.exp(0.3j * S_GRID)
@@ -266,10 +270,14 @@ def test_composite_invariants(smooth, x, t, cone):
     assert v.q_total == v.q_sol_part + v.f_part / math.sqrt(t)
 
 
-def test_one_ray_per_point(smooth, ray_builds):
-    # the pole dressing and the boundary constant share one ray
-    v = q_asymptotic(-8.6, 10.0, POLES, smooth, CONE_LOW)
-    assert v.f_part != 0
+def test_one_ray_grid_per_call(smooth, ray_builds):
+    # every point of every slice of a call reads one ray quadrature: the
+    # pole dressing and the boundary constant alike
+    t = np.array([[10.0], [12.0], [14.0]])
+    x = np.linspace(-0.9, 0.9, 8) + CONE_LOW[2] * t
+    v = q_asymptotic(x, t, POLES, smooth, CONE_LOW)
+    assert v.q_total.shape == (3, 8)
+    assert np.all(v.f_part != 0)
     assert len(ray_builds) == 1
 
 
@@ -289,6 +297,16 @@ def test_rejects_small_or_nonpositive_t(smooth):
     assert abs(v.q_total) > 0
 
 
+def test_one_point_gives_python_scalars(smooth):
+    # callers at one point compare and serialise the results as before
+    v = q_asymptotic(-8.6, 10.0, POLES, smooth, CONE_LOW)
+    assert [type(a) for a in (v.x, v.t, v.q_sol_part, v.f_part, v.q_total)] == [
+        float, float, complex, complex, complex]
+    pc = pc_coefficients(consistent_r0(-0.11), -0.11)
+    assert [type(a) for a in (pc.nu, pc.r0, pc.beta12, pc.beta21)] == [
+        float, complex, complex, complex]
+
+
 def test_value_consistency_is_enforced():
     with pytest.raises(ValueError, match="exactly"):
         AsymptoticValue(x=0.0, t=4.0, q_sol_part=1.0 + 0j, f_part=0.5j,
@@ -305,6 +323,96 @@ def test_save_asymptotics_roundtrip(tmp_path, smooth):
     assert arr[0, 0] == 0.0 and arr[1, 1] == 16.0
     assert arr[0, 6] == vals[0].q_total.real
     assert arr[1, 7] == vals[1].q_total.imag
+
+
+# ---------------------------------------------------------------------------
+# Arrays of points against the pointwise reference
+# ---------------------------------------------------------------------------
+
+SIMPLE = (DiscreteDatum(-0.1 + 0.6j, order=1, c0=1.0, c1=0.0),
+          DiscreteDatum(0.1 + 0.8j, order=1, c0=0.5 - 0.5j, c1=0.0))
+DOUBLE = (DiscreteDatum(0.05 + 0.7j, order=2, c0=0.2 + 0.1j, c1=1.0),)
+WIDE = (-1.0, 1.0, -0.5, 0.5)
+
+
+def _against_reference(x, t, sigma_d, scattering, cone):
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    v = q_asymptotic(x, t, sigma_d, scattering, cone)
+    assert v.q_total.shape == x.shape
+    worst = 0.0
+    for i in np.ndindex(x.shape):
+        ref = pointwise_reference.q_pointwise(float(x[i]), float(t[i]), sigma_d,
+                                              scattering, cone)
+        got = (v.q_sol_part[i], v.f_part[i], v.q_total[i])
+        worst = max(worst, max(abs(a - b) for a, b in zip(got, ref)))
+    assert worst <= 1e-12, worst
+    return v
+
+
+def _slices(cone, times, n):
+    t = np.asarray(times, dtype=float)[:, None]
+    return np.linspace(cone[0] + cone[2] * t, cone[1] + cone[3] * t, n, axis=-1)[:, 0], t
+
+
+@pytest.mark.parametrize("poles", [(), SIMPLE[:1], SIMPLE, DOUBLE],
+                         ids=["no-pole", "one-simple", "two-simple", "one-double"])
+def test_batched_matches_pointwise_reference(smooth, poles):
+    # the two simple poles sit at Re z = -0.1 and 0.1, inside the cone,
+    # and z0 sweeps across both along each slice: three flip patterns
+    x, t = _slices(WIDE, (9.0, 13.0, 20.0), 11)
+    v = _against_reference(x, t, poles, smooth, WIDE)
+    assert np.all(v.f_part != 0)
+
+
+def test_batched_flip_pattern_changes_within_a_slice(smooth):
+    x, t = _slices(WIDE, (10.0,), 24)
+    z0 = -x / (2.0 * t)
+    left = np.stack([z0 > d.z.real for d in SIMPLE], axis=-1)
+    assert len(np.unique(left.reshape(-1, 2), axis=0)) == 3
+    _against_reference(x, t, SIMPLE, smooth, WIDE)
+
+
+def test_batched_z0_on_a_grid_sample(smooth):
+    # t a power of two keeps z0 = -x / (2t) exactly on the samples
+    t = 8.0
+    z0 = S_GRID[[1080, 1100, 1120]]
+    x = -2.0 * t * z0
+    assert np.all(-x / (2.0 * t) == z0)
+    _against_reference(x, t, SIMPLE, smooth, (-1.0, 1.0, -1.5, 1.5))
+
+
+def test_batched_window_edge_left_of_the_grid(smooth):
+    # z0 - 1 falls in the exponential tail, and on a grid with no tail it
+    # falls left of the quadrature altogether
+    cone = (-1.0, 1.0, 8.5, 9.5)
+    x, t = _slices(cone, (8.0, 9.0), 7)
+    assert np.all(-x / (2.0 * t) - 1.0 < S_GRID[0])
+    _against_reference(x, t, SIMPLE, smooth, cone)
+    flat_edge = ScatteringData(S_GRID, np.where(S_GRID < 0.0, 0.3, R_SMOOTH), ())
+    _against_reference(x, t, SIMPLE, flat_edge, cone)
+
+
+def test_batched_drops_radiation_only_where_r_vanishes():
+    one_sided = ScatteringData(S_GRID, np.where(S_GRID > 0.0, R_SMOOTH, 0.0), ())
+    cone = (-1.0, 1.0, -0.3, 0.3)
+    x, t = _slices(cone, (10.0, 15.0), 12)
+    v = _against_reference(x, t, SIMPLE, one_sided, cone)
+    silent = v.f_part == 0
+    assert silent.any() and not silent.all()
+
+
+def test_batched_tie_warns_and_goes_right(smooth):
+    tied = (DiscreteDatum(0.125 + 0.6j, order=1, c0=1.0, c1=0.0),)
+    t = 8.0
+    x = np.array([-3.0, -2.0, -1.0])        # z0 = 0.1875, 0.125, 0.0625
+    with pytest.warns(RuntimeWarning, match="stationary point"):
+        _against_reference(x, t, tied, smooth, WIDE)
+    # the tied pole joins the right-hand set: lower, like the point right
+    # of it, where the point left of it flips the pole
+    with pytest.warns(RuntimeWarning, match="stationary point"):
+        groups = _restricted(OrientedData.all_lower(tied), (-0.25, 0.25), -x / (2.0 * t))
+    orientation = {int(i): o.orientations for at, o in groups for i in at}
+    assert orientation == {0: ("upper",), 1: ("lower",), 2: ("lower",)}
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,35 @@ def test_delta_boundary_jump(smooth):
         assert abs(plus / minus - (1.0 + abs(_r_at(s0)) ** 2)) < 1e-10
 
 
+def test_boundary_value_left_of_the_grid_reads_the_tail(smooth):
+    # s0 = -6 lies beyond the grid [-5, 5], in the exponential tail
+    plus = delta_fn(-6.0 + 0j, smooth, Z0, side="+")
+    minus = delta_fn(-6.0 + 0j, smooth, Z0, side="-")
+    assert np.isfinite(plus) and np.isfinite(minus)
+    # where nu is large at the grid edge: the tail's density sets the
+    # jump, and the boundary value runs on continuously into the grid
+    sg = np.linspace(-2.0, 2.0, 401)
+    scat = ScatteringData(sg, (0.8 * np.exp(-sg ** 2 / 8.0)).astype(complex))
+    ray = _RayDensity(scat, 1.0)
+    nu_tail = ray.nu_at(-2.5)
+    assert 0.0 > nu_tail > ray.nu_at(-2.0)
+    ratio = (delta_fn(-2.5 + 0j, scat, 1.0, side="+")
+             / delta_fn(-2.5 + 0j, scat, 1.0, side="-"))
+    assert abs(ratio - math.exp(-2.0 * math.pi * nu_tail)) < 1e-12
+    left, right = (delta_fn(complex(s0), scat, 1.0, side="+")
+                   for s0 in (-2.0 - 1e-4, -2.0 + 1e-4))
+    assert abs(left - right) < 1e-3
+
+
+def test_boundary_value_refuses_the_endpoint_and_an_untailed_left(smooth):
+    with pytest.raises(ValueError, match="endpoint z0"):
+        delta_fn(complex(Z0), smooth, Z0, side="+")
+    # a density that does not grow into the grid has no model left of it
+    flat = ScatteringData(S_GRID, np.full(S_GRID.size, 0.5 + 0j))
+    with pytest.raises(ValueError, match="no exponential tail"):
+        delta_fn(-6.0 + 0j, flat, Z0, side="+")
+
+
 def test_delta_needs_a_side_on_the_ray(smooth):
     with pytest.raises(ValueError, match="side"):
         delta_fn(-0.5 + 0j, smooth, Z0)
