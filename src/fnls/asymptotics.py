@@ -107,9 +107,10 @@ def alpha_z0(phase_ctx, delta_minus, data):
     amplitude at ``z0`` (the amplitude itself -- no extra normalisation),
     minus ``4 m_k arg(z0 - z_k)`` summed over the poles left of the stationary
     point (the pole factor of order ``m_k`` through the boundary constant's
-    inverse square), plus twice the
-    window-regularised log-kernel integral of the density along the context's
-    ray.
+    inverse square), plus twice beta, the finite part at ``z0`` of the
+    kernel integral of the density along the context's ray: the integral of
+    ``(nu(s) - chi nu(z0)) / (s - z0)``, with chi the indicator of
+    ``(z0 - 1, z0)``.
 
     This route never touches the complex products behind the boundary
     constant, so agreement with :func:`pc_coefficients` applied to the

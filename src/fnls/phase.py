@@ -9,10 +9,12 @@ panels on an exponential model beyond the left grid edge, built once; each
 z0 adds only its closing panel from the last sample to z0.  The factor
 delta and its logarithmic derivative off the ray, the boundary constant T0
 and the plain integral of the density all read that node set, and work
-over arrays of stationary points.  Boundary values on the ray carry the
-half-residue correction; the principal value at an interior point is
-computed by subtracting the local density over a unit window and adding
-the window's exact kernel integral back.
+over arrays of stationary points.  An integral at a point s0 of the ray --
+the principal value behind the boundary values of delta, and at s0 = z0
+the regularised integral behind T0 -- is one rule: the node sum of
+``(nu(s) - nu(s0)) / (s - s0)``, smooth on every panel, plus the exact
+finite part of ``nu(s0) / (s - s0)`` over the ray.  Boundary values also
+carry the half-residue correction.
 """
 from __future__ import annotations
 
@@ -77,9 +79,11 @@ def _panel_nodes(breaks):
 def _safe_ratio(num, den):
     """Elementwise num/den with exact zero-denominator terms dropped.
 
-    A quadrature node can round onto the singular point when a panel
-    breakpoint falls within an ulp of it; such nodes carry ulp-sized
-    weights, so their regularised contribution is below roundoff anyway.
+    The nodes of a closing panel of zero width (z0 on a sample) all sit on
+    z0, with zero weights.  Elsewhere a node meets the singular point only
+    when s0 is that node, and the term dropped is one node's weight times
+    the density's slope; very near a node the rounded difference
+    ``nu(s) - nu(s0)`` over the small gap costs about as much.
     """
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
@@ -95,7 +99,8 @@ class _RayDensity:
     the last sample ``s_J <= z0`` and closes with its own panel
     ``[s_J, z0]``.  Sums against the kernels ``1/(s - z)`` and
     ``1/(s - z)^2`` at a point z off the rays are cumulative over the fixed
-    panels, built once per z.
+    panels, built once per z; integrals at points on a ray read the same
+    nodes through :meth:`finite_part`.
     """
 
     def __init__(self, scattering, z0):
@@ -107,21 +112,27 @@ class _RayDensity:
         self.nu_grid = nu_of(np.abs(np.asarray(scattering.r)))
         self.z0 = z0
 
-        # exponential continuation nu(s) ~ nu[0] * exp(kappa (s - s[0]))
+        # exponential continuation nu(s) ~ nu[0] * exp(kappa (s - s[0])) out
+        # to 40/kappa.  Its panels grow from one grid spacing, doubling up to
+        # 2/kappa: an integrand less nu(s0) carries the kink at the grid edge,
+        # and graded panels keep it as far from their nodes as they are wide.
         self.tail_kappa = None
         breaks = s
         if s.size >= 2:
             n0, n1 = abs(self.nu_grid[0]), abs(self.nu_grid[1])
             if n0 > 0.0 and n1 > n0:
-                self.tail_kappa = math.log(n1 / n0) / (s[1] - s[0])
-                tail = np.linspace(s[0] - 40.0 / self.tail_kappa, s[0], 17)
-                breaks = np.concatenate([tail[:-1], s])
+                kappa = self.tail_kappa = math.log(n1 / n0) / (s[1] - s[0])
+                depth, width, tail = 0.0, s[1] - s[0], []
+                while depth < 40.0 / kappa:
+                    depth = min(depth + width, 40.0 / kappa)
+                    width = min(2.0 * width, 2.0 / kappa)
+                    tail.append(s[0] - depth)
+                breaks = np.concatenate([tail[::-1], s])
         self.breaks = breaks
         self.first = breaks.size - s.size        # fixed panels left of the grid
         nodes, w = _panel_nodes(breaks)
         self.s, self.w = nodes.ravel(), w.ravel()
-        self.v = self.nu_at(self.s)
-        self.wv = self.w * self.v
+        self.wv = self.w * self.nu_at(self.s)
         self._cum_wv = np.concatenate([[0.0], np.cumsum(self._per_panel(self.wv))])
         self._kernel_sums = {}
 
@@ -182,87 +193,78 @@ class _RayDensity:
         shape = self.z0.shape + z.shape
         return np.exp(1j * c1.reshape(shape)), 1j * c2.reshape(shape)
 
-    def _nodes(self, cuts):
-        """Nodes, weights and density values on the ray of one point, with
-        its panels also split at ``cuts``."""
-        breaks = np.append(self.breaks[:self.closed + 1], self.z0)
-        cuts = [c for c in cuts if breaks[0] < c < breaks[-1]]
-        breaks = np.unique(np.concatenate([breaks, cuts]))
-        s, w = (a.ravel() for a in _panel_nodes(breaks))
-        return s, w, self.nu_at(s)
+    def finite_part(self, s0):
+        """The integral of ``nu(s) / (s - s0)`` over the ray, at points s0
+        of ``(start, z0]`` that broadcast against the ray endpoints: the
+        principal value for s0 < z0 and, at s0 = z0, the finite part
+        ``beta``.
 
-    def boundary_delta(self, s0: float, side: str) -> complex:
-        """Boundary value of delta at an interior point of one ray: the
-        principal value of C, with the density subtracted over a unit
-        window whose exact kernel integral is added back, plus the half
-        residue."""
-        z0 = float(self.z0)
-        if s0 >= z0:
+        The node sum of ``w (nu(s) - nu(s0)) / (s - s0)``, whose integrand
+        is smooth on every panel, plus the exact finite part of
+        ``nu(s0) / (s - s0)`` over ``[start, z0]``,
+        ``nu(s0) (log(z0 - s0) - log(s0 - start))`` with ``log(z0 - s0)``
+        dropped at s0 = z0.  The points are grouped by closing panel, and
+        each point's sums over the fixed nodes left of it are dot products
+        of their own, so a point's value does not depend on the others in
+        the call.
+        """
+        m = _GL_NODES.size
+        shape = np.broadcast_shapes(np.shape(s0), self.z0.shape)
+        s0 = np.broadcast_to(np.asarray(s0, dtype=float), shape).ravel()
+        z0 = np.broadcast_to(self.z0, shape).ravel()
+        closed = np.broadcast_to(self.closed, shape).ravel()
+        tip_s, tip_w, tip_wv = (np.broadcast_to(a, shape + (m,)).reshape(-1, m)
+                                for a in (self.tip_s, self.tip_w, self.tip_wv))
+        n0 = self.nu_at(s0)
+        start = self.breaks[0]
+        at_start = s0 <= start
+        if np.any(at_start & (n0 != 0.0)):
+            raise ValueError(
+                "z0 sits on the left end of a grid with no exponential tail, "
+                "where the density jumps from 0 to nu(z0) != 0; the integral "
+                "behind the boundary constant diverges there")
+
+        out = np.sum(_safe_ratio(tip_wv - n0[:, None] * tip_w, tip_s - s0[:, None]), axis=1)
+        for panels in np.unique(closed):
+            rows = np.flatnonzero(closed == panels)
+            end = m * int(panels)
+            step = max(1, _CHUNK_ENTRIES // max(end, 1))
+            for lo in range(0, rows.size, step):
+                at = rows[lo:lo + step]
+                gap = self.s[:end] - s0[at, None]
+                kernel = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0.0)
+                out[at] += (np.vecdot(kernel, self.wv[:end])
+                            - n0[at] * np.vecdot(kernel, self.w[:end]))
+        lead = (np.log(z0 - s0, out=np.zeros_like(s0), where=s0 < z0)
+                - np.log(s0 - start, out=np.zeros_like(s0), where=~at_start))
+        return (out + n0 * lead).reshape(shape)
+
+    def boundary_delta(self, s0, side: str):
+        """Boundary values of delta at interior points s0 of one ray: the
+        principal value of C plus the half residue."""
+        s0 = np.asarray(s0, dtype=float)
+        if np.any(s0 >= self.z0):
             raise ValueError(
                 "delta has no boundary value at the ray's endpoint z0, "
                 "where it is singular; take a point left of z0")
-        n0 = float(self.nu_at(s0))
+        n0 = self.nu_at(s0)
         start = self.breaks[0]
-        if s0 <= start:
+        if np.any(s0 <= start):
             raise ValueError(
-                f"s0 = {s0:g} lies at or left of the start of the ray's "
-                f"quadrature, {start:g}")
-        w1 = max(s0 - 1.0, start)
-        w2 = min(s0 + 1.0, z0)
-        s, w, v = self._nodes((w1, s0, w2))
-        v = v - np.where((s > w1) & (s < w2), n0, 0.0)
-        pv = float(np.sum(_safe_ratio(w * v, s - s0)))
-        pv += n0 * math.log((w2 - s0) / (s0 - w1))
+                f"s0 = {np.min(s0):g} lies at or left of the start of the "
+                f"ray's quadrature, {start:g}")
         sign = 1.0 if side == "+" else -1.0
-        return complex(np.exp(1j * pv - sign * math.pi * n0))
+        return np.exp(1j * self.finite_part(s0) - sign * math.pi * n0)
 
     def offset_integral(self):
-        """integral of (nu(s) - chi nu(z0)) / (s - z0) over each ray, with
-        chi the indicator of the unit window left of the ray endpoint; the
-        panel holding ``z0 - 1`` is split there."""
+        """``beta``, the integral of ``(nu(s) - chi nu(z0)) / (s - z0)`` over
+        each ray with chi the indicator of ``(z0 - 1, z0)``: the finite part
+        at s0 = z0, to which it is equal because the kernel integrates to
+        ``-log(z0 - start)`` over the part of the ray outside the window and
+        the window outside the ray alike."""
         if self._offset is None:
-            step = max(1, _CHUNK_ENTRIES // self.s.size)
-            parts = [self._offset_part(slice(lo, lo + step))
-                     for lo in range(0, self.z0.size, step)]
-            self._offset = np.concatenate(parts).reshape(self.z0.shape)[()]
+            self._offset = self.finite_part(self.z0)[()]
         return self._offset
-
-    def _offset_part(self, part):
-        m = _GL_NODES.size
-        z0 = self.z0.reshape(-1)[part]
-        closed = np.reshape(self.closed, -1)[part]
-        n0 = self.nu_at(z0)
-        edge = z0 - 1.0
-        # the fixed panel holding the window edge (-1: left of them all)
-        split = np.searchsorted(self.breaks, edge, side="right") - 1
-        a = np.clip(split, 0, closed)
-        b = np.clip(split + 1, 0, closed)
-
-        # the fixed nodes of each ray but for the split panel's; those
-        # right of the edge are in the window
-        end = m * int(closed.max())
-        node = np.arange(end)
-        window = node >= m * b[:, None]
-        use = (node < m * a[:, None]) | (window & (node < m * closed[:, None]))
-        kernel = np.divide(1.0, self.s[:end] - z0[:, None],
-                           out=np.zeros((z0.size, end)), where=use)
-        total = (kernel @ self.wv[:end]
-                 - n0 * (np.where(window, kernel, 0.0) @ self.w[:end]))
-
-        # the split panel's halves, and the closing panel unless it is the
-        # one split
-        in_tip = split >= closed
-        lo = np.where(in_tip, self.breaks[closed], self.breaks[a])
-        hi = np.where(in_tip, z0, self.breaks[b])
-        lo, hi = np.where(split < 0, edge, lo), np.where(split < 0, edge, hi)
-        s, w = (v.reshape(z0.size, -1) for v in
-                _panel_nodes(np.stack([lo, edge, hi], axis=1)))
-        s = np.concatenate([s, self.tip_s.reshape(-1, m)[part]], axis=1)
-        w = np.concatenate([w, np.where(in_tip[:, None], 0.0,
-                                        self.tip_w.reshape(-1, m)[part])], axis=1)
-        v = self.nu_at(np.where(w != 0.0, s, z0[:, None]))
-        v = v - np.where(s > edge[:, None], n0[:, None], 0.0)
-        return total + np.sum(_safe_ratio(w * v, s - z0[:, None]), axis=1)
 
 
 def nu_integral(scattering, z0: float) -> float:
@@ -287,7 +289,7 @@ def delta_fn(z, scattering, z0: float, side: str | None = None):
             "to select a boundary value")
     out = np.empty(z_arr.shape, dtype=np.complex128)
     out[~on_ray] = ray.delta(z_arr[~on_ray])[0]
-    out[on_ray] = [ray.boundary_delta(s0, side) for s0 in z_arr[on_ray].real]
+    out[on_ray] = ray.boundary_delta(z_arr[on_ray].real, side)
     return complex(out) if z_arr.ndim == 0 else out
 
 
@@ -334,8 +336,8 @@ class PhaseContext:
             raise ValueError("z0 must equal -x/(2t) exactly")
         if np.any(self.nu0 > 0):
             raise ValueError("the logarithmic density is never positive")
-        # on the real line every pole factor is unimodular and the window
-        # integral is real, so the boundary constant must have modulus 1
+        # on the real line every pole factor is unimodular and beta is
+        # real, so the boundary constant must have modulus 1
         if np.any(np.abs(np.abs(self.T0_z0) - 1.0) > 1e-6):
             raise ValueError("boundary constant is not unimodular; the "
                              "quadrature behind it is inconsistent")
@@ -347,8 +349,8 @@ def phase_context(scattering, data, x, t, delta_minus=None) -> PhaseContext:
 
     The boundary constant at the ray endpoint is the inverse Blaschke
     product of the poles in ``delta_minus`` (by default those left of each
-    z0) times ``exp(i beta)``, with beta the window-subtracted kernel
-    integral of the density.
+    z0) times ``exp(i beta)``, with beta the finite part at z0 of the
+    kernel integral of the density (:meth:`_RayDensity.offset_integral`).
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     shape = x.shape

@@ -475,13 +475,9 @@ def solve_field(data, x_values, t: float) -> FieldSolution:
     if not isinstance(data, OrientedData):
         re_z = np.array([d.z.real for d in oriented.data])
         flips = x[:, None] + 2.0 * t * re_z[None, :] < 0
-        patterns, which = np.unique(flips, axis=0, return_inverse=True)
-        which = which.ravel()
-        for p, pattern in enumerate(patterns):
-            if not pattern.any():
+        for at, flipped in _flip_groups(oriented, flips):
+            if "upper" not in flipped.orientations:
                 continue
-            at = np.flatnonzero(which == p)
-            flipped = _reoriented(oriented, list(np.flatnonzero(pattern)))
             u_f, cond_f, res_f = _solve_points(flipped, x[at], t)
             better = cond_f < cond[at]
             at = at[better]
@@ -584,6 +580,22 @@ def _reoriented(oriented: OrientedData, flip) -> OrientedData:
         series, ("upper" if k in flip else "lower" for k in range(len(series))))
 
 
+def _flip_groups(oriented: OrientedData, flips):
+    """Group the points of the all-lower ``oriented`` by their row of
+    ``flips`` (a boolean array, one row per point, one column per pole):
+    one ``(points, oriented)`` pair per pattern, with the poles it flags
+    moved to the upper orientation."""
+    patterns, which = np.unique(flips, axis=0, return_inverse=True)
+    which = which.ravel()
+    groups = []
+    for p, pattern in enumerate(patterns):
+        at = np.flatnonzero(which == p)
+        rows = oriented.rows(at)
+        groups.append((at, _reoriented(rows, list(np.flatnonzero(pattern)))
+                       if pattern.any() else rows))
+    return groups
+
+
 def reorient_constants(data, delta_indices) -> OrientedData:
     """Move the poles listed in ``delta_indices`` to the upper orientation.
 
@@ -643,13 +655,7 @@ def _restricted(oriented: OrientedData, interval, z0):
     keep = [k for k, d in enumerate(oriented.data) if lo <= d.z.real <= hi]
     kept = OrientedData(tuple(oriented.data[k] for k in keep), ("lower",) * len(keep),
                         None if oriented.c is None else oriented.c[:, keep])
-    patterns, which = np.unique(_left_of(kept.data, z0), axis=0, return_inverse=True)
-    which = which.ravel()
-    groups = []
-    for p, pattern in enumerate(patterns):
-        at = np.flatnonzero(which == p)
-        groups.append((at, _reoriented(kept.rows(at), list(np.flatnonzero(pattern)))))
-    return groups
+    return _flip_groups(kept, _left_of(kept.data, z0))
 
 
 def restrict_to_interval(data, interval: tuple[float, float],

@@ -2,7 +2,8 @@
 it worked over arrays of points.
 
 Each point builds its own ray quadrature (with the panel at ``z0 - 1``
-split for every integral), dresses and reorients ``DiscreteDatum`` tuples,
+split for every integral, and the part of that window left of the ray's
+start added in closed form), dresses and reorients ``DiscreteDatum`` tuples,
 and solves a one-point pole system.  The batched code must agree with it;
 only the series helpers and the row forms of the pole system, which the
 batching left as they were, are shared.
@@ -91,9 +92,15 @@ class Ray:
         return cmath.exp(1j * np.sum(terms)), 1j * np.sum(terms / gap)
 
     def offset_integral(self) -> float:
+        """The integral of ``(nu(s) - chi nu(z0)) / (s - z0)`` with chi the
+        indicator of ``(z0 - 1, z0)``.  Left of the ray's start nu is 0, so
+        the window's part there integrates exactly to
+        ``-n0 log(z0 - max(start, z0 - 1))``."""
         n0 = float(np.interp(self.z0, self.grid, self.nu_grid))
         v = self.v - np.where(self.s > self.z0 - 1.0, n0, 0.0)
-        return float(np.sum(_safe_ratio(self.w * v, self.s - self.z0)))
+        start = self.grid[0] - (40.0 / self.tail_kappa if self.tail_kappa else 0.0)
+        return float(np.sum(_safe_ratio(self.w * v, self.s - self.z0))
+                     - n0 * math.log(self.z0 - max(start, self.z0 - 1.0)))
 
 
 def _reorient(data, flip):

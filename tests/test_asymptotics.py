@@ -151,7 +151,7 @@ def test_alpha_rejects_vanishing_density():
 
 
 def test_alpha_rejects_unbracketed_grid():
-    # alpha reads its window integral from the context's ray, and no ray
+    # alpha reads its beta integral from the context's ray, and no ray
     # is built on a grid that does not bracket z0
     narrow = ScatteringData(np.linspace(2.0, 3.0, 11),
                             np.full(11, 0.1 + 0.0j), ())

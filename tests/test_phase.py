@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import wofz
 
 from fnls.phase import (
@@ -161,6 +162,69 @@ def test_ray_keeps_its_tail_at_the_grid_edge_and_refuses_outside():
                      lambda: T_fn(1j, (), [], scat, z0)):
             with pytest.raises(ValueError, match="bracket"):
                 call()
+
+
+def test_offset_counts_the_window_left_of_an_untailed_grid():
+    # nu is flat on the grid and 0 left of it, so the window (z0 - 1, z0)
+    # subtracts nu0 over [z0 - 1, s[0]] too, wherever s[0] cuts it: the
+    # offset is -nu0 log(z0 - s[0]), the limit of delta(z) (z - z0)^(-i nu0)
+    flat = ScatteringData(S_GRID, np.full(S_GRID.size, 0.5 + 0j))
+    nu0 = nu_of(0.5)
+    for z0 in (-4.6, -4.2, -3.9, -3.0, 0.0):
+        got = _RayDensity(flat, z0).offset_integral()
+        assert abs(got + nu0 * math.log(z0 - S_GRID[0])) < 1e-12, z0
+    # at the grid's left end the density jumps from 0 to nu0 at z0 itself
+    with pytest.raises(ValueError, match="diverges"):
+        _RayDensity(flat, S_GRID[0]).offset_integral()
+
+
+def _quad(f, breaks):
+    """Adaptive quadrature of a complex f, one call per panel."""
+    return sum(quad(f, a, b, complex_func=True, epsabs=1e-15, epsrel=1e-14)[0]
+               for a, b in zip(breaks[:-1], breaks[1:]))
+
+
+def test_ray_integrals_near_the_tail_match_adaptive_quadrature():
+    # the density is large at the grid edge, so the tail's panels and the
+    # grid panels beside the edge both carry weight; the reference
+    # integrates the same nu model adaptively, with the panel breaks
+    sg = np.linspace(-2.0, 2.0, 401)
+    scat = ScatteringData(sg, (0.8 * np.exp(-sg ** 2 / 8.0)).astype(complex))
+    ray = _RayDensity(scat, 0.6)
+
+    def nu(s):
+        return float(ray.nu_at(s))
+
+    tail = ray.breaks[:ray.first + 1]
+    assert abs(ray._cum_wv[ray.first] * ray.tail_kappa / ray.nu_grid[0] - 1.0) < 1e-12
+    for z in (sg[0] + 0.3 + 0.05j, sg[0] + 0.3 + 0.5j):
+        ref = _quad(lambda s: nu(s) / (s - z), tail)
+        assert abs(ray._cumulative(z)[0, ray.first] - ref) < 1e-10, z
+
+    start = ray.breaks[0]
+    for s0 in (sg[0] + 0.013, sg[0] + 0.3, -1.0, 0.0):
+        breaks = np.union1d(ray.breaks[ray.breaks < 0.6], [s0, 0.6])
+        ref = (_quad(lambda s: (nu(s) - nu(s0)) / (s - s0), breaks).real
+               + nu(s0) * math.log((0.6 - s0) / (s0 - start)))
+        assert abs(ray.finite_part(s0) - ref) < 1e-10, s0
+
+    for z0 in (sg[0] + 0.05, sg[0] + 0.5, sg[0] + 1.5, 0.3):
+        n0 = nu(z0)
+        breaks = np.union1d(ray.breaks[ray.breaks < z0], [z0 - 1.0, z0])
+        ref = _quad(lambda s: (nu(s) - (n0 if s > z0 - 1.0 else 0.0)) / (s - z0),
+                    breaks).real
+        assert abs(_RayDensity(scat, z0).offset_integral() - ref) < 1e-10, z0
+
+
+def test_ray_integrals_at_many_points_equal_one_point_calls(smooth):
+    pts = np.linspace(-6.0, Z0 - 0.01, 64)
+    ray = _RayDensity(smooth, Z0)
+    batch = ray.boundary_delta(pts, "+")
+    assert all(v == ray.boundary_delta(s0, "+") for s0, v in zip(pts, batch))
+    z0s = np.linspace(-4.9, 4.9, 64)
+    batch = _RayDensity(smooth, z0s).offset_integral()
+    assert all(v == _RayDensity(smooth, z0).offset_integral()
+               for z0, v in zip(z0s, batch))
 
 
 def test_delta_builds_one_ray_for_many_points_on_it(smooth, ray_builds):
