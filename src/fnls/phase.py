@@ -77,14 +77,10 @@ def _panel_nodes(breaks):
 
 
 def _safe_ratio(num, den):
-    """Elementwise num/den with exact zero-denominator terms dropped.
-
-    The nodes of a closing panel of zero width (z0 on a sample) all sit on
-    z0, with zero weights.  Elsewhere a node meets the singular point only
-    when s0 is that node, and the term dropped is one node's weight times
-    the density's slope; very near a node the rounded difference
-    ``nu(s) - nu(s0)`` over the small gap costs about as much.
-    """
+    """Elementwise num/den with exact zero-denominator terms dropped: the
+    nodes of a closing panel of zero width (z0 on a sample) all sit on z0,
+    with zero weights, and a node that is s0 itself lies in the panel
+    holding s0, whose terms :meth:`_RayDensity.finite_part` replaces."""
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
@@ -203,10 +199,13 @@ class _RayDensity:
         is smooth on every panel, plus the exact finite part of
         ``nu(s0) / (s - s0)`` over ``[start, z0]``,
         ``nu(s0) (log(z0 - s0) - log(s0 - start))`` with ``log(z0 - s0)``
-        dropped at s0 = z0.  The points are grouped by closing panel, and
-        each point's sums over the fixed nodes left of it are dot products
-        of their own, so a point's value does not depend on the others in
-        the call.
+        dropped at s0 = z0.  On the grid panel holding s0, nu is linear, so
+        the quotient is the panel's slope and its integral the rise of nu
+        across the panel; that replaces the panel's node sum, which would
+        divide a rounded difference by a gap as small as s0's distance to a
+        node.  The points are grouped by closing panel, and each point's
+        sums over the fixed nodes left of it are dot products of their own,
+        so a point's value does not depend on the others in the call.
         """
         m = _GL_NODES.size
         shape = np.broadcast_shapes(np.shape(s0), self.z0.shape)
@@ -224,7 +223,14 @@ class _RayDensity:
                 "where the density jumps from 0 to nu(z0) != 0; the integral "
                 "behind the boundary constant diverges there")
 
-        out = np.sum(_safe_ratio(tip_wv - n0[:, None] * tip_w, tip_s - s0[:, None]), axis=1)
+        # the panel holding s0: its ray's closing panel, a fixed grid panel,
+        # or neither left of the grid
+        own = self.first + np.searchsorted(self.grid, s0, side="right") - 1
+        in_tip = own >= closed
+        fixed = (own >= self.first) & ~in_tip
+        out = np.where(in_tip, self.nu_at(z0) - self.nu_grid[closed - self.first],
+                       np.sum(_safe_ratio(tip_wv - n0[:, None] * tip_w,
+                                          tip_s - s0[:, None]), axis=1))
         for panels in np.unique(closed):
             rows = np.flatnonzero(closed == panels)
             end = m * int(panels)
@@ -233,8 +239,11 @@ class _RayDensity:
                 at = rows[lo:lo + step]
                 gap = self.s[:end] - s0[at, None]
                 kernel = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0.0)
+                mine = np.flatnonzero(fixed[at])
+                kernel[mine[:, None], m * own[at[mine], None] + np.arange(m)] = 0.0
                 out[at] += (np.vecdot(kernel, self.wv[:end])
                             - n0[at] * np.vecdot(kernel, self.w[:end]))
+        out[fixed] += np.diff(self.nu_grid)[own[fixed] - self.first]
         lead = (np.log(z0 - s0, out=np.zeros_like(s0), where=s0 < z0)
                 - np.log(s0 - start, out=np.zeros_like(s0), where=~at_start))
         return (out + n0 * lead).reshape(shape)
@@ -334,6 +343,9 @@ class PhaseContext:
             raise ValueError("the phase is undefined at t = 0")
         if np.any(self.z0 != -self.x / (2.0 * self.t)):
             raise ValueError("z0 must equal -x/(2t) exactly")
+        # nan passes every comparison below that asks for a fault
+        if not all(np.all(np.isfinite(v)) for v in (self.nu0, self.T0_z0, self.r_at_z0)):
+            raise ValueError("nu0, the boundary constant and r(z0) must be finite")
         if np.any(self.nu0 > 0):
             raise ValueError("the logarithmic density is never positive")
         # on the real line every pole factor is unimodular and beta is

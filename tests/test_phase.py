@@ -216,6 +216,25 @@ def test_ray_integrals_near_the_tail_match_adaptive_quadrature():
         assert abs(_RayDensity(scat, z0).offset_integral() - ref) < 1e-10, z0
 
 
+def test_principal_value_on_and_near_a_node_matches_adaptive_quadrature(smooth):
+    # s0 on a Gauss node of a grid panel, or a rounding step away from one:
+    # the node sum there would divide the rounded nu(s) - nu(s0) by a gap of
+    # 0 or 1e-15, so the panel holding s0 is taken as its slope instead
+    ray = _RayDensity(smooth, Z0)
+    node = float(ray.s[4352])
+    assert ray.breaks[ray.first] < node < Z0
+
+    def nu(s):
+        return float(ray.nu_at(s))
+
+    start = ray.breaks[0]
+    for s0 in (node, node + 1e-15, node + 1e-12):
+        breaks = np.union1d(ray.breaks[ray.breaks < Z0], [s0, Z0])
+        ref = (_quad(lambda s: (nu(s) - nu(s0)) / (s - s0), breaks).real
+               + nu(s0) * math.log((Z0 - s0) / (s0 - start)))
+        assert abs(ray.finite_part(s0) - ref) <= 1e-10, s0
+
+
 def test_ray_integrals_at_many_points_equal_one_point_calls(smooth):
     pts = np.linspace(-6.0, Z0 - 0.01, 64)
     ray = _RayDensity(smooth, Z0)
@@ -408,6 +427,21 @@ def test_phase_context_validation(smooth, poles):
     with pytest.raises(ValueError, match="unimodular"):
         PhaseContext(x=1.0, t=1.0, z0=-0.5, nu0=-0.1, T0_z0=1.4 + 0j,
                      r_at_z0=0.1 + 0j, ray=None)
+
+
+@pytest.mark.parametrize("field", ["nu0", "T0_z0", "r_at_z0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex("nan+1j")])
+def test_phase_context_refuses_constants_that_are_not_finite(field, bad):
+    # a nan boundary constant used to pass the unimodularity check, since
+    # |nan| - 1 > 1e-6 is False
+    good = dict(nu0=-0.1, T0_z0=1.0 + 0j, r_at_z0=0.1 + 0j)
+    if field == "nu0" and isinstance(bad, complex):
+        bad = bad.real
+    for value in (bad, np.array([good[field], bad])):
+        fields = dict(good, **{field: value})
+        with pytest.raises(ValueError, match="finite"):
+            PhaseContext(x=np.array([1.0, 2.0]), t=1.0, z0=np.array([-0.5, -1.0]),
+                         ray=None, **fields)
 
 
 def test_modulated_amplitude_basics(smooth, poles):

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from scipy.special import gamma
 
 from fnls.scattering import (
+    _GAUSS_C,
     InitialProfile,
+    _circle_coeffs,
     _halves,
     _integrate_columns,
+    _propagate,
     ScatteringData,
     extract_scattering,
     gaussian_profile,
@@ -76,18 +79,33 @@ def test_sech_family_matches_gamma_function_formula(sech2):
     assert np.max(np.abs(got - exact) / np.abs(exact)) < 1e-9
 
 
+def test_long_profile_far_up_the_plane_stays_finite():
+    # the columns grow like e^{Im z |x|} between the scalar factors: on
+    # [-200, 200] at Im z = 4 and 5 an unguarded product would overflow
+    prof = sech_profile(2.0, np.linspace(-200.0, 200.0, 8001))
+    zs = np.array([4j, 0.5 + 5j])
+    w = 0.5 - 1j * zs
+    exact = gamma(w) ** 2 / (gamma(w + 2.0) * gamma(w - 2.0))
+    assert np.max(np.abs(s11_on_grid(prof, zs) - exact) / np.abs(exact)) < 1e-9
+    s, ds = s11_on_grid(prof, zs[:1], with_deriv=True)
+    assert np.isfinite(s[0]) and np.isfinite(ds[0])
+
+
 def test_unitarity_on_the_real_axis(gauss03):
     data = reflection_coefficient(gauss03, np.linspace(-2.0, 2.0, 41))
     defect = np.abs(np.abs(data.s11) ** 2 + np.abs(data.s21) ** 2 - 1.0)
     assert np.max(defect) < 1e-8
 
 
-@pytest.mark.parametrize("profile", [
+FOUR_PROFILES = pytest.mark.parametrize("profile", [
     sech_profile(2.0, np.linspace(-26.0, 26.0, 1041)),
     sech_profile(1.3, np.linspace(-26.0, 26.0, 1041)),
     sech_profile(0.4, np.linspace(-26.0, 26.0, 1041)),
     gaussian_profile(0.3, np.linspace(-8.0, 8.0, 641)),
 ], ids=["sech2.0", "sech1.3", "sech0.4", "gauss0.3"])
+
+
+@FOUR_PROFILES
 def test_s21_from_symmetry_matches_a_third_integration(profile):
     # reference: integrate the first-kind column in from the right as a
     # third family, the route the Schwarz symmetry replaces
@@ -97,6 +115,45 @@ def test_s21_from_symmetry_matches_a_third_integration(profile):
     direct = d[:, 0] * a[:, 1] - d[:, 1] * a[:, 0]
     s21 = reflection_coefficient(profile, zs).s21
     assert np.max(np.abs(s21 - direct)) <= 1e-14
+
+
+@FOUR_PROFILES
+def test_unitarity_to_rounding_on_the_real_grid(profile):
+    # for real z every step is unitary up to its phase, whatever its size
+    data = reflection_coefficient(profile, np.linspace(-4.0, 4.0, 321))
+    defect = np.abs(np.abs(data.s11) ** 2 + np.abs(data.s21) ** 2 - 1.0)
+    assert np.max(defect) <= 1e-13
+
+
+@pytest.mark.parametrize("amplitude", [2.0, 1.3, 0.4])
+def test_reflection_matches_the_closed_form_to_the_grid_edge(amplitude):
+    # |s21| = |sin(pi A)| / cosh(pi z) for A sech x.  Out at |z| = 4 the
+    # steps must also resolve e^{2izx} where the profile is negligible: with
+    # unit steps there the error reached 2.5e-9
+    prof = sech_profile(amplitude, np.linspace(-26.0, 26.0, 1041))
+    zs = np.linspace(-4.0, 4.0, 321)
+    exact = abs(np.sin(np.pi * amplitude)) / np.cosh(np.pi * zs)
+    data = reflection_coefficient(prof, zs)
+    assert np.max(np.abs(np.abs(data.s21) - exact)) <= 5e-10
+
+
+@pytest.mark.parametrize("z", [0.7, 0.4 + 0.6j, -1.1 + 1.4j])
+def test_base_step_is_fourth_order(sech2, z):
+    """The commutator-free step alone, on uniform steps over [-8, 0],
+    against a run with 64 times as many: the error falls by 2^4 per
+    halving."""
+    def column(steps):
+        breaks = np.linspace(-8.0, 0.0, steps + 1)
+        h = np.diff(breaks)
+        q = sech2.evaluate((breaks[:-1, None] + h[:, None] * _GAUSS_C).ravel())
+        return _propagate(np.array([z], dtype=complex), h, q.reshape(-1, 2), 1,
+                          (1.0, 0.0), False, None)[0]
+
+    steps = np.array([40, 80, 160, 320])
+    ref = column(64 * steps[0])
+    errors = [np.max(np.abs(column(n) - ref)) for n in steps]
+    slope = -np.polyfit(np.log(steps), np.log(errors), 1)[0]
+    assert slope >= 3.8, (slope, errors)
 
 
 def test_reflectionless_profile_has_tiny_reflection(sech2):
@@ -188,6 +245,17 @@ def test_non_finite_box_is_refused_at_once(sech2, side, bad):
 def test_round_trip_finds_one_double_zero(roundtrip):
     zeros = locate_zeros(roundtrip, (-0.6, 0.6, 0.4, 1.7))
     assert zeros == [(pytest.approx(1j, abs=1e-6), 2)]
+
+
+def test_round_trip_double_zero_splits_far_below_the_pair_threshold(roundtrip):
+    # the zero search calls a cluster a pair once the roots of its local
+    # Taylor quadratic lie 1e-4 rc apart (3.5e-5 here); integration error
+    # alone splits the exact double zero at i by far less
+    rc = 0.2 * np.hypot(1.2, 1.3)
+    coeffs, winding = _circle_coeffs(lambda zs: s11_on_grid(roundtrip, zs), 1j, rc)
+    roots = np.roots([coeffs[2], coeffs[1], coeffs[0]])
+    assert winding == 2
+    assert abs(roots[0] - roots[1]) <= 1e-5
 
 
 def test_near_degenerate_pair_is_reported_not_merged():
@@ -386,6 +454,7 @@ def test_scattering_file_round_trip(tmp_path):
 # randomized invariants
 # ---------------------------------------------------------------------------
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=8, deadline=None)
 @given(
     amp=st.floats(0.1, 1.5),
