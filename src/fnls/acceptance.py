@@ -110,7 +110,7 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     """Dispersive remainder: scaled error stays bounded along x = 0."""
     profile = gaussian_profile(0.3, np.linspace(-8.0, 8.0, 641))
-    found = locate_zeros(profile, (-1.0, 1.0, 0.05, 1.0), tol=1e-6)
+    found = locate_zeros(profile, (-1.0, 1.0, 0.05, 1.0))
     if found:
         return CriterionResult(
             "4", "dispersive remainder bounded (scaled-error ratio)",
@@ -197,9 +197,7 @@ def criterion_6() -> CriterionResult:
     generating spectrum and constants."""
     datum = DiscreteDatum(1j, order=2, c0=0.36 - 0.24j, c1=1.1 + 0.55j)
     profile = soliton_profile((datum,), np.linspace(-16.0, 16.0, 6401))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        found = locate_zeros(profile, (-0.5, 0.5, 0.5, 1.5), tol=1e-6)
+    found = locate_zeros(profile, (-0.5, 0.5, 0.5, 1.5))
     if len(found) != 1 or found[0][1] != 2:
         return CriterionResult(
             "6", "scattering round trip (zero + constants)",

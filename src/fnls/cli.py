@@ -81,7 +81,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "n_z": ("321", "number of spectral grid points"),
         "box": ("", "zero-search box 're_min re_max im_min im_max'; "
                     "empty skips the search"),
-        "tol": ("1e-6", "zero-location tolerance"),
     },
     "soliton": {
         "x_min": ("-20.0", "left end of the output x grid"),
@@ -376,8 +375,7 @@ def cmd_scatter(cfg: Settings, out_dir: Path) -> int:
             raise ConfigError("scatter.box needs 4 numbers: "
                               "re_min re_max im_min im_max")
         box = tuple(box_text)
-    data = extract_scattering(profile, z_grid, box=box,
-                              tol=cfg.positive("scatter", "tol"))
+    data = extract_scattering(profile, z_grid, box=box)
     save_scattering(data, out_dir / "scattering.json")
     _write_csv(out_dir / "reflection.csv",
                np.column_stack([data.z, data.r.real, data.r.imag]),

@@ -3,8 +3,9 @@
 Integrates the Jost systems of the Zakharov-Shabat problem as ODEs in x,
 forms the scattering entries from Wronskians at a matching point, samples
 the reflection coefficient on a real grid, locates zeros of the analytic
-entry in the upper half plane by the argument principle, and extracts the
-connection constants that feed the pole system of :mod:`fnls.solitons`.
+entry in the upper half plane by the argument principle, and reads their
+orders and the connection constants that feed the pole system of
+:mod:`fnls.solitons` from Taylor series on circles about them.
 
 Conventions: the bare wave functions carry e^{±i z x}; the normalized
 variables used here tend to the identity columns at the respective
@@ -17,6 +18,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -35,7 +37,6 @@ __all__ = [
     "s11_from_integral",
     "reflection_coefficient",
     "locate_zeros",
-    "s11_derivatives",
     "norming_constants",
     "extract_scattering",
     "save_scattering",
@@ -47,6 +48,12 @@ _SINGULAR_TOL = 1e-8
 # Contour samples per box side, and how often a box may be subdivided.
 _SAMPLES_PER_SIDE = 96
 _MAX_DEPTH = 8
+# Points on a circle about guessed zeros, rounds of circles before the
+# guesses must settle, and the largest share of the samples' size that the
+# negative frequencies of analytic samples may hold.
+_CIRCLE_POINTS = 64
+_MAX_ROUNDS = 4
+_ALIAS_TOL = 1e-12
 # Largest defect of the Jost-column proportionality at an accepted zero,
 # relative to the column sizes.
 _RATIO_TOL = 1e-6
@@ -161,11 +168,10 @@ _MONITOR_SPACING = 0.05
 _MONITOR_FLOOR = _MONITOR_SPACING ** 5
 # (spectral point, step) entries per chunk of the product over x.
 _CHUNK_ENTRIES = 8000
-# Taylor coefficients in w of cosh(sqrt w), sinh(sqrt w)/sqrt w and their
-# w-derivatives, accurate to rounding for |w| <= _W_MAX.
+# Taylor coefficients in w of cosh(sqrt w) and sinh(sqrt w)/sqrt w, accurate
+# to rounding for |w| <= _W_MAX.
 _W_MAX = 0.1
 _TAYLOR = np.array([[1.0 / math.factorial(2 * n + j) for n in range(7)] for j in (0, 1)])
-_TAYLOR_DW = _TAYLOR[:, 1:] * np.arange(1, 7)
 # Largest exponent by which a chunk's product of traceless steps may grow
 # before its scalar factor brings it back.
 _GROWTH_MAX = 300.0
@@ -204,10 +210,9 @@ def _series(w, coef):
     return out
 
 
-def _traceless_exponentials(u, qh, with_deriv):
+def _traceless_exponentials(u, qh):
     """``exp(X)`` for ``X = [[-u, qh], [-conj qh, u]]`` at every pair of a
-    sub-step (rows) and a spectral point (columns of u), with its derivative
-    in u when asked.
+    sub-step (rows) and a spectral point (columns of u).
 
     X squares to ``w I``, ``w = u^2 - |qh|^2``, so ``exp(X) = C I + S X``
     with ``C = cosh(sqrt w)`` and ``S = sinh(sqrt w) / sqrt w``, entire in
@@ -215,8 +220,7 @@ def _traceless_exponentials(u, qh, with_deriv):
     ``_W_MAX``, squared k times: ``(C, S) -> (C^2 + w S^2, 2 C S)``.  No
     root, exponential or division of the entries is taken: nothing cancels
     where w vanishes, and the series cost a fraction of numpy's complex
-    sqrt and exp.  Returns the components (11, 12, 21, 22), then those of
-    the u-derivative.
+    sqrt and exp.  Returns the components (11, 12, 21, 22).
     """
     w = u * u - (qh.real ** 2 + qh.imag ** 2)
     top = float(np.max(np.abs(w), initial=0.0))
@@ -224,42 +228,25 @@ def _traceless_exponentials(u, qh, with_deriv):
     scaled = w / 4.0 ** k if k else w
     C = _series(scaled, _TAYLOR[0])
     S = _series(scaled, _TAYLOR[1])
-    if with_deriv:
-        dC = _series(scaled, _TAYLOR_DW[0]) / 4.0 ** k
-        dS = _series(scaled, _TAYLOR_DW[1]) / 8.0 ** k
     if k:
         S /= 2.0 ** k
     for _ in range(k):
-        if with_deriv:
-            dC, dS = 2.0 * (C * dC + w * S * dS) + S * S, 2.0 * (dC * S + C * dS)
         C, S = C * C + w * S * S, 2.0 * C * S
     uS = u * S
-    E = [C - uS, S * qh, S * -np.conj(qh), C + uS]
-    if not with_deriv:
-        return E
-    # d/du of C I + S X, with dw/du = 2u and dX/du = diag(-1, 1)
-    dC *= 2.0 * u
-    dS *= 2.0 * u
-    udS = u * dS
-    return E + [dC - udS - S, dS * qh, dS * -np.conj(qh), dC + udS + S]
+    return [C - uS, S * qh, S * -np.conj(qh), C + uS]
 
 
-def _steps(zs, h, q, with_deriv):
+def _steps(zs, h, q):
     """The commutator-free order-4 steps ``exp(X_2) exp(X_1)`` for the
     traceless part ``B = [[-iz, q], [-conj q, iz]]`` of the Zakharov-Shabat
     matrix, at every pair of a step (rows) and a spectral point (columns):
     each ``X_j`` is half the step times B at the profile mixed from the
-    step's two Gauss nodes (``q`` has one row per step).  With
-    ``with_deriv`` the z-derivative follows by the product rule."""
+    step's two Gauss nodes (``q`` has one row per step)."""
     u = (0.5j * h)[:, None] * zs
     mixed = q @ _CF4_MIX.T
-    first, second = (_traceless_exponentials(u, ((0.5 * h) * m)[:, None], with_deriv)
+    first, second = (_traceless_exponentials(u, ((0.5 * h) * m)[:, None])
                      for m in mixed.T)
-    if with_deriv:
-        du = (0.5j * h)[:, None]
-        for half in (first, second):
-            half[4:] = [c * du for c in half[4:]]
-    return _compose(second, first)
+    return _mat(second, first)
 
 
 def _mat(L, R):
@@ -268,21 +255,12 @@ def _mat(L, R):
             L[2] * R[0] + L[3] * R[2], L[2] * R[1] + L[3] * R[3]]
 
 
-def _compose(L, R):
-    """``L R`` for matrices, or for (matrix, z-derivative) pairs by the
-    product rule."""
-    P = _mat(L[:4], R[:4])
-    if len(L) == 4:
-        return P
-    return P + [a + b for a, b in zip(_mat(L[4:], R[:4]), _mat(L[:4], R[4:]))]
-
-
 def _tree_product(E):
     """``E_{k-1} ... E_1 E_0`` over the first axis, multiplied pairwise."""
     while E[0].shape[0] > 1:
         k = E[0].shape[0]
         even = k - k % 2
-        P = _compose([e[1:even:2] for e in E], [e[0:even:2] for e in E])
+        P = _mat([e[1:even:2] for e in E], [e[0:even:2] for e in E])
         if k % 2:
             P = [np.concatenate([p, e[-1:]]) for p, e in zip(P, E)]
         E = P
@@ -293,19 +271,10 @@ def _prefix_products(E):
     """``E_i ... E_0`` for every i along the first axis (doubling scan)."""
     k, span = E[0].shape[0], 1
     while span < k:
-        P = _compose([e[span:] for e in E], [e[:-span] for e in E])
+        P = _mat([e[span:] for e in E], [e[:-span] for e in E])
         E = [np.concatenate([e[:span], p]) for e, p in zip(E, P)]
         span *= 2
     return E
-
-
-def _apply(P, v):
-    """A matrix (or matrix pair) applied to columns (m1, m2[, dm1, dm2])."""
-    out = [P[0] * v[0] + P[1] * v[1], P[2] * v[0] + P[3] * v[1]]
-    if len(P) == 4:
-        return out
-    return out + [P[4] * v[0] + P[5] * v[1] + P[0] * v[2] + P[1] * v[3],
-                  P[6] * v[0] + P[7] * v[1] + P[2] * v[2] + P[3] * v[3]]
 
 
 def _chunks(zs, h, q):
@@ -322,7 +291,7 @@ def _chunks(zs, h, q):
         lo = hi
 
 
-def _propagate(zs, h, q, sign, y0, with_deriv, marks):
+def _propagate(zs, h, q, sign, y0, marks):
     """The column after the steps from ``y0``; with ``marks`` (counts of
     steps taken), the column at each mark instead.
 
@@ -333,24 +302,20 @@ def _propagate(zs, h, q, sign, y0, with_deriv, marks):
     """
     n = zs.size
     v = [np.full(n, c, dtype=np.complex128) for c in y0]
-    seen = [np.broadcast_to(np.array(y0)[:, None, None], (len(y0), 1, n))]
+    seen = [np.broadcast_to(np.array(y0)[:, None, None], (2, 1, n))]
     unit = 0 if sign > 0 else 3
     for part in _chunks(zs, h, q):
-        E = _steps(zs, h[part], q[part], with_deriv)
+        E = _steps(zs, h[part], q[part])
         length = np.cumsum(h[part])[:, None]
         if marks is None:
             E, length = _tree_product(E), length[-1]
         else:
             E = _prefix_products(E)
         phase = np.exp((sign * 1j) * length * zs)
-        P = [phase * c for c in E[:4]]
-        if with_deriv:
-            P += [phase * (d + (sign * 1j) * length * c) for c, d in zip(E[:4], E[4:])]
+        P = [phase * c for c in E]
         if not np.any(q[part]):
             P[unit] = np.ones_like(P[unit])
-            if with_deriv:
-                P[4 + unit] = np.zeros_like(P[unit])
-        v = _apply(P, v)
+        v = [P[0] * v[0] + P[1] * v[1], P[2] * v[0] + P[3] * v[1]]
         if marks is not None:
             seen.append(np.stack(v))
             v = [c[-1] for c in v]
@@ -359,15 +324,14 @@ def _propagate(zs, h, q, sign, y0, with_deriv, marks):
     return np.concatenate(seen, axis=1)[:, marks].transpose(2, 0, 1)
 
 
-def _integrate_columns(profile, zs, kind, x_from, x_to, with_deriv=False,
-                       x_eval=None):
+def _integrate_columns(profile, zs, kind, x_from, x_to, x_eval=None):
     """Integrate one Jost column type for a batch of spectral points.
 
     ``kind`` 'first' evolves the (m1, m2) pair obeying m1' = q m2,
     m2' = 2iz m2 - conj(q) m1 (the column normalized to (1,0)); 'second' the
-    mirror pair normalized to (0,1).  With ``with_deriv`` the z-derivative
-    pair is carried along (zero initial data).  Returns an (n, width) array
-    at ``x_to``, or (n, width, len(x_eval)) when sampling along the way.
+    mirror pair normalized to (0,1).  Returns an (n, 2) array at ``x_to``,
+    or (n, 2, len(x_eval)) when sampling along the way, and the Richardson
+    correction that was added to it, of the same shape.
 
     The system is ``y' = (sign i z I + B(x)) y`` with B traceless, sign +1
     for 'first' and -1 for 'second'.  It is marched on breaks graded by the
@@ -376,13 +340,13 @@ def _integrate_columns(profile, zs, kind, x_from, x_to, with_deriv=False,
     Gauss nodes.  The steps' product is formed pairwise over all points at
     once, and one Richardson level on the breaks halved at their midpoints
     lifts the order.  The profile is sampled once per call, at the nodes of
-    both levels.
+    both levels.  For the breaks of one call the result is a product of
+    entire functions of z, so it is analytic in z whatever the integration
+    error.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
     sign = 1 if kind == "first" else -1
     y0 = (1.0, 0.0) if kind == "first" else (0.0, 1.0)
-    if with_deriv:
-        y0 = y0 + (0.0, 0.0)
     # two Gauss nodes resolve the coupling's oscillation e^{2izx} only on
     # steps shorter than about 1/|z|; the grading alone allows a unit step
     # where the profile is negligible
@@ -401,40 +365,38 @@ def _integrate_columns(profile, zs, kind, x_from, x_to, with_deriv=False,
         at = np.searchsorted(asc, np.asarray(x_eval, dtype=float))
         marks = at if asc is coarse else coarse.size - 1 - at
     coarse_cols, fine_cols = (
-        _propagate(zs, h, q, sign, y0, with_deriv, None if marks is None else per * marks)
+        _propagate(zs, h, q, sign, y0, None if marks is None else per * marks)
         for h, q, per in zip(steps, np.split(q_all, [steps[0].size]), (1, 2)))
     # the step is symmetric, so its error runs in even powers of h: this
     # cancels the h^4 term and leaves h^6
-    return fine_cols + (fine_cols - coarse_cols) / 15.0
+    correction = (fine_cols - coarse_cols) / 15.0
+    return fine_cols + correction, correction
 
 
-def _halves(profile, zs, with_deriv=False, x_match=0.0):
-    a = _integrate_columns(profile, zs, "first", profile.x[0], x_match,
-                           with_deriv)
-    b = _integrate_columns(profile, zs, "second", profile.x[-1], x_match,
-                           with_deriv)
-    return a, b
+def _halves(profile, zs, x_match=0.0):
+    """The Jost columns at ``x_match``, integrated in from the left and from
+    the right, and the size at each point of the Richardson correction
+    carried through to s11 to first order (an estimate of its error)."""
+    a, da = _integrate_columns(profile, zs, "first", profile.x[0], x_match)
+    b, db = _integrate_columns(profile, zs, "second", profile.x[-1], x_match)
+    eta = np.abs(da[:, 0] * b[:, 1] + a[:, 0] * db[:, 1]
+                 - da[:, 1] * b[:, 0] - a[:, 1] * db[:, 0])
+    return a, b, eta
 
 
-def s11_on_grid(profile, zs, with_deriv=False, x_match=0.0):
-    """s11 (and optionally its z-derivative) for a batch of points in the
-    closed upper half plane."""
-    a, b = _halves(profile, zs, with_deriv, x_match)
-    s11 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    if not with_deriv:
-        return s11
-    ds11 = (a[:, 2] * b[:, 1] + a[:, 0] * b[:, 3]
-            - a[:, 3] * b[:, 0] - a[:, 1] * b[:, 2])
-    return s11, ds11
+def s11_on_grid(profile, zs, x_match=0.0):
+    """s11 for a batch of points in the closed upper half plane."""
+    a, b, _ = _halves(profile, zs, x_match)
+    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
 
 def s11_from_integral(profile: InitialProfile, z: complex) -> complex:
     """Independent route to s11: 1 + integral of conj(q0) times the (1,2)
     Jost entry over the line, using densely sampled backward integration."""
     x_rev = profile.x[::-1]
-    vals = _integrate_columns(profile, [z], "second", profile.x[-1],
-                              profile.x[0], x_eval=x_rev)[0]
-    m12 = vals[0][::-1]
+    vals, _ = _integrate_columns(profile, [z], "second", profile.x[-1],
+                                 profile.x[0], x_eval=x_rev)
+    m12 = vals[0, 0][::-1]
     return complex(1.0 + np.trapezoid(np.conj(profile.q) * m12, profile.x))
 
 
@@ -460,7 +422,7 @@ class ScatteringData:
 
 def reflection_coefficient(profile: InitialProfile, z_grid) -> ScatteringData:
     zs = np.asarray(z_grid, dtype=float)
-    a, b = _halves(profile, zs)
+    a, b, _ = _halves(profile, zs)
     s11 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     # on the real line the first-kind column from the right is
     # (conj b2, -conj b1) by the Schwarz symmetry of the system
@@ -487,12 +449,16 @@ def _contour_points(box, n_side):
 
 
 def _contour_moments(value_fn, box, n_side):
-    """Winding count and the first two zero-location moments on a box.
+    """Winding count of s11 on a box, and guesses of the zeros inside.
 
-    Returns (count, p1, p2, min|s|).  The phase is unwrapped along the
+    Returns (count, guesses, min|s|).  The phase is unwrapped along the
     sampled contour; sampling is doubled, at most three times, until
-    adjacent phase steps are comfortably below pi.
+    adjacent phase steps are comfortably below pi.  The moments
+    ``sum (z - centre)^j`` over the zeros, j = 1..count, are contour sums
+    of ``(z - centre)^j d log s11``; Newton's identities turn them into the
+    polynomial whose roots are the guesses.
     """
+    centre = complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
     for attempt in range(4):
         pts = _contour_points(box, n_side * 2 ** attempt)
         s = value_fn(pts)
@@ -504,71 +470,138 @@ def _contour_moments(value_fn, box, n_side):
         steps = np.abs(np.diff(phase))
         if steps.max() < 1.2:
             dlog = np.diff(np.log(np.abs(closed))) + 1j * np.diff(phase)
-            mid = 0.5 * (zc[1:] + zc[:-1])
+            w = 0.5 * (zc[1:] + zc[:-1]) - centre
             winding = (phase[-1] - phase[0]) / (2 * np.pi)
             count = int(round(winding))
             if abs(winding - count) > 0.05:
                 continue
-            p1 = np.sum(mid * dlog) / (2j * np.pi)
-            p2 = np.sum(mid * mid * dlog) / (2j * np.pi)
-            return count, p1, p2, float(np.min(np.abs(s)))
+            p = [np.sum(w ** j * dlog) / (2j * np.pi) for j in range(1, count + 1)]
+            e = [1.0]
+            for j in range(1, count + 1):
+                e.append(sum((-1) ** (i - 1) * e[j - i] * p[i - 1]
+                             for i in range(1, j + 1)) / j)
+            guesses = centre + np.roots([(-1) ** j * e[j] for j in range(count + 1)])
+            return count, guesses, float(np.min(np.abs(s)))
     raise RuntimeError(
         "argument-principle contour did not resolve the phase; a zero may "
         "lie on or very near the box boundary")
 
 
-def _circle_coeffs(value_fn, center, radius):
-    """Taylor coefficients 0 to 3 of an analytic function from one circle
-    of 64 samples (trapezoid rule, spectrally accurate), plus the winding
-    number of the function along that circle."""
-    n = 64
-    phi = 2 * np.pi * np.arange(n) / n
-    pts = center + radius * np.exp(1j * phi)
-    s = value_fn(pts)
-    hat = np.fft.fft(s) / n
-    coeffs = np.array([hat[k] / radius ** k for k in range(4)])
-    phase = np.unwrap(np.angle(np.concatenate([s, s[:1]])))
-    winding = int(round((phase[-1] - phase[0]) / (2 * np.pi)))
-    return coeffs, winding
+def _circle_series(samples, radius):
+    """Taylor coefficients 0 to n/2 at a circle's centre of functions
+    sampled at ``centre + radius e^{2 pi i k / n}`` (the last axis of
+    ``samples``), by the FFT: the trapezoid rule, exponentially accurate
+    for analytic functions.
+
+    The coefficients of negative frequency vanish for an analytic function
+    whose series has converged on the circle.  Samples that leave more
+    there than rounding of the largest of them are refused.
+    """
+    samples = np.asarray(samples, dtype=np.complex128)
+    n = samples.shape[-1]
+    hat = np.fft.fft(samples, axis=-1) / n
+    stray = float(np.max(np.abs(hat[..., n // 2 + 1:])))
+    if stray > _ALIAS_TOL * float(np.max(np.abs(samples))):
+        raise RuntimeError(
+            f"circle series did not converge: negative frequencies hold "
+            f"{stray:.3e}; the samples are not those of a function analytic "
+            "in the disc")
+    return hat[..., :n // 2 + 1] / radius ** np.arange(n // 2 + 1)
 
 
-def _newton(value_deriv_fn, z0, mult):
-    z = complex(z0)
-    best = (np.inf, z)
-    stale = 0
-    for _ in range(60):
-        s, ds = value_deriv_fn(z)
-        if abs(s) < best[0]:
-            best = (abs(s), z)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 5:
-                break
-        if ds == 0 or not np.isfinite(ds):
-            z += 1e-7 * (1 + 1j)
-            continue
-        step = mult * s / ds
-        z -= step
-        if abs(step) < 1e-9 * max(1.0, abs(z)):
-            s, _ = value_deriv_fn(z)
-            if abs(s) < best[0]:
-                best = (abs(s), z)
-            break
-    return best[1]
+def _winding(values):
+    """The winding number of closed samples about 0."""
+    if not np.all(np.isfinite(values)) or np.any(values == 0):
+        raise RuntimeError("circle hits a zero of s11 exactly")
+    steps = np.angle(np.roll(values, -1) / values)
+    if np.max(np.abs(steps)) > 1.2:
+        raise RuntimeError("circle passes too near a zero of s11 to count")
+    return int(round(np.sum(steps) / (2 * np.pi)))
 
 
-def locate_zeros(profile: InitialProfile, box, tol: float = 1e-6,
-                 merge_radius: float = 1e-3):
+class _Circle(NamedTuple):
+    """Taylor series at a circle's centre of the two Jost columns (rows
+    are coefficients) and of s11, with the winding of s11 along the circle
+    and the largest Richardson size there (see :func:`_halves`)."""
+
+    mu1: np.ndarray
+    mu2: np.ndarray
+    s11: np.ndarray
+    winding: int
+    eta: float
+
+
+def _circles(profile, centres, radii):
+    """One :class:`_Circle` per centre, from one batched evaluation of the
+    Jost columns on all the circles."""
+    n = _CIRCLE_POINTS
+    unit = np.exp(2j * np.pi * np.arange(n) / n)
+    pts = np.asarray(centres)[:, None] + np.asarray(radii)[:, None] * unit
+    a, b, eta = _halves(profile, pts.ravel())
+    s11 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    rows = np.stack([a[:, 0], a[:, 1], b[:, 0], b[:, 1], s11]).reshape(5, -1, n)
+    out = []
+    for k, (r, e) in enumerate(zip(radii, eta.reshape(-1, n).max(axis=1))):
+        series = _circle_series(rows[:, k], r)
+        out.append(_Circle(series[:2].T, series[2:4].T, series[4],
+                           _winding(rows[4, k]), float(e)))
+    return out
+
+
+def _linked(points, radius):
+    """``points`` split into groups joined by chains of steps no longer
+    than ``radius``."""
+    label = np.arange(len(points))
+    for i in range(len(points)):
+        near = np.abs(points - points[i]) <= radius
+        label[np.isin(label, label[near])] = label[i]
+    return [points[label == v] for v in np.unique(label)]
+
+
+def _zeros_from_guesses(profile, guesses, scale):
+    """Zeros of s11 with their orders, from guesses of them.
+
+    Guesses closer than 5 % of ``scale`` form a cluster, and each cluster
+    of k gets a circle at its centroid, of radius half the least of its
+    distance to the real axis, its distance to the next cluster, and
+    ``scale``.  s11 must wind k times along it.  The roots of its Taylor
+    polynomial of degree k there that lie within the noise radius
+    ``(eta / |a_k|)^{1/k}`` of each other are one zero, whose order is
+    their number: integration error of size eta splits an order-k zero
+    into k roots that far apart.  The groups of roots are the next round's
+    clusters, re-centred at their centroids; the rounds end, at the second
+    or later, when every cluster stays one group.
+    """
+    groups = _linked(guesses, 0.05 * scale)
+    for rounds in range(_MAX_ROUNDS):
+        centres = np.array([g.mean() for g in groups])
+        apart = np.abs(centres[:, None] - centres[None, :])
+        np.fill_diagonal(apart, np.inf)
+        radii = 0.5 * np.minimum(np.minimum(centres.imag, scale), apart.min(axis=1))
+        found = []
+        for c, g, circle in zip(centres, groups, _circles(profile, centres, radii)):
+            k = g.size
+            if circle.winding != k:
+                raise RuntimeError(
+                    f"s11 winds {circle.winding} times about {c!r}, "
+                    f"where {k} zeros were guessed")
+            roots = c + np.roots(circle.s11[k::-1])
+            found.extend(_linked(roots, (circle.eta / abs(circle.s11[k])) ** (1.0 / k)))
+        if rounds and len(found) == len(groups):
+            return [(complex(g.mean()), g.size) for g in found]
+        groups = found
+    raise RuntimeError("circles about the guessed zeros did not settle")
+
+
+def locate_zeros(profile: InitialProfile, box, merge_radius: float = 1e-3):
     """Zeros of s11 inside an upper-half-plane rectangle, with multiplicity.
 
     ``box`` is (re_min, re_max, im_min, im_max) with im_min > 0.  Counting
-    is by the argument principle on the box boundary; boxes are subdivided
-    until they hold at most two zeros (with multiplicity); locations are
-    refined by Newton iteration with the co-integrated z-derivative and, for
-    double zeros, polished from local Taylor coefficients.  A zero is
-    classified as order 2 only when |s11'| < tol * |s11''| * radius at the
-    refined point and the local winding number is 2.
+    is by the argument principle on the box boundary, whose moments also
+    guess where the zeros are; circles about the guesses then place them
+    and tell their orders (:func:`_zeros_from_guesses`).  Where the circles
+    fail, the box is subdivided.  Distinct zeros closer than
+    ``merge_radius`` are reported with a warning.
     """
     re0, re1, im0, im1 = (float(v) for v in box)
     if not all(math.isfinite(v) for v in (re0, re1, im0, im1)):
@@ -581,71 +614,34 @@ def locate_zeros(profile: InitialProfile, box, tol: float = 1e-6,
     def values(zs):
         return s11_on_grid(profile, zs)
 
-    def value_deriv(z):
-        s, ds = s11_on_grid(profile, [z], with_deriv=True)
-        return complex(s[0]), complex(ds[0])
-
     def moments_with_retry(bx):
         for grow in (0.0, 0.04, -0.03, 0.08):
             w, h = bx[1] - bx[0], bx[3] - bx[2]
             trial = (bx[0] - grow * w, bx[1] + grow * w,
                      max(bx[2] - grow * h, bx[2] * 0.5), bx[3] + grow * h)
             try:
-                count, p1, p2, smin = _contour_moments(values, trial,
-                                                       _SAMPLES_PER_SIDE)
+                count, guesses, smin = _contour_moments(values, trial,
+                                                        _SAMPLES_PER_SIDE)
             except RuntimeError:
                 continue
             scale = np.hypot(trial[1] - trial[0], trial[3] - trial[2])
             if smin > 1e-9:
-                return trial, count, p1, p2, scale
+                return trial, count, guesses, scale
         raise RuntimeError("could not place a clean counting contour; "
                            "a zero sits (nearly) on every candidate boundary")
 
-    def resolve_cluster(zc, bx, scale):
-        """Tell a true double zero from a tight pair of simple zeros.
-
-        Works from the local Taylor quadratic on a circle around the cluster
-        center: a decisive root separation marks a pair; otherwise the
-        order-2 criterion (small first derivative plus winding 2) applies at
-        the re-centered point.  Marginal splits are settled by whether two
-        independent Newton runs stay apart or collapse together.
-        """
-        rc = min(0.45 * zc.imag, 0.2 * scale)
-        coeffs, winding = _circle_coeffs(values, zc, rc)
-        shift = -coeffs[1] / (2.0 * coeffs[2])
-        if abs(shift) < 0.3 * rc:
-            zc = zc + shift
-            coeffs, winding = _circle_coeffs(values, zc, rc)
-        roots = np.roots([coeffs[2], coeffs[1], coeffs[0]])
-        if abs(roots[0] - roots[1]) > 1e-4 * rc:
-            za = _newton(value_deriv, zc + roots[0], 1)
-            zb = _newton(value_deriv, zc + roots[1], 1)
-            if abs(za - zb) > 0.5 * abs(roots[0] - roots[1]):
-                if not (inside(za, bx) and inside(zb, bx)):
-                    raise RuntimeError("refinement left the box")
-                out = [(za, 1), (zb, 1)]
-                _warn_if_close(out, merge_radius)
-                return out
-        if not (abs(coeffs[1]) < tol * abs(2.0 * coeffs[2]) * rc
-                and winding == 2):
-            raise RuntimeError(
-                f"cluster near {zc!r} is neither a clean double zero nor a "
-                "resolvable pair at working precision")
-        return [(zc, 2)]
-
     def solve_box(bx, depth):
-        bx, count, p1, p2, scale = moments_with_retry(bx)
+        bx, count, guesses, scale = moments_with_retry(bx)
         if count == 0:
             return []
-        if count <= 2:
-            try:
-                return solve_leaf(bx, count, p1, p2, scale)
-            except RuntimeError:
-                if depth >= _MAX_DEPTH:
-                    raise
-        if depth >= _MAX_DEPTH:
-            raise RuntimeError(
-                f"zero search exceeded subdivision depth in box {bx}")
+        try:
+            found = _zeros_from_guesses(profile, guesses, scale)
+            if not all(inside(z, bx) for z, _ in found):
+                raise RuntimeError("refinement left the box")
+            return found
+        except RuntimeError:
+            if depth >= _MAX_DEPTH:
+                raise
         re0_, re1_, im0_, im1_ = bx
         horizontal = re1_ - re0_ >= im1_ - im0_
         last_err = None
@@ -679,30 +675,9 @@ def locate_zeros(profile: InitialProfile, box, tol: float = 1e-6,
         return (bx[0] - w <= z.real <= bx[1] + w
                 and bx[2] - h <= z.imag <= bx[3] + h)
 
-    def solve_leaf(bx, count, p1, p2, scale):
-        if count == 1:
-            z = _newton(value_deriv, p1, 1)
-            if not inside(z, bx):
-                raise RuntimeError("refinement left the box")
-            return [(z, 1)]
-        e1, e2 = p1, (p1 * p1 - p2) / 2.0
-        disc = np.sqrt(complex(e1 * e1 - 4.0 * e2))
-        if abs(disc) > 0.05 * scale:
-            out = []
-            for guess in ((e1 + disc) / 2.0, (e1 - disc) / 2.0):
-                z = _newton(value_deriv, guess, 1)
-                if not inside(z, bx):
-                    raise RuntimeError("refinement left the box")
-                out.append((z, 1))
-            _warn_if_close(out, merge_radius)
-            return out
-        zc = _newton(value_deriv, e1 / 2.0, 2)
-        if not inside(zc, bx):
-            raise RuntimeError("refinement left the box")
-        return resolve_cluster(zc, bx, scale)
-
     found = solve_box((re0, re1, im0, im1), 0)
     found.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+    _warn_if_close(found, merge_radius)
     return [(complex(z), int(m)) for z, m in found]
 
 
@@ -712,116 +687,75 @@ def _warn_if_close(pairs, merge_radius):
             gap = abs(pairs[i][0] - pairs[j][0])
             if gap < merge_radius:
                 warnings.warn(
-                    f"near-degenerate simple zeros separated by {gap:.2e}; "
+                    f"near-degenerate zeros separated by {gap:.2e}; "
                     "reporting both (not merging)", RuntimeWarning)
 
 
 # ---------------------------------------------------------------------------
-# Derivatives of s11 and norming constants
+# Norming constants
 # ---------------------------------------------------------------------------
 
-def s11_derivatives(profile, z_k: complex, s11_fn=None, other_zeros=()):
-    """First three derivatives of s11 at a point of the open upper half
-    plane by Cauchy circles at two radii (a half and a quarter of the
-    distance to the real axis or the nearest other zero), cross-checked
-    against each other to 1e-7 relative.
+def _pole_constants(mu1, mu2, s11, order: int):
+    """The series of b and the pole constants at a zero of s11 of order m,
+    from Taylor series there: ``mu1`` and ``mu2`` of the two Jost columns
+    (rows are coefficients, at least m), ``s11`` of s11 (at least 2m).
 
-    ``s11_fn`` substitutes an analytic callable for the profile-based
-    evaluation (used by tests and synthetic data paths).
+    The columns are proportional to order m, ``mu1 = b(z) mu2 +
+    O((z - z_k)^m)``; matching them coefficient by coefficient gives b's
+    first m coefficients, and the constants ``(c_{m-1}, ..., c_0)`` are the
+    principal part ``pp[b(z) / s11(z)]``, the series of b times that of
+    ``(z - z_k)^m / s11(z)``.
     """
-    z_k = complex(z_k)
-    if z_k.imag <= 0:
-        raise ValueError("derivatives are taken in the open upper half plane")
-
-    if s11_fn is not None:
-        values = lambda zs: np.asarray(s11_fn(np.asarray(zs)))  # noqa: E731
-    else:
-        if profile is None:
-            raise ValueError("need a profile or an injected s11 callable")
-        values = lambda zs: s11_on_grid(profile, zs)  # noqa: E731
-
-    dist = z_k.imag
-    for other in other_zeros:
-        gap = abs(z_k - complex(other))
-        if gap > 0:
-            dist = min(dist, gap)
-
-    # k! times the Taylor coefficient k, for k = 1, 2, 3, on both circles
-    ref, other = (np.array([1.0, 2.0, 6.0])
-                  * _circle_coeffs(values, z_k, frac * dist)[0][1:]
-                  for frac in (0.5, 0.25))
-    gap = np.abs(ref - other)
-    scale = np.maximum(np.abs(ref), np.abs(other))
-    if not np.all(gap <= 1e-7 * scale + 6.4e-8):
-        worst = int(np.argmax(gap - 1e-7 * scale))
-        raise RuntimeError(
-            "circle quadrature for s11 derivatives did not converge: "
-            f"order {worst + 1} disagrees by {gap[worst]:.3e} "
-            f"(achieved relative {gap[worst] / max(scale[worst], 1e-300):.2e})")
-    return tuple(complex(v) for v in ref)
-
-
-def norming_constants(profile, z_k: complex, order: int = 2, derivs=None,
-                      other_zeros=(), jost_fn=None) -> DiscreteDatum:
-    """Connection constants at a confirmed zero, assembled into the pole
-    datum used by the reconstruction engine.
-
-    The Jost columns at (x, t) = (0, 0) obey ``mu1(z) = b(z) mu2(z)`` to
-    the order of the zero.  Matching them and their z-derivatives, which
-    are co-integrated through the variational equations, gives the Taylor
-    coefficients ``(b, d)`` of ``b(z)``, and the pole constants are the
-    principal part ``pp[b(z) / s11(z)]``.  s11 and s11' come from the same
-    columns, higher derivatives from :func:`s11_derivatives`; ``derivs``,
-    when given, supplies ``(s11', s11'', s11''')`` instead.  ``jost_fn``,
-    when given, must return (mu1_minus, mu2_plus) each of length 4:
-    (m1, m2, dm1/dz, dm2/dz); it replaces the ODE solve.
-    """
-    z_k = complex(z_k)
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if jost_fn is not None:
-        a, b_col = (np.asarray(v, dtype=np.complex128) for v in jost_fn(z_k))
-    else:
-        a2, b2 = _halves(profile, [z_k], with_deriv=True)
-        a, b_col = a2[0], b2[0]
-
-    # Taylor coefficients 0 and 1 of each column
-    mu1, mu2 = (a[:2], a[2:]), (b_col[:2], b_col[2:])
+    mu1, mu2 = (np.asarray(v, dtype=np.complex128) for v in (mu1, mu2))
     denom = np.vdot(mu2[0], mu2[0])
     if denom == 0:
         raise RuntimeError("degenerate Jost column at the requested point")
-    b_series = []
+    b = []
     for j in range(order):
-        resid = mu1[j] - sum(b_series[i] * mu2[j - i] for i in range(j))
-        b_series.append(complex(np.vdot(mu2[0], resid) / denom))
-        defect = float(np.max(np.abs(resid - b_series[j] * mu2[0])))
+        resid = mu1[j] - sum(b[i] * mu2[j - i] for i in range(j))
+        b.append(complex(np.vdot(mu2[0], resid) / denom))
+        defect = float(np.max(np.abs(resid - b[j] * mu2[0])))
         scale = float(np.max(np.abs(resid))) + float(np.max(np.abs(mu2[0]))) + 1e-300
         if defect > 10 ** j * _RATIO_TOL * scale:
             raise RuntimeError(
-                f"derivative matching of order {j} failed at z = {z_k!r} (defect "
-                f"{defect:.3e}); not a zero of s11 of order {order} at working "
-                "precision")
-
-    s11 = [a[0] * b_col[1] - a[1] * b_col[0],
-           a[2] * b_col[1] + a[0] * b_col[3] - a[3] * b_col[0] - a[1] * b_col[2]]
-    if derivs is None and len(s11) < 2 * order:
-        derivs = s11_derivatives(profile, z_k, other_zeros=other_zeros)
-    if derivs is not None:
-        s11[1:] = [complex(v) / math.factorial(k + 1) for k, v in enumerate(derivs)]
-    # b / s11 = (z - z_k)^{-m} b(z) / (s11(z) / (z - z_k)^m)
-    c = _mul(b_series, _inv(s11[order:2 * order], order), order)
-    b_k, d_k = (*b_series, None)[:2]
-    return _with_coefficients(DiscreteDatum(z_k, b=b_k, d=d_k), c)
+                f"derivative matching of order {j} failed (defect {defect:.3e}); "
+                f"not a zero of s11 of order {order} at working precision")
+    return b, _mul(b, _inv(list(s11[order:2 * order]), order), order)
 
 
-def extract_scattering(profile: InitialProfile, z_grid, box=None,
-                       tol: float = 1e-6) -> ScatteringData:
+def norming_constants(profile, z_k: complex, order: int = 2,
+                      other_zeros=()) -> DiscreteDatum:
+    """Connection constants at a confirmed zero, assembled into the pole
+    datum used by the reconstruction engine.
+
+    One circle about ``z_k``, of half its distance to the real axis and to
+    the nearest of ``other_zeros``, gives the Taylor series of both Jost
+    columns at (x, t) = (0, 0) and of s11; s11 must wind ``order`` times
+    along it.  The constants follow from the series
+    (:func:`_pole_constants`).
+    """
+    z_k = complex(z_k)
+    if z_k.imag <= 0:
+        raise ValueError("constants are read in the open upper half plane")
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    dist = min([z_k.imag] + [abs(z_k - complex(w)) for w in other_zeros
+                             if complex(w) != z_k])
+    circle, = _circles(profile, [z_k], [0.5 * dist])
+    if circle.winding != order:
+        raise RuntimeError(f"s11 winds {circle.winding} times about {z_k!r}: "
+                           f"not a zero of order {order}")
+    b, c = _pole_constants(circle.mu1, circle.mu2, circle.s11, order)
+    return _with_coefficients(DiscreteDatum(z_k, b=b[0], d=(*b, None)[1]), c)
+
+
+def extract_scattering(profile: InitialProfile, z_grid, box=None) -> ScatteringData:
     """Full forward map: reflection samples plus, when a search box is
     given, the located discrete spectrum with its constants."""
     data = reflection_coefficient(profile, z_grid)
     if box is None:
         return data
-    zeros = locate_zeros(profile, box, tol=tol)
+    zeros = locate_zeros(profile, box)
     discrete = []
     all_pts = [z for z, _ in zeros]
     for z, mult in zeros:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from fnls import asymptotics
 from fnls.asymptotics import (
     AsymptoticValue,
     alpha_z0,
@@ -36,6 +37,7 @@ from fnls.scattering import (
 from fnls.solitons import (
     OrientedData,
     _restricted,
+    evaluate_matrix,
     modulate_constants,
     outer_matrix_row,
     restrict_to_interval,
@@ -462,3 +464,27 @@ def test_sech_asymptote_is_even(sech_run):
                     for x in xs])
         worst = max(worst, float(np.max(np.abs(q - q[::-1])) / np.max(q)))
     assert worst <= 1e-3
+
+
+@pytest.mark.filterwarnings("ignore:pole")
+def test_inline_dispersive_product_is_the_e1_entry(sech_run, monkeypatch):
+    # q_asymptotic forms f = beta12 row0^2 + beta21 row1^2 from the first
+    # row of the outer matrix M; it must be -2 sqrt(t) times the (1,2) entry
+    # of e1_matrix(M, pc, t), which also checks det M = 1
+    sc, _ = sech_run
+    outer = []
+
+    def row(state, z):
+        outer.append(evaluate_matrix(state, z))
+        return outer[-1][..., 0, :]
+
+    monkeypatch.setattr(asymptotics, "outer_matrix_row", row)
+    for t in SECH_TIMES:
+        for x in np.linspace(-0.3 * t, 0.3 * t, 5):
+            outer.clear()
+            f = q_asymptotic(x, t, sc.discrete, sc, SECH_CONE).f_part
+            ctx = phase_context(sc, sc.discrete, x, t)
+            pc = pc_coefficients(r0_modulated(sc, ctx, t), ctx.nu0)
+            m, = outer
+            e1 = e1_matrix(m.reshape(2, 2), pc, t)
+            assert abs(f + 2.0 * math.sqrt(t) * e1[0, 1]) <= 1e-12 * abs(f)

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
+from fnls import scattering
 from fnls.scattering import (
     _GAUSS_C,
     InitialProfile,
-    _circle_coeffs,
+    _circle_series,
+    _circles,
     _halves,
     _integrate_columns,
+    _pole_constants,
     _propagate,
     ScatteringData,
     extract_scattering,
@@ -24,7 +27,6 @@ from fnls.scattering import (
     locate_zeros,
     norming_constants,
     reflection_coefficient,
-    s11_derivatives,
     s11_from_integral,
     s11_on_grid,
     save_profile,
@@ -32,7 +34,7 @@ from fnls.scattering import (
     sech_profile,
     soliton_profile,
 )
-from fnls.solitons import DiscreteDatum, soliton_field
+from fnls.solitons import DiscreteDatum, _inv, _mul, soliton_field
 
 # The double-pole datum used for all round-trip checks below: generate the
 # exact field at t = 0, resample it as a plain profile, and require forward
@@ -87,8 +89,8 @@ def test_long_profile_far_up_the_plane_stays_finite():
     w = 0.5 - 1j * zs
     exact = gamma(w) ** 2 / (gamma(w + 2.0) * gamma(w - 2.0))
     assert np.max(np.abs(s11_on_grid(prof, zs) - exact) / np.abs(exact)) < 1e-9
-    s, ds = s11_on_grid(prof, zs[:1], with_deriv=True)
-    assert np.isfinite(s[0]) and np.isfinite(ds[0])
+    circle, = _circles(prof, zs[:1], [0.5])
+    assert np.isfinite(circle.s11[0]) and np.isfinite(circle.s11[1])
 
 
 def test_unitarity_on_the_real_axis(gauss03):
@@ -110,8 +112,8 @@ def test_s21_from_symmetry_matches_a_third_integration(profile):
     # reference: integrate the first-kind column in from the right as a
     # third family, the route the Schwarz symmetry replaces
     zs = np.linspace(-4.0, 4.0, 321)
-    a, _ = _halves(profile, zs)
-    d = _integrate_columns(profile, zs, "first", profile.x[-1], 0.0)
+    a, _, _ = _halves(profile, zs)
+    d, _ = _integrate_columns(profile, zs, "first", profile.x[-1], 0.0)
     direct = d[:, 0] * a[:, 1] - d[:, 1] * a[:, 0]
     s21 = reflection_coefficient(profile, zs).s21
     assert np.max(np.abs(s21 - direct)) <= 1e-14
@@ -147,7 +149,7 @@ def test_base_step_is_fourth_order(sech2, z):
         h = np.diff(breaks)
         q = sech2.evaluate((breaks[:-1, None] + h[:, None] * _GAUSS_C).ravel())
         return _propagate(np.array([z], dtype=complex), h, q.reshape(-1, 2), 1,
-                          (1.0, 0.0), False, None)[0]
+                          (1.0, 0.0), None)[0]
 
     steps = np.array([40, 80, 160, 320])
     ref = column(64 * steps[0])
@@ -177,12 +179,14 @@ def test_matching_point_does_not_matter(gauss03):
 
 
 def test_costate_derivative_matches_finite_differences(gauss03):
+    # the derivative from a circle's Taylor series against central
+    # differences of s11
     z = 0.4 + 0.6j
-    _, ds = s11_on_grid(gauss03, [z], with_deriv=True)
+    circle, = _circles(gauss03, [z], [0.3])
     h = 1e-5
     fd = (s11_on_grid(gauss03, [z + h])[0]
           - s11_on_grid(gauss03, [z - h])[0]) / (2.0 * h)
-    assert abs(ds[0] - fd) < 1e-8
+    assert abs(circle.s11[1] - fd) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -248,41 +252,110 @@ def test_round_trip_finds_one_double_zero(roundtrip):
 
 
 def test_round_trip_double_zero_splits_far_below_the_pair_threshold(roundtrip):
-    # the zero search calls a cluster a pair once the roots of its local
-    # Taylor quadratic lie 1e-4 rc apart (3.5e-5 here); integration error
-    # alone splits the exact double zero at i by far less
+    # integration error alone splits the exact double zero at i into two
+    # roots of s11's local Taylor quadratic, on a circle as wide as the old
+    # pair test's (1e-4 rc = 3.5e-5 here), by far less
     rc = 0.2 * np.hypot(1.2, 1.3)
-    coeffs, winding = _circle_coeffs(lambda zs: s11_on_grid(roundtrip, zs), 1j, rc)
-    roots = np.roots([coeffs[2], coeffs[1], coeffs[0]])
-    assert winding == 2
+    circle, = _circles(roundtrip, [1j], [rc])
+    roots = np.roots(circle.s11[2::-1])
+    assert circle.winding == 2
     assert abs(roots[0] - roots[1]) <= 1e-5
 
 
-def test_near_degenerate_pair_is_reported_not_merged():
-    twins = (DiscreteDatum(0.4 + 1.0j, order=1, c0=1.0, c1=0.0),
-             DiscreteDatum(0.405 + 1.0j, order=1, c0=1.0, c1=0.0))
+def test_double_zero_split_is_a_tenth_of_the_merge_radius(roundtrip):
+    # the rule's own circle at the zero it reports: the roots of the
+    # quadratic must lie ten times closer than (eta / |a_2|)^(1/2), where
+    # eta is the integrator's Richardson size on the circle
+    (z, order), = locate_zeros(roundtrip, (-0.5, 0.5, 0.5, 1.5))
+    circle, = _circles(roundtrip, [z], [0.5 * z.imag])
+    roots = np.roots(circle.s11[2::-1])
+    merge = (circle.eta / abs(circle.s11[2])) ** 0.5
+    assert order == 2
+    assert abs(roots[0] - roots[1]) <= 0.1 * merge
+
+
+def _pair_zeros(gap):
+    """The zeros, sorted, of a profile with simple poles at 0.4 + i and
+    ``gap`` to its right, which must warn that they are near-degenerate."""
+    pair = (DiscreteDatum(0.4 + 1.0j, order=1, c0=1.0, c1=0.0),
+            DiscreteDatum(0.4 + gap + 1.0j, order=1, c0=1.0, c1=0.0))
     with warnings.catch_warnings():
         # the pole-condition warnings during sampling are expected here:
         # nearly coincident eigenvalues make the reconstruction system stiff
         warnings.simplefilter("ignore", RuntimeWarning)
-        prof = soliton_profile(twins, np.linspace(-22.0, 22.0, 4401))
+        prof = soliton_profile(pair, np.linspace(-22.0, 22.0, 4401))
     with pytest.warns(RuntimeWarning, match="near-degenerate"):
         zeros = locate_zeros(prof, (0.0, 0.8, 0.5, 1.5), merge_radius=0.01)
-    zeros.sort(key=lambda p: p[0].real)
+    return sorted(zeros, key=lambda p: p[0].real)
+
+
+def test_near_degenerate_pair_is_reported_not_merged():
+    zeros = _pair_zeros(0.005)
     assert [m for _, m in zeros] == [1, 1]
     assert abs(zeros[0][0] - (0.4 + 1.0j)) < 1e-6
     assert abs(zeros[1][0] - (0.405 + 1.0j)) < 1e-6
 
 
+def test_simple_zeros_a_thousandth_apart_stay_two():
+    zeros = _pair_zeros(0.001)
+    assert [m for _, m in zeros] == [1, 1]
+    assert abs(zeros[0][0] - (0.4 + 1.0j)) < 1e-6
+    assert abs(zeros[1][0] - (0.401 + 1.0j)) < 1e-6
+
+
+def test_triple_zero_is_found_with_its_constants(triple_pole):
+    start = time.perf_counter()
+    zeros = locate_zeros(triple_pole.profile, (-0.5, 0.5, 0.5, 1.5))
+    assert time.perf_counter() - start < 60.0
+    assert len(zeros) == 1 and zeros[0][1] == 3
+    z = zeros[0][0]
+    assert abs(z - triple_pole.z) <= 1e-10
+    circle, = _circles(triple_pole.profile, [z], [0.5 * z.imag])
+    _, c = _pole_constants(circle.mu1, circle.mu2, circle.s11, 3)
+    ref = np.array(triple_pole.coefficients)
+    assert np.max(np.abs(np.array(c) - ref) / np.abs(ref)) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rounding_in_the_samples_does_not_change_the_search(roundtrip, monkeypatch):
+    # a change at the 1e-15 level in the samples of the double-pole profile
+    # once cost the search 44 % more work; it must cost none, move the zero
+    # by no more than rounding, and raise no warning
+    rng = np.random.default_rng(11)
+    noise = 1.0 + 1e-15 * rng.standard_normal(roundtrip.q.size)
+    jittered = InitialProfile(roundtrip.x, roundtrip.q * noise)
+    norming_constants(roundtrip, 1j, order=2)
+    sizes = []
+    halves = scattering._halves
+
+    def counted(profile, zs, *args):
+        sizes[-1] += np.size(zs)
+        return halves(profile, zs, *args)
+
+    monkeypatch.setattr(scattering, "_halves", counted)
+    found = []
+    for prof in (roundtrip, jittered):
+        sizes.append(0)
+        found.append(locate_zeros(prof, (-0.5, 0.5, 0.5, 1.5)))
+    assert sizes[0] == sizes[1]
+    assert [m for _, m in found[0]] == [m for _, m in found[1]] == [2]
+    assert abs(found[0][0][0] - found[1][0][0]) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
-# derivatives and connection constants
+# circle series and connection constants
 # ---------------------------------------------------------------------------
+
+def _on_circle(centre, radius, n=64):
+    return centre + radius * np.exp(2j * np.pi * np.arange(n) / n)
+
 
 def test_derivatives_at_the_double_zero(roundtrip):
     """The round-trip profile is reflectionless with a single order-2 zero
     at i, so s11 = ((z-i)/(z+i))^2 exactly: the first derivative vanishes
     there, the second is -1/2 and the third is -3i/2."""
-    s1, s2, s3 = s11_derivatives(roundtrip, 1j)
+    circle, = _circles(roundtrip, [1j], [0.5])
+    s1, s2, s3 = circle.s11[1:4] * [1.0, 2.0, 6.0]
     assert abs(s1) < 1e-6
     assert abs(s2) > 1e-3
     assert abs(s2 - (-0.5)) < 1e-6
@@ -290,22 +363,35 @@ def test_derivatives_at_the_double_zero(roundtrip):
 
 
 def test_simple_zero_has_nonvanishing_derivative(sech2):
-    s1, _, _ = s11_derivatives(sech2, 0.5j, other_zeros=(1.5j,))
-    assert abs(s1) > 1e-3
+    circle, = _circles(sech2, [0.5j], [0.25])
+    assert abs(circle.s11[1]) > 1e-3
 
 
 def test_injected_polynomial_stub_derivatives():
-    s1, s2, s3 = s11_derivatives(None, 1j, s11_fn=lambda zs: (zs - 1j) ** 2)
+    coeffs = _circle_series((_on_circle(1j, 0.5) - 1j) ** 2, 0.5)
+    s1, s2, s3 = coeffs[1:4] * [1.0, 2.0, 6.0]
     assert abs(s1) < 1e-12
     assert abs(s2 - 2.0) < 1e-12
     assert abs(s3) < 1e-10
 
 
 def test_non_analytic_stub_is_rejected():
-    # radius-dependent circle averages cannot come from an analytic function
-    stub = lambda zs: (zs - 1j) * np.abs(zs - 1j) ** 2  # noqa: E731
+    # |z - i|^2 is not analytic; on a circle not centred at i it leaves
+    # negative frequencies far above rounding
+    zs = _on_circle(1.2j, 0.5)
+    stub = (zs - 1j) * np.abs(zs - 1j) ** 2
     with pytest.raises(RuntimeError, match="did not converge"):
-        s11_derivatives(None, 1j, s11_fn=stub)
+        _circle_series(stub, 0.5)
+
+
+def test_circle_samples_of_the_columns_are_analytic_to_rounding(roundtrip):
+    # the integrator's output is entire in z for one call's breaks, so that
+    # refusal never fires on it: at the double pole the negative
+    # frequencies hold rounding only
+    zs = _on_circle(1j, 0.5)
+    a, b, _ = _halves(roundtrip, zs)
+    hat = np.fft.fft(np.stack([a[:, 0], a[:, 1], b[:, 0], b[:, 1]]), axis=-1) / zs.size
+    assert np.max(np.abs(hat[:, 33:])) <= 1e-15
 
 
 def test_norming_constants_round_trip(roundtrip):
@@ -323,12 +409,10 @@ def test_point_off_the_spectrum_is_rejected(roundtrip):
 
 def test_injected_jost_stub_order_one():
     # first column exactly twice the second: the ratio must come out as 2
-    mu2 = np.array([0.6, -0.8, 0.1, 0.3j], dtype=complex)
-    stub = lambda z: (2.0 * mu2, mu2)  # noqa: E731
-    datum = norming_constants(None, 1j, order=1, jost_fn=stub, derivs=(1.0,))
-    assert datum.b == pytest.approx(2.0)
-    assert datum.c0 == pytest.approx(2.0)
-    assert datum.c1 == 0.0
+    mu2 = np.array([[0.6, -0.8], [0.1, 0.3j]], dtype=complex)
+    b, c = _pole_constants(2.0 * mu2, mu2, [0.0, 1.0], 1)
+    assert b == [pytest.approx(2.0)]
+    assert c == [pytest.approx(2.0)]
 
 
 def test_injected_jost_stub_order_two():
@@ -337,25 +421,40 @@ def test_injected_jost_stub_order_two():
     b_true, d_true = 2.0, 5.0
     mu1 = b_true * mu2
     dmu1 = b_true * dmu2 + d_true * mu2
-    stub = lambda z: (np.concatenate([mu1, dmu1]),  # noqa: E731
-                      np.concatenate([mu2, dmu2]))
-    datum = norming_constants(None, 1j, order=2, jost_fn=stub,
-                              derivs=(0.0, 1.0, 0.0))
-    assert datum.b == pytest.approx(2.0)
-    assert datum.d == pytest.approx(5.0)
-    assert datum.c1 == pytest.approx(4.0)          # 2 b / s11''
-    assert datum.c0 == pytest.approx(10.0)         # c1 (d/b - s11'''/(3 s11''))
+    # s11 = (z - z_k)^2 / 2 + O((z - z_k)^4), so s11'' = 1 and s11''' = 0
+    b, c = _pole_constants([mu1, dmu1], [mu2, dmu2], [0.0, 0.0, 0.5, 0.0], 2)
+    assert b == [pytest.approx(2.0), pytest.approx(5.0)]
+    assert c[0] == pytest.approx(4.0)          # c1 = 2 b / s11''
+    assert c[1] == pytest.approx(10.0)         # c0 = c1 (d / b - s11''' / (3 s11''))
 
 
 def test_inconsistent_derivative_columns_are_rejected():
     mu2 = np.array([0.6, -0.8], dtype=complex)
     dmu2 = np.array([0.1, 0.3j], dtype=complex)
     dmu1 = 2.0 * dmu2 + 5.0 * mu2 + 0.01 * np.array([0.8, 0.6])
-    stub = lambda z: (np.concatenate([2.0 * mu2, dmu1]),  # noqa: E731
-                      np.concatenate([mu2, dmu2]))
     with pytest.raises(RuntimeError, match="derivative matching"):
-        norming_constants(None, 1j, order=2, jost_fn=stub,
-                          derivs=(0.0, 1.0, 0.0))
+        _pole_constants([2.0 * mu2, dmu1], [mu2, dmu2], [0.0, 0.0, 0.5, 0.0], 2)
+
+
+_COEFFS = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                             allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(1, 4), data=st.data())
+def test_constants_of_random_series_at_any_order(order, data):
+    # mu1 = b mu2 and s11 = (z - z_k)^m g: the constants are pp[b / s11],
+    # the series of b times that of 1 / g
+    def series(n):
+        return [data.draw(_COEFFS) for _ in range(n)]
+
+    b, g = series(order), series(order)
+    mu2 = np.array([series(2) for _ in range(order)])
+    mu1 = np.stack([np.convolve(b, mu2[:, k])[:order] for k in range(2)], axis=1)
+    got_b, c = _pole_constants(mu1, mu2, [0.0] * order + g, order)
+    want = np.array(_mul(b, _inv(g, order), order))
+    assert np.max(np.abs(np.array(got_b) - b)) <= 1e-12 * np.max(np.abs(b))
+    assert np.max(np.abs(np.array(c) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
