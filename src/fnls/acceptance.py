@@ -52,7 +52,7 @@ class CriterionResult:
         return out
 
 
-_DOUBLE_POLE = (DiscreteDatum(1j, order=2, c0=0.0, c1=1.0),)
+_DOUBLE_POLE = (DiscreteDatum(1j, (1.0, 0.0)),)
 
 
 def criterion_1() -> CriterionResult:
@@ -86,8 +86,8 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """Poles outside the cone's velocity window decay exponentially fast."""
-    data = (DiscreteDatum(1j, order=2, c0=0.3 - 0.1j, c1=1.0),
-            DiscreteDatum(0.6 + 0.35j, order=2, c0=0.5j, c1=0.8))
+    data = (DiscreteDatum(1j, (1.0, 0.3 - 0.1j)),
+            DiscreteDatum(0.6 + 0.35j, (0.8, 0.5j)))
     cone = (-1.0, 1.0, -0.5, 0.5)
     ts = np.linspace(2.0, 12.0, 11)
     diffs = []
@@ -153,8 +153,8 @@ def criterion_5() -> CriterionResult:
     s = np.linspace(-5.0, 5.0, 2001)
     r = 0.8 * np.exp(-s ** 2 / 2.0) * np.exp(0.3j * s)
     sc = ScatteringData(s, r, ())
-    data = (DiscreteDatum(-0.8 + 0.6j, order=1, c0=1.0, c1=0.0),
-            DiscreteDatum(0.45 + 0.9j, order=2, c0=0.2, c1=1.0))
+    data = (DiscreteDatum(-0.8 + 0.6j, (1.0,)),
+            DiscreteDatum(0.45 + 0.9j, (1.0, 0.2)))
     z0 = 0.6
     dm = (0, 1)
 
@@ -195,7 +195,7 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     """Forward scattering on a generated double-pole slice recovers the
     generating spectrum and constants."""
-    datum = DiscreteDatum(1j, order=2, c0=0.36 - 0.24j, c1=1.1 + 0.55j)
+    datum = DiscreteDatum(1j, (1.1 + 0.55j, 0.36 - 0.24j))
     profile = soliton_profile((datum,), np.linspace(-16.0, 16.0, 6401))
     found = locate_zeros(profile, (-0.5, 0.5, 0.5, 1.5))
     if len(found) != 1 or found[0][1] != 2:
@@ -205,8 +205,8 @@ def criterion_6() -> CriterionResult:
     z_hat = found[0][0]
     rec = norming_constants(profile, z_hat, order=2)
     zero_err = abs(z_hat - 1j)
-    c0_err = abs(rec.c0 - datum.c0) / abs(datum.c0)
-    c1_err = abs(rec.c1 - datum.c1) / abs(datum.c1)
+    c1_err, c0_err = (abs(a - b) / abs(b)
+                      for a, b in zip(rec.coefficients, datum.coefficients))
     worst = max(zero_err / 1e-4, c0_err / 1e-3, c1_err / 1e-3)
     return CriterionResult(
         "6", "scattering round trip (worst ratio to tolerance)",
@@ -227,7 +227,7 @@ def criterion_7() -> CriterionResult:
             order = int(rng.integers(1, 3))
             c0 = complex(rng.normal(), rng.normal())
             c1 = complex(rng.normal(), rng.normal()) if order == 2 else 0.0
-            data.append(DiscreteDatum(z, order=order, c0=c0, c1=c1))
+            data.append(DiscreteDatum(z, (c1, c0)[2 - order:]))
         x = float(rng.uniform(-3.0, 3.0))
         t = float(rng.uniform(-2.0, 2.0))
         with warnings.catch_warnings():

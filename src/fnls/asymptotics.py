@@ -213,7 +213,7 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
     if scattering is not None:
         # one ray for all points: the pole dressing and T0 read its nodes
         ctx = phase_context(scattering, sigma_d, x, t)
-        weighted = _dressed(weighted, ctx.ray.delta)
+        weighted = _dressed(weighted, ctx.ray.inverse_delta)
 
     q_sol = np.zeros(x.size, dtype=np.complex128)
     rows = np.zeros((x.size, 2), dtype=np.complex128)

@@ -38,6 +38,7 @@ from .asymptotics import q_asymptotic, save_asymptotics
 from .scattering import (
     DiscreteDatum,
     ScatteringData,
+    _from_spelled,
     extract_scattering,
     gaussian_profile,
     load_profile,
@@ -72,8 +73,8 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
     },
     "discrete": {
         "file": ("", "scattering document (JSON) holding poles and r samples"),
-        "poles": ("", "inline pole list, one per line: "
-                      "re im order c0_re c0_im c1_re c1_im"),
+        "poles": ("", "inline pole list, one per line: re im order c0_re c0_im "
+                      "c1_re c1_im [c2_re c2_im ...], c0 to c_{order-1}"),
     },
     "scatter": {
         "z_min": ("-4.0", "left end of the real spectral grid for r(z)"),
@@ -297,20 +298,16 @@ def _load_source_profile(cfg: Settings):
 
 def _parse_pole_line(line: str) -> DiscreteDatum:
     tokens = line.replace(",", " ").split()
-    if len(tokens) != 7:
+    if len(tokens) < 7 or len(tokens) % 2 == 0:
         raise ConfigError(
-            "each discrete.poles line needs 7 numbers "
-            f"(re im order c0_re c0_im c1_re c1_im), got {line!r}")
+            "each discrete.poles line needs 7 numbers (re im order c0_re c0_im "
+            f"c1_re c1_im), then c2_re c2_im ... up to the order, got {line!r}")
     try:
         values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ConfigError(f"bad number in discrete.poles line {line!r}") from exc
-    if values[2] not in (1.0, 2.0):
-        raise ConfigError(
-            f"discrete.poles order must be 1 or 2, got {tokens[2]!r}")
-    return DiscreteDatum(complex(values[0], values[1]), order=int(values[2]),
-                         c0=complex(values[3], values[4]),
-                         c1=complex(values[5], values[6]))
+    return _from_spelled(complex(values[0], values[1]), values[2],
+                         [complex(*v) for v in zip(values[3::2], values[4::2])])
 
 
 def _load_source_discrete(cfg: Settings) -> ScatteringData:
@@ -324,7 +321,7 @@ def _load_source_discrete(cfg: Settings) -> ScatteringData:
             return load_scattering(file_path)
         except OSError as exc:
             raise ConfigError(f"cannot read scattering document: {exc}") from exc
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed scattering document: {exc}") from exc
     if not poles_text:
         raise ConfigError("this command needs a discrete source "

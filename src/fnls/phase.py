@@ -7,7 +7,7 @@ stationary point z0 of a call: composite Gauss-Legendre panels on the
 sample grid, where the density is modelled linearly between samples, and
 panels on an exponential model beyond the left grid edge, built once; each
 z0 adds only its closing panel from the last sample to z0.  The factor
-delta and its logarithmic derivative off the ray, the boundary constant T0
+delta and the Taylor series of 1/delta off the ray, the boundary constant T0
 and the plain integral of the density all read that node set, and work
 over arrays of stationary points.  An integral at a point s0 of the ray --
 the principal value behind the boundary values of delta, and at s0 = z0
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solitons import _left_of, blaschke_product
+from .solitons import _exp, _left_of, blaschke_product
 
 __all__ = [
     "nu_of",
@@ -76,6 +76,14 @@ def _panel_nodes(breaks):
     return mid[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
 
 
+def _powers(wv, gap, n: int) -> np.ndarray:
+    """``wv / gap^k`` for k = 1 .. n, stacked on a new leading axis."""
+    terms = [wv / gap]
+    for _ in range(1, n):
+        terms.append(terms[-1] / gap)
+    return np.stack(terms)
+
+
 def _safe_ratio(num, den):
     """Elementwise num/den with exact zero-denominator terms dropped: the
     nodes of a closing panel of zero width (z0 on a sample) all sit on z0,
@@ -93,10 +101,9 @@ class _RayDensity:
     continuation takes over.  The fixed panels (the tail's, then one per
     grid interval) are built once; the ray of a point takes those left of
     the last sample ``s_J <= z0`` and closes with its own panel
-    ``[s_J, z0]``.  Sums against the kernels ``1/(s - z)`` and
-    ``1/(s - z)^2`` at a point z off the rays are cumulative over the fixed
-    panels, built once per z; integrals at points on a ray read the same
-    nodes through :meth:`finite_part`.
+    ``[s_J, z0]``.  Sums against the kernels ``1/(s - z)^k`` at points z
+    off the rays are :meth:`kernel_series`; integrals at points on a ray
+    read the same nodes through :meth:`finite_part`.
     """
 
     def __init__(self, scattering, z0):
@@ -158,36 +165,29 @@ class _RayDensity:
     def _per_panel(terms):
         return terms.reshape(terms.shape[:-1] + (-1, _GL_NODES.size)).sum(axis=-1)
 
-    def _cumulative(self, z: complex) -> np.ndarray:
-        """Sums of ``w nu / (s - z)`` and ``w nu / (s - z)^2`` over the first
-        n fixed panels, for n = 0 .. F: shape ``(2, F + 1)``."""
-        if z not in self._kernel_sums:
-            gap = self.s - z
-            t1 = self.wv / gap
-            sums = np.zeros((2, self.breaks.size), dtype=np.complex128)
-            np.cumsum(self._per_panel(np.stack([t1, t1 / gap])), axis=1, out=sums[:, 1:])
-            self._kernel_sums[z] = sums
-        return self._kernel_sums[z]
-
     def integral(self):
         """Plain integral of nu over each ray."""
         return self._cum_wv[self.closed] + self.tip_wv.sum(axis=-1)
 
-    def delta(self, z):
-        """``(delta(z), delta'(z) / delta(z))`` at points z off the rays,
-        shape ``z0.shape + z.shape``: ``delta = exp(i C)`` with C the
-        integral of nu(s) / (s - z), so ``delta'/delta = i C'``."""
+    def kernel_series(self, z, n: int) -> np.ndarray:
+        """The first ``n`` Taylor coefficients at points z off the rays of
+        ``C``, the integral of ``nu(s) / (s - z)``: shape ``(n,) + z0.shape +
+        z.shape``.  The fixed panels' cumulative sums are kept per z and n."""
         z = np.asarray(z, dtype=np.complex128)
-        c1 = np.empty(self.z0.shape + (z.size,), dtype=np.complex128)
-        c2 = np.empty_like(c1)
+        out = np.empty((n,) + self.z0.shape + (z.size,), dtype=np.complex128)
         for i, zi in enumerate(z.ravel()):
-            fixed = self._cumulative(complex(zi))[:, self.closed]
-            gap = self.tip_s - zi
-            t1 = self.tip_wv / gap
-            c1[..., i] = fixed[0] + t1.sum(axis=-1)
-            c2[..., i] = fixed[1] + (t1 / gap).sum(axis=-1)
-        shape = self.z0.shape + z.shape
-        return np.exp(1j * c1.reshape(shape)), 1j * c2.reshape(shape)
+            key = complex(zi), n
+            if key not in self._kernel_sums:
+                fixed = self._per_panel(_powers(self.wv, self.s - zi, n))
+                self._kernel_sums[key] = np.cumsum(np.pad(fixed, ((0, 0), (1, 0))), axis=1)
+            tip = _powers(self.tip_wv, self.tip_s - zi, n).sum(axis=-1)
+            out[..., i] = self._kernel_sums[key][:, self.closed] + tip
+        return out.reshape((n,) + self.z0.shape + z.shape)
+
+    def inverse_delta(self, z, n: int) -> list:
+        """The first ``n`` Taylor coefficients of ``1 / delta = exp(-i C)``
+        at points z off the rays, each of shape ``z0.shape + z.shape``."""
+        return _exp(list(-1j * self.kernel_series(z, n)), n)
 
     def finite_part(self, s0):
         """The integral of ``nu(s) / (s - s0)`` over the ray, at points s0
@@ -297,7 +297,7 @@ def delta_fn(z, scattering, z0: float, side: str | None = None):
             "z lies on the ray (-inf, z0]; pass side='+' or side='-' "
             "to select a boundary value")
     out = np.empty(z_arr.shape, dtype=np.complex128)
-    out[~on_ray] = ray.delta(z_arr[~on_ray])[0]
+    out[~on_ray] = np.exp(1j * ray.kernel_series(z_arr[~on_ray], 1)[0])
     out[on_ray] = ray.boundary_delta(z_arr[on_ray].real, side)
     return complex(out) if z_arr.ndim == 0 else out
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from .solitons import DiscreteDatum, _inv, _mul, _with_coefficients, soliton_field
+from .solitons import DiscreteDatum, _inv, _mul, soliton_field
 
 __all__ = [
     "InitialProfile",
@@ -746,7 +746,7 @@ def norming_constants(profile, z_k: complex, order: int = 2,
         raise RuntimeError(f"s11 winds {circle.winding} times about {z_k!r}: "
                            f"not a zero of order {order}")
     b, c = _pole_constants(circle.mu1, circle.mu2, circle.s11, order)
-    return _with_coefficients(DiscreteDatum(z_k, b=b[0], d=(*b, None)[1]), c)
+    return DiscreteDatum(z_k, c, b=b[0], d=(*b, None)[1])
 
 
 def extract_scattering(profile: InitialProfile, z_grid, box=None) -> ScatteringData:
@@ -781,21 +781,42 @@ def _from_complex_list(lst):
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _pair(v):
+    return None if v is None else [complex(v).real, complex(v).imag]
+
+
+def _unpair(p):
+    return None if p is None else p[0] + 1j * p[1]
+
+
+def _from_spelled(z, order, spelled, b=None, d=None) -> DiscreteDatum:
+    """The pole of a CLI line or a scattering document: an integer ``order``
+    m >= 1 and its constants ``spelled = (c0, c1, ...)``, at least c0 and c1,
+    with those past ``c_{m-1}`` 0."""
+    if (isinstance(order, bool) or not isinstance(order, (int, float))
+            or not float(order).is_integer() or order < 1):
+        raise ValueError(f"pole order must be an integer >= 1, got {order!r}")
+    m = int(order)
+    if len(spelled) < max(m, 2):
+        raise ValueError(f"an order-{m} pole needs c0 to c{max(m, 2) - 1}, got {len(spelled)}")
+    for j, v in enumerate(spelled[m:], m):
+        if v != 0:
+            raise ValueError(f"an order-{m} pole must carry c{j} = 0, got {v!r}")
+    return DiscreteDatum(z, spelled[m - 1::-1], b=b, d=d)
+
+
 def save_scattering(data: ScatteringData, path) -> None:
     doc = {
         "z_grid": [float(v) for v in data.z],
         "r": _complex_list(data.r),
         "s11": None if data.s11 is None else _complex_list(data.s11),
         "s21": None if data.s21 is None else _complex_list(data.s21),
+        # each pole's constants as c0, c1, ... to c_{m-1}, and always c0, c1
         "discrete": [
-            {
-                "z": [d.z.real, d.z.imag],
-                "order": d.order,
-                "c0": [complex(d.c0).real, complex(d.c0).imag],
-                "c1": [complex(d.c1).real, complex(d.c1).imag],
-                "b": None if d.b is None else [complex(d.b).real, complex(d.b).imag],
-                "d": None if d.d is None else [complex(d.d).real, complex(d.d).imag],
-            }
+            {"z": _pair(d.z), "order": d.order,
+             **{f"c{j}": _pair(v) for j, v in
+                enumerate([*d.coefficients[::-1], 0.0][:max(d.order, 2)])},
+             "b": _pair(d.b), "d": _pair(d.d)}
             for d in data.discrete
         ],
     }
@@ -808,14 +829,10 @@ def load_scattering(path) -> ScatteringData:
         doc = json.load(fh)
     discrete = []
     for rec in doc["discrete"]:
-        discrete.append(DiscreteDatum(
-            z=rec["z"][0] + 1j * rec["z"][1],
-            order=int(rec["order"]),
-            c0=rec["c0"][0] + 1j * rec["c0"][1],
-            c1=rec["c1"][0] + 1j * rec["c1"][1],
-            b=None if rec["b"] is None else rec["b"][0] + 1j * rec["b"][1],
-            d=None if rec["d"] is None else rec["d"][0] + 1j * rec["d"][1],
-        ))
+        count = sum(k[:1] == "c" and k[1:].isdigit() for k in rec)
+        discrete.append(_from_spelled(
+            _unpair(rec["z"]), rec["order"], [_unpair(rec[f"c{j}"]) for j in range(count)],
+            b=_unpair(rec["b"]), d=_unpair(rec["d"])))
     return ScatteringData(
         np.asarray(doc["z_grid"], dtype=float),
         _from_complex_list(doc["r"]),

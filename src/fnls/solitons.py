@@ -72,46 +72,34 @@ _CHUNK_ENTRIES = 1 << 14
 class DiscreteDatum:
     """One point of the discrete spectrum with its reconstruction constants.
 
-    ``c0`` and ``c1`` are the t-independent parts; the time/space dependent
-    factors are assembled by :func:`pole_system` at evaluation time.
-    ``b`` and ``d`` optionally keep the raw connection coefficients recovered
-    by forward scattering (they are not needed to reconstruct the field).
+    ``coefficients`` is the principal part ``(c_{m-1}, ..., c_0)``, the
+    coefficients of ``(z' - z)^{-m}, ..., (z' - z)^{-1}`` with ``c_{m-1} !=
+    0``; its length is the order m.  ``b`` and ``d`` optionally keep the
+    connection coefficients found by forward scattering.
     """
 
     z: complex
-    order: int = 2
-    c0: complex = 0.0
-    c1: complex = 1.0
+    coefficients: tuple = (1.0, 0.0)
     b: complex | None = None
     d: complex | None = None
 
     def __post_init__(self) -> None:
-        if self.order not in (1, 2):
-            raise ValueError("pole order must be 1 or 2")
-        for name in ("z", "c0", "c1"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"pole {name} must be finite, got {getattr(self, name)!r}")
+        c = tuple(complex(v) for v in self.coefficients)
+        object.__setattr__(self, "coefficients", c)
+        for name, v in [("z", self.z), *((f"c{j}", v) for j, v in enumerate(c[::-1]))]:
+            if not cmath.isfinite(v):
+                raise ValueError(f"pole {name} must be finite, got {v!r}")
         if self.z.imag <= 0:
             raise ValueError("discrete spectrum must lie in the upper half plane")
-        if self.order == 1 and self.c1 != 0:
-            raise ValueError("order-1 data must carry c1 = 0")
-        if self.order == 2 and self.c1 == 0:
-            raise ValueError("order-2 data needs c1 != 0")
+        if not c:
+            raise ValueError("a pole needs at least one coefficient")
+        if c[0] == 0:
+            raise ValueError(f"the leading coefficient c{len(c) - 1} of an "
+                             f"order-{len(c)} pole must be nonzero")
 
     @property
-    def coefficients(self) -> tuple:
-        """``(c_{m-1}, ..., c_0)``, the coefficients of ``(z' - z)^{-m}, ...,
-        (z' - z)^{-1}``: the Taylor coefficients of ``(z' - z)^m`` times the
-        principal part."""
-        return (self.c1, self.c0)[2 - self.order:]
-
-
-def _with_coefficients(d: DiscreteDatum, c) -> DiscreteDatum:
-    """``d`` carrying the principal part ``c``, of order ``len(c)`` (see
-    :attr:`DiscreteDatum.coefficients`)."""
-    c1, c0 = (0.0, *c)[-2:]
-    return replace(d, order=len(c), c0=complex(c0), c1=complex(c1))
+    def order(self) -> int:
+        return len(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -177,7 +165,7 @@ class OrientedData:
         if self.c is None:
             return self
         return OrientedData(
-            tuple(_with_coefficients(d, [complex(v[0]) for v in self.series(k)])
+            tuple(replace(d, coefficients=[v[0] for v in self.series(k)])
                   for k, d in enumerate(self.data)), self.orientations)
 
 
@@ -235,6 +223,14 @@ def _inv(a, n: int) -> list:
     return out
 
 
+def _exp(a, n: int) -> list:
+    """The first ``n`` Taylor coefficients of ``e^a``: ``k e_k = sum j a_j e_{k-j}``."""
+    out = [np.exp(a[0])]
+    for k in range(1, n):
+        out.append(sum(j * a[j] * out[k - j] for j in range(1, min(k + 1, len(a)))) / k)
+    return out
+
+
 def _scaled(c, f) -> list:
     """``pp[c f^2]``: the principal part ``c`` under the column scaling by
     ``f``, given by its Taylor coefficients at the pole."""
@@ -243,15 +239,9 @@ def _scaled(c, f) -> list:
 
 def _phase_series(z, sign, x, t: float, n: int) -> list:
     """The first ``n`` Taylor coefficients at ``z`` of ``e^{sign 2i (t z^2 +
-    x z)}``; ``z``, ``sign`` and ``x`` broadcast.  The exponent is
-    ``u w + v w^2`` past its value at ``z``, so
-    ``(k + 1) e_{k+1} = u e_k + 2 v e_{k-1}``."""
+    x z)}``; ``z``, ``sign`` and ``x`` broadcast."""
     s2i = 2j * sign
-    u = s2i * (2.0 * t * z + x)
-    out = [np.exp(s2i * (t * z + x) * z)]
-    for k in range(1, n):
-        out.append((u * out[-1] + (2.0 * t * s2i * out[-2] if k > 1 else 0.0)) / k)
-    return out
+    return _exp([s2i * (t * z + x) * z, s2i * (2.0 * t * z + x), s2i * t], n)
 
 
 def _as_oriented(data) -> OrientedData:
@@ -608,29 +598,24 @@ def reorient_constants(data, delta_indices) -> OrientedData:
     return _reoriented(OrientedData.all_lower(data), flip).plain()
 
 
-def _dressed(oriented: OrientedData, delta_at) -> OrientedData:
+def _dressed(oriented: OrientedData, inverse_delta) -> OrientedData:
     """The constants of every pole dressed by ``delta`` (see
-    :func:`modulate_constants`); ``delta_at`` may return one value per
+    :func:`modulate_constants`); ``inverse_delta`` may return one value per
     point of a stack."""
-    series = []
-    for k, d in enumerate(oriented.data):
-        if d.z.imag <= 0:
-            raise ValueError("modulation is defined off the real axis only")
-        delta, dlog = delta_at(d.z)
-        series.append(_scaled(oriented.series(k), (1.0 / delta, -dlog / delta)))
+    series = [_scaled(oriented.series(k), inverse_delta(d.z, d.order))
+              for k, d in enumerate(oriented.data)]
     return oriented.with_series(series, oriented.orientations)
 
 
-def modulate_constants(data, delta_at) -> tuple[DiscreteDatum, ...]:
+def modulate_constants(data, inverse_delta) -> tuple[DiscreteDatum, ...]:
     """Dress every pole's constants by the radiation factor ``delta``.
 
-    ``delta_at(z)`` returns ``(delta(z), delta'(z) / delta(z))`` at a point
-    of the upper half plane (supplied by :mod:`fnls.phase`); for
-    reflectionless data pass ``lambda z: (1.0, 0.0)``.  The constants change
-    as under the column scaling by ``f = 1 / delta``, whose Taylor series
-    starts ``(1 / delta, -(delta'/delta) / delta)``.
+    ``inverse_delta(z, n)`` returns the first ``n`` Taylor coefficients of
+    ``f = 1 / delta`` at a point ``z`` of the upper half plane (supplied by
+    :mod:`fnls.phase`), and the constants change as under the column
+    scaling by ``f``: ``c -> pp[c f^2]``.
     """
-    return _dressed(OrientedData.all_lower(data), delta_at).plain().data
+    return _dressed(OrientedData.all_lower(data), inverse_delta).plain().data
 
 
 def _left_of(data, z0) -> np.ndarray:

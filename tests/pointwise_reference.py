@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import gamma
@@ -21,13 +22,13 @@ from scipy.special import gamma
 from fnls.phase import nu_of
 from fnls.solitons import (
     _blaschke_series,
+    _exp,
     _inv,
     _mul,
     _phase_series,
     _row_forms,
     _scaled,
     _solve_stack,
-    _with_coefficients,
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
@@ -86,10 +87,15 @@ class Ray:
                 [v, self.nu_grid[0] * np.exp(self.tail_kappa * (ts - edge))])
         return s, w, v
 
-    def delta(self, z):
+    def inverse_delta(self, z, n: int):
+        """The first ``n`` Taylor coefficients of ``1 / delta`` at z."""
         gap = self.s - complex(z)
         terms = self.w * self.v / gap
-        return cmath.exp(1j * np.sum(terms)), 1j * np.sum(terms / gap)
+        kernel = []
+        for _ in range(n):
+            kernel.append(-1j * np.sum(terms))
+            terms = terms / gap
+        return _exp(kernel, n)
 
     def offset_integral(self) -> float:
         """The integral of ``(nu(s) - chi nu(z0)) / (s - z0)`` with chi the
@@ -108,7 +114,7 @@ def _reorient(data, flip):
     out = []
     for i, d in enumerate(data):
         c = _scaled(d.coefficients, _blaschke_series(d.z, members, d.order))
-        out.append(_with_coefficients(d, _inv(c, d.order) if i in flip else c))
+        out.append(replace(d, coefficients=_inv(c, d.order) if i in flip else c))
     return tuple(out), tuple("upper" if i in flip else "lower" for i in range(len(data)))
 
 
@@ -163,12 +169,8 @@ def q_pointwise(x: float, t: float, sigma_d, scattering, cone):
     ray = None
     if scattering is not None:
         ray = Ray(scattering, z0)
-        dressed = []
-        for d in data:
-            delta, dlog = ray.delta(d.z)
-            f = (1.0 / delta, -dlog / delta)
-            dressed.append(_with_coefficients(d, _scaled(d.coefficients, f)))
-        data = tuple(dressed)
+        data = tuple(replace(d, coefficients=_scaled(
+            d.coefficients, ray.inverse_delta(d.z, d.order))) for d in data)
     kept = [d for d in data if lo <= d.z.real <= hi]
     oriented, orientations = _reorient(
         kept, [i for i, d in enumerate(kept) if d.z.real < z0])

@@ -50,8 +50,8 @@ import pointwise_reference
 S_GRID = np.linspace(-5.0, 5.0, 2001)
 R_SMOOTH = 0.8 * np.exp(-S_GRID ** 2 / 2.0) * np.exp(0.3j * S_GRID)
 POLES = (
-    DiscreteDatum(-0.8 + 0.6j, order=1, c0=1.0, c1=0.0),
-    DiscreteDatum(0.45 + 0.9j, order=2, c0=0.2, c1=1.0),
+    DiscreteDatum(-0.8 + 0.6j, (1.0,)),
+    DiscreteDatum(0.45 + 0.9j, (1.0, 0.2)),
 )
 
 
@@ -248,7 +248,7 @@ def test_composite_invariants(smooth, x, t, cone):
 
     # bound-state part mirrors the weight-then-reorient pipeline exactly
     ctx = phase_context(smooth, POLES, x, t, delta_minus=part.delta_minus)
-    weighted = modulate_constants(POLES, ctx.ray.delta)
+    weighted = modulate_constants(POLES, ctx.ray.inverse_delta)
     oriented = restrict_to_interval(weighted, part.I, z0)
     state = solve_soliton(oriented, x, t)
     assert v.q_sol_part == complex(state.q)
@@ -331,9 +331,9 @@ def test_save_asymptotics_roundtrip(tmp_path, smooth):
 # Arrays of points against the pointwise reference
 # ---------------------------------------------------------------------------
 
-SIMPLE = (DiscreteDatum(-0.1 + 0.6j, order=1, c0=1.0, c1=0.0),
-          DiscreteDatum(0.1 + 0.8j, order=1, c0=0.5 - 0.5j, c1=0.0))
-DOUBLE = (DiscreteDatum(0.05 + 0.7j, order=2, c0=0.2 + 0.1j, c1=1.0),)
+SIMPLE = (DiscreteDatum(-0.1 + 0.6j, (1.0,)),
+          DiscreteDatum(0.1 + 0.8j, (0.5 - 0.5j,)))
+DOUBLE = (DiscreteDatum(0.05 + 0.7j, (1.0, 0.2 + 0.1j)),)
 WIDE = (-1.0, 1.0, -0.5, 0.5)
 
 
@@ -404,7 +404,7 @@ def test_batched_drops_radiation_only_where_r_vanishes():
 
 
 def test_batched_tie_warns_and_goes_right(smooth):
-    tied = (DiscreteDatum(0.125 + 0.6j, order=1, c0=1.0, c1=0.0),)
+    tied = (DiscreteDatum(0.125 + 0.6j, (1.0,)),)
     t = 8.0
     x = np.array([-3.0, -2.0, -1.0])        # z0 = 0.1875, 0.125, 0.0625
     with pytest.warns(RuntimeWarning, match="stationary point"):

@@ -8,8 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from fnls.cli import SCHEMA, config_reference, main
-from fnls.scattering import ScatteringData, save_scattering
+from fnls.cli import SCHEMA, _parse_pole_line, config_reference, main
+from fnls.scattering import ScatteringData, load_scattering, save_profile, save_scattering
+from fnls.solitons import soliton_field
 from fnls.splitstep import Grid, load_evolution
 
 
@@ -119,6 +120,134 @@ def test_scatter_real_axis_zero_exits_2_naming_z(out, capsys):
     assert "z = 0" in err
 
 
+def test_order_three_pole_from_scatter_to_soliton(tmp_path, out, triple_pole):
+    profile = tmp_path / "triple.csv"
+    save_profile(triple_pole.profile, profile)
+    assert run_cli("scatter", "--profile-kind", "csv", "--profile-file", str(profile),
+                   "--scatter-n-z", "3", "--scatter-box", "-0.5 0.5 0.5 1.5",
+                   "--output-dir", str(out)) == 0
+    (rec,) = json.loads((out / "scattering.json").read_text())["discrete"]
+    assert rec["order"] == 3 and {"c0", "c1", "c2"} <= set(rec)
+    rebuilt = tmp_path / "rebuilt"
+    assert run_cli("soliton", "--discrete-file", str(out / "scattering.json"),
+                   "--soliton-x-min", "-20", "--soliton-x-max", "20",
+                   "--soliton-n-x", "8001", "--output-dir", str(rebuilt)) == 0
+    arr = np.loadtxt(rebuilt / "soliton_field.csv", delimiter=",", comments="#")
+    q = triple_pole.profile.q
+    assert np.max(np.abs(arr[:, 2] + 1j * arr[:, 3] - q)) <= 1e-9 * np.max(np.abs(q))
+
+
+# ---------------------------------------------------------------------------
+# file formats
+# ---------------------------------------------------------------------------
+
+# A scattering document of an order-2 and an order-1 pole as every earlier
+# version wrote it, and the same poles as discrete.poles lines.
+PINNED_DOCUMENT = """{
+ "z_grid": [
+  0.5
+ ],
+ "r": [
+  [
+   0.1,
+   -0.2
+  ]
+ ],
+ "s11": null,
+ "s21": null,
+ "discrete": [
+  {
+   "z": [
+    0.0,
+    1.0
+   ],
+   "order": 2,
+   "c0": [
+    0.36,
+    -0.24
+   ],
+   "c1": [
+    1.1,
+    0.55
+   ],
+   "b": [
+    0.5,
+    0.1
+   ],
+   "d": [
+    -0.0,
+    -0.3
+   ]
+  },
+  {
+   "z": [
+    0.6,
+    0.35
+   ],
+   "order": 1,
+   "c0": [
+    -0.4,
+    0.15
+   ],
+   "c1": [
+    0.0,
+    0.0
+   ],
+   "b": null,
+   "d": null
+  }
+ ]
+}"""
+PINNED_LINES = ("0 1 2 0.36 -0.24 1.1 0.55", "0.6 0.35 1 -0.4 0.15 0 0")
+
+
+def test_order_one_and_two_files_read_and_write_as_before(tmp_path):
+    doc = tmp_path / "pinned.json"
+    doc.write_text(PINNED_DOCUMENT)
+    data = load_scattering(doc)
+    assert [d.coefficients for d in data.discrete] == [
+        (1.1 + 0.55j, 0.36 - 0.24j), (-0.4 + 0.15j,)]
+    lines = [_parse_pole_line(line) for line in PINNED_LINES]
+    assert [(d.z, d.coefficients) for d in lines] == [
+        (d.z, d.coefficients) for d in data.discrete]
+    again = tmp_path / "again.json"
+    save_scattering(data, again)
+    assert again.read_bytes() == doc.read_bytes()
+
+
+def test_order_three_pole_line_and_document(tmp_path, out, triple_pole):
+    line = "0 1 3 0.3 0 0.2 0.1 1 0"
+    datum = _parse_pole_line(line)
+    assert datum == triple_pole.datum
+    doc = tmp_path / "triple.json"
+    save_scattering(ScatteringData(np.zeros(0), np.zeros(0, complex), (datum,)), doc)
+    assert load_scattering(doc).discrete == (datum,)
+    for source in (("--discrete-poles", line), ("--discrete-file", str(doc))):
+        assert run_cli("soliton", *source, "--soliton-n-x", "41",
+                       "--output-dir", str(out)) == 0
+        arr = np.loadtxt(out / "soliton_field.csv", delimiter=",", comments="#")
+        q = soliton_field((datum,), arr[:, 1], 0.0)
+        assert np.array_equal(arr[:, 2] + 1j * arr[:, 3], q)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("order", 2.7), ("order", "2"), ("order", 0), ("order", True), ("order", None),
+    ("c1", None), ("c1", [1.0]), ("c2", [0.5, 0.0]), ("c3", [0.0, 0.0])])
+def test_malformed_pole_record_exit_2(tmp_path, out, capsys, field, value):
+    # "order": 2.7 used to load as an order-2 pole
+    doc = json.loads(PINNED_DOCUMENT)
+    rec = doc["discrete"][0]
+    if value is None and field != "order":
+        del rec[field]
+    else:
+        rec[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("soliton", "--discrete-file", str(path),
+                   "--output-dir", str(out)) == 2
+    assert "malformed scattering document" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # soliton
 # ---------------------------------------------------------------------------
@@ -170,17 +299,35 @@ def test_non_finite_integer_setting_exit_2(out, capsys, value):
     assert "soliton.n_x must be an integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("order", ["inf", "nan", "1.5"])
+@pytest.mark.parametrize("order", ["inf", "nan", "1.5", "0"])
 def test_non_integer_pole_order_exit_2(out, capsys, order):
     assert run_cli("soliton", "--discrete-poles", f"0 1 {order} 2 0 0 0",
                    "--output-dir", str(out)) == 2
-    assert "discrete.poles order must be 1 or 2" in capsys.readouterr().err
+    assert "order must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("0 1 3 0.3 0 0.2 0.1", "order-3 pole needs c0 to c2"),
+    ("0 1 1 2 0 1 0", "order-1 pole must carry c1 = 0"),
+    ("0 1 2 2 0 1 0 0.5 0", "order-2 pole must carry c2 = 0"),
+    ("0 1 1 0 0 0 0", "leading coefficient c0 of an order-1 pole"),
+    ("0 1 2 2 0 0 0", "leading coefficient c1 of an order-2 pole"),
+    ("0 1 3 2 0 1 0 0 0", "leading coefficient c2 of an order-3 pole"),
+])
+def test_pole_line_constants_must_match_the_order_exit_2(out, capsys, line, message):
+    # a zero leading coefficient used to pass, warn of a division by zero,
+    # exit 0 and write q = 0
+    assert run_cli("soliton", "--discrete-poles", line,
+                   "--output-dir", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "soliton_field.csv").exists()
 
 
 @pytest.mark.parametrize("line,name", [("nan 1 1 2 0 0 0", "z"),
                                        ("0 inf 1 2 0 0 0", "z"),
                                        ("0 1 1 inf 0 0 0", "c0"),
-                                       ("0 1 2 0 0 0 nan", "c1")])
+                                       ("0 1 2 0 0 0 nan", "c1"),
+                                       ("0 1 3 0 0 0 0 inf 0", "c2")])
 def test_non_finite_pole_data_exit_2(out, capsys, line, name):
     assert run_cli("soliton", "--discrete-poles", line,
                    "--output-dir", str(out)) == 2
@@ -281,7 +428,7 @@ def test_evolve_writes_reloadable_slices_and_manifest(evolved):
     assert ev.q.shape == (2, 1024)
     # t = 0 slice round-trips to the exact sampled field, bit for bit
     from fnls.solitons import DiscreteDatum, soliton_field
-    q0 = soliton_field((DiscreteDatum(1j, order=2, c0=0.0, c1=1.0),),
+    q0 = soliton_field((DiscreteDatum(1j, (1.0, 0.0)),),
                        ev.grid.x, 0.0)
     assert np.array_equal(ev.q[0], q0)
 

@@ -27,7 +27,7 @@ from fnls.scattering import (
     gaussian_profile,
     reflection_coefficient,
 )
-from fnls.solitons import DiscreteDatum
+from fnls.solitons import DiscreteDatum, _scaled, modulate_constants
 
 S_GRID = np.linspace(-5.0, 5.0, 2001)
 R_SMOOTH = (0.8 * np.exp(-(S_GRID ** 2) / 2) * np.exp(0.3j * S_GRID))
@@ -41,8 +41,8 @@ def smooth():
 
 @pytest.fixture(scope="module")
 def poles():
-    return [DiscreteDatum(-0.8 + 0.6j, order=1, c0=1.0, c1=0.0),
-            DiscreteDatum(0.45 + 0.9j, order=2, c0=0.2, c1=1.0)]
+    return [DiscreteDatum(-0.8 + 0.6j, (1.0,)),
+            DiscreteDatum(0.45 + 0.9j, (1.0, 0.2))]
 
 
 def _T0(delta_minus, data, scattering, z0):
@@ -95,15 +95,30 @@ def test_delta_matches_faddeeva_closed_form():
 
 
 def test_delta_log_derivative_matches_finite_differences(smooth):
-    # the order-2 pole weight in modulate_constants rests on delta'/delta
+    # the order-2 pole weight in modulate_constants rests on the first
+    # coefficient of 1/delta, -(delta'/delta)/delta
     h = 1e-4
     ray = _RayDensity(smooth, Z0)
     for z in (0.45 + 0.9j, -0.8 + 0.6j, 2.0 + 0.3j):
-        delta, dlog = (complex(v) for v in ray.delta(z))
+        inv, slope = (complex(v) for v in ray.inverse_delta(z, 2))
+        delta = 1.0 / inv
         assert abs(delta - delta_fn(z, smooth, Z0)) < 1e-14
         fd = ((delta_fn(z + h, smooth, Z0) - delta_fn(z - h, smooth, Z0))
               / (2.0 * h * delta))
-        assert abs(dlog - fd) < 1e-8
+        assert abs(-slope * delta - fd) < 1e-8
+
+
+def test_order_three_dressing_matches_a_circle_of_delta(smooth):
+    # a two-term series of 1/delta once dressed every pole, and put the
+    # third constant of this one off by 0.37 relative
+    ray = _RayDensity(smooth, 0.4)
+    datum = DiscreteDatum(0.2 + 0.7j, (1.0, 0.2 + 0.1j, 0.3))
+    (dressed,) = modulate_constants([datum], ray.inverse_delta)
+    n, radius = 64, 0.35
+    inv = 1.0 / delta_fn(datum.z + radius * np.exp(2j * np.pi * np.arange(n) / n), smooth, 0.4)
+    series = np.fft.fft(inv) / n / radius ** np.arange(n)
+    ref = np.array(_scaled(datum.coefficients, series[:3]))
+    assert np.max(np.abs(np.array(dressed.coefficients) - ref) / np.abs(ref)) <= 1e-10
 
 
 def test_delta_boundary_jump(smooth):
@@ -199,7 +214,8 @@ def test_ray_integrals_near_the_tail_match_adaptive_quadrature():
     assert abs(ray._cum_wv[ray.first] * ray.tail_kappa / ray.nu_grid[0] - 1.0) < 1e-12
     for z in (sg[0] + 0.3 + 0.05j, sg[0] + 0.3 + 0.5j):
         ref = _quad(lambda s: nu(s) / (s - z), tail)
-        assert abs(ray._cumulative(z)[0, ray.first] - ref) < 1e-10, z
+        ray.kernel_series(z, 1)
+        assert abs(ray._kernel_sums[z, 1][0, ray.first] - ref) < 1e-10, z
 
     start = ray.breaks[0]
     for s0 in (sg[0] + 0.013, sg[0] + 0.3, -1.0, 0.0):
@@ -345,22 +361,22 @@ def test_T_approaches_the_boundary_model(smooth, poles):
 # ---------------------------------------------------------------------------
 
 def test_partition_about_the_stationary_point():
-    data = [DiscreteDatum(1.0 + 0.5j, order=1, c0=1.0, c1=0.0),
-            DiscreteDatum(-1.0 + 0.5j, order=1, c0=1.0, c1=0.0)]
+    data = [DiscreteDatum(1.0 + 0.5j, (1.0,)),
+            DiscreteDatum(-1.0 + 0.5j, (1.0,))]
     part = partition(data, 0.0)
     assert part.delta_minus == (1,) and part.delta_plus == (0,)
 
 
 def test_partition_tie_goes_right_with_warning():
-    data = [DiscreteDatum(0.5 + 1.0j, order=1, c0=1.0, c1=0.0)]
+    data = [DiscreteDatum(0.5 + 1.0j, (1.0,))]
     with pytest.warns(RuntimeWarning, match="stationary point"):
         part = partition(data, 0.5)
     assert part.delta_plus == (0,) and part.delta_minus == ()
 
 
 def test_cone_membership_and_decay_rate():
-    data = [DiscreteDatum(1j, order=2, c0=1.0, c1=1.0),
-            DiscreteDatum(0.6 + 0.35j, order=2, c0=1.0, c1=1.0)]
+    data = [DiscreteDatum(1j, (1.0, 1.0)),
+            DiscreteDatum(0.6 + 0.35j, (1.0, 1.0))]
     with pytest.warns(RuntimeWarning, match="stationary point"):
         part = partition(data, 0.0, cone=(-1.0, 1.0, -0.5, 0.5))
     assert part.I == (-0.25, 0.25)
@@ -369,7 +385,7 @@ def test_cone_membership_and_decay_rate():
 
 
 def test_decay_rate_simple_value_and_sentinel():
-    lone = [DiscreteDatum(1.0 + 1.0j, order=1, c0=1.0, c1=0.0)]
+    lone = [DiscreteDatum(1.0 + 1.0j, (1.0,))]
     part = partition(lone, 0.0, cone=(0.0, 0.0, -1.0, 1.0))
     assert part.mu_I == pytest.approx(0.5)
     inside = partition(lone, 0.0, cone=(0.0, 0.0, -4.0, 4.0))
@@ -392,7 +408,7 @@ def test_cone_bounds_must_be_ordered():
 def test_decay_rate_shrinks_as_the_interval_grows(res, ims, w1, grow):
     # monotone only while the membership is unchanged: once a pole is
     # absorbed the minimum runs over fewer terms and may jump up
-    data = [DiscreteDatum(complex(re, im), order=1, c0=1.0, c1=0.0)
+    data = [DiscreteDatum(complex(re, im), (1.0,))
             for re, im in zip(res, ims)]
     w2 = w1 + grow
     small = partition(data, -5.0, cone=(0.0, 0.0, -2 * w1, 2 * w1))

@@ -26,15 +26,15 @@ from fnls.solitons import (
     solve_soliton,
     soliton_field,
 )
-from fnls.splitstep import Grid, pde_residual
+from fnls.splitstep import Grid, conserved, pde_residual
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def _pair():
     return (
-        DiscreteDatum(1j, 2, c0=0.1 - 0.2j, c1=0.7 + 0.3j),
-        DiscreteDatum(0.6 + 0.35j, 2, c0=-0.4 + 0.15j, c1=0.9 - 0.1j),
+        DiscreteDatum(1j, (0.7 + 0.3j, 0.1 - 0.2j)),
+        DiscreteDatum(0.6 + 0.35j, (0.9 - 0.1j, -0.4 + 0.15j)),
     )
 
 
@@ -61,14 +61,14 @@ def test_simple_pole_reduces_to_classical_soliton():
     """An order-1 pole at z = i, c0 = 2 gives the closed form
     q = -2i sech(2x) e^{2it}."""
     x = np.linspace(-6.0, 6.0, 481)
-    q = soliton_field([DiscreteDatum(1j, order=1, c0=2.0, c1=0.0)], x, 0.7)
+    q = soliton_field([DiscreteDatum(1j, (2.0,))], x, 0.7)
     exact = -2j / np.cosh(2 * x) * np.exp(1.4j)
     assert np.max(np.abs(q - exact)) < 1e-12
 
 
 def test_peak_amplitude_is_twice_imag_z():
     x = np.linspace(-2, 2, 801)
-    q = soliton_field([DiscreteDatum(1j, order=1, c0=2.0, c1=0.0)], x, 0.0)
+    q = soliton_field([DiscreteDatum(1j, (2.0,))], x, 0.0)
     assert np.max(np.abs(q)) == pytest.approx(2.0, abs=1e-10)
 
 
@@ -92,8 +92,29 @@ def test_reconstructed_field_solves_the_pde():
     assert res < 1e-6
 
 
+def test_triple_pole_field_solves_the_pde(triple_pole):
+    # the fourth-order time stencil's floor is 1.2e-6 at h_t = 1e-3 here
+    grid = Grid(n=4096, x_min=-20.0 * np.pi, x_max=20.0 * np.pi)
+    data = (triple_pole.datum,)
+    times = (0.0, 0.25, 0.5, 0.75, 1.0)
+    res = pde_residual(lambda x, t: soliton_field(data, x, t), grid, times,
+                       h_t=5e-4, x_window=(-20.0, 20.0))
+    assert res < 1e-6
+    # 54 at t = 0, rising to 125 at t = 1, with the flip selection
+    window = grid.x[np.abs(grid.x) <= 20.0]
+    assert max(float(solve_field(data, window, t).condition.max()) for t in times) <= 200.0
+
+
+def test_triple_pole_mass_is_the_trace_formula(triple_pole):
+    grid = Grid(n=4096, x_min=-20.0 * np.pi, x_max=20.0 * np.pi)
+    data = (triple_pole.datum,)
+    assert mass_from_spectrum(data) == 12.0
+    mass = conserved(soliton_field(data, grid.x, 0.0), grid)["mass"]
+    assert mass == pytest.approx(12.0, abs=1e-10)
+
+
 def _mixed():
-    return (*_pair(), DiscreteDatum(-0.7 + 0.6j, 1, c0=0.8 - 0.3j, c1=0.0))
+    return (*_pair(), DiscreteDatum(-0.7 + 0.6j, (0.8 - 0.3j,)))
 
 
 def test_laurent_coefficients_match_pole_conditions():
@@ -167,8 +188,8 @@ def test_reorientation_is_a_column_scaling():
 
 def test_reorientation_handles_simple_poles():
     data = (
-        DiscreteDatum(0.2 + 0.8j, order=1, c0=1.3 - 0.4j, c1=0.0),
-        DiscreteDatum(-0.5 + 1.1j, 2, c0=0.25j, c1=0.6),
+        DiscreteDatum(0.2 + 0.8j, (1.3 - 0.4j,)),
+        DiscreteDatum(-0.5 + 1.1j, (0.6, 0.25j)),
     )
     q_ref = solve_soliton(data, -0.2, 0.35).q
     for flip in ([0], [1], [0, 1]):
@@ -224,19 +245,14 @@ def test_series_helpers_against_contour(sign):
 
 def test_modulation_identity_and_scaling():
     data = _mixed()
-    same = modulate_constants(data, lambda z: (1.0, 0.0))
+    same = modulate_constants(data, lambda z, n: [1.0] + [0.0] * (n - 1))
     assert same == data
 
     # delta = 1/a with a the Blaschke product of one more pole dresses the
     # constants as the column scaling by a does: reorient_constants' rule
     # for the poles that stay lower
-    other = DiscreteDatum(-0.9 + 0.5j, 1, c0=1.0, c1=0.0)
-
-    def delta_at(z):
-        a, ap = _blaschke_series(z, [other], 2)
-        return 1.0 / a, -ap / a
-
-    scaled = modulate_constants(data, delta_at)
+    other = DiscreteDatum(-0.9 + 0.5j, (1.0,))
+    scaled = modulate_constants(data, lambda z, n: _blaschke_series(z, [other], n))
     flipped = reorient_constants((*data, other), [len(data)])
     for s, f in zip(scaled, flipped.data):
         assert s.order == f.order
@@ -246,10 +262,10 @@ def test_modulation_identity_and_scaling():
 
 def test_interval_restriction_and_tie_warning():
     data = (
-        DiscreteDatum(-0.8 + 0.5j, 2, c0=0.1, c1=1.0),
-        DiscreteDatum(-0.1 + 0.9j, 2, c0=0.2, c1=1.0),
-        DiscreteDatum(0.4 + 0.7j, 2, c0=0.3, c1=1.0),
-        DiscreteDatum(1.5 + 0.6j, 2, c0=0.4, c1=1.0),
+        DiscreteDatum(-0.8 + 0.5j, (1.0, 0.1)),
+        DiscreteDatum(-0.1 + 0.9j, (1.0, 0.2)),
+        DiscreteDatum(0.4 + 0.7j, (1.0, 0.3)),
+        DiscreteDatum(1.5 + 0.6j, (1.0, 0.4)),
     )
     out = restrict_to_interval(data, (-0.3, 0.6), z0=0.2)
     assert [d.z for d in out.data] == [-0.1 + 0.9j, 0.4 + 0.7j]
@@ -263,12 +279,8 @@ def test_interval_restriction_and_tie_warning():
 def test_input_validation():
     with pytest.raises(ValueError):
         DiscreteDatum(1.0 - 0.5j)
-    with pytest.raises(ValueError):
-        DiscreteDatum(1j, order=3)
-    with pytest.raises(ValueError):
-        DiscreteDatum(1j, order=1, c0=1.0, c1=0.5)
-    with pytest.raises(ValueError):
-        DiscreteDatum(1j, order=2, c0=1.0, c1=0.0)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        DiscreteDatum(1j, ())
     with pytest.raises(ValueError, match="coincident"):
         pole_system([DiscreteDatum(1j), DiscreteDatum(1j)], [0.0], 0.0)
     with pytest.raises(ValueError):
@@ -279,15 +291,25 @@ def test_input_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_non_finite_pole_data_is_rejected(field, bad):
     good = {"z": 1j, "c0": 0.5, "c1": 1.0}
+    v = {**good, field: good[field] + bad}
     with pytest.raises(ValueError, match=f"pole {field} must be finite"):
-        DiscreteDatum(**{**good, field: good[field] + bad}, order=2)
+        DiscreteDatum(v["z"], (v["c1"], v["c0"]))
+
+
+@pytest.mark.parametrize("coefficients", [(0.0,), (0.0, 0.0), (0.0, 1.0), (0.0, 1.0, 2.0)])
+def test_zero_leading_coefficient_is_rejected(coefficients):
+    # at order 1 such a pole used to pass here and fail later, in the
+    # reorientation, as "pole c0 must be finite, got (inf+nanj)"
+    m = len(coefficients)
+    with pytest.raises(ValueError, match=f"leading coefficient c{m - 1} of an order-{m} pole"):
+        DiscreteDatum(1j, coefficients)
 
 
 def test_condition_warning_at_extreme_x():
     # the all-lower breather at x = -20: its gamma factors reach e^60 and
     # skew the system badly, yet the solve stays backward stable
-    data = (DiscreteDatum(0.5j, order=1, c0=-2j, c1=0.0),
-            DiscreteDatum(1.5j, order=1, c0=-6j, c1=0.0))
+    data = (DiscreteDatum(0.5j, (-2j,)),
+            DiscreteDatum(1.5j, (-6j,)))
     with pytest.warns(RuntimeWarning, match="condition"):
         state = solve_soliton(data, -20.0, 0.3)
     assert state.condition > 1e12
@@ -297,7 +319,7 @@ def test_condition_warning_at_extreme_x():
 @pytest.mark.parametrize("x", [-26.0, -10.0])
 def test_simple_pole_system_is_two_by_two_and_well_conditioned(x):
     # one unknown per pole and block: no padded rows to inflate the condition
-    datum = DiscreteDatum(1j, order=1, c0=2.0, c1=0.0)
+    datum = DiscreteDatum(1j, (2.0,))
     matrix, rhs = pole_system([datum], [x], 0.0)
     assert matrix.shape == (1, 2, 2) and rhs.shape == (1, 2)
     assert solve_soliton([datum], x, 0.0).condition <= 10.0
@@ -313,8 +335,8 @@ def _satsuma_yajima(x, t):
 @pytest.mark.parametrize("t", [0.3, 1.1])
 def test_breather_on_the_wide_window(t):
     # the data 2 sech x scatters to; all-lower entries reach e^60 at x = -20
-    data = (DiscreteDatum(0.5j, order=1, c0=-2j, c1=0.0),
-            DiscreteDatum(1.5j, order=1, c0=-6j, c1=0.0))
+    data = (DiscreteDatum(0.5j, (-2j,)),
+            DiscreteDatum(1.5j, (-6j,)))
     x = np.linspace(-20.0, 20.0, 801)
     exact = _satsuma_yajima(x, t)
     q = soliton_field(data, x, t)
@@ -332,7 +354,7 @@ def _random_spectrum(rng):
         order = int(rng.integers(1, 3))
         c0 = complex(rng.normal(), rng.normal())
         c1 = complex(rng.normal(), rng.normal()) if order == 2 else 0.0
-        data.append(DiscreteDatum(z, order=order, c0=c0, c1=c1))
+        data.append(DiscreteDatum(z, (c1, c0)[2 - order:]))
     return tuple(data)
 
 
@@ -379,7 +401,7 @@ def test_given_orientations_are_kept_by_the_batch():
 
 def test_no_finite_solve_raises_linalg_error():
     # overflowing exponentials leave no finite solve at the point
-    data = OrientedData.all_lower([DiscreteDatum(1j, order=1, c0=2.0, c1=0.0)])
+    data = OrientedData.all_lower([DiscreteDatum(1j, (2.0,))])
     with pytest.raises(np.linalg.LinAlgError, match="x = -600"):
         soliton_field(data, [0.0, -600.0], 0.0)
 
@@ -403,13 +425,13 @@ def test_outer_row_decay_and_field_recovery():
 @given(
     re=st.floats(-1.0, 1.0),
     im=st.floats(0.3, 1.5),
-    c0=st.complex_numbers(min_magnitude=0.0, max_magnitude=2.0),
-    c1=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+    low=st.complex_numbers(min_magnitude=0.0, max_magnitude=2.0),
+    lead=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
     x=st.floats(-3.0, 3.0),
     t=st.floats(-2.0, 2.0),
 )
-def test_random_data_solve_is_backward_stable(re, im, c0, c1, x, t):
-    state = solve_soliton([DiscreteDatum(re + 1j * im, 2, c0, c1)], x, t)
+def test_random_data_solve_is_backward_stable(re, im, low, lead, x, t):
+    state = solve_soliton([DiscreteDatum(re + 1j * im, (lead, low))], x, t)
     assert state.residual < 1e-10
     m = evaluate_matrix(state, np.array([3.7 + 0.05j]))[0]
     assert abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) < 1e-9
