@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma
 
 from .phase import _cone_interval, _unwrap, phase_context, r0_modulated
 from .solitons import (
@@ -31,9 +30,6 @@ from .solitons import (
 __all__ = [
     "PCCoefficients",
     "pc_coefficients",
-    "pc_first_moment",
-    "alpha_z0",
-    "e1_matrix",
     "AsymptoticValue",
     "q_asymptotic",
     "save_asymptotics",
@@ -67,6 +63,34 @@ class PCCoefficients:
                 "inconsistent coefficients: |beta12|^2 differs from |nu|")
 
 
+# B_{2k} / (2k (2k - 1)), k = 1..12: the terms of Stirling's series for
+# log Gamma in odd powers of 1/w.  At |w| >= _STIRLING_RADIUS the first term
+# left out is below 2e-18.  The radius is kept small because Gamma(w) is
+# taken as the exponential of log Gamma(w), whose rounding grows with |w|.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400, 43867 / 244188, -174611 / 125400,
+             77683 / 5796, -236364091 / 1506960)
+_STIRLING_RADIUS = 7.0
+
+
+def _gamma(z) -> np.ndarray:
+    """Gamma at points of the closed right half plane (``Re z >= 0``, z not
+    0), elementwise: Stirling's series at ``w = z + N``, with N the least
+    shift that puts ``|w|`` on or past the series' radius, carried back by
+    ``Gamma(z) = Gamma(w) / (z (z + 1) ... (z + N - 1))``."""
+    z = np.asarray(z, dtype=np.complex128)
+    reach = np.sqrt(np.maximum(_STIRLING_RADIUS ** 2 - z.imag ** 2, 0.0))
+    shift = np.maximum(np.ceil(reach - z.real), 0.0)
+    w, rising = z + shift, np.ones_like(z)
+    for j in range(int(shift.max(initial=0.0))):
+        rising = rising * np.where(j < shift, z + j, 1.0)
+    u, series = 1.0 / (w * w), np.zeros_like(w)
+    for c in reversed(_STIRLING):
+        series = series * u + c
+    return np.exp((w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi)
+                  + series / w) / rising
+
+
 def pc_coefficients(r0, nu) -> PCCoefficients:
     """Build the moment coefficients from the modulated amplitude, at one
     point or elementwise over arrays.
@@ -85,70 +109,8 @@ def pc_coefficients(r0, nu) -> PCCoefficients:
                          "dropped upstream when the amplitude vanishes)")
     beta12 = _unwrap(math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi)
                      * np.exp(-0.5 * math.pi * nu)
-                     / (r0 * gamma(-1j * nu)))
+                     / (r0 * _gamma(-1j * nu)))
     return PCCoefficients(nu=nu, r0=r0, beta12=beta12, beta21=nu / beta12)
-
-
-def pc_first_moment(pc: PCCoefficients) -> np.ndarray:
-    """The traceless moment matrix ``[[0, -i b12], [i b21, 0]]``."""
-    return np.array([[0.0, -1j * pc.beta12], [1j * pc.beta21, 0.0]],
-                    dtype=np.complex128)
-
-
-# ---------------------------------------------------------------------------
-# Amplitude/phase form of the leading coefficient
-# ---------------------------------------------------------------------------
-
-def alpha_z0(phase_ctx, delta_minus, data):
-    """Leading dispersive coefficient in amplitude/phase form.
-
-    The modulus is ``sqrt(|nu(z0)|)``.  The argument accumulates pi/4, the
-    phase of ``Gamma(i nu)``, minus the phase of the sampled reflection
-    amplitude at ``z0`` (the amplitude itself -- no extra normalisation),
-    minus ``4 m_k arg(z0 - z_k)`` summed over the poles left of the stationary
-    point (the pole factor of order ``m_k`` through the boundary constant's
-    inverse square), plus twice beta, the finite part at ``z0`` of the
-    kernel integral of the density along the context's ray: the integral of
-    ``(nu(s) - chi nu(z0)) / (s - z0)``, with chi the indicator of
-    ``(z0 - 1, z0)``.
-
-    This route never touches the complex products behind the boundary
-    constant, so agreement with :func:`pc_coefficients` applied to the
-    modulated amplitude is a genuine two-route consistency check.
-    """
-    z0 = phase_ctx.z0
-    nu0 = phase_ctx.nu0
-    if np.any(nu0 == 0.0):
-        raise ValueError("the density vanishes at z0; the coefficient "
-                         "has no defined phase")
-    arg = (0.25 * math.pi
-           + np.angle(gamma(1j * nu0))
-           - np.angle(phase_ctx.r_at_z0))
-    for k in delta_minus:
-        arg = arg - 4.0 * data[k].order * np.angle(z0 - complex(data[k].z))
-    arg = arg + 2.0 * np.reshape(phase_ctx.ray.offset_integral(), np.shape(z0))
-    return _unwrap(np.sqrt(np.abs(nu0)) * np.exp(1j * arg))
-
-
-# ---------------------------------------------------------------------------
-# Conjugated moment matrix
-# ---------------------------------------------------------------------------
-
-def e1_matrix(m_out_at_z0, pc: PCCoefficients, t: float) -> np.ndarray:
-    """Moment matrix conjugated by the outer solution at the stationary
-    point: ``(1 / (2 i sqrt(t))) M m1 adj(M)`` with ``det M = 1``."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    M = np.asarray(m_out_at_z0, dtype=np.complex128)
-    if M.shape != (2, 2):
-        raise ValueError("the outer matrix must be 2x2")
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(det - 1.0) > 1e-6:
-        raise ValueError("outer matrix is near-singular: det deviates "
-                         f"from 1 by {abs(det - 1.0):.2e}")
-    adj = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]],
-                   dtype=np.complex128)
-    return (M @ pc_first_moment(pc) @ adj) / (2j * math.sqrt(t))
 
 
 # ---------------------------------------------------------------------------

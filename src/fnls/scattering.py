@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .solitons import DiscreteDatum, _inv, _mul, soliton_field
 
@@ -34,7 +33,6 @@ __all__ = [
     "load_profile",
     "save_profile",
     "s11_on_grid",
-    "s11_from_integral",
     "reflection_coefficient",
     "locate_zeros",
     "norming_constants",
@@ -111,6 +109,8 @@ class InitialProfile:
         if self.fn is not None:
             return np.asarray(self.fn(xv), dtype=np.complex128)
         if self._spline is None:
+            # only sampled profiles reach here, so only they import scipy
+            from scipy.interpolate import make_interp_spline
             self._spline = make_interp_spline(self.x, self.q, k=5)
         xv = np.asarray(xv, dtype=float)
         out = np.zeros(xv.shape, dtype=np.complex128)
@@ -388,16 +388,6 @@ def s11_on_grid(profile, zs, x_match=0.0):
     """s11 for a batch of points in the closed upper half plane."""
     a, b, _ = _halves(profile, zs, x_match)
     return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-
-
-def s11_from_integral(profile: InitialProfile, z: complex) -> complex:
-    """Independent route to s11: 1 + integral of conj(q0) times the (1,2)
-    Jost entry over the line, using densely sampled backward integration."""
-    x_rev = profile.x[::-1]
-    vals, _ = _integrate_columns(profile, [z], "second", profile.x[-1],
-                                 profile.x[0], x_eval=x_rev)
-    m12 = vals[0, 0][::-1]
-    return complex(1.0 + np.trapezoid(np.conj(profile.q) * m12, profile.x))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ __all__ = [
     "soliton_field",
     "evaluate_matrix",
     "outer_matrix_row",
-    "mass_from_spectrum",
     "blaschke_product",
     "reorient_constants",
     "modulate_constants",
@@ -517,11 +516,6 @@ def outer_matrix_row(state: SolitonState, z) -> np.ndarray:
     """First row ``(m_11, m_12)`` of the solution matrix: shape ``(2,)`` at
     one point, ``(P, 2)`` for a state over ``P`` points."""
     return evaluate_matrix(state, z)[..., 0, :]
-
-
-def mass_from_spectrum(data) -> float:
-    """Trace-formula mass: each pole contributes ``4 * order * Im z_k``."""
-    return float(sum(4.0 * d.order * d.z.imag for d in data))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,93 @@
+"""Second routes to quantities the library computes another way.
+
+None of these is on a path ``fnls`` takes: each exists so that a test can
+reach the same number by different means.
+
+* :func:`alpha_z0` -- the dispersive coefficient in amplitude/phase form,
+  with scipy's Gamma, against :func:`fnls.asymptotics.pc_coefficients`.
+* :func:`e1_matrix` -- the moment matrix conjugated by the outer solution,
+  whose (1,2) entry ``q_asymptotic`` forms inline.
+* :func:`mass_from_spectrum` -- the trace formula for the mass.
+* :func:`s11_from_integral` -- s11 as an integral along the line, against
+  the Wronskian of the two Jost columns.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.special import gamma
+
+from fnls.phase import _unwrap
+from fnls.scattering import InitialProfile, _integrate_columns
+
+
+def pc_first_moment(pc) -> np.ndarray:
+    """The traceless moment matrix ``[[0, -i b12], [i b21, 0]]``."""
+    return np.array([[0.0, -1j * pc.beta12], [1j * pc.beta21, 0.0]],
+                    dtype=np.complex128)
+
+
+def alpha_z0(phase_ctx, delta_minus, data):
+    """Leading dispersive coefficient in amplitude/phase form.
+
+    The modulus is ``sqrt(|nu(z0)|)``.  The argument accumulates pi/4, the
+    phase of ``Gamma(i nu)``, minus the phase of the sampled reflection
+    amplitude at ``z0`` (the amplitude itself -- no extra normalisation),
+    minus ``4 m_k arg(z0 - z_k)`` summed over the poles left of the stationary
+    point (the pole factor of order ``m_k`` through the boundary constant's
+    inverse square), plus twice beta, the finite part at ``z0`` of the
+    kernel integral of the density along the context's ray: the integral of
+    ``(nu(s) - chi nu(z0)) / (s - z0)``, with chi the indicator of
+    ``(z0 - 1, z0)``.
+
+    This route never touches the complex products behind the boundary
+    constant, and takes Gamma from scipy rather than from ``fnls``, so
+    agreement with ``pc_coefficients`` applied to the modulated amplitude is
+    a genuine two-route consistency check.
+    """
+    z0 = phase_ctx.z0
+    nu0 = phase_ctx.nu0
+    if np.any(nu0 == 0.0):
+        raise ValueError("the density vanishes at z0; the coefficient "
+                         "has no defined phase")
+    arg = (0.25 * math.pi
+           + np.angle(gamma(1j * nu0))
+           - np.angle(phase_ctx.r_at_z0))
+    for k in delta_minus:
+        arg = arg - 4.0 * data[k].order * np.angle(z0 - complex(data[k].z))
+    arg = arg + 2.0 * np.reshape(phase_ctx.ray.offset_integral(), np.shape(z0))
+    return _unwrap(np.sqrt(np.abs(nu0)) * np.exp(1j * arg))
+
+
+def e1_matrix(m_out_at_z0, pc, t: float) -> np.ndarray:
+    """Moment matrix conjugated by the outer solution at the stationary
+    point: ``(1 / (2 i sqrt(t))) M m1 adj(M)`` with ``det M = 1``."""
+    if not t > 0:
+        raise ValueError("t must be positive")
+    M = np.asarray(m_out_at_z0, dtype=np.complex128)
+    if M.shape != (2, 2):
+        raise ValueError("the outer matrix must be 2x2")
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if abs(det - 1.0) > 1e-6:
+        raise ValueError("outer matrix is near-singular: det deviates "
+                         f"from 1 by {abs(det - 1.0):.2e}")
+    adj = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]],
+                   dtype=np.complex128)
+    return (M @ pc_first_moment(pc) @ adj) / (2j * math.sqrt(t))
+
+
+def mass_from_spectrum(data) -> float:
+    """Trace-formula mass: each pole contributes ``4 * order * Im z_k``."""
+    return float(sum(4.0 * d.order * d.z.imag for d in data))
+
+
+def s11_from_integral(profile: InitialProfile, z: complex) -> complex:
+    """Independent route to s11: 1 + integral of conj(q0) times the (1,2)
+    Jost entry over the line, using densely sampled backward integration."""
+    x_rev = profile.x[::-1]
+    vals, _ = _integrate_columns(profile, [z], "second", profile.x[-1],
+                                 profile.x[0], x_eval=x_rev)
+    m12 = vals[0, 0][::-1]
+    return complex(1.0 + np.trapezoid(np.conj(profile.q) * m12, profile.x))

@@ -13,11 +13,8 @@ import scipy.special
 from fnls import asymptotics
 from fnls.asymptotics import (
     AsymptoticValue,
-    alpha_z0,
-    e1_matrix,
     PCCoefficients,
     pc_coefficients,
-    pc_first_moment,
     q_asymptotic,
     save_asymptotics,
 )
@@ -46,6 +43,7 @@ from fnls.solitons import (
 from fnls.splitstep import Grid, split_step
 
 import pointwise_reference
+from second_routes import alpha_z0, e1_matrix, pc_first_moment
 
 S_GRID = np.linspace(-5.0, 5.0, 2001)
 R_SMOOTH = 0.8 * np.exp(-S_GRID ** 2 / 2.0) * np.exp(0.3j * S_GRID)
@@ -99,11 +97,28 @@ def test_pc_first_moment_layout():
     assert m[1, 0] == 1j * pc.beta21
 
 
+GAMMA_NU = np.concatenate([np.logspace(-8.0, math.log10(20.0), 321),
+                           np.linspace(-20.0, 20.0, 401)])
+GAMMA_NU = np.concatenate([GAMMA_NU, -GAMMA_NU])
+GAMMA_NU = GAMMA_NU[GAMMA_NU != 0.0]
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_gamma_matches_scipy_on_the_imaginary_axis(sign):
+    z = sign * 1j * GAMMA_NU
+    ref = scipy.special.gamma(z)
+    assert np.max(np.abs(asymptotics._gamma(z) / ref - 1.0)) <= 2e-14
+    # one point at a time gives the same values as the array
+    assert complex(asymptotics._gamma(z[7])) == asymptotics._gamma(z)[7]
+
+
 def test_pc_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         pc_coefficients(consistent_r0(-0.1), 0.0)
     with pytest.raises(ValueError):
         pc_coefficients(0.0, -0.1)
+    with pytest.raises(ValueError, match="nu = 0"):
+        pc_coefficients(np.full(3, consistent_r0(-0.1)), np.array([-0.1, 0.0, -0.2]))
 
 
 def test_pc_rejects_inconsistent_fields():

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import configparser
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fnls
 from fnls.cli import SCHEMA, _parse_pole_line, config_reference, main
 from fnls.scattering import ScatteringData, load_scattering, save_profile, save_scattering
 from fnls.solitons import soliton_field
@@ -71,6 +76,56 @@ def test_unknown_config_key_is_rejected(tmp_path, out):
 def test_missing_command_is_an_error(capsys):
     assert run_cli() == 2
     assert "command is required" in capsys.readouterr().err
+
+
+# A fresh process that imports the command line, runs `soliton` and
+# `asymptote` (with a dispersive part, so through Gamma) from a scattering
+# document, notes which scipy modules are loaded, then scatters a sampled
+# profile.
+COLD_START = """
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+from fnls.cli import main
+from fnls.scattering import ScatteringData, save_scattering
+from fnls.solitons import DiscreteDatum
+
+out = Path(sys.argv[1])
+z = np.linspace(-4.0, 4.0, 161)
+save_scattering(ScatteringData(z, 0.3 * np.exp(-z ** 2) + 0j,
+                               (DiscreteDatum(0.1 + 0.5j, (1.0, 0.2)),)),
+                out / "source.json")
+codes = [main([command, "--discrete-file", str(out / "source.json"),
+               "--output-dir", str(out / command)])
+         for command in ("soliton", "asymptote")]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+x = np.linspace(-13.0, 13.0, 201)
+np.savetxt(out / "profile.csv", np.column_stack([x, 0.3 * np.exp(-x ** 2), 0.0 * x]),
+           delimiter=",")
+codes.append(main(["scatter", "--profile-kind", "csv", "--profile-file",
+                   str(out / "profile.csv"), "--scatter-n-z", "5",
+                   "--output-dir", str(out / "scatter")]))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "interpolate": "scipy.interpolate" in sys.modules}))
+"""
+
+
+def test_cold_start_imports_no_scipy_until_a_profile_is_sampled(tmp_path):
+    src = str(Path(fnls.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    assert report["loaded"] == []
+    assert report["interpolate"]
+    f = np.loadtxt(tmp_path / "asymptote" / "asymptotics.csv", delimiter=",", comments="#")
+    assert np.all(f[:, 4] ** 2 + f[:, 5] ** 2 > 0.0)
+    assert len(json.loads((tmp_path / "scatter" / "scattering.json").read_text())["r"]) == 5
 
 
 # ---------------------------------------------------------------------------

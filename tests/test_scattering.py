@@ -27,7 +27,6 @@ from fnls.scattering import (
     locate_zeros,
     norming_constants,
     reflection_coefficient,
-    s11_from_integral,
     s11_on_grid,
     save_profile,
     save_scattering,
@@ -35,6 +34,8 @@ from fnls.scattering import (
     soliton_profile,
 )
 from fnls.solitons import DiscreteDatum, _inv, _mul, soliton_field
+
+from second_routes import s11_from_integral
 
 # The double-pole datum used for all round-trip checks below: generate the
 # exact field at t = 0, resample it as a plain profile, and require forward

@@ -16,7 +16,6 @@ from fnls.solitons import (
     _phase_series,
     blaschke_product,
     evaluate_matrix,
-    mass_from_spectrum,
     modulate_constants,
     outer_matrix_row,
     pole_system,
@@ -27,6 +26,8 @@ from fnls.solitons import (
     soliton_field,
 )
 from fnls.splitstep import Grid, conserved, pde_residual
+
+from second_routes import mass_from_spectrum
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 

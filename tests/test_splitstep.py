@@ -113,6 +113,31 @@ def test_fourier_interpolation_matches_closed_form_off_grid():
     assert np.max(np.abs(vals - sol(x_new, 0.4))) < 1e-10
 
 
+def _direct_synthesis(q, grid, x_new):
+    """The trigonometric interpolant summed mode by mode: one exponential
+    per (point, mode)."""
+    coeffs = np.fft.fft(q) / grid.n
+    return np.exp(1j * np.outer(x_new - grid.x_min, grid.k)) @ coeffs
+
+
+@pytest.mark.parametrize("n", [4096, 4095, 512, 511, 7, 2])
+def test_fourier_interpolation_matches_direct_synthesis(n):
+    grid = Grid(n, -40 * np.pi, 40 * np.pi)
+    if n > 64:
+        q = 1.3 / np.cosh(1.3 * grid.x) * np.exp(0.3j * grid.x)
+    else:
+        q = np.random.default_rng(n).normal(size=(n, 2)) @ np.array([1.0, 1j])
+    inside = np.linspace(-20.0, 20.0, 801)
+    # periodic images of the inside points, one to three periods away
+    length = grid.x_max - grid.x_min
+    outside = np.concatenate([inside[::40] + p * length for p in (1, -1, 3)]
+                             + [[grid.x_max]])
+    for x_new in (inside, outside):
+        direct = _direct_synthesis(q, grid, x_new)
+        vals = fourier_interpolate(q, grid, x_new)
+        assert np.max(np.abs(vals - direct)) <= 1e-13 * np.max(np.abs(q))
+
+
 def test_interp_requires_stored_sample():
     grid = Grid(256, -8 * np.pi, 8 * np.pi)
     ev = split_step(sech_soliton(1.0)(grid.x, 0.0), grid, 0.5, dt=1e-3)
