@@ -203,7 +203,11 @@ def criterion_6() -> CriterionResult:
             "6", "scattering round trip (zero + constants)",
             math.inf, 1.0, False, detail=f"located {found}")
     z_hat = found[0][0]
-    rec = norming_constants(profile, z_hat, order=2)
+    rec = norming_constants(profile, z_hat)
+    if rec.order != 2:
+        return CriterionResult(
+            "6", "scattering round trip (zero + constants)",
+            math.inf, 1.0, False, detail=f"constants of order {rec.order} at {z_hat}")
     zero_err = abs(z_hat - 1j)
     c1_err, c0_err = (abs(a - b) / abs(b)
                       for a, b in zip(rec.coefficients, datum.coefficients))

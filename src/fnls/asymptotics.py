@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,24 +43,23 @@ __all__ = [
 @dataclass(frozen=True)
 class PCCoefficients:
     """Off-diagonal coefficients of the model problem's large-argument
-    moment, tied to the modulated amplitude ``r0`` and the density ``nu``
-    (scalars, or arrays elementwise)."""
+    moment at the density ``nu`` (scalars, or arrays elementwise)."""
 
     nu: float | np.ndarray
-    r0: complex | np.ndarray
     beta12: complex | np.ndarray
-    beta21: complex | np.ndarray
 
     def __post_init__(self) -> None:
         if np.any(self.beta12 == 0):
             raise ValueError("beta12 must be nonzero")
-        if np.any(self.beta21 != self.nu / self.beta12):
-            raise ValueError("beta21 must equal nu / beta12 exactly")
         # |beta12|^2 = |nu| encodes the Gamma modulus identity; a failure
         # here means (r0, nu) were not produced by the same amplitude
         if np.any(np.abs(np.abs(self.beta12) ** 2 - np.abs(self.nu)) > 1e-10):
             raise ValueError(
                 "inconsistent coefficients: |beta12|^2 differs from |nu|")
+
+    @property
+    def beta21(self) -> complex | np.ndarray:
+        return self.nu / self.beta12
 
 
 # B_{2k} / (2k (2k - 1)), k = 1..12: the terms of Stirling's series for
@@ -110,7 +109,7 @@ def pc_coefficients(r0, nu) -> PCCoefficients:
     beta12 = _unwrap(math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi)
                      * np.exp(-0.5 * math.pi * nu)
                      / (r0 * _gamma(-1j * nu)))
-    return PCCoefficients(nu=nu, r0=r0, beta12=beta12, beta21=nu / beta12)
+    return PCCoefficients(nu=nu, beta12=beta12)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +129,12 @@ class AsymptoticValue:
     t: float | np.ndarray
     q_sol_part: complex | np.ndarray
     f_part: complex | np.ndarray
-    q_total: complex | np.ndarray
-    error_order: str = field(default="t^(-3/4)")
 
-    def __post_init__(self) -> None:
-        if np.any(self.q_total != self.q_sol_part + self.f_part / np.sqrt(self.t)):
-            raise ValueError(
-                "q_total must equal q_sol_part + f_part / sqrt(t) exactly")
+    @property
+    def q_total(self) -> complex | np.ndarray:
+        """The bound-state part plus the dispersive part over ``sqrt(t)``;
+        the remainder decays like ``t**-0.75``."""
+        return self.q_sol_part + self.f_part / np.sqrt(self.t)
 
 
 def q_asymptotic(x, t, sigma_d, scattering, cone, *,
@@ -189,12 +187,11 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
     if ctx is not None:
         live = np.abs(ctx.r_at_z0) >= _R_THRESHOLD
         if live.any():
-            pc = pc_coefficients(r0_modulated(scattering, ctx, t)[live], ctx.nu0[live])
+            pc = pc_coefficients(r0_modulated(ctx, t)[live], ctx.nu0[live])
             f[live] = pc.beta12 * rows[live, 0] ** 2 + pc.beta21 * rows[live, 1] ** 2
 
     x, t, q_sol, f = (_unwrap(a.reshape(shape)) for a in (x, t, q_sol, f))
-    return AsymptoticValue(x=x, t=t, q_sol_part=q_sol, f_part=f,
-                           q_total=q_sol + f / np.sqrt(t))
+    return AsymptoticValue(x=x, t=t, q_sol_part=q_sol, f_part=f)
 
 
 def save_asymptotics(path, values) -> None:

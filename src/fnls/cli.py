@@ -131,18 +131,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
     },
 }
 
-# Sections whose keys each subcommand consumes (and therefore exposes as
-# command-line flags).  'run' is global.
-COMMAND_SECTIONS: dict[str, tuple[str, ...]] = {
-    "scatter": ("profile", "scatter"),
-    "soliton": ("discrete", "soliton"),
-    "asymptote": ("discrete", "cone", "asymptote"),
-    "evolve": ("profile", "discrete", "evolve"),
-    "compare": ("discrete", "compare"),
-    "verify": ("verify",),
-}
-
-
 class ConfigError(ValueError):
     """Bad input or configuration; mapped to exit code 2."""
 
@@ -531,22 +519,21 @@ def cmd_verify(cfg: Settings, out_dir: Path) -> int:
     return 0 if report["all_passed"] else 1
 
 
+# Each subcommand's handler, the sections whose keys it consumes (and
+# therefore exposes as command-line flags; 'run' is global), and its help.
 COMMANDS = {
-    "scatter": cmd_scatter,
-    "soliton": cmd_soliton,
-    "asymptote": cmd_asymptote,
-    "evolve": cmd_evolve,
-    "compare": cmd_compare,
-    "verify": cmd_verify,
-}
-
-COMMAND_HELP = {
-    "scatter": "profile in; scattering document and reflection CSV out",
-    "soliton": "discrete data in; exact field on an (x, t) grid out",
-    "asymptote": "discrete data and cone in; leading-order field CSV out",
-    "evolve": "initial data in; split-step evolution directory out",
-    "compare": "two stored/closed-form fields in; error table out",
-    "verify": "run acceptance criteria; machine-readable report out",
+    "scatter": (cmd_scatter, ("profile", "scatter"),
+                "profile in; scattering document and reflection CSV out"),
+    "soliton": (cmd_soliton, ("discrete", "soliton"),
+                "discrete data in; exact field on an (x, t) grid out"),
+    "asymptote": (cmd_asymptote, ("discrete", "cone", "asymptote"),
+                  "discrete data and cone in; leading-order field CSV out"),
+    "evolve": (cmd_evolve, ("profile", "discrete", "evolve"),
+               "initial data in; split-step evolution directory out"),
+    "compare": (cmd_compare, ("discrete", "compare"),
+                "two stored/closed-form fields in; error table out"),
+    "verify": (cmd_verify, ("verify",),
+               "run acceptance criteria; machine-readable report out"),
 }
 
 
@@ -569,9 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="where to write artifacts (overrides config and "
                              f"the {OUTPUT_DIR_ENV} environment variable)")
     subparsers = parser.add_subparsers(dest="command")
-    for command, sections in COMMAND_SECTIONS.items():
-        sub = subparsers.add_parser(
-            command, parents=[common], help=COMMAND_HELP[command])
+    for command, (_, sections, summary) in COMMANDS.items():
+        sub = subparsers.add_parser(command, parents=[common], help=summary)
         for section in sections:
             for key, (default, help_text) in SCHEMA[section].items():
                 sub.add_argument(
@@ -599,7 +585,7 @@ def main(argv=None) -> int:
         _check_single_source(cfg)
         out_dir = cfg.output_dir()
         out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out_dir)
+        return COMMANDS[args.command][0](cfg, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,6 @@ carry the half-residue correction.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,14 +136,12 @@ class _RayDensity:
         self.s, self.w = nodes.ravel(), w.ravel()
         self.wv = self.w * self.nu_at(self.s)
         self._cum_wv = np.concatenate([[0.0], np.cumsum(self._per_panel(self.wv))])
-        self._kernel_sums = {}
 
         # the fixed panels left of each ray's closing panel, and that panel
         self.closed = self.first + np.searchsorted(s, z0, side="right") - 1
         tip_s, tip_w = _panel_nodes(np.stack([breaks[self.closed], z0], axis=-1))
         self.tip_s, self.tip_w = tip_s[..., 0, :], tip_w[..., 0, :]
         self.tip_wv = self.tip_w * self.nu_at(self.tip_s)
-        self._offset = None
 
     def nu_at(self, s0):
         """The density model at real points: linear between the samples,
@@ -172,16 +169,14 @@ class _RayDensity:
     def kernel_series(self, z, n: int) -> np.ndarray:
         """The first ``n`` Taylor coefficients at points z off the rays of
         ``C``, the integral of ``nu(s) / (s - z)``: shape ``(n,) + z0.shape +
-        z.shape``.  The fixed panels' cumulative sums are kept per z and n."""
+        z.shape``."""
         z = np.asarray(z, dtype=np.complex128)
         out = np.empty((n,) + self.z0.shape + (z.size,), dtype=np.complex128)
         for i, zi in enumerate(z.ravel()):
-            key = complex(zi), n
-            if key not in self._kernel_sums:
-                fixed = self._per_panel(_powers(self.wv, self.s - zi, n))
-                self._kernel_sums[key] = np.cumsum(np.pad(fixed, ((0, 0), (1, 0))), axis=1)
+            fixed = self._per_panel(_powers(self.wv, self.s - zi, n))
+            sums = np.cumsum(np.pad(fixed, ((0, 0), (1, 0))), axis=1)
             tip = _powers(self.tip_wv, self.tip_s - zi, n).sum(axis=-1)
-            out[..., i] = self._kernel_sums[key][:, self.closed] + tip
+            out[..., i] = sums[:, self.closed] + tip
         return out.reshape((n,) + self.z0.shape + z.shape)
 
     def inverse_delta(self, z, n: int) -> list:
@@ -271,9 +266,7 @@ class _RayDensity:
         at s0 = z0, to which it is equal because the kernel integrates to
         ``-log(z0 - start)`` over the part of the ray outside the window and
         the window outside the ray alike."""
-        if self._offset is None:
-            self._offset = self.finite_part(self.z0)[()]
-        return self._offset
+        return self.finite_part(self.z0)[()]
 
 
 def nu_integral(scattering, z0: float) -> float:
@@ -330,8 +323,6 @@ class PhaseContext:
     or elementwise over arrays of points, and the ray quadrature they come
     from."""
 
-    x: float | np.ndarray
-    t: float | np.ndarray
     z0: float | np.ndarray
     nu0: float | np.ndarray
     T0_z0: complex | np.ndarray
@@ -339,10 +330,6 @@ class PhaseContext:
     ray: _RayDensity | None
 
     def __post_init__(self) -> None:
-        if np.any(self.t == 0):
-            raise ValueError("the phase is undefined at t = 0")
-        if np.any(self.z0 != -self.x / (2.0 * self.t)):
-            raise ValueError("z0 must equal -x/(2t) exactly")
         # nan passes every comparison below that asks for a fault
         if not all(np.all(np.isfinite(v)) for v in (self.nu0, self.T0_z0, self.r_at_z0)):
             raise ValueError("nu0, the boundary constant and r(z0) must be finite")
@@ -384,9 +371,9 @@ def phase_context(scattering, data, x, t, delta_minus=None) -> PhaseContext:
         factor = ((z0 - d.z) / (z0 - np.conj(d.z))) ** d.order
         inv = inv * np.where(minus[:, k], factor, 1.0)
     T0 = (1.0 / inv) * np.exp(1j * ray.offset_integral())
-    x, t, z0, nu0, T0, r_at = (_unwrap(np.reshape(a, shape)) for a in
-                               (x, t, z0, nu_of(np.abs(r_at)), T0, r_at))
-    return PhaseContext(x=x, t=t, z0=z0, nu0=nu0, T0_z0=T0, r_at_z0=r_at, ray=ray)
+    z0, nu0, T0, r_at = (_unwrap(np.reshape(a, shape)) for a in
+                         (z0, nu_of(np.abs(r_at)), T0, r_at))
+    return PhaseContext(z0=z0, nu0=nu0, T0_z0=T0, r_at_z0=r_at, ray=ray)
 
 
 def _cone_interval(cone) -> tuple[float, float]:
@@ -404,10 +391,6 @@ class ConePartition:
     of the stationary point, which fall inside the cone's velocity window,
     and how fast everything else is suppressed."""
 
-    x1: float
-    x2: float
-    v1: float
-    v2: float
     I: tuple
     delta_minus: tuple
     delta_plus: tuple
@@ -415,8 +398,6 @@ class ConePartition:
     mu_I: float
 
     def __post_init__(self) -> None:
-        if self.x1 > self.x2 or self.v1 > self.v2:
-            raise ValueError("cone bounds must be ordered")
         if set(self.delta_minus) & set(self.delta_plus):
             raise ValueError("pole index assigned to both sides")
         if not (self.mu_I > 0.0):
@@ -428,7 +409,6 @@ def partition(data, z0: float, cone=None) -> ConePartition:
     (x1, x2, v1, v2) is given, about its velocity interval."""
     if cone is None:
         cone = (0.0, 0.0, -2.0 * z0, -2.0 * z0)
-    x1, x2, v1, v2 = (float(v) for v in cone)
     interval = _cone_interval(cone)
 
     left = _left_of(data, z0)
@@ -445,8 +425,7 @@ def partition(data, z0: float, cone=None) -> ConePartition:
         dist = max(interval[0] - zk.real, zk.real - interval[1])
         mu = min(mu, zk.imag * dist)
 
-    return ConePartition(x1=x1, x2=x2, v1=v1, v2=v2, I=interval,
-                         delta_minus=minus, delta_plus=plus,
+    return ConePartition(I=interval, delta_minus=minus, delta_plus=plus,
                          zI=tuple(zI), mu_I=mu)
 
 
@@ -454,7 +433,7 @@ def partition(data, z0: float, cone=None) -> ConePartition:
 # Modulated reflection amplitude
 # ---------------------------------------------------------------------------
 
-def r0_modulated(scattering, ctx: PhaseContext, t):
+def r0_modulated(ctx: PhaseContext, t):
     """Reflection amplitude dressed by the boundary constant and the
     slowly rotating logarithmic phase; drives the dispersive term."""
     if not np.all(np.asarray(t) > 0):

@@ -55,6 +55,9 @@ _ALIAS_TOL = 1e-12
 # Largest defect of the Jost-column proportionality at an accepted zero,
 # relative to the column sizes.
 _RATIO_TOL = 1e-6
+# Largest phase step between neighbouring samples of s11 along a closed
+# path that a winding count trusts, in radians: comfortably below pi.
+_MAX_PHASE_STEP = 1.2
 
 
 @dataclass
@@ -438,12 +441,22 @@ def _contour_points(box, n_side):
     return np.concatenate([bottom, right, top, left])
 
 
+def _phase_steps(values):
+    """Steps of the unwrapped phase along closed samples, the last one
+    back to the first sample.  A step of :data:`_MAX_PHASE_STEP` or more
+    is refused: the samples are too coarse to tell it from a wrap."""
+    steps = np.diff(np.unwrap(np.angle(np.concatenate([values, values[:1]]))))
+    if np.max(np.abs(steps)) >= _MAX_PHASE_STEP:
+        raise RuntimeError("samples too coarse to count the winding of s11")
+    return steps
+
+
 def _contour_moments(value_fn, box, n_side):
     """Winding count of s11 on a box, and guesses of the zeros inside.
 
     Returns (count, guesses, min|s|).  The phase is unwrapped along the
     sampled contour; sampling is doubled, at most three times, until
-    adjacent phase steps are comfortably below pi.  The moments
+    adjacent phase steps are below :data:`_MAX_PHASE_STEP`.  The moments
     ``sum (z - centre)^j`` over the zeros, j = 1..count, are contour sums
     of ``(z - centre)^j d log s11``; Newton's identities turn them into the
     polynomial whose roots are the guesses.
@@ -454,24 +467,24 @@ def _contour_moments(value_fn, box, n_side):
         s = value_fn(pts)
         if np.any(s == 0) or not np.all(np.isfinite(s)):
             raise RuntimeError("contour hits a zero of s11 exactly")
-        closed = np.concatenate([s, s[:1]])
+        try:
+            steps = _phase_steps(s)
+        except RuntimeError:
+            continue
+        winding = np.sum(steps) / (2 * np.pi)
+        count = int(round(winding))
+        if abs(winding - count) > 0.05:
+            continue
         zc = np.concatenate([pts, pts[:1]])
-        phase = np.unwrap(np.angle(closed))
-        steps = np.abs(np.diff(phase))
-        if steps.max() < 1.2:
-            dlog = np.diff(np.log(np.abs(closed))) + 1j * np.diff(phase)
-            w = 0.5 * (zc[1:] + zc[:-1]) - centre
-            winding = (phase[-1] - phase[0]) / (2 * np.pi)
-            count = int(round(winding))
-            if abs(winding - count) > 0.05:
-                continue
-            p = [np.sum(w ** j * dlog) / (2j * np.pi) for j in range(1, count + 1)]
-            e = [1.0]
-            for j in range(1, count + 1):
-                e.append(sum((-1) ** (i - 1) * e[j - i] * p[i - 1]
-                             for i in range(1, j + 1)) / j)
-            guesses = centre + np.roots([(-1) ** j * e[j] for j in range(count + 1)])
-            return count, guesses, float(np.min(np.abs(s)))
+        dlog = np.diff(np.log(np.abs(np.concatenate([s, s[:1]])))) + 1j * steps
+        w = 0.5 * (zc[1:] + zc[:-1]) - centre
+        p = [np.sum(w ** j * dlog) / (2j * np.pi) for j in range(1, count + 1)]
+        e = [1.0]
+        for j in range(1, count + 1):
+            e.append(sum((-1) ** (i - 1) * e[j - i] * p[i - 1]
+                         for i in range(1, j + 1)) / j)
+        guesses = centre + np.roots([(-1) ** j * e[j] for j in range(count + 1)])
+        return count, guesses, float(np.min(np.abs(s)))
     raise RuntimeError(
         "argument-principle contour did not resolve the phase; a zero may "
         "lie on or very near the box boundary")
@@ -503,10 +516,7 @@ def _winding(values):
     """The winding number of closed samples about 0."""
     if not np.all(np.isfinite(values)) or np.any(values == 0):
         raise RuntimeError("circle hits a zero of s11 exactly")
-    steps = np.angle(np.roll(values, -1) / values)
-    if np.max(np.abs(steps)) > 1.2:
-        raise RuntimeError("circle passes too near a zero of s11 to count")
-    return int(round(np.sum(steps) / (2 * np.pi)))
+    return int(round(np.sum(_phase_steps(values)) / (2 * np.pi)))
 
 
 class _Circle(NamedTuple):
@@ -713,28 +723,26 @@ def _pole_constants(mu1, mu2, s11, order: int):
     return b, _mul(b, _inv(list(s11[order:2 * order]), order), order)
 
 
-def norming_constants(profile, z_k: complex, order: int = 2,
-                      other_zeros=()) -> DiscreteDatum:
+def norming_constants(profile, z_k: complex, other_zeros=()) -> DiscreteDatum:
     """Connection constants at a confirmed zero, assembled into the pole
     datum used by the reconstruction engine.
 
     One circle about ``z_k``, of half its distance to the real axis and to
     the nearest of ``other_zeros``, gives the Taylor series of both Jost
-    columns at (x, t) = (0, 0) and of s11; s11 must wind ``order`` times
-    along it.  The constants follow from the series
+    columns at (x, t) = (0, 0) and of s11; the zero's order is the number
+    of times s11 winds along it.  The constants follow from the series
     (:func:`_pole_constants`).
     """
     z_k = complex(z_k)
     if z_k.imag <= 0:
         raise ValueError("constants are read in the open upper half plane")
-    if order < 1:
-        raise ValueError("order must be at least 1")
     dist = min([z_k.imag] + [abs(z_k - complex(w)) for w in other_zeros
                              if complex(w) != z_k])
     circle, = _circles(profile, [z_k], [0.5 * dist])
-    if circle.winding != order:
-        raise RuntimeError(f"s11 winds {circle.winding} times about {z_k!r}: "
-                           f"not a zero of order {order}")
+    order = circle.winding
+    if order < 1:
+        raise RuntimeError(f"s11 winds {order} times about {z_k!r}: "
+                           "not a zero of s11")
     b, c = _pole_constants(circle.mu1, circle.mu2, circle.s11, order)
     return DiscreteDatum(z_k, c, b=b[0], d=(*b, None)[1])
 
@@ -748,10 +756,9 @@ def extract_scattering(profile: InitialProfile, z_grid, box=None) -> ScatteringD
     zeros = locate_zeros(profile, box)
     discrete = []
     all_pts = [z for z, _ in zeros]
-    for z, mult in zeros:
+    for z in all_pts:
         others = [w for w in all_pts if w != z]
-        discrete.append(norming_constants(profile, z, order=mult,
-                                          other_zeros=others))
+        discrete.append(norming_constants(profile, z, other_zeros=others))
     return ScatteringData(data.z, data.r, tuple(discrete),
                           s11=data.s11, s21=data.s21)
 

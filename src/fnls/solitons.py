@@ -179,8 +179,6 @@ class SolitonState:
     """
 
     oriented: OrientedData
-    x: float | np.ndarray
-    t: float | np.ndarray
     alpha: tuple[np.ndarray, ...]
     beta: tuple[np.ndarray, ...]
     q: complex | np.ndarray
@@ -438,10 +436,10 @@ def solve_soliton(data, x, t) -> SolitonState:
     alpha = _per_pole(oriented, u[:, :half])
     beta = tuple(np.conj(b) for b in _per_pole(oriented, u[:, half:]))
     if np.ndim(x) == 0:
-        return SolitonState(oriented, x, t, tuple(a[0] for a in alpha),
+        return SolitonState(oriented, tuple(a[0] for a in alpha),
                             tuple(b[0] for b in beta), complex(q[0]),
                             float(residual[0]), float(cond[0]))
-    return SolitonState(oriented, xs, ts, alpha, beta, q, residual, cond)
+    return SolitonState(oriented, alpha, beta, q, residual, cond)
 
 
 def solve_field(data, x_values, t: float) -> FieldSolution:

@@ -12,7 +12,6 @@ import scipy.special
 
 from fnls import asymptotics
 from fnls.asymptotics import (
-    AsymptoticValue,
     PCCoefficients,
     pc_coefficients,
     q_asymptotic,
@@ -124,10 +123,9 @@ def test_pc_rejects_degenerate_inputs():
 def test_pc_rejects_inconsistent_fields():
     nu = -0.11
     good = cmath.rect(math.sqrt(abs(nu)), 0.4)
-    with pytest.raises(ValueError, match="exactly"):
-        PCCoefficients(nu=nu, r0=1.0, beta12=good, beta21=1.0 + 0j)
+    PCCoefficients(nu=nu, beta12=good)
     with pytest.raises(ValueError, match="inconsistent"):
-        PCCoefficients(nu=nu, r0=1.0, beta12=2.0 + 0j, beta21=nu / (2.0 + 0j))
+        PCCoefficients(nu=nu, beta12=2.0 + 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +138,7 @@ def test_alpha_matches_pc_route(smooth, z0, t):
     x = -2.0 * t * z0
     part = partition(POLES, z0)
     ctx = phase_context(smooth, POLES, x, t, delta_minus=part.delta_minus)
-    pc = pc_coefficients(r0_modulated(smooth, ctx, t), ctx.nu0)
+    pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
     alpha = alpha_z0(ctx, part.delta_minus, POLES)
     phi = x * x / (2.0 * t) - ctx.nu0 * math.log(4.0 * t)
     assert abs(pc.beta12 - alpha * cmath.exp(1j * phi)) < 1e-12
@@ -320,14 +318,8 @@ def test_one_point_gives_python_scalars(smooth):
     assert [type(a) for a in (v.x, v.t, v.q_sol_part, v.f_part, v.q_total)] == [
         float, float, complex, complex, complex]
     pc = pc_coefficients(consistent_r0(-0.11), -0.11)
-    assert [type(a) for a in (pc.nu, pc.r0, pc.beta12, pc.beta21)] == [
-        float, complex, complex, complex]
-
-
-def test_value_consistency_is_enforced():
-    with pytest.raises(ValueError, match="exactly"):
-        AsymptoticValue(x=0.0, t=4.0, q_sol_part=1.0 + 0j, f_part=0.5j,
-                        q_total=1.0 + 0j)
+    assert [type(a) for a in (pc.nu, pc.beta12, pc.beta21)] == [
+        float, complex, complex]
 
 
 def test_save_asymptotics_roundtrip(tmp_path, smooth):
@@ -499,7 +491,7 @@ def test_inline_dispersive_product_is_the_e1_entry(sech_run, monkeypatch):
             outer.clear()
             f = q_asymptotic(x, t, sc.discrete, sc, SECH_CONE).f_part
             ctx = phase_context(sc, sc.discrete, x, t)
-            pc = pc_coefficients(r0_modulated(sc, ctx, t), ctx.nu0)
+            pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
             m, = outer
             e1 = e1_matrix(m.reshape(2, 2), pc, t)
             assert abs(f + 2.0 * math.sqrt(t) * e1[0, 1]) <= 1e-12 * abs(f)

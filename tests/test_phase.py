@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from scipy.special import wofz
 
 from fnls.phase import (
-    ConePartition,
     PhaseContext,
     T_fn,
     _RayDensity,
@@ -214,8 +213,10 @@ def test_ray_integrals_near_the_tail_match_adaptive_quadrature():
     assert abs(ray._cum_wv[ray.first] * ray.tail_kappa / ray.nu_grid[0] - 1.0) < 1e-12
     for z in (sg[0] + 0.3 + 0.05j, sg[0] + 0.3 + 0.5j):
         ref = _quad(lambda s: nu(s) / (s - z), tail)
-        ray.kernel_series(z, 1)
-        assert abs(ray._kernel_sums[z, 1][0, ray.first] - ref) < 1e-10, z
+        # the ray ending at the grid's first sample has a closing panel of
+        # zero width, so its kernel sum is the tail's alone
+        tail_sum = _RayDensity(scat, scat.z[0]).kernel_series(z, 1)[0]
+        assert abs(tail_sum - ref) < 1e-10, z
 
     start = ray.breaks[0]
     for s0 in (sg[0] + 0.013, sg[0] + 0.3, -1.0, 0.0):
@@ -394,8 +395,7 @@ def test_decay_rate_simple_value_and_sentinel():
 
 def test_cone_bounds_must_be_ordered():
     with pytest.raises(ValueError, match="ordered"):
-        ConePartition(x1=1.0, x2=0.0, v1=0.0, v2=1.0, I=(-0.5, 0.0),
-                      delta_minus=(), delta_plus=(), zI=(), mu_I=1.0)
+        partition([], 0.0, cone=(1.0, 0.0, 0.0, 1.0))
 
 
 @settings(max_examples=40)
@@ -434,15 +434,10 @@ def test_phase_context_validation(smooth, poles):
         phase_context(smooth, poles, x=1.0, t=0.0)
     with pytest.raises(ValueError, match="bracket"):
         phase_context(smooth, poles, x=-100.0, t=1.0)
-    with pytest.raises(ValueError, match="exactly"):
-        PhaseContext(x=1.0, t=1.0, z0=0.4, nu0=-0.1, T0_z0=1.0 + 0j,
-                     r_at_z0=0.1 + 0j, ray=None)
     with pytest.raises(ValueError, match="never positive"):
-        PhaseContext(x=1.0, t=1.0, z0=-0.5, nu0=0.2, T0_z0=1.0 + 0j,
-                     r_at_z0=0.1 + 0j, ray=None)
+        PhaseContext(z0=-0.5, nu0=0.2, T0_z0=1.0 + 0j, r_at_z0=0.1 + 0j, ray=None)
     with pytest.raises(ValueError, match="unimodular"):
-        PhaseContext(x=1.0, t=1.0, z0=-0.5, nu0=-0.1, T0_z0=1.4 + 0j,
-                     r_at_z0=0.1 + 0j, ray=None)
+        PhaseContext(z0=-0.5, nu0=-0.1, T0_z0=1.4 + 0j, r_at_z0=0.1 + 0j, ray=None)
 
 
 @pytest.mark.parametrize("field", ["nu0", "T0_z0", "r_at_z0"])
@@ -456,27 +451,25 @@ def test_phase_context_refuses_constants_that_are_not_finite(field, bad):
     for value in (bad, np.array([good[field], bad])):
         fields = dict(good, **{field: value})
         with pytest.raises(ValueError, match="finite"):
-            PhaseContext(x=np.array([1.0, 2.0]), t=1.0, z0=np.array([-0.5, -1.0]),
-                         ray=None, **fields)
+            PhaseContext(z0=np.array([-0.5, -1.0]), ray=None, **fields)
 
 
 def test_modulated_amplitude_basics(smooth, poles):
     ctx = phase_context(smooth, poles, x=-1.2, t=4.0)
-    assert abs(abs(r0_modulated(smooth, ctx, 4.0))
-               - abs(r0_modulated(smooth, ctx, 900.0))) < 1e-12
-    assert abs(abs(r0_modulated(smooth, ctx, 4.0))
+    assert abs(abs(r0_modulated(ctx, 4.0))
+               - abs(r0_modulated(ctx, 900.0))) < 1e-12
+    assert abs(abs(r0_modulated(ctx, 4.0))
                - abs(ctx.r_at_z0) / abs(ctx.T0_z0) ** 2) < 1e-12
     with pytest.raises(ValueError, match="t > 0"):
-        r0_modulated(smooth, ctx, -1.0)
-    silent = PhaseContext(x=0.0, t=4.0, z0=0.0, nu0=0.0, T0_z0=1.0 + 0j,
-                          r_at_z0=0j, ray=None)
-    assert r0_modulated(smooth, silent, 4.0) == 0.0
+        r0_modulated(ctx, -1.0)
+    silent = PhaseContext(z0=0.0, nu0=0.0, T0_z0=1.0 + 0j, r_at_z0=0j, ray=None)
+    assert r0_modulated(silent, 4.0) == 0.0
 
 
 def test_gaussian_amplitude_regression_pin():
     prof = gaussian_profile(0.3, np.linspace(-8.0, 8.0, 641))
     scat = reflection_coefficient(prof, np.linspace(-4.0, 4.0, 321))
     ctx = phase_context(scat, [], x=0.0, t=25.0)
-    r0 = r0_modulated(scat, ctx, 25.0)
+    r0 = r0_modulated(ctx, 25.0)
     assert abs(r0 - (-0.5814569003879617 + 0.08915030374014535j)) < 1e-9
 

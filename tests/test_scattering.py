@@ -231,6 +231,79 @@ def test_three_soliton_sech_spectrum_forces_subdivision():
         assert abs(z - ref) < 1e-6
 
 
+README_BOX = (-0.6, 0.6, 0.2, 1.9)
+
+
+def test_failed_circles_subdivide_the_box(sech2, monkeypatch):
+    # when the circles about the first box's guesses fail, the box is cut
+    # in two across a line clear of zeros, and each half places its own
+    calls, sizes = [], []
+    place, s11 = scattering._zeros_from_guesses, scattering.s11_on_grid
+
+    def first_fails(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("circles about the guesses failed")
+        return place(*args)
+
+    def sampled(profile, zs, *args):
+        sizes.append(np.size(zs))
+        return s11(profile, zs, *args)
+
+    monkeypatch.setattr(scattering, "_zeros_from_guesses", first_fails)
+    monkeypatch.setattr(scattering, "s11_on_grid", sampled)
+    zeros = sorted(locate_zeros(sech2, README_BOX), key=lambda p: p[0].imag)
+    assert len(calls) == 3 and 33 in sizes
+    assert [m for _, m in zeros] == [1, 1]
+    assert abs(zeros[0][0] - 0.5j) < 1e-6 and abs(zeros[1][0] - 1.5j) < 1e-6
+
+
+def _recorded_contours(monkeypatch):
+    """A list of ``(box, sample counts)``, one entry per contour tried."""
+    contours = []
+    moments = scattering._contour_moments
+
+    def recorded(value_fn, box, n_side):
+        counts = []
+        contours.append((box, counts))
+
+        def values(zs):
+            counts.append(zs.size)
+            return value_fn(zs)
+
+        return moments(values, box, n_side)
+
+    monkeypatch.setattr(scattering, "_contour_moments", recorded)
+    return contours
+
+
+DOUBLINGS = [4 * scattering._SAMPLES_PER_SIDE * 2 ** k for k in range(4)]
+
+
+def test_contour_beside_a_zero_doubles_its_samples(sech2, monkeypatch):
+    # 1e-3 below 1.5i, the top edge needs every doubling to resolve the
+    # phase; the zero above it stays out
+    contours = _recorded_contours(monkeypatch)
+    box = (-0.6, 0.6, 0.2, 1.499)
+    zeros = locate_zeros(sech2, box)
+    assert contours == [(box, DOUBLINGS)]
+    assert len(zeros) == 1 and abs(zeros[0][0] - 0.5j) < 1e-6 and zeros[0][1] == 1
+
+
+def test_contour_through_a_zero_moves_the_box(sech2, monkeypatch):
+    # no doubling resolves a top edge through 1.5i, so the box is grown
+    # off the zero, which then lies inside it
+    contours = _recorded_contours(monkeypatch)
+    box = (-0.6, 0.6, 0.2, 1.5)
+    zeros = sorted(locate_zeros(sech2, box), key=lambda p: p[0].imag)
+    assert contours[0] == (box, DOUBLINGS)
+    (re0, re1, im0, im1), counts = contours[1]
+    assert re0 < box[0] and box[1] < re1 and im0 < box[2] and box[3] < im1
+    assert counts == DOUBLINGS[:1] and len(contours) == 2
+    assert [m for _, m in zeros] == [1, 1]
+    assert abs(zeros[0][0] - 0.5j) < 1e-6 and abs(zeros[1][0] - 1.5j) < 1e-6
+
+
 def test_gaussian_has_empty_discrete_spectrum(gauss03):
     assert locate_zeros(gauss03, (-1.0, 1.0, 0.05, 1.0)) == []
 
@@ -311,7 +384,7 @@ def test_triple_zero_is_found_with_its_constants(triple_pole):
     assert len(zeros) == 1 and zeros[0][1] == 3
     z = zeros[0][0]
     assert abs(z - triple_pole.z) <= 1e-10
-    c = norming_constants(triple_pole.profile, z, order=3).coefficients
+    c = norming_constants(triple_pole.profile, z).coefficients
     ref = np.array(triple_pole.datum.coefficients)
     assert np.max(np.abs(np.array(c) - ref) / np.abs(ref)) <= 1e-9
 
@@ -324,7 +397,7 @@ def test_rounding_in_the_samples_does_not_change_the_search(roundtrip, monkeypat
     rng = np.random.default_rng(11)
     noise = 1.0 + 1e-15 * rng.standard_normal(roundtrip.q.size)
     jittered = InitialProfile(roundtrip.x, roundtrip.q * noise)
-    norming_constants(roundtrip, 1j, order=2)
+    norming_constants(roundtrip, 1j)
     sizes = []
     halves = scattering._halves
 
@@ -395,7 +468,7 @@ def test_circle_samples_of_the_columns_are_analytic_to_rounding(roundtrip):
 
 
 def test_norming_constants_round_trip(roundtrip):
-    datum = norming_constants(roundtrip, 1j, order=2)
+    datum = norming_constants(roundtrip, 1j)
     assert datum.order == 2
     for got, ref in zip(datum.coefficients, ROUNDTRIP_DATUM.coefficients):
         assert abs(got - ref) / abs(ref) < 1e-6
@@ -404,7 +477,7 @@ def test_norming_constants_round_trip(roundtrip):
 
 def test_point_off_the_spectrum_is_rejected(roundtrip):
     with pytest.raises(RuntimeError, match="not a zero"):
-        norming_constants(roundtrip, 0.9j, order=2)
+        norming_constants(roundtrip, 0.9j)
 
 
 def test_injected_jost_stub_order_one():

@@ -14,6 +14,7 @@ from fnls.solitons import (
     _inv,
     _mul,
     _phase_series,
+    _solve_stack,
     blaschke_product,
     evaluate_matrix,
     modulate_constants,
@@ -405,6 +406,22 @@ def test_no_finite_solve_raises_linalg_error():
     data = OrientedData.all_lower([DiscreteDatum(1j, (2.0,))])
     with pytest.raises(np.linalg.LinAlgError, match="x = -600"):
         soliton_field(data, [0.0, -600.0], 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_singular_member_of_a_stack_leaves_the_others_alone():
+    # an exactly singular matrix makes the stacked LU solve raise; the
+    # fallback solves the rest again and marks that member alone
+    rng = np.random.default_rng(5)
+    matrix = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    matrix[1] = 0.0
+    rhs = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    u, cond, residual = _solve_stack(matrix, rhs)
+    assert np.all(np.isnan(u[1])) and cond[1] == np.inf
+    for i in (0, 2):
+        alone = _solve_stack(matrix[i:i + 1], rhs[i:i + 1])
+        for one, stacked in zip(alone, (u, cond, residual)):
+            assert np.array_equal(one[0], stacked[i])
 
 
 def test_empty_spectrum_gives_vacuum():
