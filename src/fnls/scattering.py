@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -454,9 +453,9 @@ def _phase_steps(values):
 def _contour_moments(value_fn, box, n_side):
     """Winding count of s11 on a box, and guesses of the zeros inside.
 
-    Returns (count, guesses, min|s|).  The phase is unwrapped along the
-    sampled contour; sampling is doubled, at most three times, until
-    adjacent phase steps are below :data:`_MAX_PHASE_STEP`.  The moments
+    Returns (count, guesses).  The phase is unwrapped along the sampled
+    contour; sampling is doubled, at most three times, until adjacent phase
+    steps are below :data:`_MAX_PHASE_STEP`.  The moments
     ``sum (z - centre)^j`` over the zeros, j = 1..count, are contour sums
     of ``(z - centre)^j d log s11``; Newton's identities turn them into the
     polynomial whose roots are the guesses.
@@ -466,7 +465,7 @@ def _contour_moments(value_fn, box, n_side):
         pts = _contour_points(box, n_side * 2 ** attempt)
         s = value_fn(pts)
         if np.any(s == 0) or not np.all(np.isfinite(s)):
-            raise RuntimeError("contour hits a zero of s11 exactly")
+            raise RuntimeError(f"the contour of the box {box} hits a zero of s11 exactly")
         try:
             steps = _phase_steps(s)
         except RuntimeError:
@@ -484,10 +483,10 @@ def _contour_moments(value_fn, box, n_side):
             e.append(sum((-1) ** (i - 1) * e[j - i] * p[i - 1]
                          for i in range(1, j + 1)) / j)
         guesses = centre + np.roots([(-1) ** j * e[j] for j in range(count + 1)])
-        return count, guesses, float(np.min(np.abs(s)))
+        return count, guesses
     raise RuntimeError(
-        "argument-principle contour did not resolve the phase; a zero may "
-        "lie on or very near the box boundary")
+        f"argument-principle contour of the box {box} did not resolve the "
+        "phase of s11: a zero lies on or near its boundary; move that edge")
 
 
 def _circle_series(samples, radius):
@@ -593,15 +592,16 @@ def _zeros_from_guesses(profile, guesses, scale):
     raise RuntimeError("circles about the guessed zeros did not settle")
 
 
-def locate_zeros(profile: InitialProfile, box, merge_radius: float = 1e-3):
+def locate_zeros(profile: InitialProfile, box):
     """Zeros of s11 inside an upper-half-plane rectangle, with multiplicity.
 
     ``box`` is (re_min, re_max, im_min, im_max) with im_min > 0.  Counting
     is by the argument principle on the box boundary, whose moments also
     guess where the zeros are; circles about the guesses then place them
-    and tell their orders (:func:`_zeros_from_guesses`).  Where the circles
-    fail, the box is subdivided.  Distinct zeros closer than
-    ``merge_radius`` are reported with a warning.
+    and tell their orders (:func:`_zeros_from_guesses`).  A box whose
+    circles fail, or place a zero outside it, is split across its longer
+    side.  A box is never moved: a zero on or near the boundary of the
+    given box is refused, and a cut through a zero is tried elsewhere.
     """
     re0, re1, im0, im1 = (float(v) for v in box)
     if not all(math.isfinite(v) for v in (re0, re1, im0, im1)):
@@ -614,30 +614,16 @@ def locate_zeros(profile: InitialProfile, box, merge_radius: float = 1e-3):
     def values(zs):
         return s11_on_grid(profile, zs)
 
-    def moments_with_retry(bx):
-        for grow in (0.0, 0.04, -0.03, 0.08):
-            w, h = bx[1] - bx[0], bx[3] - bx[2]
-            trial = (bx[0] - grow * w, bx[1] + grow * w,
-                     max(bx[2] - grow * h, bx[2] * 0.5), bx[3] + grow * h)
-            try:
-                count, guesses, smin = _contour_moments(values, trial,
-                                                        _SAMPLES_PER_SIDE)
-            except RuntimeError:
-                continue
-            scale = np.hypot(trial[1] - trial[0], trial[3] - trial[2])
-            if smin > 1e-9:
-                return trial, count, guesses, scale
-        raise RuntimeError("could not place a clean counting contour; "
-                           "a zero sits (nearly) on every candidate boundary")
-
     def solve_box(bx, depth):
-        bx, count, guesses, scale = moments_with_retry(bx)
+        count, guesses = _contour_moments(values, bx, _SAMPLES_PER_SIDE)
         if count == 0:
             return []
         try:
-            found = _zeros_from_guesses(profile, guesses, scale)
-            if not all(inside(z, bx) for z, _ in found):
-                raise RuntimeError("refinement left the box")
+            found = _zeros_from_guesses(profile, guesses,
+                                        np.hypot(bx[1] - bx[0], bx[3] - bx[2]))
+            if not all(bx[0] < z.real < bx[1] and bx[2] < z.imag < bx[3]
+                       for z, _ in found):
+                raise RuntimeError(f"circles placed a zero outside the box {bx}")
             return found
         except RuntimeError:
             if depth >= _MAX_DEPTH:
@@ -645,19 +631,14 @@ def locate_zeros(profile: InitialProfile, box, merge_radius: float = 1e-3):
         re0_, re1_, im0_, im1_ = bx
         horizontal = re1_ - re0_ >= im1_ - im0_
         last_err = None
-        # split the longer edge; retry with shifted cuts when the cut line
-        # grazes a zero or the halves disagree with the parent count
+        # a cut through a zero fails the halves' contours; the next is tried
         for frac in (0.5, 0.44, 0.57, 0.35, 0.65):
             if horizontal:
                 mid = re0_ + frac * (re1_ - re0_)
-                cut = mid + 1j * np.linspace(im0_, im1_, 33)
                 parts = [(re0_, mid, im0_, im1_), (mid, re1_, im0_, im1_)]
             else:
                 mid = im0_ + frac * (im1_ - im0_)
-                cut = np.linspace(re0_, re1_, 33) + 1j * mid
                 parts = [(re0_, re1_, im0_, mid), (re0_, re1_, mid, im1_)]
-            if np.min(np.abs(values(cut))) <= 1e-9:
-                continue
             try:
                 found = []
                 for part in parts:
@@ -670,25 +651,9 @@ def locate_zeros(profile: InitialProfile, box, merge_radius: float = 1e-3):
         raise RuntimeError(
             f"zero count mismatch after subdivision in box {bx}") from last_err
 
-    def inside(z, bx):
-        w, h = 0.15 * (bx[1] - bx[0]), 0.15 * (bx[3] - bx[2])
-        return (bx[0] - w <= z.real <= bx[1] + w
-                and bx[2] - h <= z.imag <= bx[3] + h)
-
     found = solve_box((re0, re1, im0, im1), 0)
     found.sort(key=lambda pair: (pair[0].real, pair[0].imag))
-    _warn_if_close(found, merge_radius)
     return [(complex(z), int(m)) for z, m in found]
-
-
-def _warn_if_close(pairs, merge_radius):
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            gap = abs(pairs[i][0] - pairs[j][0])
-            if gap < merge_radius:
-                warnings.warn(
-                    f"near-degenerate zeros separated by {gap:.2e}; "
-                    "reporting both (not merging)", RuntimeWarning)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,18 @@ def test_scatter_two_sech_finds_two_simple_zeros(out):
     assert zeros[1] == pytest.approx(1.5j, abs=1e-6)
 
 
+def test_scatter_box_edge_through_a_zero_exits_2_naming_the_box(out, capsys):
+    # the top edge runs through the zero at 1.5i; the search used to move
+    # the box and report that zero as found inside it
+    rc = run_cli("scatter", "--profile-kind", "sech",
+                 "--profile-amplitude", "2.0",
+                 "--scatter-box", "-0.6 0.6 0.2 1.5",
+                 "--output-dir", str(out))
+    assert rc == 2
+    assert "(-0.6, 0.6, 0.2, 1.5)" in capsys.readouterr().err
+    assert not (out / "scattering.json").exists()
+
+
 def test_scatter_real_axis_zero_exits_2_naming_z(out, capsys):
     # a half-amplitude sech parks a zero exactly at z = 0
     rc = run_cli("scatter", "--profile-kind", "sech",
