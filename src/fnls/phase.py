@@ -387,19 +387,15 @@ def _cone_interval(cone) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ConePartition:
-    """Index bookkeeping for a space-time cone: which poles sit left/right
-    of the stationary point, which fall inside the cone's velocity window,
-    and how fast everything else is suppressed."""
+    """Index bookkeeping for a space-time cone: which poles sit left of the
+    stationary point (the rest sit right of it), the cone's velocity window,
+    and how fast the poles outside that window are suppressed."""
 
     I: tuple
     delta_minus: tuple
-    delta_plus: tuple
-    zI: tuple
     mu_I: float
 
     def __post_init__(self) -> None:
-        if set(self.delta_minus) & set(self.delta_plus):
-            raise ValueError("pole index assigned to both sides")
         if not (self.mu_I > 0.0):
             raise ValueError("suppression rate must be positive")
 
@@ -410,23 +406,15 @@ def partition(data, z0: float, cone=None) -> ConePartition:
     if cone is None:
         cone = (0.0, 0.0, -2.0 * z0, -2.0 * z0)
     interval = _cone_interval(cone)
-
-    left = _left_of(data, z0)
-    minus = tuple(int(k) for k in np.flatnonzero(left))
-    plus = tuple(int(k) for k in np.flatnonzero(~left))
-
-    zI = [k for k, d in enumerate(data)
-          if interval[0] <= complex(d.z).real <= interval[1]]
+    minus = tuple(int(k) for k in np.flatnonzero(_left_of(data, z0)))
     mu = math.inf
-    for k, d in enumerate(data):
-        if k in zI:
-            continue
+    for d in data:
         zk = complex(d.z)
+        if interval[0] <= zk.real <= interval[1]:
+            continue
         dist = max(interval[0] - zk.real, zk.real - interval[1])
         mu = min(mu, zk.imag * dist)
-
-    return ConePartition(I=interval, delta_minus=minus, delta_plus=plus,
-                         zI=tuple(zI), mu_I=mu)
+    return ConePartition(I=interval, delta_minus=minus, mu_I=mu)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,11 @@ class InitialProfile:
             raise ValueError("need a 1-d grid with at least 8 points")
         if self.q.shape != self.x.shape:
             raise ValueError("samples and grid differ in length")
+        bad = np.flatnonzero(~np.isfinite(self.q))
+        if bad.size:
+            raise ValueError(
+                f"profile samples must be finite: {bad.size} are not, the "
+                f"first at x = {self.x[bad[0]]:g}")
         dx = np.diff(self.x)
         if np.any(dx <= 0):
             raise ValueError("grid must be strictly increasing")
@@ -179,10 +184,10 @@ _TAYLOR = np.array([[1.0 / math.factorial(2 * n + j) for n in range(7)] for j in
 _GROWTH_MAX = 300.0
 
 
-def _breaks(profile, x_from, x_to, x_eval, longest):
+def _breaks(profile, x_from, x_to, longest):
     """Step breaks from ``x_from`` to ``x_to``, equally spaced in the
-    profile's grading, cut into equal parts where a step is longer than
-    ``longest``, and holding every point of ``x_eval``."""
+    profile's grading, and cut into equal parts where a step is longer than
+    ``longest``."""
     x, cum = profile.x, profile._grading_integral()
     ends = np.interp([x_from, x_to], x, cum)
     steps = max(1, math.ceil(abs(ends[1] - ends[0]) / _MONITOR_SPACING))
@@ -194,12 +199,6 @@ def _breaks(profile, x_from, x_to, x_eval, longest):
         first = np.repeat(np.cumsum(parts) - parts, parts)
         frac = (np.arange(first.size) - first) / np.repeat(parts, parts)
         breaks = np.append(np.repeat(breaks[:-1], parts) + frac * np.repeat(h, parts), x_to)
-    if x_eval is not None:
-        lo, hi = min(x_from, x_to), max(x_from, x_to)
-        inner = np.asarray(x_eval, dtype=float)
-        breaks = np.union1d(breaks, inner[(inner >= lo) & (inner <= hi)])
-        if x_to < x_from:
-            breaks = breaks[::-1]
     return breaks
 
 
@@ -269,16 +268,6 @@ def _tree_product(E):
     return [e[0] for e in E]
 
 
-def _prefix_products(E):
-    """``E_i ... E_0`` for every i along the first axis (doubling scan)."""
-    k, span = E[0].shape[0], 1
-    while span < k:
-        P = _mat([e[span:] for e in E], [e[:-span] for e in E])
-        E = [np.concatenate([e[:span], p]) for e, p in zip(E, P)]
-        span *= 2
-    return E
-
-
 def _chunks(zs, h, q):
     """Slices of the steps, each of about ``_CHUNK_ENTRIES`` (step, point)
     entries, over which the traceless steps' product can grow by at most
@@ -293,47 +282,33 @@ def _chunks(zs, h, q):
         lo = hi
 
 
-def _propagate(zs, h, q, sign, y0, marks):
-    """The column after the steps from ``y0``; with ``marks`` (counts of
-    steps taken), the column at each mark instead.
+def _propagate(zs, h, q, sign, y0):
+    """The column after the steps from ``y0``.
 
     The traceless steps (:func:`_steps`) are multiplied chunk by chunk, and
     each chunk's product takes the scalar factor ``e^{sign i z L}`` of its
     length L.  Over a chunk where the profile vanishes this is the free
     propagator, whose normalised diagonal entry is set to 1 exactly.
     """
-    n = zs.size
-    v = [np.full(n, c, dtype=np.complex128) for c in y0]
-    seen = [np.broadcast_to(np.array(y0)[:, None, None], (2, 1, n))]
+    v = [np.full(zs.size, c, dtype=np.complex128) for c in y0]
     unit = 0 if sign > 0 else 3
     for part in _chunks(zs, h, q):
-        E = _steps(zs, h[part], q[part])
-        length = np.cumsum(h[part])[:, None]
-        if marks is None:
-            E, length = _tree_product(E), length[-1]
-        else:
-            E = _prefix_products(E)
-        phase = np.exp((sign * 1j) * length * zs)
+        E = _tree_product(_steps(zs, h[part], q[part]))
+        phase = np.exp((sign * 1j) * np.cumsum(h[part])[-1] * zs)
         P = [phase * c for c in E]
         if not np.any(q[part]):
             P[unit] = np.ones_like(P[unit])
         v = [P[0] * v[0] + P[1] * v[1], P[2] * v[0] + P[3] * v[1]]
-        if marks is not None:
-            seen.append(np.stack(v))
-            v = [c[-1] for c in v]
-    if marks is None:
-        return np.stack(v, axis=1)
-    return np.concatenate(seen, axis=1)[:, marks].transpose(2, 0, 1)
+    return np.stack(v, axis=1)
 
 
-def _integrate_columns(profile, zs, kind, x_from, x_to, x_eval=None):
+def _integrate_columns(profile, zs, kind, x_from, x_to):
     """Integrate one Jost column type for a batch of spectral points.
 
     ``kind`` 'first' evolves the (m1, m2) pair obeying m1' = q m2,
     m2' = 2iz m2 - conj(q) m1 (the column normalized to (1,0)); 'second' the
     mirror pair normalized to (0,1).  Returns an (n, 2) array at ``x_to``,
-    or (n, 2, len(x_eval)) when sampling along the way, and the Richardson
-    correction that was added to it, of the same shape.
+    and the Richardson correction that was added to it, of the same shape.
 
     The system is ``y' = (sign i z I + B(x)) y`` with B traceless, sign +1
     for 'first' and -1 for 'second'.  It is marched on breaks graded by the
@@ -353,7 +328,7 @@ def _integrate_columns(profile, zs, kind, x_from, x_to, x_eval=None):
     # steps shorter than about 1/|z|; the grading alone allows a unit step
     # where the profile is negligible
     longest = 1.0 / max(1.0, float(np.max(np.abs(zs))))
-    coarse = _breaks(profile, x_from, x_to, x_eval, longest)
+    coarse = _breaks(profile, x_from, x_to, longest)
     fine = np.empty(2 * coarse.size - 1)
     fine[::2] = coarse
     fine[1::2] = 0.5 * (coarse[1:] + coarse[:-1])
@@ -361,35 +336,30 @@ def _integrate_columns(profile, zs, kind, x_from, x_to, x_eval=None):
     nodes = [(b[:-1, None] + h[:, None] * _GAUSS_C).ravel()
              for b, h in zip((coarse, fine), steps)]
     q_all = profile.evaluate(np.concatenate(nodes)).reshape(-1, 2)
-    marks = None
-    if x_eval is not None:
-        asc = coarse if coarse[-1] >= coarse[0] else coarse[::-1]
-        at = np.searchsorted(asc, np.asarray(x_eval, dtype=float))
-        marks = at if asc is coarse else coarse.size - 1 - at
-    coarse_cols, fine_cols = (
-        _propagate(zs, h, q, sign, y0, None if marks is None else per * marks)
-        for h, q, per in zip(steps, np.split(q_all, [steps[0].size]), (1, 2)))
+    coarse_cols, fine_cols = (_propagate(zs, h, q, sign, y0)
+                              for h, q in zip(steps, np.split(q_all, [steps[0].size])))
     # the step is symmetric, so its error runs in even powers of h: this
     # cancels the h^4 term and leaves h^6
     correction = (fine_cols - coarse_cols) / 15.0
     return fine_cols + correction, correction
 
 
-def _halves(profile, zs, x_match=0.0):
-    """The Jost columns at ``x_match``, integrated in from the left and from
-    the right, and the size at each point of the Richardson correction
-    carried through to s11 to first order (an estimate of its error)."""
-    a, da = _integrate_columns(profile, zs, "first", profile.x[0], x_match)
-    b, db = _integrate_columns(profile, zs, "second", profile.x[-1], x_match)
+def _halves(profile, zs):
+    """The Jost columns at x = 0, integrated in from the left and from the
+    right, their Wronskian s11, and the size at each point of the
+    Richardson correction carried through to s11 to first order (an
+    estimate of its error)."""
+    a, da = _integrate_columns(profile, zs, "first", profile.x[0], 0.0)
+    b, db = _integrate_columns(profile, zs, "second", profile.x[-1], 0.0)
+    s11 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     eta = np.abs(da[:, 0] * b[:, 1] + a[:, 0] * db[:, 1]
                  - da[:, 1] * b[:, 0] - a[:, 1] * db[:, 0])
-    return a, b, eta
+    return a, b, s11, eta
 
 
-def s11_on_grid(profile, zs, x_match=0.0):
+def s11_on_grid(profile, zs):
     """s11 for a batch of points in the closed upper half plane."""
-    a, b, _ = _halves(profile, zs, x_match)
-    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return _halves(profile, zs)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +380,20 @@ class ScatteringData:
         self.z = np.asarray(self.z, dtype=float)
         self.r = np.asarray(self.r, dtype=np.complex128)
         self.discrete = tuple(self.discrete)
+        # the ray density searches and interpolates on the grid
+        if self.z.ndim != 1 or not np.all(np.isfinite(self.z)):
+            raise ValueError("the reflection grid z must be 1-d and finite")
+        if np.any(np.diff(self.z) <= 0):
+            raise ValueError("the reflection grid z must be strictly increasing")
+        if self.r.shape != self.z.shape:
+            raise ValueError(f"r has shape {self.r.shape}, the grid z {self.z.shape}")
+        if not np.all(np.isfinite(self.r)):
+            raise ValueError("the reflection samples r must be finite")
 
 
 def reflection_coefficient(profile: InitialProfile, z_grid) -> ScatteringData:
     zs = np.asarray(z_grid, dtype=float)
-    a, b, _ = _halves(profile, zs)
-    s11 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    a, b, s11, _ = _halves(profile, zs)
     # on the real line the first-kind column from the right is
     # (conj b2, -conj b1) by the Schwarz symmetry of the system
     s21 = np.conj(b[:, 1]) * a[:, 1] + np.conj(b[:, 0]) * a[:, 0]
@@ -536,8 +514,7 @@ def _circles(profile, centres, radii):
     n = _CIRCLE_POINTS
     unit = np.exp(2j * np.pi * np.arange(n) / n)
     pts = np.asarray(centres)[:, None] + np.asarray(radii)[:, None] * unit
-    a, b, eta = _halves(profile, pts.ravel())
-    s11 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    a, b, s11, eta = _halves(profile, pts.ravel())
     rows = np.stack([a[:, 0], a[:, 1], b[:, 0], b[:, 1], s11]).reshape(5, -1, n)
     out = []
     for k, (r, e) in enumerate(zip(radii, eta.reshape(-1, n).max(axis=1))):

@@ -18,9 +18,10 @@ order 2, Yoshida's (1990) triple jump ``(w1, w0, w1)`` at order 4.  Adjacent
 half-linear flows merge, so a step costs one FFT pair per weight, and the
 linear factors are built once per segment between recorded times.
 
-The helpers below the integrator (:func:`conserved`, :func:`pde_residual`,
-:func:`fourier_interpolate`) check exact solutions and asymptotic formulas
-against it.
+Below the integrator, :func:`pde_residual` checks a candidate solution
+against the equation itself, and :func:`fourier_interpolate` reads a stored
+slice between grid points, where exact solutions and asymptotic formulas
+are compared with it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +38,8 @@ __all__ = [
     "Grid",
     "Evolution",
     "split_step",
-    "conserved",
-    "conserved_drift",
     "pde_residual",
     "fourier_interpolate",
-    "sech_soliton",
     "save_evolution",
     "load_evolution",
 ]
@@ -187,29 +185,6 @@ def split_step(
     return Evolution(grid, np.array(out_t), np.array(out_q), worst_edge)
 
 
-def conserved(q: np.ndarray, grid: Grid) -> dict[str, float]:
-    """Mass, momentum and energy of a field slice (spectral derivatives)."""
-    q = np.asarray(q, dtype=np.complex128)
-    qx = np.fft.ifft(1j * grid.k * np.fft.fft(q))
-    dx = grid.dx
-    mass = dx * float(np.sum(np.abs(q) ** 2))
-    momentum = dx * float(np.sum(np.imag(np.conj(q) * qx)))
-    energy = dx * float(np.sum(0.5 * np.abs(qx) ** 2 - 0.5 * np.abs(q) ** 4))
-    return {"mass": mass, "momentum": momentum, "energy": energy}
-
-
-def conserved_drift(ev: Evolution) -> dict[str, float]:
-    """Largest relative drift of each conserved quantity across the samples."""
-    base = conserved(ev.q[0], ev.grid)
-    drift = {key: 0.0 for key in base}
-    for slice_q in ev.q[1:]:
-        cur = conserved(slice_q, ev.grid)
-        for key in base:
-            scale = max(1.0, abs(base[key]))
-            drift[key] = max(drift[key], abs(cur[key] - base[key]) / scale)
-    return drift
-
-
 def pde_residual(
     q_fn,
     grid: Grid,
@@ -266,16 +241,6 @@ def fourier_interpolate(q: np.ndarray, grid: Grid, x_new: np.ndarray) -> np.ndar
     near = np.exp(1j * np.outer(theta, np.arange(-(b // 2), b - b // 2)))
     far = np.exp(1j * np.outer(theta, b * np.arange(hi.min(), hi.max() + 1)))
     return np.sum((near @ coeffs.T) * far, axis=1)
-
-
-def sech_soliton(amplitude: float = 1.0):
-    """Closed-form one-soliton ``A sech(A x) e^{i A^2 t / 2}`` as a callable."""
-
-    def _eval(x: np.ndarray, t: float) -> np.ndarray:
-        a = amplitude
-        return a / np.cosh(a * np.asarray(x, dtype=float)) * np.exp(0.5j * a * a * t)
-
-    return _eval
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ reach the same number by different means.
   whose (1,2) entry ``q_asymptotic`` forms inline.
 * :func:`mass_from_spectrum` -- the trace formula for the mass.
 * :func:`s11_from_integral` -- s11 as an integral along the line, against
-  the Wronskian of the two Jost columns.
+  the Wronskian of the two Jost columns.  Its Jost column comes from
+  :func:`second_column_on_grid`, SciPy's DOP853 on the untransformed
+  system, which shares no code with the library's transfer-matrix march.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.special import gamma
 
 from fnls.phase import _unwrap
-from fnls.scattering import InitialProfile, _integrate_columns
+from fnls.scattering import InitialProfile
 
 
 def pc_first_moment(pc) -> np.ndarray:
@@ -83,11 +86,28 @@ def mass_from_spectrum(data) -> float:
     return float(sum(4.0 * d.order * d.z.imag for d in data))
 
 
+def second_column_on_grid(profile: InitialProfile, z: complex) -> np.ndarray:
+    """The normalised second Jost column ``(m1, m2)`` at every point of the
+    profile's grid, shape (2, n): ``m1' = -2iz m1 + q m2`` and
+    ``m2' = -conj(q) m1``, from ``(0, 1)`` at the right end of the grid
+    integrated to its left end by SciPy's DOP853."""
+    z = complex(z)
+
+    def rhs(x, m):
+        q = complex(profile.evaluate(x))
+        return [-2j * z * m[0] + q * m[1], -np.conj(q) * m[0]]
+
+    x = profile.x
+    sol = solve_ivp(rhs, (x[-1], x[0]), [0j, 1 + 0j], method="DOP853",
+                    t_eval=x[::-1], rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    return sol.y[:, ::-1]
+
+
 def s11_from_integral(profile: InitialProfile, z: complex) -> complex:
-    """Independent route to s11: 1 + integral of conj(q0) times the (1,2)
-    Jost entry over the line, using densely sampled backward integration."""
-    x_rev = profile.x[::-1]
-    vals, _ = _integrate_columns(profile, [z], "second", profile.x[-1],
-                                 profile.x[0], x_eval=x_rev)
-    m12 = vals[0, 0][::-1]
-    return complex(1.0 + np.trapezoid(np.conj(profile.q) * m12, profile.x))
+    """Independent route to s11: 1 + the integral over the line of conj(q0)
+    times the first entry of the second Jost column, by the trapezoid rule
+    on the profile's grid."""
+    m1 = second_column_on_grid(profile, z)[0]
+    return complex(1.0 + np.trapezoid(np.conj(profile.q) * m1, profile.x))

@@ -149,6 +149,21 @@ def test_scatter_zero_profile_reports_empty_discrete_list(tmp_path, out):
     assert arr.shape == (17, 3)
 
 
+def test_scatter_non_finite_profile_exits_2_naming_it(tmp_path, out, capsys):
+    # a NaN sample once reached the step count of the Jost march and failed
+    # there with "cannot convert float NaN to integer"
+    x = np.linspace(-13.0, 13.0, 201)
+    q = 0.3 * np.exp(-x ** 2)
+    q[100] = np.nan
+    profile = tmp_path / "nan.csv"
+    np.savetxt(profile, np.column_stack([x, q, 0.0 * x]), delimiter=",")
+    rc = run_cli("scatter", "--profile-kind", "csv", "--profile-file", str(profile),
+                 "--scatter-n-z", "5", "--output-dir", str(out))
+    assert rc == 2
+    assert "profile samples must be finite" in capsys.readouterr().err
+    assert not (out / "scattering.json").exists()
+
+
 def test_scatter_two_sech_finds_two_simple_zeros(out):
     rc = run_cli("scatter", "--profile-kind", "sech",
                  "--profile-amplitude", "2.0",
@@ -451,6 +466,48 @@ def test_asymptote_reflectionless_f_column_is_zero(out):
     assert arr.shape == (10, 8)
     assert np.all(arr[:, 4:6] == 0.0)
     assert np.array_equal(arr[:, 2:4], arr[:, 6:8])
+
+
+def _swapped_samples(doc):
+    doc["z_grid"][78], doc["z_grid"][82] = doc["z_grid"][82], doc["z_grid"][78]
+
+
+def _repeated_sample(doc):
+    doc["z_grid"][80] = doc["z_grid"][79]
+
+
+def _reversed_grid(doc):
+    doc["z_grid"].reverse()
+    doc["r"].reverse()
+
+
+def _short_r(doc):
+    del doc["r"][-1]
+
+
+@pytest.mark.parametrize("damage,reason", [
+    (_swapped_samples, "strictly increasing"),
+    (_repeated_sample, "strictly increasing"),
+    (_reversed_grid, "strictly increasing"),
+    (_short_r, "r has shape (160,)"),
+], ids=["swapped", "repeated", "reversed", "short-r"])
+def test_asymptote_malformed_reflection_grid_exit_2(tmp_path, out, capsys, damage, reason):
+    # the ray density searches and interpolates on the grid: a swapped or
+    # repeated sample once moved f silently, a reversed grid failed with
+    # "does not bracket z0", and a short r with numpy's own message
+    z = np.linspace(-4.0, 4.0, 161)
+    source = tmp_path / "source.json"
+    save_scattering(ScatteringData(z, 0.3 * np.exp(-z ** 2) + 0j), source)
+    doc = json.loads(source.read_text())
+    damage(doc)
+    source.write_text(json.dumps(doc))
+    rc = run_cli("asymptote", "--discrete-file", str(source),
+                 "--asymptote-t-min", "20", "--asymptote-t-max", "20",
+                 "--asymptote-n-t", "1", "--output-dir", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "malformed scattering document" in err and reason in err
+    assert not (out / "asymptotics.csv").exists()
 
 
 def test_asymptote_t_below_floor_exit_2(out, capsys):

@@ -71,6 +71,28 @@ def test_zero_potential_scatters_to_identity():
     assert locate_zeros(prof, (-1.0, 1.0, 0.2, 2.0)) == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_profile_refuses_non_finite_samples(bad):
+    x = np.linspace(-6.0, 6.0, 64)
+    q = np.exp(-x ** 2).astype(complex)
+    q[40] = bad
+    with pytest.raises(ValueError, match="profile samples must be finite"):
+        InitialProfile(x, q)
+
+
+def test_reflection_grid_must_be_increasing_finite_and_match_r():
+    z = np.linspace(-1.0, 1.0, 5)
+    r = np.zeros(5, dtype=complex)
+    ScatteringData(np.zeros(0), np.zeros(0, dtype=complex))   # pole-only
+    for bad_z in (z[::-1], np.r_[z[:2], z[1:4]], np.r_[z[:4], np.nan], z[None, :]):
+        with pytest.raises(ValueError, match="reflection grid"):
+            ScatteringData(bad_z, r)
+    with pytest.raises(ValueError, match="r has shape"):
+        ScatteringData(z, r[:4])
+    with pytest.raises(ValueError, match="must be finite"):
+        ScatteringData(z, np.r_[r[:4], np.inf])
+
+
 def test_sech_family_matches_gamma_function_formula(sech2):
     """For A/cosh(x) the transmission data is hypergeometric and the
     Wronskian entry has the closed form G(w)^2 / (G(w+A) G(w-A)) with
@@ -113,7 +135,7 @@ def test_s21_from_symmetry_matches_a_third_integration(profile):
     # reference: integrate the first-kind column in from the right as a
     # third family, the route the Schwarz symmetry replaces
     zs = np.linspace(-4.0, 4.0, 321)
-    a, _, _ = _halves(profile, zs)
+    a, _, _, _ = _halves(profile, zs)
     d, _ = _integrate_columns(profile, zs, "first", profile.x[-1], 0.0)
     direct = d[:, 0] * a[:, 1] - d[:, 1] * a[:, 0]
     s21 = reflection_coefficient(profile, zs).s21
@@ -150,7 +172,7 @@ def test_base_step_is_fourth_order(sech2, z):
         h = np.diff(breaks)
         q = sech2.evaluate((breaks[:-1, None] + h[:, None] * _GAUSS_C).ravel())
         return _propagate(np.array([z], dtype=complex), h, q.reshape(-1, 2), 1,
-                          (1.0, 0.0), None)[0]
+                          (1.0, 0.0))[0]
 
     steps = np.array([40, 80, 160, 320])
     ref = column(64 * steps[0])
@@ -173,9 +195,13 @@ def test_determinant_and_integral_routes_agree(gauss03):
 
 
 def test_matching_point_does_not_matter(gauss03):
+    # the Wronskian of the two columns is constant in x: formed at 0.7
+    # it is the s11 the library forms at 0
     z = 0.2 + 0.6j
-    left = complex(s11_on_grid(gauss03, [z], x_match=0.0)[0])
-    right = complex(s11_on_grid(gauss03, [z], x_match=0.7)[0])
+    a, _ = _integrate_columns(gauss03, [z], "first", gauss03.x[0], 0.7)
+    b, _ = _integrate_columns(gauss03, [z], "second", gauss03.x[-1], 0.7)
+    right = complex(a[0, 0] * b[0, 1] - a[0, 1] * b[0, 0])
+    left = complex(s11_on_grid(gauss03, [z])[0])
     assert abs(left - right) < 1e-10
 
 
@@ -393,9 +419,9 @@ def test_rounding_in_the_samples_does_not_change_the_search(roundtrip, monkeypat
     sizes = []
     halves = scattering._halves
 
-    def counted(profile, zs, *args):
+    def counted(profile, zs):
         sizes[-1] += np.size(zs)
-        return halves(profile, zs, *args)
+        return halves(profile, zs)
 
     monkeypatch.setattr(scattering, "_halves", counted)
     found = []
@@ -454,7 +480,7 @@ def test_circle_samples_of_the_columns_are_analytic_to_rounding(roundtrip):
     # refusal never fires on it: at the double pole the negative
     # frequencies hold rounding only
     zs = _on_circle(1j, 0.5)
-    a, b, _ = _halves(roundtrip, zs)
+    a, b, _, _ = _halves(roundtrip, zs)
     hat = np.fft.fft(np.stack([a[:, 0], a[:, 1], b[:, 0], b[:, 1]]), axis=-1) / zs.size
     assert np.max(np.abs(hat[:, 33:])) <= 1e-15
 

@@ -26,8 +26,9 @@ from fnls.solitons import (
     solve_soliton,
     soliton_field,
 )
-from fnls.splitstep import Grid, conserved, pde_residual
+from fnls.splitstep import Grid, pde_residual
 
+from invariants import conserved
 from second_routes import mass_from_spectrum
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])

@@ -3,15 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fnls.splitstep import (
-    Grid,
-    conserved,
-    conserved_drift,
-    fourier_interpolate,
-    pde_residual,
-    sech_soliton,
-    split_step,
-)
+from fnls.splitstep import Grid, fourier_interpolate, pde_residual, split_step
+
+from invariants import conserved, conserved_drift, sech_soliton
 
 
 @pytest.fixture(scope="module")
