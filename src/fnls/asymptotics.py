@@ -22,6 +22,7 @@ from .phase import _cone_interval, _unwrap, phase_context, r0_modulated
 from .solitons import (
     OrientedData,
     _dressed,
+    _left_of,
     _restricted,
     outer_matrix_row,
     solve_soliton,
@@ -168,16 +169,18 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
 
     sigma_d = tuple(sigma_d)
     z0 = -x / (2.0 * t)
+    # one split about z0 serves T0 and the orientations alike
+    left = _left_of(sigma_d, z0)
     ctx = None
     weighted = OrientedData.all_lower(sigma_d)
     if scattering is not None:
         # one ray for all points: the pole dressing and T0 read its nodes
-        ctx = phase_context(scattering, sigma_d, x, t)
+        ctx = phase_context(scattering, sigma_d, x, t, left=left)
         weighted = _dressed(weighted, ctx.ray.inverse_delta)
 
     q_sol = np.zeros(x.size, dtype=np.complex128)
     rows = np.zeros((x.size, 2), dtype=np.complex128)
-    for at, oriented in _restricted(weighted, interval, z0):
+    for at, oriented in _restricted(weighted, interval, left):
         state = solve_soliton(oriented, x[at], t[at])
         q_sol[at] = state.q
         if ctx is not None:
@@ -194,18 +197,12 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
     return AsymptoticValue(x=x, t=t, q_sol_part=q_sol, f_part=f)
 
 
-def save_asymptotics(path, values) -> None:
-    """CSV dump of evaluations, one row per point: ``values`` is one
-    :class:`AsymptoticValue` over any number of points, or a sequence of
-    them."""
-    if isinstance(values, AsymptoticValue):
-        values = (values,)
-
-    def column(name):
-        return np.concatenate([np.ravel(getattr(v, name)) for v in values])
-
-    q_sol, f, q = (column(name) for name in ("q_sol_part", "f_part", "q_total"))
-    np.savetxt(path, np.column_stack([column("x"), column("t"), q_sol.real, q_sol.imag,
+def save_asymptotics(path, value: AsymptoticValue) -> None:
+    """CSV dump of an evaluation over any number of points, one row per
+    point."""
+    x, t, q_sol, f, q = (np.ravel(v) for v in (value.x, value.t, value.q_sol_part,
+                                               value.f_part, value.q_total))
+    np.savetxt(path, np.column_stack([x, t, q_sol.real, q_sol.imag,
                                       f.real, f.imag, q.real, q.imag]),
                delimiter=",", fmt="%.17g",
                header="x,t,re_q_sol,im_q_sol,re_f,im_f,re_q_total,im_q_total",

@@ -113,7 +113,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "t_final": ("1.0", "final time of the run"),
         "t_samples": ("", "extra times to record, space/comma separated"),
         "order": ("2", "splitting order: 2 or 4"),
-        "edge_guard": ("1e-10", "warn when edge mass fraction exceeds this"),
     },
     "compare": {
         "a": ("", "evolution directory (with manifest.json) for field A"),
@@ -131,10 +130,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
     },
 }
 
-class ConfigError(ValueError):
-    """Bad input or configuration; mapped to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # Configuration resolution
 # ---------------------------------------------------------------------------
@@ -151,15 +146,15 @@ class Settings:
                 with open(config_path, encoding="utf-8") as fh:
                     parser.read_file(fh)
             except OSError as exc:
-                raise ConfigError(f"cannot read config file: {exc}") from exc
+                raise ValueError(f"cannot read config file: {exc}") from exc
             except configparser.Error as exc:
-                raise ConfigError(f"malformed config file: {exc}") from exc
+                raise ValueError(f"malformed config file: {exc}") from exc
             for section in parser.sections():
                 if section not in SCHEMA:
-                    raise ConfigError(f"unknown config section [{section}]")
+                    raise ValueError(f"unknown config section [{section}]")
                 for key, value in parser.items(section):
                     if key not in SCHEMA[section]:
-                        raise ConfigError(
+                        raise ValueError(
                             f"unknown config key '{key}' in section [{section}]")
                     self._file[(section, key)] = value
         self._cli = dict(overrides)
@@ -182,7 +177,7 @@ class Settings:
                 return number
         except ValueError:
             pass
-        raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
+        raise ValueError(f"{section}.{key} must be a finite number, got {value!r}")
 
     def integer(self, section: str, key: str) -> int:
         value = self.text(section, key)
@@ -191,12 +186,12 @@ class Settings:
                 return int(number)
         except (ValueError, OverflowError):
             pass
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        raise ValueError(f"{section}.{key} must be an integer, got {value!r}")
 
     def positive(self, section: str, key: str) -> float:
         value = self.number(section, key)
         if not value > 0.0:
-            raise ConfigError(f"{section}.{key} must be positive")
+            raise ValueError(f"{section}.{key} must be positive")
         return value
 
     def numbers(self, section: str, key: str) -> list[float]:
@@ -207,7 +202,7 @@ class Settings:
             values = [math.nan]
         if all(map(math.isfinite, values)):
             return values
-        raise ConfigError(f"{section}.{key} must be a list of finite numbers")
+        raise ValueError(f"{section}.{key} must be a list of finite numbers")
 
     def output_dir(self) -> Path:
         cli = self._cli.get("run__output_dir")
@@ -250,7 +245,7 @@ def _discrete_configured(cfg: Settings) -> bool:
 
 def _check_single_source(cfg: Settings) -> None:
     if _profile_configured(cfg) and _discrete_configured(cfg):
-        raise ConfigError(
+        raise ValueError(
             "exactly one data source may be set: found both a profile "
             "and discrete data")
 
@@ -258,22 +253,22 @@ def _check_single_source(cfg: Settings) -> None:
 def _load_source_profile(cfg: Settings):
     kind = cfg.text("profile", "kind")
     if kind == "none":
-        raise ConfigError("this command needs a profile source "
-                          "(set profile.kind)")
+        raise ValueError("this command needs a profile source "
+                         "(set profile.kind)")
     tail_tol = cfg.positive("profile", "tail_tol")
     if kind == "csv":
         path = cfg.text("profile", "file")
         if not path:
-            raise ConfigError("profile.kind = csv requires profile.file")
+            raise ValueError("profile.kind = csv requires profile.file")
         try:
             return load_profile(path, tail_tol=tail_tol)
         except OSError as exc:
-            raise ConfigError(f"cannot read profile file: {exc}") from exc
+            raise ValueError(f"cannot read profile file: {exc}") from exc
     n = cfg.integer("profile", "n")
     x_min = cfg.number("profile", "x_min")
     x_max = cfg.number("profile", "x_max")
     if not x_min < x_max:
-        raise ConfigError("profile grid needs x_min < x_max")
+        raise ValueError("profile grid needs x_min < x_max")
     x = np.linspace(x_min, x_max, n)
     amplitude = cfg.number("profile", "amplitude")
     if kind == "sech":
@@ -281,19 +276,19 @@ def _load_source_profile(cfg: Settings):
     if kind == "gaussian":
         return gaussian_profile(amplitude, x, width=cfg.positive("profile", "width"),
                                 tail_tol=tail_tol)
-    raise ConfigError(f"unknown profile.kind {kind!r}")
+    raise ValueError(f"unknown profile.kind {kind!r}")
 
 
 def _parse_pole_line(line: str) -> DiscreteDatum:
     tokens = line.replace(",", " ").split()
     if len(tokens) < 7 or len(tokens) % 2 == 0:
-        raise ConfigError(
+        raise ValueError(
             "each discrete.poles line needs 7 numbers (re im order c0_re c0_im "
             f"c1_re c1_im), then c2_re c2_im ... up to the order, got {line!r}")
     try:
         values = [float(tok) for tok in tokens]
     except ValueError as exc:
-        raise ConfigError(f"bad number in discrete.poles line {line!r}") from exc
+        raise ValueError(f"bad number in discrete.poles line {line!r}") from exc
     return _from_spelled(complex(values[0], values[1]), values[2],
                          [complex(*v) for v in zip(values[3::2], values[4::2])])
 
@@ -303,28 +298,21 @@ def _load_source_discrete(cfg: Settings) -> ScatteringData:
     file_path = cfg.text("discrete", "file")
     poles_text = cfg.text("discrete", "poles")
     if file_path and poles_text:
-        raise ConfigError("set discrete.file or discrete.poles, not both")
+        raise ValueError("set discrete.file or discrete.poles, not both")
     if file_path:
         try:
             return load_scattering(file_path)
         except OSError as exc:
-            raise ConfigError(f"cannot read scattering document: {exc}") from exc
+            raise ValueError(f"cannot read scattering document: {exc}") from exc
         except (KeyError, IndexError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"malformed scattering document: {exc}") from exc
+            raise ValueError(f"malformed scattering document: {exc}") from exc
     if not poles_text:
-        raise ConfigError("this command needs a discrete source "
-                          "(set discrete.file or discrete.poles)")
+        raise ValueError("this command needs a discrete source "
+                         "(set discrete.file or discrete.poles)")
     data = tuple(_parse_pole_line(line)
                  for line in poles_text.splitlines() if line.strip())
     empty = np.zeros(0)
     return ScatteringData(empty, np.zeros(0, dtype=np.complex128), data)
-
-
-def _cone_from(cfg: Settings) -> tuple[float, float, float, float]:
-    cone = tuple(cfg.number("cone", key) for key in ("x1", "x2", "v1", "v2"))
-    if not (cone[0] <= cone[1] and cone[2] <= cone[3]):
-        raise ConfigError("cone must satisfy x1 <= x2 and v1 <= v2")
-    return cone
 
 
 def _time_grid(cfg: Settings, section: str) -> np.ndarray:
@@ -332,7 +320,7 @@ def _time_grid(cfg: Settings, section: str) -> np.ndarray:
     t_min = cfg.number(section, "t_min")
     t_max = cfg.number(section, "t_max")
     if n_t < 1 or t_max < t_min or (n_t == 1 and t_max != t_min):
-        raise ConfigError(f"bad time grid in [{section}]")
+        raise ValueError(f"bad time grid in [{section}]")
     return np.linspace(t_min, t_max, n_t)
 
 
@@ -351,14 +339,14 @@ def cmd_scatter(cfg: Settings, out_dir: Path) -> int:
     z_min = cfg.number("scatter", "z_min")
     z_max = cfg.number("scatter", "z_max")
     if n_z < 2 or not z_min < z_max:
-        raise ConfigError("bad spectral grid in [scatter]")
+        raise ValueError("bad spectral grid in [scatter]")
     z_grid = np.linspace(z_min, z_max, n_z)
     box_text = cfg.numbers("scatter", "box")
     box = None
     if box_text:
         if len(box_text) != 4:
-            raise ConfigError("scatter.box needs 4 numbers: "
-                              "re_min re_max im_min im_max")
+            raise ValueError("scatter.box needs 4 numbers: "
+                             "re_min re_max im_min im_max")
         box = tuple(box_text)
     data = extract_scattering(profile, z_grid, box=box)
     save_scattering(data, out_dir / "scattering.json")
@@ -378,7 +366,7 @@ def cmd_soliton(cfg: Settings, out_dir: Path) -> int:
     x_min = cfg.number("soliton", "x_min")
     x_max = cfg.number("soliton", "x_max")
     if n_x < 1 or not x_min <= x_max:
-        raise ConfigError("bad x grid in [soliton]")
+        raise ValueError("bad x grid in [soliton]")
     x = np.linspace(x_min, x_max, n_x)
     rows = []
     for t in _time_grid(cfg, "soliton"):
@@ -394,11 +382,11 @@ def cmd_soliton(cfg: Settings, out_dir: Path) -> int:
 
 def cmd_asymptote(cfg: Settings, out_dir: Path) -> int:
     source = _load_source_discrete(cfg)
-    cone = _cone_from(cfg)
+    cone = tuple(cfg.number("cone", key) for key in ("x1", "x2", "v1", "v2"))
     scattering = source if source.r.size and np.any(source.r != 0) else None
     n_x = cfg.integer("asymptote", "n_x")
     if n_x < 1:
-        raise ConfigError("asymptote.n_x must be at least 1")
+        raise ValueError("asymptote.n_x must be at least 1")
     min_t = cfg.positive("asymptote", "min_t")
     times = np.asarray(_time_grid(cfg, "asymptote"), dtype=float)
     x = np.array([np.linspace(cone[0] + cone[2] * t, cone[1] + cone[3] * t, n_x)
@@ -415,14 +403,14 @@ def cmd_evolve(cfg: Settings, out_dir: Path) -> int:
                 x_min=cfg.number("evolve", "x_min"),
                 x_max=cfg.number("evolve", "x_max"))
     if not grid.x_min < grid.x_max:
-        raise ConfigError("evolve domain needs x_min < x_max")
+        raise ValueError("evolve domain needs x_min < x_max")
     t_start = cfg.number("evolve", "t_start")
     if _profile_configured(cfg):
         q0 = _load_source_profile(cfg).evaluate(grid.x)
     elif _discrete_configured(cfg):
         q0 = soliton_field(_load_source_discrete(cfg).discrete, grid.x, t_start)
     else:
-        raise ConfigError("evolve needs a profile or a discrete source")
+        raise ValueError("evolve needs a profile or a discrete source")
     samples = cfg.numbers("evolve", "t_samples")
     order = cfg.integer("evolve", "order")
     ev = split_step(q0, grid,
@@ -430,7 +418,6 @@ def cmd_evolve(cfg: Settings, out_dir: Path) -> int:
                     dt=cfg.positive("evolve", "dt"),
                     t_start=t_start,
                     t_samples=samples or None,
-                    edge_guard=cfg.positive("evolve", "edge_guard"),
                     order=order)
     target = out_dir / "evolution"
     save_evolution(ev, target, dt=cfg.number("evolve", "dt"))
@@ -443,11 +430,11 @@ def cmd_compare(cfg: Settings, out_dir: Path) -> int:
     a_dir = cfg.text("compare", "a")
     b_source = cfg.text("compare", "b")
     if not a_dir or not b_source:
-        raise ConfigError("compare needs both compare.a and compare.b")
+        raise ValueError("compare needs both compare.a and compare.b")
     try:
         ev_a = load_evolution(a_dir)
     except OSError as exc:
-        raise ConfigError(f"cannot read evolution A: {exc}") from exc
+        raise ValueError(f"cannot read evolution A: {exc}") from exc
     if b_source == "discrete":
         data = _load_source_discrete(cfg).discrete
 
@@ -457,7 +444,7 @@ def cmd_compare(cfg: Settings, out_dir: Path) -> int:
         try:
             ev_b = load_evolution(b_source)
         except OSError as exc:
-            raise ConfigError(f"cannot read evolution B: {exc}") from exc
+            raise ValueError(f"cannot read evolution B: {exc}") from exc
 
         def b_fn(x, t):
             return ev_b.interp(t, x)
@@ -466,9 +453,9 @@ def cmd_compare(cfg: Settings, out_dir: Path) -> int:
     x_min = cfg.number("compare", "x_min")
     x_max = cfg.number("compare", "x_max")
     if n_x < 2 or not x_min < x_max:
-        raise ConfigError("bad comparison window in [compare]")
+        raise ValueError("bad comparison window in [compare]")
     if x_max < ev_a.grid.x_min or x_min > ev_a.grid.x_max:
-        raise ConfigError("comparison window is disjoint from the stored grid")
+        raise ValueError("comparison window is disjoint from the stored grid")
     x = np.linspace(x_min, x_max, n_x)
     dx = x[1] - x[0]
     times = cfg.numbers("compare", "times") or [float(t) for t in ev_a.t]
@@ -496,7 +483,7 @@ def cmd_verify(cfg: Settings, out_dir: Path) -> int:
     try:
         results = run_all(which)
     except KeyError as exc:
-        raise ConfigError(exc.args[0]) from exc
+        raise ValueError(exc.args[0]) from exc
     report = {
         "criteria": [
             {
@@ -586,9 +573,6 @@ def main(argv=None) -> int:
         out_dir = cfg.output_dir()
         out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command][0](cfg, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except np.linalg.LinAlgError as exc:
         # A ValueError subclass, but valid input: the solver failed.
         print(f"error: pole solver failed: {exc}", file=sys.stderr)

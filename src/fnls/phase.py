@@ -342,14 +342,15 @@ class PhaseContext:
                              "quadrature behind it is inconsistent")
 
 
-def phase_context(scattering, data, x, t, delta_minus=None) -> PhaseContext:
+def phase_context(scattering, data, x, t, left=None) -> PhaseContext:
     """Assemble the scalar context at (x, t) from sampled reflection data;
     ``x`` and ``t`` may be arrays, which share one ray quadrature.
 
     The boundary constant at the ray endpoint is the inverse Blaschke
-    product of the poles in ``delta_minus`` (by default those left of each
-    z0) times ``exp(i beta)``, with beta the finite part at z0 of the
-    kernel integral of the density (:meth:`_RayDensity.offset_integral`).
+    product of the poles flagged in ``left`` times ``exp(i beta)``, with
+    beta the finite part at z0 of the kernel integral of the density
+    (:meth:`_RayDensity.offset_integral`).  ``left`` holds a flag per pole,
+    or per point (flattened) and pole; by default the poles left of each z0.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     shape = x.shape
@@ -361,15 +362,13 @@ def phase_context(scattering, data, x, t, delta_minus=None) -> PhaseContext:
     ray = _RayDensity(scattering, z0)
     r = np.asarray(scattering.r)
     r_at = np.interp(z0, ray.grid, r.real) + 1j * np.interp(z0, ray.grid, r.imag)
-    if delta_minus is None:
-        minus = _left_of(data, z0)
-    else:
-        minus = np.broadcast_to(np.isin(np.arange(len(data)), delta_minus),
-                                (z0.size, len(data)))
+    if left is None:
+        left = _left_of(data, z0)
+    left = np.broadcast_to(left, (z0.size, len(data)))
     inv = np.ones(z0.size, dtype=np.complex128)
     for k, d in enumerate(data):
         factor = ((z0 - d.z) / (z0 - np.conj(d.z))) ** d.order
-        inv = inv * np.where(minus[:, k], factor, 1.0)
+        inv = inv * np.where(left[:, k], factor, 1.0)
     T0 = (1.0 / inv) * np.exp(1j * ray.offset_integral())
     z0, nu0, T0, r_at = (_unwrap(np.reshape(a, shape)) for a in
                          (z0, nu_of(np.abs(r_at)), T0, r_at))
@@ -381,7 +380,7 @@ def _cone_interval(cone) -> tuple[float, float]:
     fall inside the cone ``(x1, x2, v1, v2)``."""
     x1, x2, v1, v2 = (float(v) for v in cone)
     if x1 > x2 or v1 > v2:
-        raise ValueError("cone bounds must be ordered")
+        raise ValueError("cone bounds must be ordered: x1 <= x2 and v1 <= v2")
     return (-v2 / 2.0, -v1 / 2.0)
 
 
@@ -395,16 +394,10 @@ class ConePartition:
     delta_minus: tuple
     mu_I: float
 
-    def __post_init__(self) -> None:
-        if not (self.mu_I > 0.0):
-            raise ValueError("suppression rate must be positive")
 
-
-def partition(data, z0: float, cone=None) -> ConePartition:
-    """Split the pole indices about the stationary point and, when a cone
-    (x1, x2, v1, v2) is given, about its velocity interval."""
-    if cone is None:
-        cone = (0.0, 0.0, -2.0 * z0, -2.0 * z0)
+def partition(data, z0: float, cone) -> ConePartition:
+    """Split the pole indices about the stationary point and about the
+    velocity interval of the cone (x1, x2, v1, v2)."""
     interval = _cone_interval(cone)
     minus = tuple(int(k) for k in np.flatnonzero(_left_of(data, z0)))
     mu = math.inf

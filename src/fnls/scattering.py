@@ -122,8 +122,6 @@ class InitialProfile:
         xv = np.asarray(xv, dtype=float)
         out = np.zeros(xv.shape, dtype=np.complex128)
         inside = (xv >= self.x[0]) & (xv <= self.x[-1])
-        if out.ndim == 0:
-            return self._spline(xv) if inside else out
         out[inside] = self._spline(xv[inside])
         return out
 
@@ -141,10 +139,10 @@ def gaussian_profile(amplitude: float, x, width: float = 1.0,
     return InitialProfile(x, fn(x), fn=fn, tail_tol=tail_tol)
 
 
-def soliton_profile(data, x, tail_tol: float = 1e-10) -> InitialProfile:
+def soliton_profile(data, x) -> InitialProfile:
     """Sample an exact multi-pole solution at t = 0 as an initial profile."""
     x = np.asarray(x, dtype=float)
-    return InitialProfile(x, soliton_field(data, x, 0.0), tail_tol=tail_tol)
+    return InitialProfile(x, soliton_field(data, x, 0.0))
 
 
 def save_profile(profile: InitialProfile, path) -> None:
@@ -714,9 +712,7 @@ def _complex_list(arr):
 
 
 def _from_complex_list(lst):
-    arr = np.asarray(lst, dtype=float)
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.complex128)
+    arr = np.asarray(lst, dtype=float).reshape(len(lst), 2)
     return arr[:, 0] + 1j * arr[:, 1]
 
 

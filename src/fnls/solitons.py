@@ -78,7 +78,7 @@ class DiscreteDatum:
     """
 
     z: complex
-    coefficients: tuple = (1.0, 0.0)
+    coefficients: tuple
     b: complex | None = None
     d: complex | None = None
 
@@ -623,16 +623,17 @@ def _left_of(data, z0) -> np.ndarray:
     return re < z0
 
 
-def _restricted(oriented: OrientedData, interval, z0):
+def _restricted(oriented: OrientedData, interval, left):
     """Keep the all-lower poles whose ``Re z_k`` lies in the closed
-    interval, and flip those left of each stationary point in ``z0`` (an
-    array).  One ``(points, oriented)`` pair per flip pattern, at most
-    ``N + 1`` of them."""
+    interval, and flip those flagged in ``left`` (one row per point, one
+    column per pole of ``oriented``, as :func:`_left_of` gives).  One
+    ``(points, oriented)`` pair per flip pattern, at most ``N + 1`` of
+    them."""
     lo, hi = interval
     keep = [k for k, d in enumerate(oriented.data) if lo <= d.z.real <= hi]
     kept = OrientedData(tuple(oriented.data[k] for k in keep), ("lower",) * len(keep),
                         None if oriented.c is None else oriented.c[:, keep])
-    return _flip_groups(kept, _left_of(kept.data, z0))
+    return _flip_groups(kept, left[:, keep])
 
 
 def restrict_to_interval(data, interval: tuple[float, float],
@@ -640,6 +641,7 @@ def restrict_to_interval(data, interval: tuple[float, float],
     """Keep the poles whose ``Re z_k`` lies in the closed interval, then give
     those left of ``z0`` the upper orientation (ties stay lower with a
     warning, mirroring the partition convention)."""
-    ((_, oriented),) = _restricted(OrientedData.all_lower(data), interval,
-                                   np.array([float(z0)]))
+    oriented = OrientedData.all_lower(data)
+    ((_, oriented),) = _restricted(oriented, interval,
+                                   _left_of(oriented.data, np.array([float(z0)])))
     return oriented.plain()

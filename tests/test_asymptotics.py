@@ -32,6 +32,7 @@ from fnls.scattering import (
 )
 from fnls.solitons import (
     OrientedData,
+    _left_of,
     _restricted,
     evaluate_matrix,
     modulate_constants,
@@ -136,8 +137,8 @@ def test_pc_rejects_inconsistent_fields():
                                   (1.4, 9.0)])
 def test_alpha_matches_pc_route(smooth, z0, t):
     x = -2.0 * t * z0
-    part = partition(POLES, z0)
-    ctx = phase_context(smooth, POLES, x, t, delta_minus=part.delta_minus)
+    part = partition(POLES, z0, (0.0, 0.0, -2.0 * z0, -2.0 * z0))
+    ctx = phase_context(smooth, POLES, x, t)
     pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
     alpha = alpha_z0(ctx, part.delta_minus, POLES)
     phi = x * x / (2.0 * t) - ctx.nu0 * math.log(4.0 * t)
@@ -260,7 +261,7 @@ def test_composite_invariants(smooth, x, t, cone):
     part = partition(POLES, z0, cone)
 
     # bound-state part mirrors the weight-then-reorient pipeline exactly
-    ctx = phase_context(smooth, POLES, x, t, delta_minus=part.delta_minus)
+    ctx = phase_context(smooth, POLES, x, t)
     weighted = modulate_constants(POLES, ctx.ray.inverse_delta)
     oriented = restrict_to_interval(weighted, part.I, z0)
     state = solve_soliton(oriented, x, t)
@@ -324,14 +325,14 @@ def test_one_point_gives_python_scalars(smooth):
 
 def test_save_asymptotics_roundtrip(tmp_path, smooth):
     cone = (-1.0, 1.0, -0.05, 0.05)
-    vals = [q_asymptotic(0.0, t, (), smooth, cone) for t in (9.0, 16.0)]
+    vals = q_asymptotic(0.0, np.array([9.0, 16.0]), (), smooth, cone)
     path = tmp_path / "asym.csv"
     save_asymptotics(path, vals)
     arr = np.loadtxt(path, delimiter=",")
     assert arr.shape == (2, 8)
     assert arr[0, 0] == 0.0 and arr[1, 1] == 16.0
-    assert arr[0, 6] == vals[0].q_total.real
-    assert arr[1, 7] == vals[1].q_total.imag
+    assert arr[0, 6] == vals.q_total[0].real
+    assert arr[1, 7] == vals.q_total[1].imag
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +420,20 @@ def test_batched_tie_warns_and_goes_right(smooth):
     # the tied pole joins the right-hand set: lower, like the point right
     # of it, where the point left of it flips the pole
     with pytest.warns(RuntimeWarning, match="stationary point"):
-        groups = _restricted(OrientedData.all_lower(tied), (-0.25, 0.25), -x / (2.0 * t))
+        left = _left_of(tied, -x / (2.0 * t))
+    groups = _restricted(OrientedData.all_lower(tied), (-0.25, 0.25), left)
     orientation = {int(i): o.orientations for at, o in groups for i in at}
     assert orientation == {0: ("upper",), 1: ("lower",), 2: ("lower",)}
+
+
+def test_one_tie_warning_per_cone_call(smooth):
+    # the boundary constant and the orientations read one split about z0
+    tied = (DiscreteDatum(0.125 + 0.6j, (1.0,)),)
+    x = np.array([-3.0, -2.0, -1.0])        # z0 = 0.125 at the middle point
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        q_asymptotic(x, 8.0, tied, smooth, WIDE)
+    assert sum("stationary point" in str(w.message) for w in caught) == 1
 
 
 # ---------------------------------------------------------------------------

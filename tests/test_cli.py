@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -518,10 +519,11 @@ def test_asymptote_t_below_floor_exit_2(out, capsys):
     assert "floor" in capsys.readouterr().err
 
 
-def test_asymptote_ill_ordered_cone_exit_2(out):
+def test_asymptote_ill_ordered_cone_exit_2(out, capsys):
     rc = run_cli("asymptote", "--discrete-poles", "0 1 2 0 0 1 0",
                  "--cone-x1", "2", "--cone-x2", "-2", "--output-dir", str(out))
     assert rc == 2
+    assert "cone bounds must be ordered" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +612,32 @@ def test_both_data_sources_exit_2(tmp_path, out, capsys):
     assert run_cli("soliton", "--config", str(cfg),
                    "--output-dir", str(out)) == 2
     assert "exactly one data source" in capsys.readouterr().err
+
+
+def test_evolve_has_no_edge_guard_setting(tmp_path, out, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evolve", "--profile-kind", "sech", "--evolve-edge-guard", "1e-10",
+                "--output-dir", str(out))
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[evolve]\nedge_guard = 1e-10\n")
+    assert run_cli("evolve", "--config", str(cfg), "--profile-kind", "sech",
+                   "--output-dir", str(out)) == 2
+    assert "unknown config key 'edge_guard'" in capsys.readouterr().err
+
+
+def test_evolve_reports_the_edge_fraction_as_data(out, capsys):
+    # sech x on [-4, 4): its mass reaches the edges, which is reported in
+    # the summary line and the manifest, and raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli("evolve", "--profile-kind", "sech", "--evolve-n", "256",
+                     "--evolve-x-min", "-4", "--evolve-x-max", "4",
+                     "--evolve-t-final", "0.01", "--output-dir", str(out))
+    assert rc == 0
+    fraction = json.loads((out / "evolution" / "manifest.json").read_text())["edge_fraction"]
+    assert fraction > 1e-4
+    assert f"edge mass fraction {fraction:.3e}" in capsys.readouterr().out
 
 
 def test_evolve_needs_some_source(out, capsys):

@@ -47,7 +47,7 @@ def poles():
 def _T0(delta_minus, data, scattering, z0):
     """Boundary constant at the ray endpoint z0, through the context."""
     return phase_context(scattering, data, -2.0 * z0, 1.0,
-                         delta_minus=delta_minus).T0_z0
+                         left=np.isin(np.arange(len(data)), delta_minus)).T0_z0
 
 
 def _r_at(s0):
@@ -375,14 +375,14 @@ def _inside(part, data):
 def test_partition_about_the_stationary_point():
     data = [DiscreteDatum(1.0 + 0.5j, (1.0,)),
             DiscreteDatum(-1.0 + 0.5j, (1.0,))]
-    part = partition(data, 0.0)
+    part = partition(data, 0.0, cone=(0.0, 0.0, 0.0, 0.0))
     assert part.delta_minus == (1,) and _right(part, data) == (0,)
 
 
 def test_partition_tie_goes_right_with_warning():
     data = [DiscreteDatum(0.5 + 1.0j, (1.0,))]
     with pytest.warns(RuntimeWarning, match="stationary point"):
-        part = partition(data, 0.5)
+        part = partition(data, 0.5, cone=(0.0, 0.0, -1.0, -1.0))
     assert _right(part, data) == (0,) and part.delta_minus == ()
 
 

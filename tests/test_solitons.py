@@ -45,7 +45,7 @@ def test_block_entries_single_pole_at_origin():
     # z = i, (c0, c1) = (0, 1), x = t = 0: gamma = (0, 1), w = 2i, so the
     # four 1x1 blocks are 1/4, -i/4, -i/2, -1/4 by direct evaluation.  They
     # sit in the top right of [[I, 0, A, B], [0, I, C, D], ...].
-    matrix, rhs = pole_system([DiscreteDatum(1j)], [0.0], 0.0)
+    matrix, rhs = pole_system([DiscreteDatum(1j, (1.0, 0.0))], [0.0], 0.0)
     assert matrix.shape == (1, 4, 4)
     assert matrix[0, 0, 2] == pytest.approx(0.25)
     assert matrix[0, 0, 3] == pytest.approx(-0.25j)
@@ -56,7 +56,7 @@ def test_block_entries_single_pole_at_origin():
 
 def test_field_value_matches_high_precision_reference():
     # frozen from a 50-digit variable-precision solve of the same 4x4 system
-    state = solve_soliton([DiscreteDatum(1j)], 0.0, 0.0)
+    state = solve_soliton([DiscreteDatum(1j, (1.0, 0.0))], 0.0, 0.0)
     assert state.q == pytest.approx(0.1813031161473088, abs=1e-13)
 
 
@@ -77,7 +77,7 @@ def test_peak_amplitude_is_twice_imag_z():
 
 def test_mass_quadrature_matches_trace_formula():
     grid = Grid(2048, -12 * np.pi, 12 * np.pi)
-    data = [DiscreteDatum(1j)]
+    data = [DiscreteDatum(1j, (1.0, 0.0))]
     q = soliton_field(data, grid.x, 0.0)
     mass = np.sum(np.abs(q) ** 2) * grid.dx
     assert mass_from_spectrum(data) == pytest.approx(8.0)
@@ -86,7 +86,7 @@ def test_mass_quadrature_matches_trace_formula():
 
 def test_reconstructed_field_solves_the_pde():
     grid = Grid(2048, -10 * np.pi, 10 * np.pi)
-    data = [DiscreteDatum(1j)]
+    data = [DiscreteDatum(1j, (1.0, 0.0))]
 
     def q_fn(x, t):
         return soliton_field(data, x, t)
@@ -281,13 +281,13 @@ def test_interval_restriction_and_tie_warning():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        DiscreteDatum(1.0 - 0.5j)
+        DiscreteDatum(1.0 - 0.5j, (1.0, 0.0))
     with pytest.raises(ValueError, match="at least one coefficient"):
         DiscreteDatum(1j, ())
     with pytest.raises(ValueError, match="coincident"):
-        pole_system([DiscreteDatum(1j), DiscreteDatum(1j)], [0.0], 0.0)
+        pole_system([DiscreteDatum(1j, (1.0, 0.0)), DiscreteDatum(1j, (1.0, 0.0))], [0.0], 0.0)
     with pytest.raises(ValueError):
-        OrientedData((DiscreteDatum(1j),), ("sideways",))
+        OrientedData((DiscreteDatum(1j, (1.0, 0.0)),), ("sideways",))
 
 
 @pytest.mark.parametrize("field", ["z", "c0", "c1"])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,11 +93,14 @@ def test_residual_window_restriction():
     assert windowed < full / 10
 
 
-def test_edge_guard_warns_on_wraparound_risk():
+def test_edge_fraction_reports_wraparound_risk():
+    # the risk is data on the result, not a warning
     grid = Grid(256, -8 * np.pi, 8 * np.pi)
     q0 = np.ones(grid.n, dtype=complex)  # mass right up to the boundary
-    with pytest.warns(RuntimeWarning):
-        split_step(q0, grid, 0.01, dt=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = split_step(q0, grid, 0.01, dt=1e-3)
+    assert ev.edge_fraction > 0.1
 
 
 def test_fourier_interpolation_matches_closed_form_off_grid():

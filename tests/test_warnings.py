@@ -9,7 +9,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fnls"
-ALLOWED = ["solitons._check_solved", "solitons._left_of", "splitstep.split_step"]
+ALLOWED = ["solitons._check_solved", "solitons._left_of"]
 
 
 def _is_warn(call: ast.Call) -> bool:
