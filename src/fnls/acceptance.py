@@ -157,22 +157,7 @@ def criterion_5() -> CriterionResult:
     z0 = 0.6
     dm = (0, 1)
 
-    # (b) multiplicative jump across the oriented ray.  This part cannot
-    # see the principal value, which cancels in T+/T-, leaving the half
-    # residues e^{-+pi nu(s0)}; and its s0 are grid samples (to rounding),
-    # where e^{-2 pi nu} = 1 + |r|^2 holds by the definition of nu_of.  The
-    # unit tests test_principal_value_on_and_near_a_node_matches_adaptive_quadrature
-    # and test_ray_integrals_near_the_tail_match_adaptive_quadrature gate
-    # the principal value itself.
-    worst_b = 0.0
-    for s0 in (-2.3, -1.1, 0.2):
-        plus = T_fn(s0, dm, data, sc, z0, side="+")
-        minus = T_fn(s0, dm, data, sc, z0, side="-")
-        ramp = 1.0 + abs(complex(np.interp(s0, s, r))) ** 2
-        worst_b = max(worst_b, abs(plus - minus * ramp))
-    parts.append(("jump of T across the ray", worst_b, 1e-6))
-
-    # (c) large-z coefficient of T via Richardson extrapolation; the
+    # (b) large-z coefficient of T via Richardson extrapolation; the
     # three-point rule removes both the 1/z and 1/z^2 truncation terms
     def coef(rr):
         z = complex(0.0, rr)
@@ -183,7 +168,7 @@ def criterion_5() -> CriterionResult:
                    - nu_integral(sc, z0))
     parts.append(("large-z coefficient of T", abs(est - target), 1e-6))
 
-    # (d) unitarity of the scattering row on a two-sech profile
+    # (c) unitarity of the scattering row on a two-sech profile
     prof = sech_profile(2.0, np.linspace(-26.0, 26.0, 1041))
     sc2 = reflection_coefficient(prof, np.linspace(-2.0, 2.0, 41))
     unit = np.abs(np.abs(sc2.s11) ** 2 + np.abs(sc2.s21) ** 2 - 1.0)

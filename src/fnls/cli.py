@@ -47,7 +47,7 @@ from .scattering import (
     sech_profile,
 )
 from .solitons import soliton_field
-from .splitstep import Grid, load_evolution, save_evolution, split_step
+from .splitstep import Evolution, Grid, load_evolution, save_evolution, split_step
 
 __all__ = ["main", "build_parser", "config_reference"]
 
@@ -111,7 +111,8 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "dt": ("1e-3", "time step"),
         "t_start": ("0.0", "initial time of the run"),
         "t_final": ("1.0", "final time of the run"),
-        "t_samples": ("", "extra times to record, space/comma separated"),
+        "t_samples": ("", "extra times to record in (t_start, t_final], "
+                          "space/comma separated"),
         "order": ("2", "splitting order: 2 or 4"),
     },
     "compare": {
@@ -426,25 +427,28 @@ def cmd_evolve(cfg: Settings, out_dir: Path) -> int:
     return 0
 
 
+def _load_evolution(directory: str, which: str) -> Evolution:
+    try:
+        return load_evolution(directory)
+    except OSError as exc:
+        raise ValueError(f"cannot read evolution {which}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed evolution {which}: {exc}") from exc
+
+
 def cmd_compare(cfg: Settings, out_dir: Path) -> int:
     a_dir = cfg.text("compare", "a")
     b_source = cfg.text("compare", "b")
     if not a_dir or not b_source:
         raise ValueError("compare needs both compare.a and compare.b")
-    try:
-        ev_a = load_evolution(a_dir)
-    except OSError as exc:
-        raise ValueError(f"cannot read evolution A: {exc}") from exc
+    ev_a = _load_evolution(a_dir, "A")
     if b_source == "discrete":
         data = _load_source_discrete(cfg).discrete
 
         def b_fn(x, t):
             return soliton_field(data, x, t)
     else:
-        try:
-            ev_b = load_evolution(b_source)
-        except OSError as exc:
-            raise ValueError(f"cannot read evolution B: {exc}") from exc
+        ev_b = _load_evolution(b_source, "B")
 
         def b_fn(x, t):
             return ev_b.interp(t, x)

@@ -7,14 +7,14 @@ stationary point z0 of a call: composite Gauss-Legendre panels on the
 sample grid, where the density is modelled linearly between samples, and
 panels on an exponential model beyond the left grid edge, built once; each
 z0 adds only its closing panel from the last sample to z0.  The factor
-delta and the Taylor series of 1/delta off the ray, the boundary constant T0
-and the plain integral of the density all read that node set, and work
-over arrays of stationary points.  An integral at a point s0 of the ray --
-the principal value behind the boundary values of delta, and at s0 = z0
-the regularised integral behind T0 -- is one rule: the node sum of
-``(nu(s) - nu(s0)) / (s - s0)``, smooth on every panel, plus the exact
-finite part of ``nu(s0) / (s - s0)`` over the ray.  Boundary values also
-carry the half-residue correction.
+delta and the Taylor series of 1/delta, at points off the ray, the boundary
+constant T0 and the plain integral of the density all read that node set,
+and work over arrays of stationary points.  The formulas read delta at the
+poles and at z0 only, through T0, so the one integral taken at a point of
+the ray is the finite part beta at its own endpoint z0: the node sum of
+``(nu(s) - nu(z0)) / (s - z0)``, smooth on every panel, plus the exact
+finite part of ``nu(z0) / (s - z0)`` over the ray.  The boundary values of
+delta on the ray belong to the jump it solves, and are not computed.
 """
 from __future__ import annotations
 
@@ -83,14 +83,6 @@ def _powers(wv, gap, n: int) -> np.ndarray:
     return np.stack(terms)
 
 
-def _safe_ratio(num, den):
-    """Elementwise num/den with exact zero-denominator terms dropped: the
-    nodes of a closing panel of zero width (z0 on a sample) all sit on z0,
-    with zero weights, and a node that is s0 itself lies in the panel
-    holding s0, whose terms :meth:`_RayDensity.finite_part` replaces."""
-    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-
-
 class _RayDensity:
     """The density nu on the rays (-inf, z0] of one stationary point or an
     array of them, and the one quadrature every integral over a ray is
@@ -101,8 +93,8 @@ class _RayDensity:
     grid interval) are built once; the ray of a point takes those left of
     the last sample ``s_J <= z0`` and closes with its own panel
     ``[s_J, z0]``.  Sums against the kernels ``1/(s - z)^k`` at points z
-    off the rays are :meth:`kernel_series`; integrals at points on a ray
-    read the same nodes through :meth:`finite_part`.
+    off the rays are :meth:`kernel_series`; the finite part at each ray's
+    endpoint reads the same nodes through :meth:`offset_integral`.
     """
 
     def __init__(self, scattering, z0):
@@ -116,7 +108,7 @@ class _RayDensity:
 
         # exponential continuation nu(s) ~ nu[0] * exp(kappa (s - s[0])) out
         # to 40/kappa.  Its panels grow from one grid spacing, doubling up to
-        # 2/kappa: an integrand less nu(s0) carries the kink at the grid edge,
+        # 2/kappa: an integrand less nu(z0) carries the kink at the grid edge,
         # and graded panels keep it as far from their nodes as they are wide.
         self.tail_kappa = None
         breaks = s
@@ -140,21 +132,17 @@ class _RayDensity:
         # the fixed panels left of each ray's closing panel, and that panel
         self.closed = self.first + np.searchsorted(s, z0, side="right") - 1
         tip_s, tip_w = _panel_nodes(np.stack([breaks[self.closed], z0], axis=-1))
-        self.tip_s, self.tip_w = tip_s[..., 0, :], tip_w[..., 0, :]
-        self.tip_wv = self.tip_w * self.nu_at(self.tip_s)
+        self.tip_s = tip_s[..., 0, :]
+        self.tip_wv = tip_w[..., 0, :] * self.nu_at(self.tip_s)
 
     def nu_at(self, s0):
         """The density model at real points: linear between the samples,
-        the exponential tail left of them."""
+        the exponential tail left of them, where only the tail's nodes lie."""
         s0 = np.asarray(s0, dtype=float)
         inside = np.interp(s0, self.grid, self.nu_grid)
         left = s0 < self.grid[0]
         if not np.any(left):
             return inside
-        if self.tail_kappa is None:
-            raise ValueError(
-                "nu has no model left of the reflection grid: its samples "
-                "do not grow into the grid, so there is no exponential tail")
         return np.where(left, self.nu_grid[0]
                         * np.exp(self.tail_kappa * (s0 - self.grid[0])), inside)
 
@@ -184,89 +172,44 @@ class _RayDensity:
         at points z off the rays, each of shape ``z0.shape + z.shape``."""
         return _exp(list(-1j * self.kernel_series(z, n)), n)
 
-    def finite_part(self, s0):
-        """The integral of ``nu(s) / (s - s0)`` over the ray, at points s0
-        of ``(start, z0]`` that broadcast against the ray endpoints: the
-        principal value for s0 < z0 and, at s0 = z0, the finite part
-        ``beta``.
+    def offset_integral(self):
+        """``beta``, the integral of ``(nu(s) - chi nu(z0)) / (s - z0)`` over
+        each ray with chi the indicator of ``(z0 - 1, z0)``.
 
-        The node sum of ``w (nu(s) - nu(s0)) / (s - s0)``, whose integrand
-        is smooth on every panel, plus the exact finite part of
-        ``nu(s0) / (s - s0)`` over ``[start, z0]``,
-        ``nu(s0) (log(z0 - s0) - log(s0 - start))`` with ``log(z0 - s0)``
-        dropped at s0 = z0.  On the grid panel holding s0, nu is linear, so
-        the quotient is the panel's slope and its integral the rise of nu
-        across the panel; that replaces the panel's node sum, which would
-        divide a rounded difference by a gap as small as s0's distance to a
-        node.  The points are grouped by closing panel, and each point's
-        sums over the fixed nodes left of it are dot products of their own,
-        so a point's value does not depend on the others in the call.
+        This is the finite part at z0 of the integral of
+        ``nu(s) / (s - z0)``, because the kernel integrates to
+        ``-log(z0 - start)`` over the part of the ray outside the window and
+        over the window outside the ray alike.  So it is the node sum of
+        ``w (nu(s) - nu(z0)) / (s - z0)``, whose integrand is smooth on every
+        panel, less ``nu(z0) log(z0 - start)``.  On the closing panel nu is
+        linear, so the quotient is the panel's slope and its integral the
+        rise of nu across the panel; a node sum there would divide a rounded
+        difference by a gap as small as the panel is wide.  The points are
+        grouped by closing panel, and each point's sums over the fixed nodes
+        left of it are dot products of their own, so a point's value does
+        not depend on the others in the call.
         """
         m = _GL_NODES.size
-        shape = np.broadcast_shapes(np.shape(s0), self.z0.shape)
-        s0 = np.broadcast_to(np.asarray(s0, dtype=float), shape).ravel()
-        z0 = np.broadcast_to(self.z0, shape).ravel()
-        closed = np.broadcast_to(self.closed, shape).ravel()
-        tip_s, tip_w, tip_wv = (np.broadcast_to(a, shape + (m,)).reshape(-1, m)
-                                for a in (self.tip_s, self.tip_w, self.tip_wv))
-        n0 = self.nu_at(s0)
+        z0, closed = self.z0.ravel(), np.ravel(self.closed)
+        n0 = self.nu_at(z0)
         start = self.breaks[0]
-        at_start = s0 <= start
-        if np.any(at_start & (n0 != 0.0)):
+        if np.any((z0 <= start) & (n0 != 0.0)):
             raise ValueError(
                 "z0 sits on the left end of a grid with no exponential tail, "
                 "where the density jumps from 0 to nu(z0) != 0; the integral "
                 "behind the boundary constant diverges there")
-
-        # the panel holding s0: its ray's closing panel, a fixed grid panel,
-        # or neither left of the grid
-        own = self.first + np.searchsorted(self.grid, s0, side="right") - 1
-        in_tip = own >= closed
-        fixed = (own >= self.first) & ~in_tip
-        out = np.where(in_tip, self.nu_at(z0) - self.nu_grid[closed - self.first],
-                       np.sum(_safe_ratio(tip_wv - n0[:, None] * tip_w,
-                                          tip_s - s0[:, None]), axis=1))
+        out = n0 - self.nu_grid[closed - self.first]
         for panels in np.unique(closed):
             rows = np.flatnonzero(closed == panels)
             end = m * int(panels)
             step = max(1, _CHUNK_ENTRIES // max(end, 1))
             for lo in range(0, rows.size, step):
                 at = rows[lo:lo + step]
-                gap = self.s[:end] - s0[at, None]
-                kernel = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0.0)
-                mine = np.flatnonzero(fixed[at])
-                kernel[mine[:, None], m * own[at[mine], None] + np.arange(m)] = 0.0
+                kernel = 1.0 / (self.s[:end] - z0[at, None])
                 out[at] += (np.vecdot(kernel, self.wv[:end])
                             - n0[at] * np.vecdot(kernel, self.w[:end]))
-        out[fixed] += np.diff(self.nu_grid)[own[fixed] - self.first]
-        lead = (np.log(z0 - s0, out=np.zeros_like(s0), where=s0 < z0)
-                - np.log(s0 - start, out=np.zeros_like(s0), where=~at_start))
-        return (out + n0 * lead).reshape(shape)
-
-    def boundary_delta(self, s0, side: str):
-        """Boundary values of delta at interior points s0 of one ray: the
-        principal value of C plus the half residue."""
-        s0 = np.asarray(s0, dtype=float)
-        if np.any(s0 >= self.z0):
-            raise ValueError(
-                "delta has no boundary value at the ray's endpoint z0, "
-                "where it is singular; take a point left of z0")
-        n0 = self.nu_at(s0)
-        start = self.breaks[0]
-        if np.any(s0 <= start):
-            raise ValueError(
-                f"s0 = {np.min(s0):g} lies at or left of the start of the "
-                f"ray's quadrature, {start:g}")
-        sign = 1.0 if side == "+" else -1.0
-        return np.exp(1j * self.finite_part(s0) - sign * math.pi * n0)
-
-    def offset_integral(self):
-        """``beta``, the integral of ``(nu(s) - chi nu(z0)) / (s - z0)`` over
-        each ray with chi the indicator of ``(z0 - 1, z0)``: the finite part
-        at s0 = z0, to which it is equal because the kernel integrates to
-        ``-log(z0 - start)`` over the part of the ray outside the window and
-        the window outside the ray alike."""
-        return self.finite_part(self.z0)[()]
+        lead = np.log(z0 - start, out=np.zeros_like(z0), where=z0 > start)
+        return (out - n0 * lead).reshape(self.z0.shape)[()]
 
 
 def nu_integral(scattering, z0: float) -> float:
@@ -278,25 +221,19 @@ def nu_integral(scattering, z0: float) -> float:
 # The partial-transmission factors
 # ---------------------------------------------------------------------------
 
-def delta_fn(z, scattering, z0: float, side: str | None = None):
+def delta_fn(z, scattering, z0: float):
     """Sectionally analytic scalar solving the multiplicative jump
-    1 + |r|^2 across (-inf, z0]; ``side`` selects the boundary value
-    ("+" from above, "-" from below) when z lies on the ray."""
-    ray = _RayDensity(scattering, z0)
+    1 + |r|^2 across (-inf, z0], at points z off that ray."""
     z_arr = np.asarray(z, dtype=np.complex128)
-    on_ray = (z_arr.imag == 0.0) & (z_arr.real <= z0)
-    if np.any(on_ray) and side not in ("+", "-"):
+    if np.any((z_arr.imag == 0.0) & (z_arr.real <= z0)):
         raise ValueError(
-            "z lies on the ray (-inf, z0]; pass side='+' or side='-' "
-            "to select a boundary value")
-    out = np.empty(z_arr.shape, dtype=np.complex128)
-    out[~on_ray] = np.exp(1j * ray.kernel_series(z_arr[~on_ray], 1)[0])
-    out[on_ray] = ray.boundary_delta(z_arr[on_ray].real, side)
+            "z lies on the ray (-inf, z0], where delta jumps; delta is "
+            "evaluated off the ray only")
+    out = np.exp(1j * _RayDensity(scattering, z0).kernel_series(z_arr, 1)[0])
     return complex(out) if z_arr.ndim == 0 else out
 
 
-def T_fn(z, delta_minus, data, scattering, z0: float,
-         side: str | None = None):
+def T_fn(z, delta_minus, data, scattering, z0: float):
     """Full modulation factor: the inverse Blaschke product of the poles in
     ``delta_minus`` times the continuous factor from the reflection data."""
     z_arr = np.asarray(z, dtype=np.complex128)
@@ -308,7 +245,7 @@ def T_fn(z, delta_minus, data, scattering, z0: float,
                 f"evaluation point within the guard radius of the pole at "
                 f"{zk}; the factor is singular there")
     prod = 1.0 / blaschke_product(z_arr, [data[k] for k in delta_minus])
-    d = delta_fn(z_arr, scattering, z0, side=side)
+    d = delta_fn(z_arr, scattering, z0)
     out = prod * d
     return complex(out) if z_arr.ndim == 0 else out
 

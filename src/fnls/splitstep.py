@@ -81,7 +81,7 @@ class Evolution:
 
     def slice_at(self, t: float) -> np.ndarray:
         idx = int(np.argmin(np.abs(self.t - t)))
-        if abs(self.t[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        if not abs(self.t[idx] - t) <= 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"time {t} was not among the stored samples")
         return self.q[idx]
 
@@ -136,10 +136,11 @@ def split_step(
 ) -> Evolution:
     """Integrate the focusing NLS from ``t_start`` to ``t_final``.
 
-    ``t_samples`` lists intermediate times to record (``t_final`` is always
-    recorded; ``t_start`` is stored as the first slice).  Each inter-sample
-    segment is integrated with a step as close to ``dt`` as divides it evenly,
-    so the recorded times are hit exactly.
+    ``t_samples`` lists intermediate times to record, each in
+    ``(t_start, t_final]`` (``t_final`` is always recorded; ``t_start`` is
+    stored as the first slice).  Each inter-sample segment is integrated
+    with a step as close to ``dt`` as divides it evenly, so the recorded
+    times are hit exactly.
 
     ``order`` is 2 (Strang splitting) or 4 (the triple jump, for long runs
     that must beat tight tolerances); ``dt`` must be positive and finite.
@@ -152,16 +153,16 @@ def split_step(
         raise ValueError("order must be 2 or 4")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    samples = set() if t_samples is None else {float(t) for t in t_samples}
+    if any(not t_start < t <= t_final for t in samples):
+        raise ValueError(f"sample times must lie in (t_start, t_final] = "
+                         f"({t_start:g}, {t_final:g}], got {sorted(samples)}")
     if t_final == t_start:
         return Evolution(grid, np.array([t_start]), q[None, :].copy(),
                          _edge_mass_fraction(q))
-
-    if t_samples is None:
-        times = [t_final]
-    else:
-        times = sorted(set(float(t) for t in t_samples) | {float(t_final)})
-    if any(t <= t_start for t in times):
-        raise ValueError("sample times must lie strictly past t_start")
+    if not t_final > t_start:
+        raise ValueError(f"t_final must lie past t_start, got {t_final!r} "
+                         f"<= {t_start!r}")
 
     k2 = grid.k ** 2
     out_t = [t_start]
@@ -169,7 +170,7 @@ def split_step(
     worst_edge = _edge_mass_fraction(q)
 
     t_prev = t_start
-    for t_next in times:
+    for t_next in sorted(samples | {float(t_final)}):
         span = t_next - t_prev
         steps = max(1, int(round(span / dt)))
         q = _composition_sweep(q, k2, span / steps, steps, weights)
@@ -274,6 +275,12 @@ def load_evolution(directory) -> Evolution:
     path = Path(directory)
     with open(path / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    times = np.asarray(manifest["t"], dtype=float)
+    if times.shape != (len(manifest["slices"]),):
+        raise ValueError(f"the manifest lists {times.size} times for "
+                         f"{len(manifest['slices'])} slices")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("the manifest's times must be finite")
     g = manifest["grid"]
     grid = Grid(n=int(g["n"]), x_min=float(g["x_min"]), x_max=float(g["x_max"]))
     slices = []
@@ -282,5 +289,4 @@ def load_evolution(directory) -> Evolution:
         if arr.shape != (grid.n, 3):
             raise ValueError(f"slice file {name} does not match the manifest grid")
         slices.append(arr[:, 1] + 1j * arr[:, 2])
-    return Evolution(grid, np.asarray(manifest["t"], dtype=float),
-                     np.asarray(slices), float(manifest["edge_fraction"]))
+    return Evolution(grid, times, np.asarray(slices), float(manifest["edge_fraction"]))

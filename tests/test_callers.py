@@ -1,7 +1,8 @@
 """Every top-level function and class in ``src/fnls`` has a caller there,
-or is one the benchmark's tracer wraps.  Code that only tests use lives in
-the tests; a definition that nothing in the library reaches is a second
-route kept by accident."""
+and every method or property of its classes is read there outside its own
+body, or is one the benchmark's tracer wraps.  Code that only tests use
+lives in the tests; a definition that nothing in the library reaches is a
+second route kept by accident."""
 
 from __future__ import annotations
 
@@ -29,18 +30,19 @@ def _references(node):
 
 
 def _traced():
-    """``module.name`` of each function or class named in the tracer's
-    SPANS and COUNTERS."""
+    """``module.name``, or ``module.class.name`` for a method, of each
+    function the tracer's SPANS ``(module, name, ...)`` and COUNTERS
+    ``(module, class or None, name, ...)`` wrap."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
     named = set()
     for node in tree.body:
         if not (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
                 and node.targets[0].id in ("SPANS", "COUNTERS")):
             continue
+        width = 3 if node.targets[0].id == "COUNTERS" else 2
         for item in node.value.elts:
-            module, *names = [e.value for e in item.elts
-                              if isinstance(e, ast.Constant) and isinstance(e.value, str)]
-            named.update(f"{module.removeprefix('fnls.')}.{n}" for n in names)
+            module, *path = [e.value for e in item.elts[:width] if e.value is not None]
+            named.add(".".join([module.removeprefix("fnls."), *path]))
     return named
 
 
@@ -59,3 +61,34 @@ def _uncalled():
 
 def test_every_definition_has_a_library_caller():
     assert list(_uncalled()) == []
+
+
+def _unread_methods():
+    statements = list(_statements())
+    traced = _traced()
+    for module, cls in statements:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = method.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if f"{module}.{cls.name}.{name}" in traced:
+                continue
+            # reads in its own body (recursion) do not count
+            elsewhere = [node for _, node in statements if node is not cls]
+            elsewhere += [item for item in cls.body if item is not method]
+            if not any(name in _attributes(node) for node in elsewhere):
+                yield f"{module}.{cls.name}.{name}"
+
+
+def _attributes(node):
+    """Attributes read in ``node``."""
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def test_every_method_is_read_in_the_library():
+    assert list(_unread_methods()) == []

@@ -640,6 +640,54 @@ def test_evolve_reports_the_edge_fraction_as_data(out, capsys):
     assert f"edge mass fraction {fraction:.3e}" in capsys.readouterr().out
 
 
+def test_evolve_sample_past_t_final_exit_2_without_manifest(out, capsys):
+    # used to integrate on to the sample, past t_final
+    assert run_cli("evolve", "--profile-kind", "sech", "--evolve-n", "64",
+                   "--evolve-t-final", "0.1", "--evolve-t-samples", "0.05 0.2",
+                   "--output-dir", str(out)) == 2
+    assert "sample times must lie in (t_start, t_final]" in capsys.readouterr().err
+    assert not (out / "evolution" / "manifest.json").exists()
+
+
+def _copy_evolution(src, dst, damage):
+    dst.mkdir()
+    for f in src.iterdir():
+        (dst / f.name).write_bytes(f.read_bytes())
+    manifest = json.loads((src / "manifest.json").read_text())
+    damage(manifest)
+    (dst / "manifest.json").write_text(json.dumps(manifest))
+    return dst
+
+
+def _no_grid(manifest):
+    del manifest["grid"]
+
+
+def _extra_time(manifest):
+    manifest["t"].append(1.0)
+
+
+def _nan_time(manifest):
+    manifest["t"][-1] = float("nan")
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_compare_malformed_evolution_exit_2(evolved, tmp_path, out, capsys, which):
+    # a manifest without "grid" used to raise KeyError, and one more time
+    # than slices an IndexError from slice_at, both with exit 1; a nan time
+    # read as the first slice and wrote a row for t = nan with exit 0
+    for damage, reason in ((_no_grid, "grid"), (_extra_time, "2 slices"),
+                           (_nan_time, "finite")):
+        bad = _copy_evolution(evolved, tmp_path / f"bad{damage.__name__}", damage)
+        a, b = (bad, evolved) if which == "a" else (evolved, bad)
+        assert run_cli("compare", "--compare-a", str(a), "--compare-b", str(b),
+                       "--compare-x-min", "-10", "--compare-x-max", "10",
+                       "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"malformed evolution {which.upper()}" in err and reason in err
+        assert not (out / "comparison.csv").exists()
+
+
 def test_evolve_needs_some_source(out, capsys):
     assert run_cli("evolve", "--output-dir", str(out)) == 2
     assert "profile or a discrete source" in capsys.readouterr().err

@@ -140,8 +140,10 @@ def test_fourier_interpolation_matches_direct_synthesis(n):
 def test_interp_requires_stored_sample():
     grid = Grid(256, -8 * np.pi, 8 * np.pi)
     ev = split_step(sech_soliton(1.0)(grid.x, 0.0), grid, 0.5, dt=1e-3)
-    with pytest.raises(ValueError):
-        ev.slice_at(0.123)
+    # nan used to pass the distance check and read the first slice
+    for t in (0.123, np.nan):
+        with pytest.raises(ValueError):
+            ev.slice_at(t)
 
 
 def test_conserved_values_of_sech():
@@ -209,3 +211,17 @@ def test_split_step_rejects_bad_order_and_step():
     for dt in (0.0, -1e-3, np.inf, np.nan):
         with pytest.raises(ValueError, match="dt"):
             split_step(q0, grid, 0.1, dt=dt)
+
+
+def test_split_step_refuses_samples_outside_the_run():
+    # a sample past t_final used to extend the run to it: t_final = 1 with
+    # samples 0.5 and 2.0 returned t = [0, 0.5, 1, 2]
+    grid = Grid(64, -4 * np.pi, 4 * np.pi)
+    q0 = sech_soliton(1.0)(grid.x, 0.0)
+    for samples in ([0.5, 2.0], [0.0, 0.5], [-0.5], [np.nan], [1.0 + 1e-12]):
+        with pytest.raises(ValueError, match=r"\(t_start, t_final\]"):
+            split_step(q0, grid, 1.0, dt=1e-2, t_samples=samples)
+    ev = split_step(q0, grid, 1.0, dt=1e-2, t_samples=np.array([0.5, 1.0]))
+    assert ev.t.tolist() == [0.0, 0.5, 1.0]
+    with pytest.raises(ValueError, match="t_final must lie past t_start"):
+        split_step(q0, grid, 0.5, dt=1e-2, t_start=1.0)
