@@ -47,7 +47,7 @@ from .scattering import (
     sech_profile,
 )
 from .solitons import soliton_field
-from .splitstep import Evolution, Grid, load_evolution, save_evolution, split_step
+from .splitstep import Grid, load_evolution, save_evolution, split_step
 
 __all__ = ["main", "build_parser", "config_reference"]
 
@@ -141,15 +141,7 @@ class Settings:
     def __init__(self, config_path: str | None, overrides: dict[str, str]):
         self._file: dict[tuple[str, str], str] = {}
         if config_path:
-            parser = configparser.ConfigParser(
-                interpolation=None, inline_comment_prefixes=("#", ";"))
-            try:
-                with open(config_path, encoding="utf-8") as fh:
-                    parser.read_file(fh)
-            except OSError as exc:
-                raise ValueError(f"cannot read config file: {exc}") from exc
-            except configparser.Error as exc:
-                raise ValueError(f"malformed config file: {exc}") from exc
+            parser = _read("config file", _parse_ini, config_path)
             for section in parser.sections():
                 if section not in SCHEMA:
                     raise ValueError(f"unknown config section [{section}]")
@@ -205,6 +197,20 @@ class Settings:
             return values
         raise ValueError(f"{section}.{key} must be a list of finite numbers")
 
+    def grid(self, section: str, lo_key: str, hi_key: str, n_key: str,
+             least: int = 2) -> tuple[float, float, int]:
+        """``(lo, hi, n)`` of an evenly spaced grid: at least ``least``
+        points and ``lo < hi``, except that one point has ``lo == hi``."""
+        lo, hi = self.number(section, lo_key), self.number(section, hi_key)
+        n = self.integer(section, n_key)
+        if n < least or not (lo == hi if n == 1 else lo < hi):
+            one = f", or {lo_key} = {hi_key} for one point" if least == 1 else ""
+            raise ValueError(
+                f"bad grid in [{section}]: needs {n_key} >= {least} and "
+                f"{lo_key} < {hi_key}{one}, got {n_key} = {n}, "
+                f"{lo_key} = {lo!r}, {hi_key} = {hi!r}")
+        return lo, hi, n
+
     def output_dir(self) -> Path:
         cli = self._cli.get("run__output_dir")
         if cli is not None:
@@ -213,6 +219,25 @@ class Settings:
         if env:
             return Path(env)
         return Path(self.raw("run", "output_dir"))
+
+
+def _parse_ini(path: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=("#", ";"))
+    with open(path, encoding="utf-8") as fh:
+        parser.read_file(fh)
+    return parser
+
+
+def _read(what: str, load, path):
+    """``load(path)``, with any failure to read or parse the file turned
+    into a ``ValueError`` that names ``what``."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError, configparser.Error) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
 
 
 def config_reference() -> str:
@@ -261,16 +286,8 @@ def _load_source_profile(cfg: Settings):
         path = cfg.text("profile", "file")
         if not path:
             raise ValueError("profile.kind = csv requires profile.file")
-        try:
-            return load_profile(path, tail_tol=tail_tol)
-        except OSError as exc:
-            raise ValueError(f"cannot read profile file: {exc}") from exc
-    n = cfg.integer("profile", "n")
-    x_min = cfg.number("profile", "x_min")
-    x_max = cfg.number("profile", "x_max")
-    if not x_min < x_max:
-        raise ValueError("profile grid needs x_min < x_max")
-    x = np.linspace(x_min, x_max, n)
+        return _read("profile file", lambda p: load_profile(p, tail_tol=tail_tol), path)
+    x = np.linspace(*cfg.grid("profile", "x_min", "x_max", "n"))
     amplitude = cfg.number("profile", "amplitude")
     if kind == "sech":
         return sech_profile(amplitude, x, tail_tol=tail_tol)
@@ -301,12 +318,7 @@ def _load_source_discrete(cfg: Settings) -> ScatteringData:
     if file_path and poles_text:
         raise ValueError("set discrete.file or discrete.poles, not both")
     if file_path:
-        try:
-            return load_scattering(file_path)
-        except OSError as exc:
-            raise ValueError(f"cannot read scattering document: {exc}") from exc
-        except (KeyError, IndexError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise ValueError(f"malformed scattering document: {exc}") from exc
+        return _read("scattering document", load_scattering, file_path)
     if not poles_text:
         raise ValueError("this command needs a discrete source "
                          "(set discrete.file or discrete.poles)")
@@ -314,15 +326,6 @@ def _load_source_discrete(cfg: Settings) -> ScatteringData:
                  for line in poles_text.splitlines() if line.strip())
     empty = np.zeros(0)
     return ScatteringData(empty, np.zeros(0, dtype=np.complex128), data)
-
-
-def _time_grid(cfg: Settings, section: str) -> np.ndarray:
-    n_t = cfg.integer(section, "n_t")
-    t_min = cfg.number(section, "t_min")
-    t_max = cfg.number(section, "t_max")
-    if n_t < 1 or t_max < t_min or (n_t == 1 and t_max != t_min):
-        raise ValueError(f"bad time grid in [{section}]")
-    return np.linspace(t_min, t_max, n_t)
 
 
 def _write_csv(path: Path, array: np.ndarray, header: str) -> None:
@@ -336,12 +339,7 @@ def _write_csv(path: Path, array: np.ndarray, header: str) -> None:
 
 def cmd_scatter(cfg: Settings, out_dir: Path) -> int:
     profile = _load_source_profile(cfg)
-    n_z = cfg.integer("scatter", "n_z")
-    z_min = cfg.number("scatter", "z_min")
-    z_max = cfg.number("scatter", "z_max")
-    if n_z < 2 or not z_min < z_max:
-        raise ValueError("bad spectral grid in [scatter]")
-    z_grid = np.linspace(z_min, z_max, n_z)
+    z_grid = np.linspace(*cfg.grid("scatter", "z_min", "z_max", "n_z"))
     box_text = cfg.numbers("scatter", "box")
     box = None
     if box_text:
@@ -363,21 +361,16 @@ def cmd_scatter(cfg: Settings, out_dir: Path) -> int:
 
 def cmd_soliton(cfg: Settings, out_dir: Path) -> int:
     source = _load_source_discrete(cfg)
-    n_x = cfg.integer("soliton", "n_x")
-    x_min = cfg.number("soliton", "x_min")
-    x_max = cfg.number("soliton", "x_max")
-    if n_x < 1 or not x_min <= x_max:
-        raise ValueError("bad x grid in [soliton]")
-    x = np.linspace(x_min, x_max, n_x)
+    x = np.linspace(*cfg.grid("soliton", "x_min", "x_max", "n_x", least=1))
     rows = []
-    for t in _time_grid(cfg, "soliton"):
+    for t in np.linspace(*cfg.grid("soliton", "t_min", "t_max", "n_t", least=1)):
         q = soliton_field(source.discrete, x, float(t))
         rows.append(np.column_stack(
-            [np.full(n_x, t), x, q.real, q.imag]))
+            [np.full(x.size, t), x, q.real, q.imag]))
     _write_csv(out_dir / "soliton_field.csv", np.vstack(rows),
                "t,x,re_q,im_q")
     print(f"wrote {out_dir / 'soliton_field.csv'} "
-          f"({len(rows)} time slice(s), {n_x} x-points)")
+          f"({len(rows)} time slice(s), {x.size} x-points)")
     return 0
 
 
@@ -389,7 +382,7 @@ def cmd_asymptote(cfg: Settings, out_dir: Path) -> int:
     if n_x < 1:
         raise ValueError("asymptote.n_x must be at least 1")
     min_t = cfg.positive("asymptote", "min_t")
-    times = np.asarray(_time_grid(cfg, "asymptote"), dtype=float)
+    times = np.linspace(*cfg.grid("asymptote", "t_min", "t_max", "n_t", least=1))
     x = np.array([np.linspace(cone[0] + cone[2] * t, cone[1] + cone[3] * t, n_x)
                   for t in times])
     values = q_asymptotic(x, times[:, None], source.discrete, scattering, cone,
@@ -400,11 +393,8 @@ def cmd_asymptote(cfg: Settings, out_dir: Path) -> int:
 
 
 def cmd_evolve(cfg: Settings, out_dir: Path) -> int:
-    grid = Grid(n=cfg.integer("evolve", "n"),
-                x_min=cfg.number("evolve", "x_min"),
-                x_max=cfg.number("evolve", "x_max"))
-    if not grid.x_min < grid.x_max:
-        raise ValueError("evolve domain needs x_min < x_max")
+    x_min, x_max, n = cfg.grid("evolve", "x_min", "x_max", "n")
+    grid = Grid(n=n, x_min=x_min, x_max=x_max)
     t_start = cfg.number("evolve", "t_start")
     if _profile_configured(cfg):
         q0 = _load_source_profile(cfg).evaluate(grid.x)
@@ -427,43 +417,33 @@ def cmd_evolve(cfg: Settings, out_dir: Path) -> int:
     return 0
 
 
-def _load_evolution(directory: str, which: str) -> Evolution:
-    try:
-        return load_evolution(directory)
-    except OSError as exc:
-        raise ValueError(f"cannot read evolution {which}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed evolution {which}: {exc}") from exc
-
-
 def cmd_compare(cfg: Settings, out_dir: Path) -> int:
     a_dir = cfg.text("compare", "a")
     b_source = cfg.text("compare", "b")
     if not a_dir or not b_source:
         raise ValueError("compare needs both compare.a and compare.b")
-    ev_a = _load_evolution(a_dir, "A")
+    ev_a = _read("evolution A", load_evolution, a_dir)
     if b_source == "discrete":
         data = _load_source_discrete(cfg).discrete
 
         def b_fn(x, t):
             return soliton_field(data, x, t)
     else:
-        ev_b = _load_evolution(b_source, "B")
+        ev_b = _read("evolution B", load_evolution, b_source)
 
         def b_fn(x, t):
             return ev_b.interp(t, x)
 
-    n_x = cfg.integer("compare", "n_x")
-    x_min = cfg.number("compare", "x_min")
-    x_max = cfg.number("compare", "x_max")
-    if n_x < 2 or not x_min < x_max:
-        raise ValueError("bad comparison window in [compare]")
+    x_min, x_max, n_x = cfg.grid("compare", "x_min", "x_max", "n_x")
     if x_max < ev_a.grid.x_min or x_min > ev_a.grid.x_max:
         raise ValueError("comparison window is disjoint from the stored grid")
     x = np.linspace(x_min, x_max, n_x)
     dx = x[1] - x[0]
     times = cfg.numbers("compare", "times") or [float(t) for t in ev_a.t]
     p = cfg.number("compare", "scale_exponent")
+    if p < 0.0 and 0.0 in times:
+        raise ValueError(f"compare.scale_exponent = {p!r} is negative, so t^p is "
+                         "infinite at t = 0: leave t = 0 out of compare.times")
     rows = []
     for t in times:
         diff = np.abs(ev_a.interp(t, x) - np.asarray(b_fn(x, t)))

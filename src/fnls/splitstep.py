@@ -56,6 +56,14 @@ class Grid:
     x_min: float = -40.0 * math.pi
     x_max: float = 40.0 * math.pi
 
+    def __post_init__(self) -> None:
+        # one point would count as both edges, and none has no spacing
+        if not (self.n >= 2 and math.isfinite(self.x_min) and math.isfinite(self.x_max)
+                and self.x_min < self.x_max):
+            raise ValueError(f"a grid needs n >= 2 modes on a finite domain with "
+                             f"x_min < x_max, got n = {self.n} on "
+                             f"[{self.x_min!r}, {self.x_max!r})")
+
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n

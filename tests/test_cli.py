@@ -688,6 +688,102 @@ def test_compare_malformed_evolution_exit_2(evolved, tmp_path, out, capsys, whic
         assert not (out / "comparison.csv").exists()
 
 
+POLE = "0 1 2 0 0 1 0"
+
+# One bad grid per section, and an unreadable and a malformed file of each
+# kind; {name} is a path from _bad_files.  The profile CSVs, evolve.n = 0
+# and a negative scale exponent at the stored t = 0 used to escape as
+# tracebacks with exit 1; evolve.n = 1 ran to an edge fraction of 2; and a
+# soliton grid of one x with x_min < x_max, or of several points with equal
+# ends, was read.
+REFUSALS = [
+    pytest.param(["scatter", "--profile-kind", "sech", "--profile-x-min", "1",
+                  "--profile-x-max", "-1"], "bad grid in [profile]", id="profile-order"),
+    pytest.param(["scatter", "--profile-kind", "sech", "--profile-n", "1"],
+                 "bad grid in [profile]", id="profile-n"),
+    pytest.param(["scatter", "--profile-kind", "sech", "--scatter-n-z", "1"],
+                 "bad grid in [scatter]", id="scatter-n"),
+    pytest.param(["soliton", "--discrete-poles", POLE, "--soliton-n-x", "1"],
+                 "bad grid in [soliton]", id="soliton-one-x-of-two-ends"),
+    pytest.param(["soliton", "--discrete-poles", POLE, "--soliton-x-min", "1",
+                  "--soliton-x-max", "1"], "bad grid in [soliton]", id="soliton-equal-x"),
+    pytest.param(["soliton", "--discrete-poles", POLE, "--soliton-n-t", "3"],
+                 "bad grid in [soliton]", id="soliton-equal-t"),
+    pytest.param(["soliton", "--discrete-poles", POLE, "--soliton-t-min", "1",
+                  "--soliton-n-t", "2"], "bad grid in [soliton]", id="soliton-t-order"),
+    pytest.param(["asymptote", "--discrete-poles", POLE, "--asymptote-n-t", "0"],
+                 "bad grid in [asymptote]", id="asymptote-n-t"),
+    pytest.param(["evolve", "--discrete-poles", POLE, "--evolve-n", "0"],
+                 "bad grid in [evolve]", id="evolve-n0"),
+    pytest.param(["evolve", "--discrete-poles", POLE, "--evolve-n", "1"],
+                 "bad grid in [evolve]", id="evolve-n1"),
+    pytest.param(["evolve", "--discrete-poles", POLE, "--evolve-x-min", "1",
+                  "--evolve-x-max", "1"], "bad grid in [evolve]", id="evolve-equal-x"),
+    pytest.param(["compare", "--compare-a", "{evolved}", "--compare-b", "discrete",
+                  "--discrete-poles", POLE, "--compare-n-x", "1"],
+                 "bad grid in [compare]", id="compare-n"),
+    pytest.param(["compare", "--compare-a", "{evolved}", "--compare-b", "discrete",
+                  "--discrete-poles", POLE, "--compare-scale-exponent", "-0.5"],
+                 "compare.scale_exponent = -0.5 is negative, so t^p is infinite at t = 0",
+                 id="compare-negative-exponent-at-t0"),
+    pytest.param(["soliton", "--config", "{missing}"], "cannot read config file",
+                 id="config-unreadable"),
+    pytest.param(["soliton", "--config", "{no_header}"], "malformed config file",
+                 id="config-malformed"),
+    pytest.param(["scatter", "--profile-kind", "csv", "--profile-file", "{missing}"],
+                 "cannot read profile file", id="profile-unreadable"),
+    pytest.param(["scatter", "--profile-kind", "csv", "--profile-file", "{two_columns}"],
+                 "malformed profile file", id="profile-two-columns"),
+    pytest.param(["scatter", "--profile-kind", "csv", "--profile-file", "{one_row}"],
+                 "malformed profile file", id="profile-one-row"),
+    pytest.param(["evolve", "--profile-kind", "csv", "--profile-file", "{two_columns}",
+                  "--evolve-n", "64"], "malformed profile file", id="evolve-profile-two-columns"),
+    pytest.param(["evolve", "--profile-kind", "csv", "--profile-file", "{one_row}",
+                  "--evolve-n", "64"], "malformed profile file", id="evolve-profile-one-row"),
+    pytest.param(["soliton", "--discrete-file", "{missing}"],
+                 "cannot read scattering document", id="scattering-unreadable"),
+    pytest.param(["soliton", "--discrete-file", "{not_json}"],
+                 "malformed scattering document", id="scattering-malformed"),
+    pytest.param(["compare", "--compare-a", "{missing}", "--compare-b", "{evolved}"],
+                 "cannot read evolution A", id="evolution-a-unreadable"),
+    pytest.param(["compare", "--compare-a", "{evolved}", "--compare-b", "{missing}"],
+                 "cannot read evolution B", id="evolution-b-unreadable"),
+    pytest.param(["compare", "--compare-a", "{not_json_evolution}", "--compare-b",
+                  "{evolved}"], "malformed evolution A", id="evolution-a-malformed"),
+    pytest.param(["compare", "--compare-a", "{evolved}", "--compare-b",
+                  "{one_mode_evolution}"], "malformed evolution B: a grid needs n >= 2",
+                 id="evolution-b-one-mode"),
+]
+
+
+def _bad_files(tmp_path, evolved):
+    files = {"evolved": evolved, "missing": tmp_path / "missing",
+             "no_header": tmp_path / "no_header.ini",
+             "two_columns": tmp_path / "two_columns.csv",
+             "one_row": tmp_path / "one_row.csv", "not_json": tmp_path / "not.json",
+             "not_json_evolution": tmp_path / "not_json_evolution"}
+    files["no_header"].write_text("n_x = 5\n")
+    files["two_columns"].write_text("0,1\n1,2\n")
+    files["one_row"].write_text("0,1,0\n")
+    files["not_json"].write_text("{")
+    files["not_json_evolution"].mkdir()
+    (files["not_json_evolution"] / "manifest.json").write_text("{")
+    files["one_mode_evolution"] = _copy_evolution(
+        evolved, tmp_path / "one_mode_evolution",
+        lambda manifest: manifest["grid"].update(n=1))
+    return files
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS)
+def test_bad_grid_or_file_exit_2_with_its_message(evolved, tmp_path, out, capsys,
+                                                  argv, message):
+    files = _bad_files(tmp_path, evolved)
+    argv = [arg.format(**files) for arg in argv]
+    assert run_cli(*argv, "--output-dir", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_evolve_needs_some_source(out, capsys):
     assert run_cli("evolve", "--output-dir", str(out)) == 2
     assert "profile or a discrete source" in capsys.readouterr().err

@@ -260,9 +260,9 @@ def test_three_soliton_sech_spectrum():
 README_BOX = (-0.6, 0.6, 0.2, 1.9)
 
 
-def test_failed_circles_subdivide_the_box(sech2, monkeypatch):
-    # when the circles about the first box's guesses fail, the box is cut
-    # in two, and each half places its own
+def _first_placement_fails(monkeypatch):
+    """A list of the calls placing zeros from guesses, the first of which
+    fails as failed circles do."""
     calls = []
     place = scattering._zeros_from_guesses
 
@@ -273,8 +273,30 @@ def test_failed_circles_subdivide_the_box(sech2, monkeypatch):
         return place(*args)
 
     monkeypatch.setattr(scattering, "_zeros_from_guesses", first_fails)
+    return calls
+
+
+def test_failed_circles_subdivide_the_box(sech2, monkeypatch):
+    # when the circles about the first box's guesses fail, the box is cut
+    # in two, and each half places its own
+    calls = _first_placement_fails(monkeypatch)
     zeros = sorted(locate_zeros(sech2, README_BOX), key=lambda p: p[0].imag)
     assert len(calls) == 3
+    assert [m for _, m in zeros] == [1, 1]
+    assert abs(zeros[0][0] - 0.5j) < 1e-6 and abs(zeros[1][0] - 1.5j) < 1e-6
+
+
+def test_a_cut_through_the_zeros_is_tried_elsewhere(sech2, monkeypatch):
+    # the first circles fail, so the box is cut at Re z = 0, through 0.5i
+    # and 1.5i; that half is refused, and the next cut, at -0.24, leaves
+    # both zeros in the right half
+    contours = _recorded_contours(monkeypatch)
+    _first_placement_fails(monkeypatch)
+    zeros = sorted(locate_zeros(sech2, (-2.0, 2.0, 0.2, 1.9)), key=lambda p: p[0].imag)
+    boxes = [box for box, _ in contours]
+    np.testing.assert_allclose(boxes, [(-2.0, 2.0, 0.2, 1.9), (-2.0, 0.0, 0.2, 1.9),
+                                       (-2.0, -0.24, 0.2, 1.9), (-0.24, 2.0, 0.2, 1.9)],
+                               rtol=0.0, atol=1e-12)
     assert [m for _, m in zeros] == [1, 1]
     assert abs(zeros[0][0] - 0.5j) < 1e-6 and abs(zeros[1][0] - 1.5j) < 1e-6
 

@@ -137,6 +137,15 @@ def test_fourier_interpolation_matches_direct_synthesis(n):
         assert np.max(np.abs(vals - direct)) <= 1e-13 * np.max(np.abs(q))
 
 
+@pytest.mark.parametrize("n, x_min, x_max", [(0, -1.0, 1.0), (1, -1.0, 1.0), (8, 1.0, 1.0),
+                                            (8, np.nan, 1.0), (8, -1.0, np.inf)])
+def test_grid_refuses_a_degenerate_domain(n, x_min, x_max):
+    # n = 0 divided by zero in dx, and n = 1 counted its one point as both
+    # edges, for an edge fraction of 2
+    with pytest.raises(ValueError, match="a grid needs n >= 2 modes"):
+        Grid(n, x_min, x_max)
+
+
 def test_interp_requires_stored_sample():
     grid = Grid(256, -8 * np.pi, 8 * np.pi)
     ev = split_step(sech_soliton(1.0)(grid.x, 0.0), grid, 0.5, dt=1e-3)

@@ -1,6 +1,6 @@
-"""The public surface: the README's library example runs, every exported
-name exists, and every function the benchmark's tracer wraps is still
-there with the argument it reads."""
+"""The public surface: the README's library example and command-line
+examples run, every exported name exists, and every function the
+benchmark's tracer wraps is still there with the argument it reads."""
 
 from __future__ import annotations
 
@@ -9,11 +9,13 @@ import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import fnls
+from fnls.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +27,21 @@ def test_readme_library_quick_start_runs(capsys):
     assert match, "README has no python block under 'Library quick start'"
     exec(compile(match.group(1), "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    # in order: compare reads the evolution that evolve writes
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^### Examples\n(.*?)^## ", text, re.S | re.M)
+    assert section, "README has no '### Examples' section"
+    blocks = re.findall(r"^```sh\n(.*?)^```", section.group(1), re.S | re.M)
+    commands = [line for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("fnls ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
 
 
 MODULES = sorted(f"fnls.{m.name}" for m in pkgutil.iter_modules(fnls.__path__))
