@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import _cone_interval, _unwrap, phase_context, r0_modulated
+from .phase import _unwrap, partition, phase_context, r0_modulated
 from .solitons import (
-    OrientedData,
-    _dressed,
-    _left_of,
-    _restricted,
+    modulate_constants,
     outer_matrix_row,
+    restrict_to_interval,
     solve_soliton,
 )
 
@@ -160,27 +158,27 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
     if np.any(t < min_t):
         raise ValueError(f"t = {t.min():g} is below the asymptotic floor "
                          f"min_t = {min_t:g}")
-    interval = _cone_interval(cone)
+    sigma_d = tuple(sigma_d)
+    z0 = -x / (2.0 * t)
+    # one split about z0 serves T0 and the orientations alike; it checks
+    # the cone before the points are tested against it
+    part = partition(sigma_d, z0, cone)
     x1, x2, v1, v2 = (float(v) for v in cone)
     outside = ~((x1 + v1 * t <= x) & (x <= x2 + v2 * t))
     if outside.any():
         i = np.argmax(outside)
         raise ValueError(f"(x, t) = ({x[i]:g}, {t[i]:g}) lies outside the cone")
 
-    sigma_d = tuple(sigma_d)
-    z0 = -x / (2.0 * t)
-    # one split about z0 serves T0 and the orientations alike
-    left = _left_of(sigma_d, z0)
     ctx = None
-    weighted = OrientedData.all_lower(sigma_d)
+    weighted = sigma_d
     if scattering is not None:
         # one ray for all points: the pole dressing and T0 read its nodes
-        ctx = phase_context(scattering, sigma_d, x, t, left=left)
-        weighted = _dressed(weighted, ctx.ray.inverse_delta)
+        ctx = phase_context(scattering, sigma_d, x, t, part.left)
+        weighted = modulate_constants(sigma_d, ctx.ray.inverse_delta)
 
     q_sol = np.zeros(x.size, dtype=np.complex128)
     rows = np.zeros((x.size, 2), dtype=np.complex128)
-    for at, oriented in _restricted(weighted, interval, left):
+    for at, oriented in restrict_to_interval(weighted, part.I, part.left):
         state = solve_soliton(oriented, x[at], t[at])
         q_sol[at] = state.q
         if ctx is not None:

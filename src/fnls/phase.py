@@ -19,11 +19,12 @@ delta on the ray belong to the jump it solves, and are not computed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solitons import _exp, _left_of, blaschke_product
+from .solitons import _exp, blaschke_product
 
 __all__ = [
     "nu_of",
@@ -279,7 +280,7 @@ class PhaseContext:
                              "quadrature behind it is inconsistent")
 
 
-def phase_context(scattering, data, x, t, left=None) -> PhaseContext:
+def phase_context(scattering, data, x, t, left) -> PhaseContext:
     """Assemble the scalar context at (x, t) from sampled reflection data;
     ``x`` and ``t`` may be arrays, which share one ray quadrature.
 
@@ -287,7 +288,7 @@ def phase_context(scattering, data, x, t, left=None) -> PhaseContext:
     product of the poles flagged in ``left`` times ``exp(i beta)``, with
     beta the finite part at z0 of the kernel integral of the density
     (:meth:`_RayDensity.offset_integral`).  ``left`` holds a flag per pole,
-    or per point (flattened) and pole; by default the poles left of each z0.
+    or per point (flattened) and pole, as :func:`partition` gives.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     shape = x.shape
@@ -299,8 +300,6 @@ def phase_context(scattering, data, x, t, left=None) -> PhaseContext:
     ray = _RayDensity(scattering, z0)
     r = np.asarray(scattering.r)
     r_at = np.interp(z0, ray.grid, r.real) + 1j * np.interp(z0, ray.grid, r.imag)
-    if left is None:
-        left = _left_of(data, z0)
     left = np.broadcast_to(left, (z0.size, len(data)))
     inv = np.ones(z0.size, dtype=np.complex128)
     for k, d in enumerate(data):
@@ -312,39 +311,45 @@ def phase_context(scattering, data, x, t, left=None) -> PhaseContext:
     return PhaseContext(z0=z0, nu0=nu0, T0_z0=T0, r_at_z0=r_at, ray=ray)
 
 
-def _cone_interval(cone) -> tuple[float, float]:
-    """The interval ``(-v2/2, -v1/2)`` of pole positions whose velocities
-    fall inside the cone ``(x1, x2, v1, v2)``."""
-    x1, x2, v1, v2 = (float(v) for v in cone)
-    if x1 > x2 or v1 > v2:
-        raise ValueError("cone bounds must be ordered: x1 <= x2 and v1 <= v2")
-    return (-v2 / 2.0, -v1 / 2.0)
-
-
 @dataclass(frozen=True)
 class ConePartition:
-    """Index bookkeeping for a space-time cone: which poles sit left of the
-    stationary point (the rest sit right of it), the cone's velocity window,
-    and how fast the poles outside that window are suppressed."""
+    """The poles of a space-time cone: the window ``I`` of pole positions
+    whose velocities fall inside the cone, which poles sit left of each
+    stationary point (``left``, shape ``z0.shape + (N,)``; the rest sit
+    right of it), and how fast the poles outside the window are
+    suppressed."""
 
     I: tuple
-    delta_minus: tuple
+    left: np.ndarray
     mu_I: float
 
 
-def partition(data, z0: float, cone) -> ConePartition:
-    """Split the pole indices about the stationary point and about the
-    velocity interval of the cone (x1, x2, v1, v2)."""
-    interval = _cone_interval(cone)
-    minus = tuple(int(k) for k in np.flatnonzero(_left_of(data, z0)))
+def partition(data, z0, cone) -> ConePartition:
+    """Split the poles about the stationary points ``z0`` (a scalar or an
+    array) and about the velocity window of the cone ``(x1, x2, v1, v2)``:
+    the poles with ``Re z_k`` in ``I = [-v2/2, -v1/2]``.  A pole exactly
+    over a stationary point goes to the right-hand set, with a warning."""
+    bounds = tuple(float(v) for v in cone)
+    for name, v in zip(("x1", "x2", "v1", "v2"), bounds):
+        if not math.isfinite(v):
+            raise ValueError(f"cone bound {name} must be finite, got {v!r}")
+    x1, x2, v1, v2 = bounds
+    if x1 > x2 or v1 > v2:
+        raise ValueError("cone bounds must be ordered: x1 <= x2 and v1 <= v2")
+    lo, hi = -v2 / 2.0, -v1 / 2.0
+    re = np.array([complex(d.z).real for d in data])
+    z0 = np.asarray(z0, dtype=float)[..., None]
+    if np.any(re == z0):
+        warnings.warn("pole sits exactly over the stationary point z0; "
+                      "assigning it to the right-hand set (lower orientation)",
+                      RuntimeWarning, stacklevel=3)
     mu = math.inf
     for d in data:
         zk = complex(d.z)
-        if interval[0] <= zk.real <= interval[1]:
+        if lo <= zk.real <= hi:
             continue
-        dist = max(interval[0] - zk.real, zk.real - interval[1])
-        mu = min(mu, zk.imag * dist)
-    return ConePartition(I=interval, delta_minus=minus, mu_I=mu)
+        mu = min(mu, zk.imag * max(lo - zk.real, zk.real - hi))
+    return ConePartition(I=(lo, hi), left=re < z0, mu_I=mu)
 
 
 # ---------------------------------------------------------------------------

@@ -159,14 +159,6 @@ class OrientedData:
             return self
         return replace(self, c=self.c[at])
 
-    def plain(self) -> "OrientedData":
-        """The first point's constants moved into the data."""
-        if self.c is None:
-            return self
-        return OrientedData(
-            tuple(replace(d, coefficients=[v[0] for v in self.series(k)])
-                  for k, d in enumerate(self.data)), self.orientations)
-
 
 @dataclass
 class SolitonState:
@@ -549,19 +541,6 @@ def _blaschke_series(z: complex, members, n: int) -> list:
     return out
 
 
-def _reoriented(oriented: OrientedData, flip) -> OrientedData:
-    """All-lower poles with those listed in ``flip`` moved to the upper
-    orientation, for every point of the stack (see
-    :func:`reorient_constants`)."""
-    members = [oriented.data[i] for i in flip]
-    series = []
-    for k, d in enumerate(oriented.data):
-        c = _scaled(oriented.series(k), _blaschke_series(d.z, members, d.order))
-        series.append(_inv(c, d.order) if k in flip else c)
-    return oriented.with_series(
-        series, ("upper" if k in flip else "lower" for k in range(len(series))))
-
-
 def _flip_groups(oriented: OrientedData, flips):
     """Group the points of the all-lower ``oriented`` by their row of
     ``flips`` (a boolean array, one row per point, one column per pole):
@@ -573,7 +552,7 @@ def _flip_groups(oriented: OrientedData, flips):
     for p, pattern in enumerate(patterns):
         at = np.flatnonzero(which == p)
         rows = oriented.rows(at)
-        groups.append((at, _reoriented(rows, list(np.flatnonzero(pattern)))
+        groups.append((at, reorient_constants(rows, np.flatnonzero(pattern))
                        if pattern.any() else rows))
     return groups
 
@@ -581,67 +560,57 @@ def _flip_groups(oriented: OrientedData, flips):
 def reorient_constants(data, delta_indices) -> OrientedData:
     """Move the poles listed in ``delta_indices`` to the upper orientation.
 
+    ``data`` is a sequence of :class:`DiscreteDatum` or an all-lower
+    :class:`OrientedData` stack, and every point of the stack is mapped.
     The column scaling by the Blaschke product ``a`` over the flipped
     subset maps the principal part ``c`` of every pole: ``c -> pp[c a^2]``
     for the poles that stay lower, and ``c -> pp[1 / (c g^2)]`` with
     ``g = a / (z - z_k)^m`` for the flipped ones.
     """
+    oriented = _as_oriented(data)
+    if "upper" in oriented.orientations:
+        raise ValueError("reorientation starts from all-lower data")
     flip = sorted(set(int(i) for i in delta_indices))
-    return _reoriented(OrientedData.all_lower(data), flip).plain()
+    members = [oriented.data[i] for i in flip]
+    series = []
+    for k, d in enumerate(oriented.data):
+        c = _scaled(oriented.series(k), _blaschke_series(d.z, members, d.order))
+        series.append(_inv(c, d.order) if k in flip else c)
+    return oriented.with_series(
+        series, ("upper" if k in flip else "lower" for k in range(len(series))))
 
 
-def _dressed(oriented: OrientedData, inverse_delta) -> OrientedData:
-    """The constants of every pole dressed by ``delta`` (see
-    :func:`modulate_constants`); ``inverse_delta`` may return one value per
-    point of a stack."""
+def modulate_constants(data, inverse_delta) -> OrientedData:
+    """Dress every pole's constants by the radiation factor ``delta``.
+
+    ``data`` is a sequence of :class:`DiscreteDatum` (all lower) or an
+    :class:`OrientedData` stack, whose orientations are kept.
+    ``inverse_delta(z, n)`` returns the first ``n`` Taylor coefficients of
+    ``f = 1 / delta`` at a point ``z`` of the upper half plane, one value
+    per point of a stack (supplied by :mod:`fnls.phase`), and the
+    constants change as under the column scaling by ``f``:
+    ``c -> pp[c f^2]``.
+    """
+    oriented = _as_oriented(data)
     series = [_scaled(oriented.series(k), inverse_delta(d.z, d.order))
               for k, d in enumerate(oriented.data)]
     return oriented.with_series(series, oriented.orientations)
 
 
-def modulate_constants(data, inverse_delta) -> tuple[DiscreteDatum, ...]:
-    """Dress every pole's constants by the radiation factor ``delta``.
+def restrict_to_interval(data, interval: tuple[float, float], left):
+    """Keep the poles whose ``Re z_k`` lies in the closed interval, and give
+    those flagged in ``left`` the upper orientation.
 
-    ``inverse_delta(z, n)`` returns the first ``n`` Taylor coefficients of
-    ``f = 1 / delta`` at a point ``z`` of the upper half plane (supplied by
-    :mod:`fnls.phase`), and the constants change as under the column
-    scaling by ``f``: ``c -> pp[c f^2]``.
+    ``data`` is a sequence of :class:`DiscreteDatum` or an all-lower
+    :class:`OrientedData` stack; ``left`` holds one row per point of the
+    stack and one column per pole, as :func:`fnls.phase.partition` gives,
+    or one flag per pole for a single point.  One ``(points, oriented)``
+    pair per flip pattern, at most ``N + 1`` of them.
     """
-    return _dressed(OrientedData.all_lower(data), inverse_delta).plain().data
-
-
-def _left_of(data, z0) -> np.ndarray:
-    """Which poles lie left of each stationary point: a boolean array of
-    shape ``z0.shape + (N,)``.  A pole exactly over ``z0`` goes to the
-    right-hand set, with a warning."""
-    re = np.array([complex(d.z).real for d in data])
-    z0 = np.asarray(z0, dtype=float)[..., None]
-    if np.any(re == z0):
-        warnings.warn("pole sits exactly over the stationary point z0; "
-                      "assigning it to the right-hand set (lower orientation)",
-                      RuntimeWarning, stacklevel=3)
-    return re < z0
-
-
-def _restricted(oriented: OrientedData, interval, left):
-    """Keep the all-lower poles whose ``Re z_k`` lies in the closed
-    interval, and flip those flagged in ``left`` (one row per point, one
-    column per pole of ``oriented``, as :func:`_left_of` gives).  One
-    ``(points, oriented)`` pair per flip pattern, at most ``N + 1`` of
-    them."""
+    oriented = _as_oriented(data)
     lo, hi = interval
     keep = [k for k, d in enumerate(oriented.data) if lo <= d.z.real <= hi]
-    kept = OrientedData(tuple(oriented.data[k] for k in keep), ("lower",) * len(keep),
+    kept = OrientedData(tuple(oriented.data[k] for k in keep),
+                        tuple(oriented.orientations[k] for k in keep),
                         None if oriented.c is None else oriented.c[:, keep])
-    return _flip_groups(kept, left[:, keep])
-
-
-def restrict_to_interval(data, interval: tuple[float, float],
-                         z0: float) -> OrientedData:
-    """Keep the poles whose ``Re z_k`` lies in the closed interval, then give
-    those left of ``z0`` the upper orientation (ties stay lower with a
-    warning, mirroring the partition convention)."""
-    oriented = OrientedData.all_lower(data)
-    ((_, oriented),) = _restricted(oriented, interval,
-                                   _left_of(oriented.data, np.array([float(z0)])))
-    return oriented.plain()
+    return _flip_groups(kept, np.atleast_2d(left)[:, keep])

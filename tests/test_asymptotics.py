@@ -31,9 +31,6 @@ from fnls.scattering import (
     sech_profile,
 )
 from fnls.solitons import (
-    OrientedData,
-    _left_of,
-    _restricted,
     evaluate_matrix,
     modulate_constants,
     outer_matrix_row,
@@ -138,16 +135,16 @@ def test_pc_rejects_inconsistent_fields():
 def test_alpha_matches_pc_route(smooth, z0, t):
     x = -2.0 * t * z0
     part = partition(POLES, z0, (0.0, 0.0, -2.0 * z0, -2.0 * z0))
-    ctx = phase_context(smooth, POLES, x, t)
+    ctx = phase_context(smooth, POLES, x, t, part.left)
     pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
-    alpha = alpha_z0(ctx, part.delta_minus, POLES)
+    alpha = alpha_z0(ctx, part.left, POLES)
     phi = x * x / (2.0 * t) - ctx.nu0 * math.log(4.0 * t)
     assert abs(pc.beta12 - alpha * cmath.exp(1j * phi)) < 1e-12
     assert abs(abs(alpha) ** 2 - abs(ctx.nu0)) < 1e-14
 
 
 def test_alpha_pole_free_collapse(smooth):
-    ctx = phase_context(smooth, (), -12.0, 10.0)
+    ctx = phase_context(smooth, (), -12.0, 10.0, ())
     assert ctx.z0 == 0.6
     alpha = alpha_z0(ctx, (), ())
     expected = (0.25 * math.pi
@@ -160,7 +157,7 @@ def test_alpha_pole_free_collapse(smooth):
 def test_alpha_rejects_vanishing_density():
     r_odd = S_GRID * np.exp(-S_GRID ** 2)
     sc = ScatteringData(S_GRID, r_odd.astype(np.complex128), ())
-    ctx = phase_context(sc, (), 0.0, 10.0)
+    ctx = phase_context(sc, (), 0.0, 10.0, ())
     assert ctx.nu0 == 0.0
     with pytest.raises(ValueError, match="vanishes"):
         alpha_z0(ctx, (), ())
@@ -172,7 +169,7 @@ def test_alpha_rejects_unbracketed_grid():
     narrow = ScatteringData(np.linspace(2.0, 3.0, 11),
                             np.full(11, 0.1 + 0.0j), ())
     with pytest.raises(ValueError, match="bracket"):
-        alpha_z0(phase_context(narrow, (), -2.0 * 10.0 * 0.6, 10.0), (), ())
+        alpha_z0(phase_context(narrow, (), -2.0 * 10.0 * 0.6, 10.0, ()), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +225,8 @@ def test_reflectionless_is_bitwise_soliton_field(smooth):
         assert v.f_part == 0
         assert v.q_total == v.q_sol_part
         part = partition(POLES, z0, CONE_LOW)
-        direct = solve_soliton(restrict_to_interval(POLES, part.I, z0), x, t)
+        ((_, oriented),) = restrict_to_interval(POLES, part.I, part.left)
+        direct = solve_soliton(oriented, x, t)
         assert v.q_sol_part == complex(direct.q)
 
 
@@ -261,9 +259,9 @@ def test_composite_invariants(smooth, x, t, cone):
     part = partition(POLES, z0, cone)
 
     # bound-state part mirrors the weight-then-reorient pipeline exactly
-    ctx = phase_context(smooth, POLES, x, t)
+    ctx = phase_context(smooth, POLES, x, t, part.left)
     weighted = modulate_constants(POLES, ctx.ray.inverse_delta)
-    oriented = restrict_to_interval(weighted, part.I, z0)
+    ((_, oriented),) = restrict_to_interval(weighted, part.I, part.left)
     state = solve_soliton(oriented, x, t)
     assert v.q_sol_part == complex(state.q)
 
@@ -274,7 +272,7 @@ def test_composite_invariants(smooth, x, t, cone):
     assert abs(v.f_part) <= cap + 1e-12
 
     # amplitude/phase route reproduces the coefficient-route f
-    alpha = alpha_z0(ctx, part.delta_minus, POLES)
+    alpha = alpha_z0(ctx, part.left, POLES)
     phi = x * x / (2.0 * t) - ctx.nu0 * math.log(4.0 * t)
     w = alpha * cmath.exp(1j * phi)
     f_alpha = w * eta11 ** 2 - w.conjugate() * eta12 ** 2
@@ -420,8 +418,8 @@ def test_batched_tie_warns_and_goes_right(smooth):
     # the tied pole joins the right-hand set: lower, like the point right
     # of it, where the point left of it flips the pole
     with pytest.warns(RuntimeWarning, match="stationary point"):
-        left = _left_of(tied, -x / (2.0 * t))
-    groups = _restricted(OrientedData.all_lower(tied), (-0.25, 0.25), left)
+        part = partition(tied, -x / (2.0 * t), WIDE)
+    groups = restrict_to_interval(tied, part.I, part.left)
     orientation = {int(i): o.orientations for at, o in groups for i in at}
     assert orientation == {0: ("upper",), 1: ("lower",), 2: ("lower",)}
 
@@ -502,7 +500,8 @@ def test_inline_dispersive_product_is_the_e1_entry(sech_run, monkeypatch):
         for x in np.linspace(-0.3 * t, 0.3 * t, 5):
             outer.clear()
             f = q_asymptotic(x, t, sc.discrete, sc, SECH_CONE).f_part
-            ctx = phase_context(sc, sc.discrete, x, t)
+            left = partition(sc.discrete, -x / (2.0 * t), SECH_CONE).left
+            ctx = phase_context(sc, sc.discrete, x, t, left)
             pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
             m, = outer
             e1 = e1_matrix(m.reshape(2, 2), pc, t)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import wofz
 
+from fnls.asymptotics import q_asymptotic
 from fnls.phase import (
     PhaseContext,
     T_fn,
@@ -42,6 +43,12 @@ def smooth():
 def poles():
     return [DiscreteDatum(-0.8 + 0.6j, (1.0,)),
             DiscreteDatum(0.45 + 0.9j, (1.0, 0.2))]
+
+
+def _left(data, z0):
+    """The poles left of the stationary point z0, as the cone formula
+    splits them."""
+    return partition(data, z0, (0.0, 0.0, 0.0, 0.0)).left
 
 
 def _T0(delta_minus, data, scattering, z0):
@@ -112,12 +119,12 @@ def test_order_three_dressing_matches_a_circle_of_delta(smooth):
     # third constant of this one off by 0.37 relative
     ray = _RayDensity(smooth, 0.4)
     datum = DiscreteDatum(0.2 + 0.7j, (1.0, 0.2 + 0.1j, 0.3))
-    (dressed,) = modulate_constants([datum], ray.inverse_delta)
+    dressed = modulate_constants([datum], ray.inverse_delta)
     n, radius = 64, 0.35
     inv = 1.0 / delta_fn(datum.z + radius * np.exp(2j * np.pi * np.arange(n) / n), smooth, 0.4)
     series = np.fft.fft(inv) / n / radius ** np.arange(n)
     ref = np.array(_scaled(datum.coefficients, series[:3]))
-    assert np.max(np.abs(np.array(dressed.coefficients) - ref) / np.abs(ref)) <= 1e-10
+    assert np.max(np.abs(np.concatenate(dressed.series(0)) - ref) / np.abs(ref)) <= 1e-10
 
 
 def test_delta_needs_a_side_on_the_ray(smooth):
@@ -317,7 +324,7 @@ def test_T_approaches_the_boundary_model(smooth, poles):
 
 def _right(part, data):
     """The poles a partition puts right of the stationary point."""
-    return tuple(k for k in range(len(data)) if k not in part.delta_minus)
+    return tuple(k for k in range(len(data)) if not part.left[k])
 
 
 def _inside(part, data):
@@ -330,14 +337,14 @@ def test_partition_about_the_stationary_point():
     data = [DiscreteDatum(1.0 + 0.5j, (1.0,)),
             DiscreteDatum(-1.0 + 0.5j, (1.0,))]
     part = partition(data, 0.0, cone=(0.0, 0.0, 0.0, 0.0))
-    assert part.delta_minus == (1,) and _right(part, data) == (0,)
+    assert part.left.tolist() == [False, True] and _right(part, data) == (0,)
 
 
 def test_partition_tie_goes_right_with_warning():
     data = [DiscreteDatum(0.5 + 1.0j, (1.0,))]
     with pytest.warns(RuntimeWarning, match="stationary point"):
         part = partition(data, 0.5, cone=(0.0, 0.0, -1.0, -1.0))
-    assert _right(part, data) == (0,) and part.delta_minus == ()
+    assert _right(part, data) == (0,) and part.left.tolist() == [False]
 
 
 def test_cone_membership_and_decay_rate():
@@ -359,8 +366,20 @@ def test_decay_rate_simple_value_and_sentinel():
 
 
 def test_cone_bounds_must_be_ordered():
-    with pytest.raises(ValueError, match="ordered"):
-        partition([], 0.0, cone=(1.0, 0.0, 0.0, 1.0))
+    # a nan bound passes every ordering test, and would give the window
+    # (-0.25, nan) a negative decay rate; the cone formula checks its cone
+    # here, before it tests its points against it
+    lone = [DiscreteDatum(0.6 + 0.35j, (1.0,))]
+    for cone, message in [((1.0, 0.0, 0.0, 1.0), "ordered"),
+                          ((0.0, 1.0, 1.0, 0.0), "ordered"),
+                          ((math.nan, 1.0, -1.0, 1.0), "x1 must be finite"),
+                          ((-1.0, math.inf, -1.0, 1.0), "x2 must be finite"),
+                          ((-1.0, 1.0, math.nan, 0.5), "v1 must be finite"),
+                          ((-1.0, 1.0, -1.0, -math.inf), "v2 must be finite")]:
+        with pytest.raises(ValueError, match=message):
+            partition(lone, 0.0, cone=cone)
+        with pytest.raises(ValueError, match=message):
+            q_asymptotic(0.0, 10.0, lone, None, cone)
 
 
 @settings(max_examples=40)
@@ -387,7 +406,7 @@ def test_decay_rate_shrinks_as_the_interval_grows(res, ims, w1, grow):
 # ---------------------------------------------------------------------------
 
 def test_phase_context_fields(smooth, poles):
-    ctx = phase_context(smooth, poles, x=-1.2, t=1.0)
+    ctx = phase_context(smooth, poles, x=-1.2, t=1.0, left=_left(poles, 0.6))
     assert ctx.z0 == 0.6
     assert ctx.nu0 <= 0
     assert abs(ctx.r_at_z0 - _r_at(0.6)) < 1e-14
@@ -396,9 +415,9 @@ def test_phase_context_fields(smooth, poles):
 
 def test_phase_context_validation(smooth, poles):
     with pytest.raises(ValueError, match="t = 0"):
-        phase_context(smooth, poles, x=1.0, t=0.0)
+        phase_context(smooth, poles, x=1.0, t=0.0, left=(False, False))
     with pytest.raises(ValueError, match="bracket"):
-        phase_context(smooth, poles, x=-100.0, t=1.0)
+        phase_context(smooth, poles, x=-100.0, t=1.0, left=(True, True))
     with pytest.raises(ValueError, match="never positive"):
         PhaseContext(z0=-0.5, nu0=0.2, T0_z0=1.0 + 0j, r_at_z0=0.1 + 0j, ray=None)
     with pytest.raises(ValueError, match="unimodular"):
@@ -420,7 +439,7 @@ def test_phase_context_refuses_constants_that_are_not_finite(field, bad):
 
 
 def test_modulated_amplitude_basics(smooth, poles):
-    ctx = phase_context(smooth, poles, x=-1.2, t=4.0)
+    ctx = phase_context(smooth, poles, x=-1.2, t=4.0, left=_left(poles, 0.15))
     assert abs(abs(r0_modulated(ctx, 4.0))
                - abs(r0_modulated(ctx, 900.0))) < 1e-12
     assert abs(abs(r0_modulated(ctx, 4.0))
@@ -434,7 +453,7 @@ def test_modulated_amplitude_basics(smooth, poles):
 def test_gaussian_amplitude_regression_pin():
     prof = gaussian_profile(0.3, np.linspace(-8.0, 8.0, 641))
     scat = reflection_coefficient(prof, np.linspace(-4.0, 4.0, 321))
-    ctx = phase_context(scat, [], x=0.0, t=25.0)
+    ctx = phase_context(scat, [], x=0.0, t=25.0, left=())
     r0 = r0_modulated(ctx, 25.0)
     assert abs(r0 - (-0.5814569003879617 + 0.08915030374014535j)) < 1e-9
 

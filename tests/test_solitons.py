@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fnls.phase import partition
 from fnls.solitons import (
     DiscreteDatum,
     OrientedData,
@@ -249,7 +250,9 @@ def test_series_helpers_against_contour(sign):
 def test_modulation_identity_and_scaling():
     data = _mixed()
     same = modulate_constants(data, lambda z, n: [1.0] + [0.0] * (n - 1))
-    assert same == data
+    assert same.data == data and same.orientations == ("lower",) * len(data)
+    for k, d in enumerate(data):
+        assert [complex(v[0]) for v in same.series(k)] == list(d.coefficients)
 
     # delta = 1/a with a the Blaschke product of one more pole dresses the
     # constants as the column scaling by a does: reorient_constants' rule
@@ -257,10 +260,11 @@ def test_modulation_identity_and_scaling():
     other = DiscreteDatum(-0.9 + 0.5j, (1.0,))
     scaled = modulate_constants(data, lambda z, n: _blaschke_series(z, [other], n))
     flipped = reorient_constants((*data, other), [len(data)])
-    for s, f in zip(scaled, flipped.data):
-        assert s.order == f.order
-        for j in range(s.order):
-            assert s.coefficients[j] == pytest.approx(f.coefficients[j], rel=1e-13)
+    for k, d in enumerate(data):
+        s, f = scaled.series(k), flipped.series(k)
+        assert len(s) == len(f) == d.order
+        for j in range(d.order):
+            assert s[j][0] == pytest.approx(f[j][0], rel=1e-13)
 
 
 def test_interval_restriction_and_tie_warning():
@@ -270,12 +274,16 @@ def test_interval_restriction_and_tie_warning():
         DiscreteDatum(0.4 + 0.7j, (1.0, 0.3)),
         DiscreteDatum(1.5 + 0.6j, (1.0, 0.4)),
     )
-    out = restrict_to_interval(data, (-0.3, 0.6), z0=0.2)
+    # the cone's velocity window is [-0.3, 0.6]
+    part = partition(data, 0.2, (0.0, 0.0, -1.2, 0.6))
+    ((_, out),) = restrict_to_interval(data, part.I, part.left)
     assert [d.z for d in out.data] == [-0.1 + 0.9j, 0.4 + 0.7j]
     assert out.orientations == ("upper", "lower")
 
+    # the window [-1, 2] keeps every pole, and the one over z0 stays lower
     with pytest.warns(RuntimeWarning, match="z0"):
-        tied = restrict_to_interval(data, (-1.0, 2.0), z0=0.4)
+        part = partition(data, 0.4, (0.0, 0.0, -4.0, 2.0))
+    ((_, tied),) = restrict_to_interval(data, part.I, part.left)
     assert tied.orientations == ("upper", "upper", "lower", "lower")
 
 
@@ -288,6 +296,9 @@ def test_input_validation():
         pole_system([DiscreteDatum(1j, (1.0, 0.0)), DiscreteDatum(1j, (1.0, 0.0))], [0.0], 0.0)
     with pytest.raises(ValueError):
         OrientedData((DiscreteDatum(1j, (1.0, 0.0)),), ("sideways",))
+    # the Blaschke map of the constants holds for all-lower data only
+    with pytest.raises(ValueError, match="all-lower"):
+        reorient_constants(reorient_constants(_pair(), [1]), [0])
 
 
 @pytest.mark.parametrize("field", ["z", "c0", "c1"])

@@ -1,6 +1,7 @@
 """The public surface: the README's library example and command-line
-examples run, every exported name exists, and every function the
-benchmark's tracer wraps is still there with the argument it reads."""
+examples run, every exported name exists, every function the benchmark's
+tracer wraps is still there with the argument it reads, and the cone
+formula's traffic reaches the functions it wraps."""
 
 from __future__ import annotations
 
@@ -12,10 +13,13 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fnls
+from fnls import asymptotics
 from fnls.cli import main
+from fnls.scattering import DiscreteDatum, ScatteringData
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,3 +112,22 @@ def test_traced_names_exist_with_their_arguments(module, owner, attr, reads):
     params = list(inspect.signature(fn).parameters)
     for position, name in reads:
         assert params[position] == name
+
+
+def test_cone_formula_reaches_the_traced_spans(monkeypatch):
+    # the cone formula calls the public cone functions themselves, so a
+    # traced run times the split, the dressing and the reorientation
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    s = np.linspace(-5.0, 5.0, 401)
+    scattering = ScatteringData(s, 0.5 * np.exp(-s ** 2), ())
+    poles = (DiscreteDatum(-0.1 + 0.6j, (1.0,)), DiscreteDatum(0.3 + 0.8j, (1.0, 0.2)))
+    tracer.install()
+    try:
+        asymptotics.q_asymptotic(np.array([-1.0, 1.0]), 10.0, poles, scattering,
+                                 (-2.0, 2.0, -1.0, 1.0))
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"phase.partition", "solitons.modulate", "solitons.reorient",
+            "phase.context", "asymptotics.point"} <= names
