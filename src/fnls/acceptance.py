@@ -2,10 +2,11 @@
 
 Each ``criterion_*`` function runs one self-contained experiment tying the
 closed-form pole solutions, the forward scattering map, the cone asymptotics
-and the split-step integrator to each other, and returns a uniform record
-(id, measured value, threshold, pass flag).  ``run_all`` executes the lot;
-the command-line ``verify`` subcommand and the acceptance test suite both
-feed from here.
+and the split-step integrator to each other, and returns its numbers
+(measured value, threshold, pass flag, detail).  ``run_all`` runs the ones
+asked for and makes each outcome a :class:`CriterionResult`, a gate that
+raises included; the command-line ``verify`` subcommand and the acceptance
+test suite both feed from here.
 """
 
 from __future__ import annotations
@@ -35,16 +36,16 @@ __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 @dataclass(frozen=True)
 class CriterionResult:
-    cid: str
+    id: str
     description: str
     measured: float
     threshold: float
     passed: bool
-    detail: str = ""
+    detail: str
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        out = (f"[{status}] criterion {self.cid}: measured {self.measured:.6g}"
+        out = (f"[{status}] criterion {self.id}: measured {self.measured:.6g}"
                f" vs threshold {self.threshold:.6g} -- {self.description}")
         if self.detail:
             out += f" ({self.detail})"
@@ -54,7 +55,7 @@ class CriterionResult:
 _DOUBLE_POLE = (DiscreteDatum(1j, (1.0, 0.0)),)
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1():
     """Closed-form double-pole field satisfies the equation pointwise."""
     grid = Grid(n=4096, x_min=-20.0 * math.pi, x_max=20.0 * math.pi)
 
@@ -66,24 +67,20 @@ def criterion_1() -> CriterionResult:
     # well under the gate
     res = pde_residual(q_fn, grid, (0.0, 0.25, 0.5, 0.75, 1.0),
                        h_t=2e-3, x_window=(-20.0, 20.0))
-    return CriterionResult(
-        "1", "double-pole field PDE residual on x in [-20,20], t in [0,1]",
-        res, 1e-6, res < 1e-6)
+    return res, 1e-6, res < 1e-6, ""
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2():
     """Evolving the t = 0 slice numerically reproduces the closed form."""
     grid = Grid(n=4096, x_min=-20.0 * math.pi, x_max=20.0 * math.pi)
     q0 = soliton_field(_DOUBLE_POLE, grid.x, 0.0)
     ev = split_step(q0, grid, 10.0, dt=5e-4, order=4)
     err = float(np.max(np.abs(ev.slice_at(10.0)
                               - soliton_field(_DOUBLE_POLE, grid.x, 10.0))))
-    return CriterionResult(
-        "2", "split-step evolution matches the closed form at t = 10",
-        err, 1e-6, err < 1e-6)
+    return err, 1e-6, err < 1e-6, ""
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3():
     """Poles outside the cone's velocity window decay exponentially fast."""
     data = (DiscreteDatum(1j, (1.0, 0.3 - 0.1j)),
             DiscreteDatum(0.6 + 0.35j, (0.8, 0.5j)))
@@ -101,21 +98,16 @@ def criterion_3() -> CriterionResult:
         diffs.append(abs(full - kept))
     slope = float(np.polyfit(ts, np.log(diffs), 1)[0])
     mu = partition(data, -0.05, cone).mu_I
-    return CriterionResult(
-        "3", "cone localisation error decay rate (log-linear fit slope)",
-        slope, -2.0 * mu, slope <= -2.0 * mu,
-        detail=f"mu(I) = {mu:.4f}, diffs {diffs[0]:.2e} -> {diffs[-1]:.2e}")
+    return (slope, -2.0 * mu, slope <= -2.0 * mu,
+            f"mu(I) = {mu:.4f}, diffs {diffs[0]:.2e} -> {diffs[-1]:.2e}")
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4():
     """Dispersive remainder: scaled error stays bounded along x = 0."""
     profile = gaussian_profile(0.3, np.linspace(-8.0, 8.0, 641))
     found = locate_zeros(profile, (-1.0, 1.0, 0.05, 1.0))
     if found:
-        return CriterionResult(
-            "4", "dispersive remainder bounded (scaled-error ratio)",
-            math.inf, 3.0, False,
-            detail=f"unexpected discrete spectrum {found}")
+        raise RuntimeError(f"unexpected discrete spectrum {found}")
     sc = reflection_coefficient(profile, np.linspace(-4.0, 4.0, 321))
 
     grid = Grid(n=16384, x_min=-160.0 * math.pi, x_max=160.0 * math.pi)
@@ -129,14 +121,11 @@ def criterion_4() -> CriterionResult:
         q_asym = q_asymptotic(0.0, t, (), sc, cone).q_total
         scaled.append(t ** 0.75 * abs(q_pde - q_asym))
     ratio = max(scaled) / min(scaled)
-    passed = ratio < 3.0 and scaled[-1] <= scaled[0]
-    return CriterionResult(
-        "4", "dispersive remainder bounded (scaled-error ratio)",
-        ratio, 3.0, passed,
-        detail="t^(3/4)|q-q_asym| = " + ", ".join(f"{e:.4g}" for e in scaled))
+    return (ratio, 3.0, ratio < 3.0 and scaled[-1] <= scaled[0],
+            "t^(3/4)|q-q_asym| = " + ", ".join(f"{e:.4g}" for e in scaled))
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5():
     """Bundle of closed-form identities; measured value is the worst
     part-wise ratio to its own tolerance (pass iff < 1)."""
     parts = []
@@ -177,39 +166,30 @@ def criterion_5() -> CriterionResult:
     worst = max(v / tol for _, v, tol in parts)
     detail = "; ".join(f"{name}: {v:.3g} (tol {tol:g})"
                        for name, v, tol in parts)
-    return CriterionResult(
-        "5", "identity bundle (worst part-wise ratio to tolerance)",
-        worst, 1.0, worst < 1.0, detail=detail)
+    return worst, 1.0, worst < 1.0, detail
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6():
     """Forward scattering on a generated double-pole slice recovers the
     generating spectrum and constants."""
     datum = DiscreteDatum(1j, (1.1 + 0.55j, 0.36 - 0.24j))
     profile = soliton_profile((datum,), np.linspace(-16.0, 16.0, 6401))
     found = locate_zeros(profile, (-0.5, 0.5, 0.5, 1.5))
     if len(found) != 1 or found[0][1] != 2:
-        return CriterionResult(
-            "6", "scattering round trip (zero + constants)",
-            math.inf, 1.0, False, detail=f"located {found}")
+        raise RuntimeError(f"located {found}")
     z_hat = found[0][0]
     rec = norming_constants(profile, z_hat)
     if rec.order != 2:
-        return CriterionResult(
-            "6", "scattering round trip (zero + constants)",
-            math.inf, 1.0, False, detail=f"constants of order {rec.order} at {z_hat}")
+        raise RuntimeError(f"constants of order {rec.order} at {z_hat}")
     zero_err = abs(z_hat - 1j)
     c1_err, c0_err = (abs(a - b) / abs(b)
                       for a, b in zip(rec.coefficients, datum.coefficients))
     worst = max(zero_err / 1e-4, c0_err / 1e-3, c1_err / 1e-3)
-    return CriterionResult(
-        "6", "scattering round trip (worst ratio to tolerance)",
-        worst, 1.0, worst < 1.0,
-        detail=(f"|z-i| = {zero_err:.2e}, rel c0 = {c0_err:.2e}, "
-                f"rel c1 = {c1_err:.2e}"))
+    return (worst, 1.0, worst < 1.0,
+            f"|z-i| = {zero_err:.2e}, rel c0 = {c0_err:.2e}, rel c1 = {c1_err:.2e}")
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7():
     """Random pole systems stay well-posed with tiny backward residuals."""
     rng = np.random.default_rng(20240817)
     worst = 0.0
@@ -226,27 +206,34 @@ def criterion_7() -> CriterionResult:
         t = float(rng.uniform(-2.0, 2.0))
         state = solve_soliton(tuple(data), x, t)
         worst = max(worst, state.residual)
-    return CriterionResult(
-        "7", "worst scaled residual over 200 random pole systems",
-        worst, 1e-10, worst < 1e-10)
+    return worst, 1e-10, worst < 1e-10, ""
 
 
 CRITERIA = {
-    "1": criterion_1,
-    "2": criterion_2,
-    "3": criterion_3,
-    "4": criterion_4,
-    "5": criterion_5,
-    "6": criterion_6,
-    "7": criterion_7,
+    "1": (criterion_1, "double-pole field PDE residual on x in [-20,20], t in [0,1]"),
+    "2": (criterion_2, "split-step evolution matches the closed form at t = 10"),
+    "3": (criterion_3, "cone localisation error decay rate (log-linear fit slope)"),
+    "4": (criterion_4, "dispersive remainder bounded (scaled-error ratio)"),
+    "5": (criterion_5, "identity bundle (worst part-wise ratio to tolerance)"),
+    "6": (criterion_6, "scattering round trip (worst ratio to tolerance)"),
+    "7": (criterion_7, "worst scaled residual over 200 random pole systems"),
 }
 
 
 def run_all(which=None) -> list[CriterionResult]:
+    """Run the criteria with the ids ``which`` (all when ``None``), in that
+    order.  Every id is checked before any gate runs.  A gate that raises
+    fails, with its error as the detail, and the gates after it still run."""
     ids = list(CRITERIA) if which is None else [str(w) for w in which]
-    out = []
     for cid in ids:
         if cid not in CRITERIA:
-            raise KeyError(f"unknown criterion {cid!r}")
-        out.append(CRITERIA[cid]())
+            raise ValueError(f"unknown criterion {cid!r}")
+    out = []
+    for cid in ids:
+        gate, description = CRITERIA[cid]
+        try:
+            outcome = gate()
+        except Exception as exc:
+            outcome = math.inf, math.nan, False, f"{type(exc).__name__}: {exc}"
+        out.append(CriterionResult(cid, description, *outcome))
     return out

@@ -16,15 +16,19 @@ default.  The only environment variable honoured is ``FNLS_OUTPUT_DIR``,
 which overrides ``run.output_dir``.
 
 Exit codes: 0 on success, 1 when a verification criterion fails or the pole
-solver fails on valid input, 2 on input or configuration errors.  Outputs
-are deterministic: a fixed number format (17 significant digits, '.'
-decimal), fixed row order, no locale or timestamp dependence.
+solver fails on valid input, 2 on input or configuration errors.  A criterion
+whose gate raises has failed: ``verify`` still writes its report, with the
+error in that criterion's ``detail``, and exits 1.  Unknown criterion ids are
+refused, with exit 2, before any gate runs.  Outputs are deterministic: a
+fixed number format (17 significant digits, '.' decimal), fixed row order,
+no locale or timestamp dependence.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -460,28 +464,9 @@ def cmd_compare(cfg: Settings, out_dir: Path) -> int:
 
 
 def cmd_verify(cfg: Settings, out_dir: Path) -> int:
-    chosen = cfg.text("verify", "criteria")
-    which = None
-    if chosen:
-        which = [tok for tok in chosen.replace(",", " ").split()]
-    try:
-        results = run_all(which)
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from exc
-    report = {
-        "criteria": [
-            {
-                "id": res.cid,
-                "description": res.description,
-                "measured": res.measured,
-                "threshold": res.threshold,
-                "passed": res.passed,
-                "detail": res.detail,
-            }
-            for res in results
-        ],
-        "all_passed": all(res.passed for res in results),
-    }
+    results = run_all(cfg.text("verify", "criteria").replace(",", " ").split() or None)
+    report = {"criteria": [dataclasses.asdict(res) for res in results],
+              "all_passed": all(res.passed for res in results)}
     with open(out_dir / "verify_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
     for res in results:

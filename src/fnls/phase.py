@@ -19,6 +19,7 @@ delta on the ray belong to the jump it solves, and are not computed.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -128,7 +129,6 @@ class _RayDensity:
         nodes, w = _panel_nodes(breaks)
         self.s, self.w = nodes.ravel(), w.ravel()
         self.wv = self.w * self.nu_at(self.s)
-        self._cum_wv = np.concatenate([[0.0], np.cumsum(self._per_panel(self.wv))])
 
         # the fixed panels left of each ray's closing panel, and that panel
         self.closed = self.first + np.searchsorted(s, z0, side="right") - 1
@@ -153,7 +153,8 @@ class _RayDensity:
 
     def integral(self):
         """Plain integral of nu over each ray."""
-        return self._cum_wv[self.closed] + self.tip_wv.sum(axis=-1)
+        fixed = np.concatenate([[0.0], np.cumsum(self._per_panel(self.wv))])
+        return fixed[self.closed] + self.tip_wv.sum(axis=-1)
 
     def kernel_series(self, z, n: int) -> np.ndarray:
         """The first ``n`` Taylor coefficients at points z off the rays of
@@ -340,9 +341,13 @@ def partition(data, z0, cone) -> ConePartition:
     re = np.array([complex(d.z).real for d in data])
     z0 = np.asarray(z0, dtype=float)[..., None]
     if np.any(re == z0):
+        # name the first caller outside the package, however deep the call
+        level, frame = 1, sys._getframe()
+        while frame.f_back and frame.f_globals.get("__package__") == __package__:
+            level, frame = level + 1, frame.f_back
         warnings.warn("pole sits exactly over the stationary point z0; "
                       "assigning it to the right-hand set (lower orientation)",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=level)
     mu = math.inf
     for d in data:
         zk = complex(d.z)

@@ -1,10 +1,12 @@
 """End-to-end acceptance gates.
 
-Each test runs one quantitative criterion from ``fnls.acceptance`` and
-asserts its pass flag, so ``pytest -v`` prints one pass/fail line per
-criterion.  The measured value, threshold and a short description are
-echoed both to stdout and into the assertion message, so a red test
-states exactly which gate failed and by how much.
+One parametrized test runs each quantitative criterion of
+``fnls.acceptance`` through ``run_all`` and asserts its pass flag, so
+``pytest -v`` prints one pass/fail line per criterion, named by its
+description.  The record's line (measured value, threshold, description
+and detail) is echoed both to stdout and into the assertion message, so a
+red test states exactly which gate failed and by how much.  A warning
+raised inside a gate is an error there, so it fails that gate.
 
 The slowest gates drive the split-step integrator over long windows;
 the whole file takes a few minutes of CPU.
@@ -16,41 +18,14 @@ import warnings
 
 import pytest
 
-from fnls.acceptance import CRITERIA
+from fnls.acceptance import CRITERIA, run_all
 
 
-def _run(cid: str) -> None:
-    # The criteria raise no warning; a new one fails the gate it comes from.
+@pytest.mark.parametrize("cid", list(CRITERIA),
+                         ids=[description for _, description in CRITERIA.values()])
+def test_criterion(cid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = CRITERIA[cid]()
+        (result,) = run_all([cid])
     print(result.line())
     assert result.passed, result.line()
-
-
-def test_criterion_1_closed_form_solves_pde():
-    _run("1")
-
-
-def test_criterion_2_integrator_tracks_exact_solution():
-    _run("2")
-
-
-def test_criterion_3_cone_restriction_error_decays():
-    _run("3")
-
-
-def test_criterion_4_dispersive_correction_rate():
-    _run("4")
-
-
-def test_criterion_5_phase_factor_identities():
-    _run("5")
-
-
-def test_criterion_6_scattering_roundtrip():
-    _run("6")
-
-
-def test_criterion_7_symmetry_sweep():
-    _run("7")

@@ -4,6 +4,7 @@ cone formula."""
 
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -430,8 +431,11 @@ def test_one_tie_warning_per_cone_call(smooth):
     x = np.array([-3.0, -2.0, -1.0])        # z0 = 0.125 at the middle point
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        line = sys._getframe().f_lineno + 1
         q_asymptotic(x, 8.0, tied, smooth, WIDE)
-    assert sum("stationary point" in str(w.message) for w in caught) == 1
+    (tie,) = [w for w in caught if "stationary point" in str(w.message)]
+    # the warning names the line that called q_asymptotic
+    assert (tie.filename, tie.lineno) == (__file__, line)
 
 
 # ---------------------------------------------------------------------------

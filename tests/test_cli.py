@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import fnls
+from fnls import acceptance
 from fnls.cli import SCHEMA, _parse_pole_line, config_reference, main
 from fnls.scattering import ScatteringData, load_scattering, save_profile, save_scattering
 from fnls.solitons import soliton_field
@@ -805,7 +806,44 @@ def test_verify_writes_machine_readable_report(out, capsys):
     assert "criterion 7" in capsys.readouterr().out
 
 
-def test_verify_unknown_criterion_exit_2(out, capsys):
-    assert run_cli("verify", "--verify-criteria", "42",
-                   "--output-dir", str(out)) == 2
-    assert "unknown criterion" in capsys.readouterr().err
+def test_verify_unknown_criterion_exit_2(out, monkeypatch, capsys):
+    # every id is checked before any gate runs
+    ran = []
+    monkeypatch.setitem(acceptance.CRITERIA, "7",
+                        (lambda: ran.append("7"), acceptance.CRITERIA["7"][1]))
+    assert run_cli("verify", "--verify-criteria", "7,42", "--output-dir", str(out)) == 2
+    assert "unknown criterion '42'" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_verify_criteria_without_ids_runs_all(out, monkeypatch):
+    # a list of separators only is empty, not a request for no gates
+    ran = []
+    for cid, (_, description) in list(acceptance.CRITERIA.items()):
+        monkeypatch.setitem(acceptance.CRITERIA, cid, (
+            lambda cid=cid: ran.append(cid) or (0.0, 1.0, True, ""), description))
+    assert run_cli("verify", "--verify-criteria", ",", "--output-dir", str(out)) == 0
+    assert ran == list(acceptance.CRITERIA)
+
+
+def test_verify_reports_a_raising_gate_as_failed(out, monkeypatch, capsys):
+    def boom():
+        raise RuntimeError("no zero found")
+
+    monkeypatch.setitem(acceptance.CRITERIA, "6", (boom, acceptance.CRITERIA["6"][1]))
+    assert run_cli("verify", "--verify-criteria", "7,6", "--output-dir", str(out)) == 1
+    report = json.loads((out / "verify_report.json").read_text())
+    seven, six = report["criteria"]
+    assert report["all_passed"] is False
+    assert seven["id"] == "7" and seven["passed"] is True
+    assert six["id"] == "6" and six["passed"] is False
+    assert six["detail"] == "RuntimeError: no zero found"
+    assert "[FAIL] criterion 6" in capsys.readouterr().out
+
+
+def test_criterion_6_keeps_its_description_when_it_fails(out, monkeypatch):
+    monkeypatch.setattr(acceptance, "locate_zeros", lambda profile, box: [])
+    assert run_cli("verify", "--verify-criteria", "6", "--output-dir", str(out)) == 1
+    (six,) = json.loads((out / "verify_report.json").read_text())["criteria"]
+    assert six["description"] == "scattering round trip (worst ratio to tolerance)"
+    assert six["detail"] == "RuntimeError: located []"

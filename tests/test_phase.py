@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -188,7 +189,8 @@ def test_ray_integrals_near_the_tail_match_adaptive_quadrature():
         return float(ray.nu_at(s))
 
     tail = ray.breaks[:ray.first + 1]
-    assert abs(ray._cum_wv[ray.first] * ray.tail_kappa / ray.nu_grid[0] - 1.0) < 1e-12
+    tail_integral = ray._per_panel(ray.wv)[:ray.first].sum()
+    assert abs(tail_integral * ray.tail_kappa / ray.nu_grid[0] - 1.0) < 1e-12
     for z in (sg[0] + 0.3 + 0.05j, sg[0] + 0.3 + 0.5j):
         ref = _quad(lambda s: nu(s) / (s - z), tail)
         # the ray ending at the grid's first sample has a closing panel of
@@ -342,9 +344,12 @@ def test_partition_about_the_stationary_point():
 
 def test_partition_tie_goes_right_with_warning():
     data = [DiscreteDatum(0.5 + 1.0j, (1.0,))]
-    with pytest.warns(RuntimeWarning, match="stationary point"):
+    with pytest.warns(RuntimeWarning, match="stationary point") as caught:
+        line = sys._getframe().f_lineno + 1
         part = partition(data, 0.5, cone=(0.0, 0.0, -1.0, -1.0))
     assert _right(part, data) == (0,) and part.left.tolist() == [False]
+    # the warning names the line that called partition
+    assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
 
 def test_cone_membership_and_decay_rate():
