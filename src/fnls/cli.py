@@ -18,7 +18,8 @@ which overrides ``run.output_dir``.
 Exit codes: 0 on success, 1 when a verification criterion fails or the pole
 solver fails on valid input, 2 on input or configuration errors.  A criterion
 whose gate raises has failed: ``verify`` still writes its report, with the
-error in that criterion's ``detail``, and exits 1.  Unknown criterion ids are
+error in that criterion's ``detail`` and its measured value and threshold
+null, and exits 1.  Unknown criterion ids are
 refused, with exit 2, before any gate runs.  Outputs are deterministic: a
 fixed number format (17 significant digits, '.' decimal), fixed row order,
 no locale or timestamp dependence.
@@ -463,12 +464,22 @@ def cmd_compare(cfg: Settings, out_dir: Path) -> int:
     return 0
 
 
+def _report_record(res) -> dict:
+    """A criterion's record as strict JSON: a non-finite measured value or
+    threshold (a gate that raised) is written as null."""
+    record = dataclasses.asdict(res)
+    for key in ("measured", "threshold"):
+        if not math.isfinite(record[key]):
+            record[key] = None
+    return record
+
+
 def cmd_verify(cfg: Settings, out_dir: Path) -> int:
     results = run_all(cfg.text("verify", "criteria").replace(",", " ").split() or None)
-    report = {"criteria": [dataclasses.asdict(res) for res in results],
+    report = {"criteria": [_report_record(res) for res in results],
               "all_passed": all(res.passed for res in results)}
     with open(out_dir / "verify_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)
+        json.dump(report, fh, indent=1, allow_nan=False)
     for res in results:
         print(res.line())
     print(f"wrote {out_dir / 'verify_report.json'}")

@@ -57,6 +57,9 @@ _RATIO_TOL = 1e-6
 # Largest phase step between neighbouring samples of s11 along a closed
 # path that a winding count trusts, in radians: comfortably below pi.
 _MAX_PHASE_STEP = 1.2
+# Zeros are listed by real part rounded to this, far above their placement
+# error (about 1e-13) and below the merge radius (about 3e-5), then upwards.
+_ORDER_RESOLUTION = 1e-9
 
 
 @dataclass
@@ -161,11 +164,9 @@ def load_profile(path, tail_tol: float = 1e-10) -> InitialProfile:
 # Jost integration
 # ---------------------------------------------------------------------------
 
-# Gauss nodes of a step, and the mixing of their samples into the two
-# exponentials of the commutator-free order-4 step (the first row is applied
-# first); each exponential spans half the step.
+# Gauss nodes of a step, at which the fourth-order Magnus step samples the
+# profile.
 _GAUSS_C = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
-_CF4_MIX = 0.5 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 3.0
 # Step breaks equidistribute h^5 M(x), M the sum of |q^(k)| for k <= 4: they
 # are spaced this far apart in the integral of max(M, floor)^(1/5), and the
 # floor caps a step at one unit of x where the profile is negligible.
@@ -209,43 +210,46 @@ def _series(w, coef):
     return out
 
 
-def _traceless_exponentials(u, qh):
-    """``exp(X)`` for ``X = [[-u, qh], [-conj qh, u]]`` at every pair of a
-    sub-step (rows) and a spectral point (columns of u).
+def _traceless_exponentials(a, b, c):
+    """``exp(X)`` for ``X = [[a, b], [c, -a]]``, entry by entry.
 
-    X squares to ``w I``, ``w = u^2 - |qh|^2``, so ``exp(X) = C I + S X``
+    X squares to ``w I``, ``w = a^2 + b c``, so ``exp(X) = C I + S X``
     with ``C = cosh(sqrt w)`` and ``S = sinh(sqrt w) / sqrt w``, entire in
     w.  Both come from their Taylor series at ``w / 4^k``, inside
     ``_W_MAX``, squared k times: ``(C, S) -> (C^2 + w S^2, 2 C S)``.  No
     root, exponential or division of the entries is taken: nothing cancels
     where w vanishes, and the series cost a fraction of numpy's complex
-    sqrt and exp.  Returns the components (11, 12, 21, 22).
+    sqrt and exp.  Returns the components (11, 12, 21, 22), made in place
+    of a, b and c (fewer allocations in the march's hottest loop).
     """
-    w = u * u - (qh.real ** 2 + qh.imag ** 2)
+    w = a * a + b * c
     top = float(np.max(np.abs(w), initial=0.0))
     k = math.ceil(math.log(top / _W_MAX, 4)) if top > _W_MAX else 0
     scaled = w / 4.0 ** k if k else w
-    C = _series(scaled, _TAYLOR[0])
-    S = _series(scaled, _TAYLOR[1])
+    C, S = (_series(scaled, coef) for coef in _TAYLOR)
     if k:
         S /= 2.0 ** k
     for _ in range(k):
         C, S = C * C + w * S * S, 2.0 * C * S
-    uS = u * S
-    return [C - uS, S * qh, S * -np.conj(qh), C + uS]
+    for X in (a, b, c):
+        X *= S
+    return [C + a, b, c, C - a]
 
 
 def _steps(zs, h, q):
-    """The commutator-free order-4 steps ``exp(X_2) exp(X_1)`` for the
-    traceless part ``B = [[-iz, q], [-conj q, iz]]`` of the Zakharov-Shabat
-    matrix, at every pair of a step (rows) and a spectral point (columns):
-    each ``X_j`` is half the step times B at the profile mixed from the
-    step's two Gauss nodes (``q`` has one row per step)."""
-    u = (0.5j * h)[:, None] * zs
-    mixed = q @ _CF4_MIX.T
-    first, second = (_traceless_exponentials(u, ((0.5 * h) * m)[:, None])
-                     for m in mixed.T)
-    return _mat(second, first)
+    """The fourth-order Magnus steps ``exp(Omega)`` for the traceless part
+    ``B = [[-iz, q], [-conj q, iz]]`` of the Zakharov-Shabat matrix, at
+    every pair of a step (rows) and a spectral point (columns), with
+    ``Omega = h/2 (B_1 + B_2) + sqrt(3) h^2/12 [B_2, B_1]`` and ``B_j`` at
+    the step's Gauss nodes, one row of ``q`` (Iserles & Norsett 1999;
+    Blanes, Casas, Oteo & Ros 2009).  B's diagonal is the same at both, so
+    ``[B_2, B_1] = [[2i Im(q_1 conj q_2), 2iz (q_2 - q_1)], [2iz conj(q_2 -
+    q_1), -2i Im(q_1 conj q_2)]]``: Omega is polynomial in z, su(2) for real z."""
+    q1, q2 = q.T
+    g = (1j * math.sqrt(3.0) / 6.0) * h * h
+    mean, dq = ((0.5 * h) * (q1 + q2))[:, None], (g * (q2 - q1))[:, None]
+    a = (g * (q1 * np.conj(q2)).imag)[:, None] - (1j * h)[:, None] * zs
+    return _traceless_exponentials(a, mean + dq * zs, -np.conj(dq) * zs - np.conj(mean))
 
 
 def _mat(L, R):
@@ -269,7 +273,8 @@ def _tree_product(E):
 def _chunks(zs, h, q):
     """Slices of the steps, each of about ``_CHUNK_ENTRIES`` (step, point)
     entries, over which the traceless steps' product can grow by at most
-    ``e^_GROWTH_MAX`` (their exponents are at most h (|Im z| + |q|))."""
+    ``e^_GROWTH_MAX`` (their exponents are at most h (|Im z| + |q|) and the
+    Magnus commutator's term, of order h^3))."""
     width = max(1, _CHUNK_ENTRIES // zs.size)
     growth = np.cumsum(np.abs(h) * (np.max(np.abs(zs.imag)) + np.max(np.abs(q), axis=1)))
     lo = 0
@@ -310,14 +315,14 @@ def _integrate_columns(profile, zs, kind, x_from, x_to):
 
     The system is ``y' = (sign i z I + B(x)) y`` with B traceless, sign +1
     for 'first' and -1 for 'second'.  It is marched on breaks graded by the
-    profile (:func:`_breaks`) by the commutator-free order-4 step: two
-    closed-form exponentials per step, of the profile mixed from its two
-    Gauss nodes.  The steps' product is formed pairwise over all points at
-    once, and one Richardson level on the breaks halved at their midpoints
-    lifts the order.  The profile is sampled once per call, at the nodes of
-    both levels.  For the breaks of one call the result is a product of
-    entire functions of z, so it is analytic in z whatever the integration
-    error.
+    profile (:func:`_breaks`) by the fourth-order Magnus step
+    (:func:`_steps`): one closed-form exponential per step, of the profile
+    at its two Gauss nodes and their commutator.  The steps' product is
+    formed pairwise over all points at once, and one Richardson level on
+    the breaks halved at their midpoints lifts the order.  The profile is
+    sampled once per call, at the nodes of both levels.  For the breaks of
+    one call the result is a product of entire functions of z, so it is
+    analytic in z whatever the integration error.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
     sign = 1 if kind == "first" else -1
@@ -586,11 +591,9 @@ def locate_zeros(profile: InitialProfile, box):
     if re0 >= re1 or im0 >= im1:
         raise ValueError("degenerate box")
 
-    def values(zs):
-        return s11_on_grid(profile, zs)
-
     def solve_box(bx, depth):
-        count, guesses = _contour_moments(values, bx, _SAMPLES_PER_SIDE)
+        count, guesses = _contour_moments(lambda zs: s11_on_grid(profile, zs),
+                                          bx, _SAMPLES_PER_SIDE)
         if count == 0:
             return []
         try:
@@ -627,7 +630,7 @@ def locate_zeros(profile: InitialProfile, box):
             f"zero count mismatch after subdivision in box {bx}") from last_err
 
     found = solve_box((re0, re1, im0, im1), 0)
-    found.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+    found.sort(key=lambda pair: (round(pair[0].real / _ORDER_RESOLUTION), pair[0].imag))
     return [(complex(z), int(m)) for z, m in found]
 
 
@@ -693,12 +696,9 @@ def extract_scattering(profile: InitialProfile, z_grid, box=None) -> ScatteringD
     data = reflection_coefficient(profile, z_grid)
     if box is None:
         return data
-    zeros = locate_zeros(profile, box)
-    discrete = []
-    all_pts = [z for z, _ in zeros]
-    for z in all_pts:
-        others = [w for w in all_pts if w != z]
-        discrete.append(norming_constants(profile, z, other_zeros=others))
+    zeros = [z for z, _ in locate_zeros(profile, box)]
+    discrete = [norming_constants(profile, z, other_zeros=[w for w in zeros if w != z])
+                for z in zeros]
     return ScatteringData(data.z, data.r, tuple(discrete),
                           s11=data.s11, s21=data.s21)
 

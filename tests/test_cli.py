@@ -830,13 +830,17 @@ def test_verify_reports_a_raising_gate_as_failed(out, monkeypatch, capsys):
     def boom():
         raise RuntimeError("no zero found")
 
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
     monkeypatch.setitem(acceptance.CRITERIA, "6", (boom, acceptance.CRITERIA["6"][1]))
     assert run_cli("verify", "--verify-criteria", "7,6", "--output-dir", str(out)) == 1
-    report = json.loads((out / "verify_report.json").read_text())
+    report = json.loads((out / "verify_report.json").read_text(), parse_constant=refuse)
     seven, six = report["criteria"]
     assert report["all_passed"] is False
     assert seven["id"] == "7" and seven["passed"] is True
     assert six["id"] == "6" and six["passed"] is False
+    assert six["measured"] is None and six["threshold"] is None
     assert six["detail"] == "RuntimeError: no zero found"
     assert "[FAIL] criterion 6" in capsys.readouterr().out
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.special import gamma
 
 from fnls import scattering
@@ -19,6 +20,8 @@ from fnls.scattering import (
     _integrate_columns,
     _pole_constants,
     _propagate,
+    _steps,
+    _traceless_exponentials,
     ScatteringData,
     extract_scattering,
     gaussian_profile,
@@ -164,7 +167,7 @@ def test_reflection_matches_the_closed_form_to_the_grid_edge(amplitude):
 
 @pytest.mark.parametrize("z", [0.7, 0.4 + 0.6j, -1.1 + 1.4j])
 def test_base_step_is_fourth_order(sech2, z):
-    """The commutator-free step alone, on uniform steps over [-8, 0],
+    """The fourth-order Magnus step alone, on uniform steps over [-8, 0],
     against a run with 64 times as many: the error falls by 2^4 per
     halving."""
     def column(steps):
@@ -179,6 +182,31 @@ def test_base_step_is_fourth_order(sech2, z):
     errors = [np.max(np.abs(column(n) - ref)) for n in steps]
     slope = -np.polyfit(np.log(steps), np.log(errors), 1)[0]
     assert slope >= 3.8, (slope, errors)
+
+
+@pytest.mark.parametrize("size", [0.0, 1e-3, 0.1, 50.0])
+def test_traceless_exponential_matches_expm(size):
+    """exp([[a, b], [c, -a]]) for complex entries with |a^2 + bc| = size,
+    the last several squarings deep; size 0 is exact (bc = -a^2)."""
+    if size == 0.0:
+        a, b, c = 1.0 + 1.0j, 2.0 + 0.0j, -1.0j
+    else:
+        a, b, c = 0.3 + 0.4j, -0.7 + 0.2j, 0.5 - 0.9j
+        scale = np.sqrt(size / abs(a * a + b * c))
+        a, b, c = scale * a, scale * b, scale * c
+    assert abs(a * a + b * c) == pytest.approx(size, rel=1e-12)
+    got = np.array(_traceless_exponentials(*(np.array([v]) for v in (a, b, c))))
+    ref = expm(np.array([[a, b], [c, -a]])).ravel()
+    assert np.max(np.abs(got[:, 0] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("z", [0.7, 0.4 + 0.6j])
+def test_step_on_a_constant_profile_is_the_exact_exponential(z):
+    # the commutator vanishes, so the step is exp(h B) with B at that value
+    h, q = 0.3, 0.8 - 0.5j
+    got = np.array(_steps(np.array([z]), np.array([h]), np.array([[q, q]])))
+    ref = expm(h * np.array([[-1j * z, q], [-np.conj(q), 1j * z]])).ravel()
+    assert np.max(np.abs(got[:, 0, 0] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_reflectionless_profile_has_tiny_reflection(sech2):
@@ -255,6 +283,23 @@ def test_three_soliton_sech_spectrum():
     assert [m for _, m in zeros] == [1, 1, 1]
     for (z, _), ref in zip(zeros, (0.5j, 1.5j, 2.5j)):
         assert abs(z - ref) < 1e-6
+
+
+@pytest.mark.parametrize("amplitude", [2.0, 3.0])
+def test_zeros_on_the_imaginary_axis_are_listed_up_it(amplitude):
+    # their real parts are rounding noise of either sign; it must not
+    # decide the order
+    prof = sech_profile(amplitude, np.linspace(-26.0, 26.0, 1041))
+    zeros = [z for z, _ in locate_zeros(prof, (-0.7, 0.7, 0.1, amplitude - 0.1))]
+    assert np.all(np.diff(np.imag(zeros)) > 0.9), zeros
+
+
+def test_mirror_pair_is_listed_by_real_part():
+    pair = (DiscreteDatum(0.3 + 0.5j, (1.0,)), DiscreteDatum(-0.3 + 0.5j, (1.0,)))
+    prof = soliton_profile(pair, np.linspace(-30.0, 30.0, 6001))
+    zeros = locate_zeros(prof, (-0.7, 0.7, 0.2, 0.9))
+    assert [z for z, _ in zeros] == [pytest.approx(-0.3 + 0.5j, abs=1e-6),
+                                    pytest.approx(0.3 + 0.5j, abs=1e-6)]
 
 
 README_BOX = (-0.6, 0.6, 0.2, 1.9)
