@@ -12,6 +12,7 @@ test suite both feed from here.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ class CriterionResult:
     threshold: float
     passed: bool
     detail: str
+    seconds: float      # wall time of the gate, a gate that raised included
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -49,7 +51,7 @@ class CriterionResult:
                f" vs threshold {self.threshold:.6g} -- {self.description}")
         if self.detail:
             out += f" ({self.detail})"
-        return out
+        return out + f" [{self.seconds:.1f} s]"
 
 
 _DOUBLE_POLE = (DiscreteDatum(1j, (1.0, 0.0)),)
@@ -223,7 +225,8 @@ CRITERIA = {
 def run_all(which=None) -> list[CriterionResult]:
     """Run the criteria with the ids ``which`` (all when ``None``), in that
     order.  Every id is checked before any gate runs.  A gate that raises
-    fails, with its error as the detail, and the gates after it still run."""
+    fails, with its error as the detail, and the gates after it still run.
+    Each record carries the seconds its gate took."""
     ids = list(CRITERIA) if which is None else [str(w) for w in which]
     for cid in ids:
         if cid not in CRITERIA:
@@ -231,9 +234,11 @@ def run_all(which=None) -> list[CriterionResult]:
     out = []
     for cid in ids:
         gate, description = CRITERIA[cid]
+        start = time.perf_counter()
         try:
             outcome = gate()
         except Exception as exc:
             outcome = math.inf, math.nan, False, f"{type(exc).__name__}: {exc}"
-        out.append(CriterionResult(cid, description, *outcome))
+        out.append(CriterionResult(cid, description, *outcome,
+                                   time.perf_counter() - start))
     return out

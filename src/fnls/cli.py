@@ -19,10 +19,11 @@ Exit codes: 0 on success, 1 when a verification criterion fails or the pole
 solver fails on valid input, 2 on input or configuration errors.  A criterion
 whose gate raises has failed: ``verify`` still writes its report, with the
 error in that criterion's ``detail`` and its measured value and threshold
-null, and exits 1.  Unknown criterion ids are
-refused, with exit 2, before any gate runs.  Outputs are deterministic: a
-fixed number format (17 significant digits, '.' decimal), fixed row order,
-no locale or timestamp dependence.
+null, and exits 1.  Unknown criterion ids are refused, with exit 2, before
+any gate runs.  Outputs are deterministic: a fixed number format (17
+significant digits, '.' decimal), fixed row order, no locale or timestamp
+dependence.  The one exception is the wall time of each gate, which
+``verify`` prints and records as that criterion's ``seconds``.
 """
 
 from __future__ import annotations

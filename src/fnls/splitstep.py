@@ -123,13 +123,21 @@ def _composition_sweep(q: np.ndarray, k2: np.ndarray, h: float, steps: int,
     ends = np.exp(0.5 * weights[0] * lin)
     gaps = [np.exp(0.5 * (a + b) * lin)
             for a, b in zip(weights, weights[1:] + weights[:1])]
+    # A new array, so the steps work on it in place (split_step stores copies);
+    # cos + i sin of the real phase is bitwise numpy's exp of (+-0 + i theta)
     q = np.fft.ifft(np.fft.fft(q) * ends)
+    theta, turn = np.empty(q.shape), np.empty_like(q)
     for s in range(steps):
         for j, w in enumerate(weights):
-            q *= np.exp(1j * w * h * (q.real ** 2 + q.imag ** 2))
-            qhat = np.fft.fft(q)
-            qhat *= gaps[j] if s < steps - 1 or j < len(weights) - 1 else ends
-            q = np.fft.ifft(qhat)
+            np.multiply(q.real, q.real, out=theta)
+            theta += np.multiply(q.imag, q.imag, out=turn.real)
+            theta *= w * h
+            np.cos(theta, out=turn.real)
+            np.sin(theta, out=turn.imag)
+            q *= turn
+            np.fft.fft(q, out=q)
+            q *= gaps[j] if s < steps - 1 or j < len(weights) - 1 else ends
+            np.fft.ifft(q, out=q)
     return q
 
 
@@ -151,11 +159,16 @@ def split_step(
     times are hit exactly.
 
     ``order`` is 2 (Strang splitting) or 4 (the triple jump, for long runs
-    that must beat tight tolerances); ``dt`` must be positive and finite.
+    that must beat tight tolerances); ``dt`` must be positive and finite,
+    and ``|q0|^2`` finite at every sample.
     """
     q = np.asarray(q0, dtype=np.complex128).copy()
     if q.shape != (grid.n,):
         raise ValueError("q0 must live on the supplied grid")
+    with np.errstate(over="ignore"):
+        bad = np.count_nonzero(~np.isfinite(q.real ** 2 + q.imag ** 2))
+    if bad:
+        raise ValueError(f"|q0|^2 must be finite at every sample; {bad} of {grid.n} are not")
     weights = _COMPOSITIONS.get(order)
     if weights is None:
         raise ValueError("order must be 2 or 4")

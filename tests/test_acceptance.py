@@ -3,10 +3,10 @@
 One parametrized test runs each quantitative criterion of
 ``fnls.acceptance`` through ``run_all`` and asserts its pass flag, so
 ``pytest -v`` prints one pass/fail line per criterion, named by its
-description.  The record's line (measured value, threshold, description
-and detail) is echoed both to stdout and into the assertion message, so a
-red test states exactly which gate failed and by how much.  A warning
-raised inside a gate is an error there, so it fails that gate.
+description.  The record's line (measured value, threshold, description,
+detail and seconds) is echoed both to stdout and into the assertion
+message, so a red test states exactly which gate failed and by how much.
+A warning raised inside a gate is an error there, so it fails that gate.
 
 The slowest gates drive the split-step integrator over long windows;
 the whole file takes a few minutes of CPU.
@@ -14,6 +14,7 @@ the whole file takes a few minutes of CPU.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import pytest
@@ -29,3 +30,4 @@ def test_criterion(cid):
         (result,) = run_all([cid])
     print(result.line())
     assert result.passed, result.line()
+    assert math.isfinite(result.seconds) and result.seconds >= 0.0

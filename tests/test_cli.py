@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -720,6 +722,9 @@ REFUSALS = [
                  "bad grid in [evolve]", id="evolve-n1"),
     pytest.param(["evolve", "--discrete-poles", POLE, "--evolve-x-min", "1",
                   "--evolve-x-max", "1"], "bad grid in [evolve]", id="evolve-equal-x"),
+    pytest.param(["evolve", "--profile-kind", "gaussian", "--profile-amplitude", "1e160",
+                  "--evolve-n", "64"], "|q0|^2 must be finite at every sample",
+                 id="evolve-squared-modulus-overflows"),
     pytest.param(["compare", "--compare-a", "{evolved}", "--compare-b", "discrete",
                   "--discrete-poles", POLE, "--compare-n-x", "1"],
                  "bad grid in [compare]", id="compare-n"),
@@ -800,9 +805,12 @@ def test_verify_writes_machine_readable_report(out, capsys):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["all_passed"] is True
     (entry,) = report["criteria"]
+    assert list(entry) == ["id", "description", "measured", "threshold", "passed",
+                           "detail", "seconds"]
     assert entry["id"] == "7"
     assert entry["passed"] is True
     assert 0.0 <= entry["measured"] < entry["threshold"]
+    assert math.isfinite(entry["seconds"]) and entry["seconds"] >= 0.0
     assert "criterion 7" in capsys.readouterr().out
 
 
@@ -828,6 +836,7 @@ def test_verify_criteria_without_ids_runs_all(out, monkeypatch):
 
 def test_verify_reports_a_raising_gate_as_failed(out, monkeypatch, capsys):
     def boom():
+        time.sleep(0.02)
         raise RuntimeError("no zero found")
 
     def refuse(name):
@@ -842,6 +851,9 @@ def test_verify_reports_a_raising_gate_as_failed(out, monkeypatch, capsys):
     assert six["id"] == "6" and six["passed"] is False
     assert six["measured"] is None and six["threshold"] is None
     assert six["detail"] == "RuntimeError: no zero found"
+    # a gate that raised is timed too
+    assert math.isfinite(seven["seconds"]) and seven["seconds"] >= 0.0
+    assert math.isfinite(six["seconds"]) and six["seconds"] >= 0.02
     assert "[FAIL] criterion 6" in capsys.readouterr().out
 
 

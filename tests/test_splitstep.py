@@ -234,3 +234,42 @@ def test_split_step_refuses_samples_outside_the_run():
     assert ev.t.tolist() == [0.0, 0.5, 1.0]
     with pytest.raises(ValueError, match="t_final must lie past t_start"):
         split_step(q0, grid, 0.5, dt=1e-2, t_start=1.0)
+
+
+def test_split_step_refuses_a_q0_whose_squared_modulus_is_not_finite():
+    # a nan sample, or |q|^2 past the float range, used to give an all-nan
+    # run with edge_fraction = nan and no error
+    grid = Grid(64, -4 * np.pi, 4 * np.pi)
+    with_nan = sech_soliton(1.0)(grid.x, 0.0)
+    with_nan[5] = complex(np.nan, 0.0)
+    huge = sech_soliton(1.0)(grid.x, 0.0)
+    huge[[10, 20, 30]] = 1e160
+    for q0, bad in ((with_nan, 1), (huge, 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"finite at every sample; {bad} of 64 "):
+                split_step(q0, grid, 0.1, dt=1e-2)
+
+
+def test_in_place_sweep_keeps_what_it_recorded():
+    grid = Grid(256, -8 * np.pi, 8 * np.pi)
+    q0 = 1.3 / np.cosh(grid.x) * np.exp(0.4j * grid.x)
+    kept = q0.copy()
+    ev = split_step(q0, grid, 0.3, dt=1e-2, t_samples=[0.1, 0.2], order=4)
+    assert q0.tobytes() == kept.tobytes()
+    assert ev.q[0].tobytes() == kept.tobytes()
+    for i, t in enumerate(ev.t[1:], start=1):
+        alone = split_step(q0, grid, t, dt=1e-2, t_samples=ev.t[1:i], order=4)
+        assert ev.q[i].tobytes() == alone.q[-1].tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_plane_wave_with_a_large_phase_per_sub_step(order):
+    # A = 30, dt = 1e-2: each order-2 sub-step turns q by 9 rad, and order
+    # 4's backward sub-step by about -15 rad, so no small-angle form of the
+    # rotation could pass; measured 1.5e-14 (order 2) and 7.6e-14 (order 4)
+    grid = Grid(64, -4 * np.pi, 4 * np.pi)
+    amplitude, t_final = 30.0, 0.5
+    ev = split_step(np.full(grid.n, amplitude), grid, t_final, dt=1e-2, order=order)
+    exact = amplitude * np.exp(1j * amplitude ** 2 * t_final)
+    assert np.max(np.abs(ev.q[-1] - exact)) / amplitude <= 1e-12
