@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .phase import _unwrap, partition, phase_context, r0_modulated
 from .solitons import (
     modulate_constants,
@@ -200,8 +201,6 @@ def save_asymptotics(path, value: AsymptoticValue) -> None:
     point."""
     x, t, q_sol, f, q = (np.ravel(v) for v in (value.x, value.t, value.q_sol_part,
                                                value.f_part, value.q_total))
-    np.savetxt(path, np.column_stack([x, t, q_sol.real, q_sol.imag,
-                                      f.real, f.imag, q.real, q.imag]),
-               delimiter=",", fmt="%.17g",
-               header="x,t,re_q_sol,im_q_sol,re_f,im_f,re_q_total,im_q_total",
-               comments="# ")
+    write_csv(path, np.column_stack([x, t, q_sol.real, q_sol.imag,
+                                     f.real, f.imag, q.real, q.imag]),
+              "x,t,re_q_sol,im_q_sol,re_f,im_f,re_q_total,im_q_total")

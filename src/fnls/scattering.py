@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvio import write_csv
 from .solitons import DiscreteDatum, _inv, _mul, soliton_field
 
 __all__ = [
@@ -149,9 +150,8 @@ def soliton_profile(data, x) -> InitialProfile:
 
 
 def save_profile(profile: InitialProfile, path) -> None:
-    arr = np.column_stack([profile.x, profile.q.real, profile.q.imag])
-    np.savetxt(path, arr, delimiter=",", fmt="%.17g",
-               header="x,re_q,im_q", comments="# ")
+    write_csv(path, np.column_stack([profile.x, profile.q.real, profile.q.imag]),
+              "x,re_q,im_q")
 
 
 def load_profile(path, tail_tol: float = 1e-10) -> InitialProfile:

@@ -63,8 +63,12 @@ __all__ = [
 
 _COINCIDENCE_TOL = 1e-12
 _COND_WARN = 1e12
-# Matrix entries per stacked solve, which bounds its memory.
-_CHUNK_ENTRIES = 1 << 14
+# Matrix entries per stacked solve.  8192 complex entries are 128 KiB,
+# glibc's mmap threshold, so each chunk's arrays are reused from the heap
+# instead of being mapped, returned to the OS and faulted in afresh.  The
+# solve takes one matrix at a time, so results do not depend on the
+# chunking.
+_CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_csv
+
 __all__ = [
     "Grid",
     "Evolution",
@@ -276,9 +278,8 @@ def save_evolution(ev: Evolution, directory, dt: float | None = None) -> None:
     names = []
     for i in range(len(ev.t)):
         name = f"slice_{i:04d}.csv"
-        arr = np.column_stack([ev.grid.x, ev.q[i].real, ev.q[i].imag])
-        np.savetxt(path / name, arr, delimiter=",", fmt="%.17g",
-                   header="x,re_q,im_q", comments="# ")
+        write_csv(path / name, np.column_stack([ev.grid.x, ev.q[i].real, ev.q[i].imag]),
+                  "x,re_q,im_q")
         names.append(name)
     manifest = {
         "grid": {"n": ev.grid.n, "x_min": ev.grid.x_min, "x_max": ev.grid.x_max},

@@ -82,6 +82,61 @@ def test_missing_command_is_an_error(capsys):
     assert "command is required" in capsys.readouterr().err
 
 
+# A fresh process that counts the argument parsers built: none at import,
+# then those of one `build_parser` over two `main` calls.
+PARSER_COUNT = """
+import argparse, json, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting_init
+from fnls.cli import main
+
+at_import = len(built)
+codes = [main(["soliton", "--discrete-poles", "0 1 2 0 0 1 0", "--soliton-n-x", str(n),
+               "--output-dir", sys.argv[1]]) for n in (3, 4)]
+print(json.dumps({"at_import": at_import, "codes": codes, "fnls": built.count("fnls"),
+                  "total": len(built)}))
+"""
+
+
+def test_parser_is_built_once_per_process_and_not_at_import(tmp_path):
+    src = str(Path(fnls.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", PARSER_COUNT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["at_import"] == 0
+    assert report["codes"] == [0, 0]
+    assert report["fnls"] == 1
+    # the top-level parser, the shared options and one per command
+    assert report["total"] == 2 + len(fnls.cli.COMMANDS)
+
+
+def test_bad_flag_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
+    argv = ["soliton", "--discrete-poles", "0 1 2 0 0 1 0", "--soliton-n-x", "5",
+            "--soliton-t-max", "1", "--soliton-n-t", "2"]
+    assert run_cli(*argv, "--output-dir", str(tmp_path / "alone")) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("soliton", "--soliton-no-such-flag", "1",
+                "--output-dir", str(tmp_path / "bad"))
+    assert exc.value.code == 2
+    assert "--soliton-no-such-flag" in capsys.readouterr().err
+    assert run_cli(*argv, "--output-dir", str(tmp_path / "after")) == 0
+    assert not (tmp_path / "bad").exists()
+    assert ((tmp_path / "after" / "soliton_field.csv").read_bytes()
+            == (tmp_path / "alone" / "soliton_field.csv").read_bytes())
+
+
 # A fresh process that imports the command line, runs `soliton` and
 # `asymptote` (with a dispersive part, so through Gamma) from a scattering
 # document, notes which scipy modules are loaded, then scatters a sampled
@@ -598,6 +653,33 @@ def test_compare_disjoint_window_exit_2(evolved, out, capsys):
                  "--output-dir", str(out))
     assert rc == 2
     assert "disjoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which, window", [("A", ("-20", "80")), ("A", ("-70", "0")),
+                                           ("B", ("-20", "20"))])
+def test_compare_window_past_a_stored_grid_exit_2(evolved, tmp_path, out, capsys,
+                                                  which, window):
+    # x = 80 on [-62.8, 62.8) used to be read at its periodic image, about
+    # -45.7, with exit 0
+    narrow = _copy_evolution(evolved, tmp_path / "narrow",
+                             lambda manifest: manifest["grid"].update(x_min=-10.0,
+                                                                      x_max=10.0))
+    b = narrow if which == "B" else evolved
+    rc = run_cli("compare", "--compare-a", str(evolved), "--compare-b", str(b),
+                 "--compare-x-min", window[0], "--compare-x-max", window[1],
+                 "--output-dir", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "is not inside" in err and f"of evolution {which}" in err
+    assert not (out / "comparison.csv").exists()
+
+
+def test_compare_window_of_the_whole_grid_is_accepted(evolved, out):
+    edge = "62.831853071795862"
+    assert run_cli("compare", "--compare-a", str(evolved), "--compare-b", str(evolved),
+                   "--compare-x-min", f"-{edge}", "--compare-x-max", edge,
+                   "--output-dir", str(out)) == 0
+    assert np.all(np.loadtxt(out / "comparison.csv", delimiter=",")[:, 1:] == 0.0)
 
 
 def test_compare_missing_evolution_exit_2(tmp_path, out):
