@@ -64,10 +64,11 @@ __all__ = [
 _COINCIDENCE_TOL = 1e-12
 _COND_WARN = 1e12
 # Matrix entries per stacked solve.  8192 complex entries are 128 KiB,
-# glibc's mmap threshold, so each chunk's arrays are reused from the heap
-# instead of being mapped, returned to the OS and faulted in afresh.  The
-# solve takes one matrix at a time, so results do not depend on the
-# chunking.
+# glibc's mmap threshold at start-up, so each chunk's arrays are reused
+# from the heap instead of being mapped, returned to the OS and faulted in
+# afresh.  A library caller keeps that threshold until it frees a larger
+# mapped block; the ``fnls`` command sets it to 32 MiB.  The solve takes
+# one matrix at a time, so results do not depend on the chunking.
 _CHUNK_ENTRIES = 1 << 13
 
 
