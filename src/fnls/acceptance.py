@@ -29,7 +29,7 @@ from .scattering import (
     sech_profile,
     soliton_profile,
 )
-from .solitons import reorient_constants, restrict_to_interval, solve_soliton, soliton_field
+from .solitons import restrict_to_interval, solve_soliton, soliton_field
 from .splitstep import Grid, pde_residual, split_step
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -93,10 +93,8 @@ def criterion_3():
         x = 0.1 * t
         z0 = -x / (2.0 * t)
         part = partition(data, z0, cone)
-        full = solve_soliton(reorient_constants(data, np.flatnonzero(part.left)),
-                             x, t).q
-        ((_, kept),) = restrict_to_interval(data, part.I, part.left)
-        kept = solve_soliton(kept, x, t).q
+        full = solve_soliton(data, x, t).q
+        kept = solve_soliton(restrict_to_interval(data, part.I), x, t).q
         diffs.append(abs(full - kept))
     slope = float(np.polyfit(ts, np.log(diffs), 1)[0])
     mu = partition(data, -0.05, cone).mu_I

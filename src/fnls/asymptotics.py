@@ -6,8 +6,12 @@ interval-restricted and phase-weighted discrete data, plus a dispersive
 correction of size ``t**-0.5`` whose coefficient comes from the model
 oscillator problem at the stationary point ``z0 = -x / (2 t)``.  The
 remainder after both terms decays like ``t**-0.75``.  The formula is
-evaluated over arrays of points at once: one ray quadrature per call, and
-one stacked pole solve per pattern of poles left of z0.
+evaluated over arrays of points at once: one ray quadrature and one call of
+:func:`fnls.solitons.solve_soliton` per call.  The field does not depend on
+the orientations, so the bound-state part is that solve's; the dispersive
+part reads the first row of the solution matrix at z0 in the normalization
+of T, with the kept poles left of z0 flipped, which is the all-lower row
+scaled by ``a(z0)^{sigma3}``, ``a`` their Blaschke product.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 from .csvio import write_csv
 from .phase import _unwrap, partition, phase_context, r0_modulated
 from .solitons import (
+    blaschke_product,
     modulate_constants,
-    outer_matrix_row,
     restrict_to_interval,
     solve_soliton,
 )
@@ -146,8 +150,9 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
     data, ``scattering`` carries the sampled reflection amplitude (``None``
     means reflectionless), and ``cone = (x1, x2, v1, v2)``.  The bound-state
     part uses only the poles whose velocities fall inside the cone, dressed
-    by the radiation factor ``delta`` and re-oriented about ``z0``; the
-    dispersive part adds the oscillator coefficient scaled by ``t**-0.5``.
+    by the radiation factor ``delta``; the dispersive part adds the
+    oscillator coefficient scaled by ``t**-0.5``, read through the first row
+    of the solution matrix at ``z0`` re-oriented about ``z0``.
     Points outside the cone, nonpositive times, and times below ``min_t``
     are rejected.
     """
@@ -177,16 +182,19 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
         ctx = phase_context(scattering, sigma_d, x, t, part.left)
         weighted = modulate_constants(sigma_d, ctx.ray.inverse_delta)
 
-    q_sol = np.zeros(x.size, dtype=np.complex128)
-    rows = np.zeros((x.size, 2), dtype=np.complex128)
-    for at, oriented in restrict_to_interval(weighted, part.I, part.left):
-        state = solve_soliton(oriented, x[at], t[at])
-        q_sol[at] = state.q
-        if ctx is not None:
-            rows[at] = outer_matrix_row(state, z0[at])
+    kept = restrict_to_interval(weighted, part.I)
+    state = solve_soliton(kept, x, t, z0)
+    q_sol = state.q
 
     f = np.zeros(x.size, dtype=np.complex128)
     if ctx is not None:
+        # the row in T's normalization: m -> m a^{sigma3}, a the Blaschke
+        # product of the kept poles left of z0
+        a = np.ones(x.size, dtype=np.complex128)
+        for k, d in enumerate(sigma_d):
+            if d in kept.data:
+                a = a * np.where(part.left[:, k], blaschke_product(z0, [d]), 1.0)
+        rows = state.row * np.stack([a, 1.0 / a], axis=-1)
         live = np.abs(ctx.r_at_z0) >= _R_THRESHOLD
         if live.any():
             pc = pc_coefficients(r0_modulated(ctx, t)[live], ctx.nu0[live])

@@ -25,12 +25,14 @@ One system serves every mix of orientations (:func:`pole_system`), and its
 x dependence is a row scaling, so a whole slice of x is solved as one stack
 of LU solves.  The constants may differ from point to point
 (:attr:`OrientedData.c`): the cone formula dresses them by the radiation at
-each stationary point, and still solves one stack per orientation pattern.
-Each point reports the 1-norm condition number and the scaled backward
-residual of its solve.  All-lower entries grow like
-``exp(2 Im z_k |x|)`` on the far side of a pole; :func:`solve_field` keeps,
-at each x, the better conditioned of the all-lower system and the one with
-the poles where ``x + 2t Re z_k < 0`` flipped.
+each stationary point.  :func:`solve_soliton` is the one solve: all-lower
+entries grow like ``exp(2 Im z_k |x|)`` on the far side of a pole, so at
+each point it keeps the better conditioned of the all-lower system and the
+one with the poles where ``x + 2t Re z_k < 0`` flipped, and reports the
+1-norm condition number and the scaled backward residual of the solve it
+kept.  The first row of the solution matrix it returns is in the all-lower
+normalization whichever system won; the cone formula moves it to its own
+by the Blaschke factor of the poles left of the stationary point.
 """
 
 from __future__ import annotations
@@ -48,13 +50,9 @@ __all__ = [
     "DiscreteDatum",
     "OrientedData",
     "SolitonState",
-    "FieldSolution",
     "pole_system",
     "solve_soliton",
-    "solve_field",
     "soliton_field",
-    "evaluate_matrix",
-    "outer_matrix_row",
     "blaschke_product",
     "reorient_constants",
     "modulate_constants",
@@ -167,30 +165,18 @@ class OrientedData:
 
 @dataclass
 class SolitonState:
-    """Solved Laurent coefficients of the solution matrix at ``(x, t)``.
+    """The field ``q`` at points ``(x, t)``, with the 1-norm condition
+    number and the scaled backward residual of the solve kept at each
+    point, and, when a point ``z`` was asked for, the first row
+    ``(m_11, m_12)`` of the solution matrix there in the all-lower
+    normalization (else ``None``).  Scalars at one point, ``row`` of shape
+    ``(2,)``; over points, arrays of their broadcast shape, ``row`` with a
+    last axis of 2."""
 
-    ``alpha[k][..., j - 1]`` and ``beta[k][..., j - 1]`` multiply
-    ``(z - z_k)^{-j}`` in the singular column of pole ``k``.  At one point
-    the fields are scalars and each ``alpha[k]`` has shape ``(m_k,)``; over
-    an array of points the leading axis runs over the points.
-    """
-
-    oriented: OrientedData
-    alpha: tuple[np.ndarray, ...]
-    beta: tuple[np.ndarray, ...]
     q: complex | np.ndarray
-    residual: float | np.ndarray
     condition: float | np.ndarray
-
-
-@dataclass
-class FieldSolution:
-    """``q`` over an array of ``x``, with the 1-norm condition number and
-    the scaled backward residual of the solve kept at each point."""
-
-    q: np.ndarray
-    condition: np.ndarray
-    residual: np.ndarray
+    residual: float | np.ndarray
+    row: np.ndarray | None
 
 
 # ---------------------------------------------------------------------------
@@ -408,75 +394,6 @@ def _check_solved(cond: np.ndarray, x: np.ndarray, t) -> None:
         warnings.warn(f"pole system condition number {worst:.2e}", RuntimeWarning)
 
 
-def solve_soliton(data, x, t) -> SolitonState:
-    """Solve the pole system at ``(x, t)`` and reconstruct the field value.
-
-    ``data`` may be a sequence of :class:`DiscreteDatum` (all-lower by
-    default) or an :class:`OrientedData`; the orientation given is kept.
-    ``x`` and ``t`` may be arrays of points, solved as one stack (``t`` a
-    scalar or one time per point), with per-point constants of the same
-    length in :attr:`OrientedData.c`.
-    """
-    oriented = _as_oriented(data)
-    xs = np.asarray(x, dtype=float).ravel()
-    ts = np.asarray(t, dtype=float)
-    ts = ts if ts.ndim == 0 else np.broadcast_to(ts.ravel(), xs.shape)
-    if oriented.data:
-        u, cond, residual = _solve_points(oriented, xs, ts)
-        _check_solved(cond, xs, ts)
-        q = _moment(oriented, u)
-    else:
-        u = np.zeros((xs.size, 0), dtype=np.complex128)
-        q = np.zeros(xs.size, dtype=np.complex128)
-        cond, residual = np.ones(xs.size), np.zeros(xs.size)
-    half = u.shape[1] // 2
-    alpha = _per_pole(oriented, u[:, :half])
-    beta = tuple(np.conj(b) for b in _per_pole(oriented, u[:, half:]))
-    if np.ndim(x) == 0:
-        return SolitonState(oriented, tuple(a[0] for a in alpha),
-                            tuple(b[0] for b in beta), complex(q[0]),
-                            float(residual[0]), float(cond[0]))
-    return SolitonState(oriented, alpha, beta, q, residual, cond)
-
-
-def solve_field(data, x_values, t: float) -> FieldSolution:
-    """Solve for ``q(x, t)`` over an array of ``x`` with stacked solves.
-
-    The orientations of an :class:`OrientedData` are kept.  For plain
-    data each point takes the better conditioned of two equivalent systems:
-    all poles lower, and the poles with ``x + 2t Re z_k < 0`` flipped by
-    :func:`reorient_constants`, whose entries decay where the all-lower ones
-    grow.  The flipped constants do not depend on ``x``, so each sign
-    pattern (at most N + 1 per slice) costs one reorientation.
-    """
-    x = np.asarray(x_values, dtype=float).ravel()
-    oriented = _as_oriented(data)
-    if not oriented.data:
-        return FieldSolution(np.zeros(x.size, dtype=np.complex128),
-                             np.ones(x.size), np.zeros(x.size))
-    u, cond, residual = _solve_points(oriented, x, t)
-    q = _moment(oriented, u)
-    if not isinstance(data, OrientedData):
-        re_z = np.array([d.z.real for d in oriented.data])
-        flips = x[:, None] + 2.0 * t * re_z[None, :] < 0
-        for at, flipped in _flip_groups(oriented, flips):
-            if "upper" not in flipped.orientations:
-                continue
-            u_f, cond_f, res_f = _solve_points(flipped, x[at], t)
-            better = cond_f < cond[at]
-            at = at[better]
-            q[at] = _moment(flipped, u_f[better])
-            cond[at] = cond_f[better]
-            residual[at] = res_f[better]
-    _check_solved(cond, x, t)
-    return FieldSolution(q, cond, residual)
-
-
-def soliton_field(data, x_values, t: float) -> np.ndarray:
-    """``q(x, t)`` over an array of ``x``; see :func:`solve_field`."""
-    return solve_field(data, x_values, t).q
-
-
 def _principal(coeffs, inv) -> np.ndarray:
     """``sum_j coeffs[..., j - 1] inv^j`` by Horner's rule."""
     out = coeffs[..., -1] * inv
@@ -485,32 +402,90 @@ def _principal(coeffs, inv) -> np.ndarray:
     return out
 
 
-def evaluate_matrix(state: SolitonState, z) -> np.ndarray:
-    """Closed-form solution matrix at points ``z`` (shape ``z.shape + (2, 2)``).
+def _first_row(oriented: OrientedData, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """First row ``(m_11, m_12)`` of the solution matrix at one ``z`` per
+    point, in the orientations of ``oriented``: shape ``(P, 2)``.  Pole
+    ``k`` adds its singular column's alpha terms at ``z_k`` and its other
+    column's conj(beta) terms at ``conj(z_k)``."""
+    half = u.shape[1] // 2
+    row = np.zeros((u.shape[0], 2), dtype=np.complex128)
+    row[:, 0] = 1.0
+    for d, o, a, conj_b in zip(oriented.data, oriented.orientations,
+                               _per_pole(oriented, u[:, :half]),
+                               _per_pole(oriented, u[:, half:])):
+        near = _principal(a, 1.0 / (z - d.z))
+        far = _principal(conj_b, 1.0 / (z - np.conj(d.z)))
+        if o == "lower":
+            row[:, 0] += near
+            row[:, 1] -= far
+        else:
+            row[:, 1] += near
+            row[:, 0] += far
+    return row
 
-    For a state over an array of points, ``z`` holds one point per state
-    point (or broadcasts against them)."""
-    z = np.asarray(z, dtype=np.complex128)
-    shape = np.broadcast_shapes(z.shape, np.shape(state.q))
-    m = np.zeros(shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = 1.0
-    m[..., 1, 1] = 1.0
-    for d, o, a, b in zip(state.oriented.data, state.oriented.orientations,
-                          state.alpha, state.beta):
-        # the singular column at z_k, and the other one at conj(z_k)
-        near, far, s = (0, 1, 1.0) if o == "lower" else (1, 0, -1.0)
-        w, v = 1.0 / (z - d.z), 1.0 / (z - np.conj(d.z))
-        m[..., 0, near] += _principal(a, w)
-        m[..., 1, near] += _principal(b, w)
-        m[..., 0, far] -= s * _principal(np.conj(b), v)
-        m[..., 1, far] += s * _principal(np.conj(a), v)
-    return m
+
+def solve_soliton(data, x, t, z=None) -> SolitonState:
+    """Solve the pole system at the points ``(x, t)`` and reconstruct the
+    field there.
+
+    ``data`` is a sequence of :class:`DiscreteDatum` or an all-lower
+    :class:`OrientedData`, whose per-point constants
+    (:attr:`OrientedData.c`) follow the points.  ``x``, ``t`` and ``z``
+    broadcast, and the points are solved as stacks.  Each point takes the
+    better conditioned of two equivalent systems: all poles lower, and the
+    poles with ``x + 2t Re z_k < 0`` flipped by :func:`reorient_constants`,
+    whose entries decay where the all-lower ones grow.  The flipped
+    constants do not depend on ``x``, so each sign pattern costs one
+    reorientation.
+
+    ``z`` asks for the first row of the solution matrix at one point per
+    point.  A point solved flipped gives ``m_Delta``, and its row is moved
+    back to the all-lower normalization by ``m = m_Delta a_Delta^{-sigma3}``,
+    ``a_Delta`` the Blaschke product of the flipped poles.
+    """
+    oriented = _as_oriented(data)
+    if "upper" in oriented.orientations:
+        raise ValueError("solve_soliton takes all-lower data and picks the "
+                         "orientations itself")
+    x, t, at_z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float),
+                                     np.asarray(0.0 if z is None else z, dtype=np.complex128))
+    shape = x.shape
+    x, t = x.ravel(), t.ravel()
+    z = None if z is None else at_z.ravel()
+    if oriented.data:
+        u, cond, residual = _solve_points(oriented, x, t)
+        q = _moment(oriented, u)
+        row = None if z is None else _first_row(oriented, u, z)
+        re_z = np.array([d.z.real for d in oriented.data])
+        flips = x[:, None] + 2.0 * t[:, None] * re_z[None, :] < 0
+        for at, flipped in _flip_groups(oriented, flips):
+            if "upper" not in flipped.orientations:
+                continue
+            u_f, cond_f, res_f = _solve_points(flipped, x[at], t[at])
+            better = cond_f < cond[at]
+            at, u_f = at[better], u_f[better]
+            q[at] = _moment(flipped, u_f)
+            cond[at] = cond_f[better]
+            residual[at] = res_f[better]
+            if row is not None:
+                a = blaschke_product(z[at], [d for d, o in zip(
+                    flipped.data, flipped.orientations) if o == "upper"])
+                row[at] = _first_row(flipped, u_f, z[at]) * np.stack([1.0 / a, a], axis=-1)
+        _check_solved(cond, x, t)
+    else:
+        q = np.zeros(x.size, dtype=np.complex128)
+        cond, residual = np.ones(x.size), np.zeros(x.size)
+        row = None if z is None else np.tile([1.0 + 0j, 0j], (x.size, 1))
+    if not shape:
+        return SolitonState(complex(q[0]), float(cond[0]), float(residual[0]),
+                            None if row is None else row[0])
+    return SolitonState(q.reshape(shape), cond.reshape(shape), residual.reshape(shape),
+                        None if row is None else row.reshape(shape + (2,)))
 
 
-def outer_matrix_row(state: SolitonState, z) -> np.ndarray:
-    """First row ``(m_11, m_12)`` of the solution matrix: shape ``(2,)`` at
-    one point, ``(P, 2)`` for a state over ``P`` points."""
-    return evaluate_matrix(state, z)[..., 0, :]
+def soliton_field(data, x_values, t: float) -> np.ndarray:
+    """``q(x, t)`` over an array of ``x``; see :func:`solve_soliton`."""
+    return solve_soliton(data, np.ravel(x_values), t).q
 
 
 # ---------------------------------------------------------------------------
@@ -602,20 +577,16 @@ def modulate_constants(data, inverse_delta) -> OrientedData:
     return oriented.with_series(series, oriented.orientations)
 
 
-def restrict_to_interval(data, interval: tuple[float, float], left):
-    """Keep the poles whose ``Re z_k`` lies in the closed interval, and give
-    those flagged in ``left`` the upper orientation.
+def restrict_to_interval(data, interval: tuple[float, float]) -> OrientedData:
+    """Keep the poles whose ``Re z_k`` lies in the closed interval.
 
     ``data`` is a sequence of :class:`DiscreteDatum` or an all-lower
-    :class:`OrientedData` stack; ``left`` holds one row per point of the
-    stack and one column per pole, as :func:`fnls.phase.partition` gives,
-    or one flag per pole for a single point.  One ``(points, oriented)``
-    pair per flip pattern, at most ``N + 1`` of them.
+    :class:`OrientedData` stack; the kept poles keep their constants at
+    every point.
     """
     oriented = _as_oriented(data)
     lo, hi = interval
     keep = [k for k, d in enumerate(oriented.data) if lo <= d.z.real <= hi]
-    kept = OrientedData(tuple(oriented.data[k] for k in keep),
+    return OrientedData(tuple(oriented.data[k] for k in keep),
                         tuple(oriented.orientations[k] for k in keep),
                         None if oriented.c is None else oriented.c[:, keep])
-    return _flip_groups(kept, np.atleast_2d(left)[:, keep])

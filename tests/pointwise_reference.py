@@ -4,9 +4,14 @@ it worked over arrays of points.
 Each point builds its own ray quadrature (with the panel at ``z0 - 1``
 split for every integral, and the part of that window left of the ray's
 start added in closed form), dresses and reorients ``DiscreteDatum`` tuples,
-and solves a one-point pole system.  The batched code must agree with it;
-only the series helpers and the row forms of the pole system, which the
-batching left as they were, are shared.
+and solves a one-point pole system.  It solves the flipped system only,
+with the kept poles left of z0 in the upper orientation, where the library
+keeps the better conditioned of that system and the all-lower one.  So it
+agrees with the library only where the flipped system is well conditioned:
+on the cones its tests use, not on the order-3 cases of the 60-digit gate
+in ``test_asymptotics``, where it is off by 2.7e-2 and 4.5e-2.  The batched
+code must agree with it; only the series helpers and the row forms of the
+pole system, which the batching left as they were, are shared.
 """
 
 from __future__ import annotations

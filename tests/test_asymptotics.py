@@ -32,16 +32,17 @@ from fnls.scattering import (
     sech_profile,
 )
 from fnls.solitons import (
-    evaluate_matrix,
+    blaschke_product,
     modulate_constants,
-    outer_matrix_row,
+    reorient_constants,
     restrict_to_interval,
     solve_soliton,
+    soliton_field,
 )
 from fnls.splitstep import Grid, split_step
 
 import pointwise_reference
-from second_routes import alpha_z0, e1_matrix, pc_first_moment
+from second_routes import alpha_z0, e1_matrix, pc_first_moment, solution_matrix
 
 S_GRID = np.linspace(-5.0, 5.0, 2001)
 R_SMOOTH = 0.8 * np.exp(-S_GRID ** 2 / 2.0) * np.exp(0.3j * S_GRID)
@@ -226,8 +227,7 @@ def test_reflectionless_is_bitwise_soliton_field(smooth):
         assert v.f_part == 0
         assert v.q_total == v.q_sol_part
         part = partition(POLES, z0, CONE_LOW)
-        ((_, oriented),) = restrict_to_interval(POLES, part.I, part.left)
-        direct = solve_soliton(oriented, x, t)
+        direct = solve_soliton(restrict_to_interval(POLES, part.I), x, t)
         assert v.q_sol_part == complex(direct.q)
 
 
@@ -259,14 +259,16 @@ def test_composite_invariants(smooth, x, t, cone):
     z0 = -x / (2.0 * t)
     part = partition(POLES, z0, cone)
 
-    # bound-state part mirrors the weight-then-reorient pipeline exactly
+    # bound-state part mirrors the weight-then-restrict pipeline exactly
     ctx = phase_context(smooth, POLES, x, t, part.left)
     weighted = modulate_constants(POLES, ctx.ray.inverse_delta)
-    ((_, oriented),) = restrict_to_interval(weighted, part.I, part.left)
-    state = solve_soliton(oriented, x, t)
+    kept = restrict_to_interval(weighted, part.I)
+    state = solve_soliton(kept, x, t, z0)
     assert v.q_sol_part == complex(state.q)
 
-    eta11, eta12 = (complex(u) for u in outer_matrix_row(state, z0))
+    # the row in T's normalization: the kept poles left of z0 flipped
+    a = blaschke_product(z0, [d for d, left in zip(POLES, part.left) if left and d in kept.data])
+    eta11, eta12 = complex(state.row[0] * a), complex(state.row[1] / a)
 
     # triangle bound on the dispersive coefficient
     cap = (abs(eta11) ** 2 + abs(eta12) ** 2) * math.sqrt(abs(ctx.nu0))
@@ -416,13 +418,21 @@ def test_batched_tie_warns_and_goes_right(smooth):
     x = np.array([-3.0, -2.0, -1.0])        # z0 = 0.1875, 0.125, 0.0625
     with pytest.warns(RuntimeWarning, match="stationary point"):
         _against_reference(x, t, tied, smooth, WIDE)
-    # the tied pole joins the right-hand set: lower, like the point right
-    # of it, where the point left of it flips the pole
+    # the tied pole joins the right-hand set: a = 1 there, like the point
+    # right of it, where the point left of it takes the pole's factor
     with pytest.warns(RuntimeWarning, match="stationary point"):
         part = partition(tied, -x / (2.0 * t), WIDE)
-    groups = restrict_to_interval(tied, part.I, part.left)
-    orientation = {int(i): o.orientations for at, o in groups for i in at}
-    assert orientation == {0: ("upper",), 1: ("lower",), 2: ("lower",)}
+    assert part.left[:, 0].tolist() == [True, False, False]
+    rows = []
+    with pytest.warns(RuntimeWarning, match="stationary point"):
+        f = _recording_rows(smooth, x, t, tied, WIDE, rows).f_part
+    (row,) = rows
+    z0 = -x / (2.0 * t)
+    a = np.array([complex(blaschke_product(z0[0], tied)), 1.0, 1.0])
+    ctx = phase_context(smooth, tied, x, t, part.left)
+    pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
+    expect = pc.beta12 * (row[:, 0] * a) ** 2 + pc.beta21 * (row[:, 1] / a) ** 2
+    assert np.max(np.abs(f - expect)) <= 1e-14 * np.max(np.abs(f))
 
 
 def test_one_tie_warning_per_cone_call(smooth):
@@ -434,8 +444,58 @@ def test_one_tie_warning_per_cone_call(smooth):
         line = sys._getframe().f_lineno + 1
         q_asymptotic(x, 8.0, tied, smooth, WIDE)
     (tie,) = [w for w in caught if "stationary point" in str(w.message)]
-    # the warning names the line that called q_asymptotic
-    assert (tie.filename, tie.lineno) == (__file__, line)
+    # the warning names the line that called q_asymptotic; the file is
+    # this code's own, which stays right in a moved checkout
+    assert (tie.filename, tie.lineno) == (sys._getframe().f_code.co_filename, line)
+
+
+def _recording_rows(scattering, x, t, sigma_d, cone, rows):
+    """``q_asymptotic`` with every row its solve returns appended to
+    ``rows``."""
+    def recording(*args):
+        state = solve_soliton(*args)
+        rows.append(state.row)
+        return state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asymptotics, "solve_soliton", recording)
+        return q_asymptotic(x, t, sigma_d, scattering, cone)
+
+
+# ---------------------------------------------------------------------------
+# Order-3 poles: the cone's soliton part against a 60-digit solve
+# ---------------------------------------------------------------------------
+
+# q at one point of reflectionless data with order-3 poles, from a
+# 60-digit solve of the residue conditions (mpmath, agreeing with 80
+# digits to 1e-57).  The cone (-1, 1, -1, 1) keeps every pole.  Flipping
+# the poles left of z0 alone left the cone's q off by 2.7e-2 and 4.5e-2;
+# the better conditioned of the two systems is off by 6.3e-12 and 3.6e-9.
+ORDER_3_CASES = [
+    pytest.param((DiscreteDatum(0.0171 + 0.9637j, (0.6898 - 0.8919j, 0.4688 - 0.0178j)),
+                  DiscreteDatum(0.187 + 0.7102j, (-0.6776 - 0.2272j, -0.9936 - 1.4589j,
+                                                  0.0638 + 0.7745j)),
+                  DiscreteDatum(0.1676 + 0.9961j, (-0.2411 + 0.74j, -0.4 - 0.9954j,
+                                                   -1.5222 - 0.8203j))),
+                 -3.87, 10.0, 1.0057960719628205 + 2.105084964605587j, 1e-10, id="A"),
+    pytest.param((DiscreteDatum(0.0068 + 1.1762j, (0.1486 - 1.6082j, 0.2418 + 0.2354j,
+                                                   1.5756 + 0.3166j)),
+                  DiscreteDatum(-0.2515 + 0.8074j, (-1.4931 + 2.2527j,)),
+                  DiscreteDatum(-0.0741 + 1.0019j, (-1.9156 + 1.1018j, -0.3299 - 0.8806j,
+                                                    -0.6563 - 0.672j))),
+                 -0.36, 20.0, 0.7121769506456951 - 0.2887752374616573j, 4e-8, id="B"),
+]
+
+
+@pytest.mark.parametrize("poles,x,t,exact,bound", ORDER_3_CASES)
+def test_order_3_cone_soliton_part_matches_a_60_digit_solve(poles, x, t, exact, bound):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cone = q_asymptotic(x, t, poles, None, (-1.0, 1.0, -1.0, 1.0)).q_sol_part
+        field = soliton_field(poles, [x], t)[0]
+    assert abs(cone - exact) <= bound * abs(exact)
+    assert abs(field - exact) <= bound * abs(exact)
+    assert not caught
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +548,29 @@ def test_sech_asymptote_is_even(sech_run):
 
 
 @pytest.mark.filterwarnings("ignore:pole")
-def test_inline_dispersive_product_is_the_e1_entry(sech_run, monkeypatch):
+def test_inline_dispersive_product_is_the_e1_entry(sech_run):
     # q_asymptotic forms f = beta12 row0^2 + beta21 row1^2 from the first
-    # row of the outer matrix M; it must be -2 sqrt(t) times the (1,2) entry
-    # of e1_matrix(M, pc, t), which also checks det M = 1
+    # row of the outer matrix M, in T's normalization; it must be -2 sqrt(t)
+    # times the (1,2) entry of e1_matrix(M, pc, t), which also checks
+    # det M = 1.  M is the whole matrix of the flipped system, from the
+    # second route; its first row must be the solve's all-lower row moved
+    # by a^{sigma3}.
     sc, _ = sech_run
-    outer = []
-
-    def row(state, z):
-        outer.append(evaluate_matrix(state, z))
-        return outer[-1][..., 0, :]
-
-    monkeypatch.setattr(asymptotics, "outer_matrix_row", row)
+    rows = []
     for t in SECH_TIMES:
         for x in np.linspace(-0.3 * t, 0.3 * t, 5):
-            outer.clear()
-            f = q_asymptotic(x, t, sc.discrete, sc, SECH_CONE).f_part
-            left = partition(sc.discrete, -x / (2.0 * t), SECH_CONE).left
-            ctx = phase_context(sc, sc.discrete, x, t, left)
+            rows.clear()
+            f = _recording_rows(sc, x, t, sc.discrete, SECH_CONE, rows).f_part
+            z0 = -x / (2.0 * t)
+            part = partition(sc.discrete, z0, SECH_CONE)
+            ctx = phase_context(sc, sc.discrete, x, t, part.left)
+            weighted = modulate_constants(sc.discrete, ctx.ray.inverse_delta)
+            kept = restrict_to_interval(weighted, part.I)
+            flagged = [k for k, d in enumerate(kept.data) if d.z.real < z0]
+            m = solution_matrix(reorient_constants(kept, flagged), x, t, z0)
+            a = blaschke_product(z0, [kept.data[k] for k in flagged])
+            (row,) = rows
+            assert np.max(np.abs(row * [a, 1.0 / a] - m[0])) <= 1e-12 * np.max(np.abs(m[0]))
             pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
-            m, = outer
-            e1 = e1_matrix(m.reshape(2, 2), pc, t)
+            e1 = e1_matrix(m, pc, t)
             assert abs(f + 2.0 * math.sqrt(t) * e1[0, 1]) <= 1e-12 * abs(f)

@@ -12,25 +12,25 @@ from fnls.solitons import (
     DiscreteDatum,
     OrientedData,
     _blaschke_series,
+    _check_solved,
     _inv,
+    _moment,
     _mul,
     _phase_series,
+    _solve_points,
     _solve_stack,
     blaschke_product,
-    evaluate_matrix,
     modulate_constants,
-    outer_matrix_row,
     pole_system,
     reorient_constants,
     restrict_to_interval,
-    solve_field,
     solve_soliton,
     soliton_field,
 )
 from fnls.splitstep import Grid, pde_residual
 
 from invariants import conserved
-from second_routes import mass_from_spectrum
+from second_routes import mass_from_spectrum, pole_coefficients, solution_matrix
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -59,6 +59,28 @@ def test_field_value_matches_high_precision_reference():
     # frozen from a 50-digit variable-precision solve of the same 4x4 system
     state = solve_soliton([DiscreteDatum(1j, (1.0, 0.0))], 0.0, 0.0)
     assert state.q == pytest.approx(0.1813031161473088, abs=1e-13)
+
+
+def test_all_lower_system_is_identity_blocks_coupled_by_a_and_minus_its_conjugate():
+    # M = [[I, A], [-conj(A), I]] with rhs 0 on the alpha rows, exactly,
+    # on seeded spectra of orders 1-3: the structure a half-size solve of
+    # (I + conj(A) A) would start from
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        n, zs = int(rng.integers(1, 4)), []
+        while len(zs) < n:
+            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.3))
+            if all(abs(z - w) > 0.2 for w in zs):
+                zs.append(z)
+        data = [DiscreteDatum(z, tuple(complex(rng.normal(), rng.normal())
+                                       for _ in range(int(rng.integers(1, 4)))))
+                for z in zs]
+        matrix, rhs = pole_system(data, rng.uniform(-5.0, 5.0, 7), float(rng.uniform(-2.0, 2.0)))
+        d = matrix.shape[1] // 2
+        assert np.array_equal(matrix[:, :d, :d], np.broadcast_to(np.eye(d), (7, d, d)))
+        assert np.array_equal(matrix[:, d:, d:], np.broadcast_to(np.eye(d), (7, d, d)))
+        assert np.array_equal(matrix[:, d:, :d], -np.conj(matrix[:, :d, d:]))
+        assert not rhs[:, :d].any()
 
 
 def test_simple_pole_reduces_to_classical_soliton():
@@ -106,7 +128,7 @@ def test_triple_pole_field_solves_the_pde(triple_pole):
     assert res < 1e-6
     # 54 at t = 0, rising to 125 at t = 1, with the flip selection
     window = grid.x[np.abs(grid.x) <= 20.0]
-    assert max(float(solve_field(data, window, t).condition.max()) for t in times) <= 200.0
+    assert max(float(solve_soliton(data, window, t).condition.max()) for t in times) <= 200.0
 
 
 def test_triple_pole_mass_is_the_trace_formula(triple_pole):
@@ -128,13 +150,13 @@ def test_laurent_coefficients_match_pole_conditions():
     coefficient of column 2, which is analytic there."""
     data = _mixed()
     x, t = 0.4, 0.3
-    state = solve_soliton(data, x, t)
+    _, alpha, beta = pole_coefficients(data, x, t)
 
     phi = 2 * np.pi * np.arange(256) / 256
     for k, d in enumerate(data):
         circle = d.z + 0.25 * np.exp(1j * phi)
         w = circle - d.z
-        m = evaluate_matrix(state, circle)
+        m = solution_matrix(data, x, t, circle)
         gamma = (sum(c * w ** -(j + 1) for j, c in enumerate(reversed(d.coefficients)))
                  * np.exp(2j * (t * circle ** 2 + x * circle)))
 
@@ -145,24 +167,30 @@ def test_laurent_coefficients_match_pole_conditions():
         col2 = [coeff(m[:, :, 1], -r) for r in range(d.order)]
         for j in range(1, d.order + 1):
             p = coeff(m, j)
-            assert abs(p[0, 0] - state.alpha[k][j - 1]) < 1e-8
-            assert abs(p[1, 0] - state.beta[k][j - 1]) < 1e-8
+            assert abs(p[0, 0] - alpha[k][j - 1]) < 1e-8
+            assert abs(p[1, 0] - beta[k][j - 1]) < 1e-8
             expected = sum(coeff(gamma, j + r) * col2[r] for r in range(d.order - j + 1))
             assert np.max(np.abs(p[:, 0] - expected)) < 1e-8
             assert np.max(np.abs(p[:, 1])) < 1e-10
 
 
 def test_conjugation_symmetry_and_unit_determinant():
-    state = solve_soliton(_pair(), -0.7, 0.45)
     rng = np.random.default_rng(7)
     zs = rng.uniform(-3, 3, 12) + 1j * rng.uniform(-3, 3, 12)
     zs = zs[np.abs(zs.imag) > 0.05]
-    m = evaluate_matrix(state, zs)
-    m_conj = evaluate_matrix(state, np.conj(zs))
+    m = solution_matrix(_pair(), -0.7, 0.45, zs)
+    m_conj = solution_matrix(_pair(), -0.7, 0.45, np.conj(zs))
     sym = np.einsum("ij,njk,kl->nil", SIGMA2, np.conj(m_conj), SIGMA2)
     assert np.max(np.abs(m - sym)) < 1e-10
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     assert np.max(np.abs(det - 1.0)) < 1e-10
+
+
+def _q_as_given(oriented, x, t):
+    """q of the one system in the orientations of ``oriented``, solved at
+    the points ``x`` by the private stacked solve."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _moment(oriented, _solve_points(oriented, x, t)[0])
 
 
 def test_field_invariant_under_orientation_changes():
@@ -170,8 +198,7 @@ def test_field_invariant_under_orientation_changes():
     x, t = 0.3, 0.2
     q_ref = solve_soliton(data, x, t).q
     for flip in ([], [0], [1], [0, 1]):
-        oriented = reorient_constants(data, flip)
-        q = solve_soliton(oriented, x, t).q
+        q = _q_as_given(reorient_constants(data, flip), x, t)[0]
         assert abs(q - q_ref) < 1e-9, f"flip {flip}"
 
 
@@ -180,12 +207,10 @@ def test_reorientation_is_a_column_scaling():
     data = _pair()
     x, t = 0.15, -0.25
     flip = [1]
-    s_old = solve_soliton(data, x, t)
-    s_new = solve_soliton(reorient_constants(data, flip), x, t)
     zs = np.array([0.4 + 2.1j, -1.3 + 0.9j, 2.0 - 1.4j])
     a = blaschke_product(zs, [data[i] for i in flip])
-    m_old = evaluate_matrix(s_old, zs)
-    m_new = evaluate_matrix(s_new, zs)
+    m_old = solution_matrix(data, x, t, zs)
+    m_new = solution_matrix(reorient_constants(data, flip), x, t, zs)
     scaled = m_old * np.stack([a, 1.0 / a], axis=-1)[:, None, :]
     assert np.max(np.abs(m_new - scaled)) < 1e-10
 
@@ -197,7 +222,7 @@ def test_reorientation_handles_simple_poles():
     )
     q_ref = solve_soliton(data, -0.2, 0.35).q
     for flip in ([0], [1], [0, 1]):
-        q = solve_soliton(reorient_constants(data, flip), -0.2, 0.35).q
+        q = _q_as_given(reorient_constants(data, flip), -0.2, 0.35)[0]
         assert abs(q - q_ref) < 1e-9
 
 
@@ -274,17 +299,26 @@ def test_interval_restriction_and_tie_warning():
         DiscreteDatum(0.4 + 0.7j, (1.0, 0.3)),
         DiscreteDatum(1.5 + 0.6j, (1.0, 0.4)),
     )
-    # the cone's velocity window is [-0.3, 0.6]
+    # the cone's velocity window is [-0.3, 0.6]; the kept poles stay lower
+    # with their constants, and the split about z0 is the cone's to read
     part = partition(data, 0.2, (0.0, 0.0, -1.2, 0.6))
-    ((_, out),) = restrict_to_interval(data, part.I, part.left)
+    out = restrict_to_interval(data, part.I)
     assert [d.z for d in out.data] == [-0.1 + 0.9j, 0.4 + 0.7j]
-    assert out.orientations == ("upper", "lower")
+    assert out.orientations == ("lower", "lower")
+    assert np.array_equal(out.constants, OrientedData.all_lower(data).constants[:, 1:3])
+    assert part.left.tolist() == [True, True, False, False]
 
-    # the window [-1, 2] keeps every pole, and the one over z0 stays lower
+    # the window [-1, 2] keeps every pole, and the one over z0 goes right
     with pytest.warns(RuntimeWarning, match="z0"):
         part = partition(data, 0.4, (0.0, 0.0, -4.0, 2.0))
-    ((_, tied),) = restrict_to_interval(data, part.I, part.left)
-    assert tied.orientations == ("upper", "upper", "lower", "lower")
+    assert restrict_to_interval(data, part.I).data == data
+    assert part.left.tolist() == [True, True, False, False]
+
+    # per-point constants are kept point by point
+    stack = modulate_constants(data, lambda z, n: [np.array([1.0, 2.0])] + [0.0] * (n - 1))
+    kept = restrict_to_interval(stack, (-0.3, 0.6))
+    assert kept.constants.shape == (2, 2, 2)
+    assert np.array_equal(kept.constants, stack.constants[:, 1:3])
 
 
 def test_input_validation():
@@ -324,10 +358,16 @@ def test_condition_warning_at_extreme_x():
     # skew the system badly, yet the solve stays backward stable
     data = (DiscreteDatum(0.5j, (-2j,)),
             DiscreteDatum(1.5j, (-6j,)))
+    x = np.array([-20.0])
+    _, cond, residual = _solve_points(OrientedData.all_lower(data), x, 0.3)
     with pytest.warns(RuntimeWarning, match="condition"):
-        state = solve_soliton(data, -20.0, 0.3)
-    assert state.condition > 1e12
-    assert state.residual < 1e-10
+        _check_solved(cond, x, 0.3)
+    assert cond[0] > 1e12
+    assert residual[0] < 1e-10
+    # the public solve takes the flipped system there, and stays quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_soliton(data, -20.0, 0.3).condition < 1e3
 
 
 @pytest.mark.parametrize("x", [-26.0, -10.0])
@@ -381,7 +421,7 @@ def _random_slices(count=30):
 def test_wide_window_solves_stay_well_posed():
     # all-lower alone reaches 7e29 on such spectra, the sign rule alone 2e13
     x = np.linspace(-20.0, 20.0, 81)
-    sols = [solve_field(data, x, t) for data, t in _random_slices()]
+    sols = [solve_soliton(data, x, t) for data, t in _random_slices()]
     assert max(float(np.max(s.condition)) for s in sols) <= 1e9
     assert max(float(np.max(s.residual)) for s in sols) < 1e-10
 
@@ -391,33 +431,46 @@ def test_batched_field_matches_pointwise_solves():
     # the poles with x + 2t Re z_k < 0 flipped
     x = np.linspace(-20.0, 20.0, 81)
     for data, t in _random_slices():
-        sol = solve_field(data, x, t)
+        sol = solve_soliton(data, x, t)
         for i, xi in enumerate(x):
             flip = [k for k, d in enumerate(data) if xi + 2.0 * t * d.z.real < 0]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                states = [solve_soliton(data, xi, t)]
+                systems = [OrientedData.all_lower(data)]
                 if flip:
-                    states.append(solve_soliton(reorient_constants(data, flip), xi, t))
-            best = min(states, key=lambda s: s.condition)
-            if best.condition < 1e8:
-                assert abs(sol.q[i] - best.q) <= 1e-12 * np.max(np.abs(sol.q))
-                assert sol.condition[i] == pytest.approx(best.condition, rel=1e-6)
+                    systems.append(reorient_constants(data, flip))
+                solved = [(_moment(o, u)[0], cond[0]) for o in systems
+                          for u, cond, _ in [_solve_points(o, np.array([xi]), t)]]
+            q, cond = min(solved, key=lambda s: s[1])
+            if cond < 1e8:
+                assert abs(sol.q[i] - q) <= 1e-12 * np.max(np.abs(sol.q))
+                assert sol.condition[i] == pytest.approx(cond, rel=1e-6)
 
 
 def test_given_orientations_are_kept_by_the_batch():
     data = reorient_constants(_pair(), [1])
     x = np.linspace(-3.0, 3.0, 13)
-    q = soliton_field(data, x, 0.4)
-    pointwise = [solve_soliton(data, xi, 0.4).q for xi in x]
+    q = _q_as_given(data, x, 0.4)
+    pointwise = [_q_as_given(data, xi, 0.4)[0] for xi in x]
     assert np.max(np.abs(q - pointwise)) < 1e-13
+    # the public solve picks the orientations itself
+    with pytest.raises(ValueError, match="all-lower"):
+        solve_soliton(data, 0.0, 0.4)
 
 
 def test_no_finite_solve_raises_linalg_error():
-    # overflowing exponentials leave no finite solve at the point
+    # overflowing exponentials leave no finite all-lower solve at the point
     data = OrientedData.all_lower([DiscreteDatum(1j, (2.0,))])
+    x = np.array([0.0, -600.0])
+    _, cond, _ = _solve_points(data, x, 0.0)
+    assert cond[0] < 10.0 and cond[1] == np.inf
     with pytest.raises(np.linalg.LinAlgError, match="x = -600"):
-        soliton_field(data, [0.0, -600.0], 0.0)
+        _check_solved(cond, x, 0.0)
+    # the flipped system decays there instead; a point that no system
+    # solves still fails loudly
+    assert abs(soliton_field(data, x, 0.0)[1]) < 1e-300
+    with pytest.raises(np.linalg.LinAlgError, match="x = nan"):
+        soliton_field(data, [0.0, np.nan], 0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -437,18 +490,38 @@ def test_singular_member_of_a_stack_leaves_the_others_alone():
 
 
 def test_empty_spectrum_gives_vacuum():
-    state = solve_soliton([], 1.0, 2.0)
+    state = solve_soliton([], 1.0, 2.0, 0.5 + 0.5j)
     assert state.q == 0
-    assert np.allclose(outer_matrix_row(state, 0.5 + 0.5j), [1.0, 0.0])
+    assert np.allclose(state.row, [1.0, 0.0])
+    assert solve_soliton([], 1.0, 2.0).row is None
 
 
 def test_outer_row_decay_and_field_recovery():
-    state = solve_soliton(_pair(), 0.6, -0.4)
-    row_far = outer_matrix_row(state, 1e6j)
-    assert abs(2j * 1e6j * row_far[1] - state.q) < 1e-4 * abs(state.q)
-    r1 = outer_matrix_row(state, 100.0 + 100.0j)
-    r2 = outer_matrix_row(state, 200.0 + 200.0j)
+    # one z per point: the three points share (x, t)
+    state = solve_soliton(_pair(), 0.6, -0.4, [1e6j, 100.0 + 100.0j, 200.0 + 200.0j])
+    q = complex(state.q[0])
+    row_far, r1, r2 = state.row
+    assert abs(2j * 1e6j * row_far[1] - q) < 1e-4 * abs(q)
     assert abs(r1[1] / r2[1]) == pytest.approx(2.0, rel=0.05)
+
+
+@pytest.mark.parametrize("x", [-3.0, 2.5])
+def test_row_is_the_all_lower_row_whichever_system_wins(x):
+    # at x = -3 both poles flip and the flipped system wins; its row is
+    # moved back by a^{-sigma3}.  At x = 2.5 the all-lower system wins.
+    data, t = _pair(), 0.3
+    zs = np.array([0.25 + 0.0j, -1.1 + 0.4j, 0.7 - 2.0j])
+    state = solve_soliton(data, x, t, zs)
+    flip = [k for k, d in enumerate(data) if x + 2.0 * t * d.z.real < 0]
+    flipped = reorient_constants(data, flip)
+    assert (_solve_points(flipped, np.array([x]), t)[1][0]
+            < _solve_points(OrientedData.all_lower(data), np.array([x]), t)[1][0]) == bool(flip)
+    lower = solution_matrix(data, x, t, zs)[:, 0, :]
+    assert np.max(np.abs(state.row - lower)) < 1e-10 * np.max(np.abs(lower))
+    a = blaschke_product(zs, [data[k] for k in flip])
+    moved = solution_matrix(flipped, x, t, zs)[:, 0, :] * np.stack([1.0 / a, a], axis=-1)
+    assert np.max(np.abs(state.row - moved)) < 1e-10 * np.max(np.abs(lower))
+    assert np.all(state.q == solve_soliton(data, x, t).q)
 
 
 @settings(max_examples=25, deadline=None)
@@ -461,7 +534,8 @@ def test_outer_row_decay_and_field_recovery():
     t=st.floats(-2.0, 2.0),
 )
 def test_random_data_solve_is_backward_stable(re, im, low, lead, x, t):
-    state = solve_soliton([DiscreteDatum(re + 1j * im, (lead, low))], x, t)
+    data = [DiscreteDatum(re + 1j * im, (lead, low))]
+    state = solve_soliton(data, x, t)
     assert state.residual < 1e-10
-    m = evaluate_matrix(state, np.array([3.7 + 0.05j]))[0]
+    m = solution_matrix(data, x, t, np.array([3.7 + 0.05j]))[0]
     assert abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) < 1e-9
