@@ -179,7 +179,7 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
     weighted = sigma_d
     if scattering is not None:
         # one ray for all points: the pole dressing and T0 read its nodes
-        ctx = phase_context(scattering, sigma_d, x, t, part.left)
+        ctx = phase_context(scattering, sigma_d, z0, part.left)
         weighted = modulate_constants(sigma_d, ctx.ray.inverse_delta)
 
     kept = restrict_to_interval(weighted, part.I)

@@ -19,8 +19,6 @@ delta on the ray belong to the jump it solves, and are not computed.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,9 +256,9 @@ def T_fn(z, delta_minus, data, scattering, z0: float):
 
 @dataclass(frozen=True)
 class PhaseContext:
-    """Everything scalar the asymptotic formulas need at a point (x, t),
-    or elementwise over arrays of points, and the ray quadrature they come
-    from."""
+    """Everything scalar the asymptotic formulas need at a stationary point
+    z0, or elementwise over an array of them, and the ray quadrature they
+    come from."""
 
     z0: float | np.ndarray
     nu0: float | np.ndarray
@@ -281,9 +279,10 @@ class PhaseContext:
                              "quadrature behind it is inconsistent")
 
 
-def phase_context(scattering, data, x, t, left) -> PhaseContext:
-    """Assemble the scalar context at (x, t) from sampled reflection data;
-    ``x`` and ``t`` may be arrays, which share one ray quadrature.
+def phase_context(scattering, data, z0, left) -> PhaseContext:
+    """Assemble the scalar context at the stationary points ``z0`` from
+    sampled reflection data; ``z0`` may be an array, whose points share one
+    ray quadrature.
 
     The boundary constant at the ray endpoint is the inverse Blaschke
     product of the poles flagged in ``left`` times ``exp(i beta)``, with
@@ -291,13 +290,10 @@ def phase_context(scattering, data, x, t, left) -> PhaseContext:
     (:meth:`_RayDensity.offset_integral`).  ``left`` holds a flag per pole,
     or per point (flattened) and pole, as :func:`partition` gives.
     """
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    shape = x.shape
+    z0 = np.asarray(z0, dtype=float)
+    shape = z0.shape
     # one code path for one point and many: the ray runs over a flat array
-    x, t = x.ravel(), t.ravel()
-    if np.any(t == 0):
-        raise ValueError("the phase is undefined at t = 0")
-    z0 = -x / (2.0 * t)
+    z0 = z0.ravel()
     ray = _RayDensity(scattering, z0)
     r = np.asarray(scattering.r)
     r_at = np.interp(z0, ray.grid, r.real) + 1j * np.interp(z0, ray.grid, r.imag)
@@ -329,7 +325,9 @@ def partition(data, z0, cone) -> ConePartition:
     """Split the poles about the stationary points ``z0`` (a scalar or an
     array) and about the velocity window of the cone ``(x1, x2, v1, v2)``:
     the poles with ``Re z_k`` in ``I = [-v2/2, -v1/2]``.  A pole exactly
-    over a stationary point goes to the right-hand set, with a warning."""
+    over a stationary point goes to the right-hand set.  Its Blaschke factor
+    at z0 is ``(-1)^m``, and the cone formula reads the flagged factors only
+    squared, so its side changes no output."""
     bounds = tuple(float(v) for v in cone)
     for name, v in zip(("x1", "x2", "v1", "v2"), bounds):
         if not math.isfinite(v):
@@ -340,14 +338,6 @@ def partition(data, z0, cone) -> ConePartition:
     lo, hi = -v2 / 2.0, -v1 / 2.0
     re = np.array([complex(d.z).real for d in data])
     z0 = np.asarray(z0, dtype=float)[..., None]
-    if np.any(re == z0):
-        # name the first caller outside the package, however deep the call
-        level, frame = 1, sys._getframe()
-        while frame.f_back and frame.f_globals.get("__package__") == __package__:
-            level, frame = level + 1, frame.f_back
-        warnings.warn("pole sits exactly over the stationary point z0; "
-                      "assigning it to the right-hand set (lower orientation)",
-                      RuntimeWarning, stacklevel=level)
     mu = math.inf
     for d in data:
         zk = complex(d.z)

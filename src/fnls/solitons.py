@@ -108,10 +108,11 @@ class DiscreteDatum:
 class OrientedData:
     """Spectrum plus a per-pole column orientation ("lower" or "upper").
 
-    ``c``, when given, holds the constants of a stack of points in place of
-    the data's own, which then carry only the positions and orders: shape
-    ``(P, N, m)``, each pole's principal part padded with leading zeros to
-    the largest order ``m`` (see :attr:`DiscreteDatum.coefficients`).
+    ``c`` holds the constants of a stack of points: shape ``(P, N, m)``,
+    each pole's principal part padded with leading zeros to the largest
+    order ``m`` (see :attr:`DiscreteDatum.coefficients`).  When it is not
+    given it is built once from the data's own constants, with ``P = 1``;
+    when it is, the data carry only the positions and orders.
     """
 
     data: tuple[DiscreteDatum, ...]
@@ -124,26 +125,22 @@ class OrientedData:
         for o in self.orientations:
             if o not in ("lower", "upper"):
                 raise ValueError(f"unknown orientation {o!r}")
+        if self.c is None:
+            top = max((d.order for d in self.data), default=0)
+            c = np.zeros((1, len(self.data), top), dtype=np.complex128)
+            for k, d in enumerate(self.data):
+                c[0, k, top - d.order:] = d.coefficients
+            object.__setattr__(self, "c", c)
 
     @staticmethod
     def all_lower(data) -> "OrientedData":
         data = tuple(data)
         return OrientedData(data, ("lower",) * len(data))
 
-    @property
-    def constants(self) -> np.ndarray:
-        """The constants as an array ``(P, N, m)``, ``P = 1`` when they are
-        the data's own."""
-        if self.c is not None:
-            return self.c
-        top = max((d.order for d in self.data), default=0)
-        return np.array([[(0.0,) * (top - d.order) + d.coefficients
-                          for d in self.data]], dtype=np.complex128)
-
     def series(self, k: int) -> list:
         """Pole ``k``'s principal part as a list of ``(P,)`` arrays."""
-        c = self.constants
-        return [c[:, k, j] for j in range(c.shape[2] - self.data[k].order, c.shape[2])]
+        m = self.c.shape[2]
+        return [self.c[:, k, j] for j in range(m - self.data[k].order, m)]
 
     def with_series(self, series, orientations) -> "OrientedData":
         """The same poles with the principal parts ``series`` (one list per
@@ -158,7 +155,7 @@ class OrientedData:
 
     def rows(self, at) -> "OrientedData":
         """The points ``at`` of a stack; shared constants stay shared."""
-        if self.c is None or self.c.shape[0] == 1:
+        if self.c.shape[0] == 1:
             return self
         return replace(self, c=self.c[at])
 
@@ -279,7 +276,7 @@ def pole_system(data, x_values, t):
     ``data`` is an :class:`OrientedData` or a sequence of
     :class:`DiscreteDatum`, taken as all lower.  Its constants ``c`` have
     shape ``(P, N, m)``, or ``(1, N, m)`` to share one set (see
-    :attr:`OrientedData.constants`); ``t`` is a scalar or one time per ``x``.
+    :attr:`OrientedData.c`); ``t`` is a scalar or one time per ``x``.
 
     The unknowns are the blocks ``alpha`` and ``conj(beta)``, each holding
     the Laurent coefficients of ``(z - z_k)^{-1}, ..., (z - z_k)^{-m_k}``
@@ -308,7 +305,7 @@ def pole_system(data, x_values, t):
     t = np.asarray(t, dtype=float).reshape(-1, 1)
     # Leading zeros leave a principal part as it is, so every pole's
     # Gamma is one series of length max(orders), a column per pole.
-    c = oriented.constants
+    c = oriented.c
     top = c.shape[2]
     phase = _phase_series(np.array(zs), np.where(lower, 1.0, -1.0), x, t, top)
     series = np.concatenate(_mul([c[:, :, j] for j in range(top)], phase, top), axis=1)
@@ -483,8 +480,9 @@ def solve_soliton(data, x, t, z=None) -> SolitonState:
                         None if row is None else row.reshape(shape + (2,)))
 
 
-def soliton_field(data, x_values, t: float) -> np.ndarray:
-    """``q(x, t)`` over an array of ``x``; see :func:`solve_soliton`."""
+def soliton_field(data, x_values, t: float | np.ndarray) -> np.ndarray:
+    """``q(x, t)`` over an array of ``x``, with ``t`` a scalar or one time
+    per ``x``; see :func:`solve_soliton`."""
     return solve_soliton(data, np.ravel(x_values), t).q
 
 
@@ -589,4 +587,4 @@ def restrict_to_interval(data, interval: tuple[float, float]) -> OrientedData:
     keep = [k for k, d in enumerate(oriented.data) if lo <= d.z.real <= hi]
     return OrientedData(tuple(oriented.data[k] for k in keep),
                         tuple(oriented.orientations[k] for k in keep),
-                        None if oriented.c is None else oriented.c[:, keep])
+                        oriented.c[:, keep])

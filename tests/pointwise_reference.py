@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -168,8 +167,6 @@ def q_pointwise(x: float, t: float, sigma_d, scattering, cone):
     z0 = -x / (2.0 * t)
     lo, hi = -cone[3] / 2.0, -cone[2] / 2.0
     minus = [k for k, d in enumerate(sigma_d) if d.z.real < z0]
-    if any(d.z.real == z0 for d in sigma_d):
-        warnings.warn("pole sits exactly over the stationary point", RuntimeWarning)
     data = tuple(sigma_d)
     ray = None
     if scattering is not None:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -54,7 +53,7 @@ def _left(data, z0):
 
 def _T0(delta_minus, data, scattering, z0):
     """Boundary constant at the ray endpoint z0, through the context."""
-    return phase_context(scattering, data, -2.0 * z0, 1.0,
+    return phase_context(scattering, data, z0,
                          left=np.isin(np.arange(len(data)), delta_minus)).T0_z0
 
 
@@ -342,22 +341,16 @@ def test_partition_about_the_stationary_point():
     assert part.left.tolist() == [False, True] and _right(part, data) == (0,)
 
 
-def test_partition_tie_goes_right_with_warning():
+def test_partition_tie_goes_right():
     data = [DiscreteDatum(0.5 + 1.0j, (1.0,))]
-    with pytest.warns(RuntimeWarning, match="stationary point") as caught:
-        line = sys._getframe().f_lineno + 1
-        part = partition(data, 0.5, cone=(0.0, 0.0, -1.0, -1.0))
+    part = partition(data, 0.5, cone=(0.0, 0.0, -1.0, -1.0))
     assert _right(part, data) == (0,) and part.left.tolist() == [False]
-    # the warning names the line that called partition; the file is this
-    # code's own, which stays right in a moved checkout
-    assert (caught[0].filename, caught[0].lineno) == (sys._getframe().f_code.co_filename, line)
 
 
 def test_cone_membership_and_decay_rate():
     data = [DiscreteDatum(1j, (1.0, 1.0)),
             DiscreteDatum(0.6 + 0.35j, (1.0, 1.0))]
-    with pytest.warns(RuntimeWarning, match="stationary point"):
-        part = partition(data, 0.0, cone=(-1.0, 1.0, -0.5, 0.5))
+    part = partition(data, 0.0, cone=(-1.0, 1.0, -0.5, 0.5))
     assert part.I == (-0.25, 0.25)
     assert _inside(part, data) == (0,)          # only the imaginary-axis pole
     assert part.mu_I == pytest.approx(0.35 * 0.35, abs=1e-12)
@@ -412,7 +405,7 @@ def test_decay_rate_shrinks_as_the_interval_grows(res, ims, w1, grow):
 # ---------------------------------------------------------------------------
 
 def test_phase_context_fields(smooth, poles):
-    ctx = phase_context(smooth, poles, x=-1.2, t=1.0, left=_left(poles, 0.6))
+    ctx = phase_context(smooth, poles, z0=0.6, left=_left(poles, 0.6))
     assert ctx.z0 == 0.6
     assert ctx.nu0 <= 0
     assert abs(ctx.r_at_z0 - _r_at(0.6)) < 1e-14
@@ -420,10 +413,8 @@ def test_phase_context_fields(smooth, poles):
 
 
 def test_phase_context_validation(smooth, poles):
-    with pytest.raises(ValueError, match="t = 0"):
-        phase_context(smooth, poles, x=1.0, t=0.0, left=(False, False))
     with pytest.raises(ValueError, match="bracket"):
-        phase_context(smooth, poles, x=-100.0, t=1.0, left=(True, True))
+        phase_context(smooth, poles, z0=50.0, left=(True, True))
     with pytest.raises(ValueError, match="never positive"):
         PhaseContext(z0=-0.5, nu0=0.2, T0_z0=1.0 + 0j, r_at_z0=0.1 + 0j, ray=None)
     with pytest.raises(ValueError, match="unimodular"):
@@ -445,7 +436,7 @@ def test_phase_context_refuses_constants_that_are_not_finite(field, bad):
 
 
 def test_modulated_amplitude_basics(smooth, poles):
-    ctx = phase_context(smooth, poles, x=-1.2, t=4.0, left=_left(poles, 0.15))
+    ctx = phase_context(smooth, poles, z0=0.15, left=_left(poles, 0.15))
     assert abs(abs(r0_modulated(ctx, 4.0))
                - abs(r0_modulated(ctx, 900.0))) < 1e-12
     assert abs(abs(r0_modulated(ctx, 4.0))
@@ -459,7 +450,7 @@ def test_modulated_amplitude_basics(smooth, poles):
 def test_gaussian_amplitude_regression_pin():
     prof = gaussian_profile(0.3, np.linspace(-8.0, 8.0, 641))
     scat = reflection_coefficient(prof, np.linspace(-4.0, 4.0, 321))
-    ctx = phase_context(scat, [], x=0.0, t=25.0, left=())
+    ctx = phase_context(scat, [], z0=0.0, left=())
     r0 = r0_modulated(ctx, 25.0)
     assert abs(r0 - (-0.5814569003879617 + 0.08915030374014535j)) < 1e-9
 

@@ -292,7 +292,7 @@ def test_modulation_identity_and_scaling():
             assert s[j][0] == pytest.approx(f[j][0], rel=1e-13)
 
 
-def test_interval_restriction_and_tie_warning():
+def test_interval_restriction_and_tie():
     data = (
         DiscreteDatum(-0.8 + 0.5j, (1.0, 0.1)),
         DiscreteDatum(-0.1 + 0.9j, (1.0, 0.2)),
@@ -305,20 +305,19 @@ def test_interval_restriction_and_tie_warning():
     out = restrict_to_interval(data, part.I)
     assert [d.z for d in out.data] == [-0.1 + 0.9j, 0.4 + 0.7j]
     assert out.orientations == ("lower", "lower")
-    assert np.array_equal(out.constants, OrientedData.all_lower(data).constants[:, 1:3])
+    assert np.array_equal(out.c, OrientedData.all_lower(data).c[:, 1:3])
     assert part.left.tolist() == [True, True, False, False]
 
     # the window [-1, 2] keeps every pole, and the one over z0 goes right
-    with pytest.warns(RuntimeWarning, match="z0"):
-        part = partition(data, 0.4, (0.0, 0.0, -4.0, 2.0))
+    part = partition(data, 0.4, (0.0, 0.0, -4.0, 2.0))
     assert restrict_to_interval(data, part.I).data == data
     assert part.left.tolist() == [True, True, False, False]
 
     # per-point constants are kept point by point
     stack = modulate_constants(data, lambda z, n: [np.array([1.0, 2.0])] + [0.0] * (n - 1))
     kept = restrict_to_interval(stack, (-0.3, 0.6))
-    assert kept.constants.shape == (2, 2, 2)
-    assert np.array_equal(kept.constants, stack.constants[:, 1:3])
+    assert kept.c.shape == (2, 2, 2)
+    assert np.array_equal(kept.c, stack.c[:, 1:3])
 
 
 def test_input_validation():

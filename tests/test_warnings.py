@@ -1,7 +1,8 @@
 """Every ``warnings.warn`` in ``src/fnls`` sits in a function on an explicit
 list.  Results are to carry what a caller should know as data, not as
 warnings, so a new warning is added to the list on purpose, never by
-accident."""
+accident.  Nothing in ``src/fnls`` reads the call stack: what a result
+means may not depend on who asked for it."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fnls"
-ALLOWED = ["phase.partition", "solitons._check_solved"]
+ALLOWED = ["solitons._check_solved"]
+# (module, attribute) pairs that hand out stack frames
+FRAME_READERS = {("sys", "_getframe"), ("inspect", "currentframe"), ("inspect", "stack")}
 
 
 def _is_warn(call: ast.Call) -> bool:
@@ -31,10 +34,30 @@ def _sites(node, module, owner):
         yield from _sites(child, module, inner)
 
 
-def _warning_functions():
+def _trees():
     for path in sorted(SRC.glob("*.py")):
-        yield from _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _warning_functions():
+    for module, tree in _trees():
+        yield from _sites(tree, module, "<module>")
 
 
 def test_warnings_are_raised_only_where_listed():
     assert sorted(set(_warning_functions())) == ALLOWED
+
+
+def test_no_stack_frames_are_read():
+    reads = []
+    for module, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module, a.name) for a in node.names]
+            else:
+                continue
+            reads += [f"{module}:{node.lineno} {m}.{a}" for m, a in names
+                      if (m, a) in FRAME_READERS]
+    assert reads == []
