@@ -1,17 +1,18 @@
 """Long-time evaluation of the field inside a space-time cone.
 
 Inside a cone ``x = x0 + v t`` with ``x0 in [x1, x2]`` and ``v in [v1, v2]``
-the field splits into a multi-pole bound-state part, computed from the
-interval-restricted and phase-weighted discrete data, plus a dispersive
-correction of size ``t**-0.5`` whose coefficient comes from the model
-oscillator problem at the stationary point ``z0 = -x / (2 t)``.  The
-remainder after both terms decays like ``t**-0.75``.  The formula is
-evaluated over arrays of points at once: one ray quadrature and one call of
-:func:`fnls.solitons.solve_soliton` per call.  The field does not depend on
-the orientations, so the bound-state part is that solve's; the dispersive
-part reads the first row of the solution matrix at z0 in the normalization
-of T, with the kept poles left of z0 flipped, which is the all-lower row
-scaled by ``a(z0)^{sigma3}``, ``a`` their Blaschke product.
+the field splits into a multi-pole bound-state part, from the poles whose
+velocities fall in the cone, kept first and then dressed by the radiation,
+plus a dispersive correction of size ``t**-0.5`` whose coefficient comes
+from the model oscillator problem at the stationary point
+``z0 = -x / (2 t)``.  The remainder after both terms decays like
+``t**-0.75``.  The formula is evaluated over arrays of points at once: one
+ray quadrature and one call of :func:`fnls.solitons.solve_soliton` per call.
+The field does not depend on the orientations, so the bound-state part is
+that solve's; the dispersive part reads the first row of the solution
+matrix at z0 in the normalization of T, with the kept poles left of z0
+flipped, which is the all-lower row scaled by ``a(z0)^{sigma3}``, ``a``
+their Blaschke product.
 """
 
 from __future__ import annotations
@@ -175,32 +176,28 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
         i = np.argmax(outside)
         raise ValueError(f"(x, t) = ({x[i]:g}, {t[i]:g}) lies outside the cone")
 
-    ctx = None
-    weighted = sigma_d
+    # the window first: only the poles it keeps are dressed and solved
+    kept = restrict_to_interval(sigma_d, part.I)
+    ctx, weighted = None, kept
     if scattering is not None:
         # one ray for all points: the pole dressing and T0 read its nodes
         ctx = phase_context(scattering, sigma_d, z0, part.left)
-        weighted = modulate_constants(sigma_d, ctx.ray.inverse_delta)
+        weighted = modulate_constants(kept, ctx.ray.inverse_delta)
 
-    kept = restrict_to_interval(weighted, part.I)
-    state = solve_soliton(kept, x, t, z0)
-    q_sol = state.q
+    state = solve_soliton(weighted, x, t, z0)
 
     f = np.zeros(x.size, dtype=np.complex128)
     if ctx is not None:
         # the row in T's normalization: m -> m a^{sigma3}, a the Blaschke
         # product of the kept poles left of z0
-        a = np.ones(x.size, dtype=np.complex128)
-        for k, d in enumerate(sigma_d):
-            if d in kept.data:
-                a = a * np.where(part.left[:, k], blaschke_product(z0, [d]), 1.0)
+        a = blaschke_product(z0, kept, part.left[:, [d in kept for d in sigma_d]])
         rows = state.row * np.stack([a, 1.0 / a], axis=-1)
         live = np.abs(ctx.r_at_z0) >= _R_THRESHOLD
         if live.any():
             pc = pc_coefficients(r0_modulated(ctx, t)[live], ctx.nu0[live])
             f[live] = pc.beta12 * rows[live, 0] ** 2 + pc.beta21 * rows[live, 1] ** 2
 
-    x, t, q_sol, f = (_unwrap(a.reshape(shape)) for a in (x, t, q_sol, f))
+    x, t, q_sol, f = (_unwrap(a.reshape(shape)) for a in (x, t, state.q, f))
     return AsymptoticValue(x=x, t=t, q_sol_part=q_sol, f_part=f)
 
 

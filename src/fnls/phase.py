@@ -244,7 +244,7 @@ def T_fn(z, delta_minus, data, scattering, z0: float):
             raise ValueError(
                 f"evaluation point within the guard radius of the pole at "
                 f"{zk}; the factor is singular there")
-    prod = 1.0 / blaschke_product(z_arr, [data[k] for k in delta_minus])
+    prod = 1.0 / blaschke_product(z_arr, data, np.isin(np.arange(len(data)), delta_minus))
     d = delta_fn(z_arr, scattering, z0)
     out = prod * d
     return complex(out) if z_arr.ndim == 0 else out
@@ -297,11 +297,7 @@ def phase_context(scattering, data, z0, left) -> PhaseContext:
     ray = _RayDensity(scattering, z0)
     r = np.asarray(scattering.r)
     r_at = np.interp(z0, ray.grid, r.real) + 1j * np.interp(z0, ray.grid, r.imag)
-    left = np.broadcast_to(left, (z0.size, len(data)))
-    inv = np.ones(z0.size, dtype=np.complex128)
-    for k, d in enumerate(data):
-        factor = ((z0 - d.z) / (z0 - np.conj(d.z))) ** d.order
-        inv = inv * np.where(left[:, k], factor, 1.0)
+    inv = blaschke_product(z0, data, left)
     T0 = (1.0 / inv) * np.exp(1j * ray.offset_integral())
     z0, nu0, T0, r_at = (_unwrap(np.reshape(a, shape)) for a in
                          (z0, nu_of(np.abs(r_at)), T0, r_at))

@@ -75,6 +75,8 @@ class InitialProfile:
     tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
+            raise ValueError(f"tail_tol must be positive and finite, got {self.tail_tol!r}")
         self.x = np.asarray(self.x, dtype=float)
         self.q = np.asarray(self.q, dtype=np.complex128)
         if self.x.ndim != 1 or self.x.size < 8:

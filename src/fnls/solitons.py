@@ -20,12 +20,14 @@ Re-orienting a subset ``Delta`` of the spectrum is the column scaling
 ``Delta``, each factor raised to its pole's order;
 :func:`reorient_constants` maps the pole constants accordingly, and the
 reconstructed field is invariant under the change.
+:func:`blaschke_product` forms every product over a masked subset of poles.
 
 One system serves every mix of orientations (:func:`pole_system`), and its
 x dependence is a row scaling, so a whole slice of x is solved as one stack
 of LU solves.  The constants may differ from point to point
-(:attr:`OrientedData.c`): the cone formula dresses them by the radiation at
-each stationary point.  :func:`solve_soliton` is the one solve: all-lower
+(:attr:`OrientedData.c`): the cone formula keeps the plain data of its
+window and dresses only those constants by the radiation at each
+stationary point.  :func:`solve_soliton` is the one solve: all-lower
 entries grow like ``exp(2 Im z_k |x|)`` on the far side of a pole, so at
 each point it keeps the better conditioned of the all-lower system and the
 one with the poles where ``x + 2t Re z_k < 0`` flipped, and reports the
@@ -465,8 +467,7 @@ def solve_soliton(data, x, t, z=None) -> SolitonState:
             cond[at] = cond_f[better]
             residual[at] = res_f[better]
             if row is not None:
-                a = blaschke_product(z[at], [d for d, o in zip(
-                    flipped.data, flipped.orientations) if o == "upper"])
+                a = blaschke_product(z[at], oriented.data, flips[at])
                 row[at] = _first_row(flipped, u_f, z[at]) * np.stack([1.0 / a, a], axis=-1)
         _check_solved(cond, x, t)
     else:
@@ -490,12 +491,19 @@ def soliton_field(data, x_values, t: float | np.ndarray) -> np.ndarray:
 # Orientation changes (column scaling by a Blaschke product)
 # ---------------------------------------------------------------------------
 
-def blaschke_product(z, members) -> np.ndarray:
-    """``prod_k ((z - z_k)/(z - conj z_k))^order`` over the member data."""
+def blaschke_product(z, data, members) -> np.ndarray:
+    """``prod_k ((z - z_k)/(z - conj z_k))^order`` over the poles of
+    ``data`` flagged in the boolean mask ``members``: one flag per pole, or
+    one row of flags per point of ``z``.  A pole left out multiplies by
+    exactly 1."""
     z = np.asarray(z, dtype=np.complex128)
+    members = np.asarray(members)
+    if members.size and members.dtype != bool:
+        raise TypeError(f"members must be a boolean mask, got dtype {members.dtype}")
+    members = np.broadcast_to(members, z.shape + (len(data),))
     out = np.ones_like(z)
-    for d in members:
-        out = out * ((z - d.z) / (z - np.conj(d.z))) ** d.order
+    for k, d in enumerate(data):
+        out = out * np.where(members[..., k], ((z - d.z) / (z - np.conj(d.z))) ** d.order, 1.0)
     return out
 
 
@@ -561,30 +569,20 @@ def reorient_constants(data, delta_indices) -> OrientedData:
 def modulate_constants(data, inverse_delta) -> OrientedData:
     """Dress every pole's constants by the radiation factor ``delta``.
 
-    ``data`` is a sequence of :class:`DiscreteDatum` (all lower) or an
-    :class:`OrientedData` stack, whose orientations are kept.
+    ``data`` is a sequence of :class:`DiscreteDatum`, all lower.
     ``inverse_delta(z, n)`` returns the first ``n`` Taylor coefficients of
     ``f = 1 / delta`` at a point ``z`` of the upper half plane, one value
     per point of a stack (supplied by :mod:`fnls.phase`), and the
     constants change as under the column scaling by ``f``:
-    ``c -> pp[c f^2]``.
+    ``c -> pp[c f^2]``, in an all-lower stack of one set per point.
     """
-    oriented = _as_oriented(data)
+    oriented = OrientedData.all_lower(data)
     series = [_scaled(oriented.series(k), inverse_delta(d.z, d.order))
               for k, d in enumerate(oriented.data)]
     return oriented.with_series(series, oriented.orientations)
 
 
-def restrict_to_interval(data, interval: tuple[float, float]) -> OrientedData:
-    """Keep the poles whose ``Re z_k`` lies in the closed interval.
-
-    ``data`` is a sequence of :class:`DiscreteDatum` or an all-lower
-    :class:`OrientedData` stack; the kept poles keep their constants at
-    every point.
-    """
-    oriented = _as_oriented(data)
+def restrict_to_interval(data, interval: tuple[float, float]) -> tuple[DiscreteDatum, ...]:
+    """The poles of ``data`` whose ``Re z_k`` lies in the closed interval."""
     lo, hi = interval
-    keep = [k for k, d in enumerate(oriented.data) if lo <= d.z.real <= hi]
-    return OrientedData(tuple(oriented.data[k] for k in keep),
-                        tuple(oriented.orientations[k] for k in keep),
-                        oriented.c[:, keep])
+    return tuple(d for d in data if lo <= d.z.real <= hi)

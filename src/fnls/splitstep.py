@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,10 +61,11 @@ class Grid:
 
     def __post_init__(self) -> None:
         # one point would count as both edges, and none has no spacing
-        if not (self.n >= 2 and math.isfinite(self.x_min) and math.isfinite(self.x_max)
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 2
+                and math.isfinite(self.x_min) and math.isfinite(self.x_max)
                 and self.x_min < self.x_max):
-            raise ValueError(f"a grid needs n >= 2 modes on a finite domain with "
-                             f"x_min < x_max, got n = {self.n} on "
+            raise ValueError(f"a grid needs n >= 2 modes, n an integer, on a finite "
+                             f"domain with x_min < x_max, got n = {self.n} on "
                              f"[{self.x_min!r}, {self.x_max!r})")
 
     @property
@@ -162,7 +164,7 @@ def split_step(
 
     ``order`` is 2 (Strang splitting) or 4 (the triple jump, for long runs
     that must beat tight tolerances); ``dt`` must be positive and finite,
-    and ``|q0|^2`` finite at every sample.
+    and the times and ``|q0|^2`` at every sample finite.
     """
     q = np.asarray(q0, dtype=np.complex128).copy()
     if q.shape != (grid.n,):
@@ -176,6 +178,9 @@ def split_step(
         raise ValueError("order must be 2 or 4")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    for name, v in (("t_start", t_start), ("t_final", t_final)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     samples = set() if t_samples is None else {float(t) for t in t_samples}
     if any(not t_start < t <= t_final for t in samples):
         raise ValueError(f"sample times must lie in (t_start, t_final] = "

@@ -259,15 +259,14 @@ def test_composite_invariants(smooth, x, t, cone):
     z0 = -x / (2.0 * t)
     part = partition(POLES, z0, cone)
 
-    # bound-state part mirrors the weight-then-restrict pipeline exactly
+    # bound-state part mirrors the restrict-then-weight pipeline exactly
     ctx = phase_context(smooth, POLES, z0, part.left)
-    weighted = modulate_constants(POLES, ctx.ray.inverse_delta)
-    kept = restrict_to_interval(weighted, part.I)
-    state = solve_soliton(kept, x, t, z0)
+    kept = restrict_to_interval(POLES, part.I)
+    state = solve_soliton(modulate_constants(kept, ctx.ray.inverse_delta), x, t, z0)
     assert v.q_sol_part == complex(state.q)
 
     # the row in T's normalization: the kept poles left of z0 flipped
-    a = blaschke_product(z0, [d for d, left in zip(POLES, part.left) if left and d in kept.data])
+    a = blaschke_product(z0, kept, [left for d, left in zip(POLES, part.left) if d in kept])
     eta11, eta12 = complex(state.row[0] * a), complex(state.row[1] / a)
 
     # triangle bound on the dispersive coefficient
@@ -285,6 +284,29 @@ def test_composite_invariants(smooth, x, t, cone):
 
     # exact assembly of the total
     assert v.q_total == v.q_sol_part + v.f_part / math.sqrt(t)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_restricting_then_dressing_is_dressing_then_slicing(smooth, seed):
+    # dressing acts pole by pole, so the window may be taken first: the kept
+    # poles' constants are, bit for bit, the slice of the whole dressed
+    # stack, whose extra leading columns are the padding of poles left out.
+    # The first pole lies outside the window [-0.4, 0.4], the second inside.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    re = [rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 0.9), rng.uniform(-0.4, 0.4),
+          *rng.uniform(-0.9, 0.9, n - 2)]
+    data = tuple(DiscreteDatum(complex(r, rng.uniform(0.3, 1.0)),
+                               tuple(rng.normal(size=m) + 1j * rng.normal(size=m)))
+                 for r, m in zip(re, rng.integers(1, 4, n)))
+    keep = [k for k, d in enumerate(data) if -0.4 <= d.z.real <= 0.4]
+    inverse_delta = _RayDensity(smooth, np.linspace(-0.5, 0.5, 7)).inverse_delta
+    full = modulate_constants(data, inverse_delta).c[:, keep]
+    kept = modulate_constants(restrict_to_interval(data, (-0.4, 0.4)), inverse_delta).c
+    pad = full.shape[2] - kept.shape[2]
+    assert full.shape[:2] == kept.shape[:2] == (7, len(keep))
+    assert not full[:, :, :pad].any()
+    assert full[:, :, pad:].tobytes() == kept.tobytes()
 
 
 def test_one_ray_grid_per_call(smooth, ray_builds):
@@ -425,7 +447,7 @@ def test_batched_tie_goes_right(smooth):
     f = _recording_rows(smooth, x, t, tied, WIDE, rows).f_part
     (row,) = rows
     z0 = -x / (2.0 * t)
-    a = np.array([complex(blaschke_product(z0[0], tied)), 1.0, 1.0])
+    a = np.array([complex(blaschke_product(z0[0], tied, [True])), 1.0, 1.0])
     ctx = phase_context(smooth, tied, z0, part.left)
     pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
     expect = pc.beta12 * (row[:, 0] * a) ** 2 + pc.beta21 * (row[:, 1] / a) ** 2
@@ -574,11 +596,11 @@ def test_inline_dispersive_product_is_the_e1_entry(sech_run):
             z0 = -x / (2.0 * t)
             part = partition(sc.discrete, z0, SECH_CONE)
             ctx = phase_context(sc, sc.discrete, z0, part.left)
-            weighted = modulate_constants(sc.discrete, ctx.ray.inverse_delta)
-            kept = restrict_to_interval(weighted, part.I)
-            flagged = [k for k, d in enumerate(kept.data) if d.z.real < z0]
-            m = solution_matrix(reorient_constants(kept, flagged), x, t, z0)
-            a = blaschke_product(z0, [kept.data[k] for k in flagged])
+            kept = restrict_to_interval(sc.discrete, part.I)
+            weighted = modulate_constants(kept, ctx.ray.inverse_delta)
+            left = [d.z.real < z0 for d in kept]
+            m = solution_matrix(reorient_constants(weighted, np.flatnonzero(left)), x, t, z0)
+            a = blaschke_product(z0, kept, left)
             (row,) = rows
             assert np.max(np.abs(row * [a, 1.0 / a] - m[0])) <= 1e-12 * np.max(np.abs(m[0]))
             pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)

@@ -92,3 +92,22 @@ def _attributes(node):
 
 def test_every_method_is_read_in_the_library():
     assert list(_unread_methods()) == []
+
+
+def _conjugated_pole_positions(tree):
+    """Lines of ``np.conj(<...>.z)`` (or ``np.conjugate``) and
+    ``<...>.z.conjugate()`` in ``tree``."""
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and func.attr in ("conj", "conjugate")):
+            continue
+        target = node.args[0] if node.args else func.value
+        if isinstance(target, ast.Attribute) and target.attr == "z":
+            yield node.lineno
+
+
+def test_blaschke_factors_are_formed_in_solitons_only():
+    # a product over a subset of poles goes through solitons.blaschke_product
+    found = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py")) if path.stem != "solitons"
+             for line in _conjugated_pole_positions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

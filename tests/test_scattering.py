@@ -656,6 +656,13 @@ def test_profile_validation():
         sech_profile(2.0, x)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_profile_refuses_a_tail_tolerance_that_is_not_positive_and_finite(tol):
+    # nan passed the tail test, so an edge at 1.3e-2 of the peak was taken
+    with pytest.raises(ValueError, match="tail_tol must be positive and finite"):
+        sech_profile(1.0, np.linspace(-5.0, 5.0, 101), tail_tol=tol)
+
+
 def test_evaluate_outside_the_support_is_zero():
     x = np.linspace(-14.0, 14.0, 701)
     prof = InitialProfile(x, 1.3 / np.cosh(x) ** 2)

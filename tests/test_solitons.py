@@ -208,7 +208,7 @@ def test_reorientation_is_a_column_scaling():
     x, t = 0.15, -0.25
     flip = [1]
     zs = np.array([0.4 + 2.1j, -1.3 + 0.9j, 2.0 - 1.4j])
-    a = blaschke_product(zs, [data[i] for i in flip])
+    a = blaschke_product(zs, data, [k in flip for k in range(len(data))])
     m_old = solution_matrix(data, x, t, zs)
     m_new = solution_matrix(reorient_constants(data, flip), x, t, zs)
     scaled = m_old * np.stack([a, 1.0 / a], axis=-1)[:, None, :]
@@ -235,7 +235,7 @@ def test_blaschke_member_derivatives_against_contour():
     app, appp = 2.0 * g[0], 6.0 * g[1]
     phi = 2 * np.pi * np.arange(512) / 512
     circle = zk + 0.2 * np.exp(1j * phi)
-    vals = blaschke_product(circle, data)
+    vals = blaschke_product(circle, data, [True] * len(data))
     w = circle - zk
     c2 = np.mean(vals / w**2)
     c3 = np.mean(vals / w**3)
@@ -250,11 +250,30 @@ def test_blaschke_offmember_derivatives_against_contour():
     a, ap, app = series[0], series[1], 2.0 * series[2]
     phi = 2 * np.pi * np.arange(512) / 512
     circle = z + 0.15 * np.exp(1j * phi)
-    vals = blaschke_product(circle, data)
+    vals = blaschke_product(circle, data, [True] * len(data))
     w = circle - z
     assert abs(a - np.mean(vals)) < 1e-10
     assert abs(ap - np.mean(vals / w)) < 1e-9
     assert abs(app - 2.0 * np.mean(vals / w**2)) < 1e-9
+
+
+def test_masked_blaschke_rows_are_the_products_over_member_lists():
+    # a pole left out of a point's row multiplies by exactly 1, so each
+    # point's value is, bit for bit, the product over its own members
+    rng = np.random.default_rng(11)
+    data = (*_mixed(), DiscreteDatum(0.1 + 0.4j, (1.0, 0.5, -0.2j)))
+    z = rng.normal(size=40) + 1j * rng.normal(size=40)
+    members = rng.random((40, len(data))) < 0.5
+    got = blaschke_product(z, data, members)
+    for i, row in enumerate(members):
+        listed = [d for d, m in zip(data, row) if m]
+        ref = blaschke_product(z, listed, [True] * len(listed))
+        assert got[i].tobytes() == ref[i].tobytes()
+    # one flag per pole serves every point
+    assert np.array_equal(blaschke_product(z, data, members[0]),
+                          blaschke_product(z, data, np.tile(members[0], (40, 1))))
+    with pytest.raises(TypeError, match="boolean mask"):
+        blaschke_product(z, data, [0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -299,25 +318,18 @@ def test_interval_restriction_and_tie():
         DiscreteDatum(0.4 + 0.7j, (1.0, 0.3)),
         DiscreteDatum(1.5 + 0.6j, (1.0, 0.4)),
     )
-    # the cone's velocity window is [-0.3, 0.6]; the kept poles stay lower
-    # with their constants, and the split about z0 is the cone's to read
+    # the cone's velocity window is [-0.3, 0.6]; the kept poles keep their
+    # constants, and the split about z0 is the cone's to read
     part = partition(data, 0.2, (0.0, 0.0, -1.2, 0.6))
     out = restrict_to_interval(data, part.I)
-    assert [d.z for d in out.data] == [-0.1 + 0.9j, 0.4 + 0.7j]
-    assert out.orientations == ("lower", "lower")
-    assert np.array_equal(out.c, OrientedData.all_lower(data).c[:, 1:3])
+    assert [d.z for d in out] == [-0.1 + 0.9j, 0.4 + 0.7j]
+    assert out == data[1:3]
     assert part.left.tolist() == [True, True, False, False]
 
     # the window [-1, 2] keeps every pole, and the one over z0 goes right
     part = partition(data, 0.4, (0.0, 0.0, -4.0, 2.0))
-    assert restrict_to_interval(data, part.I).data == data
+    assert restrict_to_interval(data, part.I) == data
     assert part.left.tolist() == [True, True, False, False]
-
-    # per-point constants are kept point by point
-    stack = modulate_constants(data, lambda z, n: [np.array([1.0, 2.0])] + [0.0] * (n - 1))
-    kept = restrict_to_interval(stack, (-0.3, 0.6))
-    assert kept.c.shape == (2, 2, 2)
-    assert np.array_equal(kept.c, stack.c[:, 1:3])
 
 
 def test_input_validation():
@@ -517,7 +529,7 @@ def test_row_is_the_all_lower_row_whichever_system_wins(x):
             < _solve_points(OrientedData.all_lower(data), np.array([x]), t)[1][0]) == bool(flip)
     lower = solution_matrix(data, x, t, zs)[:, 0, :]
     assert np.max(np.abs(state.row - lower)) < 1e-10 * np.max(np.abs(lower))
-    a = blaschke_product(zs, [data[k] for k in flip])
+    a = blaschke_product(zs, data, [k in flip for k in range(len(data))])
     moved = solution_matrix(flipped, x, t, zs)[:, 0, :] * np.stack([1.0 / a, a], axis=-1)
     assert np.max(np.abs(state.row - moved)) < 1e-10 * np.max(np.abs(lower))
     assert np.all(state.q == solve_soliton(data, x, t).q)

@@ -138,10 +138,12 @@ def test_fourier_interpolation_matches_direct_synthesis(n):
 
 
 @pytest.mark.parametrize("n, x_min, x_max", [(0, -1.0, 1.0), (1, -1.0, 1.0), (8, 1.0, 1.0),
-                                            (8, np.nan, 1.0), (8, -1.0, np.inf)])
+                                            (8, np.nan, 1.0), (8, -1.0, np.inf),
+                                            (8.5, -1.0, 1.0), (8.0, -1.0, 1.0)])
 def test_grid_refuses_a_degenerate_domain(n, x_min, x_max):
     # n = 0 divided by zero in dx, and n = 1 counted its one point as both
-    # edges, for an edge fraction of 2
+    # edges, for an edge fraction of 2; n = 8.5 passed and failed later, in
+    # numpy.fft, at grid.k
     with pytest.raises(ValueError, match="a grid needs n >= 2 modes"):
         Grid(n, x_min, x_max)
 
@@ -234,6 +236,17 @@ def test_split_step_refuses_samples_outside_the_run():
     assert ev.t.tolist() == [0.0, 0.5, 1.0]
     with pytest.raises(ValueError, match="t_final must lie past t_start"):
         split_step(q0, grid, 0.5, dt=1e-2, t_start=1.0)
+
+
+@pytest.mark.parametrize("times", [{"t_final": np.inf}, {"t_final": 1.0, "t_start": -np.inf},
+                                   {"t_final": np.nan}])
+def test_split_step_refuses_times_that_are_not_finite(times):
+    # an infinite span raised OverflowError from the step count
+    grid = Grid(64, -4 * np.pi, 4 * np.pi)
+    q0 = sech_soliton(1.0)(grid.x, 0.0)
+    name = "t_start" if "t_start" in times else "t_final"
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        split_step(q0, grid, dt=1e-2, **times)
 
 
 def test_split_step_refuses_a_q0_whose_squared_modulus_is_not_finite():

@@ -131,3 +131,6 @@ def test_cone_formula_reaches_the_traced_spans(monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"phase.partition", "solitons.modulate", "solitons.reorient",
             "phase.context", "asymptotics.point"} <= names
+    # the window is taken before the dressing, so only kept poles are dressed
+    start = {span[0]: span[1] for span in reversed(tracer.spans)}
+    assert start["solitons.reorient"] < start["solitons.modulate"]
