@@ -32,7 +32,6 @@ __all__ = [
     "soliton_profile",
     "load_profile",
     "save_profile",
-    "s11_on_grid",
     "reflection_coefficient",
     "locate_zeros",
     "norming_constants",
@@ -234,10 +233,14 @@ _TAYLOR = np.array([[1.0 / math.factorial(2 * n + j) for n in range(7)] for j in
 _GROWTH_MAX = 300.0
 
 
-def _breaks(profile, x_from, x_to, longest):
-    """Step breaks from ``x_from`` to ``x_to``, equally spaced in the
-    profile's grading, and cut into equal parts where a step is longer than
-    ``longest``."""
+def _breaks(profile, zs, x_from, x_to):
+    """Step breaks from ``x_from`` to ``x_to`` for the spectral points
+    ``zs``, equally spaced in the profile's grading, and cut into equal
+    parts where a step is longer than ``1 / max(1, |z|)``: two Gauss nodes
+    resolve the coupling's oscillation e^{2izx} only on steps shorter than
+    about 1/|z|, and the grading alone allows a unit step where the profile
+    is negligible."""
+    longest = 1.0 / max(1.0, float(np.max(np.abs(zs))))
     x, cum = profile.x, profile._grading_integral()
     ends = np.interp([x_from, x_to], x, cum)
     steps = max(1, math.ceil(abs(ends[1] - ends[0]) / _MONITOR_SPACING))
@@ -261,19 +264,13 @@ def _series(w, coef):
     return out
 
 
-def _traceless_exponentials(a, b, c):
-    """``exp(X)`` for ``X = [[a, b], [c, -a]]``, entry by entry.
-
-    X squares to ``w I``, ``w = a^2 + b c``, so ``exp(X) = C I + S X``
-    with ``C = cosh(sqrt w)`` and ``S = sinh(sqrt w) / sqrt w``, entire in
-    w.  Both come from their Taylor series at ``w / 4^k``, inside
-    ``_W_MAX``, squared k times: ``(C, S) -> (C^2 + w S^2, 2 C S)``.  No
-    root, exponential or division of the entries is taken: nothing cancels
-    where w vanishes, and the series cost a fraction of numpy's complex
-    sqrt and exp.  Returns the components (11, 12, 21, 22), made in place
-    of a, b and c (fewer allocations in the march's hottest loop).
-    """
-    w = a * a + b * c
+def _cosh_sinhc(w):
+    """``cosh(sqrt w)`` and ``sinh(sqrt w) / sqrt w``, entire in w, real
+    where w is real.  Both come from their Taylor series at ``w / 4^k``,
+    inside ``_W_MAX``, squared k times: ``(C, S) -> (C^2 + w S^2, 2 C S)``.
+    No root, exponential or division of the entries is taken: nothing
+    cancels where w vanishes, and the series cost a fraction of numpy's
+    complex sqrt and exp."""
     top = float(np.max(np.abs(w), initial=0.0))
     k = math.ceil(math.log(top / _W_MAX, 4)) if top > _W_MAX else 0
     scaled = w / 4.0 ** k if k else w
@@ -282,25 +279,61 @@ def _traceless_exponentials(a, b, c):
         S /= 2.0 ** k
     for _ in range(k):
         C, S = C * C + w * S * S, 2.0 * C * S
+    return C, S
+
+
+def _traceless_exponentials(a, b, c):
+    """``exp(X)`` for ``X = [[a, b], [c, -a]]``, entry by entry.
+
+    X squares to ``w I``, ``w = a^2 + b c``, so ``exp(X) = C I + S X``
+    with ``C = cosh(sqrt w)`` and ``S = sinh(sqrt w) / sqrt w``
+    (:func:`_cosh_sinhc`).  Returns the components (11, 12, 21, 22), made
+    in place of a, b and c (fewer allocations in the march's hottest loop).
+    """
+    C, S = _cosh_sinhc(a * a + b * c)
     for X in (a, b, c):
         X *= S
     return [C + a, b, c, C - a]
 
 
-def _steps(zs, h, q):
-    """The fourth-order Magnus steps ``exp(Omega)`` for the traceless part
-    ``B = [[-iz, q], [-conj q, iz]]`` of the Zakharov-Shabat matrix, at
-    every pair of a step (rows) and a spectral point (columns), with
-    ``Omega = h/2 (B_1 + B_2) + sqrt(3) h^2/12 [B_2, B_1]`` and ``B_j`` at
-    the step's Gauss nodes, one row of ``q`` (Iserles & Norsett 1999;
-    Blanes, Casas, Oteo & Ros 2009).  B's diagonal is the same at both, so
-    ``[B_2, B_1] = [[2i Im(q_1 conj q_2), 2iz (q_2 - q_1)], [2iz conj(q_2 -
-    q_1), -2i Im(q_1 conj q_2)]]``: Omega is polynomial in z, su(2) for real z."""
+def _omega(zs, h, q):
+    """The entries (a, b, c) of ``Omega = [[a, b], [c, -a]] = h/2 (B_1 +
+    B_2) + sqrt(3) h^2/12 [B_2, B_1]``, the fourth-order Magnus exponent for
+    the traceless part ``B = [[-iz, q], [-conj q, iz]]`` of the
+    Zakharov-Shabat matrix, at every pair of a step (rows) and a spectral
+    point (columns), with ``B_j`` at the step's Gauss nodes, one row of
+    ``q`` (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  B's
+    diagonal is the same at both, so ``[B_2, B_1] = [[2i Im(q_1 conj q_2),
+    2iz (q_2 - q_1)], [2iz conj(q_2 - q_1), -2i Im(q_1 conj q_2)]]``: Omega
+    is polynomial in z, su(2) for real z."""
     q1, q2 = q.T
     g = (1j * math.sqrt(3.0) / 6.0) * h * h
     mean, dq = ((0.5 * h) * (q1 + q2))[:, None], (g * (q2 - q1))[:, None]
     a = (g * (q1 * np.conj(q2)).imag)[:, None] - (1j * h)[:, None] * zs
-    return _traceless_exponentials(a, mean + dq * zs, -np.conj(dq) * zs - np.conj(mean))
+    return a, mean + dq * zs, -np.conj(dq) * zs - np.conj(mean)
+
+
+def _steps(zs, h, q):
+    """The fourth-order Magnus steps ``exp(Omega)`` (:func:`_omega`), as
+    components (11, 12, 21, 22)."""
+    return _traceless_exponentials(*_omega(zs, h, q))
+
+
+def _su2_rows(zs, h, q):
+    """The first rows (11, 12) of the steps of :func:`_steps` at real z.
+
+    There Omega is in su(2): a is imaginary and ``c = -conj b``, so ``w =
+    a^2 + b c = -|a|^2 - |b|^2`` and the step ``[[alpha, beta], [-conj
+    beta, conj alpha]]`` is fixed by its first row.  w is the general
+    step's complex product, and C and S are summed as real series of its
+    real part.  Its imaginary part is zero in exact arithmetic, and where
+    a complex multiply fuses its multiply-add, of rounding size; what
+    dropping it moves lies far below an entry's rounding."""
+    a, b, c = _omega(zs, h, q)
+    C, S = _cosh_sinhc((a * a + b * c).real)
+    a *= S
+    b *= S
+    return [C + a, b]
 
 
 def _mat(L, R):
@@ -309,16 +342,39 @@ def _mat(L, R):
             L[2] * R[0] + L[3] * R[2], L[2] * R[1] + L[3] * R[3]]
 
 
+def _su2_mat(L, R):
+    """Products of SU(2) matrices held as first rows (11, 12): the rows
+    below are ``(-conj R_12, conj R_11)``."""
+    return [L[0] * R[0] - L[1] * np.conj(R[1]), L[0] * R[1] + L[1] * np.conj(R[0])]
+
+
 def _tree_product(E):
-    """``E_{k-1} ... E_1 E_0`` over the first axis, multiplied pairwise."""
+    """``E_{k-1} ... E_1 E_0`` over the first axis, multiplied pairwise;
+    ``E`` holds the components (11, 12, 21, 22), or the first rows (11, 12)
+    of SU(2) matrices."""
+    mul = _mat if len(E) == 4 else _su2_mat
     while E[0].shape[0] > 1:
         k = E[0].shape[0]
         even = k - k % 2
-        P = _mat([e[1:even:2] for e in E], [e[0:even:2] for e in E])
+        P = mul([e[1:even:2] for e in E], [e[0:even:2] for e in E])
         if k % 2:
             P = [np.concatenate([p, e[-1:]]) for p, e in zip(P, E)]
         E = P
     return [e[0] for e in E]
+
+
+def _step_product(zs, h, q):
+    """The product of the steps of :func:`_steps`, as components (11, 12,
+    21, 22).  Where every z is real the steps are in SU(2), so only their
+    first rows are multiplied (:func:`_su2_rows`) and the product is
+    expanded from its own: the rows below, which the general product forms
+    from the same roundings, are their conjugates.  The columns marched
+    from it are bitwise those of the general product on the reflection
+    grids tested."""
+    if np.any(zs.imag):
+        return _tree_product(_steps(zs, h, q))
+    alpha, beta = _tree_product(_su2_rows(zs, h, q))
+    return [alpha, beta, -np.conj(beta), np.conj(alpha)]
 
 
 def _chunks(zs, h, q):
@@ -339,15 +395,16 @@ def _chunks(zs, h, q):
 def _propagate(zs, h, q, sign, y0):
     """The column after the steps from ``y0``.
 
-    The traceless steps (:func:`_steps`) are multiplied chunk by chunk, and
-    each chunk's product takes the scalar factor ``e^{sign i z L}`` of its
-    length L.  Over a chunk where the profile vanishes this is the free
-    propagator, whose normalised diagonal entry is set to 1 exactly.
+    The traceless steps are multiplied chunk by chunk
+    (:func:`_step_product`), and each chunk's product takes the scalar
+    factor ``e^{sign i z L}`` of its length L.  Over a chunk where the
+    profile vanishes this is the free propagator, whose normalised
+    diagonal entry is set to 1 exactly.
     """
     v = [np.full(zs.size, c, dtype=np.complex128) for c in y0]
     unit = 0 if sign > 0 else 3
     for part in _chunks(zs, h, q):
-        E = _tree_product(_steps(zs, h[part], q[part]))
+        E = _step_product(zs, h[part], q[part])
         phase = np.exp((sign * 1j) * np.cumsum(h[part])[-1] * zs)
         P = [phase * c for c in E]
         if not np.any(q[part]):
@@ -356,46 +413,54 @@ def _propagate(zs, h, q, sign, y0):
     return np.stack(v, axis=1)
 
 
-def _integrate_columns(profile, zs, kind, x_from, x_to):
-    """Integrate one Jost column type for a batch of spectral points.
+def _march(profile, zs, kind, breaks):
+    """One Jost column type for a batch of spectral points, marched over
+    ``breaks`` from its normalisation at the first to the last: an (n, 2)
+    array.
 
     ``kind`` 'first' evolves the (m1, m2) pair obeying m1' = q m2,
     m2' = 2iz m2 - conj(q) m1 (the column normalized to (1,0)); 'second' the
-    mirror pair normalized to (0,1).  Returns an (n, 2) array at ``x_to``,
-    and the Richardson correction that was added to it, of the same shape.
-
-    The system is ``y' = (sign i z I + B(x)) y`` with B traceless, sign +1
-    for 'first' and -1 for 'second'.  It is marched on breaks graded by the
-    profile (:func:`_breaks`) by the fourth-order Magnus step
-    (:func:`_steps`): one closed-form exponential per step, of the profile
-    at its two Gauss nodes and their commutator.  The steps' product is
-    formed pairwise over all points at once, and one Richardson level on
-    the breaks halved at their midpoints lifts the order.  The profile is
-    sampled once per call, at the nodes of both levels.  For the breaks of
-    one call the result is a product of entire functions of z, so it is
-    analytic in z whatever the integration error.
+    mirror pair normalized to (0,1).  The system is ``y' = (sign i z I +
+    B(x)) y`` with B traceless, sign +1 for 'first' and -1 for 'second'.
+    Each step is the fourth-order Magnus step (:func:`_steps`): one
+    closed-form exponential, of the profile at the step's two Gauss nodes
+    and their commutator.  The steps' product is formed pairwise over all
+    points at once.  For given breaks the result is a product of entire
+    functions of z, so it is analytic in z whatever the integration error.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
     sign = 1 if kind == "first" else -1
     y0 = (1.0, 0.0) if kind == "first" else (0.0, 1.0)
-    # two Gauss nodes resolve the coupling's oscillation e^{2izx} only on
-    # steps shorter than about 1/|z|; the grading alone allows a unit step
-    # where the profile is negligible
-    longest = 1.0 / max(1.0, float(np.max(np.abs(zs))))
-    coarse = _breaks(profile, x_from, x_to, longest)
+    h = np.diff(breaks)
+    q = profile.evaluate((breaks[:-1, None] + h[:, None] * _GAUSS_C).ravel())
+    return _propagate(zs, h, q.reshape(-1, 2), sign, y0)
+
+
+def _integrate_columns(profile, zs, kind, x_from, x_to):
+    """One Jost column type (see :func:`_march`) for a batch of spectral
+    points, at ``x_to`` from ``x_from``, to sixth order.  Returns an (n, 2)
+    array, and the Richardson correction that was added to it, of the same
+    shape.
+
+    The column is marched twice: on breaks graded by the profile
+    (:func:`_breaks`), and on those breaks halved at their midpoints.  One
+    Richardson level on the two lifts the order.
+    """
+    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+    coarse = _breaks(profile, zs, x_from, x_to)
     fine = np.empty(2 * coarse.size - 1)
     fine[::2] = coarse
     fine[1::2] = 0.5 * (coarse[1:] + coarse[:-1])
-    steps = [np.diff(b) for b in (coarse, fine)]
-    nodes = [(b[:-1, None] + h[:, None] * _GAUSS_C).ravel()
-             for b, h in zip((coarse, fine), steps)]
-    q_all = profile.evaluate(np.concatenate(nodes)).reshape(-1, 2)
-    coarse_cols, fine_cols = (_propagate(zs, h, q, sign, y0)
-                              for h, q in zip(steps, np.split(q_all, [steps[0].size])))
+    coarse_cols, fine_cols = (_march(profile, zs, kind, b) for b in (coarse, fine))
     # the step is symmetric, so its error runs in even powers of h: this
     # cancels the h^4 term and leaves h^6
     correction = (fine_cols - coarse_cols) / 15.0
     return fine_cols + correction, correction
+
+
+def _wronskian(a, b):
+    """s11, the Wronskian of the Jost columns ``a`` (first kind) and ``b``
+    (second kind) at one point of x."""
+    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
 
 def _halves(profile, zs):
@@ -405,15 +470,21 @@ def _halves(profile, zs):
     estimate of its error)."""
     a, da = _integrate_columns(profile, zs, "first", profile.x[0], 0.0)
     b, db = _integrate_columns(profile, zs, "second", profile.x[-1], 0.0)
-    s11 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     eta = np.abs(da[:, 0] * b[:, 1] + a[:, 0] * db[:, 1]
                  - da[:, 1] * b[:, 0] - a[:, 1] * db[:, 0])
-    return a, b, s11, eta
+    return a, b, _wronskian(a, b), eta
 
 
 def s11_on_grid(profile, zs):
-    """s11 for a batch of points in the closed upper half plane."""
-    return _halves(profile, zs)[2]
+    """s11 for a batch of points, from one march of each column on the
+    graded breaks alone (:func:`_march`): fourth order, without the
+    Richardson level of :func:`_halves`.  The argument-principle contour
+    reads only a winding count and guesses from it, and the circles that
+    follow re-place every zero (:func:`locate_zeros`)."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    a, b = (_march(profile, zs, kind, _breaks(profile, zs, x_from, 0.0))
+            for kind, x_from in (("first", profile.x[0]), ("second", profile.x[-1])))
+    return _wronskian(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +699,10 @@ def locate_zeros(profile: InitialProfile, box):
 
     ``box`` is (re_min, re_max, im_min, im_max) with im_min > 0.  Counting
     is by the argument principle on the box boundary, whose moments also
-    guess where the zeros are; circles about the guesses then place them
-    and tell their orders (:func:`_zeros_from_guesses`).  A box whose
+    guess where the zeros are; the contour's s11 is marched once, on the
+    graded breaks alone (:func:`s11_on_grid`).  Circles about the guesses
+    then place the zeros and tell their orders from the sixth-order march
+    and its Richardson size (:func:`_zeros_from_guesses`).  A box whose
     circles fail, or place a zero outside it, is split across its longer
     side.  A box is never moved: a zero on or near the boundary of the
     given box is refused, and a cut through a zero is tried elsewhere.

@@ -15,14 +15,18 @@ from fnls import scattering
 from fnls.scattering import (
     _GAUSS_C,
     InitialProfile,
+    _breaks,
+    _chunks,
     _circle_series,
     _circles,
     _halves,
     _integrate_columns,
     _pole_constants,
     _propagate,
+    _step_product,
     _steps,
     _traceless_exponentials,
+    _tree_product,
     ScatteringData,
     extract_scattering,
     gaussian_profile,
@@ -31,7 +35,6 @@ from fnls.scattering import (
     locate_zeros,
     norming_constants,
     reflection_coefficient,
-    s11_on_grid,
     save_profile,
     save_scattering,
     sech_profile,
@@ -102,7 +105,7 @@ def test_sech_family_matches_gamma_function_formula(sech2):
     Wronskian entry has the closed form G(w)^2 / (G(w+A) G(w-A)) with
     w = 1/2 - iz, so the ODE route can be checked point by point."""
     zs = np.array([0.37, -1.2, 0.25 + 0.4j, -0.5 + 0.9j, 1.3j, 2.1 + 0.05j])
-    got = s11_on_grid(sech2, zs)
+    got = _halves(sech2, zs)[2]
     w = 0.5 - 1j * zs
     exact = gamma(w) ** 2 / (gamma(w + 2.0) * gamma(w - 2.0))
     assert np.max(np.abs(got - exact) / np.abs(exact)) < 1e-9
@@ -115,7 +118,7 @@ def test_long_profile_far_up_the_plane_stays_finite():
     zs = np.array([4j, 0.5 + 5j])
     w = 0.5 - 1j * zs
     exact = gamma(w) ** 2 / (gamma(w + 2.0) * gamma(w - 2.0))
-    assert np.max(np.abs(s11_on_grid(prof, zs) - exact) / np.abs(exact)) < 1e-9
+    assert np.max(np.abs(_halves(prof, zs)[2] - exact) / np.abs(exact)) < 1e-9
     circle, = _circles(prof, zs[:1], [0.5])
     assert np.isfinite(circle.s11[0]) and np.isfinite(circle.s11[1])
 
@@ -210,6 +213,60 @@ def test_step_on_a_constant_profile_is_the_exact_exponential(z):
     assert np.max(np.abs(got[:, 0, 0] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _march_levels(profile, zs):
+    """``(h, q)`` of every march the library makes for the batch ``zs``:
+    each column kind on its graded breaks and on their midpoint halving."""
+    for x_from in (profile.x[0], profile.x[-1]):
+        coarse = _breaks(profile, zs, x_from, 0.0)
+        fine = np.empty(2 * coarse.size - 1)
+        fine[::2], fine[1::2] = coarse, 0.5 * (coarse[1:] + coarse[:-1])
+        for breaks in (coarse, fine):
+            h = np.diff(breaks)
+            q = profile.evaluate((breaks[:-1, None] + h[:, None] * _GAUSS_C).ravel())
+            yield h, q.reshape(-1, 2)
+
+
+@pytest.mark.parametrize("name", ["sech2", "gauss03", "roundtrip"])
+def test_real_axis_rows_are_bitwise_the_general_product(name, request, monkeypatch):
+    # the SU(2) first-row march against the four-entry product on the
+    # reflection grid; the sampled double pole reads its profile through
+    # the quintic B-spline
+    profile = request.getfixturevalue(name)
+    zs = np.linspace(-4.0, 4.0, 321)
+    rows = _halves(profile, zs)
+    monkeypatch.setattr(scattering, "_step_product",
+                        lambda zs, h, q: _tree_product(_steps(zs, h, q)))
+    for got, want in zip(rows, _halves(profile, zs)):
+        assert np.array_equal(got, want)
+    # chunk by chunk the rows drop only the imaginary part of w, which a
+    # fused multiply-add leaves at rounding size: measured at most 8.7e-19
+    # of a row's size, on the double pole near z = 0, and 0 on the others
+    zs = zs.astype(complex)
+    for h, q in _march_levels(profile, zs):
+        for part in _chunks(zs, h, q):
+            su2 = np.array(_step_product(zs, h[part], q[part]))
+            general = np.array(_tree_product(_steps(zs, h[part], q[part])))
+            size = np.hypot(np.abs(general[0]), np.abs(general[1]))
+            assert np.all(np.abs(su2 - general) <= 2.0 ** -56 * size)
+
+
+def test_a_batch_with_a_complex_point_takes_the_general_path(gauss03, monkeypatch):
+    calls = []
+    rows = scattering._su2_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(scattering, "_su2_rows", counted)
+    real = np.linspace(-2.0, 2.0, 9)
+    _halves(gauss03, real)
+    assert calls
+    calls.clear()
+    _halves(gauss03, np.append(real, 0.3 + 0.5j))
+    assert calls == []
+
+
 def test_reflectionless_profile_has_tiny_reflection(sech2):
     data = reflection_coefficient(sech2, np.linspace(-8.0, 8.0, 65))
     assert np.max(np.abs(data.r)) < 1e-6
@@ -218,7 +275,7 @@ def test_reflectionless_profile_has_tiny_reflection(sech2):
 def test_determinant_and_integral_routes_agree(gauss03):
     # two independent constructions of the same analytic function
     for z in (0.3 + 0.5j, -0.6 + 1.1j, 1.0j):
-        det_route = complex(s11_on_grid(gauss03, [z])[0])
+        det_route = complex(_halves(gauss03, [z])[2][0])
         int_route = s11_from_integral(gauss03, z)
         assert abs(det_route - int_route) < 1e-9
 
@@ -230,7 +287,7 @@ def test_matching_point_does_not_matter(gauss03):
     a, _ = _integrate_columns(gauss03, [z], "first", gauss03.x[0], 0.7)
     b, _ = _integrate_columns(gauss03, [z], "second", gauss03.x[-1], 0.7)
     right = complex(a[0, 0] * b[0, 1] - a[0, 1] * b[0, 0])
-    left = complex(s11_on_grid(gauss03, [z])[0])
+    left = complex(_halves(gauss03, [z])[2][0])
     assert abs(left - right) < 1e-10
 
 
@@ -240,8 +297,8 @@ def test_costate_derivative_matches_finite_differences(gauss03):
     z = 0.4 + 0.6j
     circle, = _circles(gauss03, [z], [0.3])
     h = 1e-5
-    fd = (s11_on_grid(gauss03, [z + h])[0]
-          - s11_on_grid(gauss03, [z - h])[0]) / (2.0 * h)
+    fd = (_halves(gauss03, [z + h])[2][0]
+          - _halves(gauss03, [z - h])[2][0]) / (2.0 * h)
     assert abs(circle.s11[1] - fd) < 1e-8
 
 
@@ -348,9 +405,13 @@ def test_a_cut_through_the_zeros_is_tried_elsewhere(sech2, monkeypatch):
 
 
 def _recorded_contours(monkeypatch):
-    """A list of ``(box, sample counts)``, one entry per contour tried."""
+    """A list of ``(box, sample counts)``, one entry per contour tried.  A
+    contour sample that reaches the Richardson march (:func:`_halves`)
+    fails the test: the contour only counts and guesses, so it marches once
+    on the graded breaks."""
     contours = []
-    moments = scattering._contour_moments
+    moments, halves = scattering._contour_moments, scattering._halves
+    sampling = []
 
     def recorded(value_fn, box, n_side):
         counts = []
@@ -358,11 +419,20 @@ def _recorded_contours(monkeypatch):
 
         def values(zs):
             counts.append(zs.size)
-            return value_fn(zs)
+            sampling.append(zs.size)
+            try:
+                return value_fn(zs)
+            finally:
+                sampling.pop()
 
         return moments(values, box, n_side)
 
+    def guarded(profile, zs):
+        assert not sampling, "a contour sample reached the Richardson march"
+        return halves(profile, zs)
+
     monkeypatch.setattr(scattering, "_contour_moments", recorded)
+    monkeypatch.setattr(scattering, "_halves", guarded)
     return contours
 
 
@@ -389,6 +459,19 @@ def test_zero_on_the_box_boundary_is_refused(sech2, monkeypatch, box):
         locate_zeros(sech2, box)
     assert str(box) in str(err.value)
     assert contours == [(box, DOUBLINGS)]
+
+
+@pytest.mark.parametrize("amplitude", [0.52, 0.6, 1.3, 1.49, 1.51, 1.6, 2.0, 2.45, 2.55, 3.3])
+def test_sech_sweep_finds_every_zero_with_radiation_present(amplitude):
+    # A sech x has the simple zeros i(A - 1/2 - j) > 0 and, but at half
+    # integers, a nonzero reflection coefficient.  At A = 0.52, 1.51 and
+    # 2.55 a zero has just left the real line: Im z = 0.02, 0.01, 0.05.
+    # Measured worst error 6.0e-12, at A = 1.51
+    prof = sech_profile(amplitude, np.linspace(-26.0, 26.0, 1041))
+    zeros = sorted(locate_zeros(prof, (-0.6, 0.6, 0.005, 3.5)), key=lambda p: p[0].imag)
+    exact = 1j * (amplitude - 0.5 - np.arange(int(amplitude - 0.5) + 1))[::-1]
+    assert [m for _, m in zeros] == [1] * exact.size
+    assert np.max(np.abs(np.array([z for z, _ in zeros]) - exact)) <= 1e-10
 
 
 def test_gaussian_has_empty_discrete_spectrum(gauss03):
@@ -485,13 +568,19 @@ def test_rounding_in_the_samples_does_not_change_the_search(roundtrip, monkeypat
     jittered = InitialProfile(roundtrip.x, roundtrip.q * noise)
     norming_constants(roundtrip, 1j)
     sizes = []
-    halves = scattering._halves
 
-    def counted(profile, zs):
-        sizes[-1] += np.size(zs)
-        return halves(profile, zs)
+    def counted(name):
+        march = getattr(scattering, name)
 
-    monkeypatch.setattr(scattering, "_halves", counted)
+        def wrapper(profile, zs):
+            sizes[-1] += np.size(zs)
+            return march(profile, zs)
+
+        monkeypatch.setattr(scattering, name, wrapper)
+
+    # the contour's samples and the circles'
+    counted("s11_on_grid")
+    counted("_halves")
     found = []
     for prof in (roundtrip, jittered):
         sizes.append(0)
