@@ -22,9 +22,9 @@ from .phase import T_fn, nu_integral, partition
 from .scattering import (
     DiscreteDatum,
     ScatteringData,
+    extract_scattering,
     gaussian_profile,
     locate_zeros,
-    norming_constants,
     reflection_coefficient,
     sech_profile,
     soliton_profile,
@@ -173,14 +173,12 @@ def criterion_6():
     generating spectrum and constants."""
     datum = DiscreteDatum(1j, (1.1 + 0.55j, 0.36 - 0.24j))
     profile = soliton_profile((datum,), np.linspace(-16.0, 16.0, 6401))
-    found = locate_zeros(profile, (-0.5, 0.5, 0.5, 1.5))
-    if len(found) != 1 or found[0][1] != 2:
-        raise RuntimeError(f"located {found}")
-    z_hat = found[0][0]
-    rec = norming_constants(profile, z_hat)
-    if rec.order != 2:
-        raise RuntimeError(f"constants of order {rec.order} at {z_hat}")
-    zero_err = abs(z_hat - 1j)
+    # the route ``fnls scatter`` runs; one real point for its reflection part
+    discrete = extract_scattering(profile, [0.0], box=(-0.5, 0.5, 0.5, 1.5)).discrete
+    if len(discrete) != 1 or discrete[0].order != 2:
+        raise RuntimeError(f"located {[(rec.z, rec.order) for rec in discrete]}")
+    rec, = discrete
+    zero_err = abs(rec.z - 1j)
     c1_err, c0_err = (abs(a - b) / abs(b)
                       for a, b in zip(rec.coefficients, datum.coefficients))
     worst = max(zero_err / 1e-4, c0_err / 1e-3, c1_err / 1e-3)

@@ -51,6 +51,13 @@ _MAX_DEPTH = 8
 _CIRCLE_POINTS = 64
 _MAX_ROUNDS = 4
 _ALIAS_TOL = 1e-12
+# The binomial coefficients C(n, j) (row j, column n, zero for n < j) and
+# the lags max(n - j, 0) of the shift of a circle's Taylor series to a new
+# centre.
+_TERMS = _CIRCLE_POINTS // 2 + 1
+_BINOMIAL = np.array([[math.comb(n, j) for n in range(_TERMS)] for j in range(_TERMS)],
+                     dtype=float)
+_LAG = np.maximum(np.arange(_TERMS) - np.arange(_TERMS)[:, None], 0)
 # Largest defect of the Jost-column proportionality at an accepted zero,
 # relative to the column sizes.
 _RATIO_TOL = 1e-6
@@ -622,10 +629,13 @@ def _winding(values):
 
 
 class _Circle(NamedTuple):
-    """Taylor series at a circle's centre of the two Jost columns (rows
-    are coefficients) and of s11, with the winding of s11 along the circle
-    and the largest Richardson size there (see :func:`_halves`)."""
+    """A circle of ``radius`` about ``centre``, with the Taylor series at
+    its centre of the two Jost columns (rows are coefficients) and of s11,
+    the winding of s11 along it and the largest Richardson size there (see
+    :func:`_halves`)."""
 
+    centre: complex
+    radius: float
     mu1: np.ndarray
     mu2: np.ndarray
     s11: np.ndarray
@@ -642,11 +652,27 @@ def _circles(profile, centres, radii):
     a, b, s11, eta = _halves(profile, pts.ravel())
     rows = np.stack([a[:, 0], a[:, 1], b[:, 0], b[:, 1], s11]).reshape(5, -1, n)
     out = []
-    for k, (r, e) in enumerate(zip(radii, eta.reshape(-1, n).max(axis=1))):
+    for k, (c, r, e) in enumerate(zip(centres, radii, eta.reshape(-1, n).max(axis=1))):
         series = _circle_series(rows[:, k], r)
-        out.append(_Circle(series[:2].T, series[2:4].T, series[4],
+        out.append(_Circle(complex(c), float(r), series[:2].T, series[2:4].T, series[4],
                            _winding(rows[4, k]), float(e)))
     return out
+
+
+def _inner(circle, point):
+    """Whether ``point`` lies in the inner half of ``circle``, where its
+    series converge at least as fast as ``2^-n``."""
+    return abs(point - circle.centre) <= 0.5 * circle.radius
+
+
+def _series_at(circle, point):
+    """The circle's series of the two Jost columns and of s11 re-centred at
+    ``point``, by the binomial shift ``b_j = sum_{n >= j} C(n, j) a_n
+    delta^(n - j)``, delta the step from the circle's centre."""
+    if point == circle.centre:
+        return circle.mu1, circle.mu2, circle.s11
+    shift = _BINOMIAL * (point - circle.centre) ** _LAG
+    return shift @ circle.mu1, shift @ circle.mu2, shift @ circle.s11
 
 
 def _linked(points, radius):
@@ -660,53 +686,56 @@ def _linked(points, radius):
 
 
 def _zeros_from_guesses(profile, guesses, scale):
-    """Zeros of s11 with their orders, from guesses of them.
+    """Zeros of s11 with their orders, and the series at each
+    (:func:`_series_at`), from guesses of them.
 
     Guesses closer than 5 % of ``scale`` form a cluster, and each cluster
-    of k gets a circle at its centroid, of radius half the least of its
-    distance to the real axis, its distance to the next cluster, and
-    ``scale``.  s11 must wind k times along it.  The roots of its Taylor
-    polynomial of degree k there that lie within the noise radius
+    of k is centred at its centroid.  A cluster gets a circle there, of
+    radius half the least of its distance to the real axis, its distance
+    to the next cluster, and ``scale``, unless it keeps the circle it was
+    found on: it does while it has not split and its centre stays in that
+    circle's inner half, and the circle's series are shifted to the centre.
+    s11 must wind k times along the circle.  The roots of its Taylor
+    polynomial of degree k at the centre that lie within the noise radius
     ``(eta / |a_k|)^{1/k}`` of each other are one zero, whose order is
     their number: integration error of size eta splits an order-k zero
     into k roots that far apart.  The groups of roots are the next round's
-    clusters, re-centred at their centroids; the rounds end, at the second
-    or later, when every cluster stays one group.
+    clusters; the rounds end, at the second or later, when every cluster
+    stays one group and its zero lies in the inner half of its circle.
     """
-    groups = _linked(guesses, 0.05 * scale)
+    groups = [(g, None) for g in _linked(guesses, 0.05 * scale)]
     for rounds in range(_MAX_ROUNDS):
-        centres = np.array([g.mean() for g in groups])
+        centres = np.array([g.mean() for g, _ in groups])
         apart = np.abs(centres[:, None] - centres[None, :])
         np.fill_diagonal(apart, np.inf)
         radii = 0.5 * np.minimum(np.minimum(centres.imag, scale), apart.min(axis=1))
+        new = np.array([circle is None or not _inner(circle, c)
+                        for c, (_, circle) in zip(centres, groups)])
+        marched = iter(_circles(profile, centres[new], radii[new]) if new.any() else ())
         found = []
-        for c, g, circle in zip(centres, groups, _circles(profile, centres, radii)):
+        for c, (g, circle), fresh in zip(centres, groups, new):
+            circle = next(marched) if fresh else circle
             k = g.size
             if circle.winding != k:
                 raise RuntimeError(
-                    f"s11 winds {circle.winding} times about {c!r}, "
+                    f"s11 winds {circle.winding} times about {circle.centre!r}, "
                     f"where {k} zeros were guessed")
-            roots = c + np.roots(circle.s11[k::-1])
-            found.extend(_linked(roots, (circle.eta / abs(circle.s11[k])) ** (1.0 / k)))
-        if rounds and len(found) == len(groups):
-            return [(complex(g.mean()), g.size) for g in found]
+            s11 = _series_at(circle, c)[2]
+            roots = c + np.roots(s11[k::-1])
+            parts = _linked(roots, (circle.eta / abs(s11[k])) ** (1.0 / k))
+            found.extend((part, circle if len(parts) == 1 else None) for part in parts)
+        zeros = [complex(g.mean()) for g, _ in found]
+        if (rounds and len(found) == len(groups)
+                and all(_inner(circle, z) for z, (_, circle) in zip(zeros, found))):
+            return [(z, g.size, _series_at(circle, z)) for z, (g, circle) in zip(zeros, found)]
         groups = found
     raise RuntimeError("circles about the guessed zeros did not settle")
 
 
-def locate_zeros(profile: InitialProfile, box):
-    """Zeros of s11 inside an upper-half-plane rectangle, with multiplicity.
-
-    ``box`` is (re_min, re_max, im_min, im_max) with im_min > 0.  Counting
-    is by the argument principle on the box boundary, whose moments also
-    guess where the zeros are; the contour's s11 is marched once, on the
-    graded breaks alone (:func:`s11_on_grid`).  Circles about the guesses
-    then place the zeros and tell their orders from the sixth-order march
-    and its Richardson size (:func:`_zeros_from_guesses`).  A box whose
-    circles fail, or place a zero outside it, is split across its longer
-    side.  A box is never moved: a zero on or near the boundary of the
-    given box is refused, and a cut through a zero is tried elsewhere.
-    """
+def _find_zeros(profile, box):
+    """The zeros of s11 inside ``box`` (see :func:`locate_zeros`), each as
+    ``(zero, order, series)``, with the Taylor series of the Jost columns
+    and of s11 at the zero (:func:`_series_at`)."""
     re0, re1, im0, im1 = (float(v) for v in box)
     if not all(math.isfinite(v) for v in (re0, re1, im0, im1)):
         raise ValueError(f"box bounds must be finite, got {tuple(box)!r}")
@@ -724,7 +753,7 @@ def locate_zeros(profile: InitialProfile, box):
             found = _zeros_from_guesses(profile, guesses,
                                         np.hypot(bx[1] - bx[0], bx[3] - bx[2]))
             if not all(bx[0] < z.real < bx[1] and bx[2] < z.imag < bx[3]
-                       for z, _ in found):
+                       for z, *_ in found):
                 raise RuntimeError(f"circles placed a zero outside the box {bx}")
             return found
         except RuntimeError:
@@ -748,14 +777,30 @@ def locate_zeros(profile: InitialProfile, box):
             except RuntimeError as err:
                 last_err = err
                 continue
-            if sum(m for _, m in found) == count:
+            if sum(m for _, m, _ in found) == count:
                 return found
         raise RuntimeError(
             f"zero count mismatch after subdivision in box {bx}") from last_err
 
     found = solve_box((re0, re1, im0, im1), 0)
-    found.sort(key=lambda pair: (round(pair[0].real / _ORDER_RESOLUTION), pair[0].imag))
-    return [(complex(z), int(m)) for z, m in found]
+    found.sort(key=lambda zero: (round(zero[0].real / _ORDER_RESOLUTION), zero[0].imag))
+    return found
+
+
+def locate_zeros(profile: InitialProfile, box):
+    """Zeros of s11 inside an upper-half-plane rectangle, with multiplicity.
+
+    ``box`` is (re_min, re_max, im_min, im_max) with im_min > 0.  Counting
+    is by the argument principle on the box boundary, whose moments also
+    guess where the zeros are; the contour's s11 is marched once, on the
+    graded breaks alone (:func:`s11_on_grid`).  Circles about the guesses
+    then place the zeros and tell their orders from the sixth-order march
+    and its Richardson size (:func:`_zeros_from_guesses`).  A box whose
+    circles fail, or place a zero outside it, is split across its longer
+    side.  A box is never moved: a zero on or near the boundary of the
+    given box is refused, and a cut through a zero is tried elsewhere.
+    """
+    return [(z, int(m)) for z, m, _ in _find_zeros(profile, box)]
 
 
 # ---------------------------------------------------------------------------
@@ -790,39 +835,42 @@ def _pole_constants(mu1, mu2, s11, order: int):
     return b, _mul(b, _inv(list(s11[order:2 * order]), order), order)
 
 
-def norming_constants(profile, z_k: complex, other_zeros=()) -> DiscreteDatum:
-    """Connection constants at a confirmed zero, assembled into the pole
-    datum used by the reconstruction engine.
+def _pole_datum(z_k, series, order):
+    """The pole datum at the zero ``z_k`` of s11 of the given order, from
+    the series ``(mu1, mu2, s11)`` there (:func:`_pole_constants`)."""
+    b, c = _pole_constants(*series, order)
+    return DiscreteDatum(z_k, c, b=b[0], d=(*b, None)[1])
 
-    One circle about ``z_k``, of half its distance to the real axis and to
-    the nearest of ``other_zeros``, gives the Taylor series of both Jost
-    columns at (x, t) = (0, 0) and of s11; the zero's order is the number
-    of times s11 winds along it.  The constants follow from the series
-    (:func:`_pole_constants`).
+
+def norming_constants(profile, z_k: complex) -> DiscreteDatum:
+    """Connection constants at a confirmed zero, assembled into the pole
+    datum used by the reconstruction engine: the one-circle route, apart
+    from the zero search that :func:`extract_scattering` reads them from.
+
+    One circle about ``z_k``, of half its distance to the real axis, gives
+    the Taylor series of both Jost columns at (x, t) = (0, 0) and of s11;
+    the zero's order is the number of times s11 winds along it.  The
+    constants follow from the series (:func:`_pole_constants`).
     """
     z_k = complex(z_k)
     if z_k.imag <= 0:
         raise ValueError("constants are read in the open upper half plane")
-    dist = min([z_k.imag] + [abs(z_k - complex(w)) for w in other_zeros
-                             if complex(w) != z_k])
-    circle, = _circles(profile, [z_k], [0.5 * dist])
+    circle, = _circles(profile, [z_k], [0.5 * z_k.imag])
     order = circle.winding
     if order < 1:
         raise RuntimeError(f"s11 winds {order} times about {z_k!r}: "
                            "not a zero of s11")
-    b, c = _pole_constants(circle.mu1, circle.mu2, circle.s11, order)
-    return DiscreteDatum(z_k, c, b=b[0], d=(*b, None)[1])
+    return _pole_datum(z_k, (circle.mu1, circle.mu2, circle.s11), order)
 
 
 def extract_scattering(profile: InitialProfile, z_grid, box=None) -> ScatteringData:
     """Full forward map: reflection samples plus, when a search box is
-    given, the located discrete spectrum with its constants."""
+    given, the located discrete spectrum (:func:`locate_zeros`) with its
+    constants, read from the series the search ends with at each zero."""
     data = reflection_coefficient(profile, z_grid)
     if box is None:
         return data
-    zeros = [z for z, _ in locate_zeros(profile, box)]
-    discrete = [norming_constants(profile, z, other_zeros=[w for w in zeros if w != z])
-                for z in zeros]
+    discrete = [_pole_datum(z, series, m) for z, m, series in _find_zeros(profile, box)]
     return ScatteringData(data.z, data.r, tuple(discrete),
                           s11=data.s11, s21=data.s21)
 

@@ -531,12 +531,22 @@ def _flip_groups(oriented: OrientedData, flips):
     """Group the points of the all-lower ``oriented`` by their row of
     ``flips`` (a boolean array, one row per point, one column per pole):
     one ``(points, oriented)`` pair per pattern, with the poles it flags
-    moved to the upper orientation."""
-    patterns, which = np.unique(flips, axis=0, return_inverse=True)
+    moved to the upper orientation.  A row's pattern is one integer code,
+    its bits in turn; where one more bit could overflow the code, the codes
+    so far are renumbered by their distinct values."""
+    code, bits = np.zeros(len(flips), dtype=np.int64), 0
+    for column in np.transpose(flips):
+        if bits == 62:
+            code = np.unique(code, return_inverse=True)[1].ravel()
+            bits = int(code.max()).bit_length()
+        code = 2 * code + column
+        bits += 1
+    codes, which = np.unique(code, return_inverse=True)
     which = which.ravel()
     groups = []
-    for p, pattern in enumerate(patterns):
+    for p in range(codes.size):
         at = np.flatnonzero(which == p)
+        pattern = flips[at[0]]
         rows = oriented.rows(at)
         groups.append((at, reorient_constants(rows, np.flatnonzero(pattern))
                        if pattern.any() else rows))

@@ -969,7 +969,8 @@ def test_verify_reports_a_raising_gate_as_failed(out, monkeypatch, capsys):
 
 
 def test_criterion_6_keeps_its_description_when_it_fails(out, monkeypatch):
-    monkeypatch.setattr(acceptance, "locate_zeros", lambda profile, box: [])
+    monkeypatch.setattr(acceptance, "extract_scattering",
+                        lambda profile, z_grid, box: ScatteringData([], []))
     assert run_cli("verify", "--verify-criteria", "6", "--output-dir", str(out)) == 1
     (six,) = json.loads((out / "verify_report.json").read_text())["criteria"]
     assert six["description"] == "scattering round trip (worst ratio to tolerance)"

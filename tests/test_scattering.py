@@ -725,6 +725,96 @@ def test_extracted_two_soliton_data_rebuilds_the_profile(sech2):
     assert np.max(np.abs(rebuilt - 2.0 / np.cosh(x))) < 1e-8
 
 
+def _recorded_circles(monkeypatch):
+    """A list of the centres of each batch of circles marched."""
+    batches = []
+    circles = scattering._circles
+
+    def recorded(profile, centres, radii):
+        batches.append(list(centres))
+        return circles(profile, centres, radii)
+
+    monkeypatch.setattr(scattering, "_circles", recorded)
+    return batches
+
+
+@pytest.fixture(scope="module")
+def sech13():
+    return sech_profile(1.3, np.linspace(-26.0, 26.0, 1041))
+
+
+# profile fixture, search box
+EXTRACTIONS = {"sech1.3": ("sech13", (-0.6, 0.6, 0.05, 1.9)),
+               "sech2.0": ("sech2", (-0.6, 0.6, 0.05, 1.9)),
+               "double": ("roundtrip", (-0.5, 0.5, 0.5, 1.5)),
+               "triple": ("triple_pole", (-0.5, 0.5, 0.5, 1.5))}
+
+
+def _extraction_profile(request, name):
+    fixture, box = EXTRACTIONS[name]
+    profile = request.getfixturevalue(fixture)
+    return getattr(profile, "profile", profile), box
+
+
+@pytest.mark.parametrize("name", ["sech2.0", "double"])
+def test_extraction_marches_one_circle_per_box(request, monkeypatch, name):
+    # the search's second round re-centres on the first circle's series,
+    # and the constants are read from it: no circle of their own
+    profile, box = _extraction_profile(request, name)
+    batches = _recorded_circles(monkeypatch)
+    data = extract_scattering(profile, [0.0], box=box)
+    assert len(batches) == 1
+    assert len(batches[0]) == len(data.discrete) == {"sech2.0": 2, "double": 1}[name]
+
+
+@pytest.mark.parametrize("name", list(EXTRACTIONS))
+def test_extracted_constants_match_the_one_circle_route(request, name):
+    profile, box = _extraction_profile(request, name)
+    data = extract_scattering(profile, [0.0], box=box)
+    assert [(d.z, d.order) for d in data.discrete] == locate_zeros(profile, box)
+    for datum in data.discrete:
+        ref = norming_constants(profile, datum.z)
+        assert ref.order == datum.order
+        got, want = np.array(datum.coefficients), np.array(ref.coefficients)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_centre_outside_the_inner_half_gets_a_new_circle(sech2, monkeypatch):
+    # in a box 0.01 wide about the zero at 0.5i, a guess moved 0.0045 right
+    # gets a circle of radius 0.0071: the zero is inside it, so s11 winds
+    # once, but outside its inner half, where the next round's centre
+    # lands, so that centre is marched anew.  Each round is a Newton step;
+    # the second lands 6.4e-9 from the zero
+    moments = scattering._contour_moments
+
+    def moved(value_fn, box, n_side):
+        count, guesses = moments(value_fn, box, n_side)
+        return count, guesses + 0.0045
+
+    monkeypatch.setattr(scattering, "_contour_moments", moved)
+    batches = _recorded_circles(monkeypatch)
+    (z, order), = locate_zeros(sech2, (-0.005, 0.005, 0.495, 0.505))
+    assert len(batches) == 2
+    (first,), (second,) = batches
+    assert abs(first - (0.0045 + 0.5j)) < 1e-6
+    assert abs(second - first) > 0.5 * 0.5 * np.hypot(0.01, 0.01)
+    assert order == 1 and abs(z - 0.5j) <= 2e-8
+
+
+def test_shifted_series_are_those_at_the_new_centre():
+    # e^z about c has the coefficients e^c / n!, so the shift to c + delta,
+    # near the edge of the inner half, must give e^(c + delta) / n!; the
+    # coefficients are compared times radius^n, the size in which the
+    # circle's own are accurate
+    c, radius, delta = 0.3 + 1.0j, 0.5, 0.2 - 0.1j
+    a = _circle_series(np.exp(_on_circle(c, radius)), radius)
+    circle = scattering._Circle(c, radius, a[:, None], a[:, None], a, 0, 0.0)
+    scale = radius ** np.arange(12)
+    want = np.exp(c + delta) / gamma(np.arange(12) + 1.0) * scale
+    for got in scattering._series_at(circle, c + delta):
+        np.testing.assert_allclose(np.ravel(got)[:12] * scale, want, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # profiles and files
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fnls import solitons
 from fnls.phase import partition
 from fnls.solitons import (
     DiscreteDatum,
@@ -213,6 +214,25 @@ def test_reorientation_is_a_column_scaling():
     m_new = solution_matrix(reorient_constants(data, flip), x, t, zs)
     scaled = m_old * np.stack([a, 1.0 / a], axis=-1)[:, None, :]
     assert np.max(np.abs(m_new - scaled)) < 1e-10
+
+
+@pytest.mark.parametrize("poles", [4, 130])
+def test_flip_groups_are_the_distinct_rows(monkeypatch, poles):
+    # as np.unique over the rows of flips groups the points; 130 poles need
+    # more bits than one 64-bit code holds
+    monkeypatch.setattr(solitons, "reorient_constants", lambda rows, flagged: tuple(flagged))
+    rng = np.random.default_rng(3)
+    flips = (rng.random((40, poles)) < 0.5)[rng.integers(0, 40, 300)]
+    flips[7] = False
+    oriented = OrientedData.all_lower([DiscreteDatum(0.1 * k + 1j, (1.0,))
+                                       for k in range(poles)])
+    groups = solitons._flip_groups(oriented, flips)
+    assert len(groups) == len(np.unique(flips, axis=0))
+    assert np.array_equal(np.sort(np.concatenate([at for at, _ in groups])), np.arange(300))
+    for at, flipped in groups:
+        assert np.all(flips[at] == flips[at[0]])
+        flagged = tuple(np.flatnonzero(flips[at[0]]))
+        assert flipped == (flagged if flagged else oriented)
 
 
 def test_reorientation_handles_simple_poles():
