@@ -119,7 +119,7 @@ def criterion_4():
         q_pde = complex(ev.slice_at(t)[j0])
         q_asym = q_asymptotic(0.0, t, (), sc, cone).q_total
         scaled.append(t ** 0.75 * abs(q_pde - q_asym))
-    ratio = max(scaled) / min(scaled)
+    ratio = float(np.max(scaled) / np.min(scaled))
     return (ratio, 3.0, ratio < 3.0 and scaled[-1] <= scaled[0],
             "t^(3/4)|q-q_asym| = " + ", ".join(f"{e:.4g}" for e in scaled))
 
@@ -134,7 +134,7 @@ def criterion_5():
     for nu in (-0.05, -0.11, -0.3):
         r0 = math.sqrt(math.expm1(-2.0 * math.pi * nu)) * np.exp(0.4j)
         pc = pc_coefficients(complex(r0), nu)
-        worst_a = max(worst_a, abs(abs(pc.beta12) ** 2 - abs(nu)))
+        worst_a = float(np.maximum(worst_a, abs(abs(pc.beta12) ** 2 - abs(nu))))
     parts.append(("|beta12|^2 = |nu|", worst_a, 1e-10))
 
     s = np.linspace(-5.0, 5.0, 2001)
@@ -162,7 +162,7 @@ def criterion_5():
     unit = np.abs(np.abs(sc2.s11) ** 2 + np.abs(sc2.s21) ** 2 - 1.0)
     parts.append(("|s11|^2 + |s21|^2 = 1", float(np.max(unit)), 1e-8))
 
-    worst = max(v / tol for _, v, tol in parts)
+    worst = float(np.max([v / tol for _, v, tol in parts]))
     detail = "; ".join(f"{name}: {v:.3g} (tol {tol:g})"
                        for name, v, tol in parts)
     return worst, 1.0, worst < 1.0, detail
@@ -181,7 +181,7 @@ def criterion_6():
     zero_err = abs(rec.z - 1j)
     c1_err, c0_err = (abs(a - b) / abs(b)
                       for a, b in zip(rec.coefficients, datum.coefficients))
-    worst = max(zero_err / 1e-4, c0_err / 1e-3, c1_err / 1e-3)
+    worst = float(np.max([zero_err / 1e-4, c0_err / 1e-3, c1_err / 1e-3]))
     return (worst, 1.0, worst < 1.0,
             f"|z-i| = {zero_err:.2e}, rel c0 = {c0_err:.2e}, rel c1 = {c1_err:.2e}")
 
@@ -202,7 +202,7 @@ def criterion_7():
         x = float(rng.uniform(-3.0, 3.0))
         t = float(rng.uniform(-2.0, 2.0))
         state = solve_soliton(tuple(data), x, t)
-        worst = max(worst, state.residual)
+        worst = float(np.maximum(worst, state.residual))
     return worst, 1e-10, worst < 1e-10, ""
 
 

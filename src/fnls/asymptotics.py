@@ -10,9 +10,8 @@ from the model oscillator problem at the stationary point
 ray quadrature and one call of :func:`fnls.solitons.solve_soliton` per call.
 The field does not depend on the orientations, so the bound-state part is
 that solve's; the dispersive part reads the first row of the solution
-matrix at z0 in the normalization of T, with the kept poles left of z0
-flipped, which is the all-lower row scaled by ``a(z0)^{sigma3}``, ``a``
-their Blaschke product.
+matrix at z0 as the solve returns it, with the kept poles left of z0
+flipped: the normalization of T.
 """
 
 from __future__ import annotations
@@ -25,12 +24,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .phase import _unwrap, partition, phase_context, r0_modulated
-from .solitons import (
-    blaschke_product,
-    modulate_constants,
-    restrict_to_interval,
-    solve_soliton,
-)
+from .solitons import modulate_constants, restrict_to_interval, solve_soliton
 
 __all__ = [
     "PCCoefficients",
@@ -153,13 +147,19 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
     part uses only the poles whose velocities fall inside the cone, dressed
     by the radiation factor ``delta``; the dispersive part adds the
     oscillator coefficient scaled by ``t**-0.5``, read through the first row
-    of the solution matrix at ``z0`` re-oriented about ``z0``.
-    Points outside the cone, nonpositive times, and times below ``min_t``
-    are rejected.
+    of the solution matrix at ``z0`` oriented about ``z0``.
+    Non-finite points, points outside the cone, nonpositive times, times
+    below ``min_t`` and a ``min_t`` that is not positive and finite are
+    rejected.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     shape = x.shape
     x, t = x.ravel(), t.ravel()
+    if not (math.isfinite(min_t) and min_t > 0.0):
+        raise ValueError(f"min_t must be positive and finite, got {min_t!r}")
+    for name, v in (("x", x), ("t", t)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite, got {float(v[~np.isfinite(v)][0])!r}")
     if np.any(t <= 0.0):
         raise ValueError("t must be positive")
     if np.any(t < min_t):
@@ -188,14 +188,13 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
 
     f = np.zeros(x.size, dtype=np.complex128)
     if ctx is not None:
-        # the row in T's normalization: m -> m a^{sigma3}, a the Blaschke
-        # product of the kept poles left of z0
-        a = blaschke_product(z0, kept, part.left[:, [d in kept for d in sigma_d]])
-        rows = state.row * np.stack([a, 1.0 / a], axis=-1)
+        # a pole over z0 may fall on either side of the solve's cut; its
+        # Blaschke factor there is (-1)^m, and f reads the row only squared
         live = np.abs(ctx.r_at_z0) >= _R_THRESHOLD
         if live.any():
             pc = pc_coefficients(r0_modulated(ctx, t)[live], ctx.nu0[live])
-            f[live] = pc.beta12 * rows[live, 0] ** 2 + pc.beta21 * rows[live, 1] ** 2
+            row = state.row[live]
+            f[live] = pc.beta12 * row[:, 0] ** 2 + pc.beta21 * row[:, 1] ** 2
 
     x, t, q_sol, f = (_unwrap(a.reshape(shape)) for a in (x, t, state.q, f))
     return AsymptoticValue(x=x, t=t, q_sol_part=q_sol, f_part=f)

@@ -471,7 +471,7 @@ def cmd_compare(cfg: Settings, out_dir: Path) -> int:
         rows.append((t, linf, l2, scale * linf, scale * l2))
     _write_csv(out_dir / "comparison.csv", np.array(rows),
                "t,linf,l2,scaled_linf,scaled_l2")
-    worst = max(row[1] for row in rows)
+    worst = float(np.max([row[1] for row in rows]))
     print(f"wrote {out_dir / 'comparison.csv'} "
           f"({len(rows)} times, worst Linf {worst:.6g})")
     return 0

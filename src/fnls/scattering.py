@@ -49,7 +49,7 @@ _MAX_DEPTH = 8
 # guesses must settle, and the largest share of the samples' size that the
 # negative frequencies of analytic samples may hold.
 _CIRCLE_POINTS = 64
-_MAX_ROUNDS = 4
+_MAX_ROUNDS = 8
 _ALIAS_TOL = 1e-12
 # The binomial coefficients C(n, j) (row j, column n, zero for n < j) and
 # the lags max(n - j, 0) of the shift of a circle's Taylor series to a new
@@ -701,7 +701,10 @@ def _zeros_from_guesses(profile, guesses, scale):
     their number: integration error of size eta splits an order-k zero
     into k roots that far apart.  The groups of roots are the next round's
     clusters; the rounds end, at the second or later, when every cluster
-    stays one group and its zero lies in the inner half of its circle.
+    stays one group, its zero lies in the inner half of its circle, and the
+    zero moved from the cluster's centre by at most its noise radius or
+    ``1e-13 scale``: each round is one Newton step on the series, so from a
+    poor guess the rounds go on until the step is noise.
     """
     groups = [(g, None) for g in _linked(guesses, 0.05 * scale)]
     for rounds in range(_MAX_ROUNDS):
@@ -712,7 +715,7 @@ def _zeros_from_guesses(profile, guesses, scale):
         new = np.array([circle is None or not _inner(circle, c)
                         for c, (_, circle) in zip(centres, groups)])
         marched = iter(_circles(profile, centres[new], radii[new]) if new.any() else ())
-        found = []
+        found, settled = [], True
         for c, (g, circle), fresh in zip(centres, groups, new):
             circle = next(marched) if fresh else circle
             k = g.size
@@ -722,11 +725,13 @@ def _zeros_from_guesses(profile, guesses, scale):
                     f"where {k} zeros were guessed")
             s11 = _series_at(circle, c)[2]
             roots = c + np.roots(s11[k::-1])
-            parts = _linked(roots, (circle.eta / abs(s11[k])) ** (1.0 / k))
+            noise = (circle.eta / abs(s11[k])) ** (1.0 / k)
+            parts = _linked(roots, noise)
+            settled = settled and len(parts) == 1 and (
+                abs(parts[0].mean() - c) <= max(noise, 1e-13 * scale))
             found.extend((part, circle if len(parts) == 1 else None) for part in parts)
         zeros = [complex(g.mean()) for g, _ in found]
-        if (rounds and len(found) == len(groups)
-                and all(_inner(circle, z) for z, (_, circle) in zip(zeros, found))):
+        if rounds and settled and all(_inner(circle, z) for z, (_, circle) in zip(zeros, found)):
             return [(z, g.size, _series_at(circle, z)) for z, (g, circle) in zip(zeros, found)]
         groups = found
     raise RuntimeError("circles about the guessed zeros did not settle")

@@ -32,9 +32,11 @@ entries grow like ``exp(2 Im z_k |x|)`` on the far side of a pole, so at
 each point it keeps the better conditioned of the all-lower system and the
 one with the poles where ``x + 2t Re z_k < 0`` flipped, and reports the
 1-norm condition number and the scaled backward residual of the solve it
-kept.  The first row of the solution matrix it returns is in the all-lower
-normalization whichever system won; the cone formula moves it to its own
-by the Blaschke factor of the poles left of the stationary point.
+kept.  Those poles are a cut in ``Re z`` order about the stationary point
+``-x / (2t)``, the split of the steepest descent's factor T, and the first
+row of the solution matrix it returns is in that cut system's
+normalization whichever system won: at the cone's stationary point it is
+T's.
 """
 
 from __future__ import annotations
@@ -167,8 +169,9 @@ class SolitonState:
     """The field ``q`` at points ``(x, t)``, with the 1-norm condition
     number and the scaled backward residual of the solve kept at each
     point, and, when a point ``z`` was asked for, the first row
-    ``(m_11, m_12)`` of the solution matrix there in the all-lower
-    normalization (else ``None``).  Scalars at one point, ``row`` of shape
+    ``(m_11, m_12)`` of the solution matrix there in the normalization of
+    the system with the poles ``x + 2t Re z_k < 0`` flipped (else
+    ``None``).  Scalars at one point, ``row`` of shape
     ``(2,)``; over points, arrays of their broadcast shape, ``row`` with a
     last axis of 2."""
 
@@ -433,14 +436,17 @@ def solve_soliton(data, x, t, z=None) -> SolitonState:
     broadcast, and the points are solved as stacks.  Each point takes the
     better conditioned of two equivalent systems: all poles lower, and the
     poles with ``x + 2t Re z_k < 0`` flipped by :func:`reorient_constants`,
-    whose entries decay where the all-lower ones grow.  The flipped
-    constants do not depend on ``x``, so each sign pattern costs one
-    reorientation.
+    whose entries decay where the all-lower ones grow.  The test is
+    monotone in ``Re z_k``, so the flipped poles are a cut in that order:
+    those left of ``-x / (2t)`` for ``t > 0``, right of it for ``t < 0``,
+    all or none at ``t = 0``.  Each nonzero cut costs one reorientation
+    and one stacked solve.
 
     ``z`` asks for the first row of the solution matrix at one point per
-    point.  A point solved flipped gives ``m_Delta``, and its row is moved
-    back to the all-lower normalization by ``m = m_Delta a_Delta^{-sigma3}``,
-    ``a_Delta`` the Blaschke product of the flipped poles.
+    point, in the cut system's normalization ``m_Delta``: a point solved
+    flipped keeps its row, and an all-lower one is moved by
+    ``m_Delta = m a_Delta^{sigma3}``, ``a_Delta`` the Blaschke product of
+    the flipped poles.
     """
     oriented = _as_oriented(data)
     if "upper" in oriented.orientations:
@@ -457,18 +463,24 @@ def solve_soliton(data, x, t, z=None) -> SolitonState:
         row = None if z is None else _first_row(oriented, u, z)
         re_z = np.array([d.z.real for d in oriented.data])
         flips = x[:, None] + 2.0 * t[:, None] * re_z[None, :] < 0
-        for at, flipped in _flip_groups(oriented, flips):
-            if "upper" not in flipped.orientations:
-                continue
+        # a cut is named by its signed size; all poles is one cut either way
+        size = np.count_nonzero(flips, axis=1)
+        cut = np.where((t < 0) & (size < re_z.size), -size, size)
+        for c in np.unique(cut[cut != 0]):
+            at = np.flatnonzero(cut == c)
+            flagged = flips[at[0]]
+            flipped = reorient_constants(oriented.rows(at), np.flatnonzero(flagged))
             u_f, cond_f, res_f = _solve_points(flipped, x[at], t[at])
             better = cond_f < cond[at]
-            at, u_f = at[better], u_f[better]
-            q[at] = _moment(flipped, u_f)
-            cond[at] = cond_f[better]
-            residual[at] = res_f[better]
+            won, u_f = at[better], u_f[better]
+            q[won] = _moment(flipped, u_f)
+            cond[won] = cond_f[better]
+            residual[won] = res_f[better]
             if row is not None:
-                a = blaschke_product(z[at], oriented.data, flips[at])
-                row[at] = _first_row(flipped, u_f, z[at]) * np.stack([1.0 / a, a], axis=-1)
+                row[won] = _first_row(flipped, u_f, z[won])
+                lost = at[~better]
+                a = blaschke_product(z[lost], oriented.data, flagged)
+                row[lost] *= np.stack([a, 1.0 / a], axis=-1)
         _check_solved(cond, x, t)
     else:
         q = np.zeros(x.size, dtype=np.complex128)
@@ -525,32 +537,6 @@ def _blaschke_series(z: complex, members, n: int) -> list:
         for _ in range(d.order):
             out = _mul(out, factor, n)
     return out
-
-
-def _flip_groups(oriented: OrientedData, flips):
-    """Group the points of the all-lower ``oriented`` by their row of
-    ``flips`` (a boolean array, one row per point, one column per pole):
-    one ``(points, oriented)`` pair per pattern, with the poles it flags
-    moved to the upper orientation.  A row's pattern is one integer code,
-    its bits in turn; where one more bit could overflow the code, the codes
-    so far are renumbered by their distinct values."""
-    code, bits = np.zeros(len(flips), dtype=np.int64), 0
-    for column in np.transpose(flips):
-        if bits == 62:
-            code = np.unique(code, return_inverse=True)[1].ravel()
-            bits = int(code.max()).bit_length()
-        code = 2 * code + column
-        bits += 1
-    codes, which = np.unique(code, return_inverse=True)
-    which = which.ravel()
-    groups = []
-    for p in range(codes.size):
-        at = np.flatnonzero(which == p)
-        pattern = flips[at[0]]
-        rows = oriented.rows(at)
-        groups.append((at, reorient_constants(rows, np.flatnonzero(pattern))
-                       if pattern.any() else rows))
-    return groups
 
 
 def reorient_constants(data, delta_indices) -> OrientedData:

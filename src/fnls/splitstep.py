@@ -204,7 +204,7 @@ def split_step(
         q = _composition_sweep(q, k2, span / steps, steps, weights)
         out_t.append(t_next)
         out_q.append(q.copy())
-        worst_edge = max(worst_edge, _edge_mass_fraction(q))
+        worst_edge = float(np.maximum(worst_edge, _edge_mass_fraction(q)))
         t_prev = t_next
     return Evolution(grid, np.array(out_t), np.array(out_q), worst_edge)
 
@@ -220,7 +220,8 @@ def pde_residual(
 
     ``q_fn(x_array, t)`` must evaluate the candidate solution on the full
     periodic grid (needed for the spectral x-derivative).  The time derivative
-    uses a 5-point fourth-order central stencil with spacing ``h_t``.
+    uses a 5-point fourth-order central stencil with spacing ``h_t``.  A NaN
+    anywhere in the window makes the result NaN, which fails every gate.
     """
     x = grid.x
     if x_window is None:
@@ -237,7 +238,7 @@ def pde_residual(
         q_c = slices[2]
         q_xx = np.fft.ifft(-(grid.k ** 2) * np.fft.fft(q_c))
         res = 1j * q_t + 0.5 * q_xx + (np.abs(q_c) ** 2) * q_c
-        worst = max(worst, float(np.max(np.abs(res[mask]))))
+        worst = float(np.maximum(worst, np.max(np.abs(res[mask]))))
     return worst
 
 

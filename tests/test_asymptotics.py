@@ -32,7 +32,6 @@ from fnls.scattering import (
     sech_profile,
 )
 from fnls.solitons import (
-    blaschke_product,
     modulate_constants,
     reorient_constants,
     restrict_to_interval,
@@ -265,9 +264,9 @@ def test_composite_invariants(smooth, x, t, cone):
     state = solve_soliton(modulate_constants(kept, ctx.ray.inverse_delta), x, t, z0)
     assert v.q_sol_part == complex(state.q)
 
-    # the row in T's normalization: the kept poles left of z0 flipped
-    a = blaschke_product(z0, kept, [left for d, left in zip(POLES, part.left) if d in kept])
-    eta11, eta12 = complex(state.row[0] * a), complex(state.row[1] / a)
+    # the solve's row is in T's normalization: the kept poles left of z0
+    # flipped
+    eta11, eta12 = (complex(v) for v in state.row)
 
     # triangle bound on the dispersive coefficient
     cap = (abs(eta11) ** 2 + abs(eta12) ** 2) * math.sqrt(abs(ctx.nu0))
@@ -425,6 +424,20 @@ def test_batched_window_edge_left_of_the_grid(smooth):
     _against_reference(x, t, SIMPLE, flat_edge, cone)
 
 
+@pytest.mark.parametrize("x,t,min_t,name,value", [
+    (0.0, math.inf, 5.0, "t", math.inf),
+    (0.0, math.nan, 5.0, "t", math.nan),
+    ([0.0, math.nan], 10.0, 5.0, "x", math.nan),
+    (-math.inf, 10.0, 5.0, "x", -math.inf),
+    (0.0, 10.0, math.nan, "min_t", math.nan),
+    (0.0, 10.0, math.inf, "min_t", math.inf),
+    (0.0, 1e-300, 0.0, "min_t", 0.0),
+])
+def test_non_finite_cone_input_is_refused(smooth, x, t, min_t, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
+        q_asymptotic(x, t, SIMPLE, smooth, WIDE, min_t=min_t)
+
+
 def test_batched_drops_radiation_only_where_r_vanishes():
     one_sided = ScatteringData(S_GRID, np.where(S_GRID > 0.0, R_SMOOTH, 0.0), ())
     cone = (-1.0, 1.0, -0.3, 0.3)
@@ -439,18 +452,23 @@ def test_batched_tie_goes_right(smooth):
     t = 8.0
     x = np.array([-3.0, -2.0, -1.0])        # z0 = 0.1875, 0.125, 0.0625
     _against_reference(x, t, tied, smooth, WIDE)
-    # the tied pole joins the right-hand set: a = 1 there, like the point
-    # right of it, where the point left of it takes the pole's factor
+    # the tied pole joins the right-hand set: its row is the all-lower one,
+    # like the point right of it, where the point left of it has the pole
+    # flipped
     part = partition(tied, -x / (2.0 * t), WIDE)
     assert part.left[:, 0].tolist() == [True, False, False]
     rows = []
     f = _recording_rows(smooth, x, t, tied, WIDE, rows).f_part
     (row,) = rows
     z0 = -x / (2.0 * t)
-    a = np.array([complex(blaschke_product(z0[0], tied, [True])), 1.0, 1.0])
     ctx = phase_context(smooth, tied, z0, part.left)
+    weighted = modulate_constants(tied, ctx.ray.inverse_delta)
+    for i, left in enumerate(part.left[:, 0]):
+        point = weighted.rows([i])
+        m = solution_matrix(reorient_constants(point, [0]) if left else point, x[i], t, z0[i])
+        assert np.max(np.abs(row[i] - m[0])) <= 1e-12 * np.max(np.abs(m[0]))
     pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
-    expect = pc.beta12 * (row[:, 0] * a) ** 2 + pc.beta21 * (row[:, 1] / a) ** 2
+    expect = pc.beta12 * row[:, 0] ** 2 + pc.beta21 * row[:, 1] ** 2
     assert np.max(np.abs(f - expect)) <= 1e-14 * np.max(np.abs(f))
 
 
@@ -585,8 +603,7 @@ def test_inline_dispersive_product_is_the_e1_entry(sech_run):
     # row of the outer matrix M, in T's normalization; it must be -2 sqrt(t)
     # times the (1,2) entry of e1_matrix(M, pc, t), which also checks
     # det M = 1.  M is the whole matrix of the flipped system, from the
-    # second route; its first row must be the solve's all-lower row moved
-    # by a^{sigma3}.
+    # second route; its first row must be the solve's row.
     sc, _ = sech_run
     rows = []
     for t in SECH_TIMES:
@@ -600,9 +617,8 @@ def test_inline_dispersive_product_is_the_e1_entry(sech_run):
             weighted = modulate_constants(kept, ctx.ray.inverse_delta)
             left = [d.z.real < z0 for d in kept]
             m = solution_matrix(reorient_constants(weighted, np.flatnonzero(left)), x, t, z0)
-            a = blaschke_product(z0, kept, left)
             (row,) = rows
-            assert np.max(np.abs(row * [a, 1.0 / a] - m[0])) <= 1e-12 * np.max(np.abs(m[0]))
+            assert np.max(np.abs(row - m[0])) <= 1e-12 * np.max(np.abs(m[0]))
             pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
             e1 = e1_matrix(m, pc, t)
             assert abs(f + 2.0 * math.sqrt(t) * e1[0, 1]) <= 1e-12 * abs(f)

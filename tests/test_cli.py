@@ -968,6 +968,29 @@ def test_verify_reports_a_raising_gate_as_failed(out, monkeypatch, capsys):
     assert "[FAIL] criterion 6" in capsys.readouterr().out
 
 
+def test_criterion_5_fails_on_a_nan_part(monkeypatch):
+    # the NaN part is not the first, so a max that drops NaN would pass it
+    monkeypatch.setattr(acceptance, "T_fn", lambda *args: complex("nan"))
+    measured, _, passed, detail = acceptance.criterion_5()
+    assert math.isnan(measured) and not passed
+    assert "large-z coefficient of T: nan" in detail
+
+
+def test_criterion_7_fails_on_a_nan_residual(monkeypatch):
+    solve, calls = acceptance.solve_soliton, []
+
+    def second_is_nan(*args):
+        state = solve(*args)
+        calls.append(state)
+        if len(calls) == 2:
+            state.residual = math.nan
+        return state
+
+    monkeypatch.setattr(acceptance, "solve_soliton", second_is_nan)
+    measured, _, passed, _ = acceptance.criterion_7()
+    assert math.isnan(measured) and not passed
+
+
 def test_criterion_6_keeps_its_description_when_it_fails(out, monkeypatch):
     monkeypatch.setattr(acceptance, "extract_scattering",
                         lambda profile, z_grid, box: ScatteringData([], []))

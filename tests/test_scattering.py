@@ -801,6 +801,23 @@ def test_centre_outside_the_inner_half_gets_a_new_circle(sech2, monkeypatch):
     assert order == 1 and abs(z - 0.5j) <= 2e-8
 
 
+@pytest.mark.parametrize("offset", [0.15, 0.1 + 0.1j])
+def test_search_from_a_poor_guess_runs_until_its_step_is_noise(sech2, monkeypatch, offset):
+    # each round is one Newton step on the circle's series, so a guess this
+    # far off takes more than two rounds; the search must not end on its
+    # round count with the zero still 7.7e-3 or 1.0e-2 off
+    box = (-0.6, 0.6, 0.2, 1.0)
+    moments = scattering._contour_moments
+
+    def moved(value_fn, bx, n_side):
+        count, guesses = moments(value_fn, bx, n_side)
+        return count, guesses + offset if bx == box else guesses
+
+    monkeypatch.setattr(scattering, "_contour_moments", moved)
+    (z, order), = locate_zeros(sech2, box)
+    assert order == 1 and abs(z - 0.5j) <= 1e-12
+
+
 def test_shifted_series_are_those_at_the_new_centre():
     # e^z about c has the coefficients e^c / n!, so the shift to c + delta,
     # near the edge of the inner half, must give e^(c + delta) / n!; the

@@ -216,23 +216,61 @@ def test_reorientation_is_a_column_scaling():
     assert np.max(np.abs(m_new - scaled)) < 1e-10
 
 
+def _recorded_cuts(monkeypatch, stub=False):
+    """Patch ``solve_soliton``'s reorientation and stacked solve to record
+    each flipped set with the points ``(x, t)`` solved with it.  ``stub``
+    leaves the constants as they are and solves nothing, for a spectrum
+    too large to solve, where only the grouping is under test."""
+    cuts = []
+    reorient, solve = solitons.reorient_constants, solitons._solve_points
+
+    def reorienting(data, flagged):
+        cuts.append([tuple(flagged)])
+        return data if stub else reorient(data, flagged)
+
+    def solving(oriented, x, t):
+        if cuts and len(cuts[-1]) == 1:
+            cuts[-1].append(x + 1j * np.broadcast_to(t, x.shape))
+        if stub:
+            dim = 2 * sum(d.order for d in oriented.data)
+            return np.zeros((x.size, dim), dtype=np.complex128), np.ones(x.size), np.zeros(x.size)
+        return solve(oriented, x, t)
+
+    monkeypatch.setattr(solitons, "reorient_constants", reorienting)
+    monkeypatch.setattr(solitons, "_solve_points", solving)
+    return cuts
+
+
 @pytest.mark.parametrize("poles", [4, 130])
-def test_flip_groups_are_the_distinct_rows(monkeypatch, poles):
-    # as np.unique over the rows of flips groups the points; 130 poles need
-    # more bits than one 64-bit code holds
-    monkeypatch.setattr(solitons, "reorient_constants", lambda rows, flagged: tuple(flagged))
+def test_flipped_sets_are_the_cuts(monkeypatch, poles):
+    # the points are grouped by the signed size of their cut: each group's
+    # flipped set must be the row of x + 2t Re z_k < 0 at every one of its
+    # points, every distinct nonzero row gets one group, and each set is a
+    # cut in Re z order.  Ties in Re z, t = 0, t < 0, points exactly on a
+    # pole's line x = -2t Re z_k and next to it are all in the mix
     rng = np.random.default_rng(3)
-    flips = (rng.random((40, poles)) < 0.5)[rng.integers(0, 40, 300)]
-    flips[7] = False
-    oriented = OrientedData.all_lower([DiscreteDatum(0.1 * k + 1j, (1.0,))
-                                       for k in range(poles)])
-    groups = solitons._flip_groups(oriented, flips)
-    assert len(groups) == len(np.unique(flips, axis=0))
-    assert np.array_equal(np.sort(np.concatenate([at for at, _ in groups])), np.arange(300))
-    for at, flipped in groups:
-        assert np.all(flips[at] == flips[at[0]])
-        flagged = tuple(np.flatnonzero(flips[at[0]]))
-        assert flipped == (flagged if flagged else oriented)
+    re = np.repeat(np.round(rng.uniform(-1.0, 1.0, (poles + 1) // 2), 3), 2)[:poles]
+    data = [DiscreteDatum(complex(r, 0.4 + 0.01 * k), (1.0 + 0.1j, 0.2)[:1 + k % 2])
+            for k, r in enumerate(re)]
+    t = rng.choice([-1.3, -0.4, 0.0, 0.5, 2.0], 300)
+    x = rng.uniform(-4.0, 4.0, 300)
+    on_line = rng.integers(0, poles, 100)
+    x[:100] = -2.0 * t[:100] * re[on_line]
+    x[50:100] = np.nextafter(x[50:100], rng.choice([-np.inf, np.inf], 50))
+    cuts = _recorded_cuts(monkeypatch, stub=poles > 8)
+    solve_soliton(data, x, t)
+    flips = x[:, None] + 2.0 * t[:, None] * re[None, :] < 0
+    assert len(cuts) == len(np.unique(flips[flips.any(axis=1)], axis=0))
+    points = []
+    for flagged, at in cuts:
+        mask = np.isin(np.arange(poles), flagged)
+        assert np.all((at.real[:, None] + 2.0 * at.imag[:, None] * re[None, :] < 0) == mask)
+        inside, outside = re[mask], re[~mask]
+        assert (not outside.size or inside.max() < outside.min()
+                or inside.min() > outside.max())
+        points.extend(at)
+    flipped = flips.any(axis=1)
+    assert np.array_equal(np.sort(points), np.sort(x[flipped] + 1j * t[flipped]))
 
 
 def test_reorientation_handles_simple_poles():
@@ -536,22 +574,24 @@ def test_outer_row_decay_and_field_recovery():
     assert abs(r1[1] / r2[1]) == pytest.approx(2.0, rel=0.05)
 
 
-@pytest.mark.parametrize("x", [-3.0, 2.5])
-def test_row_is_the_all_lower_row_whichever_system_wins(x):
-    # at x = -3 both poles flip and the flipped system wins; its row is
-    # moved back by a^{-sigma3}.  At x = 2.5 the all-lower system wins.
+@pytest.mark.parametrize("x, flipped_wins", [(-3.0, True), (-1.0, False), (2.5, False)])
+def test_row_is_the_cut_row_whichever_system_wins(x, flipped_wins):
+    # at x = -3 and x = -1 both poles lie on the cut; the flipped system
+    # wins at -3 and keeps its row, the all-lower one wins at -1 and its
+    # row is moved by a^{sigma3}.  At x = 2.5 the cut is empty
     data, t = _pair(), 0.3
     zs = np.array([0.25 + 0.0j, -1.1 + 0.4j, 0.7 - 2.0j])
     state = solve_soliton(data, x, t, zs)
-    flip = [k for k, d in enumerate(data) if x + 2.0 * t * d.z.real < 0]
-    flipped = reorient_constants(data, flip)
+    cut = [k for k, d in enumerate(data) if x + 2.0 * t * d.z.real < 0]
+    assert bool(cut) == (x < 0)
+    flipped = reorient_constants(data, cut)
     assert (_solve_points(flipped, np.array([x]), t)[1][0]
-            < _solve_points(OrientedData.all_lower(data), np.array([x]), t)[1][0]) == bool(flip)
-    lower = solution_matrix(data, x, t, zs)[:, 0, :]
-    assert np.max(np.abs(state.row - lower)) < 1e-10 * np.max(np.abs(lower))
-    a = blaschke_product(zs, data, [k in flip for k in range(len(data))])
-    moved = solution_matrix(flipped, x, t, zs)[:, 0, :] * np.stack([1.0 / a, a], axis=-1)
-    assert np.max(np.abs(state.row - moved)) < 1e-10 * np.max(np.abs(lower))
+            < _solve_points(OrientedData.all_lower(data), np.array([x]), t)[1][0]) == flipped_wins
+    expect = solution_matrix(flipped, x, t, zs)[:, 0, :]
+    assert np.max(np.abs(state.row - expect)) < 1e-10 * np.max(np.abs(expect))
+    a = blaschke_product(zs, data, [k in cut for k in range(len(data))])
+    moved = solution_matrix(data, x, t, zs)[:, 0, :] * np.stack([a, 1.0 / a], axis=-1)
+    assert np.max(np.abs(state.row - moved)) < 1e-10 * np.max(np.abs(expect))
     assert np.all(state.q == solve_soliton(data, x, t).q)
 
 

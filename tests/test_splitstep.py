@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from fnls import splitstep
 from fnls.splitstep import Grid, fourier_interpolate, pde_residual, split_step
 
 from invariants import conserved, conserved_drift, sech_soliton
@@ -77,6 +79,33 @@ def test_non_solution_has_order_one_residual():
         return sol(x, t) * np.exp(0.3j * t * np.tanh(x))
 
     assert pde_residual(bad, grid, [0.5]) > 1e-3
+
+
+def test_nan_candidate_fails_the_residual():
+    # a NaN reads as NaN, which no gate passes, wherever it falls among the
+    # times: not as the largest finite residual
+    grid = Grid(256, -8 * np.pi, 8 * np.pi)
+    sol = sech_soliton(1.0)
+
+    def blank(x, t):
+        return np.full(x.shape, np.nan + 0j)
+
+    def late(x, t):
+        return sol(x, t) * (np.nan if t > 0.5 else 1.0)
+
+    assert math.isnan(pde_residual(blank, grid, [0.5]))
+    assert math.isnan(pde_residual(late, grid, [0.3, 0.7]))
+
+
+def test_blown_up_run_reports_a_nan_edge_fraction(monkeypatch):
+    # the worst edge fraction over the slices is NaN once a slice is, though
+    # the first slice is finite
+    grid = Grid(64, -8.0, 8.0)
+    monkeypatch.setattr(splitstep, "_composition_sweep",
+                        lambda q, *args: np.full_like(q, np.nan))
+    ev = split_step(np.exp(-grid.x ** 2), grid, 1.0, dt=0.1, t_samples=[0.5])
+    assert math.isfinite(splitstep._edge_mass_fraction(ev.q[0]))
+    assert math.isnan(ev.edge_fraction)
 
 
 def test_residual_window_restriction():
