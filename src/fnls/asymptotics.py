@@ -8,10 +8,10 @@ from the model oscillator problem at the stationary point
 ``z0 = -x / (2 t)``.  The remainder after both terms decays like
 ``t**-0.75``.  The formula is evaluated over arrays of points at once: one
 ray quadrature and one call of :func:`fnls.solitons.solve_soliton` per call.
-The field does not depend on the orientations, so the bound-state part is
-that solve's; the dispersive part reads the first row of the solution
-matrix at z0 as the solve returns it, with the kept poles left of z0
-flipped: the normalization of T.
+The field does not depend on which poles are moved to column 2, so the
+bound-state part is that solve's; the dispersive part reads the first row
+of the solution matrix at z0 as the solve returns it, with the kept poles
+left of z0 moved: the normalization of T.
 """
 
 from __future__ import annotations
@@ -141,13 +141,14 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
     """Evaluate the leading-order field at points of a cone.
 
     ``x`` and ``t`` are scalars or arrays that broadcast together; the
-    result has their shape.  ``sigma_d`` is the plain (all-lower) discrete
-    data, ``scattering`` carries the sampled reflection amplitude (``None``
-    means reflectionless), and ``cone = (x1, x2, v1, v2)``.  The bound-state
-    part uses only the poles whose velocities fall inside the cone, dressed
-    by the radiation factor ``delta``; the dispersive part adds the
-    oscillator coefficient scaled by ``t**-0.5``, read through the first row
-    of the solution matrix at ``z0`` oriented about ``z0``.
+    result has their shape.  ``sigma_d`` is the discrete data,
+    ``scattering`` carries the sampled reflection amplitude (``None`` means
+    reflectionless), and ``cone = (x1, x2, v1, v2)``.  The bound-state part
+    uses only the poles whose velocities fall inside the cone, dressed by
+    the radiation factor ``delta``; the dispersive part adds the oscillator
+    coefficient scaled by ``t**-0.5``, read through the first row of the
+    solution matrix at ``z0`` in T's normalization, the kept poles left of
+    ``z0`` moved.
     Non-finite points, points outside the cone, nonpositive times, times
     below ``min_t`` and a ``min_t`` that is not positive and finite are
     rejected.
@@ -167,8 +168,8 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
                          f"min_t = {min_t:g}")
     sigma_d = tuple(sigma_d)
     z0 = -x / (2.0 * t)
-    # one split about z0 serves T0 and the orientations alike; it checks
-    # the cone before the points are tested against it
+    # one split about z0 gives the window and T0's poles (the solve makes
+    # its own cut); it checks the cone before the points are tested against it
     part = partition(sigma_d, z0, cone)
     x1, x2, v1, v2 = (float(v) for v in cone)
     outside = ~((x1 + v1 * t <= x) & (x <= x2 + v2 * t))

@@ -5,32 +5,33 @@ constants the principal part of a Laurent series at ``z_k``: the
 coefficients ``(c_{m-1}, ..., c_0)`` of ``(z - z_k)^{-m}, ..., (z - z_k)^{-1}``
 (:attr:`DiscreteDatum.coefficients`).  Every change of these constants is
 the principal part of a product or a reciprocal of short Taylor series:
-the phase ``e^{2i(tz^2 + xz)}``, a reorientation and the radiation factor
-``delta`` alike.  The piecewise-rational solution matrix is reconstructed
+the phase ``e^{2i(tz^2 + xz)}``, a move to column 2 and the radiation
+factor ``delta`` alike.  The piecewise-rational solution matrix is reconstructed
 from a linear system over the Laurent coefficients of its pole expansion,
 ``m`` unknowns per pole in each of two blocks; the field is read off the
 ``1/z`` moment,
 
     q(x, t) = 2i * lim_{z->inf} z * m_12(z).
 
-Two orientations are supported per pole: "lower" poles put the singular
-columns on the left (the natural normalization), "upper" poles on the right.
-Re-orienting a subset ``Delta`` of the spectrum is the column scaling
+By the symmetry ``m(z) = sigma2 conj(m(conj z)) sigma2`` the residue
+conditions pair up, and a pole is known by the point ``p_k`` of its
+column-1 conditions: ``z_k``, or ``conj z_k`` once it is moved to column 2.
+Moving a subset ``Delta`` of the spectrum is the column scaling
 ``m -> m * a_Delta(z)^{sigma3}`` with ``a_Delta`` the Blaschke product over
 ``Delta``, each factor raised to its pole's order;
-:func:`reorient_constants` maps the pole constants accordingly, and the
+:func:`reorient_constants` maps the poles accordingly, and the
 reconstructed field is invariant under the change.
 :func:`blaschke_product` forms every product over a masked subset of poles.
 
-One system serves every mix of orientations (:func:`pole_system`), and its
+One system serves every pole at either point (:func:`pole_system`), and its
 x dependence is a row scaling, so a whole slice of x is solved as one stack
 of LU solves.  The constants may differ from point to point
 (:attr:`OrientedData.c`): the cone formula keeps the plain data of its
 window and dresses only those constants by the radiation at each
-stationary point.  :func:`solve_soliton` is the one solve: all-lower
-entries grow like ``exp(2 Im z_k |x|)`` on the far side of a pole, so at
-each point it keeps the better conditioned of the all-lower system and the
-one with the poles where ``x + 2t Re z_k < 0`` flipped, and reports the
+stationary point.  :func:`solve_soliton` is the one solve: the plain
+system's entries grow like ``exp(2 Im z_k |x|)`` on the far side of a pole,
+so at each point it keeps the better conditioned of the plain system and
+the one with the poles where ``x + 2t Re z_k < 0`` moved, and reports the
 1-norm condition number and the scaled backward residual of the solve it
 kept.  Those poles are a cut in ``Re z`` order about the stationary point
 ``-x / (2t)``, the split of the steepest descent's factor T, and the first
@@ -110,7 +111,8 @@ class DiscreteDatum:
 
 @dataclass(frozen=True)
 class OrientedData:
-    """Spectrum plus a per-pole column orientation ("lower" or "upper").
+    """Spectrum plus each pole's point ``p_k``: ``z_k`` when not given, or
+    ``conj z_k`` for a pole moved to column 2 (:func:`reorient_constants`).
 
     ``c`` holds the constants of a stack of points: shape ``(P, N, m)``,
     each pole's principal part padded with leading zeros to the largest
@@ -120,15 +122,14 @@ class OrientedData:
     """
 
     data: tuple[DiscreteDatum, ...]
-    orientations: tuple[str, ...]
+    points: tuple[complex, ...] | None = None
     c: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.data) != len(self.orientations):
-            raise ValueError("one orientation per datum required")
-        for o in self.orientations:
-            if o not in ("lower", "upper"):
-                raise ValueError(f"unknown orientation {o!r}")
+        points = self.points if self.points is not None else (d.z for d in self.data)
+        object.__setattr__(self, "points", tuple(complex(p) for p in points))
+        if len(self.points) != len(self.data):
+            raise ValueError("one point per datum required")
         if self.c is None:
             top = max((d.order for d in self.data), default=0)
             c = np.zeros((1, len(self.data), top), dtype=np.complex128)
@@ -136,26 +137,21 @@ class OrientedData:
                 c[0, k, top - d.order:] = d.coefficients
             object.__setattr__(self, "c", c)
 
-    @staticmethod
-    def all_lower(data) -> "OrientedData":
-        data = tuple(data)
-        return OrientedData(data, ("lower",) * len(data))
-
     def series(self, k: int) -> list:
         """Pole ``k``'s principal part as a list of ``(P,)`` arrays."""
         m = self.c.shape[2]
         return [self.c[:, k, j] for j in range(m - self.data[k].order, m)]
 
-    def with_series(self, series, orientations) -> "OrientedData":
+    def with_series(self, series, points) -> "OrientedData":
         """The same poles with the principal parts ``series`` (one list per
-        pole, as :meth:`series` gives) and the given orientations."""
+        pole, as :meth:`series` gives) at the given points."""
         top = max((d.order for d in self.data), default=0)
         size = np.broadcast_shapes((1,), *(np.shape(v) for s in series for v in s))
         c = np.zeros(size + (len(self.data), top), dtype=np.complex128)
         for k, s in enumerate(series):
             for j, v in enumerate(s, top - len(s)):
                 c[:, k, j] = v
-        return OrientedData(self.data, tuple(orientations), c)
+        return OrientedData(self.data, points, c)
 
     def rows(self, at) -> "OrientedData":
         """The points ``at`` of a stack; shared constants stay shared."""
@@ -170,7 +166,7 @@ class SolitonState:
     number and the scaled backward residual of the solve kept at each
     point, and, when a point ``z`` was asked for, the first row
     ``(m_11, m_12)`` of the solution matrix there in the normalization of
-    the system with the poles ``x + 2t Re z_k < 0`` flipped (else
+    the system with the poles ``x + 2t Re z_k < 0`` moved (else
     ``None``).  Scalars at one point, ``row`` of shape
     ``(2,)``; over points, arrays of their broadcast shape, ``row`` with a
     last axis of 2."""
@@ -219,25 +215,26 @@ def _scaled(c, f) -> list:
     return _mul(c, _mul(f, f, len(c)), len(c))
 
 
-def _phase_series(z, sign, x, t: float, n: int) -> list:
-    """The first ``n`` Taylor coefficients at ``z`` of ``e^{sign 2i (t z^2 +
-    x z)}``; ``z``, ``sign`` and ``x`` broadcast."""
-    s2i = 2j * sign
-    return _exp([s2i * (t * z + x) * z, s2i * (2.0 * t * z + x), s2i * t], n)
+def _phase_series(z, x, t: float, n: int) -> list:
+    """The first ``n`` Taylor coefficients at ``z`` of ``e^{2i (t z^2 +
+    x z)}``; ``z`` and ``x`` broadcast."""
+    return _exp([2j * (t * z + x) * z, 2j * (2.0 * t * z + x), 2j * t], n)
 
 
 def _as_oriented(data) -> OrientedData:
-    return data if isinstance(data, OrientedData) else OrientedData.all_lower(data)
+    return data if isinstance(data, OrientedData) else OrientedData(tuple(data))
 
 
 @functools.lru_cache(maxsize=256)
-def _row_forms(zs: tuple, lower: tuple, orders: tuple):
+def _row_forms(points: tuple, orders: tuple):
     """The x-independent parts of :func:`pole_system`: for each shift
     ``r``, the rows ``K_r`` acts on and ``K_r`` on those rows; the mask of
     rows with a unit term; and the (pole, power) of each unknown of a
     block."""
-    n = len(zs)
-    z = np.array(zs, dtype=np.complex128)
+    n = len(points)
+    p = np.array(points, dtype=np.complex128)
+    # two poles at one z_k coincide whichever column each sits in
+    z = p.real + 1j * np.abs(p.imag)
     gap = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(n, np.inf))
     if n > 1 and gap.min() < _COINCIDENCE_TOL:
         i, j = np.unravel_index(np.argmin(gap), gap.shape)
@@ -247,15 +244,11 @@ def _row_forms(zs: tuple, lower: tuple, orders: tuple):
     pole = np.tile(np.repeat(np.arange(n), orders), 2)
     power = np.tile(np.concatenate([np.arange(1, m + 1) for m in orders]), 2)
     is_alpha = np.arange(pole.size) < pole.size // 2
-    low = np.array(lower)[pole]
-    same = low[:, None] == low[None, :]
-    # Rows whose residue form has no unit term (alpha rows of lower poles,
-    # conj(beta) rows of upper poles); they couple to equal orientations
-    # with sign -1.
-    bare = is_alpha == low
-    coupled = is_alpha[None, :] == (is_alpha[:, None] != same)
-    sign = np.where(same & bare[:, None], 1.0, -1.0)
-    point = np.where(is_alpha, z[pole], np.conj(z[pole]))
+    # Each block couples to the other: the alpha rows, with no unit term,
+    # with sign 1, the conj(beta) rows with sign -1.
+    coupled = is_alpha[:, None] != is_alpha[None, :]
+    sign = np.where(is_alpha, 1.0, -1.0)[:, None]
+    point = np.where(is_alpha, p[pole], np.conj(p[pole]))
     inv = 1.0 / np.where(coupled, point[:, None] - point[None, :], 1.0)
     # Taylor coefficient r at the row's point of the column's (z - p)^{-j}.
     headroom = np.array(orders)[pole] - power
@@ -267,7 +260,7 @@ def _row_forms(zs: tuple, lower: tuple, orders: tuple):
         for a in (rows, k):
             a.flags.writeable = False
         forms.append((rows, k))
-    unit = np.where(bare, 0.0, 1.0)
+    unit = np.where(is_alpha, 0.0, 1.0)
     half = pole.size // 2
     for a in (unit, pole, power):
         a.flags.writeable = False
@@ -279,43 +272,39 @@ def pole_system(data, x_values, t):
     ``(P, 2D)`` with ``D`` the sum of the pole orders.
 
     ``data`` is an :class:`OrientedData` or a sequence of
-    :class:`DiscreteDatum`, taken as all lower.  Its constants ``c`` have
-    shape ``(P, N, m)``, or ``(1, N, m)`` to share one set (see
+    :class:`DiscreteDatum`, each pole at its own ``z_k``.  Its constants
+    ``c`` have shape ``(P, N, m)``, or ``(1, N, m)`` to share one set (see
     :attr:`OrientedData.c`); ``t`` is a scalar or one time per ``x``.
 
     The unknowns are the blocks ``alpha`` and ``conj(beta)``, each holding
-    the Laurent coefficients of ``(z - z_k)^{-1}, ..., (z - z_k)^{-m_k}``
-    pole by pole, whatever the orientations.  Rows come in the same
-    layout: the alpha rows write the principal part at ``z_k`` of the
-    residue conditions, the conj(beta) rows their conjugates at
-    ``conj(z_k)``.  A row couples to the other block of a pole with the same
-    orientation and to its own block of a pole with the other one.  Row
-    ``(k, j)`` is affine in the coefficients ``g_{k, j+r}`` of
-    ``Gamma_k = pp[c_k e^{+-2i(tz^2 + xz)}]`` (conjugated on conj(beta)
-    rows), so
+    the Laurent coefficients of ``(z - p_k)^{-1}, ..., (z - p_k)^{-m_k}``
+    pole by pole, with ``p_k`` the pole's point.  Rows come in the same
+    layout: the alpha rows write the principal part at ``p_k`` of the
+    residue conditions of column 1, the conj(beta) rows their conjugates at
+    ``conj(p_k)``; each row couples to the other block.  Row ``(k, j)`` is
+    affine in the coefficients ``g_{k, j+r}`` of ``Gamma_k = pp[c_k
+    e^{2i(tz^2 + xz)}]`` at ``p_k`` (conjugated on conj(beta) rows), so
 
         M(x) = I + sum_r G_r(x) K_r,   rhs = G_0(x) e,
 
     with ``G_r`` the row scaling by ``g_{k, j+r}`` (zero past the pole's
-    order) and ``K_r[(k, j), (l, n)] = -sign (-1)^r C(n+r-1, r)
-    (p_k - p_l)^{-n-r}`` on coupled pairs, fixed by ``z``, the orders and
-    the orientations.
+    order) and ``K_r[i, l] = +-(-1)^r C(n+r-1, r) (s_i - s_l)^{-n-r}`` on
+    coupled pairs, ``+`` on alpha rows, ``s`` the points of row and column
+    and ``n`` the column's power.  So ``M = [[I, A], [-conj(A), I]]``.
     """
     oriented = _as_oriented(data)
-    lower = tuple(o == "lower" for o in oriented.orientations)
     orders = tuple(d.order for d in oriented.data)
-    zs = tuple(complex(d.z) for d in oriented.data)
-    forms, unit, pole, power = _row_forms(zs, lower, orders)
+    forms, unit, pole, power = _row_forms(oriented.points, orders)
     x = np.asarray(x_values, dtype=float).reshape(-1, 1)
     t = np.asarray(t, dtype=float).reshape(-1, 1)
     # Leading zeros leave a principal part as it is, so every pole's
     # Gamma is one series of length max(orders), a column per pole.
     c = oriented.c
     top = c.shape[2]
-    phase = _phase_series(np.array(zs), np.where(lower, 1.0, -1.0), x, t, top)
+    phase = _phase_series(np.array(oriented.points), x, t, top)
     series = np.concatenate(_mul([c[:, :, j] for j in range(top)], phase, top), axis=1)
-    # g[:, i] for unknown i = (k, j) is the coefficient of (z - z_k)^{-j}
-    g = series[:, (top - power) * len(zs) + pole]
+    # g[:, i] for unknown i = (k, j) is the coefficient of (z - p_k)^{-j}
+    g = series[:, (top - power) * len(orders) + pole]
     gamma = np.concatenate([g, np.conj(g)], axis=1)
     matrix = gamma[:, :, None] * forms[0][1]
     for r, (rows, k) in enumerate(forms[1:], 1):
@@ -377,12 +366,8 @@ def _per_pole(oriented: OrientedData, v: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _moment(oriented: OrientedData, u: np.ndarray) -> np.ndarray:
-    """``q = 2i * (1/z moment of m_12)``: lower poles contribute
-    ``-conj(beta_{k,1})``, upper poles ``alpha_{k,1}``."""
-    half = u.shape[1] // 2
-    alpha, conj_beta = _per_pole(oriented, u[:, :half]), _per_pole(oriented, u[:, half:])
-    return 2j * sum(a[:, 0] if o == "upper" else -b[:, 0]
-                    for a, b, o in zip(alpha, conj_beta, oriented.orientations))
+    """``q = 2i * (1/z moment of m_12) = -2i sum_k conj(beta_{k,1})``."""
+    return -2j * sum(b[:, 0] for b in _per_pole(oriented, u[:, u.shape[1] // 2:]))
 
 
 def _check_solved(cond: np.ndarray, x: np.ndarray, t) -> None:
@@ -406,23 +391,15 @@ def _principal(coeffs, inv) -> np.ndarray:
 
 def _first_row(oriented: OrientedData, u: np.ndarray, z: np.ndarray) -> np.ndarray:
     """First row ``(m_11, m_12)`` of the solution matrix at one ``z`` per
-    point, in the orientations of ``oriented``: shape ``(P, 2)``.  Pole
-    ``k`` adds its singular column's alpha terms at ``z_k`` and its other
-    column's conj(beta) terms at ``conj(z_k)``."""
+    point: shape ``(P, 2)``.  Pole ``k`` adds its alpha terms at ``p_k`` to
+    column 1 and its conj(beta) terms at ``conj(p_k)`` to column 2."""
     half = u.shape[1] // 2
     row = np.zeros((u.shape[0], 2), dtype=np.complex128)
     row[:, 0] = 1.0
-    for d, o, a, conj_b in zip(oriented.data, oriented.orientations,
-                               _per_pole(oriented, u[:, :half]),
-                               _per_pole(oriented, u[:, half:])):
-        near = _principal(a, 1.0 / (z - d.z))
-        far = _principal(conj_b, 1.0 / (z - np.conj(d.z)))
-        if o == "lower":
-            row[:, 0] += near
-            row[:, 1] -= far
-        else:
-            row[:, 1] += near
-            row[:, 0] += far
+    for p, a, conj_b in zip(oriented.points, _per_pole(oriented, u[:, :half]),
+                            _per_pole(oriented, u[:, half:])):
+        row[:, 0] += _principal(a, 1.0 / (z - p))
+        row[:, 1] -= _principal(conj_b, 1.0 / (z - np.conj(p)))
     return row
 
 
@@ -430,28 +407,28 @@ def solve_soliton(data, x, t, z=None) -> SolitonState:
     """Solve the pole system at the points ``(x, t)`` and reconstruct the
     field there.
 
-    ``data`` is a sequence of :class:`DiscreteDatum` or an all-lower
-    :class:`OrientedData`, whose per-point constants
+    ``data`` is a sequence of :class:`DiscreteDatum` or an
+    :class:`OrientedData` with no pole moved, whose per-point constants
     (:attr:`OrientedData.c`) follow the points.  ``x``, ``t`` and ``z``
     broadcast, and the points are solved as stacks.  Each point takes the
-    better conditioned of two equivalent systems: all poles lower, and the
-    poles with ``x + 2t Re z_k < 0`` flipped by :func:`reorient_constants`,
-    whose entries decay where the all-lower ones grow.  The test is
-    monotone in ``Re z_k``, so the flipped poles are a cut in that order:
-    those left of ``-x / (2t)`` for ``t > 0``, right of it for ``t < 0``,
-    all or none at ``t = 0``.  Each nonzero cut costs one reorientation
-    and one stacked solve.
+    better conditioned of two equivalent systems: the plain one, and the
+    one with the poles where ``x + 2t Re z_k < 0`` moved by
+    :func:`reorient_constants`, whose entries decay where the plain ones
+    grow.  The test is monotone in ``Re z_k``, so the moved poles are a cut
+    in that order: those left of ``-x / (2t)`` for ``t > 0``, right of it
+    for ``t < 0``, all or none at ``t = 0``.  Each nonzero cut costs one
+    :func:`reorient_constants` call and one stacked solve.
 
     ``z`` asks for the first row of the solution matrix at one point per
     point, in the cut system's normalization ``m_Delta``: a point solved
-    flipped keeps its row, and an all-lower one is moved by
+    in the cut system keeps its row, and a plain one is moved by
     ``m_Delta = m a_Delta^{sigma3}``, ``a_Delta`` the Blaschke product of
-    the flipped poles.
+    the moved poles.
     """
     oriented = _as_oriented(data)
-    if "upper" in oriented.orientations:
-        raise ValueError("solve_soliton takes all-lower data and picks the "
-                         "orientations itself")
+    if any(p.imag < 0 for p in oriented.points):
+        raise ValueError("solve_soliton takes data with no pole moved and "
+                         "moves the poles itself")
     x, t, at_z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float),
                                      np.asarray(0.0 if z is None else z, dtype=np.complex128))
     shape = x.shape
@@ -500,7 +477,7 @@ def soliton_field(data, x_values, t: float | np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Orientation changes (column scaling by a Blaschke product)
+# Moving poles to column 2 (column scaling by a Blaschke product)
 # ---------------------------------------------------------------------------
 
 def blaschke_product(z, data, members) -> np.ndarray:
@@ -540,42 +517,44 @@ def _blaschke_series(z: complex, members, n: int) -> list:
 
 
 def reorient_constants(data, delta_indices) -> OrientedData:
-    """Move the poles listed in ``delta_indices`` to the upper orientation.
+    """Move the poles listed in ``delta_indices`` to column 2.
 
-    ``data`` is a sequence of :class:`DiscreteDatum` or an all-lower
-    :class:`OrientedData` stack, and every point of the stack is mapped.
-    The column scaling by the Blaschke product ``a`` over the flipped
-    subset maps the principal part ``c`` of every pole: ``c -> pp[c a^2]``
-    for the poles that stay lower, and ``c -> pp[1 / (c g^2)]`` with
-    ``g = a / (z - z_k)^m`` for the flipped ones.
+    ``data`` is a sequence of :class:`DiscreteDatum` or an
+    :class:`OrientedData` stack with no pole moved, and every point of the
+    stack is mapped.  The column scaling by the Blaschke product ``a`` over
+    the moved subset maps the principal part ``c`` of every pole:
+    ``c -> pp[c a^2]`` for the poles that stay.  A moved pole's column-2
+    constants at ``z_k`` are ``pp[1 / (c g^2)]`` with ``g = a / (z -
+    z_k)^m``; by the symmetry it is the pole at ``p_k = conj z_k`` with the
+    constants ``-conj(pp[1 / (c g^2)])``.
     """
     oriented = _as_oriented(data)
-    if "upper" in oriented.orientations:
-        raise ValueError("reorientation starts from all-lower data")
+    if any(p.imag < 0 for p in oriented.points):
+        raise ValueError("reorient_constants starts from data with no pole moved")
     flip = sorted(set(int(i) for i in delta_indices))
     members = [oriented.data[i] for i in flip]
     series = []
     for k, d in enumerate(oriented.data):
         c = _scaled(oriented.series(k), _blaschke_series(d.z, members, d.order))
-        series.append(_inv(c, d.order) if k in flip else c)
-    return oriented.with_series(
-        series, ("upper" if k in flip else "lower" for k in range(len(series))))
+        series.append([-np.conj(v) for v in _inv(c, d.order)] if k in flip else c)
+    return oriented.with_series(series, (p.conjugate() if k in flip else p
+                                         for k, p in enumerate(oriented.points)))
 
 
 def modulate_constants(data, inverse_delta) -> OrientedData:
     """Dress every pole's constants by the radiation factor ``delta``.
 
-    ``data`` is a sequence of :class:`DiscreteDatum`, all lower.
+    ``data`` is a sequence of :class:`DiscreteDatum`.
     ``inverse_delta(z, n)`` returns the first ``n`` Taylor coefficients of
     ``f = 1 / delta`` at a point ``z`` of the upper half plane, one value
     per point of a stack (supplied by :mod:`fnls.phase`), and the
     constants change as under the column scaling by ``f``:
-    ``c -> pp[c f^2]``, in an all-lower stack of one set per point.
+    ``c -> pp[c f^2]``, in a stack of one set per point.
     """
-    oriented = OrientedData.all_lower(data)
+    oriented = OrientedData(tuple(data))
     series = [_scaled(oriented.series(k), inverse_delta(d.z, d.order))
               for k, d in enumerate(oriented.data)]
-    return oriented.with_series(series, oriented.orientations)
+    return oriented.with_series(series, oriented.points)
 
 
 def restrict_to_interval(data, interval: tuple[float, float]) -> tuple[DiscreteDatum, ...]:

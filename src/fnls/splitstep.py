@@ -277,7 +277,9 @@ def save_evolution(ev: Evolution, directory, dt: float | None = None) -> None:
     """Write each stored slice as ``slice_NNNN.csv`` plus ``manifest.json``.
 
     ``dt`` is recorded in the manifest when known so offline consumers can
-    see how the run was produced; it does not affect reloading.
+    see how the run was produced; it does not affect reloading.  The
+    manifest is strict JSON: a non-finite ``edge_fraction``, the NaN of a
+    run that blew up, is written as null.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
@@ -292,10 +294,10 @@ def save_evolution(ev: Evolution, directory, dt: float | None = None) -> None:
         "dt": dt,
         "t": [float(v) for v in ev.t],
         "slices": names,
-        "edge_fraction": float(ev.edge_fraction),
+        "edge_fraction": float(ev.edge_fraction) if math.isfinite(ev.edge_fraction) else None,
     }
     with open(path / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
+        json.dump(manifest, fh, indent=1, allow_nan=False)
 
 
 def load_evolution(directory) -> Evolution:
@@ -317,4 +319,6 @@ def load_evolution(directory) -> Evolution:
         if arr.shape != (grid.n, 3):
             raise ValueError(f"slice file {name} does not match the manifest grid")
         slices.append(arr[:, 1] + 1j * arr[:, 2])
-    return Evolution(grid, times, np.asarray(slices), float(manifest["edge_fraction"]))
+    fraction = manifest["edge_fraction"]
+    return Evolution(grid, times, np.asarray(slices),
+                     math.nan if fraction is None else float(fraction))

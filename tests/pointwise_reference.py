@@ -10,8 +10,11 @@ keeps the better conditioned of that system and the all-lower one.  So it
 agrees with the library only where the flipped system is well conditioned:
 on the cones its tests use, not on the order-3 cases of the 60-digit gate
 in ``test_asymptotics``, where it is off by 2.7e-2 and 4.5e-2.  The batched
-code must agree with it; only the series helpers and the row forms of the
-pole system, which the batching left as they were, are shared.
+code must agree with it; only the series helpers and the stacked LU solve
+are shared.  The pole system is assembled here in two orientations: a
+flipped pole keeps its point ``z_k`` and puts its singular column on the
+right, with the phase ``e^{-2i(tz^2 + xz)}``, where the library writes
+the same pole as a column-1 pole at ``conj z_k``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from fnls.solitons import (
     _exp,
     _inv,
     _mul,
-    _phase_series,
-    _row_forms,
     _scaled,
     _solve_stack,
 )
@@ -111,6 +112,42 @@ class Ray:
         start = self.grid[0] - (40.0 / self.tail_kappa if self.tail_kappa else 0.0)
         return float(np.sum(_safe_ratio(self.w * v, self.s - self.z0))
                      - n0 * math.log(self.z0 - max(start, self.z0 - 1.0)))
+
+
+def _row_forms(zs, lower, orders):
+    """For each shift ``r``, the rows ``K_r`` acts on and ``K_r`` on those
+    rows; the mask of rows with a unit term; and the (pole, power) of each
+    unknown of a block, for poles in the orientations ``lower``."""
+    z = np.array(zs, dtype=np.complex128)
+    # Row and column i: block (alpha, then conj(beta)), pole, power.
+    pole = np.tile(np.repeat(np.arange(len(zs)), orders), 2)
+    power = np.tile(np.concatenate([np.arange(1, m + 1) for m in orders]), 2)
+    is_alpha = np.arange(pole.size) < pole.size // 2
+    low = np.array(lower)[pole]
+    same = low[:, None] == low[None, :]
+    # Rows whose residue form has no unit term (alpha rows of lower poles,
+    # conj(beta) rows of upper poles); they couple to equal orientations
+    # with sign -1.
+    bare = is_alpha == low
+    coupled = is_alpha[None, :] == (is_alpha[:, None] != same)
+    sign = np.where(same & bare[:, None], 1.0, -1.0)
+    point = np.where(is_alpha, z[pole], np.conj(z[pole]))
+    inv = 1.0 / np.where(coupled, point[:, None] - point[None, :], 1.0)
+    forms = []
+    for r in range(max(orders)):
+        rows = np.flatnonzero(np.array(orders)[pole] - power >= r)
+        binom = np.array([math.comb(j + r - 1, r) for j in power])
+        k = np.where(coupled, sign * (-1) ** r * binom * inv ** (power + r), 0.0)
+        forms.append((rows, k[rows]))
+    half = pole.size // 2
+    return forms, np.where(bare, 0.0, 1.0), pole[:half], power[:half]
+
+
+def _phase_series(z, sign, x, t, n):
+    """The first ``n`` Taylor coefficients at ``z`` of
+    ``e^{sign 2i (t z^2 + x z)}``."""
+    s2i = 2j * sign
+    return _exp([s2i * (t * z + x) * z, s2i * (2.0 * t * z + x), s2i * t], n)
 
 
 def _reorient(data, flip):

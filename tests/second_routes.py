@@ -7,9 +7,9 @@ reach the same number by different means.
   with scipy's Gamma, against :func:`fnls.asymptotics.pc_coefficients`.
 * :func:`e1_matrix` -- the moment matrix conjugated by the outer solution,
   whose (1,2) entry ``q_asymptotic`` forms inline.
-* :func:`solution_matrix` -- the whole solution matrix of a pole system
-  in the orientations given, of which the library reads only the first
-  row, from the Laurent coefficients of :func:`pole_coefficients`.
+* :func:`solution_matrix` -- the whole solution matrix of a pole system,
+  each pole at its point, of which the library reads only the first row,
+  from the Laurent coefficients of :func:`pole_coefficients`.
 * :func:`mass_from_spectrum` -- the trace formula for the mass.
 * :func:`s11_from_integral` -- s11 as an integral along the line, against
   the Wronskian of the two Jost columns.  Its Jost column comes from
@@ -86,10 +86,10 @@ def e1_matrix(m_out_at_z0, pc, t: float) -> np.ndarray:
 
 
 def pole_coefficients(data, x: float, t: float):
-    """``(oriented, alpha, beta)`` at one point ``(x, t)``, solved in the
-    orientations of ``data`` (all lower for plain data) by the library's
-    private stacked solve: ``alpha[k][j - 1]`` and ``beta[k][j - 1]``
-    multiply ``(z - z_k)^{-j}`` in the singular column of pole ``k``."""
+    """``(oriented, alpha, beta)`` at one point ``(x, t)``, solved with
+    each pole at its point ``p_k`` (``z_k`` for plain data) by the
+    library's private stacked solve: ``alpha[k][j - 1]`` and
+    ``beta[k][j - 1]`` multiply ``(z - p_k)^{-j}`` in column 1."""
     oriented = _as_oriented(data)
     u = _solve_points(oriented, np.array([float(x)]), float(t))[0][0]
     half = u.size // 2
@@ -99,22 +99,21 @@ def pole_coefficients(data, x: float, t: float):
 
 def solution_matrix(data, x: float, t: float, z) -> np.ndarray:
     """The solution matrix at points ``z`` (shape ``z.shape + (2, 2)``) for
-    the point ``(x, t)``, in the orientations of ``data``: each pole puts
-    its Laurent terms in its singular column at ``z_k`` and their mirror
-    images, by ``m(z) = sigma2 conj(m(conj z)) sigma2``, in the other
-    column at ``conj(z_k)``."""
+    the point ``(x, t)``, with each pole of ``data`` at its point ``p_k``:
+    each pole puts its Laurent terms in column 1 at ``p_k`` and their mirror
+    images, by ``m(z) = sigma2 conj(m(conj z)) sigma2``, in column 2 at
+    ``conj(p_k)``."""
     oriented, alpha, beta = pole_coefficients(data, x, t)
     z = np.asarray(z, dtype=np.complex128)
     m = np.zeros(z.shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = 1.0
     m[..., 1, 1] = 1.0
-    for d, o, a, b in zip(oriented.data, oriented.orientations, alpha, beta):
-        near, far, s = (0, 1, 1.0) if o == "lower" else (1, 0, -1.0)
-        w, v = 1.0 / (z - d.z), 1.0 / (z - np.conj(d.z))
-        m[..., 0, near] += _principal(a, w)
-        m[..., 1, near] += _principal(b, w)
-        m[..., 0, far] -= s * _principal(np.conj(b), v)
-        m[..., 1, far] += s * _principal(np.conj(a), v)
+    for p, a, b in zip(oriented.points, alpha, beta):
+        w, v = 1.0 / (z - p), 1.0 / (z - np.conj(p))
+        m[..., 0, 0] += _principal(a, w)
+        m[..., 1, 0] += _principal(b, w)
+        m[..., 0, 1] -= _principal(np.conj(b), v)
+        m[..., 1, 1] += _principal(np.conj(a), v)
     return m
 
 

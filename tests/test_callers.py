@@ -126,3 +126,13 @@ def test_blaschke_factors_are_formed_in_solitons_only():
     found += [f"{stem}:{line}" for stem, tree in trees.items() if stem not in ("solitons", "phase")
               for line in _calls(tree, "blaschke_product")]
     assert found == []
+
+
+def test_pointwise_reference_assembles_its_own_pole_system():
+    # the reference checks the library's one pole form against the
+    # two-orientation form it replaced, so it must not read the library's
+    tree = ast.parse((ROOT / "tests" / "pointwise_reference.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "fnls.solitons"
+                for alias in node.names}
+    assert imported and not imported & {"_row_forms", "pole_system"}

@@ -62,6 +62,15 @@ def test_field_value_matches_high_precision_reference():
     assert state.q == pytest.approx(0.1813031161473088, abs=1e-13)
 
 
+def _assert_blocks(matrix, rhs):
+    """``M = [[I, A], [-conj(A), I]]`` with rhs 0 on the alpha rows, exactly."""
+    p, d = matrix.shape[0], matrix.shape[1] // 2
+    assert np.array_equal(matrix[:, :d, :d], np.broadcast_to(np.eye(d), (p, d, d)))
+    assert np.array_equal(matrix[:, d:, d:], np.broadcast_to(np.eye(d), (p, d, d)))
+    assert np.array_equal(matrix[:, d:, :d], -np.conj(matrix[:, :d, d:]))
+    assert not rhs[:, :d].any()
+
+
 def test_all_lower_system_is_identity_blocks_coupled_by_a_and_minus_its_conjugate():
     # M = [[I, A], [-conj(A), I]] with rhs 0 on the alpha rows, exactly,
     # on seeded spectra of orders 1-3: the structure a half-size solve of
@@ -76,12 +85,16 @@ def test_all_lower_system_is_identity_blocks_coupled_by_a_and_minus_its_conjugat
         data = [DiscreteDatum(z, tuple(complex(rng.normal(), rng.normal())
                                        for _ in range(int(rng.integers(1, 4)))))
                 for z in zs]
-        matrix, rhs = pole_system(data, rng.uniform(-5.0, 5.0, 7), float(rng.uniform(-2.0, 2.0)))
-        d = matrix.shape[1] // 2
-        assert np.array_equal(matrix[:, :d, :d], np.broadcast_to(np.eye(d), (7, d, d)))
-        assert np.array_equal(matrix[:, d:, d:], np.broadcast_to(np.eye(d), (7, d, d)))
-        assert np.array_equal(matrix[:, d:, :d], -np.conj(matrix[:, :d, d:]))
-        assert not rhs[:, :d].any()
+        _assert_blocks(*pole_system(data, rng.uniform(-5.0, 5.0, 7),
+                                    float(rng.uniform(-2.0, 2.0))))
+
+
+def test_moved_system_has_the_same_blocks():
+    # a pole moved to column 2 is the system's pole at conj z_k, so every
+    # mix of moved poles keeps the blocks of the plain system
+    data = (*_mixed(), DiscreteDatum(0.1 + 0.4j, (1.0, 0.5, -0.2j)))
+    for flip in ([0], [1, 3], [0, 1, 2, 3]):
+        _assert_blocks(*pole_system(reorient_constants(data, flip), [-2.0, 0.3, 4.0], 0.7))
 
 
 def test_simple_pole_reduces_to_classical_soliton():
@@ -188,8 +201,8 @@ def test_conjugation_symmetry_and_unit_determinant():
 
 
 def _q_as_given(oriented, x, t):
-    """q of the one system in the orientations of ``oriented``, solved at
-    the points ``x`` by the private stacked solve."""
+    """q of the one system with the poles of ``oriented`` at their points,
+    solved at the points ``x`` by the private stacked solve."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return _moment(oriented, _solve_points(oriented, x, t)[0])
 
@@ -273,6 +286,37 @@ def test_flipped_sets_are_the_cuts(monkeypatch, poles):
     assert np.array_equal(np.sort(points), np.sort(x[flipped] + 1j * t[flipped]))
 
 
+def _high_orders():
+    return (DiscreteDatum(0.3 + 0.9j, (0.8 - 0.2j, 0.3 + 0.4j, -0.5 + 0.1j)),
+            DiscreteDatum(-0.4 + 0.6j, (0.6 + 0.5j, -0.2 + 0.3j, 0.4 - 0.1j, 0.7 + 0.2j)))
+
+
+def _moved_condition(data, flip, x, t):
+    return _solve_points(reorient_constants(data, flip), np.array([x]), t)[1][0]
+
+
+@pytest.mark.parametrize("x, t", [(0.25, -0.3), (-0.2, 0.35)])
+@pytest.mark.parametrize("flip", [[0], [1], [0, 1]], ids=str)
+def test_field_invariant_under_moving_poles_of_orders_3_and_4(flip, x, t):
+    # at (0.25, -0.3) the plain system's condition is 58, the moved ones'
+    # 4.9e6 to 1.6e9; q moved by at most 1.8e-2 cond eps |q|
+    data = _high_orders()
+    q_ref = solve_soliton(data, x, t).q
+    q = _q_as_given(reorient_constants(data, flip), x, t)[0]
+    assert abs(q - q_ref) <= _moved_condition(data, flip, x, t) * 1e-15 * abs(q_ref)
+
+
+@pytest.mark.parametrize("flip", [[0], [1], [0, 1]], ids=str)
+def test_moving_poles_of_orders_3_and_4_is_a_column_scaling(flip):
+    data, x, t = _high_orders(), 0.25, -0.3
+    zs = np.array([0.4 + 2.1j, -1.3 + 0.9j, 2.0 - 1.4j])
+    a = blaschke_product(zs, data, [k in flip for k in range(len(data))])
+    scaled = solution_matrix(data, x, t, zs) * np.stack([a, 1.0 / a], axis=-1)[:, None, :]
+    m_new = solution_matrix(reorient_constants(data, flip), x, t, zs)
+    bound = _moved_condition(data, flip, x, t) * 1e-15 * np.max(np.abs(scaled))
+    assert np.max(np.abs(m_new - scaled)) <= bound
+
+
 def test_reorientation_handles_simple_poles():
     data = (
         DiscreteDatum(0.2 + 0.8j, (1.3 - 0.4j,)),
@@ -334,15 +378,16 @@ def test_masked_blaschke_rows_are_the_products_over_member_lists():
         blaschke_product(z, data, [0, 1, 2, 3])
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_series_helpers_against_contour(sign):
+@pytest.mark.parametrize("half", [1.0, -1.0])
+def test_series_helpers_against_contour(half):
     # four terms, past what orders 1 and 2 use, so every term of the
-    # phase recurrence and of the reciprocal is exercised
-    z, x, t = 0.3 + 0.8j, np.array([-1.2, 0.7]), 0.45
-    phase = _phase_series(z, sign, x, t, 4)
+    # phase recurrence and of the reciprocal is exercised; a moved pole's
+    # point conj z_k lies in the lower half plane
+    z, x, t = complex(0.3, half * 0.8), np.array([-1.2, 0.7]), 0.45
+    phase = _phase_series(z, x, t, 4)
     phi = 2 * np.pi * np.arange(256) / 256
     w = 0.3 * np.exp(1j * phi)
-    vals = np.exp(sign * 2j * (t * (z + w[:, None]) ** 2 + x * (z + w[:, None])))
+    vals = np.exp(2j * (t * (z + w[:, None]) ** 2 + x * (z + w[:, None])))
     for k in range(4):
         assert np.max(np.abs(phase[k] - np.mean(vals / w[:, None] ** k, axis=0))) < 1e-12
     a = [1.5 - 0.5j, 0.25j, -0.75, 2.0]
@@ -352,13 +397,13 @@ def test_series_helpers_against_contour(sign):
 def test_modulation_identity_and_scaling():
     data = _mixed()
     same = modulate_constants(data, lambda z, n: [1.0] + [0.0] * (n - 1))
-    assert same.data == data and same.orientations == ("lower",) * len(data)
+    assert same.data == data and same.points == tuple(d.z for d in data)
     for k, d in enumerate(data):
         assert [complex(v[0]) for v in same.series(k)] == list(d.coefficients)
 
     # delta = 1/a with a the Blaschke product of one more pole dresses the
     # constants as the column scaling by a does: reorient_constants' rule
-    # for the poles that stay lower
+    # for the poles that stay
     other = DiscreteDatum(-0.9 + 0.5j, (1.0,))
     scaled = modulate_constants(data, lambda z, n: _blaschke_series(z, [other], n))
     flipped = reorient_constants((*data, other), [len(data)])
@@ -397,11 +442,16 @@ def test_input_validation():
         DiscreteDatum(1j, ())
     with pytest.raises(ValueError, match="coincident"):
         pole_system([DiscreteDatum(1j, (1.0, 0.0)), DiscreteDatum(1j, (1.0, 0.0))], [0.0], 0.0)
-    with pytest.raises(ValueError):
-        OrientedData((DiscreteDatum(1j, (1.0, 0.0)),), ("sideways",))
-    # the Blaschke map of the constants holds for all-lower data only
-    with pytest.raises(ValueError, match="all-lower"):
+    with pytest.raises(ValueError, match="one point per datum"):
+        OrientedData((DiscreteDatum(1j, (1.0, 0.0)),), ())
+    # the Blaschke map of the constants holds for data with no pole moved
+    with pytest.raises(ValueError, match="no pole moved"):
         reorient_constants(reorient_constants(_pair(), [1]), [0])
+    # a moved pole sits at conj z_k, yet two poles at one z_k still coincide
+    two = (DiscreteDatum(0.3 + 1j, (1.0,)), DiscreteDatum(0.3 + 1j, (0.5, 1.0)))
+    for flip in ([0], [1], [0, 1]):
+        with pytest.raises(ValueError, match="coincident"):
+            pole_system(reorient_constants(two, flip), [0.0], 0.0)
 
 
 @pytest.mark.parametrize("field", ["z", "c0", "c1"])
@@ -428,7 +478,7 @@ def test_condition_warning_at_extreme_x():
     data = (DiscreteDatum(0.5j, (-2j,)),
             DiscreteDatum(1.5j, (-6j,)))
     x = np.array([-20.0])
-    _, cond, residual = _solve_points(OrientedData.all_lower(data), x, 0.3)
+    _, cond, residual = _solve_points(OrientedData(data), x, 0.3)
     with pytest.warns(RuntimeWarning, match="condition"):
         _check_solved(cond, x, 0.3)
     assert cond[0] > 1e12
@@ -505,7 +555,7 @@ def test_batched_field_matches_pointwise_solves():
             flip = [k for k, d in enumerate(data) if xi + 2.0 * t * d.z.real < 0]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                systems = [OrientedData.all_lower(data)]
+                systems = [OrientedData(data)]
                 if flip:
                     systems.append(reorient_constants(data, flip))
                 solved = [(_moment(o, u)[0], cond[0]) for o in systems
@@ -522,14 +572,14 @@ def test_given_orientations_are_kept_by_the_batch():
     q = _q_as_given(data, x, 0.4)
     pointwise = [_q_as_given(data, xi, 0.4)[0] for xi in x]
     assert np.max(np.abs(q - pointwise)) < 1e-13
-    # the public solve picks the orientations itself
-    with pytest.raises(ValueError, match="all-lower"):
+    # the public solve moves the poles itself
+    with pytest.raises(ValueError, match="no pole moved"):
         solve_soliton(data, 0.0, 0.4)
 
 
 def test_no_finite_solve_raises_linalg_error():
     # overflowing exponentials leave no finite all-lower solve at the point
-    data = OrientedData.all_lower([DiscreteDatum(1j, (2.0,))])
+    data = OrientedData((DiscreteDatum(1j, (2.0,)),))
     x = np.array([0.0, -600.0])
     _, cond, _ = _solve_points(data, x, 0.0)
     assert cond[0] < 10.0 and cond[1] == np.inf
@@ -586,7 +636,7 @@ def test_row_is_the_cut_row_whichever_system_wins(x, flipped_wins):
     assert bool(cut) == (x < 0)
     flipped = reorient_constants(data, cut)
     assert (_solve_points(flipped, np.array([x]), t)[1][0]
-            < _solve_points(OrientedData.all_lower(data), np.array([x]), t)[1][0]) == flipped_wins
+            < _solve_points(OrientedData(data), np.array([x]), t)[1][0]) == flipped_wins
     expect = solution_matrix(flipped, x, t, zs)[:, 0, :]
     assert np.max(np.abs(state.row - expect)) < 1e-10 * np.max(np.abs(expect))
     a = blaschke_product(zs, data, [k in cut for k in range(len(data))])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -7,7 +8,15 @@ import numpy as np
 import pytest
 
 from fnls import splitstep
-from fnls.splitstep import Grid, fourier_interpolate, pde_residual, split_step
+from fnls.splitstep import (
+    Evolution,
+    Grid,
+    fourier_interpolate,
+    load_evolution,
+    pde_residual,
+    save_evolution,
+    split_step,
+)
 
 from invariants import conserved, conserved_drift, sech_soliton
 
@@ -106,6 +115,22 @@ def test_blown_up_run_reports_a_nan_edge_fraction(monkeypatch):
     ev = split_step(np.exp(-grid.x ** 2), grid, 1.0, dt=0.1, t_samples=[0.5])
     assert math.isfinite(splitstep._edge_mass_fraction(ev.q[0]))
     assert math.isnan(ev.edge_fraction)
+
+
+@pytest.mark.parametrize("fraction", [math.nan, 0.25])
+def test_saved_edge_fraction_is_strict_json(tmp_path, fraction):
+    # a NaN is written as null, which reads back as NaN
+    grid = Grid(16, -4.0, 4.0)
+    ev = Evolution(grid, np.array([0.0, 0.5]), np.ones((2, 16), dtype=np.complex128), fraction)
+    save_evolution(ev, tmp_path, dt=0.1)
+
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["edge_fraction"] == (None if math.isnan(fraction) else fraction)
+    back = load_evolution(tmp_path).edge_fraction
+    assert math.isnan(back) if math.isnan(fraction) else back == fraction
 
 
 def test_residual_window_restriction():
