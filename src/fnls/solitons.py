@@ -66,12 +66,13 @@ __all__ = [
 
 _COINCIDENCE_TOL = 1e-12
 _COND_WARN = 1e12
-# Matrix entries per stacked solve.  8192 complex entries are 128 KiB,
-# glibc's mmap threshold at start-up, so each chunk's arrays are reused
-# from the heap instead of being mapped, returned to the OS and faulted in
-# afresh.  A library caller keeps that threshold until it frees a larger
-# mapped block; the ``fnls`` command sets it to 32 MiB.  The solve takes
-# one matrix at a time, so results do not depend on the chunking.
+# Entries of a stacked solve's largest array, its (P, 2D, 2D) matrices.
+# 8192 complex entries are 128 KiB, glibc's mmap threshold at start-up,
+# so each chunk's arrays are reused from the heap instead of being mapped,
+# returned to the OS and faulted in afresh.  A library caller keeps that
+# threshold until it frees a larger mapped block; the ``fnls`` command
+# sets it to 32 MiB.  The solve takes one matrix at a time, so results do
+# not depend on the chunking.
 _CHUNK_ENTRIES = 1 << 13
 
 
@@ -228,9 +229,9 @@ def _as_oriented(data) -> OrientedData:
 @functools.lru_cache(maxsize=256)
 def _row_forms(points: tuple, orders: tuple):
     """The x-independent parts of :func:`pole_system`: for each shift
-    ``r``, the rows ``K_r`` acts on and ``K_r`` on those rows; the mask of
-    rows with a unit term; and the (pole, power) of each unknown of a
-    block."""
+    ``r``, the alpha rows ``K_r`` acts on and, on those rows, the block of
+    ``K_r`` in the conj(beta) columns; and the (pole, power) of each
+    unknown of a block."""
     n = len(points)
     p = np.array(points, dtype=np.complex128)
     # two poles at one z_k coincide whichever column each sits in
@@ -240,31 +241,23 @@ def _row_forms(points: tuple, orders: tuple):
         i, j = np.unravel_index(np.argmin(gap), gap.shape)
         raise ValueError(f"coincident spectral points {z[i]} and {z[j]}")
 
-    # Row and column i: block (alpha, then conj(beta)), pole, power.
-    pole = np.tile(np.repeat(np.arange(n), orders), 2)
-    power = np.tile(np.concatenate([np.arange(1, m + 1) for m in orders]), 2)
-    is_alpha = np.arange(pole.size) < pole.size // 2
-    # Each block couples to the other: the alpha rows, with no unit term,
-    # with sign 1, the conj(beta) rows with sign -1.
-    coupled = is_alpha[:, None] != is_alpha[None, :]
-    sign = np.where(is_alpha, 1.0, -1.0)[:, None]
-    point = np.where(is_alpha, p[pole], np.conj(p[pole]))
-    inv = 1.0 / np.where(coupled, point[:, None] - point[None, :], 1.0)
+    # Row i of the alpha block and column i of the conj(beta) block: pole, power.
+    pole = np.repeat(np.arange(n), orders)
+    power = np.concatenate([np.arange(1, m + 1) for m in orders])
+    inv = 1.0 / (p[pole][:, None] - np.conj(p[pole])[None, :])
     # Taylor coefficient r at the row's point of the column's (z - p)^{-j}.
     headroom = np.array(orders)[pole] - power
     forms = []
     for r in range(max(orders)):
         rows = np.flatnonzero(headroom >= r)
         binom = np.array([math.comb(j + r - 1, r) for j in power])
-        k = np.where(coupled, sign * (-1) ** r * binom * inv ** (power + r), 0.0)[rows]
+        k = ((-1) ** r * binom * inv ** (power + r))[rows]
         for a in (rows, k):
             a.flags.writeable = False
         forms.append((rows, k))
-    unit = np.where(is_alpha, 0.0, 1.0)
-    half = pole.size // 2
-    for a in (unit, pole, power):
+    for a in (pole, power):
         a.flags.writeable = False
-    return tuple(forms), unit, pole[:half], power[:half]
+    return tuple(forms), pole, power
 
 
 def pole_system(data, x_values, t):
@@ -281,20 +274,21 @@ def pole_system(data, x_values, t):
     pole by pole, with ``p_k`` the pole's point.  Rows come in the same
     layout: the alpha rows write the principal part at ``p_k`` of the
     residue conditions of column 1, the conj(beta) rows their conjugates at
-    ``conj(p_k)``; each row couples to the other block.  Row ``(k, j)`` is
-    affine in the coefficients ``g_{k, j+r}`` of ``Gamma_k = pp[c_k
-    e^{2i(tz^2 + xz)}]`` at ``p_k`` (conjugated on conj(beta) rows), so
+    ``conj(p_k)``; each row couples to the other block.  Alpha row ``(k,
+    j)`` is linear in the coefficients ``g_{k, j+r}`` of ``Gamma_k = pp[c_k
+    e^{2i(tz^2 + xz)}]`` at ``p_k``, so
 
-        M(x) = I + sum_r G_r(x) K_r,   rhs = G_0(x) e,
+        M(x) = [[I, A], [-conj(A), I]],   A = sum_r G_r(x) K_r,
+        rhs = (0, conj(g_{k, j})),
 
     with ``G_r`` the row scaling by ``g_{k, j+r}`` (zero past the pole's
-    order) and ``K_r[i, l] = +-(-1)^r C(n+r-1, r) (s_i - s_l)^{-n-r}`` on
-    coupled pairs, ``+`` on alpha rows, ``s`` the points of row and column
-    and ``n`` the column's power.  So ``M = [[I, A], [-conj(A), I]]``.
+    order) and ``K_r[i, l] = (-1)^r C(n+r-1, r) (p_i - conj p_l)^{-n-r}``,
+    ``n`` the column's power.  ``A`` is built once and written in both
+    off-diagonal blocks.
     """
     oriented = _as_oriented(data)
     orders = tuple(d.order for d in oriented.data)
-    forms, unit, pole, power = _row_forms(oriented.points, orders)
+    forms, pole, power = _row_forms(oriented.points, orders)
     x = np.asarray(x_values, dtype=float).reshape(-1, 1)
     t = np.asarray(t, dtype=float).reshape(-1, 1)
     # Leading zeros leave a principal part as it is, so every pole's
@@ -305,25 +299,34 @@ def pole_system(data, x_values, t):
     series = np.concatenate(_mul([c[:, :, j] for j in range(top)], phase, top), axis=1)
     # g[:, i] for unknown i = (k, j) is the coefficient of (z - p_k)^{-j}
     g = series[:, (top - power) * len(orders) + pole]
-    gamma = np.concatenate([g, np.conj(g)], axis=1)
-    matrix = gamma[:, :, None] * forms[0][1]
+    a = g[:, :, None] * forms[0][1]
     for r, (rows, k) in enumerate(forms[1:], 1):
-        matrix[:, rows] += gamma[:, rows + r, None] * k
-    matrix += np.eye(gamma.shape[1])
-    return matrix, gamma * unit
+        a[:, rows] += g[:, rows + r, None] * k
+    size, half = g.shape
+    matrix = np.empty((size, 2 * half, 2 * half), dtype=np.complex128)
+    matrix[:] = np.eye(2 * half)
+    matrix[:, :half, half:] = a
+    matrix[:, half:, :half] = -np.conj(a)
+    return matrix, np.concatenate([np.zeros_like(g), np.conj(g)], axis=1)
 
 
 def _solve_stack(matrix: np.ndarray, rhs: np.ndarray):
     """LU-solve a stack of systems: ``(u, condition, residual)`` per system.
 
-    The 1-norm condition uses the inverse from the same factorisation; the
-    residual is ``|M u - rhs| / (|M| |u| + |rhs|)`` in max norms.  Exactly
-    singular matrices give ``u = nan`` and condition ``inf``.
+    Each matrix must have the block form ``[[I, A], [-conj(A), I]]`` of
+    :func:`pole_system`.  Its inverse has the form ``[[P, Q], [-conj(Q),
+    conj(P)]]``, so inverse column ``D + j`` is column ``j`` rearranged and
+    conjugated, and the 1-norm condition ``(1 + max_j |A e_j|_1) max_{j <=
+    D} |M^{-1} e_j|_1`` needs only the first ``D`` columns from the same
+    factorisation.  The residual is ``|M u - rhs| / (|M| |u| + |rhs|)`` in
+    max norms.  Exactly singular matrices give ``u = nan`` and condition
+    ``inf``.
     """
     dim = matrix.shape[-1]
+    half = dim // 2
     eye = np.eye(dim)
     cols = np.concatenate(
-        [rhs[:, :, None], np.broadcast_to(eye, matrix.shape)], axis=2)
+        [rhs[:, :, None], np.broadcast_to(eye[:, :half], rhs.shape + (half,))], axis=2)
     try:
         sol = np.linalg.solve(matrix, cols)
     except np.linalg.LinAlgError:
@@ -331,11 +334,12 @@ def _solve_stack(matrix: np.ndarray, rhs: np.ndarray):
         sol = np.linalg.solve(np.where(singular[:, None, None], eye, matrix), cols)
         sol[singular] = np.nan
     u = sol[:, :, 0]
-    size = np.abs(matrix)
-    cond = size.sum(axis=1).max(axis=1) * np.abs(sol[:, :, 1:]).sum(axis=1).max(axis=1)
+    size = np.abs(matrix[:, :half, half:])
+    cond = ((1.0 + size.sum(axis=1).max(axis=1))
+            * np.abs(sol[:, :, 1:]).sum(axis=1).max(axis=1))
     cond[~np.isfinite(cond)] = np.inf
     num = np.abs(np.matmul(matrix, u[:, :, None])[:, :, 0] - rhs).max(axis=1)
-    den = (size.max(axis=(1, 2)) * np.abs(u).max(axis=1)
+    den = (np.maximum(1.0, size.max(axis=(1, 2))) * np.abs(u).max(axis=1)
            + np.abs(rhs).max(axis=1) + 1e-300)
     return u, cond, num / den
 
@@ -350,7 +354,7 @@ def _solve_points(oriented: OrientedData, x: np.ndarray, t):
     u = np.empty((x.size, dim), dtype=np.complex128)
     cond = np.empty(x.size)
     residual = np.empty(x.size)
-    step = max(1, _CHUNK_ENTRIES // (dim * (dim + 1)))
+    step = max(1, _CHUNK_ENTRIES // dim ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, x.size, step):
             part = slice(lo, lo + step)

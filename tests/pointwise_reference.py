@@ -10,11 +10,11 @@ keeps the better conditioned of that system and the all-lower one.  So it
 agrees with the library only where the flipped system is well conditioned:
 on the cones its tests use, not on the order-3 cases of the 60-digit gate
 in ``test_asymptotics``, where it is off by 2.7e-2 and 4.5e-2.  The batched
-code must agree with it; only the series helpers and the stacked LU solve
-are shared.  The pole system is assembled here in two orientations: a
-flipped pole keeps its point ``z_k`` and puts its singular column on the
-right, with the phase ``e^{-2i(tz^2 + xz)}``, where the library writes
-the same pole as a column-1 pole at ``conj z_k``.
+code must agree with it; only the series helpers are shared.  The pole
+system is assembled here in two orientations, and solved by
+``np.linalg.solve``: a flipped pole keeps its point ``z_k`` and puts its
+singular column on the right, with the phase ``e^{-2i(tz^2 + xz)}``,
+where the library writes the same pole as a column-1 pole at ``conj z_k``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from fnls.solitons import (
     _inv,
     _mul,
     _scaled,
-    _solve_stack,
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
@@ -177,7 +176,7 @@ def _solve(data, orientations, x: float, t: float):
     for r, (rows, k) in enumerate(forms[1:], 1):
         matrix[:, rows] += gamma_[:, rows + r, None] * k
     matrix += np.eye(gamma_.shape[1])
-    u = _solve_stack(matrix, gamma_ * unit)[0][0]
+    u = np.linalg.solve(matrix[0], (gamma_ * unit)[0])
     half = u.size // 2
     ends = np.cumsum(orders)
     alpha = [u[e - m:e] for m, e in zip(orders, ends)]

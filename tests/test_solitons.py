@@ -71,30 +71,59 @@ def _assert_blocks(matrix, rhs):
     assert not rhs[:, :d].any()
 
 
+def _seeded_spectrum(rng, top=4):
+    """Up to three separated poles, each of order 1 to ``top``."""
+    n, zs = int(rng.integers(1, 4)), []
+    while len(zs) < n:
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.3))
+        if all(abs(z - w) > 0.2 for w in zs):
+            zs.append(z)
+    return [DiscreteDatum(z, tuple(complex(rng.normal(), rng.normal())
+                                   for _ in range(int(rng.integers(1, top + 1)))))
+            for z in zs]
+
+
 def test_all_lower_system_is_identity_blocks_coupled_by_a_and_minus_its_conjugate():
     # M = [[I, A], [-conj(A), I]] with rhs 0 on the alpha rows, exactly,
-    # on seeded spectra of orders 1-3: the structure a half-size solve of
-    # (I + conj(A) A) would start from
+    # on seeded spectra of orders 1-4: order 4 reaches the furthest shift
+    # r = 3 of the rows of K_r
     rng = np.random.default_rng(3)
     for _ in range(60):
-        n, zs = int(rng.integers(1, 4)), []
-        while len(zs) < n:
-            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.3))
-            if all(abs(z - w) > 0.2 for w in zs):
-                zs.append(z)
-        data = [DiscreteDatum(z, tuple(complex(rng.normal(), rng.normal())
-                                       for _ in range(int(rng.integers(1, 4)))))
-                for z in zs]
-        _assert_blocks(*pole_system(data, rng.uniform(-5.0, 5.0, 7),
+        _assert_blocks(*pole_system(_seeded_spectrum(rng), rng.uniform(-5.0, 5.0, 7),
                                     float(rng.uniform(-2.0, 2.0))))
 
 
 def test_moved_system_has_the_same_blocks():
     # a pole moved to column 2 is the system's pole at conj z_k, so every
     # mix of moved poles keeps the blocks of the plain system
-    data = (*_mixed(), DiscreteDatum(0.1 + 0.4j, (1.0, 0.5, -0.2j)))
-    for flip in ([0], [1, 3], [0, 1, 2, 3]):
+    data = (*_mixed(), DiscreteDatum(0.1 + 0.4j, (1.0, 0.5, -0.2j)),
+            DiscreteDatum(-0.2 + 1.1j, (0.6j, 0.3, -0.4, 1.0)))
+    for flip in ([0], [1, 3], [4], [0, 1, 2, 3, 4]):
         _assert_blocks(*pole_system(reorient_constants(data, flip), [-2.0, 0.3, 4.0], 0.7))
+
+
+def test_condition_is_the_one_norm_condition_and_the_inverse_keeps_the_blocks():
+    # the inverse of [[I, A], [-conj(A), I]] is [[P, Q], [-conj(Q), conj(P)]],
+    # so its first D columns carry its 1-norm: the stacked solve's condition
+    # is norm(M, 1) norm(inv(M), 1) to rounding, on plain and moved systems
+    # of orders 1-4, t = 0 included
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        data = _seeded_spectrum(rng)
+        flip = [k for k in range(len(data)) if rng.random() < 0.5]
+        t = 0.0 if case % 4 == 0 else float(rng.uniform(-2.0, 2.0))
+        matrix, rhs = pole_system(reorient_constants(data, flip), rng.uniform(-3.0, 3.0, 4), t)
+        cond = _solve_stack(matrix, rhs)[1]
+        for m, c in zip(matrix, cond):
+            inv = np.linalg.inv(m)
+            d = m.shape[0] // 2
+            # these systems read at most 3.2 c 1e-16 relative
+            tol = 50.0 * c * 1e-16
+            scale = np.abs(inv).max()
+            assert np.abs(inv[d:, d:] - np.conj(inv[:d, :d])).max() < tol * scale
+            assert np.abs(inv[d:, :d] + np.conj(inv[:d, d:])).max() < tol * scale
+            expect = np.linalg.norm(m, 1) * np.linalg.norm(inv, 1)
+            assert abs(c - expect) < tol * expect
 
 
 def test_simple_pole_reduces_to_classical_soliton():
@@ -595,11 +624,16 @@ def test_no_finite_solve_raises_linalg_error():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_member_of_a_stack_leaves_the_others_alone():
     # an exactly singular matrix makes the stacked LU solve raise; the
-    # fallback solves the rest again and marks that member alone
+    # fallback solves the rest again and marks that member alone.  With
+    # A = [[0, 1], [-1, 0]], I + conj(A) A = 0, so [[I, A], [-conj(A), I]]
+    # is singular
     rng = np.random.default_rng(5)
-    matrix = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-    matrix[1] = 0.0
-    rhs = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    a[1] = [[0.0, 1.0], [-1.0, 0.0]]
+    eye = np.broadcast_to(np.eye(2), a.shape)
+    matrix = np.block([[eye, a], [-np.conj(a), eye]])
+    rhs = np.concatenate([np.zeros((3, 2)), rng.standard_normal((3, 2))
+                          + 1j * rng.standard_normal((3, 2))], axis=1)
     u, cond, residual = _solve_stack(matrix, rhs)
     assert np.all(np.isnan(u[1])) and cond[1] == np.inf
     for i in (0, 2):
