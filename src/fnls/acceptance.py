@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import pc_coefficients, q_asymptotic
-from .phase import T_fn, nu_integral, partition
+from .phase import delta_fn, nu_of, partition
 from .scattering import (
     DiscreteDatum,
     ScatteringData,
     extract_scattering,
     gaussian_profile,
-    locate_zeros,
     reflection_coefficient,
     sech_profile,
     soliton_profile,
@@ -89,9 +88,7 @@ def criterion_3():
     cone = (-1.0, 1.0, -0.5, 0.5)
     ts = np.linspace(2.0, 12.0, 11)
     x = 0.1 * ts
-    # the window and its decay rate do not depend on the stationary point,
-    # which is -0.05 all along
-    part = partition(data, -0.05, cone)
+    part = partition(data, cone)
     full = solve_soliton(data, x, ts).q
     kept = solve_soliton(restrict_to_interval(data, part.I), x, ts).q
     diffs = np.abs(full - kept)
@@ -104,10 +101,12 @@ def criterion_3():
 def criterion_4():
     """Dispersive remainder: scaled error stays bounded along x = 0."""
     profile = gaussian_profile(0.3, np.linspace(-8.0, 8.0, 641))
-    found = locate_zeros(profile, (-1.0, 1.0, 0.05, 1.0))
-    if found:
-        raise RuntimeError(f"unexpected discrete spectrum {found}")
-    sc = reflection_coefficient(profile, np.linspace(-4.0, 4.0, 321))
+    # the route ``fnls scatter`` runs
+    sc = extract_scattering(profile, np.linspace(-4.0, 4.0, 321),
+                            box=(-1.0, 1.0, 0.05, 1.0))
+    if sc.discrete:
+        raise RuntimeError("unexpected discrete spectrum "
+                           f"{[(d.z, d.order) for d in sc.discrete]}")
 
     grid = Grid(n=16384, x_min=-160.0 * math.pi, x_max=160.0 * math.pi)
     q0 = 0.3 * np.exp(-grid.x ** 2)
@@ -140,21 +139,23 @@ def criterion_5():
     s = np.linspace(-5.0, 5.0, 2001)
     r = 0.8 * np.exp(-s ** 2 / 2.0) * np.exp(0.3j * s)
     sc = ScatteringData(s, r, ())
-    data = (DiscreteDatum(-0.8 + 0.6j, (1.0,)),
-            DiscreteDatum(0.45 + 0.9j, (1.0, 0.2)))
     z0 = 0.6
-    dm = (0, 1)
 
-    # (b) large-z coefficient of T via Richardson extrapolation; the
-    # three-point rule removes both the 1/z and 1/z^2 truncation terms
+    # (b) large-z coefficient of delta, -i times the integral of nu over
+    # (-inf, z0], via Richardson extrapolation; the three-point rule removes
+    # both the 1/z and 1/z^2 truncation terms.  The integral is the
+    # trapezoid rule on the samples closed at z0, nu linear between them as
+    # the ray models it, and reads none of the quadrature inside delta
     def coef(rr):
         z = complex(0.0, rr)
-        return z * (complex(T_fn(z, dm, data, sc, z0)) - 1.0)
+        return z * (delta_fn(z, sc, z0) - 1.0)
 
     est = (8.0 * coef(1600.0) - 6.0 * coef(800.0) + coef(400.0)) / 3.0
-    target = 1j * (2.0 * sum(d.order * complex(d.z).imag for d in data)
-                   - nu_integral(sc, z0))
-    parts.append(("large-z coefficient of T", abs(est - target), 1e-6))
+    nu = nu_of(np.abs(r))
+    left = s < z0
+    integral = np.trapezoid(np.append(nu[left], np.interp(z0, s, nu)),
+                            np.append(s[left], z0))
+    parts.append(("large-z coefficient of delta", abs(est + 1j * integral), 1e-6))
 
     # (c) unitarity of the scattering row on a two-sech profile
     prof = sech_profile(2.0, np.linspace(-26.0, 26.0, 1041))

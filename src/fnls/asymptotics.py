@@ -168,9 +168,8 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
                          f"min_t = {min_t:g}")
     sigma_d = tuple(sigma_d)
     z0 = -x / (2.0 * t)
-    # one split about z0 gives the window and T0's poles (the solve makes
-    # its own cut); it checks the cone before the points are tested against it
-    part = partition(sigma_d, z0, cone)
+    # the window checks the cone before the points are tested against it
+    part = partition(sigma_d, cone)
     x1, x2, v1, v2 = (float(v) for v in cone)
     outside = ~((x1 + v1 * t <= x) & (x <= x2 + v2 * t))
     if outside.any():
@@ -182,7 +181,7 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
     ctx, weighted = None, kept
     if scattering is not None:
         # one ray for all points: the pole dressing and T0 read its nodes
-        ctx = phase_context(scattering, sigma_d, z0, part.left)
+        ctx = phase_context(scattering, sigma_d, z0)
         weighted = modulate_constants(kept, ctx.ray.inverse_delta)
 
     state = solve_soliton(weighted, x, t, z0)

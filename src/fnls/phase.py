@@ -7,14 +7,14 @@ stationary point z0 of a call: composite Gauss-Legendre panels on the
 sample grid, where the density is modelled linearly between samples, and
 panels on an exponential model beyond the left grid edge, built once; each
 z0 adds only its closing panel from the last sample to z0.  The factor
-delta and the Taylor series of 1/delta, at points off the ray, the boundary
-constant T0 and the plain integral of the density all read that node set,
-and work over arrays of stationary points.  The formulas read delta at the
-poles and at z0 only, through T0, so the one integral taken at a point of
-the ray is the finite part beta at its own endpoint z0: the node sum of
-``(nu(s) - nu(z0)) / (s - z0)``, smooth on every panel, plus the exact
-finite part of ``nu(z0) / (s - z0)`` over the ray.  The boundary values of
-delta on the ray belong to the jump it solves, and are not computed.
+delta and the Taylor series of 1/delta, at points off the ray, and the
+boundary constant T0 read that node set, and work over arrays of stationary
+points.  The formulas read delta at the poles and at z0 only, through T0,
+so the one integral taken at a point of the ray is the finite part beta at
+its own endpoint z0: the node sum of ``(nu(s) - nu(z0)) / (s - z0)``,
+smooth on every panel, plus the exact finite part of ``nu(z0) / (s - z0)``
+over the ray.  The boundary values of delta on the ray belong to the jump
+it solves, and are not computed.
 """
 from __future__ import annotations
 
@@ -27,9 +27,7 @@ from .solitons import _exp, blaschke_product
 
 __all__ = [
     "nu_of",
-    "nu_integral",
     "delta_fn",
-    "T_fn",
     "PhaseContext",
     "phase_context",
     "ConePartition",
@@ -40,8 +38,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
-# Points closer than this to a pole of the modulation factor are rejected.
-_GUARD_RADIUS = 1e-8
 # Points times quadrature nodes per dense kernel sum, which bounds its memory.
 _CHUNK_ENTRIES = 1 << 16
 
@@ -149,11 +145,6 @@ class _RayDensity:
     def _per_panel(terms):
         return terms.reshape(terms.shape[:-1] + (-1, _GL_NODES.size)).sum(axis=-1)
 
-    def integral(self):
-        """Plain integral of nu over each ray."""
-        fixed = np.concatenate([[0.0], np.cumsum(self._per_panel(self.wv))])
-        return fixed[self.closed] + self.tip_wv.sum(axis=-1)
-
     def kernel_series(self, z, n: int) -> np.ndarray:
         """The first ``n`` Taylor coefficients at points z off the rays of
         ``C``, the integral of ``nu(s) / (s - z)``: shape ``(n,) + z0.shape +
@@ -212,11 +203,6 @@ class _RayDensity:
         return (out - n0 * lead).reshape(self.z0.shape)[()]
 
 
-def nu_integral(scattering, z0: float) -> float:
-    """Plain integral of the density nu over (-inf, z0]."""
-    return float(_RayDensity(scattering, z0).integral())
-
-
 # ---------------------------------------------------------------------------
 # The partial-transmission factors
 # ---------------------------------------------------------------------------
@@ -233,26 +219,19 @@ def delta_fn(z, scattering, z0: float):
     return complex(out) if z_arr.ndim == 0 else out
 
 
-def T_fn(z, delta_minus, data, scattering, z0: float):
-    """Full modulation factor: the inverse Blaschke product of the poles in
-    ``delta_minus`` times the continuous factor from the reflection data."""
-    z_arr = np.asarray(z, dtype=np.complex128)
-    for k in delta_minus:
-        zk = complex(data[k].z)
-        gap = np.min(np.abs(z_arr - zk))
-        if gap <= _GUARD_RADIUS:
-            raise ValueError(
-                f"evaluation point within the guard radius of the pole at "
-                f"{zk}; the factor is singular there")
-    prod = 1.0 / blaschke_product(z_arr, data, np.isin(np.arange(len(data)), delta_minus))
-    d = delta_fn(z_arr, scattering, z0)
-    out = prod * d
-    return complex(out) if z_arr.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Context and partitions
 # ---------------------------------------------------------------------------
+
+def _left_of(data, z0) -> np.ndarray:
+    """The poles of T at the stationary points ``z0``, those with ``Re z_k <
+    z0``: one flag per point and pole, shape ``z0.shape + (N,)``.  A pole
+    exactly over a stationary point goes right.  Its Blaschke factor at z0
+    is ``(-1)^m``, and the cone formula reads T0 only squared, so its side
+    changes no output."""
+    re = np.array([complex(d.z).real for d in data])
+    return re < np.asarray(z0, dtype=float)[..., None]
+
 
 @dataclass(frozen=True)
 class PhaseContext:
@@ -261,7 +240,6 @@ class PhaseContext:
     come from."""
 
     z0: float | np.ndarray
-    nu0: float | np.ndarray
     T0_z0: complex | np.ndarray
     r_at_z0: complex | np.ndarray
     ray: _RayDensity | None
@@ -270,25 +248,27 @@ class PhaseContext:
         # nan passes every comparison below that asks for a fault
         if not all(np.all(np.isfinite(v)) for v in (self.nu0, self.T0_z0, self.r_at_z0)):
             raise ValueError("nu0, the boundary constant and r(z0) must be finite")
-        if np.any(self.nu0 > 0):
-            raise ValueError("the logarithmic density is never positive")
         # on the real line every pole factor is unimodular and beta is
         # real, so the boundary constant must have modulus 1
         if np.any(np.abs(np.abs(self.T0_z0) - 1.0) > 1e-6):
             raise ValueError("boundary constant is not unimodular; the "
                              "quadrature behind it is inconsistent")
 
+    @property
+    def nu0(self) -> float | np.ndarray:
+        """The density at z0, ``nu(|r(z0)|)``."""
+        return nu_of(np.abs(self.r_at_z0))
 
-def phase_context(scattering, data, z0, left) -> PhaseContext:
+
+def phase_context(scattering, data, z0) -> PhaseContext:
     """Assemble the scalar context at the stationary points ``z0`` from
     sampled reflection data; ``z0`` may be an array, whose points share one
     ray quadrature.
 
     The boundary constant at the ray endpoint is the inverse Blaschke
-    product of the poles flagged in ``left`` times ``exp(i beta)``, with
-    beta the finite part at z0 of the kernel integral of the density
-    (:meth:`_RayDensity.offset_integral`).  ``left`` holds a flag per pole,
-    or per point (flattened) and pole, as :func:`partition` gives.
+    product of the poles left of z0 (:func:`_left_of`) times
+    ``exp(i beta)``, with beta the finite part at z0 of the kernel integral
+    of the density (:meth:`_RayDensity.offset_integral`).
     """
     z0 = np.asarray(z0, dtype=float)
     shape = z0.shape
@@ -297,33 +277,26 @@ def phase_context(scattering, data, z0, left) -> PhaseContext:
     ray = _RayDensity(scattering, z0)
     r = np.asarray(scattering.r)
     r_at = np.interp(z0, ray.grid, r.real) + 1j * np.interp(z0, ray.grid, r.imag)
-    inv = blaschke_product(z0, data, left)
+    inv = blaschke_product(z0, data, _left_of(data, z0))
     T0 = (1.0 / inv) * np.exp(1j * ray.offset_integral())
-    z0, nu0, T0, r_at = (_unwrap(np.reshape(a, shape)) for a in
-                         (z0, nu_of(np.abs(r_at)), T0, r_at))
-    return PhaseContext(z0=z0, nu0=nu0, T0_z0=T0, r_at_z0=r_at, ray=ray)
+    z0, T0, r_at = (_unwrap(np.reshape(a, shape)) for a in (z0, T0, r_at))
+    return PhaseContext(z0=z0, T0_z0=T0, r_at_z0=r_at, ray=ray)
 
 
 @dataclass(frozen=True)
 class ConePartition:
     """The poles of a space-time cone: the window ``I`` of pole positions
-    whose velocities fall inside the cone, which poles sit left of each
-    stationary point (``left``, shape ``z0.shape + (N,)``; the rest sit
-    right of it), and how fast the poles outside the window are
-    suppressed."""
+    whose velocities fall inside the cone, and how fast the poles outside
+    it are suppressed."""
 
     I: tuple
-    left: np.ndarray
     mu_I: float
 
 
-def partition(data, z0, cone) -> ConePartition:
-    """Split the poles about the stationary points ``z0`` (a scalar or an
-    array) and about the velocity window of the cone ``(x1, x2, v1, v2)``:
-    the poles with ``Re z_k`` in ``I = [-v2/2, -v1/2]``.  A pole exactly
-    over a stationary point goes to the right-hand set.  Its Blaschke factor
-    at z0 is ``(-1)^m``, and the cone formula reads the flagged factors only
-    squared, so its side changes no output."""
+def partition(data, cone) -> ConePartition:
+    """The velocity window of the cone ``(x1, x2, v1, v2)``: the poles with
+    ``Re z_k`` in ``I = [-v2/2, -v1/2]``, and the decay rate ``mu_I`` of
+    the rest."""
     bounds = tuple(float(v) for v in cone)
     for name, v in zip(("x1", "x2", "v1", "v2"), bounds):
         if not math.isfinite(v):
@@ -332,15 +305,13 @@ def partition(data, z0, cone) -> ConePartition:
     if x1 > x2 or v1 > v2:
         raise ValueError("cone bounds must be ordered: x1 <= x2 and v1 <= v2")
     lo, hi = -v2 / 2.0, -v1 / 2.0
-    re = np.array([complex(d.z).real for d in data])
-    z0 = np.asarray(z0, dtype=float)[..., None]
     mu = math.inf
     for d in data:
         zk = complex(d.z)
         if lo <= zk.real <= hi:
             continue
         mu = min(mu, zk.imag * max(lo - zk.real, zk.real - hi))
-    return ConePartition(I=(lo, hi), left=re < z0, mu_I=mu)
+    return ConePartition(I=(lo, hi), mu_I=mu)
 
 
 # ---------------------------------------------------------------------------

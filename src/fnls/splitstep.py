@@ -89,7 +89,12 @@ class Evolution:
     grid: Grid
     t: np.ndarray           # sample times, first entry is the initial time
     q: np.ndarray           # shape (len(t), grid.n)
-    edge_fraction: float    # worst fraction of mass near the domain edges
+
+    @property
+    def edge_fraction(self) -> float:
+        """The worst fraction of mass near the domain edges over the stored
+        slices; NaN if any slice's is."""
+        return float(np.max([_edge_mass_fraction(q) for q in self.q]))
 
     def slice_at(self, t: float) -> np.ndarray:
         idx = int(np.argmin(np.abs(self.t - t)))
@@ -186,8 +191,7 @@ def split_step(
         raise ValueError(f"sample times must lie in (t_start, t_final] = "
                          f"({t_start:g}, {t_final:g}], got {sorted(samples)}")
     if t_final == t_start:
-        return Evolution(grid, np.array([t_start]), q[None, :].copy(),
-                         _edge_mass_fraction(q))
+        return Evolution(grid, np.array([t_start]), q[None, :].copy())
     if not t_final > t_start:
         raise ValueError(f"t_final must lie past t_start, got {t_final!r} "
                          f"<= {t_start!r}")
@@ -195,7 +199,6 @@ def split_step(
     k2 = grid.k ** 2
     out_t = [t_start]
     out_q = [q.copy()]
-    worst_edge = _edge_mass_fraction(q)
 
     t_prev = t_start
     for t_next in sorted(samples | {float(t_final)}):
@@ -204,9 +207,8 @@ def split_step(
         q = _composition_sweep(q, k2, span / steps, steps, weights)
         out_t.append(t_next)
         out_q.append(q.copy())
-        worst_edge = float(np.maximum(worst_edge, _edge_mass_fraction(q)))
         t_prev = t_next
-    return Evolution(grid, np.array(out_t), np.array(out_q), worst_edge)
+    return Evolution(grid, np.array(out_t), np.array(out_q))
 
 
 def pde_residual(
@@ -319,6 +321,4 @@ def load_evolution(directory) -> Evolution:
         if arr.shape != (grid.n, 3):
             raise ValueError(f"slice file {name} does not match the manifest grid")
         slices.append(arr[:, 1] + 1j * arr[:, 2])
-    fraction = manifest["edge_fraction"]
-    return Evolution(grid, times, np.asarray(slices),
-                     math.nan if fraction is None else float(fraction))
+    return Evolution(grid, times, np.asarray(slices))

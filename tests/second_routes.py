@@ -36,18 +36,18 @@ def pc_first_moment(pc) -> np.ndarray:
                     dtype=np.complex128)
 
 
-def alpha_z0(phase_ctx, left, data):
+def alpha_z0(phase_ctx, data):
     """Leading dispersive coefficient in amplitude/phase form.
 
     The modulus is ``sqrt(|nu(z0)|)``.  The argument accumulates pi/4, the
     phase of ``Gamma(i nu)``, minus the phase of the sampled reflection
     amplitude at ``z0`` (the amplitude itself -- no extra normalisation),
-    minus ``4 m_k arg(z0 - z_k)`` summed over the poles flagged in ``left``,
-    those left of the stationary point (the pole factor of order ``m_k``
-    through the boundary constant's inverse square), plus twice beta, the
-    finite part at ``z0`` of the kernel integral of the density along the
-    context's ray: the integral of ``(nu(s) - chi nu(z0)) / (s - z0)``, with
-    chi the indicator of ``(z0 - 1, z0)``.
+    minus ``4 m_k arg(z0 - z_k)`` summed over the poles with ``Re z_k <
+    z0``, those left of the stationary point (the pole factor of order
+    ``m_k`` through the boundary constant's inverse square), plus twice
+    beta, the finite part at ``z0`` of the kernel integral of the density
+    along the context's ray: the integral of ``(nu(s) - chi nu(z0)) / (s -
+    z0)``, with chi the indicator of ``(z0 - 1, z0)``.
 
     This route never touches the complex products behind the boundary
     constant, and takes Gamma from scipy rather than from ``fnls``, so
@@ -62,8 +62,9 @@ def alpha_z0(phase_ctx, left, data):
     arg = (0.25 * math.pi
            + np.angle(gamma(1j * nu0))
            - np.angle(phase_ctx.r_at_z0))
-    for k in np.flatnonzero(left):
-        arg = arg - 4.0 * data[k].order * np.angle(z0 - complex(data[k].z))
+    for d in data:
+        zk = complex(d.z)
+        arg = arg - 4.0 * d.order * np.where(zk.real < z0, np.angle(z0 - zk), 0.0)
     arg = arg + 2.0 * np.reshape(phase_ctx.ray.offset_integral(), np.shape(z0))
     return _unwrap(np.sqrt(np.abs(nu0)) * np.exp(1j * arg))
 

@@ -3,7 +3,6 @@ independent routes to the leading coefficient, and the composite
 cone formula."""
 
 import cmath
-import dataclasses
 import math
 import warnings
 
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from fnls import asymptotics
+from fnls import asymptotics, phase
 from fnls.asymptotics import (
     PCCoefficients,
     pc_coefficients,
@@ -135,19 +134,18 @@ def test_pc_rejects_inconsistent_fields():
                                   (1.4, 9.0)])
 def test_alpha_matches_pc_route(smooth, z0, t):
     x = -2.0 * t * z0
-    part = partition(POLES, z0, (0.0, 0.0, -2.0 * z0, -2.0 * z0))
-    ctx = phase_context(smooth, POLES, z0, part.left)
+    ctx = phase_context(smooth, POLES, z0)
     pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
-    alpha = alpha_z0(ctx, part.left, POLES)
+    alpha = alpha_z0(ctx, POLES)
     phi = x * x / (2.0 * t) - ctx.nu0 * math.log(4.0 * t)
     assert abs(pc.beta12 - alpha * cmath.exp(1j * phi)) < 1e-12
     assert abs(abs(alpha) ** 2 - abs(ctx.nu0)) < 1e-14
 
 
 def test_alpha_pole_free_collapse(smooth):
-    ctx = phase_context(smooth, (), 0.6, ())
+    ctx = phase_context(smooth, (), 0.6)
     assert ctx.z0 == 0.6
-    alpha = alpha_z0(ctx, (), ())
+    alpha = alpha_z0(ctx, ())
     expected = (0.25 * math.pi
                 + cmath.phase(complex(scipy.special.gamma(1j * ctx.nu0)))
                 - cmath.phase(ctx.r_at_z0)
@@ -158,10 +156,10 @@ def test_alpha_pole_free_collapse(smooth):
 def test_alpha_rejects_vanishing_density():
     r_odd = S_GRID * np.exp(-S_GRID ** 2)
     sc = ScatteringData(S_GRID, r_odd.astype(np.complex128), ())
-    ctx = phase_context(sc, (), 0.0, ())
+    ctx = phase_context(sc, (), 0.0)
     assert ctx.nu0 == 0.0
     with pytest.raises(ValueError, match="vanishes"):
-        alpha_z0(ctx, (), ())
+        alpha_z0(ctx, ())
 
 
 def test_alpha_rejects_unbracketed_grid():
@@ -170,7 +168,7 @@ def test_alpha_rejects_unbracketed_grid():
     narrow = ScatteringData(np.linspace(2.0, 3.0, 11),
                             np.full(11, 0.1 + 0.0j), ())
     with pytest.raises(ValueError, match="bracket"):
-        alpha_z0(phase_context(narrow, (), 0.6, ()), (), ())
+        alpha_z0(phase_context(narrow, (), 0.6), ())
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +218,11 @@ CONE_UP = (-1.0, 1.0, 1.5, 1.7)       # keeps the order-1 pole, flipped side
 def test_reflectionless_is_bitwise_soliton_field(smooth):
     zero_r = ScatteringData(S_GRID, np.zeros_like(R_SMOOTH), ())
     x, t = -8.6, 10.0
-    z0 = -x / (2.0 * t)
     for sc in (None, zero_r):
         v = q_asymptotic(x, t, POLES, sc, CONE_LOW)
         assert v.f_part == 0
         assert v.q_total == v.q_sol_part
-        part = partition(POLES, z0, CONE_LOW)
+        part = partition(POLES, CONE_LOW)
         direct = solve_soliton(restrict_to_interval(POLES, part.I), x, t)
         assert v.q_sol_part == complex(direct.q)
 
@@ -256,10 +253,10 @@ def test_composite_regression_pins(smooth, x, t, cone, expect):
 def test_composite_invariants(smooth, x, t, cone):
     v = q_asymptotic(x, t, POLES, smooth, cone)
     z0 = -x / (2.0 * t)
-    part = partition(POLES, z0, cone)
+    part = partition(POLES, cone)
 
     # bound-state part mirrors the restrict-then-weight pipeline exactly
-    ctx = phase_context(smooth, POLES, z0, part.left)
+    ctx = phase_context(smooth, POLES, z0)
     kept = restrict_to_interval(POLES, part.I)
     state = solve_soliton(modulate_constants(kept, ctx.ray.inverse_delta), x, t, z0)
     assert v.q_sol_part == complex(state.q)
@@ -273,7 +270,7 @@ def test_composite_invariants(smooth, x, t, cone):
     assert abs(v.f_part) <= cap + 1e-12
 
     # amplitude/phase route reproduces the coefficient-route f
-    alpha = alpha_z0(ctx, part.left, POLES)
+    alpha = alpha_z0(ctx, POLES)
     phi = x * x / (2.0 * t) - ctx.nu0 * math.log(4.0 * t)
     w = alpha * cmath.exp(1j * phi)
     f_alpha = w * eta11 ** 2 - w.conjugate() * eta12 ** 2
@@ -447,7 +444,7 @@ def test_batched_drops_radiation_only_where_r_vanishes():
     assert silent.any() and not silent.all()
 
 
-def test_batched_tie_goes_right(smooth):
+def test_batched_tie_goes_right(smooth, monkeypatch):
     tied = (DiscreteDatum(0.125 + 0.6j, (1.0,)),)
     t = 8.0
     x = np.array([-3.0, -2.0, -1.0])        # z0 = 0.1875, 0.125, 0.0625
@@ -455,15 +452,22 @@ def test_batched_tie_goes_right(smooth):
     # the tied pole joins the right-hand set: its row is the all-lower one,
     # like the point right of it, where the point left of it has the pole
     # flipped
-    part = partition(tied, -x / (2.0 * t), WIDE)
-    assert part.left[:, 0].tolist() == [True, False, False]
+    rule, flags = phase._left_of, []
+
+    def recording(data, z0):
+        left = rule(data, z0)
+        flags.append(left[:, 0].tolist())
+        return left
+
+    monkeypatch.setattr(phase, "_left_of", recording)
     rows = []
     f = _recording_rows(smooth, x, t, tied, WIDE, rows).f_part
+    assert flags == [[True, False, False]]
     (row,) = rows
     z0 = -x / (2.0 * t)
-    ctx = phase_context(smooth, tied, z0, part.left)
+    ctx = phase_context(smooth, tied, z0)
     weighted = modulate_constants(tied, ctx.ray.inverse_delta)
-    for i, left in enumerate(part.left[:, 0]):
+    for i, left in enumerate(flags[0]):
         point = weighted.rows([i])
         m = solution_matrix(reorient_constants(point, [0]) if left else point, x[i], t, z0[i])
         assert np.max(np.abs(row[i] - m[0])) <= 1e-12 * np.max(np.abs(m[0]))
@@ -482,16 +486,15 @@ def test_tied_pole_side_changes_no_output(smooth, order):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         right = q_asymptotic(x, t, tied, smooth, WIDE)
-    flags = []
+    rule, flags = phase._left_of, []
 
-    def tie_goes_left(data, z0, cone):
-        part = partition(data, z0, cone)
-        part = dataclasses.replace(part, left=part.left | (z0[:, None] == 0.125))
-        flags.append(part.left[:, 0].tolist())
-        return part
+    def tie_goes_left(data, z0):
+        left = rule(data, z0) | (z0[:, None] == 0.125)
+        flags.append(left[:, 0].tolist())
+        return left
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(asymptotics, "partition", tie_goes_left)
+        patch.setattr(phase, "_left_of", tie_goes_left)
         left = q_asymptotic(x, t, tied, smooth, WIDE)
     assert flags == [[True, True, False]]
     assert np.all(right.f_part != 0)
@@ -611,8 +614,8 @@ def test_inline_dispersive_product_is_the_e1_entry(sech_run):
             rows.clear()
             f = _recording_rows(sc, x, t, sc.discrete, SECH_CONE, rows).f_part
             z0 = -x / (2.0 * t)
-            part = partition(sc.discrete, z0, SECH_CONE)
-            ctx = phase_context(sc, sc.discrete, z0, part.left)
+            part = partition(sc.discrete, SECH_CONE)
+            ctx = phase_context(sc, sc.discrete, z0)
             kept = restrict_to_interval(sc.discrete, part.I)
             weighted = modulate_constants(kept, ctx.ray.inverse_delta)
             left = [d.z.real < z0 for d in kept]

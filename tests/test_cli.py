@@ -970,10 +970,10 @@ def test_verify_reports_a_raising_gate_as_failed(out, monkeypatch, capsys):
 
 def test_criterion_5_fails_on_a_nan_part(monkeypatch):
     # the NaN part is not the first, so a max that drops NaN would pass it
-    monkeypatch.setattr(acceptance, "T_fn", lambda *args: complex("nan"))
+    monkeypatch.setattr(acceptance, "delta_fn", lambda *args: complex("nan"))
     measured, _, passed, detail = acceptance.criterion_5()
     assert math.isnan(measured) and not passed
-    assert "large-z coefficient of T: nan" in detail
+    assert "large-z coefficient of delta: nan" in detail
 
 
 def test_criterion_7_fails_on_a_nan_residual(monkeypatch):

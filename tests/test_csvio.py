@@ -65,7 +65,7 @@ def test_evolution_slice_bytes_are_savetxt_bytes(tmp_path):
     grid = Grid(n=64, x_min=-10.0, x_max=10.0)
     rng = np.random.default_rng(5)
     q = _wide(rng, 2, 64) + 1j * _wide(rng, 2, 64)
-    save_evolution(Evolution(grid, np.array([0.0, 0.5]), q, 0.0), tmp_path / "ev", dt=None)
+    save_evolution(Evolution(grid, np.array([0.0, 0.5]), q), tmp_path / "ev", dt=None)
     for i in range(2):
         ref = _savetxt(tmp_path / f"ref{i}.csv",
                        np.column_stack([grid.x, q[i].real, q[i].imag]), "x,re_q,im_q")

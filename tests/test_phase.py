@@ -13,10 +13,9 @@ from scipy.special import wofz
 from fnls.asymptotics import q_asymptotic
 from fnls.phase import (
     PhaseContext,
-    T_fn,
     _RayDensity,
     delta_fn,
-    nu_integral,
+    _left_of,
     nu_of,
     partition,
     phase_context,
@@ -43,18 +42,6 @@ def smooth():
 def poles():
     return [DiscreteDatum(-0.8 + 0.6j, (1.0,)),
             DiscreteDatum(0.45 + 0.9j, (1.0, 0.2))]
-
-
-def _left(data, z0):
-    """The poles left of the stationary point z0, as the cone formula
-    splits them."""
-    return partition(data, z0, (0.0, 0.0, 0.0, 0.0)).left
-
-
-def _T0(delta_minus, data, scattering, z0):
-    """Boundary constant at the ray endpoint z0, through the context."""
-    return phase_context(scattering, data, z0,
-                         left=np.isin(np.arange(len(data)), delta_minus)).T0_z0
 
 
 def _r_at(s0):
@@ -133,10 +120,14 @@ def test_delta_needs_a_side_on_the_ray(smooth):
     for z in (complex(Z0), -0.5 + 0j, -6.0 + 0j):
         with pytest.raises(ValueError, match="off the ray"):
             delta_fn(z, smooth, Z0)
-        with pytest.raises(ValueError, match="off the ray"):
-            T_fn(z, (), [], smooth, Z0)
     with pytest.raises(ValueError, match="off the ray"):
         delta_fn(np.array([1j, -0.5 + 0j]), smooth, Z0)
+
+
+def _ray_integral(scattering, z0):
+    """The plain integral of nu over the ray (-inf, z0], from its nodes."""
+    ray = _RayDensity(scattering, z0)
+    return ray._per_panel(ray.wv)[:ray.closed].sum() + ray.tip_wv.sum()
 
 
 def test_ray_keeps_its_tail_at_the_grid_edge_and_refuses_outside():
@@ -144,14 +135,13 @@ def test_ray_keeps_its_tail_at_the_grid_edge_and_refuses_outside():
     # carries mass even when z0 sits exactly on that edge
     sg = np.linspace(-2.0, 2.0, 401)
     scat = ScatteringData(sg, (0.8 * np.exp(-sg ** 2 / 8.0)).astype(complex))
-    at_edge = nu_integral(scat, -2.0)
+    at_edge = _ray_integral(scat, -2.0)
     assert at_edge < -0.03
-    assert abs(at_edge - nu_integral(scat, -2.0 + 1e-9)) < 1e-9
+    assert abs(at_edge - _ray_integral(scat, -2.0 + 1e-9)) < 1e-9
     assert abs(delta_fn(1j, scat, -2.0) - 1.0) > 1e-3
     for z0 in (-2.0 - 1e-9, 2.0 + 1e-9):
-        for call in (lambda: nu_integral(scat, z0),
-                     lambda: delta_fn(1j, scat, z0),
-                     lambda: T_fn(1j, (), [], scat, z0)):
+        for call in (lambda: _RayDensity(scat, z0),
+                     lambda: delta_fn(1j, scat, z0)):
             with pytest.raises(ValueError, match="bracket"):
                 call()
 
@@ -252,81 +242,79 @@ def test_delta_far_field_decay():
 
 
 # ---------------------------------------------------------------------------
-# the full modulation factor
+# delta's own properties and the boundary constant
 # ---------------------------------------------------------------------------
 
-def test_T_is_one_without_poles_or_reflection(smooth):
-    flat = ScatteringData(S_GRID, np.zeros_like(R_SMOOTH))
-    assert T_fn(0.7 + 0.9j, (), [], flat, Z0) == 1.0
-
-
-def test_T_schwarz_symmetry(smooth, poles):
+def test_delta_schwarz_symmetry(smooth):
+    # nu is real, so C(conj z) = conj C(z) and delta(z) conj delta(conj z) = 1
     for z in (0.9 + 0.7j, -1.3 + 0.2j, 0.2 - 1.1j, 3.0 + 0.05j):
-        val = (T_fn(z, (0,), poles, smooth, Z0)
-               * np.conj(T_fn(np.conj(z), (0,), poles, smooth, Z0)))
+        val = delta_fn(z, smooth, Z0) * np.conj(delta_fn(np.conj(z), smooth, Z0))
         assert abs(val - 1.0) < 1e-10
 
 
-def test_T_refuses_points_at_poles(smooth, poles):
-    with pytest.raises(ValueError, match="guard radius"):
-        T_fn(poles[0].z + 1e-10, (0,), poles, smooth, Z0)
-
-
-def test_T_large_z_coefficient(smooth, poles):
-    """z (T(z) - 1) tends to i (2 sum m_k Im z_k - integral of nu); the integral
+def test_delta_large_z_coefficient(smooth):
+    """z (delta(z) - 1) tends to -i times the integral of nu; the integral
     reference comes from plain dense trapezoid quadrature, independent of
-    the Cauchy-kernel panels inside T."""
+    the Cauchy-kernel panels inside delta."""
     fine = np.linspace(-5.0, Z0, 200001)
     nu_fine = nu_of(np.abs(np.interp(fine, S_GRID, R_SMOOTH.real)
                            + 1j * np.interp(fine, S_GRID, R_SMOOTH.imag)))
-    target = 1j * (2.0 * poles[0].order * poles[0].z.imag
-                   - np.trapezoid(nu_fine, fine))
-    f1 = 200j * (T_fn(200j, (0,), poles, smooth, Z0) - 1.0)
-    f2 = 400j * (T_fn(400j, (0,), poles, smooth, Z0) - 1.0)
+    target = -1j * np.trapezoid(nu_fine, fine)
+    f1 = 200j * (delta_fn(200j, smooth, Z0) - 1.0)
+    f2 = 400j * (delta_fn(400j, smooth, Z0) - 1.0)
     assert abs(2.0 * f2 - f1 - target) < 5e-4
-    assert abs(nu_integral(smooth, Z0)
-               - np.trapezoid(nu_fine, fine)) < 1e-6
 
 
 def test_boundary_constant_reflectionless(poles):
+    # both poles lie left of Z0; with neither left of z0, T0 is exactly 1
     flat = ScatteringData(S_GRID, np.zeros_like(R_SMOOTH))
-    direct = ((Z0 - np.conj(poles[0].z)) / (Z0 - poles[0].z)) ** poles[0].order
-    got = _T0((0,), poles, flat, Z0)
+    direct = np.prod([((Z0 - np.conj(d.z)) / (Z0 - d.z)) ** d.order for d in poles])
+    got = phase_context(flat, poles, Z0).T0_z0
     assert abs(got - direct) < 1e-12
     assert abs(abs(got) - 1.0) < 1e-12
-    assert _T0((), poles, flat, Z0) == 1.0
+    assert phase_context(flat, poles, -1.0).T0_z0 == 1.0
+    assert phase_context(flat, (), Z0).T0_z0 == 1.0
+
+
+def test_boundary_constant_takes_the_poles_left_of_z0(smooth, poles):
+    # z0 on either side of each pole, and exactly over each: the poles of T
+    # are those with Re z_k < z0, a tie going right
+    z0 = np.array([-0.85, -0.8, -0.75, 0.4, 0.45, 0.5])
+    members = [(), (), (0,), (0,), (0,), (0, 1)]
+    beta = _RayDensity(smooth, z0).offset_integral()
+    got = phase_context(smooth, poles, z0).T0_z0
+    for i, ks in enumerate(members):
+        factor = np.prod([((z0[i] - poles[k].z) / (z0[i] - np.conj(poles[k].z)))
+                          ** poles[k].order for k in ks])
+        assert abs(got[i] - np.exp(1j * beta[i]) / factor) < 1e-14, z0[i]
 
 
 def test_boundary_constant_is_unimodular(smooth, poles):
-    assert abs(abs(_T0((0,), poles, smooth, Z0)) - 1.0) < 1e-10
+    assert abs(abs(phase_context(smooth, poles, Z0).T0_z0) - 1.0) < 1e-10
 
 
 def test_boundary_constant_needs_bracketing(smooth, poles):
     with pytest.raises(ValueError, match="bracket"):
-        _T0((0,), poles, smooth, 7.0)
+        phase_context(smooth, poles, 7.0)
 
 
-def test_T_approaches_the_boundary_model(smooth, poles):
-    # along the diagonal ray the mismatch must stay Hoelder-1/2 bounded
-    t0 = _T0((0,), poles, smooth, Z0)
+def test_delta_approaches_the_boundary_model(smooth):
+    # along the diagonal ray the mismatch must stay Hoelder-1/2 bounded;
+    # without poles the boundary constant is delta's own.  The model is
+    # local: from d = 0.4 to 0.1, where nu still varies, the ratio grows
+    t0 = phase_context(smooth, (), Z0).T0_z0
     nu0 = nu_of(abs(_r_at(Z0)))
     ratios = []
-    for d in (0.4, 0.2, 0.1, 0.05, 0.025):
+    for d in (0.1, 0.05, 0.025, 0.0125, 0.00625):
         z = Z0 + d * cmath.exp(0.25j * math.pi)
         model = t0 * (z - Z0) ** (1j * nu0)
-        ratios.append(abs(T_fn(z, (0,), poles, smooth, Z0) - model)
-                      / math.sqrt(d))
+        ratios.append(abs(delta_fn(z, smooth, Z0) - model) / math.sqrt(d))
     assert max(ratios) <= 1.05 * ratios[0]
 
 
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
-
-def _right(part, data):
-    """The poles a partition puts right of the stationary point."""
-    return tuple(k for k in range(len(data)) if not part.left[k])
-
 
 def _inside(part, data):
     """The poles whose real parts lie in a partition's velocity window."""
@@ -337,20 +325,20 @@ def _inside(part, data):
 def test_partition_about_the_stationary_point():
     data = [DiscreteDatum(1.0 + 0.5j, (1.0,)),
             DiscreteDatum(-1.0 + 0.5j, (1.0,))]
-    part = partition(data, 0.0, cone=(0.0, 0.0, 0.0, 0.0))
-    assert part.left.tolist() == [False, True] and _right(part, data) == (0,)
+    assert _left_of(data, 0.0).tolist() == [False, True]
+    assert _left_of(data, np.array([-2.0, 2.0])).tolist() == [[False, False],
+                                                               [True, True]]
 
 
 def test_partition_tie_goes_right():
     data = [DiscreteDatum(0.5 + 1.0j, (1.0,))]
-    part = partition(data, 0.5, cone=(0.0, 0.0, -1.0, -1.0))
-    assert _right(part, data) == (0,) and part.left.tolist() == [False]
+    assert _left_of(data, 0.5).tolist() == [False]
 
 
 def test_cone_membership_and_decay_rate():
     data = [DiscreteDatum(1j, (1.0, 1.0)),
             DiscreteDatum(0.6 + 0.35j, (1.0, 1.0))]
-    part = partition(data, 0.0, cone=(-1.0, 1.0, -0.5, 0.5))
+    part = partition(data, cone=(-1.0, 1.0, -0.5, 0.5))
     assert part.I == (-0.25, 0.25)
     assert _inside(part, data) == (0,)          # only the imaginary-axis pole
     assert part.mu_I == pytest.approx(0.35 * 0.35, abs=1e-12)
@@ -358,9 +346,9 @@ def test_cone_membership_and_decay_rate():
 
 def test_decay_rate_simple_value_and_sentinel():
     lone = [DiscreteDatum(1.0 + 1.0j, (1.0,))]
-    part = partition(lone, 0.0, cone=(0.0, 0.0, -1.0, 1.0))
+    part = partition(lone, cone=(0.0, 0.0, -1.0, 1.0))
     assert part.mu_I == pytest.approx(0.5)
-    inside = partition(lone, 0.0, cone=(0.0, 0.0, -4.0, 4.0))
+    inside = partition(lone, cone=(0.0, 0.0, -4.0, 4.0))
     assert _inside(inside, lone) == (0,) and inside.mu_I == math.inf
 
 
@@ -376,7 +364,7 @@ def test_cone_bounds_must_be_ordered():
                           ((-1.0, 1.0, math.nan, 0.5), "v1 must be finite"),
                           ((-1.0, 1.0, -1.0, -math.inf), "v2 must be finite")]:
         with pytest.raises(ValueError, match=message):
-            partition(lone, 0.0, cone=cone)
+            partition(lone, cone=cone)
         with pytest.raises(ValueError, match=message):
             q_asymptotic(0.0, 10.0, lone, None, cone)
 
@@ -394,8 +382,8 @@ def test_decay_rate_shrinks_as_the_interval_grows(res, ims, w1, grow):
     data = [DiscreteDatum(complex(re, im), (1.0,))
             for re, im in zip(res, ims)]
     w2 = w1 + grow
-    small = partition(data, -5.0, cone=(0.0, 0.0, -2 * w1, 2 * w1))
-    large = partition(data, -5.0, cone=(0.0, 0.0, -2 * w2, 2 * w2))
+    small = partition(data, cone=(0.0, 0.0, -2 * w1, 2 * w1))
+    large = partition(data, cone=(0.0, 0.0, -2 * w2, 2 * w2))
     assume(_inside(small, data) == _inside(large, data))
     assert large.mu_I <= small.mu_I
 
@@ -405,7 +393,7 @@ def test_decay_rate_shrinks_as_the_interval_grows(res, ims, w1, grow):
 # ---------------------------------------------------------------------------
 
 def test_phase_context_fields(smooth, poles):
-    ctx = phase_context(smooth, poles, z0=0.6, left=_left(poles, 0.6))
+    ctx = phase_context(smooth, poles, z0=0.6)
     assert ctx.z0 == 0.6
     assert ctx.nu0 <= 0
     assert abs(ctx.r_at_z0 - _r_at(0.6)) < 1e-14
@@ -414,21 +402,17 @@ def test_phase_context_fields(smooth, poles):
 
 def test_phase_context_validation(smooth, poles):
     with pytest.raises(ValueError, match="bracket"):
-        phase_context(smooth, poles, z0=50.0, left=(True, True))
-    with pytest.raises(ValueError, match="never positive"):
-        PhaseContext(z0=-0.5, nu0=0.2, T0_z0=1.0 + 0j, r_at_z0=0.1 + 0j, ray=None)
+        phase_context(smooth, poles, z0=50.0)
     with pytest.raises(ValueError, match="unimodular"):
-        PhaseContext(z0=-0.5, nu0=-0.1, T0_z0=1.4 + 0j, r_at_z0=0.1 + 0j, ray=None)
+        PhaseContext(z0=-0.5, T0_z0=1.4 + 0j, r_at_z0=0.1 + 0j, ray=None)
 
 
-@pytest.mark.parametrize("field", ["nu0", "T0_z0", "r_at_z0"])
+@pytest.mark.parametrize("field", ["T0_z0", "r_at_z0"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex("nan+1j")])
 def test_phase_context_refuses_constants_that_are_not_finite(field, bad):
     # a nan boundary constant used to pass the unimodularity check, since
     # |nan| - 1 > 1e-6 is False
-    good = dict(nu0=-0.1, T0_z0=1.0 + 0j, r_at_z0=0.1 + 0j)
-    if field == "nu0" and isinstance(bad, complex):
-        bad = bad.real
+    good = dict(T0_z0=1.0 + 0j, r_at_z0=0.1 + 0j)
     for value in (bad, np.array([good[field], bad])):
         fields = dict(good, **{field: value})
         with pytest.raises(ValueError, match="finite"):
@@ -436,21 +420,21 @@ def test_phase_context_refuses_constants_that_are_not_finite(field, bad):
 
 
 def test_modulated_amplitude_basics(smooth, poles):
-    ctx = phase_context(smooth, poles, z0=0.15, left=_left(poles, 0.15))
+    ctx = phase_context(smooth, poles, z0=0.15)
     assert abs(abs(r0_modulated(ctx, 4.0))
                - abs(r0_modulated(ctx, 900.0))) < 1e-12
     assert abs(abs(r0_modulated(ctx, 4.0))
                - abs(ctx.r_at_z0) / abs(ctx.T0_z0) ** 2) < 1e-12
     with pytest.raises(ValueError, match="t > 0"):
         r0_modulated(ctx, -1.0)
-    silent = PhaseContext(z0=0.0, nu0=0.0, T0_z0=1.0 + 0j, r_at_z0=0j, ray=None)
+    silent = PhaseContext(z0=0.0, T0_z0=1.0 + 0j, r_at_z0=0j, ray=None)
     assert r0_modulated(silent, 4.0) == 0.0
 
 
 def test_gaussian_amplitude_regression_pin():
     prof = gaussian_profile(0.3, np.linspace(-8.0, 8.0, 641))
     scat = reflection_coefficient(prof, np.linspace(-4.0, 4.0, 321))
-    ctx = phase_context(scat, [], z0=0.0, left=())
+    ctx = phase_context(scat, [], z0=0.0)
     r0 = r0_modulated(ctx, 25.0)
     assert abs(r0 - (-0.5814569003879617 + 0.08915030374014535j)) < 1e-9
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fnls import solitons
-from fnls.phase import partition
+from fnls.phase import _left_of, partition
 from fnls.solitons import (
     DiscreteDatum,
     OrientedData,
@@ -451,17 +451,17 @@ def test_interval_restriction_and_tie():
         DiscreteDatum(1.5 + 0.6j, (1.0, 0.4)),
     )
     # the cone's velocity window is [-0.3, 0.6]; the kept poles keep their
-    # constants, and the split about z0 is the cone's to read
-    part = partition(data, 0.2, (0.0, 0.0, -1.2, 0.6))
+    # constants
+    part = partition(data, (0.0, 0.0, -1.2, 0.6))
     out = restrict_to_interval(data, part.I)
     assert [d.z for d in out] == [-0.1 + 0.9j, 0.4 + 0.7j]
     assert out == data[1:3]
-    assert part.left.tolist() == [True, True, False, False]
+    assert _left_of(data, 0.2).tolist() == [True, True, False, False]
 
     # the window [-1, 2] keeps every pole, and the one over z0 goes right
-    part = partition(data, 0.4, (0.0, 0.0, -4.0, 2.0))
+    part = partition(data, (0.0, 0.0, -4.0, 2.0))
     assert restrict_to_interval(data, part.I) == data
-    assert part.left.tolist() == [True, True, False, False]
+    assert _left_of(data, 0.4).tolist() == [True, True, False, False]
 
 
 def test_input_validation():

@@ -119,9 +119,14 @@ def test_blown_up_run_reports_a_nan_edge_fraction(monkeypatch):
 
 @pytest.mark.parametrize("fraction", [math.nan, 0.25])
 def test_saved_edge_fraction_is_strict_json(tmp_path, fraction):
-    # a NaN is written as null, which reads back as NaN
+    # a NaN is written as null, and the slices read back give it again;
+    # the first slice has a quarter of its mass in the outer samples, the
+    # second none, or NaN
     grid = Grid(16, -4.0, 4.0)
-    ev = Evolution(grid, np.array([0.0, 0.5]), np.ones((2, 16), dtype=np.complex128), fraction)
+    q = np.zeros((2, 16), dtype=np.complex128)
+    q[0, [0, 5, 6, 7]] = 1.0
+    q[1, 8] = fraction
+    ev = Evolution(grid, np.array([0.0, 0.5]), q)
     save_evolution(ev, tmp_path, dt=0.1)
 
     def refuse(name):
