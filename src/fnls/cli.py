@@ -43,7 +43,7 @@ import numpy as np
 
 from .acceptance import run_all
 from .asymptotics import q_asymptotic, save_asymptotics
-from .csvio import write_csv
+from .csvio import formatted, write_csv, write_grid
 from .scattering import (
     DiscreteDatum,
     ScatteringData,
@@ -337,10 +337,14 @@ def _load_source_discrete(cfg: Settings) -> ScatteringData:
     return ScatteringData(empty, np.zeros(0, dtype=np.complex128), data)
 
 
-def _write_csv(path: Path, array: np.ndarray, header: str) -> None:
+def _write_csv(path: Path, array: np.ndarray, header: str, grid=None) -> None:
     # The command's own table, apart from the library's writers, so that the
-    # benchmark's tracer times each write once.
-    write_csv(path, np.atleast_2d(array), header)
+    # benchmark's tracer times each write once.  ``grid = (times, x)`` writes
+    # the values ``array[i, j]`` at ``(times[i], x[j])`` (csvio.write_grid).
+    if grid is None:
+        write_csv(path, np.atleast_2d(array), header)
+    else:
+        write_grid(path, array, header, formatted(grid[1]), grid[0])
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +378,10 @@ def cmd_soliton(cfg: Settings, out_dir: Path) -> int:
     x = np.linspace(*cfg.grid("soliton", "x_min", "x_max", "n_x", least=1))
     times = np.linspace(*cfg.grid("soliton", "t_min", "t_max", "n_t", least=1))
     # one solve over the whole grid, a row per (t, x) with t slowest
-    t, x_all = np.repeat(times, x.size), np.tile(x, times.size)
-    q = soliton_field(source.discrete, x_all, t)
+    q = soliton_field(source.discrete, np.tile(x, times.size), np.repeat(times, x.size))
     _write_csv(out_dir / "soliton_field.csv",
-               np.column_stack([t, x_all, q.real, q.imag]), "t,x,re_q,im_q")
+               np.stack([q.real, q.imag], axis=-1).reshape(times.size, x.size, 2),
+               "t,x,re_q,im_q", grid=(times, x))
     print(f"wrote {out_dir / 'soliton_field.csv'} "
           f"({times.size} time slice(s), {x.size} x-points)")
     return 0

@@ -885,7 +885,8 @@ def extract_scattering(profile: InitialProfile, z_grid, box=None) -> ScatteringD
 # ---------------------------------------------------------------------------
 
 def _complex_list(arr):
-    return [[float(v.real), float(v.imag)] for v in np.asarray(arr)]
+    arr = np.asarray(arr, dtype=np.complex128)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _from_complex_list(lst):
@@ -919,7 +920,7 @@ def _from_spelled(z, order, spelled, b=None, d=None) -> DiscreteDatum:
 
 def save_scattering(data: ScatteringData, path) -> None:
     doc = {
-        "z_grid": [float(v) for v in data.z],
+        "z_grid": np.asarray(data.z, dtype=float).tolist(),
         "r": _complex_list(data.r),
         "s11": None if data.s11 is None else _complex_list(data.s11),
         "s21": None if data.s21 is None else _complex_list(data.s21),
@@ -932,8 +933,9 @@ def save_scattering(data: ScatteringData, path) -> None:
             for d in data.discrete
         ],
     }
+    # compact and in one piece: only then does json use its C encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc))
 
 
 def load_scattering(path) -> ScatteringData:

@@ -30,14 +30,15 @@ of LU solves.  The constants may differ from point to point
 window and dresses only those constants by the radiation at each
 stationary point.  :func:`solve_soliton` is the one solve: the plain
 system's entries grow like ``exp(2 Im z_k |x|)`` on the far side of a pole,
-so at each point it keeps the better conditioned of the plain system and
-the one with the poles where ``x + 2t Re z_k < 0`` moved, and reports the
-1-norm condition number and the scaled backward residual of the solve it
-kept.  Those poles are a cut in ``Re z`` order about the stationary point
-``-x / (2t)``, the split of the steepest descent's factor T, and the first
-row of the solution matrix it returns is in that cut system's
-normalization whichever system won: at the cone's stationary point it is
-T's.
+so at each point it first solves the system with the poles where ``x + 2t
+Re z_k < 0`` moved.  Where that solve's 1-norm condition is at most
+``1e2`` it is kept alone; elsewhere the plain system is solved too and the
+better conditioned of the two kept.  It reports the condition number and
+the scaled backward residual of the solve it kept.  The moved poles are a
+cut in ``Re z`` order about the stationary point ``-x / (2t)``, the split
+of the steepest descent's factor T, and the first row of the solution
+matrix it returns is in that cut system's normalization whichever system
+was kept: at the cone's stationary point it is T's.
 """
 
 from __future__ import annotations
@@ -66,14 +67,18 @@ __all__ = [
 
 _COINCIDENCE_TOL = 1e-12
 _COND_WARN = 1e12
-# Entries of a stacked solve's largest array, its (P, 2D, 2D) matrices.
-# 8192 complex entries are 128 KiB, glibc's mmap threshold at start-up,
-# so each chunk's arrays are reused from the heap instead of being mapped,
-# returned to the OS and faulted in afresh.  A library caller keeps that
-# threshold until it frees a larger mapped block; the ``fnls`` command
-# sets it to 32 MiB.  The solve takes one matrix at a time, so results do
-# not depend on the chunking.
-_CHUNK_ENTRIES = 1 << 13
+# A cut system solved with at most this 1-norm condition keeps its point
+# alone: its relative error is then at most about 1e2 eps, and the plain
+# system is not solved there.
+_COND_CERTIFIED = 1e2
+# Entries of a stacked solve's largest array, its (P, 2D, 2D) matrices:
+# 16384 complex entries, 256 KiB, are 83 points at dimension 14, enough
+# that numpy's per-call overhead is spread thin.  The ``fnls`` command
+# holds glibc's mmap threshold at 32 MiB, so each chunk's arrays are
+# reused from the heap; a library caller's glibc raises its threshold past
+# that size after it frees the first mapped block.  The solve takes one
+# matrix at a time, so results do not depend on the chunking.
+_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -414,14 +419,17 @@ def solve_soliton(data, x, t, z=None) -> SolitonState:
     ``data`` is a sequence of :class:`DiscreteDatum` or an
     :class:`OrientedData` with no pole moved, whose per-point constants
     (:attr:`OrientedData.c`) follow the points.  ``x``, ``t`` and ``z``
-    broadcast, and the points are solved as stacks.  Each point takes the
-    better conditioned of two equivalent systems: the plain one, and the
-    one with the poles where ``x + 2t Re z_k < 0`` moved by
-    :func:`reorient_constants`, whose entries decay where the plain ones
-    grow.  The test is monotone in ``Re z_k``, so the moved poles are a cut
-    in that order: those left of ``-x / (2t)`` for ``t > 0``, right of it
-    for ``t < 0``, all or none at ``t = 0``.  Each nonzero cut costs one
-    :func:`reorient_constants` call and one stacked solve.
+    broadcast, and the points are solved as stacks.  A point has two
+    equivalent systems: the plain one, and the cut system with the poles
+    where ``x + 2t Re z_k < 0`` moved by :func:`reorient_constants`, whose
+    entries decay where the plain ones grow.  The test is monotone in
+    ``Re z_k``, so the moved poles are a cut in that order: those left of
+    ``-x / (2t)`` for ``t > 0``, right of it for ``t < 0``, all or none at
+    ``t = 0``.  Each nonzero cut costs one :func:`reorient_constants` call
+    and one stacked solve at its points.  A cut solve whose 1-norm
+    condition is at most ``1e2`` is kept alone.  The plain system is then
+    solved in one stack at every other point, cut 0 included, and kept
+    where its condition is no larger than the cut system's.
 
     ``z`` asks for the first row of the solution matrix at one point per
     point, in the cut system's normalization ``m_Delta``: a point solved
@@ -439,29 +447,34 @@ def solve_soliton(data, x, t, z=None) -> SolitonState:
     x, t = x.ravel(), t.ravel()
     z = None if z is None else at_z.ravel()
     if oriented.data:
-        u, cond, residual = _solve_points(oriented, x, t)
-        q = _moment(oriented, u)
-        row = None if z is None else _first_row(oriented, u, z)
         re_z = np.array([d.z.real for d in oriented.data])
         flips = x[:, None] + 2.0 * t[:, None] * re_z[None, :] < 0
         # a cut is named by its signed size; all poles is one cut either way
         size = np.count_nonzero(flips, axis=1)
         cut = np.where((t < 0) & (size < re_z.size), -size, size)
+        q = np.empty(x.size, dtype=np.complex128)
+        cond, residual = np.full(x.size, np.inf), np.empty(x.size)
+        row = None if z is None else np.empty((x.size, 2), dtype=np.complex128)
+
+        def keep(system, at, u, cond_at, residual_at):
+            q[at], cond[at], residual[at] = _moment(system, u), cond_at, residual_at
+            if row is not None:
+                row[at] = _first_row(system, u, z[at])
+
         for c in np.unique(cut[cut != 0]):
             at = np.flatnonzero(cut == c)
-            flagged = flips[at[0]]
-            flipped = reorient_constants(oriented.rows(at), np.flatnonzero(flagged))
-            u_f, cond_f, res_f = _solve_points(flipped, x[at], t[at])
-            better = cond_f < cond[at]
-            won, u_f = at[better], u_f[better]
-            q[won] = _moment(flipped, u_f)
-            cond[won] = cond_f[better]
-            residual[won] = res_f[better]
-            if row is not None:
-                row[won] = _first_row(flipped, u_f, z[won])
-                lost = at[~better]
-                a = blaschke_product(z[lost], oriented.data, flagged)
-                row[lost] *= np.stack([a, 1.0 / a], axis=-1)
+            flipped = reorient_constants(oriented.rows(at), np.flatnonzero(flips[at[0]]))
+            keep(flipped, at, *_solve_points(flipped, x[at], t[at]))
+        # the plain system where no cut solve is certified, cut 0 included
+        at = np.flatnonzero(cond > _COND_CERTIFIED)
+        u, cond_p, res_p = _solve_points(oriented.rows(at), x[at], t[at])
+        better = cond_p <= cond[at]
+        at = at[better]
+        keep(oriented, at, u[better], cond_p[better], res_p[better])
+        if row is not None:
+            moved = at[cut[at] != 0]
+            a = blaschke_product(z[moved], oriented.data, flips[moved])
+            row[moved] *= np.stack([a, 1.0 / a], axis=-1)
         _check_solved(cond, x, t)
     else:
         q = np.zeros(x.size, dtype=np.complex128)

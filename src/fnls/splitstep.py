@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import formatted, write_grid
 
 __all__ = [
     "Grid",
@@ -285,11 +285,11 @@ def save_evolution(ev: Evolution, directory, dt: float | None = None) -> None:
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    names = []
+    names, x = [], formatted(ev.grid.x)
     for i in range(len(ev.t)):
         name = f"slice_{i:04d}.csv"
-        write_csv(path / name, np.column_stack([ev.grid.x, ev.q[i].real, ev.q[i].imag]),
-                  "x,re_q,im_q")
+        write_grid(path / name, np.stack([ev.q[i].real, ev.q[i].imag], axis=-1),
+                   "x,re_q,im_q", x)
         names.append(name)
     manifest = {
         "grid": {"n": ev.grid.n, "x_min": ev.grid.x_min, "x_max": ev.grid.x_max},

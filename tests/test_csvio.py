@@ -1,5 +1,5 @@
-"""The package's CSV writer writes ``np.savetxt``'s bytes, and so does each
-of the four writers built on it."""
+"""The package's CSV writers write ``np.savetxt``'s bytes, and so does each
+of the writers built on them."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 from fnls import cli, csvio
 from fnls.asymptotics import AsymptoticValue, save_asymptotics
 from fnls.scattering import InitialProfile, save_profile
+from fnls.solitons import soliton_field
 from fnls.splitstep import Evolution, Grid, save_evolution
 
 EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.8e308, -1.8e308,
@@ -50,6 +51,34 @@ def test_cli_table_bytes_are_savetxt_bytes(tmp_path):
     table = TABLES["edge-values"]
     cli._write_csv(tmp_path / "new.csv", table, "h")
     assert (tmp_path / "new.csv").read_bytes() == _savetxt(tmp_path / "ref.csv", table, "h")
+
+
+# (x_min, x_max, n_x, t_min, t_max, n_t) of the soliton command's grid
+GRIDS = {
+    "one-time": ("-3", "3", "7", "-0.0", "-0.0", "1"),
+    "five-times": ("-3", "3", "7", "0", "1", "5"),
+    "one-x": ("1.5", "1.5", "1", "0", "1", "5"),
+    "slice-past-a-block": ("-8", "8", str(csvio._BLOCK_ROWS + 3), "0.2", "0.7", "2"),
+    "signed-zero-and-17-digits": (repr(-1.0 / 3.0), "-0.0", "7", "0.1", repr(2.0 / 3.0), "3"),
+}
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_soliton_table_bytes_are_savetxt_bytes(tmp_path, name):
+    # the grid's t and x strings are formatted once and reused row by row
+    x_min, x_max, n_x, t_min, t_max, n_t = GRIDS[name]
+    poles = "0 1 2 0 0 1 0\n0.4 0.6 1 0.5 0.2 0 0"
+    assert cli.main(["soliton", "--discrete-poles", poles, "--soliton-x-min", x_min,
+                     "--soliton-x-max", x_max, "--soliton-n-x", n_x, "--soliton-t-min", t_min,
+                     "--soliton-t-max", t_max, "--soliton-n-t", n_t,
+                     "--output-dir", str(tmp_path)]) == 0
+    x = np.linspace(float(x_min), float(x_max), int(n_x))
+    times = np.linspace(float(t_min), float(t_max), int(n_t))
+    t, x_all = np.repeat(times, x.size), np.tile(x, times.size)
+    q = soliton_field([cli._parse_pole_line(line) for line in poles.splitlines()], x_all, t)
+    ref = _savetxt(tmp_path / "ref.csv", np.column_stack([t, x_all, q.real, q.imag]),
+                   "t,x,re_q,im_q")
+    assert (tmp_path / "soliton_field.csv").read_bytes() == ref
 
 
 def test_profile_bytes_are_savetxt_bytes(tmp_path):
