@@ -2,12 +2,13 @@
 
 Inside a cone ``x = x0 + v t`` with ``x0 in [x1, x2]`` and ``v in [v1, v2]``
 the field splits into a multi-pole bound-state part, from the poles whose
-velocities fall in the cone, kept first and then dressed by the radiation,
-plus a dispersive correction of size ``t**-0.5`` whose coefficient comes
-from the model oscillator problem at the stationary point
-``z0 = -x / (2 t)``.  The remainder after both terms decays like
-``t**-0.75``.  The formula is evaluated over arrays of points at once: one
-ray quadrature and one call of :func:`fnls.solitons.solve_soliton` per call.
+velocities fall in the cone, kept first and then dressed by the radiation
+and by the poles left out on their left, plus a dispersive correction of
+size ``t**-0.5`` whose coefficient comes from the model oscillator problem
+at the stationary point ``z0 = -x / (2 t)``.  The remainder after both
+terms decays like ``t**-0.75``.  The formula is evaluated over arrays of
+points at once: one ray quadrature and one call of
+:func:`fnls.solitons.solve_soliton` per call.
 The field does not depend on which poles are moved to column 2, so the
 bound-state part is that solve's; the dispersive part reads the first row
 of the solution matrix at z0 as the solve returns it, with the kept poles
@@ -22,9 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import formatted, write_grid
 from .phase import _unwrap, partition, phase_context, r0_modulated
-from .solitons import modulate_constants, restrict_to_interval, solve_soliton
+from .solitons import (
+    _blaschke_series,
+    _mul,
+    modulate_constants,
+    restrict_to_interval,
+    solve_soliton,
+)
 
 __all__ = [
     "PCCoefficients",
@@ -117,6 +124,8 @@ def pc_coefficients(r0, nu) -> PCCoefficients:
 
 # Below this |r(z0)| the dispersive term is dropped.
 _R_THRESHOLD = 1e-12
+# The earliest time the cone formula is evaluated at.
+_MIN_T = 5.0
 
 
 @dataclass(frozen=True)
@@ -136,36 +145,36 @@ class AsymptoticValue:
         return self.q_sol_part + self.f_part / np.sqrt(self.t)
 
 
-def q_asymptotic(x, t, sigma_d, scattering, cone, *,
-                 min_t: float = 5.0) -> AsymptoticValue:
+def q_asymptotic(x, t, sigma_d, scattering, cone) -> AsymptoticValue:
     """Evaluate the leading-order field at points of a cone.
 
     ``x`` and ``t`` are scalars or arrays that broadcast together; the
     result has their shape.  ``sigma_d`` is the discrete data,
     ``scattering`` carries the sampled reflection amplitude (``None`` means
     reflectionless), and ``cone = (x1, x2, v1, v2)``.  The bound-state part
-    uses only the poles whose velocities fall inside the cone, dressed by
-    the radiation factor ``delta``; the dispersive part adds the oscillator
-    coefficient scaled by ``t**-0.5``, read through the first row of the
-    solution matrix at ``z0`` in T's normalization, the kept poles left of
-    ``z0`` moved.
-    Non-finite points, points outside the cone, nonpositive times, times
-    below ``min_t`` and a ``min_t`` that is not positive and finite are
-    rejected.
+    uses only the poles whose velocities fall inside the cone, dressed as
+    under the column scaling by ``1 / T``: by the radiation factor
+    ``1 / delta`` and by the Blaschke product ``B`` of the poles the
+    window leaves out on its left, ``c -> pp[c B^2 delta^-2]``.  For points
+    of the cone z0 lies in the window up to O(1/t), so those are the poles
+    of T that the window drops, one list for all points.  The dispersive
+    part adds the oscillator coefficient scaled by ``t**-0.5``, read
+    through the first row of the solution matrix at ``z0`` in T's
+    normalization, the kept poles left of ``z0`` moved.
+    Non-finite points, points outside the cone, nonpositive times and
+    times below ``_MIN_T`` are rejected.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     shape = x.shape
     x, t = x.ravel(), t.ravel()
-    if not (math.isfinite(min_t) and min_t > 0.0):
-        raise ValueError(f"min_t must be positive and finite, got {min_t!r}")
     for name, v in (("x", x), ("t", t)):
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} must be finite, got {float(v[~np.isfinite(v)][0])!r}")
     if np.any(t <= 0.0):
         raise ValueError("t must be positive")
-    if np.any(t < min_t):
+    if np.any(t < _MIN_T):
         raise ValueError(f"t = {t.min():g} is below the asymptotic floor "
-                         f"min_t = {min_t:g}")
+                         f"t = {_MIN_T:g}")
     sigma_d = tuple(sigma_d)
     z0 = -x / (2.0 * t)
     # the window checks the cone before the points are tested against it
@@ -178,11 +187,18 @@ def q_asymptotic(x, t, sigma_d, scattering, cone, *,
 
     # the window first: only the poles it keeps are dressed and solved
     kept = restrict_to_interval(sigma_d, part.I)
-    ctx, weighted = None, kept
-    if scattering is not None:
-        # one ray for all points: the pole dressing and T0 read its nodes
-        ctx = phase_context(scattering, sigma_d, z0)
-        weighted = modulate_constants(kept, ctx.ray.inverse_delta)
+    left_out = tuple(d for d in sigma_d if d.z.real < part.I[0])
+    # one ray for all points: the pole dressing and T0 read its nodes
+    ctx = None if scattering is None else phase_context(scattering, sigma_d, z0)
+    weighted = kept
+    if left_out or ctx is not None:
+        def inverse_t(z, n):
+            if not left_out:
+                return ctx.ray.inverse_delta(z, n)
+            b = _blaschke_series(z, left_out, n)
+            return b if ctx is None else _mul(b, ctx.ray.inverse_delta(z, n), n)
+
+        weighted = modulate_constants(kept, inverse_t)
 
     state = solve_soliton(weighted, x, t, z0)
 
@@ -205,6 +221,6 @@ def save_asymptotics(path, value: AsymptoticValue) -> None:
     point."""
     x, t, q_sol, f, q = (np.ravel(v) for v in (value.x, value.t, value.q_sol_part,
                                                value.f_part, value.q_total))
-    write_csv(path, np.column_stack([x, t, q_sol.real, q_sol.imag,
-                                     f.real, f.imag, q.real, q.imag]),
-              "x,t,re_q_sol,im_q_sol,re_f,im_f,re_q_total,im_q_total")
+    write_grid(path, np.column_stack([t, q_sol.real, q_sol.imag, f.real, f.imag,
+                                      q.real, q.imag]),
+               "x,t,re_q_sol,im_q_sol,re_f,im_f,re_q_total,im_q_total", formatted(x))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .acceptance import run_all
 from .asymptotics import q_asymptotic, save_asymptotics
-from .csvio import formatted, write_csv, write_grid
+from .csvio import formatted, write_grid
 from .scattering import (
     DiscreteDatum,
     ScatteringData,
@@ -78,7 +78,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "x_min": ("-26.0", "left end of the profile sampling grid"),
         "x_max": ("26.0", "right end of the profile sampling grid"),
         "n": ("1041", "number of profile sample points"),
-        "tail_tol": ("1e-10", "largest allowed |q|/peak at the grid ends"),
     },
     "discrete": {
         "file": ("", "scattering document (JSON) holding poles and r samples"),
@@ -111,7 +110,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "t_max": ("40.0", "last evaluation time"),
         "n_t": ("4", "number of evaluation times"),
         "n_x": ("9", "points across the cone cross-section per time"),
-        "min_t": ("5.0", "reject evaluation times below this floor"),
     },
     "evolve": {
         "n": ("4096", "number of Fourier modes"),
@@ -290,19 +288,17 @@ def _load_source_profile(cfg: Settings):
     if kind == "none":
         raise ValueError("this command needs a profile source "
                          "(set profile.kind)")
-    tail_tol = cfg.positive("profile", "tail_tol")
     if kind == "csv":
         path = cfg.text("profile", "file")
         if not path:
             raise ValueError("profile.kind = csv requires profile.file")
-        return _read("profile file", lambda p: load_profile(p, tail_tol=tail_tol), path)
+        return _read("profile file", load_profile, path)
     x = np.linspace(*cfg.grid("profile", "x_min", "x_max", "n"))
     amplitude = cfg.number("profile", "amplitude")
     if kind == "sech":
-        return sech_profile(amplitude, x, tail_tol=tail_tol)
+        return sech_profile(amplitude, x)
     if kind == "gaussian":
-        return gaussian_profile(amplitude, x, width=cfg.positive("profile", "width"),
-                                tail_tol=tail_tol)
+        return gaussian_profile(amplitude, x, width=cfg.positive("profile", "width"))
     raise ValueError(f"unknown profile.kind {kind!r}")
 
 
@@ -337,14 +333,12 @@ def _load_source_discrete(cfg: Settings) -> ScatteringData:
     return ScatteringData(empty, np.zeros(0, dtype=np.complex128), data)
 
 
-def _write_csv(path: Path, array: np.ndarray, header: str, grid=None) -> None:
+def _write_csv(path: Path, x, values: np.ndarray, header: str, times=None) -> None:
     # The command's own table, apart from the library's writers, so that the
-    # benchmark's tracer times each write once.  ``grid = (times, x)`` writes
-    # the values ``array[i, j]`` at ``(times[i], x[j])`` (csvio.write_grid).
-    if grid is None:
-        write_csv(path, np.atleast_2d(array), header)
-    else:
-        write_grid(path, array, header, formatted(grid[1]), grid[0])
+    # benchmark's tracer times each write once: the x column and its value
+    # columns, or with ``times`` the values ``values[i, j]`` at ``(times[i],
+    # x[j])`` (csvio.write_grid).
+    write_grid(path, values, header, formatted(x), times)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +357,8 @@ def cmd_scatter(cfg: Settings, out_dir: Path) -> int:
         box = tuple(box_text)
     data = extract_scattering(profile, z_grid, box=box)
     save_scattering(data, out_dir / "scattering.json")
-    _write_csv(out_dir / "reflection.csv",
-               np.column_stack([data.z, data.r.real, data.r.imag]),
-               "z,re_r,im_r")
+    _write_csv(out_dir / "reflection.csv", data.z,
+               np.column_stack([data.r.real, data.r.imag]), "z,re_r,im_r")
     for d in data.discrete:
         print(f"zero: z = {complex(d.z):.12g} order = {d.order}")
     print(f"wrote {out_dir / 'scattering.json'} and {out_dir / 'reflection.csv'}"
@@ -379,9 +372,9 @@ def cmd_soliton(cfg: Settings, out_dir: Path) -> int:
     times = np.linspace(*cfg.grid("soliton", "t_min", "t_max", "n_t", least=1))
     # one solve over the whole grid, a row per (t, x) with t slowest
     q = soliton_field(source.discrete, np.tile(x, times.size), np.repeat(times, x.size))
-    _write_csv(out_dir / "soliton_field.csv",
+    _write_csv(out_dir / "soliton_field.csv", x,
                np.stack([q.real, q.imag], axis=-1).reshape(times.size, x.size, 2),
-               "t,x,re_q,im_q", grid=(times, x))
+               "t,x,re_q,im_q", times)
     print(f"wrote {out_dir / 'soliton_field.csv'} "
           f"({times.size} time slice(s), {x.size} x-points)")
     return 0
@@ -394,12 +387,10 @@ def cmd_asymptote(cfg: Settings, out_dir: Path) -> int:
     n_x = cfg.integer("asymptote", "n_x")
     if n_x < 1:
         raise ValueError("asymptote.n_x must be at least 1")
-    min_t = cfg.positive("asymptote", "min_t")
     times = np.linspace(*cfg.grid("asymptote", "t_min", "t_max", "n_t", least=1))
     x = np.array([np.linspace(cone[0] + cone[2] * t, cone[1] + cone[3] * t, n_x)
                   for t in times])
-    values = q_asymptotic(x, times[:, None], source.discrete, scattering, cone,
-                          min_t=min_t)
+    values = q_asymptotic(x, times[:, None], source.discrete, scattering, cone)
     save_asymptotics(out_dir / "asymptotics.csv", values)
     print(f"wrote {out_dir / 'asymptotics.csv'} ({x.size} points)")
     return 0
@@ -472,10 +463,10 @@ def cmd_compare(cfg: Settings, out_dir: Path) -> int:
         linf = float(np.max(diff))
         l2 = float(math.sqrt(np.sum(diff ** 2) * dx))
         scale = abs(t) ** p
-        rows.append((t, linf, l2, scale * linf, scale * l2))
-    _write_csv(out_dir / "comparison.csv", np.array(rows),
+        rows.append((linf, l2, scale * linf, scale * l2))
+    _write_csv(out_dir / "comparison.csv", times, np.array(rows),
                "t,linf,l2,scaled_linf,scaled_l2")
-    worst = float(np.max([row[1] for row in rows]))
+    worst = float(np.max([row[0] for row in rows]))
     print(f"wrote {out_dir / 'comparison.csv'} "
           f"({len(rows)} times, worst Linf {worst:.6g})")
     return 0

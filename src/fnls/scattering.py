@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvio import write_csv
 from .solitons import DiscreteDatum, _inv, _mul, soliton_field
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "gaussian_profile",
     "soliton_profile",
     "load_profile",
-    "save_profile",
     "reflection_coefficient",
     "locate_zeros",
     "norming_constants",
@@ -67,6 +65,8 @@ _MAX_PHASE_STEP = 1.2
 # Zeros are listed by real part rounded to this, far above their placement
 # error (about 1e-13) and below the merge radius (about 3e-5), then upwards.
 _ORDER_RESOLUTION = 1e-9
+# Largest |q| at either end of a profile's grid, relative to its peak.
+_TAIL_TOL = 1e-10
 
 
 @dataclass
@@ -78,11 +78,8 @@ class InitialProfile:
     x: np.ndarray
     q: np.ndarray
     fn: object = None
-    tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
-            raise ValueError(f"tail_tol must be positive and finite, got {self.tail_tol!r}")
         self.x = np.asarray(self.x, dtype=float)
         self.q = np.asarray(self.q, dtype=np.complex128)
         if self.x.ndim != 1 or self.x.size < 8:
@@ -102,10 +99,10 @@ class InitialProfile:
         peak = float(np.max(np.abs(self.q)))
         if peak > 0.0:
             edge = max(abs(self.q[0]), abs(self.q[-1]))
-            if edge > self.tail_tol * peak:
+            if edge > _TAIL_TOL * peak:
                 raise ValueError(
                     f"profile tail does not decay: |q| = {edge:.3e} at the "
-                    f"boundary exceeds {self.tail_tol:.1e} of the peak {peak:.3e}")
+                    f"boundary exceeds {_TAIL_TOL:.1e} of the peak {peak:.3e}")
         self._spline = None
         self._grading = None
 
@@ -187,17 +184,16 @@ def _quintic_spline(coef, x, xv):
     return out / 120.0
 
 
-def sech_profile(amplitude: float, x, tail_tol: float = 1e-10) -> InitialProfile:
+def sech_profile(amplitude: float, x) -> InitialProfile:
     x = np.asarray(x, dtype=float)
     fn = lambda y: amplitude / np.cosh(y)  # noqa: E731
-    return InitialProfile(x, fn(x), fn=fn, tail_tol=tail_tol)
+    return InitialProfile(x, fn(x), fn=fn)
 
 
-def gaussian_profile(amplitude: float, x, width: float = 1.0,
-                     tail_tol: float = 1e-10) -> InitialProfile:
+def gaussian_profile(amplitude: float, x, width: float = 1.0) -> InitialProfile:
     x = np.asarray(x, dtype=float)
     fn = lambda y: amplitude * np.exp(-((np.asarray(y) / width) ** 2))  # noqa: E731
-    return InitialProfile(x, fn(x), fn=fn, tail_tol=tail_tol)
+    return InitialProfile(x, fn(x), fn=fn)
 
 
 def soliton_profile(data, x) -> InitialProfile:
@@ -206,15 +202,9 @@ def soliton_profile(data, x) -> InitialProfile:
     return InitialProfile(x, soliton_field(data, x, 0.0))
 
 
-def save_profile(profile: InitialProfile, path) -> None:
-    write_csv(path, np.column_stack([profile.x, profile.q.real, profile.q.imag]),
-              "x,re_q,im_q")
-
-
-def load_profile(path, tail_tol: float = 1e-10) -> InitialProfile:
+def load_profile(path) -> InitialProfile:
     arr = np.loadtxt(path, delimiter=",", comments="#")
-    return InitialProfile(arr[:, 0], arr[:, 1] + 1j * arr[:, 2],
-                          tail_tol=tail_tol)
+    return InitialProfile(arr[:, 0], arr[:, 1] + 1j * arr[:, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ class DiscreteDatum:
         return len(self.coefficients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientedData:
     """Spectrum plus each pole's point ``p_k``: ``z_k`` when not given, or
     ``conj z_k`` for a pole moved to column 2 (:func:`reorient_constants`).
@@ -124,12 +124,13 @@ class OrientedData:
     each pole's principal part padded with leading zeros to the largest
     order ``m`` (see :attr:`DiscreteDatum.coefficients`).  When it is not
     given it is built once from the data's own constants, with ``P = 1``;
-    when it is, the data carry only the positions and orders.
+    when it is, the data carry only the positions and orders.  Stacks
+    compare and hash by identity.
     """
 
     data: tuple[DiscreteDatum, ...]
     points: tuple[complex, ...] | None = None
-    c: np.ndarray | None = field(default=None, compare=False, repr=False)
+    c: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         points = self.points if self.points is not None else (d.z for d in self.data)

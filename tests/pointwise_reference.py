@@ -3,7 +3,8 @@ it worked over arrays of points.
 
 Each point builds its own ray quadrature (with the panel at ``z0 - 1``
 split for every integral, and the part of that window left of the ray's
-start added in closed form), dresses and reorients ``DiscreteDatum`` tuples,
+start added in closed form), dresses ``DiscreteDatum`` tuples by ``1 /
+delta`` and by the poles the window leaves out on its left, reorients them,
 and solves a one-point pole system.  It solves the flipped system only,
 with the kept poles left of z0 in the upper orientation, where the library
 keeps the better conditioned of that system and the all-lower one.  So it
@@ -209,7 +210,12 @@ def q_pointwise(x: float, t: float, sigma_d, scattering, cone):
         ray = Ray(scattering, z0)
         data = tuple(replace(d, coefficients=_scaled(
             d.coefficients, ray.inverse_delta(d.z, d.order))) for d in data)
-    kept = [d for d in data if lo <= d.z.real <= hi]
+    # the poles the window leaves out on its left dress the kept ones by
+    # their Blaschke product, as they would the column scaling by 1 / T
+    left_out = [d for d in sigma_d if d.z.real < lo]
+    kept = [replace(d, coefficients=_scaled(
+        d.coefficients, _blaschke_series(d.z, left_out, d.order)))
+        for d in data if lo <= d.z.real <= hi]
     oriented, orientations = _reorient(
         kept, [i for i, d in enumerate(kept) if d.z.real < z0])
     q_sol, alpha, beta = (_solve(oriented, orientations, x, t) if kept

@@ -19,9 +19,10 @@ import pytest
 import fnls
 from fnls import acceptance
 from fnls.cli import SCHEMA, _parse_pole_line, config_reference, main
-from fnls.scattering import ScatteringData, load_scattering, save_profile, save_scattering
+from fnls.scattering import ScatteringData, load_scattering, save_scattering
 from fnls.solitons import soliton_field
 from fnls.splitstep import Grid, load_evolution
+from profile_file import save_profile
 
 
 def run_cli(*argv):
@@ -739,6 +740,31 @@ def test_evolve_has_no_edge_guard_setting(tmp_path, out, capsys):
     assert run_cli("evolve", "--config", str(cfg), "--profile-kind", "sech",
                    "--output-dir", str(out)) == 2
     assert "unknown config key 'edge_guard'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,key,args", [
+    ("scatter", "profile", "tail_tol", ("--profile-kind", "sech")),
+    ("asymptote", "asymptote", "min_t", ("--discrete-poles", "0 1 2 0 0 1 0")),
+])
+def test_fixed_bounds_have_no_setting(tmp_path, out, capsys, command, section, key, args):
+    flag = f"--{section}-{key.replace('_', '-')}"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *args, flag, "1", "--output-dir", str(out))
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{section}]\n{key} = 1\n")
+    assert run_cli(command, "--config", str(cfg), *args, "--output-dir", str(out)) == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_scatter_of_a_profile_that_does_not_decay_exit_2(out, capsys):
+    # sech x is 1.3e-2 of its peak at x = 5: far above the fixed tail bound
+    rc = run_cli("scatter", "--profile-kind", "sech", "--profile-x-min", "-5",
+                 "--profile-x-max", "5", "--profile-n", "101", "--output-dir", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "tail does not decay" in err and "exceeds 1.0e-10 of the peak" in err
+    assert not (out / "scattering.json").exists()
 
 
 def test_evolve_reports_the_edge_fraction_as_data(out, capsys):

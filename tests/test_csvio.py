@@ -1,5 +1,5 @@
-"""The package's CSV writers write ``np.savetxt``'s bytes, and so does each
-of the writers built on them."""
+"""The package's CSV writer writes ``np.savetxt``'s bytes, and so does each
+of the writers built on it."""
 
 from __future__ import annotations
 
@@ -8,9 +8,10 @@ import pytest
 
 from fnls import cli, csvio
 from fnls.asymptotics import AsymptoticValue, save_asymptotics
-from fnls.scattering import InitialProfile, save_profile
+from fnls.scattering import InitialProfile
 from fnls.solitons import soliton_field
 from fnls.splitstep import Evolution, Grid, save_evolution
+from profile_file import save_profile
 
 EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.8e308, -1.8e308,
          0.1, 1.0 / 3.0, 2.0 ** 52 + 1.0, 1e-300, 123456789.0]
@@ -41,15 +42,17 @@ TABLES = {
 
 @pytest.mark.parametrize("name", TABLES)
 def test_writer_bytes_are_savetxt_bytes(tmp_path, name):
+    # the first column is the x column, formatted once
     table = TABLES[name]
-    csvio.write_csv(tmp_path / "new.csv", table, "a,b,c")
+    csvio.write_grid(tmp_path / "new.csv", table[:, 1:], "a,b,c",
+                     csvio.formatted(table[:, 0]))
     assert (tmp_path / "new.csv").read_bytes() == _savetxt(tmp_path / "ref.csv", table,
                                                           "a,b,c")
 
 
 def test_cli_table_bytes_are_savetxt_bytes(tmp_path):
     table = TABLES["edge-values"]
-    cli._write_csv(tmp_path / "new.csv", table, "h")
+    cli._write_csv(tmp_path / "new.csv", table[:, 0], table[:, 1:], "h")
     assert (tmp_path / "new.csv").read_bytes() == _savetxt(tmp_path / "ref.csv", table, "h")
 
 

@@ -529,6 +529,17 @@ def test_modulation_identity_and_scaling():
             assert s[j][0] == pytest.approx(f[j][0], rel=1e-13)
 
 
+def test_stacks_compare_by_identity():
+    # a stack is its constants as much as its poles: two stacks of one pole
+    # with different constants must neither compare nor hash equal
+    pole = (DiscreteDatum(0.3 + 0.5j, (1.0,)),)
+    doubled = modulate_constants(pole, lambda z, n: [2.0])
+    plain = modulate_constants(pole, lambda z, n: [1.0])
+    assert doubled.series(0)[0][0] == 4.0 and plain.series(0)[0][0] == 1.0
+    assert doubled != plain and doubled == doubled
+    assert len({doubled, plain, doubled}) == 2
+
+
 def test_interval_restriction_and_tie():
     data = (
         DiscreteDatum(-0.8 + 0.5j, (1.0, 0.1)),

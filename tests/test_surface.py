@@ -46,6 +46,11 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for command in commands:
         assert main(shlex.split(command)[1:]) == 0, command
+    # the cone example's window holds its pole
+    (asymptote,) = [c for c in commands if c.startswith("fnls asymptote ")]
+    out = Path(shlex.split(asymptote)[-1])
+    table = np.loadtxt(out / "asymptotics.csv", delimiter=",")
+    assert np.any(table[:, 2:4] != 0.0)
 
 
 MODULES = sorted(f"fnls.{m.name}" for m in pkgutil.iter_modules(fnls.__path__))
