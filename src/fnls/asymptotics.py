@@ -190,17 +190,12 @@ def q_asymptotic(x, t, sigma_d, scattering, cone) -> AsymptoticValue:
     left_out = tuple(d for d in sigma_d if d.z.real < part.I[0])
     # one ray for all points: the pole dressing and T0 read its nodes
     ctx = None if scattering is None else phase_context(scattering, sigma_d, z0)
-    weighted = kept
-    if left_out or ctx is not None:
-        def inverse_t(z, n):
-            if not left_out:
-                return ctx.ray.inverse_delta(z, n)
-            b = _blaschke_series(z, left_out, n)
-            return b if ctx is None else _mul(b, ctx.ray.inverse_delta(z, n), n)
 
-        weighted = modulate_constants(kept, inverse_t)
+    def inverse_t(z, n):
+        b = _blaschke_series(z, left_out, n)
+        return b if ctx is None else _mul(b, ctx.ray.inverse_delta(z, n), n)
 
-    state = solve_soliton(weighted, x, t, z0)
+    state = solve_soliton(modulate_constants(kept, inverse_t), x, t, z0)
 
     f = np.zeros(x.size, dtype=np.complex128)
     if ctx is not None:

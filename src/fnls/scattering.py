@@ -833,8 +833,7 @@ def _pole_constants(mu1, mu2, s11, order: int):
 def _pole_datum(z_k, series, order):
     """The pole datum at the zero ``z_k`` of s11 of the given order, from
     the series ``(mu1, mu2, s11)`` there (:func:`_pole_constants`)."""
-    b, c = _pole_constants(*series, order)
-    return DiscreteDatum(z_k, c, b=b[0], d=(*b, None)[1])
+    return DiscreteDatum(z_k, _pole_constants(*series, order)[1])
 
 
 def norming_constants(profile, z_k: complex) -> DiscreteDatum:
@@ -885,14 +884,14 @@ def _from_complex_list(lst):
 
 
 def _pair(v):
-    return None if v is None else [complex(v).real, complex(v).imag]
+    return [complex(v).real, complex(v).imag]
 
 
 def _unpair(p):
-    return None if p is None else p[0] + 1j * p[1]
+    return p[0] + 1j * p[1]
 
 
-def _from_spelled(z, order, spelled, b=None, d=None) -> DiscreteDatum:
+def _from_spelled(z, order, spelled) -> DiscreteDatum:
     """The pole of a CLI line or a scattering document: an integer ``order``
     m >= 1 and its constants ``spelled = (c0, c1, ...)``, at least c0 and c1,
     with those past ``c_{m-1}`` 0."""
@@ -905,7 +904,7 @@ def _from_spelled(z, order, spelled, b=None, d=None) -> DiscreteDatum:
     for j, v in enumerate(spelled[m:], m):
         if v != 0:
             raise ValueError(f"an order-{m} pole must carry c{j} = 0, got {v!r}")
-    return DiscreteDatum(z, spelled[m - 1::-1], b=b, d=d)
+    return DiscreteDatum(z, spelled[m - 1::-1])
 
 
 def save_scattering(data: ScatteringData, path) -> None:
@@ -918,8 +917,7 @@ def save_scattering(data: ScatteringData, path) -> None:
         "discrete": [
             {"z": _pair(d.z), "order": d.order,
              **{f"c{j}": _pair(v) for j, v in
-                enumerate([*d.coefficients[::-1], 0.0][:max(d.order, 2)])},
-             "b": _pair(d.b), "d": _pair(d.d)}
+                enumerate([*d.coefficients[::-1], 0.0][:max(d.order, 2)])}}
             for d in data.discrete
         ],
     }
@@ -929,14 +927,15 @@ def save_scattering(data: ScatteringData, path) -> None:
 
 
 def load_scattering(path) -> ScatteringData:
+    """Read a document :func:`save_scattering` wrote; the keys ``b`` and
+    ``d`` that older documents carry per pole are ignored."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     discrete = []
     for rec in doc["discrete"]:
         count = sum(k[:1] == "c" and k[1:].isdigit() for k in rec)
         discrete.append(_from_spelled(
-            _unpair(rec["z"]), rec["order"], [_unpair(rec[f"c{j}"]) for j in range(count)],
-            b=_unpair(rec["b"]), d=_unpair(rec["d"])))
+            _unpair(rec["z"]), rec["order"], [_unpair(rec[f"c{j}"]) for j in range(count)]))
     return ScatteringData(
         np.asarray(doc["z_grid"], dtype=float),
         _from_complex_list(doc["r"]),

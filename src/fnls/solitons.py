@@ -87,14 +87,12 @@ class DiscreteDatum:
 
     ``coefficients`` is the principal part ``(c_{m-1}, ..., c_0)``, the
     coefficients of ``(z' - z)^{-m}, ..., (z' - z)^{-1}`` with ``c_{m-1} !=
-    0``; its length is the order m.  ``b`` and ``d`` optionally keep the
-    connection coefficients found by forward scattering.
+    0``; its length is the order m.  A pole found by forward scattering
+    carries only these: its connection coefficients enter through them.
     """
 
     z: complex
     coefficients: tuple
-    b: complex | None = None
-    d: complex | None = None
 
     def __post_init__(self) -> None:
         c = tuple(complex(v) for v in self.coefficients)
@@ -426,17 +424,18 @@ def solve_soliton(data, x, t, z=None) -> SolitonState:
     entries decay where the plain ones grow.  The test is monotone in
     ``Re z_k``, so the moved poles are a cut in that order: those left of
     ``-x / (2t)`` for ``t > 0``, right of it for ``t < 0``, all or none at
-    ``t = 0``.  Each nonzero cut costs one :func:`reorient_constants` call
-    and one stacked solve at its points.  A cut solve whose 1-norm
-    condition is at most ``1e2`` is kept alone.  The plain system is then
-    solved in one stack at every other point, cut 0 included, and kept
+    ``t = 0``.  The points are grouped by the set of poles they move, and
+    each nonempty set costs one :func:`reorient_constants` call and one
+    stacked solve at its points.  A cut solve whose 1-norm condition is at
+    most ``1e2`` is kept alone.  The plain system is then solved in one
+    stack at every other point, those that move no pole included, and kept
     where its condition is no larger than the cut system's.
 
     ``z`` asks for the first row of the solution matrix at one point per
     point, in the cut system's normalization ``m_Delta``: a point solved
     in the cut system keeps its row, and a plain one is moved by
     ``m_Delta = m a_Delta^{sigma3}``, ``a_Delta`` the Blaschke product of
-    the moved poles.
+    the moved poles (exactly 1 where none moves).
     """
     oriented = _as_oriented(data)
     if any(p.imag < 0 for p in oriented.points):
@@ -450,9 +449,11 @@ def solve_soliton(data, x, t, z=None) -> SolitonState:
     if oriented.data:
         re_z = np.array([d.z.real for d in oriented.data])
         flips = x[:, None] + 2.0 * t[:, None] * re_z[None, :] < 0
-        # a cut is named by its signed size; all poles is one cut either way
-        size = np.count_nonzero(flips, axis=1)
-        cut = np.where((t < 0) & (size < re_z.size), -size, size)
+        # the points grouped by the set of poles they move, each row read as
+        # one string of bytes: np.unique over rows (axis=0) sorts 10x slower
+        sets, group = np.unique(flips.view(np.dtype((np.void, re_z.size)))[:, 0],
+                                return_inverse=True)
+        sets = sets.view(bool).reshape(-1, re_z.size)
         q = np.empty(x.size, dtype=np.complex128)
         cond, residual = np.full(x.size, np.inf), np.empty(x.size)
         row = None if z is None else np.empty((x.size, 2), dtype=np.complex128)
@@ -462,20 +463,19 @@ def solve_soliton(data, x, t, z=None) -> SolitonState:
             if row is not None:
                 row[at] = _first_row(system, u, z[at])
 
-        for c in np.unique(cut[cut != 0]):
-            at = np.flatnonzero(cut == c)
-            flipped = reorient_constants(oriented.rows(at), np.flatnonzero(flips[at[0]]))
+        for g in np.flatnonzero(sets.any(axis=1)):
+            at = np.flatnonzero(group == g)
+            flipped = reorient_constants(oriented.rows(at), np.flatnonzero(sets[g]))
             keep(flipped, at, *_solve_points(flipped, x[at], t[at]))
-        # the plain system where no cut solve is certified, cut 0 included
+        # the plain system where no cut solve is certified, or no pole moves
         at = np.flatnonzero(cond > _COND_CERTIFIED)
         u, cond_p, res_p = _solve_points(oriented.rows(at), x[at], t[at])
         better = cond_p <= cond[at]
         at = at[better]
         keep(oriented, at, u[better], cond_p[better], res_p[better])
         if row is not None:
-            moved = at[cut[at] != 0]
-            a = blaschke_product(z[moved], oriented.data, flips[moved])
-            row[moved] *= np.stack([a, 1.0 / a], axis=-1)
+            a = blaschke_product(z[at], oriented.data, flips[at])
+            row[at] *= np.stack([a, 1.0 / a], axis=-1)
         _check_solved(cond, x, t)
     else:
         q = np.zeros(x.size, dtype=np.complex128)

@@ -79,6 +79,21 @@ def test_unknown_config_key_is_rejected(tmp_path, out):
                    "--output-dir", str(out)) == 2
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1"])
+def test_negative_value_in_exponent_form_is_a_value(out, value):
+    # argparse took only -1 and -1.5 for negative numbers and refused these,
+    # which repr() may write, with "expected one argument"
+    pole = ("--discrete-poles", "0 1 2 0 0 1 0", "--output-dir", str(out))
+    assert run_cli("soliton", *pole, "--soliton-n-x", "3", "--soliton-t-min", value,
+                   "--soliton-t-max", "0", "--soliton-n-t", "2") == 0
+    arr = np.loadtxt(out / "soliton_field.csv", delimiter=",", comments="#")
+    assert arr[0, 0] == float(value)
+    assert run_cli("asymptote", *pole, "--cone-x1", value, "--asymptote-t-max", "10",
+                   "--asymptote-n-t", "1", "--asymptote-n-x", "3") == 0
+    arr = np.loadtxt(out / "asymptotics.csv", delimiter=",", comments="#")
+    assert arr[0, 0] == float(value) - 0.5 * 10.0
+
+
 def test_missing_command_is_an_error(capsys):
     assert run_cli() == 2
     assert "command is required" in capsys.readouterr().err
@@ -381,10 +396,14 @@ def test_order_one_and_two_files_read_and_write_as_before(tmp_path):
     lines = [_parse_pole_line(line) for line in PINNED_LINES]
     assert [(d.z, d.coefficients) for d in lines] == [
         (d.z, d.coefficients) for d in data.discrete]
-    # written back compact: the same document, without its whitespace
+    # written back compact: the same document, without its whitespace and
+    # without the connection coefficients b and d, which are read and ignored
     again = tmp_path / "again.json"
     save_scattering(data, again)
-    assert again.read_text() == json.dumps(json.loads(PINNED_DOCUMENT))
+    pinned = json.loads(PINNED_DOCUMENT)
+    for rec in pinned["discrete"]:
+        del rec["b"], rec["d"]
+    assert again.read_text() == json.dumps(pinned)
 
 
 def test_order_three_pole_line_and_document(tmp_path, out, triple_pole):
@@ -655,7 +674,7 @@ def test_compare_field_with_itself_is_zero(evolved, out):
                  "--compare-n-x", "101", "--output-dir", str(out))
     assert rc == 0
     arr = np.loadtxt(out / "comparison.csv", delimiter=",", comments="#")
-    assert arr.shape == (2, 5)
+    assert arr.shape == (2, 3)
     assert np.all(arr[:, 1:] == 0.0)
 
 
@@ -665,16 +684,14 @@ def test_compare_against_closed_form_is_small(evolved, out):
                  "--discrete-poles", "0 1 2 0 0 1 0",
                  "--compare-x-min", "-8", "--compare-x-max", "8",
                  "--compare-n-x", "161", "--compare-times", "0.5",
-                 "--compare-scale-exponent", "0.75",
                  "--output-dir", str(out))
     assert rc == 0
-    t, linf, l2, slinf, sl2 = np.loadtxt(out / "comparison.csv",
-                                         delimiter=",", comments="#")
+    assert (out / "comparison.csv").read_text().splitlines()[0] == "# t,linf,l2"
+    t, linf, l2 = np.loadtxt(out / "comparison.csv", delimiter=",", comments="#")
     assert t == 0.5
     # dt^2 splitting error plus the 1024-mode interpolation tail
     assert 0.0 < linf < 5e-3
-    assert slinf == pytest.approx(0.5 ** 0.75 * linf)
-    assert sl2 == pytest.approx(0.5 ** 0.75 * l2)
+    assert 0.0 < l2
 
 
 def test_compare_disjoint_window_exit_2(evolved, out, capsys):
@@ -745,6 +762,8 @@ def test_evolve_has_no_edge_guard_setting(tmp_path, out, capsys):
 @pytest.mark.parametrize("command,section,key,args", [
     ("scatter", "profile", "tail_tol", ("--profile-kind", "sech")),
     ("asymptote", "asymptote", "min_t", ("--discrete-poles", "0 1 2 0 0 1 0")),
+    # the errors are reported unscaled, p = 0 being the one value in use
+    ("compare", "compare", "scale_exponent", ("--compare-b", "discrete")),
 ])
 def test_fixed_bounds_have_no_setting(tmp_path, out, capsys, command, section, key, args):
     flag = f"--{section}-{key.replace('_', '-')}"
@@ -831,12 +850,12 @@ def test_compare_malformed_evolution_exit_2(evolved, tmp_path, out, capsys, whic
 
 POLE = "0 1 2 0 0 1 0"
 
-# One bad grid per section, and an unreadable and a malformed file of each
-# kind; {name} is a path from _bad_files.  The profile CSVs, evolve.n = 0
-# and a negative scale exponent at the stored t = 0 used to escape as
-# tracebacks with exit 1; evolve.n = 1 ran to an edge fraction of 2; and a
-# soliton grid of one x with x_min < x_max, or of several points with equal
-# ends, was read.
+# One bad grid per section, an unreadable and a malformed file of each
+# kind, and finite input whose arithmetic overflows; {name} is a path from
+# _bad_files.  The profile CSVs, evolve.n = 0 and the two overflows used to
+# escape as tracebacks with exit 1; evolve.n = 1 ran to an edge fraction of
+# 2; and a soliton grid of one x with x_min < x_max, or of several points
+# with equal ends, was read.
 REFUSALS = [
     pytest.param(["scatter", "--profile-kind", "sech", "--profile-x-min", "1",
                   "--profile-x-max", "-1"], "bad grid in [profile]", id="profile-order"),
@@ -863,13 +882,14 @@ REFUSALS = [
     pytest.param(["evolve", "--profile-kind", "gaussian", "--profile-amplitude", "1e160",
                   "--evolve-n", "64"], "|q0|^2 must be finite at every sample",
                  id="evolve-squared-modulus-overflows"),
+    pytest.param(["soliton", "--discrete-poles", "0 1e308 1 1 0 0 0"],
+                 "input out of range", id="soliton-pole-far-up-overflows"),
+    pytest.param(["scatter", "--profile-kind", "sech", "--scatter-box",
+                  "-1e300 1e300 0.1 1e300"], "input out of range",
+                 id="scatter-box-overflows"),
     pytest.param(["compare", "--compare-a", "{evolved}", "--compare-b", "discrete",
                   "--discrete-poles", POLE, "--compare-n-x", "1"],
                  "bad grid in [compare]", id="compare-n"),
-    pytest.param(["compare", "--compare-a", "{evolved}", "--compare-b", "discrete",
-                  "--discrete-poles", POLE, "--compare-scale-exponent", "-0.5"],
-                 "compare.scale_exponent = -0.5 is negative, so t^p is infinite at t = 0",
-                 id="compare-negative-exponent-at-t0"),
     pytest.param(["soliton", "--config", "{missing}"], "cannot read config file",
                  id="config-unreadable"),
     pytest.param(["soliton", "--config", "{no_header}"], "malformed config file",

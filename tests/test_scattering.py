@@ -404,6 +404,45 @@ def test_a_cut_through_the_zeros_is_tried_elsewhere(sech2, monkeypatch):
     assert abs(zeros[0][0] - 0.5j) < 1e-6 and abs(zeros[1][0] - 1.5j) < 1e-6
 
 
+# Two order-2 poles whose first circles, about the whole box's guesses,
+# are too coarse to count the winding of s11: the box is split at Re z = 0
+# with nothing forced, and each half places its own zero.
+SPLIT_PAIR = (
+    DiscreteDatum(0.44194558361995484 + 1.197416932025051j,
+                  (0.32808387906925746 - 5.7258375249709355j,
+                   0.21548893918232892 - 0.2520065902673078j)),
+    DiscreteDatum(0.8783599173817622 + 1.0744200534732689j,
+                  (4.5166763907629495 + 0.9597229405096046j,
+                   -0.058460125758861455 - 0.5793920504433961j)),
+)
+
+
+def test_a_natural_spectrum_splits_the_box(monkeypatch):
+    # measured: zeros within 3.8e-11, constants within 1.3e-8 relative
+    contours = _recorded_contours(monkeypatch)
+    failures = []
+    place = scattering._zeros_from_guesses
+
+    def placing(*args):
+        try:
+            return place(*args)
+        except RuntimeError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(scattering, "_zeros_from_guesses", placing)
+    profile = soliton_profile(SPLIT_PAIR, np.linspace(-30.0, 30.0, 6001))
+    data = extract_scattering(profile, [0.0], box=(-1.2, 1.2, 0.1, 1.4))
+    assert len(failures) == 1
+    assert [box for box, _ in contours] == [(-1.2, 1.2, 0.1, 1.4), (-1.2, 0.0, 0.1, 1.4),
+                                            (0.0, 1.2, 0.1, 1.4)]
+    assert [d.order for d in data.discrete] == [2, 2]
+    for got, ref in zip(sorted(data.discrete, key=lambda d: d.z.real), SPLIT_PAIR):
+        assert abs(got.z - ref.z) < 1e-9
+        for c, c_ref in zip(got.coefficients, ref.coefficients):
+            assert abs(c - c_ref) < 1e-6 * abs(c_ref)
+
+
 def _recorded_contours(monkeypatch):
     """A list of ``(box, sample counts)``, one entry per contour tried.  A
     contour sample that reaches the Richardson march (:func:`_halves`)
@@ -642,12 +681,29 @@ def test_circle_samples_of_the_columns_are_analytic_to_rounding(roundtrip):
     assert np.max(np.abs(hat[:, 33:])) <= 1e-15
 
 
-def test_norming_constants_round_trip(roundtrip):
+def _recorded_connections(monkeypatch):
+    """A list of the series of b that each call of ``_pole_constants``
+    finds."""
+    found = []
+    constants = scattering._pole_constants
+
+    def recorded(*args):
+        b, c = constants(*args)
+        found.append(b)
+        return b, c
+
+    monkeypatch.setattr(scattering, "_pole_constants", recorded)
+    return found
+
+
+def test_norming_constants_round_trip(roundtrip, monkeypatch):
+    found = _recorded_connections(monkeypatch)
     datum = norming_constants(roundtrip, 1j)
     assert datum.order == 2
     for got, ref in zip(datum.coefficients, ROUNDTRIP_DATUM.coefficients):
         assert abs(got - ref) / abs(ref) < 1e-6
-    assert datum.b is not None and np.isfinite(datum.b) and datum.b != 0
+    (b,) = found
+    assert np.isfinite(b[0]) and b[0] != 0
 
 
 def test_point_off_the_spectrum_is_rejected(roundtrip):
@@ -709,15 +765,18 @@ def test_constants_of_random_series_at_any_order(order, data):
 # end-to-end extraction
 # ---------------------------------------------------------------------------
 
-def test_extracted_two_soliton_data_rebuilds_the_profile(sech2):
+def test_extracted_two_soliton_data_rebuilds_the_profile(sech2, monkeypatch):
+    found = _recorded_connections(monkeypatch)
     data = extract_scattering(sech2, [-1.0, 1.0], box=(-0.7, 0.7, 0.1, 1.9))
     assert len(data.discrete) == 2
     low, high = sorted(data.discrete, key=lambda d: d.z.imag)
     assert abs(low.z - 0.5j) < 1e-6 and low.order == 1
     assert abs(high.z - 1.5j) < 1e-6 and high.order == 1
-    # frozen connection constants of the amplitude-2 profile
-    assert abs(low.b - 1.0) < 1e-8
-    assert abs(high.b - (-1.0)) < 1e-8
+    # frozen connection constants of the amplitude-2 profile, from the
+    # search's series at each zero, in the order of data.discrete
+    (b_low,), (b_high,) = (found[data.discrete.index(d)] for d in (low, high))
+    assert abs(b_low - 1.0) < 1e-8
+    assert abs(b_high - (-1.0)) < 1e-8
     assert abs(low.coefficients[0] - (-2.0j)) < 1e-8
     assert abs(high.coefficients[0] - (-6.0j)) < 1e-8
     x = np.linspace(-8.0, 8.0, 321)
@@ -915,10 +974,9 @@ def test_scattering_file_round_trip(tmp_path):
     zg = np.linspace(-1.0, 1.0, 5)
     r = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     discrete = (
-        DiscreteDatum(1j, (1.1 + 0.55j, 0.36 - 0.24j),
-                      b=0.5 + 0.1j, d=-0.3j),
+        DiscreteDatum(1j, (1.1 + 0.55j, 0.36 - 0.24j)),
         DiscreteDatum(0.6 + 0.35j, (-0.4 + 0.15j,)),
-        DiscreteDatum(-0.2 + 0.7j, (1.0, 0.2 + 0.1j, 0.3), b=-1.5j, d=0.25),
+        DiscreteDatum(-0.2 + 0.7j, (1.0, 0.2 + 0.1j, 0.3)),
     )
     data = ScatteringData(zg, r, discrete, s11=r + 1.0)
     path = tmp_path / "scattering.json"
@@ -929,11 +987,7 @@ def test_scattering_file_round_trip(tmp_path):
     assert np.array_equal(back.s11, r + 1.0)
     assert back.s21 is None
     assert [d.order for d in back.discrete] == [2, 1, 3]
-    for got, ref in zip(back.discrete, discrete):
-        assert got.z == ref.z and got.coefficients == ref.coefficients
-        assert (got.b is None) == (ref.b is None)
-        if ref.b is not None:
-            assert got.b == ref.b and got.d == ref.d
+    assert back.discrete == discrete
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ def _recorded_cuts(monkeypatch, stub=False):
 
 @pytest.mark.parametrize("poles", [4, 130])
 def test_flipped_sets_are_the_cuts(monkeypatch, poles):
-    # the points are grouped by the signed size of their cut: each group's
+    # the points are grouped by the set of poles they move: each group's
     # flipped set must be the row of x + 2t Re z_k < 0 at every one of its
     # points, every distinct nonzero row gets one group, and each set is a
     # cut in Re z order.  Ties in Re z, t = 0, t < 0, points exactly on a
