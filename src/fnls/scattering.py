@@ -228,6 +228,12 @@ _TAYLOR = np.array([[1.0 / math.factorial(2 * n + j) for n in range(7)] for j in
 # Largest exponent by which a chunk's product of traceless steps may grow
 # before its scalar factor brings it back.
 _GROWTH_MAX = 300.0
+# Most steps one march may take, counted before any is made.  The breaks,
+# the profile's samples on them and their temporaries take about 200 bytes
+# a step, so a march at the cap takes about 200 MB (1 s for one point of
+# sech x); the steps grow with |z| and the grid's width, and a far point
+# or a wide grid would ask for more than memory holds.
+_MAX_STEPS = 10 ** 6
 
 
 def _breaks(profile, zs, x_from, x_to):
@@ -237,14 +243,27 @@ def _breaks(profile, zs, x_from, x_to):
     resolve the coupling's oscillation e^{2izx} only on steps shorter than
     about 1/|z|, and the grading alone allows a unit step where the profile
     is negligible."""
-    longest = 1.0 / max(1.0, float(np.max(np.abs(zs))))
+    top = float(np.max(np.abs(zs)))
+
+    def counted(steps):
+        # a float count, so that one too large to cast is refused too
+        if not steps <= _MAX_STEPS:
+            raise ValueError(
+                f"a march from x = {x_from:g} to {x_to:g} at |z| up to {top:.3g} "
+                f"would take {steps:.3g} steps, more than {_MAX_STEPS:.0e}: narrow "
+                "the profile's grid, the reflection grid or the search box")
+        return int(steps)
+
+    longest = 1.0 / max(1.0, top)
     x, cum = profile.x, profile._grading_integral()
     ends = np.interp([x_from, x_to], x, cum)
-    steps = max(1, math.ceil(abs(ends[1] - ends[0]) / _MONITOR_SPACING))
+    steps = max(1, counted(np.ceil(abs(ends[1] - ends[0]) / _MONITOR_SPACING)))
     breaks = np.interp(np.linspace(ends[0], ends[1], steps + 1), cum, x)
     breaks[[0, -1]] = x_from, x_to
     h = np.diff(breaks)
-    parts = np.maximum(1, np.ceil(np.abs(h) / longest)).astype(int)
+    parts = np.maximum(1.0, np.ceil(np.abs(h) / longest))
+    counted(np.sum(parts))
+    parts = parts.astype(int)
     if np.any(parts > 1):
         first = np.repeat(np.cumsum(parts) - parts, parts)
         frac = (np.arange(first.size) - first) / np.repeat(parts, parts)
@@ -727,10 +746,21 @@ def _zeros_from_guesses(profile, guesses, scale):
     raise RuntimeError("circles about the guessed zeros did not settle")
 
 
-def _find_zeros(profile, box):
-    """The zeros of s11 inside ``box`` (see :func:`locate_zeros`), each as
-    ``(zero, order, series)``, with the Taylor series of the Jost columns
-    and of s11 at the zero (:func:`_series_at`)."""
+def locate_zeros(profile: InitialProfile, box):
+    """Zeros of s11 inside an upper-half-plane rectangle, each as ``(zero,
+    order, series)``, ``series`` the Taylor series ``(mu1, mu2, s11)`` of
+    the two Jost columns and of s11 at the zero (:func:`_series_at`).
+
+    ``box`` is (re_min, re_max, im_min, im_max) with im_min > 0.  Counting
+    is by the argument principle on the box boundary, whose moments also
+    guess where the zeros are; the contour's s11 is marched once, on the
+    graded breaks alone (:func:`s11_on_grid`).  Circles about the guesses
+    then place the zeros and tell their orders from the sixth-order march
+    and its Richardson size (:func:`_zeros_from_guesses`).  A box whose
+    circles fail, or place a zero outside it, is split across its longer
+    side.  A box is never moved: a zero on or near the boundary of the
+    given box is refused, and a cut through a zero is tried elsewhere.
+    """
     re0, re1, im0, im1 = (float(v) for v in box)
     if not all(math.isfinite(v) for v in (re0, re1, im0, im1)):
         raise ValueError(f"box bounds must be finite, got {tuple(box)!r}")
@@ -782,22 +812,6 @@ def _find_zeros(profile, box):
     return found
 
 
-def locate_zeros(profile: InitialProfile, box):
-    """Zeros of s11 inside an upper-half-plane rectangle, with multiplicity.
-
-    ``box`` is (re_min, re_max, im_min, im_max) with im_min > 0.  Counting
-    is by the argument principle on the box boundary, whose moments also
-    guess where the zeros are; the contour's s11 is marched once, on the
-    graded breaks alone (:func:`s11_on_grid`).  Circles about the guesses
-    then place the zeros and tell their orders from the sixth-order march
-    and its Richardson size (:func:`_zeros_from_guesses`).  A box whose
-    circles fail, or place a zero outside it, is split across its longer
-    side.  A box is never moved: a zero on or near the boundary of the
-    given box is refused, and a cut through a zero is tried elsewhere.
-    """
-    return [(z, int(m)) for z, m, _ in _find_zeros(profile, box)]
-
-
 # ---------------------------------------------------------------------------
 # Norming constants
 # ---------------------------------------------------------------------------
@@ -830,41 +844,21 @@ def _pole_constants(mu1, mu2, s11, order: int):
     return b, _mul(b, _inv(list(s11[order:2 * order]), order), order)
 
 
-def _pole_datum(z_k, series, order):
+def norming_constants(z_k: complex, series, order: int) -> DiscreteDatum:
     """The pole datum at the zero ``z_k`` of s11 of the given order, from
     the series ``(mu1, mu2, s11)`` there (:func:`_pole_constants`)."""
     return DiscreteDatum(z_k, _pole_constants(*series, order)[1])
 
 
-def norming_constants(profile, z_k: complex) -> DiscreteDatum:
-    """Connection constants at a confirmed zero, assembled into the pole
-    datum used by the reconstruction engine: the one-circle route, apart
-    from the zero search that :func:`extract_scattering` reads them from.
-
-    One circle about ``z_k``, of half its distance to the real axis, gives
-    the Taylor series of both Jost columns at (x, t) = (0, 0) and of s11;
-    the zero's order is the number of times s11 winds along it.  The
-    constants follow from the series (:func:`_pole_constants`).
-    """
-    z_k = complex(z_k)
-    if z_k.imag <= 0:
-        raise ValueError("constants are read in the open upper half plane")
-    circle, = _circles(profile, [z_k], [0.5 * z_k.imag])
-    order = circle.winding
-    if order < 1:
-        raise RuntimeError(f"s11 winds {order} times about {z_k!r}: "
-                           "not a zero of s11")
-    return _pole_datum(z_k, (circle.mu1, circle.mu2, circle.s11), order)
-
-
 def extract_scattering(profile: InitialProfile, z_grid, box=None) -> ScatteringData:
     """Full forward map: reflection samples plus, when a search box is
     given, the located discrete spectrum (:func:`locate_zeros`) with its
-    constants, read from the series the search ends with at each zero."""
+    constants (:func:`norming_constants`), read from the series the search
+    ends with at each zero."""
     data = reflection_coefficient(profile, z_grid)
     if box is None:
         return data
-    discrete = [_pole_datum(z, series, m) for z, m, series in _find_zeros(profile, box)]
+    discrete = [norming_constants(z, s, m) for z, m, s in locate_zeros(profile, box)]
     return ScatteringData(data.z, data.r, tuple(discrete),
                           s11=data.s11, s21=data.s21)
 

@@ -15,6 +15,9 @@ reach the same number by different means.
   the Wronskian of the two Jost columns.  Its Jost column comes from
   :func:`second_column_on_grid`, SciPy's DOP853 on the untransformed
   system, which shares no code with the library's transfer-matrix march.
+* :func:`one_circle_constants` -- a zero's order and constants from one
+  circle about it, against those the zero search reads from the series it
+  ends with.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from scipy.integrate import solve_ivp
 from scipy.special import gamma
 
 from fnls.phase import _unwrap
-from fnls.scattering import InitialProfile
-from fnls.solitons import _as_oriented, _per_pole, _principal, _solve_points
+from fnls.scattering import InitialProfile, _circles, norming_constants
+from fnls.solitons import (DiscreteDatum, _as_oriented, _per_pole, _principal,
+                           _solve_points)
 
 
 def pc_first_moment(pc) -> np.ndarray:
@@ -148,3 +152,20 @@ def s11_from_integral(profile: InitialProfile, z: complex) -> complex:
     on the profile's grid."""
     m1 = second_column_on_grid(profile, z)[0]
     return complex(1.0 + np.trapezoid(np.conj(profile.q) * m1, profile.x))
+
+
+def one_circle_constants(profile: InitialProfile, z_k: complex) -> DiscreteDatum:
+    """The pole datum at a confirmed zero from one circle about it, of half
+    its distance to the real axis, apart from the zero search: the circle
+    gives the Taylor series of both Jost columns and of s11 at ``z_k``, the
+    zero's order is the number of times s11 winds along it, and the
+    constants follow from the series (:func:`norming_constants`)."""
+    z_k = complex(z_k)
+    if z_k.imag <= 0:
+        raise ValueError("constants are read in the open upper half plane")
+    circle, = _circles(profile, [z_k], [0.5 * z_k.imag])
+    order = circle.winding
+    if order < 1:
+        raise RuntimeError(f"s11 winds {order} times about {z_k!r}: "
+                           "not a zero of s11")
+    return norming_constants(z_k, (circle.mu1, circle.mu2, circle.s11), order)

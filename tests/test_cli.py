@@ -849,13 +849,17 @@ def test_compare_malformed_evolution_exit_2(evolved, tmp_path, out, capsys, whic
 
 
 POLE = "0 1 2 0 0 1 0"
+WARNINGS_ARE_ERRORS = pytest.mark.filterwarnings("error")
 
 # One bad grid per section, an unreadable and a malformed file of each
-# kind, and finite input whose arithmetic overflows; {name} is a path from
-# _bad_files.  The profile CSVs, evolve.n = 0 and the two overflows used to
-# escape as tracebacks with exit 1; evolve.n = 1 ran to an edge fraction of
-# 2; and a soliton grid of one x with x_min < x_max, or of several points
-# with equal ends, was read.
+# kind, finite input whose arithmetic overflows, and spectral points too
+# far out for the Jost march to sample; {name} is a path from _bad_files.
+# The profile CSVs, evolve.n = 0 and the two overflows used to escape as
+# tracebacks with exit 1; evolve.n = 1 ran to an edge fraction of 2; a
+# soliton grid of one x with x_min < x_max, or of several points with
+# equal ends, was read; and a far grid or box, or a wide profile, asked
+# numpy for hundreds of GiB, or warned of overflow on the way to its
+# refusal.
 REFUSALS = [
     pytest.param(["scatter", "--profile-kind", "sech", "--profile-x-min", "1",
                   "--profile-x-max", "-1"], "bad grid in [profile]", id="profile-order"),
@@ -885,8 +889,17 @@ REFUSALS = [
     pytest.param(["soliton", "--discrete-poles", "0 1e308 1 1 0 0 0"],
                  "input out of range", id="soliton-pole-far-up-overflows"),
     pytest.param(["scatter", "--profile-kind", "sech", "--scatter-box",
-                  "-1e300 1e300 0.1 1e300"], "input out of range",
-                 id="scatter-box-overflows"),
+                  "-1e300 1e300 0.1 1e300"], "steps, more than 1e+06",
+                 id="scatter-box-overflows", marks=WARNINGS_ARE_ERRORS),
+    pytest.param(["scatter", "--profile-kind", "sech", "--scatter-z-max", "1e9"],
+                 "at |z| up to 1e+09 would take 2.6e+10 steps",
+                 id="scatter-grid-too-far", marks=WARNINGS_ARE_ERRORS),
+    pytest.param(["scatter", "--profile-kind", "sech", "--scatter-box",
+                  "-1e12 1e12 0.1 1e12"], "steps, more than 1e+06",
+                 id="scatter-box-too-wide", marks=WARNINGS_ARE_ERRORS),
+    pytest.param(["scatter", "--profile-kind", "gaussian", "--profile-x-min", "-1e12",
+                  "--profile-x-max", "1e12"], "a march from x = -1e+12 to 0",
+                 id="scatter-profile-too-wide", marks=WARNINGS_ARE_ERRORS),
     pytest.param(["compare", "--compare-a", "{evolved}", "--compare-b", "discrete",
                   "--discrete-poles", POLE, "--compare-n-x", "1"],
                  "bad grid in [compare]", id="compare-n"),

@@ -1,7 +1,8 @@
-"""Every parameter with a default of every function in ``src/fnls`` is
-passed by some call there: by keyword, positionally at its place or later,
-or through ``*``/``**``.  A default that no library call overrides is a
-setting only tests turn; it belongs in the tests or nowhere."""
+"""Every parameter with a default of every function in ``src/fnls``, and
+every field with a default of every dataclass there, is passed by some call
+there: by keyword, positionally at its place or later, or through
+``*``/``**``.  A default that no library call overrides is a setting only
+tests turn; it belongs in the tests or nowhere."""
 
 from __future__ import annotations
 
@@ -18,12 +19,24 @@ def _modules():
         yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _is_dataclass(node):
+    """Whether ``node`` is a class under ``@dataclass`` or ``@dataclass(...)``."""
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list)
+
+
 def _defaulted(tree):
     """``(name, parameter, index)`` for each parameter with a default;
     ``index`` is its place among a caller's positional arguments, or
-    ``None`` for keyword-only parameters.  ``__init__`` goes by its class's
-    name."""
+    ``None`` for keyword-only parameters.  ``__init__`` and the fields of a
+    dataclass go by their class's name."""
     for owner in ast.walk(tree):
+        if _is_dataclass(owner):
+            fields = [node for node in owner.body
+                      if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+            for i, node in enumerate(fields):
+                if node.value is not None:
+                    yield owner.name, node.target.id, i
         for fn in ast.iter_child_nodes(owner):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

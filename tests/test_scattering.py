@@ -33,7 +33,6 @@ from fnls.scattering import (
     load_profile,
     load_scattering,
     locate_zeros,
-    norming_constants,
     reflection_coefficient,
     save_scattering,
     sech_profile,
@@ -42,7 +41,7 @@ from fnls.scattering import (
 from fnls.solitons import DiscreteDatum, _inv, _mul, soliton_field
 
 from profile_file import save_profile
-from second_routes import s11_from_integral
+from second_routes import one_circle_constants, s11_from_integral
 
 # The double-pole datum used for all round-trip checks below: generate the
 # exact field at t = 0, resample it as a plain profile, and require forward
@@ -338,8 +337,8 @@ def test_three_soliton_sech_spectrum():
     prof = sech_profile(3.0, np.linspace(-26.0, 26.0, 1041))
     zeros = locate_zeros(prof, (-0.7, 0.7, 0.1, 2.9))
     zeros.sort(key=lambda p: p[0].imag)
-    assert [m for _, m in zeros] == [1, 1, 1]
-    for (z, _), ref in zip(zeros, (0.5j, 1.5j, 2.5j)):
+    assert [m for _, m, _ in zeros] == [1, 1, 1]
+    for (z, _, _), ref in zip(zeros, (0.5j, 1.5j, 2.5j)):
         assert abs(z - ref) < 1e-6
 
 
@@ -348,7 +347,7 @@ def test_zeros_on_the_imaginary_axis_are_listed_up_it(amplitude):
     # their real parts are rounding noise of either sign; it must not
     # decide the order
     prof = sech_profile(amplitude, np.linspace(-26.0, 26.0, 1041))
-    zeros = [z for z, _ in locate_zeros(prof, (-0.7, 0.7, 0.1, amplitude - 0.1))]
+    zeros = [z for z, _, _ in locate_zeros(prof, (-0.7, 0.7, 0.1, amplitude - 0.1))]
     assert np.all(np.diff(np.imag(zeros)) > 0.9), zeros
 
 
@@ -356,8 +355,8 @@ def test_mirror_pair_is_listed_by_real_part():
     pair = (DiscreteDatum(0.3 + 0.5j, (1.0,)), DiscreteDatum(-0.3 + 0.5j, (1.0,)))
     prof = soliton_profile(pair, np.linspace(-30.0, 30.0, 6001))
     zeros = locate_zeros(prof, (-0.7, 0.7, 0.2, 0.9))
-    assert [z for z, _ in zeros] == [pytest.approx(-0.3 + 0.5j, abs=1e-6),
-                                    pytest.approx(0.3 + 0.5j, abs=1e-6)]
+    assert [z for z, _, _ in zeros] == [pytest.approx(-0.3 + 0.5j, abs=1e-6),
+                                       pytest.approx(0.3 + 0.5j, abs=1e-6)]
 
 
 README_BOX = (-0.6, 0.6, 0.2, 1.9)
@@ -385,7 +384,7 @@ def test_failed_circles_subdivide_the_box(sech2, monkeypatch):
     calls = _first_placement_fails(monkeypatch)
     zeros = sorted(locate_zeros(sech2, README_BOX), key=lambda p: p[0].imag)
     assert len(calls) == 3
-    assert [m for _, m in zeros] == [1, 1]
+    assert [m for _, m, _ in zeros] == [1, 1]
     assert abs(zeros[0][0] - 0.5j) < 1e-6 and abs(zeros[1][0] - 1.5j) < 1e-6
 
 
@@ -400,7 +399,7 @@ def test_a_cut_through_the_zeros_is_tried_elsewhere(sech2, monkeypatch):
     np.testing.assert_allclose(boxes, [(-2.0, 2.0, 0.2, 1.9), (-2.0, 0.0, 0.2, 1.9),
                                        (-2.0, -0.24, 0.2, 1.9), (-0.24, 2.0, 0.2, 1.9)],
                                rtol=0.0, atol=1e-12)
-    assert [m for _, m in zeros] == [1, 1]
+    assert [m for _, m, _ in zeros] == [1, 1]
     assert abs(zeros[0][0] - 0.5j) < 1e-6 and abs(zeros[1][0] - 1.5j) < 1e-6
 
 
@@ -509,8 +508,8 @@ def test_sech_sweep_finds_every_zero_with_radiation_present(amplitude):
     prof = sech_profile(amplitude, np.linspace(-26.0, 26.0, 1041))
     zeros = sorted(locate_zeros(prof, (-0.6, 0.6, 0.005, 3.5)), key=lambda p: p[0].imag)
     exact = 1j * (amplitude - 0.5 - np.arange(int(amplitude - 0.5) + 1))[::-1]
-    assert [m for _, m in zeros] == [1] * exact.size
-    assert np.max(np.abs(np.array([z for z, _ in zeros]) - exact)) <= 1e-10
+    assert [m for _, m, _ in zeros] == [1] * exact.size
+    assert np.max(np.abs(np.array([z for z, _, _ in zeros]) - exact)) <= 1e-10
 
 
 def test_gaussian_has_empty_discrete_spectrum(gauss03):
@@ -531,7 +530,7 @@ def test_non_finite_box_is_refused_at_once(sech2, side, bad):
 
 def test_round_trip_finds_one_double_zero(roundtrip):
     zeros = locate_zeros(roundtrip, (-0.6, 0.6, 0.4, 1.7))
-    assert zeros == [(pytest.approx(1j, abs=1e-6), 2)]
+    assert [(z, m) for z, m, _ in zeros] == [(pytest.approx(1j, abs=1e-6), 2)]
 
 
 def test_round_trip_double_zero_splits_far_below_the_pair_threshold(roundtrip):
@@ -549,7 +548,7 @@ def test_double_zero_split_is_a_tenth_of_the_merge_radius(roundtrip):
     # the rule's own circle at the zero it reports: the roots of the
     # quadratic must lie ten times closer than (eta / |a_2|)^(1/2), where
     # eta is the integrator's Richardson size on the circle
-    (z, order), = locate_zeros(roundtrip, (-0.5, 0.5, 0.5, 1.5))
+    (z, order, _), = locate_zeros(roundtrip, (-0.5, 0.5, 0.5, 1.5))
     circle, = _circles(roundtrip, [z], [0.5 * z.imag])
     roots = np.roots(circle.s11[2::-1])
     merge = (circle.eta / abs(circle.s11[2])) ** 0.5
@@ -573,14 +572,14 @@ def _pair_zeros(gap):
 
 def test_near_degenerate_pair_is_reported_not_merged():
     zeros = _pair_zeros(0.005)
-    assert [m for _, m in zeros] == [1, 1]
+    assert [m for _, m, _ in zeros] == [1, 1]
     assert abs(zeros[0][0] - (0.4 + 1.0j)) < 1e-6
     assert abs(zeros[1][0] - (0.405 + 1.0j)) < 1e-6
 
 
 def test_simple_zeros_a_thousandth_apart_stay_two():
     zeros = _pair_zeros(0.001)
-    assert [m for _, m in zeros] == [1, 1]
+    assert [m for _, m, _ in zeros] == [1, 1]
     assert abs(zeros[0][0] - (0.4 + 1.0j)) < 1e-6
     assert abs(zeros[1][0] - (0.401 + 1.0j)) < 1e-6
 
@@ -592,7 +591,7 @@ def test_triple_zero_is_found_with_its_constants(triple_pole):
     assert len(zeros) == 1 and zeros[0][1] == 3
     z = zeros[0][0]
     assert abs(z - triple_pole.z) <= 1e-10
-    c = norming_constants(triple_pole.profile, z).coefficients
+    c = one_circle_constants(triple_pole.profile, z).coefficients
     ref = np.array(triple_pole.datum.coefficients)
     assert np.max(np.abs(np.array(c) - ref) / np.abs(ref)) <= 1e-9
 
@@ -605,7 +604,7 @@ def test_rounding_in_the_samples_does_not_change_the_search(roundtrip, monkeypat
     rng = np.random.default_rng(11)
     noise = 1.0 + 1e-15 * rng.standard_normal(roundtrip.q.size)
     jittered = InitialProfile(roundtrip.x, roundtrip.q * noise)
-    norming_constants(roundtrip, 1j)
+    one_circle_constants(roundtrip, 1j)
     sizes = []
 
     def counted(name):
@@ -625,7 +624,7 @@ def test_rounding_in_the_samples_does_not_change_the_search(roundtrip, monkeypat
         sizes.append(0)
         found.append(locate_zeros(prof, (-0.5, 0.5, 0.5, 1.5)))
     assert sizes[0] == sizes[1]
-    assert [m for _, m in found[0]] == [m for _, m in found[1]] == [2]
+    assert [m for _, m, _ in found[0]] == [m for _, m, _ in found[1]] == [2]
     assert abs(found[0][0][0] - found[1][0][0]) <= 1e-12
 
 
@@ -698,7 +697,7 @@ def _recorded_connections(monkeypatch):
 
 def test_norming_constants_round_trip(roundtrip, monkeypatch):
     found = _recorded_connections(monkeypatch)
-    datum = norming_constants(roundtrip, 1j)
+    datum = one_circle_constants(roundtrip, 1j)
     assert datum.order == 2
     for got, ref in zip(datum.coefficients, ROUNDTRIP_DATUM.coefficients):
         assert abs(got - ref) / abs(ref) < 1e-6
@@ -708,7 +707,9 @@ def test_norming_constants_round_trip(roundtrip, monkeypatch):
 
 def test_point_off_the_spectrum_is_rejected(roundtrip):
     with pytest.raises(RuntimeError, match="not a zero"):
-        norming_constants(roundtrip, 0.9j)
+        one_circle_constants(roundtrip, 0.9j)
+    with pytest.raises(ValueError, match="open upper half plane"):
+        one_circle_constants(roundtrip, -1j)
 
 
 def test_injected_jost_stub_order_one():
@@ -830,9 +831,10 @@ def test_extraction_marches_one_circle_per_box(request, monkeypatch, name):
 def test_extracted_constants_match_the_one_circle_route(request, name):
     profile, box = _extraction_profile(request, name)
     data = extract_scattering(profile, [0.0], box=box)
-    assert [(d.z, d.order) for d in data.discrete] == locate_zeros(profile, box)
+    assert ([(d.z, d.order) for d in data.discrete]
+            == [(z, m) for z, m, _ in locate_zeros(profile, box)])
     for datum in data.discrete:
-        ref = norming_constants(profile, datum.z)
+        ref = one_circle_constants(profile, datum.z)
         assert ref.order == datum.order
         got, want = np.array(datum.coefficients), np.array(ref.coefficients)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
@@ -852,7 +854,7 @@ def test_centre_outside_the_inner_half_gets_a_new_circle(sech2, monkeypatch):
 
     monkeypatch.setattr(scattering, "_contour_moments", moved)
     batches = _recorded_circles(monkeypatch)
-    (z, order), = locate_zeros(sech2, (-0.005, 0.005, 0.495, 0.505))
+    (z, order, _), = locate_zeros(sech2, (-0.005, 0.005, 0.495, 0.505))
     assert len(batches) == 2
     (first,), (second,) = batches
     assert abs(first - (0.0045 + 0.5j)) < 1e-6
@@ -873,7 +875,7 @@ def test_search_from_a_poor_guess_runs_until_its_step_is_noise(sech2, monkeypatc
         return count, guesses + offset if bx == box else guesses
 
     monkeypatch.setattr(scattering, "_contour_moments", moved)
-    (z, order), = locate_zeros(sech2, box)
+    (z, order, _), = locate_zeros(sech2, box)
     assert order == 1 and abs(z - 0.5j) <= 1e-12
 
 

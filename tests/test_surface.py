@@ -1,23 +1,25 @@
 """The public surface: the README's library example and command-line
 examples run, every exported name exists, every function the benchmark's
 tracer wraps is still there with the argument it reads, and the cone
-formula's traffic reaches the functions it wraps."""
+formula's and the forward map's traffic reaches the functions it wraps."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 import shlex
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 import fnls
-from fnls import asymptotics
+from fnls import asymptotics, scattering
 from fnls.cli import main
 from fnls.scattering import DiscreteDatum, ScatteringData
 
@@ -139,3 +141,32 @@ def test_cone_formula_reaches_the_traced_spans(monkeypatch):
     # the window is taken before the dressing, so only kept poles are dressed
     start = {span[0]: span[1] for span in reversed(tracer.spans)}
     assert start["solitons.reorient"] < start["solitons.modulate"]
+
+
+def test_scatter_reaches_the_traced_scattering_spans(monkeypatch, tmp_path):
+    # fnls scatter runs the zero search and reads each zero's constants
+    # through the public names, so a traced run times both stages, and the
+    # contour's s11 samples are taken inside the search
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    box = importlib.import_module("workloads").SECH_BOX
+    sampled = []
+    s11_on_grid = scattering.s11_on_grid
+
+    def timed(profile, zs):
+        sampled.append(perf_counter())
+        return s11_on_grid(profile, zs)
+
+    monkeypatch.setattr(scattering, "s11_on_grid", timed)
+    tracer.install()
+    try:
+        assert main(["scatter", "--profile-kind", "sech", "--profile-amplitude", "2.0",
+                     "--scatter-box", box, "--output-dir", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    (zeros,) = [span for span in tracer.spans if span[0] == "scattering.zeros"]
+    norming = [span for span in tracer.spans if span[0] == "scattering.norming"]
+    doc = json.loads((tmp_path / "scattering.json").read_text(encoding="utf-8"))
+    assert len(norming) == len(doc["discrete"]) == 2
+    assert tracer.counts["scattering.s11_points"] > 0
+    assert sampled and all(zeros[1] < t < zeros[2] for t in sampled)
