@@ -116,7 +116,7 @@ def criterion_4():
     scaled = []
     for t in (20.0, 40.0, 80.0):
         q_pde = complex(ev.slice_at(t)[j0])
-        q_asym = q_asymptotic(0.0, t, (), sc, cone).q_total
+        q_asym = q_asymptotic(0.0, t, sc, cone).q_total
         scaled.append(t ** 0.75 * abs(q_pde - q_asym))
     ratio = float(np.max(scaled) / np.min(scaled))
     return (ratio, 3.0, ratio < 3.0 and scaled[-1] <= scaled[0],

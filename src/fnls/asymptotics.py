@@ -145,13 +145,14 @@ class AsymptoticValue:
         return self.q_sol_part + self.f_part / np.sqrt(self.t)
 
 
-def q_asymptotic(x, t, sigma_d, scattering, cone) -> AsymptoticValue:
+def q_asymptotic(x, t, scattering, cone) -> AsymptoticValue:
     """Evaluate the leading-order field at points of a cone.
 
     ``x`` and ``t`` are scalars or arrays that broadcast together; the
-    result has their shape.  ``sigma_d`` is the discrete data,
-    ``scattering`` carries the sampled reflection amplitude (``None`` means
-    reflectionless), and ``cone = (x1, x2, v1, v2)``.  The bound-state part
+    result has their shape.  ``scattering`` is the scattering record: its
+    poles ``discrete`` and its sampled reflection amplitude, reflectionless
+    when no sample is nonzero (an empty grid too); and
+    ``cone = (x1, x2, v1, v2)``.  The bound-state part
     uses only the poles whose velocities fall inside the cone, dressed as
     under the column scaling by ``1 / T``: by the radiation factor
     ``1 / delta`` and by the Blaschke product ``B`` of the poles the
@@ -175,7 +176,7 @@ def q_asymptotic(x, t, sigma_d, scattering, cone) -> AsymptoticValue:
     if np.any(t < _MIN_T):
         raise ValueError(f"t = {t.min():g} is below the asymptotic floor "
                          f"t = {_MIN_T:g}")
-    sigma_d = tuple(sigma_d)
+    sigma_d = scattering.discrete
     z0 = -x / (2.0 * t)
     # the window checks the cone before the points are tested against it
     part = partition(sigma_d, cone)
@@ -189,7 +190,7 @@ def q_asymptotic(x, t, sigma_d, scattering, cone) -> AsymptoticValue:
     kept = restrict_to_interval(sigma_d, part.I)
     left_out = tuple(d for d in sigma_d if d.z.real < part.I[0])
     # one ray for all points: the pole dressing and T0 read its nodes
-    ctx = None if scattering is None else phase_context(scattering, sigma_d, z0)
+    ctx = phase_context(scattering, z0) if np.any(scattering.r != 0) else None
 
     def inverse_t(z, n):
         b = _blaschke_series(z, left_out, n)

@@ -329,10 +329,8 @@ def _load_source_discrete(cfg: Settings) -> ScatteringData:
     if not poles_text:
         raise ValueError("this command needs a discrete source "
                          "(set discrete.file or discrete.poles)")
-    data = tuple(_parse_pole_line(line)
-                 for line in poles_text.splitlines() if line.strip())
-    empty = np.zeros(0)
-    return ScatteringData(empty, np.zeros(0, dtype=np.complex128), data)
+    return ScatteringData((), (), (_parse_pole_line(line)
+                                   for line in poles_text.splitlines() if line.strip()))
 
 
 def _write_csv(path: Path, x, values: np.ndarray, header: str, times=None) -> None:
@@ -385,14 +383,13 @@ def cmd_soliton(cfg: Settings, out_dir: Path) -> int:
 def cmd_asymptote(cfg: Settings, out_dir: Path) -> int:
     source = _load_source_discrete(cfg)
     cone = tuple(cfg.number("cone", key) for key in ("x1", "x2", "v1", "v2"))
-    scattering = source if source.r.size and np.any(source.r != 0) else None
     n_x = cfg.integer("asymptote", "n_x")
     if n_x < 1:
         raise ValueError("asymptote.n_x must be at least 1")
     times = np.linspace(*cfg.grid("asymptote", "t_min", "t_max", "n_t", least=1))
     x = np.array([np.linspace(cone[0] + cone[2] * t, cone[1] + cone[3] * t, n_x)
                   for t in times])
-    values = q_asymptotic(x, times[:, None], source.discrete, scattering, cone)
+    values = q_asymptotic(x, times[:, None], source, cone)
     save_asymptotics(out_dir / "asymptotics.csv", values)
     print(f"wrote {out_dir / 'asymptotics.csv'} ({x.size} points)")
     return 0

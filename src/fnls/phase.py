@@ -96,7 +96,7 @@ class _RayDensity:
     def __init__(self, scattering, z0):
         s = np.asarray(scattering.z, dtype=float)
         z0 = np.asarray(z0, dtype=float)
-        if not np.all((s[0] <= z0) & (z0 <= s[-1])):
+        if not (s.size and np.all((s[0] <= z0) & (z0 <= s[-1]))):
             raise ValueError("the reflection grid does not bracket z0")
         self.grid = s
         self.nu_grid = nu_of(np.abs(np.asarray(scattering.r)))
@@ -260,13 +260,13 @@ class PhaseContext:
         return nu_of(np.abs(self.r_at_z0))
 
 
-def phase_context(scattering, data, z0) -> PhaseContext:
-    """Assemble the scalar context at the stationary points ``z0`` from
-    sampled reflection data; ``z0`` may be an array, whose points share one
-    ray quadrature.
+def phase_context(scattering, z0) -> PhaseContext:
+    """Assemble the scalar context at the stationary points ``z0`` from a
+    scattering record; ``z0`` may be an array, whose points share one ray
+    quadrature.
 
     The boundary constant at the ray endpoint is the inverse Blaschke
-    product of the poles left of z0 (:func:`_left_of`) times
+    product of the record's poles left of z0 (:func:`_left_of`) times
     ``exp(i beta)``, with beta the finite part at z0 of the kernel integral
     of the density (:meth:`_RayDensity.offset_integral`).
     """
@@ -277,6 +277,7 @@ def phase_context(scattering, data, z0) -> PhaseContext:
     ray = _RayDensity(scattering, z0)
     r = np.asarray(scattering.r)
     r_at = np.interp(z0, ray.grid, r.real) + 1j * np.interp(z0, ray.grid, r.imag)
+    data = scattering.discrete
     inv = blaschke_product(z0, data, _left_of(data, z0))
     T0 = (1.0 / inv) * np.exp(1j * ray.offset_integral())
     z0, T0, r_at = (_unwrap(np.reshape(a, shape)) for a in (z0, T0, r_at))

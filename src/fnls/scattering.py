@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -186,7 +186,8 @@ def _quintic_spline(coef, x, xv):
 
 def sech_profile(amplitude: float, x) -> InitialProfile:
     x = np.asarray(x, dtype=float)
-    fn = lambda y: amplitude / np.cosh(y)  # noqa: E731
+    # cosh overflows to inf past |y| ~ 710, where the sample 0 is right
+    fn = np.errstate(over="ignore")(lambda y: amplitude / np.cosh(y))
     return InitialProfile(x, fn(x), fn=fn)
 
 
@@ -858,9 +859,8 @@ def extract_scattering(profile: InitialProfile, z_grid, box=None) -> ScatteringD
     data = reflection_coefficient(profile, z_grid)
     if box is None:
         return data
-    discrete = [norming_constants(z, s, m) for z, m, s in locate_zeros(profile, box)]
-    return ScatteringData(data.z, data.r, tuple(discrete),
-                          s11=data.s11, s21=data.s21)
+    return replace(data, discrete=[norming_constants(z, s, m)
+                                   for z, m, s in locate_zeros(profile, box)])
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ def load_evolution(directory) -> Evolution:
     if not np.all(np.isfinite(times)):
         raise ValueError("the manifest's times must be finite")
     g = manifest["grid"]
-    grid = Grid(n=int(g["n"]), x_min=float(g["x_min"]), x_max=float(g["x_max"]))
+    grid = Grid(n=g["n"], x_min=float(g["x_min"]), x_max=float(g["x_max"]))
     slices = []
     for name in manifest["slices"]:
         arr = np.loadtxt(path / name, delimiter=",", comments="#")

@@ -5,6 +5,7 @@ cone formula."""
 import cmath
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_pc_rejects_inconsistent_fields():
                                   (1.4, 9.0)])
 def test_alpha_matches_pc_route(smooth, z0, t):
     x = -2.0 * t * z0
-    ctx = phase_context(smooth, POLES, z0)
+    ctx = phase_context(replace(smooth, discrete=POLES), z0)
     pc = pc_coefficients(r0_modulated(ctx, t), ctx.nu0)
     alpha = alpha_z0(ctx, POLES)
     phi = x * x / (2.0 * t) - ctx.nu0 * math.log(4.0 * t)
@@ -145,7 +146,7 @@ def test_alpha_matches_pc_route(smooth, z0, t):
 
 
 def test_alpha_pole_free_collapse(smooth):
-    ctx = phase_context(smooth, (), 0.6)
+    ctx = phase_context(smooth, 0.6)
     assert ctx.z0 == 0.6
     alpha = alpha_z0(ctx, ())
     expected = (0.25 * math.pi
@@ -158,7 +159,7 @@ def test_alpha_pole_free_collapse(smooth):
 def test_alpha_rejects_vanishing_density():
     r_odd = S_GRID * np.exp(-S_GRID ** 2)
     sc = ScatteringData(S_GRID, r_odd.astype(np.complex128), ())
-    ctx = phase_context(sc, (), 0.0)
+    ctx = phase_context(sc, 0.0)
     assert ctx.nu0 == 0.0
     with pytest.raises(ValueError, match="vanishes"):
         alpha_z0(ctx, ())
@@ -170,7 +171,7 @@ def test_alpha_rejects_unbracketed_grid():
     narrow = ScatteringData(np.linspace(2.0, 3.0, 11),
                             np.full(11, 0.1 + 0.0j), ())
     with pytest.raises(ValueError, match="bracket"):
-        alpha_z0(phase_context(narrow, (), 0.6), ())
+        alpha_z0(phase_context(narrow, 0.6), ())
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +223,33 @@ def test_reflectionless_is_bitwise_soliton_field(smooth):
     # is the field of all the poles: the kept pole dressed by the one the
     # window leaves out on its left.  Measured 2.9e-12 over the
     # cross-section at t = 10; undressed, 1.98
-    zero_r = ScatteringData(S_GRID, np.zeros_like(R_SMOOTH), ())
+    zero_r = ScatteringData(S_GRID, np.zeros_like(R_SMOOTH), POLES)
     t = 10.0
     x = np.linspace(CONE_LOW[0] + CONE_LOW[2] * t, CONE_LOW[1] + CONE_LOW[3] * t, 201)
     exact = soliton_field(POLES, x, t)
-    for sc in (None, zero_r):
-        v = q_asymptotic(x, t, POLES, sc, CONE_LOW)
+    for sc in (ScatteringData((), (), POLES), zero_r):
+        v = q_asymptotic(x, t, sc, CONE_LOW)
         assert not v.f_part.any()
         assert np.array_equal(v.q_total, v.q_sol_part)
         assert np.max(np.abs(v.q_sol_part - exact)) <= 1e-11
 
 
+def test_a_record_without_radiation_is_bitwise_reflectionless():
+    # no nonzero reflection sample, on any grid or on none, means no ray: a
+    # zero-r record once took the ray path, whose factors of 1 moved the
+    # field by rounding, and a grid that does not bracket z0 raised
+    t = 10.0
+    x = np.linspace(CONE_LOW[0] + CONE_LOW[2] * t, CONE_LOW[1] + CONE_LOW[3] * t, 201)
+    bare = q_asymptotic(x, t, ScatteringData((), (), POLES), CONE_LOW)
+    for z in (S_GRID, np.linspace(2.0, 3.0, 11)):
+        v = q_asymptotic(x, t, ScatteringData(z, np.zeros(z.size), POLES), CONE_LOW)
+        assert v.q_sol_part.tobytes() == bare.q_sol_part.tobytes()
+        assert v.f_part.tobytes() == bare.f_part.tobytes()
+
+
 def test_pole_free_amplitude_law(smooth):
     cone = (-1.0, 1.0, -0.05, 0.05)
-    v = q_asymptotic(0.4, 25.0, (), smooth, cone)
+    v = q_asymptotic(0.4, 25.0, smooth, cone)
     assert v.q_sol_part == 0
     z0 = -0.4 / 50.0
     r_at = complex(np.interp(z0, S_GRID, R_SMOOTH.real),
@@ -251,21 +265,21 @@ def test_pole_free_amplitude_law(smooth):
 def test_composite_regression_pins(smooth, x, t, cone, expect):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = q_asymptotic(x, t, POLES, smooth, cone)
+        v = q_asymptotic(x, t, replace(smooth, discrete=POLES), cone)
     assert abs(v.q_total - expect) < 1e-10
 
 
 @pytest.mark.parametrize("x,t,cone", [(-8.6, 10.0, CONE_LOW),
                                       (15.5, 10.0, CONE_UP)])
 def test_composite_invariants(smooth, x, t, cone):
-    v = q_asymptotic(x, t, POLES, smooth, cone)
+    v = q_asymptotic(x, t, replace(smooth, discrete=POLES), cone)
     z0 = -x / (2.0 * t)
     part = partition(POLES, cone)
 
     # bound-state part mirrors the restrict-then-weight pipeline exactly:
     # 1 / delta, times the Blaschke product of the poles the window leaves
     # out on its left (CONE_LOW's -0.8 + 0.6i; CONE_UP leaves out none)
-    ctx = phase_context(smooth, POLES, z0)
+    ctx = phase_context(replace(smooth, discrete=POLES), z0)
     kept = restrict_to_interval(POLES, part.I)
     left_out = [d for d in POLES if d.z.real < part.I[0]]
     inverse_t = ctx.ray.inverse_delta
@@ -324,7 +338,7 @@ def test_one_ray_grid_per_call(smooth, ray_builds):
     # pole dressing and the boundary constant alike
     t = np.array([[10.0], [12.0], [14.0]])
     x = np.linspace(-0.9, 0.9, 8) + CONE_LOW[2] * t
-    v = q_asymptotic(x, t, POLES, smooth, CONE_LOW)
+    v = q_asymptotic(x, t, replace(smooth, discrete=POLES), CONE_LOW)
     assert v.q_total.shape == (3, 8)
     assert np.all(v.f_part != 0)
     assert len(ray_builds) == 1
@@ -332,21 +346,21 @@ def test_one_ray_grid_per_call(smooth, ray_builds):
 
 def test_rejects_points_outside_the_cone(smooth):
     with pytest.raises(ValueError, match="outside"):
-        q_asymptotic(30.0, 10.0, POLES, smooth, CONE_LOW)
+        q_asymptotic(30.0, 10.0, replace(smooth, discrete=POLES), CONE_LOW)
 
 
 def test_rejects_small_or_nonpositive_t(smooth):
     with pytest.raises(ValueError, match="positive"):
-        q_asymptotic(0.0, -1.0, (), smooth, (-1.0, 1.0, -0.1, 0.1))
+        q_asymptotic(0.0, -1.0, smooth, (-1.0, 1.0, -0.1, 0.1))
     with pytest.raises(ValueError, match="positive"):
-        q_asymptotic(0.0, 0.0, (), smooth, (-1.0, 1.0, -0.1, 0.1))
+        q_asymptotic(0.0, 0.0, smooth, (-1.0, 1.0, -0.1, 0.1))
     with pytest.raises(ValueError, match="floor"):
-        q_asymptotic(0.0, 3.0, (), smooth, (-1.0, 1.0, -0.1, 0.1))
+        q_asymptotic(0.0, 3.0, smooth, (-1.0, 1.0, -0.1, 0.1))
 
 
 def test_one_point_gives_python_scalars(smooth):
     # callers at one point compare and serialise the results as before
-    v = q_asymptotic(-8.6, 10.0, POLES, smooth, CONE_LOW)
+    v = q_asymptotic(-8.6, 10.0, replace(smooth, discrete=POLES), CONE_LOW)
     assert [type(a) for a in (v.x, v.t, v.q_sol_part, v.f_part, v.q_total)] == [
         float, float, complex, complex, complex]
     pc = pc_coefficients(consistent_r0(-0.11), -0.11)
@@ -356,7 +370,7 @@ def test_one_point_gives_python_scalars(smooth):
 
 def test_save_asymptotics_roundtrip(tmp_path, smooth):
     cone = (-1.0, 1.0, -0.05, 0.05)
-    vals = q_asymptotic(0.0, np.array([9.0, 16.0]), (), smooth, cone)
+    vals = q_asymptotic(0.0, np.array([9.0, 16.0]), smooth, cone)
     path = tmp_path / "asym.csv"
     save_asymptotics(path, vals)
     arr = np.loadtxt(path, delimiter=",")
@@ -380,7 +394,7 @@ LEFT_OUT = (DiscreteDatum(-0.8 + 0.6j, (1.0,)), *DOUBLE)
 
 def _against_reference(x, t, sigma_d, scattering, cone):
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    v = q_asymptotic(x, t, sigma_d, scattering, cone)
+    v = q_asymptotic(x, t, replace(scattering, discrete=sigma_d), cone)
     assert v.q_total.shape == x.shape
     worst = 0.0
     for i in np.ndindex(x.shape):
@@ -444,9 +458,9 @@ def test_batched_window_edge_left_of_the_grid(smooth):
 def test_non_finite_cone_input_is_refused(smooth, x, t, floor, name, value):
     # the floor itself is a time the formula takes
     assert asymptotics._MIN_T == floor
-    assert np.isfinite(q_asymptotic(0.0, floor, SIMPLE, smooth, WIDE).q_total)
+    assert np.isfinite(q_asymptotic(0.0, floor, replace(smooth, discrete=SIMPLE), WIDE).q_total)
     with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
-        q_asymptotic(x, t, SIMPLE, smooth, WIDE)
+        q_asymptotic(x, t, replace(smooth, discrete=SIMPLE), WIDE)
 
 
 def test_batched_drops_radiation_only_where_r_vanishes():
@@ -479,7 +493,7 @@ def test_batched_tie_goes_right(smooth, monkeypatch):
     assert flags == [[True, False, False]]
     (row,) = rows
     z0 = -x / (2.0 * t)
-    ctx = phase_context(smooth, tied, z0)
+    ctx = phase_context(replace(smooth, discrete=tied), z0)
     weighted = modulate_constants(tied, ctx.ray.inverse_delta)
     for i, left in enumerate(flags[0]):
         point = weighted.rows([i])
@@ -499,7 +513,7 @@ def test_tied_pole_side_changes_no_output(smooth, order):
     x, t = np.array([-3.0, -2.0, -1.0]), 8.0        # z0 = 0.125 at the middle point
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        right = q_asymptotic(x, t, tied, smooth, WIDE)
+        right = q_asymptotic(x, t, replace(smooth, discrete=tied), WIDE)
     rule, flags = phase._left_of, []
 
     def tie_goes_left(data, z0):
@@ -509,7 +523,7 @@ def test_tied_pole_side_changes_no_output(smooth, order):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(phase, "_left_of", tie_goes_left)
-        left = q_asymptotic(x, t, tied, smooth, WIDE)
+        left = q_asymptotic(x, t, replace(smooth, discrete=tied), WIDE)
     assert flags == [[True, True, False]]
     assert np.all(right.f_part != 0)
     assert right.q_sol_part.tobytes() == left.q_sol_part.tobytes()
@@ -526,7 +540,7 @@ def _recording_rows(scattering, x, t, sigma_d, cone, rows):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(asymptotics, "solve_soliton", recording)
-        return q_asymptotic(x, t, sigma_d, scattering, cone)
+        return q_asymptotic(x, t, replace(scattering, discrete=sigma_d), cone)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +579,7 @@ def test_each_pole_cone_matches_the_field_of_all_poles():
             x = np.linspace(cone[2] * t, cone[3] * t, 81)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                q = q_asymptotic(x, t, poles, None, cone).q_sol_part
+                q = q_asymptotic(x, t, ScatteringData((), (), poles), cone).q_sol_part
             with warnings.catch_warnings():
                 # the field of all the poles is worse conditioned, to 3.7e12
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -605,7 +619,8 @@ ORDER_3_CASES = [
 def test_order_3_cone_soliton_part_matches_a_60_digit_solve(poles, x, t, exact, bound):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cone = q_asymptotic(x, t, poles, None, (-1.0, 1.0, -1.0, 1.0)).q_sol_part
+        cone = q_asymptotic(x, t, ScatteringData((), (), poles),
+                            (-1.0, 1.0, -1.0, 1.0)).q_sol_part
         field = soliton_field(poles, [x], t)[0]
     assert abs(cone - exact) <= bound * abs(exact)
     assert abs(field - exact) <= bound * abs(exact)
@@ -643,7 +658,7 @@ def test_sech_remainder_decays_along_rays(sech_run, speed):
     for t in SECH_TIMES:
         x = speed * t
         q_pde = complex(ev.interp(t, np.array([x]))[0])
-        q_asym = q_asymptotic(x, t, sc.discrete, sc, SECH_CONE).q_total
+        q_asym = q_asymptotic(x, t, sc, SECH_CONE).q_total
         scaled.append(t ** 0.75 * abs(q_pde - q_asym))
     assert all(b <= a for a, b in zip(scaled, scaled[1:])), scaled
 
@@ -655,7 +670,7 @@ def test_sech_asymptote_is_even(sech_run):
     worst = 0.0
     for t in SECH_TIMES:
         xs = np.linspace(-0.3 * t, 0.3 * t, 13)
-        q = np.abs([q_asymptotic(x, t, sc.discrete, sc, SECH_CONE).q_total
+        q = np.abs([q_asymptotic(x, t, sc, SECH_CONE).q_total
                     for x in xs])
         worst = max(worst, float(np.max(np.abs(q - q[::-1])) / np.max(q)))
     assert worst <= 1e-3
@@ -676,7 +691,7 @@ def test_inline_dispersive_product_is_the_e1_entry(sech_run):
             f = _recording_rows(sc, x, t, sc.discrete, SECH_CONE, rows).f_part
             z0 = -x / (2.0 * t)
             part = partition(sc.discrete, SECH_CONE)
-            ctx = phase_context(sc, sc.discrete, z0)
+            ctx = phase_context(sc, z0)
             kept = restrict_to_interval(sc.discrete, part.I)
             weighted = modulate_constants(kept, ctx.ray.inverse_delta)
             left = [d.z.real < z0 for d in kept]

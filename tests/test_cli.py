@@ -18,9 +18,10 @@ import pytest
 
 import fnls
 from fnls import acceptance
+from fnls.asymptotics import q_asymptotic, save_asymptotics
 from fnls.cli import SCHEMA, _parse_pole_line, config_reference, main
 from fnls.scattering import ScatteringData, load_scattering, save_scattering
-from fnls.solitons import soliton_field
+from fnls.solitons import DiscreteDatum, soliton_field
 from fnls.splitstep import Grid, load_evolution
 from profile_file import save_profile
 
@@ -251,6 +252,15 @@ def test_scatter_zero_profile_reports_empty_discrete_list(tmp_path, out):
     assert all(re == 0.0 and im == 0.0 for re, im in doc["r"])
     arr = np.loadtxt(out / "reflection.csv", delimiter=",", comments="#")
     assert arr.shape == (17, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scatter_of_sech_past_the_range_of_cosh_warns_of_nothing(out):
+    # cosh overflows past |x| ~ 710, where the sample sech x = 0 is right;
+    # the profile and the Jost march's nodes once warned of the overflow
+    assert run_cli("scatter", "--profile-kind", "sech", "--profile-x-min", "-800",
+                   "--profile-x-max", "800", "--profile-n", "16001",
+                   "--output-dir", str(out)) == 0
 
 
 def test_scatter_non_finite_profile_exits_2_naming_it(tmp_path, out, capsys):
@@ -577,6 +587,34 @@ def test_asymptote_reflectionless_f_column_is_zero(out):
     assert np.array_equal(arr[:, 2:4], arr[:, 6:8])
 
 
+# an order-2 pole the cone keeps, and a simple pole it leaves out on its left
+CONE_LOW = (-1.0, 1.0, -1.0, -0.8)
+LEFT_OUT = (DiscreteDatum(-0.8 + 0.6j, (1.0,)), DiscreteDatum(0.45 + 0.9j, (1.0, 0.2)))
+
+
+@pytest.mark.parametrize("record", [
+    ScatteringData((), (), LEFT_OUT),
+    ScatteringData(np.linspace(2.0, 3.0, 11), np.zeros(11), LEFT_OUT),
+], ids=["pole-only", "zero-r-off-z0"])
+def test_asymptote_table_is_the_library_call_on_its_record(tmp_path, out, record):
+    # the command and the library read one record by one rule: no nonzero
+    # reflection sample means no radiation.  The library once raised on
+    # both records (IndexError, and "does not bracket z0") where the
+    # command, which dropped the samples itself, wrote a table
+    source, table = tmp_path / "source.json", tmp_path / "library.csv"
+    save_scattering(record, source)
+    assert run_cli("asymptote", "--discrete-file", str(source),
+                   *(f"--cone-{k}={v!r}" for k, v in zip(("x1", "x2", "v1", "v2"), CONE_LOW)),
+                   "--asymptote-t-min", "10", "--asymptote-t-max", "20",
+                   "--asymptote-n-t", "3", "--asymptote-n-x", "7",
+                   "--output-dir", str(out)) == 0
+    times = np.linspace(10.0, 20.0, 3)
+    x = np.array([np.linspace(CONE_LOW[0] + CONE_LOW[2] * t, CONE_LOW[1] + CONE_LOW[3] * t, 7)
+                  for t in times])
+    save_asymptotics(table, q_asymptotic(x, times[:, None], load_scattering(source), CONE_LOW))
+    assert (out / "asymptotics.csv").read_bytes() == table.read_bytes()
+
+
 def _swapped_samples(doc):
     doc["z_grid"][78], doc["z_grid"][82] = doc["z_grid"][82], doc["z_grid"][78]
 
@@ -831,13 +869,18 @@ def _nan_time(manifest):
     manifest["t"][-1] = float("nan")
 
 
+def _fractional_n(manifest):
+    manifest["grid"]["n"] = 1024.5
+
+
 @pytest.mark.parametrize("which", ["a", "b"])
 def test_compare_malformed_evolution_exit_2(evolved, tmp_path, out, capsys, which):
     # a manifest without "grid" used to raise KeyError, and one more time
     # than slices an IndexError from slice_at, both with exit 1; a nan time
-    # read as the first slice and wrote a row for t = nan with exit 0
+    # read as the first slice and wrote a row for t = nan with exit 0, and
+    # a fractional mode count was cut to an integer, also with exit 0
     for damage, reason in ((_no_grid, "grid"), (_extra_time, "2 slices"),
-                           (_nan_time, "finite")):
+                           (_nan_time, "finite"), (_fractional_n, "n an integer")):
         bad = _copy_evolution(evolved, tmp_path / f"bad{damage.__name__}", damage)
         a, b = (bad, evolved) if which == "a" else (evolved, bad)
         assert run_cli("compare", "--compare-a", str(a), "--compare-b", str(b),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,11 +270,11 @@ def test_boundary_constant_reflectionless(poles):
     # both poles lie left of Z0; with neither left of z0, T0 is exactly 1
     flat = ScatteringData(S_GRID, np.zeros_like(R_SMOOTH))
     direct = np.prod([((Z0 - np.conj(d.z)) / (Z0 - d.z)) ** d.order for d in poles])
-    got = phase_context(flat, poles, Z0).T0_z0
+    got = phase_context(replace(flat, discrete=poles), Z0).T0_z0
     assert abs(got - direct) < 1e-12
     assert abs(abs(got) - 1.0) < 1e-12
-    assert phase_context(flat, poles, -1.0).T0_z0 == 1.0
-    assert phase_context(flat, (), Z0).T0_z0 == 1.0
+    assert phase_context(replace(flat, discrete=poles), -1.0).T0_z0 == 1.0
+    assert phase_context(flat, Z0).T0_z0 == 1.0
 
 
 def test_boundary_constant_takes_the_poles_left_of_z0(smooth, poles):
@@ -282,27 +283,36 @@ def test_boundary_constant_takes_the_poles_left_of_z0(smooth, poles):
     z0 = np.array([-0.85, -0.8, -0.75, 0.4, 0.45, 0.5])
     members = [(), (), (0,), (0,), (0,), (0, 1)]
     beta = _RayDensity(smooth, z0).offset_integral()
-    got = phase_context(smooth, poles, z0).T0_z0
+    got = phase_context(replace(smooth, discrete=poles), z0).T0_z0
     for i, ks in enumerate(members):
         factor = np.prod([((z0[i] - poles[k].z) / (z0[i] - np.conj(poles[k].z)))
                           ** poles[k].order for k in ks])
         assert abs(got[i] - np.exp(1j * beta[i]) / factor) < 1e-14, z0[i]
 
 
+def test_an_empty_reflection_grid_brackets_no_z0(poles):
+    # the ray read the grid's first sample before it checked the grid, and
+    # an empty grid failed with an IndexError
+    with pytest.raises(ValueError, match="does not bracket z0"):
+        delta_fn(1j, ScatteringData((), (), ()), 0.0)
+    with pytest.raises(ValueError, match="does not bracket z0"):
+        phase_context(ScatteringData((), (), poles), 0.0)
+
+
 def test_boundary_constant_is_unimodular(smooth, poles):
-    assert abs(abs(phase_context(smooth, poles, Z0).T0_z0) - 1.0) < 1e-10
+    assert abs(abs(phase_context(replace(smooth, discrete=poles), Z0).T0_z0) - 1.0) < 1e-10
 
 
 def test_boundary_constant_needs_bracketing(smooth, poles):
     with pytest.raises(ValueError, match="bracket"):
-        phase_context(smooth, poles, 7.0)
+        phase_context(replace(smooth, discrete=poles), 7.0)
 
 
 def test_delta_approaches_the_boundary_model(smooth):
     # along the diagonal ray the mismatch must stay Hoelder-1/2 bounded;
     # without poles the boundary constant is delta's own.  The model is
     # local: from d = 0.4 to 0.1, where nu still varies, the ratio grows
-    t0 = phase_context(smooth, (), Z0).T0_z0
+    t0 = phase_context(smooth, Z0).T0_z0
     nu0 = nu_of(abs(_r_at(Z0)))
     ratios = []
     for d in (0.1, 0.05, 0.025, 0.0125, 0.00625):
@@ -366,7 +376,7 @@ def test_cone_bounds_must_be_ordered():
         with pytest.raises(ValueError, match=message):
             partition(lone, cone=cone)
         with pytest.raises(ValueError, match=message):
-            q_asymptotic(0.0, 10.0, lone, None, cone)
+            q_asymptotic(0.0, 10.0, ScatteringData((), (), lone), cone)
 
 
 @settings(max_examples=40)
@@ -393,7 +403,7 @@ def test_decay_rate_shrinks_as_the_interval_grows(res, ims, w1, grow):
 # ---------------------------------------------------------------------------
 
 def test_phase_context_fields(smooth, poles):
-    ctx = phase_context(smooth, poles, z0=0.6)
+    ctx = phase_context(replace(smooth, discrete=poles), z0=0.6)
     assert ctx.z0 == 0.6
     assert ctx.nu0 <= 0
     assert abs(ctx.r_at_z0 - _r_at(0.6)) < 1e-14
@@ -402,7 +412,7 @@ def test_phase_context_fields(smooth, poles):
 
 def test_phase_context_validation(smooth, poles):
     with pytest.raises(ValueError, match="bracket"):
-        phase_context(smooth, poles, z0=50.0)
+        phase_context(replace(smooth, discrete=poles), z0=50.0)
     with pytest.raises(ValueError, match="unimodular"):
         PhaseContext(z0=-0.5, T0_z0=1.4 + 0j, r_at_z0=0.1 + 0j, ray=None)
 
@@ -420,7 +430,7 @@ def test_phase_context_refuses_constants_that_are_not_finite(field, bad):
 
 
 def test_modulated_amplitude_basics(smooth, poles):
-    ctx = phase_context(smooth, poles, z0=0.15)
+    ctx = phase_context(replace(smooth, discrete=poles), z0=0.15)
     assert abs(abs(r0_modulated(ctx, 4.0))
                - abs(r0_modulated(ctx, 900.0))) < 1e-12
     assert abs(abs(r0_modulated(ctx, 4.0))
@@ -434,7 +444,7 @@ def test_modulated_amplitude_basics(smooth, poles):
 def test_gaussian_amplitude_regression_pin():
     prof = gaussian_profile(0.3, np.linspace(-8.0, 8.0, 641))
     scat = reflection_coefficient(prof, np.linspace(-4.0, 4.0, 321))
-    ctx = phase_context(scat, [], z0=0.0)
+    ctx = phase_context(scat, z0=0.0)
     r0 = r0_modulated(ctx, 25.0)
     assert abs(r0 - (-0.5814569003879617 + 0.08915030374014535j)) < 1e-9
 

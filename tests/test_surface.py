@@ -127,11 +127,11 @@ def test_cone_formula_reaches_the_traced_spans(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracer = importlib.import_module("tracing").Tracer()
     s = np.linspace(-5.0, 5.0, 401)
-    scattering = ScatteringData(s, 0.5 * np.exp(-s ** 2), ())
     poles = (DiscreteDatum(-0.1 + 0.6j, (1.0,)), DiscreteDatum(0.3 + 0.8j, (1.0, 0.2)))
+    scattering = ScatteringData(s, 0.5 * np.exp(-s ** 2), poles)
     tracer.install()
     try:
-        asymptotics.q_asymptotic(np.array([-1.0, 1.0]), 10.0, poles, scattering,
+        asymptotics.q_asymptotic(np.array([-1.0, 1.0]), 10.0, scattering,
                                  (-2.0, 2.0, -1.0, 1.0))
     finally:
         tracer.uninstall()
