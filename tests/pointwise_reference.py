@@ -205,9 +205,13 @@ def q_pointwise(x: float, t: float, sigma_d, scattering, cone):
     lo, hi = -cone[3] / 2.0, -cone[2] / 2.0
     minus = [k for k, d in enumerate(sigma_d) if d.z.real < z0]
     data = tuple(sigma_d)
-    ray = None
-    if scattering is not None:
+    r = np.asarray(scattering.r)
+    # the library's rule: a record with no nonzero reflection sample is
+    # reflectionless, and no ray is built for it
+    ray, r_at = None, 0j
+    if np.any(r != 0):
         ray = Ray(scattering, z0)
+        r_at = complex(np.interp(z0, ray.grid, r.real), np.interp(z0, ray.grid, r.imag))
         data = tuple(replace(d, coefficients=_scaled(
             d.coefficients, ray.inverse_delta(d.z, d.order))) for d in data)
     # the poles the window leaves out on its left dress the kept ones by
@@ -221,10 +225,7 @@ def q_pointwise(x: float, t: float, sigma_d, scattering, cone):
     q_sol, alpha, beta = (_solve(oriented, orientations, x, t) if kept
                           else (0j, [], []))
     f = 0j
-    r = np.asarray(scattering.r) if ray is not None else None
-    if ray is not None:
-        r_at = complex(np.interp(z0, ray.grid, r.real), np.interp(z0, ray.grid, r.imag))
-    if ray is not None and abs(r_at) >= R_THRESHOLD:
+    if abs(r_at) >= R_THRESHOLD:
         nu0 = nu_of(abs(r_at))
         blaschke = 1.0 + 0j
         for k in minus:

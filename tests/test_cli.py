@@ -873,14 +873,25 @@ def _fractional_n(manifest):
     manifest["grid"]["n"] = 1024.5
 
 
+def _bool_x_max(manifest):
+    manifest["grid"]["x_max"] = True
+
+
+def _string_x_min(manifest):
+    manifest["grid"]["x_min"] = str(manifest["grid"]["x_min"])
+
+
 @pytest.mark.parametrize("which", ["a", "b"])
 def test_compare_malformed_evolution_exit_2(evolved, tmp_path, out, capsys, which):
     # a manifest without "grid" used to raise KeyError, and one more time
     # than slices an IndexError from slice_at, both with exit 1; a nan time
     # read as the first slice and wrote a row for t = nan with exit 0, and
-    # a fractional mode count was cut to an integer, also with exit 0
+    # a fractional mode count was cut to an integer, and a grid end of true
+    # or a string was read as a number, all with exit 0
     for damage, reason in ((_no_grid, "grid"), (_extra_time, "2 slices"),
-                           (_nan_time, "finite"), (_fractional_n, "n an integer")):
+                           (_nan_time, "finite"), (_fractional_n, "n an integer"),
+                           (_bool_x_max, "x_max must be a real number, got True"),
+                           (_string_x_min, "x_min must be a real number, got '")):
         bad = _copy_evolution(evolved, tmp_path / f"bad{damage.__name__}", damage)
         a, b = (bad, evolved) if which == "a" else (evolved, bad)
         assert run_cli("compare", "--compare-a", str(a), "--compare-b", str(b),

@@ -138,6 +138,18 @@ def test_saved_edge_fraction_is_strict_json(tmp_path, fraction):
     assert math.isnan(back) if math.isnan(fraction) else back == fraction
 
 
+@pytest.mark.parametrize("key, value", [("x_max", True), ("x_min", "-4.0")])
+def test_load_evolution_refuses_grid_ends_that_are_not_real_numbers(tmp_path, key, value):
+    # float() read true as 1.0 and the string as a number, with no error
+    grid = Grid(16, -4.0, 4.0)
+    save_evolution(Evolution(grid, np.array([0.0]), np.ones((1, 16), dtype=complex)), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["grid"][key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"grid {key} must be a real number, got {value!r}"):
+        load_evolution(tmp_path)
+
+
 def test_residual_window_restriction():
     grid = Grid(512, -8 * np.pi, 8 * np.pi)
     sol = sech_soliton(1.0)
@@ -335,13 +347,33 @@ def test_in_place_sweep_keeps_what_it_recorded():
         assert ev.q[i].tobytes() == alone.q[-1].tobytes()
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_plane_wave_with_a_large_phase_per_sub_step(order):
-    # A = 30, dt = 1e-2: each order-2 sub-step turns q by 9 rad, and order
-    # 4's backward sub-step by about -15 rad, so no small-angle form of the
-    # rotation could pass; measured 1.5e-14 (order 2) and 7.6e-14 (order 4)
+# (order, amplitude), with dt = 1e-2; the 9 rad case keeps the bare order as id
+PLANE_WAVES = [pytest.param(order, amplitude, id=f"{order}{tag}")
+               for tag, amplitude in (("", 30.0), ("-tiny", 1e-4),
+                                      ("-pi", math.sqrt(math.pi / 1e-2)))
+               for order in (2, 4)]
+
+
+@pytest.mark.parametrize("order, amplitude", PLANE_WAVES)
+def test_plane_wave_with_a_large_phase_per_sub_step(order, amplitude):
+    # The rotation is built from tan(theta / 2), so the phases it could get
+    # wrong are checked: A = 30 turns each order-2 sub-step by 9 rad, and
+    # order 4's backward sub-step by about -15 rad, so no small-angle form
+    # could pass; A = 1e-4 turns it by 1e-10 rad, which cos = d - 1 must not
+    # lose; A = sqrt(pi / dt) turns it by pi, where tan(theta / 2) is near
+    # its pole (order 4 by about 1.35 pi and -1.70 pi). Measured at orders 2
+    # and 4: 6.4e-14 and 4.1e-13 (9 rad), 1.0e-24 and 1.1e-23 (1e-10 rad),
+    # 8.9e-15 and 2.7e-14 (pi)
     grid = Grid(64, -4 * np.pi, 4 * np.pi)
-    amplitude, t_final = 30.0, 0.5
+    t_final = 0.5
     ev = split_step(np.full(grid.n, amplitude), grid, t_final, dt=1e-2, order=order)
     exact = amplitude * np.exp(1j * amplitude ** 2 * t_final)
     assert np.max(np.abs(ev.q[-1] - exact)) / amplitude <= 1e-12
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_a_zero_field_stays_exactly_zero(order):
+    # theta = 0 turns by exactly 1, and order 4's w0 < 0 makes it -0.0
+    grid = Grid(64, -4 * np.pi, 4 * np.pi)
+    ev = split_step(np.zeros(grid.n), grid, 0.5, dt=1e-2, order=order)
+    assert not np.any(ev.q)
